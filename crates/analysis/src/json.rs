@@ -328,16 +328,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
+                    // Consume the whole run of plain bytes up to the next
+                    // quote or backslash. Both are ASCII, so the run ends
+                    // on a character boundary of the (UTF-8) input.
                     let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|e| format!("invalid UTF-8 at byte {}: {e}", self.at))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| format!("unterminated string at byte {start}"))?;
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    out.push_str(run);
+                    self.at += len;
                 }
             }
         }
@@ -468,6 +470,27 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("[1] extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_text_and_escapes_roundtrip() {
+        let text = "µPC \"EXEC.MOVC3\"\\n\tµ0042 — Σ cycles\u{1}ä";
+        let v = Json::obj([(text, Json::from(text))]);
+        for doc in [v.to_string_compact(), v.to_string_pretty()] {
+            assert_eq!(Json::parse(&doc).unwrap(), v, "{doc}");
+        }
+        let parsed = Json::parse(r#"["\u00b5PC\n", "caf\u00e9 µ", "\"\\/"]"#).unwrap();
+        let strs: Vec<&str> = parsed
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(strs, ["µPC\n", "café µ", "\"\\/"]);
+        // Unterminated strings still fail, after plain text or an escape.
+        for bad in ["\"µPC", "[\"µPC\\\"", "{\"a\": \"x\\", "\"\\u00"] {
+            assert!(Json::parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -172,6 +172,12 @@ impl SystemBuilder {
     /// # Panics
     /// Panics if no process was added, or resources are exhausted.
     pub fn build_image(mut self) -> BootImage {
+        self.lay_out()
+    }
+
+    /// [`SystemBuilder::build_image`]'s body; it leaves the laid-out memory
+    /// in the builder, where tests can compare the image against it.
+    fn lay_out(&mut self) -> BootImage {
         assert!(
             !self.processes.is_empty(),
             "a system needs at least one process"
@@ -213,11 +219,11 @@ impl SystemBuilder {
         let mut regs = [0u32; 16];
         regs[14] = kstack_top;
         regs[15] = entries.boot;
-        let all = self.mem.phys().slice(PhysAddr(0), self.mem.phys().size());
-        let used = all.len() - all.iter().rev().take_while(|&&b| b == 0).count();
+        let written = self.mem.phys().written();
+        let used = written.len() - written.iter().rev().take_while(|&&b| b == 0).count();
         BootImage {
             config: self.config,
-            phys: all[..used].to_vec(),
+            phys: written[..used].to_vec(),
             tables: self.mem.tables,
             regs,
             psl: Psl::new_kernel(31),
@@ -284,7 +290,8 @@ impl SystemBuilder {
 /// after layout (trimmed of trailing zero bytes), the page-table registers,
 /// and the boot register file. Unlike [`System`] this is `Send`, so a warm
 /// cache can hand one image to any worker thread; rehydration via
-/// [`System::from_boot_image`] costs a memcpy instead of a full layout.
+/// [`System::from_boot_image`] costs a memcpy of the retained bytes instead
+/// of a full layout.
 #[derive(Debug, Clone)]
 pub struct BootImage {
     config: SystemConfig,
@@ -533,6 +540,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vax_arch::{Opcode, Reg};
     use vax_asm::{Asm, Operand};
 
@@ -604,6 +613,56 @@ mod tests {
         let a = measure(&mut System::from_boot_image(&image));
         let b = measure(&mut System::from_boot_image(&image));
         assert_eq!(a, b, "two rehydrations must measure identically");
+    }
+
+    /// A process whose image is a spin loop followed by random data that
+    /// often ends in a run of zeros.
+    fn random_process(rng: &mut StdRng) -> ProcessSpec {
+        let mut asm = Asm::new(0x200);
+        asm.label("entry");
+        asm.insn(Opcode::Brb, &[], Some("entry"));
+        let mut data: Vec<u8> = (0..rng.gen_range(0..2_000)).map(|_| rng.gen()).collect();
+        data.resize(data.len() + rng.gen_range(0..1_500), 0);
+        asm.bytes(&data);
+        ProcessSpec::new(asm.assemble().unwrap(), "entry")
+            .with_bss_pages(rng.gen_range(0..24))
+            .with_stack_pages(rng.gen_range(1..12))
+    }
+
+    #[test]
+    fn retained_bytes_match_a_flat_trim_over_random_write_sets() {
+        let mut rng = StdRng::seed_from_u64(0x0B00_7113);
+        for case in 0..16 {
+            let mut b = SystemBuilder::new(SystemConfig::default());
+            for _ in 0..rng.gen_range(1..=3) {
+                b.add_process(random_process(&mut rng));
+            }
+            // Raw stores far above the frames the layout allocates; about
+            // half write zeros, so the written prefix often ends past the
+            // last nonzero byte.
+            for _ in 0..rng.gen_range(0..6) {
+                let pa = rng.gen_range((4u32 << 20)..(8u32 << 20) - 8);
+                let v = if rng.gen_bool(0.5) {
+                    0
+                } else {
+                    rng.gen::<u64>()
+                };
+                b.mem
+                    .phys_mut()
+                    .write(PhysAddr(pa), rng.gen_range(1..=8), v);
+            }
+            let image = b.lay_out();
+
+            // Reference: the whole memory as one flat copy, trimmed from the
+            // top byte by byte.
+            let phys = b.mem.phys();
+            let mut flat = Vec::new();
+            phys.append_to(PhysAddr(0), phys.size(), &mut flat);
+            assert_eq!(flat.len(), 8 << 20);
+            let used = flat.len() - flat.iter().rev().take_while(|&&x| x == 0).count();
+            assert_eq!(image.retained_bytes(), used, "case {case}");
+            assert_eq!(image.phys, flat[..used], "case {case}");
+        }
     }
 
     #[test]

@@ -412,8 +412,7 @@ impl Cpu {
             let pa = self.raw(VirtAddr(a));
             let in_page = VirtAddr(a).remaining_in(PAGE_SIZE) as usize;
             let take = in_page.min(want - self.decode_buf.len());
-            let slice = self.mem.phys().slice(pa, take);
-            self.decode_buf.extend_from_slice(slice);
+            self.mem.phys().append_to(pa, take, &mut self.decode_buf);
         }
     }
 

@@ -841,9 +841,19 @@ fn float_cycles(op: Opcode) -> u16 {
     }
 }
 
+/// Region offset of a FLOAT opcode's `i`-th execute cycle: straight through
+/// the region, then re-executing its last microinstruction. EDIV's 26
+/// cycles outrun the 24-µop layout, so its two extra cycles re-execute the
+/// last µop.
+fn float_offset(i: u16) -> u16 {
+    i.min(FLOAT_LAYOUT.len() as u16 - 1)
+}
+
 fn exec_float(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
     let op = insn.opcode;
-    cpu.c_span(r, 0, float_cycles(op));
+    for i in 0..float_cycles(op) {
+        cpu.c(r.at(float_offset(i)));
+    }
     let dst = ops.len() - 1;
     match op {
         // F_floating arithmetic (2- and 3-operand forms share shape: the
@@ -1817,6 +1827,33 @@ mod tests {
         assert_eq!(CHAR_LAYOUT[char_off::WRITE as usize], W);
         assert_eq!(DECIMAL_LAYOUT[decimal_off::READ as usize], R);
         assert_eq!(DECIMAL_LAYOUT[decimal_off::WRITE as usize], W);
+    }
+
+    #[test]
+    fn every_float_opcode_stays_inside_its_region() {
+        let float_ops = vax_arch::opcode::OPCODE_TABLE
+            .iter()
+            .filter(|info| info.group == OpcodeGroup::Float);
+        let mut checked = 0;
+        for info in float_ops {
+            let op = info.opcode;
+            let n = float_cycles(op);
+            assert!(n > 0, "{op} emits no execute cycle");
+            for i in 0..n {
+                assert!(
+                    (float_offset(i) as usize) < FLOAT_LAYOUT.len(),
+                    "{op}: cycle {i} of {n} leaves the {}-µop region",
+                    FLOAT_LAYOUT.len()
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked > 40, "only {checked} FLOAT opcodes");
+        // EDIV keeps its cost: 24 straight cycles, then two re-executions of
+        // the last microinstruction.
+        assert_eq!(float_cycles(Opcode::Ediv), 26);
+        let tail: Vec<u16> = (22..26).map(float_offset).collect();
+        assert_eq!(tail, [22, 23, 23, 23]);
     }
 
     #[test]

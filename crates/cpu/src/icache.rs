@@ -32,7 +32,9 @@
 //!   cache outright (defense in depth; they are rare).
 //!
 //! Geometry: direct-mapped, byte-granular PC index. Conflict misses only
-//! cost a re-decode, never correctness.
+//! cost a re-decode, never correctness. The slots are allocated in chunks
+//! on the first insert that lands in each, so a machine that runs a short
+//! loop backs the few chunks its PCs index instead of the whole table.
 
 use vax_arch::Instruction;
 use vax_mem::PageTables;
@@ -40,8 +42,16 @@ use vax_mem::PageTables;
 /// Slots in the direct-mapped cache (power of two). Sized for several
 /// processes' working sets at once: contexts share the same virtual PC
 /// ranges, so the index mixes the context id to keep them from thrashing
-/// one another's slots (~2 MB of host memory at 16 K slots).
+/// one another's slots (~2 MB of host memory at 16 K slots, if every chunk
+/// is allocated).
 pub const DECODE_CACHE_SLOTS: usize = 16384;
+
+/// Slots per allocation chunk (power of two): 128 slots, ~16 KB of host
+/// memory, covering 128 consecutive byte PCs of one context.
+const CHUNK_SLOTS: usize = 128;
+
+/// Chunks in the cache.
+const CHUNKS: usize = DECODE_CACHE_SLOTS / CHUNK_SLOTS;
 
 /// Most mapping contexts remembered at once; beyond this the registry and
 /// cache reset (a backstop — real runs hold one context per process).
@@ -50,6 +60,17 @@ const MAX_CONTEXTS: usize = 64;
 /// An empty slot. Valid tags always have a nonzero context field above
 /// bit 32, so 0 can never match.
 const NO_TAG: u64 = 0;
+
+/// The body of an empty slot; never read while the tag is [`NO_TAG`].
+const EMPTY: Slot = Slot {
+    tag: NO_TAG,
+    insn: Instruction {
+        opcode: vax_arch::Opcode::Nop,
+        specifiers: vax_arch::SpecList::new(),
+        branch_disp: None,
+        len: 1,
+    },
+};
 
 /// Host-side hit/miss/flush counters (not part of any simulated
 /// measurement — these never appear in exports).
@@ -74,7 +95,10 @@ struct Slot {
 /// mapping context.
 #[derive(Debug, Clone)]
 pub struct DecodeCache {
-    slots: Vec<Slot>,
+    /// Slot `i` lives at `chunks[i / CHUNK_SLOTS][i % CHUNK_SLOTS]`; a chunk
+    /// is `None` until the first insert into it, and every lookup there
+    /// misses.
+    chunks: [Option<Box<[Slot; CHUNK_SLOTS]>>; CHUNKS],
     /// The memory system's code epoch this cache's contents are valid for.
     epoch: u64,
     /// Registry of page-table tuples; a tuple's index is its context id.
@@ -88,20 +112,10 @@ pub struct DecodeCache {
 }
 
 impl DecodeCache {
-    /// An empty cache, valid for epoch 0.
+    /// An empty cache, valid for epoch 0. No chunk is allocated yet.
     pub fn new() -> DecodeCache {
-        let empty = Slot {
-            tag: NO_TAG,
-            // Placeholder body; never read while the tag is NO_TAG.
-            insn: Instruction {
-                opcode: vax_arch::Opcode::Nop,
-                specifiers: vax_arch::SpecList::new(),
-                branch_disp: None,
-                len: 1,
-            },
-        };
         DecodeCache {
-            slots: vec![empty; DECODE_CACHE_SLOTS],
+            chunks: [const { None }; CHUNKS],
             epoch: 0,
             ctxs: Vec::new(),
             cur_ctx: 0,
@@ -154,13 +168,16 @@ impl DecodeCache {
             self.epoch = code_epoch;
         }
         let ctx = self.context(tables);
-        let slot = &self.slots[Self::index(ctx, pc)];
-        if slot.tag == Self::tag(ctx, pc) {
-            self.stats.hits += 1;
-            Some(slot.insn)
-        } else {
-            self.stats.misses += 1;
-            None
+        let i = Self::index(ctx, pc);
+        match &self.chunks[i / CHUNK_SLOTS] {
+            Some(chunk) if chunk[i % CHUNK_SLOTS].tag == Self::tag(ctx, pc) => {
+                self.stats.hits += 1;
+                Some(chunk[i % CHUNK_SLOTS].insn)
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
@@ -170,15 +187,19 @@ impl DecodeCache {
     /// first.
     #[inline]
     pub fn insert(&mut self, pc: u32, insn: Instruction) {
-        self.slots[Self::index(self.cur_ctx, pc)] = Slot {
+        let i = Self::index(self.cur_ctx, pc);
+        let chunk =
+            self.chunks[i / CHUNK_SLOTS].get_or_insert_with(|| Box::new([EMPTY; CHUNK_SLOTS]));
+        chunk[i % CHUNK_SLOTS] = Slot {
             tag: Self::tag(self.cur_ctx, pc),
             insn,
         };
     }
 
-    /// Drop every cached decode, for every context.
+    /// Drop every cached decode, for every context. Allocated chunks stay
+    /// allocated, emptied.
     pub fn flush(&mut self) {
-        for slot in &mut self.slots {
+        for slot in self.chunks.iter_mut().flatten().flat_map(|c| c.iter_mut()) {
             slot.tag = NO_TAG;
         }
         self.stats.flushes += 1;
@@ -265,6 +286,81 @@ mod tests {
         assert_eq!(c.lookup(other, 0, &t), None);
         c.insert(other, movl());
         assert_eq!(c.lookup(0x200, 0, &t), None, "conflict eviction, not a hit");
+    }
+
+    fn clrl() -> Instruction {
+        decode(&[0xD4, 0x51]).unwrap()
+    }
+
+    fn allocated_chunks(c: &DecodeCache) -> usize {
+        c.chunks.iter().filter(|chunk| chunk.is_some()).count()
+    }
+
+    #[test]
+    fn chunks_are_allocated_on_first_insert_only() {
+        let mut c = DecodeCache::new();
+        let t = tables(0x8000_0000);
+        assert_eq!(allocated_chunks(&c), 0, "a new cache backs no slots");
+        assert_eq!(c.lookup(0x200, 0, &t), None);
+        assert_eq!(allocated_chunks(&c), 0, "a lookup allocates nothing");
+        c.insert(0x200, movl());
+        assert_eq!(allocated_chunks(&c), 1);
+        // Same chunk: no new allocation.
+        c.lookup(0x201, 0, &t);
+        c.insert(0x201, movl());
+        assert_eq!(allocated_chunks(&c), 1);
+        // A PC whose slot sits in an unallocated chunk misses.
+        let far = 0x200 + CHUNK_SLOTS as u32;
+        assert_eq!(c.lookup(far, 0, &t), None);
+        assert_eq!(allocated_chunks(&c), 1);
+        assert!(c.lookup(0x200, 0, &t).is_some());
+    }
+
+    #[test]
+    fn flush_clears_every_allocated_chunk() {
+        let mut c = DecodeCache::new();
+        let (ta, tb) = (tables(0x8000_0000), tables(0x8000_1000));
+        let pcs: Vec<u32> = (0..8).map(|k| 0x200 + k * 3 * CHUNK_SLOTS as u32).collect();
+        for t in [&ta, &tb] {
+            for &pc in &pcs {
+                c.lookup(pc, 0, t);
+                c.insert(pc, movl());
+            }
+        }
+        let before = allocated_chunks(&c);
+        assert!(before > pcs.len(), "two contexts spread over many chunks");
+        c.flush();
+        assert_eq!(allocated_chunks(&c), before, "flush keeps the chunks");
+        for chunk in c.chunks.iter().flatten() {
+            assert!(chunk.iter().all(|slot| slot.tag == NO_TAG));
+        }
+        for t in [&ta, &tb] {
+            for &pc in &pcs {
+                assert_eq!(c.lookup(pc, 0, t), None, "flushed entry served");
+            }
+        }
+    }
+
+    #[test]
+    fn contexts_never_share_an_entry_across_chunks() {
+        let mut c = DecodeCache::new();
+        let (ta, tb) = (tables(0x8000_0000), tables(0x8000_1000));
+        let pcs = 0x200..0x200 + 4 * CHUNK_SLOTS as u32;
+        for pc in pcs.clone() {
+            c.lookup(pc, 0, &ta);
+            c.insert(pc, movl());
+        }
+        for pc in pcs.clone() {
+            assert_eq!(c.lookup(pc, 0, &tb), None, "A's decode served to B");
+            c.insert(pc, clrl());
+        }
+        for pc in pcs {
+            // A's entry survives or was evicted; it is never B's decode.
+            if let Some(insn) = c.lookup(pc, 0, &ta) {
+                assert_eq!(insn.opcode, Opcode::Movl);
+            }
+            assert_eq!(c.lookup(pc, 0, &tb).map(|i| i.opcode), Some(Opcode::Clrl));
+        }
     }
 
     #[test]

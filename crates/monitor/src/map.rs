@@ -213,9 +213,10 @@ impl Region {
 }
 
 /// Per-address control-store information.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    routine: String,
+    /// Index of the owning routine's name in [`ControlStoreMap::routines`].
+    routine: u16,
     activity: Activity,
     op: MicroOp,
 }
@@ -225,12 +226,14 @@ struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct ControlStoreMap {
     slots: Vec<Slot>,
+    /// One name per allocated region, shared by all of its addresses.
+    routines: Vec<String>,
 }
 
 impl ControlStoreMap {
     /// An empty map.
     pub fn new() -> ControlStoreMap {
-        ControlStoreMap { slots: Vec::new() }
+        ControlStoreMap::default()
     }
 
     /// Allocate a contiguous region for a microroutine named `name`, with
@@ -245,13 +248,13 @@ impl ControlStoreMap {
             base + ops.len() <= crate::BOARD_BUCKETS,
             "control store exhausted allocating {name}"
         );
-        for &op in ops {
-            self.slots.push(Slot {
-                routine: name.to_string(),
-                activity,
-                op,
-            });
-        }
+        let routine = self.routines.len() as u16;
+        self.routines.push(name.to_string());
+        self.slots.extend(ops.iter().map(|&op| Slot {
+            routine,
+            activity,
+            op,
+        }));
         Region {
             base: MicroPc(base as u16),
             len: ops.len() as u16,
@@ -289,15 +292,15 @@ impl ControlStoreMap {
     /// # Panics
     /// Panics for an unallocated address.
     pub fn routine(&self, upc: MicroPc) -> &str {
-        &self.slots[upc.0 as usize].routine
+        &self.routines[self.slots[upc.0 as usize].routine as usize]
     }
 
     /// Iterate over all allocated addresses as (µPC, routine, activity, op).
     pub fn iter(&self) -> impl Iterator<Item = (MicroPc, &str, Activity, MicroOp)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (MicroPc(i as u16), s.routine.as_str(), s.activity, s.op))
+        self.slots.iter().enumerate().map(|(i, s)| {
+            let routine = self.routines[s.routine as usize].as_str();
+            (MicroPc(i as u16), routine, s.activity, s.op)
+        })
     }
 }
 
@@ -323,6 +326,22 @@ mod tests {
         assert_eq!(map.op(r1.at(1)), MicroOp::IbWait);
         assert_eq!(map.routine(r2.at(1)), "SPEC.RDISP");
         assert_eq!(r2.base.0, 2);
+    }
+
+    #[test]
+    fn a_region_shares_one_routine_name() {
+        let mut map = ControlStoreMap::new();
+        map.alloc("IRD", Activity::Decode, &[MicroOp::Compute]);
+        let r = map.alloc(
+            "EXEC.MOVC3",
+            Activity::ExecCharacter,
+            &[MicroOp::Compute, MicroOp::Read, MicroOp::Write],
+        );
+        let (first, last) = (map.routine(r.at(0)), map.routine(r.at(2)));
+        assert_eq!(first, "EXEC.MOVC3");
+        assert!(std::ptr::eq(first, last), "one name per region");
+        let names: Vec<&str> = map.iter().map(|(_, name, _, _)| name).collect();
+        assert_eq!(names, ["IRD", "EXEC.MOVC3", "EXEC.MOVC3", "EXEC.MOVC3"]);
     }
 
     #[test]

@@ -116,6 +116,29 @@ fn cost_table_is_byte_identical_across_job_counts() {
 }
 
 #[test]
+fn ediv_cells_characterize_with_none_quarantined() {
+    // EDIV's execute phase (26 cycles) is longer than the FLOAT region (24
+    // µops); it must loop on the region's last µop instead of overrunning it.
+    let opts = CharacterizeOptions {
+        opcodes: vec!["EDIV".to_string()],
+        reps: 4,
+        iters: 16,
+        jobs: 2,
+        verbosity: Verbosity::Quiet,
+        ..CharacterizeOptions::default()
+    };
+    let out = run_characterize(&opts, &quiet(), &Tracer::disabled());
+    assert!(out.failed_cells.is_empty(), "{:?}", out.failed_cells);
+    let probeable = probe_grid()
+        .into_iter()
+        .filter(|cell| cell.opcode == Opcode::Ediv && cell.target.is_ok())
+        .count();
+    assert!(probeable > 0);
+    assert_eq!(out.table.records.len(), probeable);
+    assert!(out.table.records.iter().all(|r| r.opcode == Opcode::Ediv));
+}
+
+#[test]
 fn refute_catches_and_minimizes_a_seeded_model_error() {
     let dir = std::env::temp_dir().join(format!("vax-char-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
