@@ -6,8 +6,8 @@
 //! `reproduce serve` daemon) executes a *second* job with the same
 //! experiment definition, which then skips codegen and boot entirely.
 //!
-//! Keys are FNV-1a hashes of the *content* that determines the phase's
-//! output, never of argv or wall-clock state:
+//! Keys are hashes of the *content* that determines the phase's output,
+//! never of argv or wall-clock state:
 //!
 //! * workload images — `(workload name, nproc, seed)`, the exact inputs of
 //!   [`vax_workload::rte::shard_processes`];
@@ -57,7 +57,14 @@ pub struct WarmCaches {
     boot_misses: AtomicU64,
 }
 
-/// 64-bit FNV-1a over a byte stream.
+/// A 64-bit FNV-style hash over a byte stream that folds eight bytes per
+/// step: `h = rotl((h ^ word) * PRIME, 31)`, with the tail bytes folded
+/// one at a time as in FNV-1a. Every step is a bijection of the state
+/// for a fixed input and of the input for a fixed state, so two streams
+/// of equal length that differ in one word or one byte always get
+/// different keys. The rotate carries a difference in the top bit out of
+/// it: without it, multiplying by an odd prime leaves a bit-63 difference
+/// in bit 63, and flipping the top bit of two words cancels out.
 #[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
@@ -70,9 +77,14 @@ impl Fnv {
     }
 
     fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+        let words = data.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            self.0 = (self.0 ^ w).wrapping_mul(Self::PRIME).rotate_left(31);
+        }
+        for &b in tail {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
         }
     }
 
@@ -145,12 +157,15 @@ impl WarmCaches {
     /// `specs` and whether its image came from the cache. A miss runs the
     /// full layout ([`vax_workload::rte::boot_image`]); either way the
     /// machine is rehydrated with `System::from_boot_image` — the same
-    /// path `SystemBuilder::build` takes, so hits cannot diverge.
+    /// path `SystemBuilder::build` takes, so hits cannot diverge. A hit
+    /// rehydrates after releasing the map's lock, so concurrent workers'
+    /// hits do not wait on each other's rehydration.
     pub fn boot(&self, specs: &Arc<Vec<ProcessSpec>>) -> (System, bool) {
         let key = boot_key(specs);
-        if let Some(img) = self.boot.lock().unwrap().get(&key) {
+        let hit = self.boot.lock().unwrap().get(&key).cloned();
+        if let Some(img) = hit {
             self.boot_hits.fetch_add(1, Ordering::Relaxed);
-            return (System::from_boot_image(img), true);
+            return (System::from_boot_image(&img), true);
         }
         let img = Arc::new(vax_workload::rte::boot_image(specs.as_ref().clone()));
         self.boot_misses.fetch_add(1, Ordering::Relaxed);
@@ -225,5 +240,56 @@ mod tests {
         mutated[0].image.bytes[0] ^= 0xFF;
         let (_, hit) = caches.boot(&Arc::new(mutated));
         assert!(!hit, "changed code bytes must change the boot key");
+    }
+
+    /// Word-wise FNV without the rotate: the variant the key must not be.
+    fn unrotated_key(data: &[u8]) -> u64 {
+        let mut h = Fnv::OFFSET;
+        for word in data.chunks_exact(8) {
+            let w = u64::from_le_bytes(word.try_into().unwrap());
+            h = (h ^ w).wrapping_mul(Fnv::PRIME);
+        }
+        h
+    }
+
+    #[test]
+    fn boot_key_is_content_addressed_over_random_images() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x780);
+        for _ in 0..200 {
+            // Whole words plus a 1-7 byte tail.
+            let words = rng.gen_range(2..256usize);
+            let len = words * 8 + rng.gen_range(1..8usize);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+            let specs = |bytes: Vec<u8>| {
+                let image = vax_asm::Image {
+                    origin: 0x200,
+                    bytes,
+                    labels: HashMap::new(),
+                };
+                Arc::new(vec![ProcessSpec::new(image, "start")])
+            };
+            let (a, b) = (specs(bytes.clone()), specs(bytes.clone()));
+            assert!(!Arc::ptr_eq(&a, &b));
+            let key = boot_key(&a);
+            assert_eq!(key, boot_key(&b), "equal content, equal key");
+
+            // One flipped byte anywhere, including past the last word.
+            for i in [rng.gen_range(0..words * 8), rng.gen_range(words * 8..len)] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << rng.gen_range(0..8u32);
+                assert_ne!(key, boot_key(&specs(flipped)), "byte {i} of {len}");
+            }
+
+            // The top bit of two different words: without the rotate the
+            // two flips cancel.
+            let i = rng.gen_range(0..words);
+            let j = (i + rng.gen_range(1..words)) % words;
+            let mut flipped = bytes.clone();
+            flipped[i * 8 + 7] ^= 0x80;
+            flipped[j * 8 + 7] ^= 0x80;
+            assert_eq!(unrotated_key(&flipped), unrotated_key(&bytes));
+            assert_ne!(key, boot_key(&specs(flipped)), "bit 63 of words {i}, {j}");
+        }
     }
 }

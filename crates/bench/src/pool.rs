@@ -221,12 +221,13 @@ where
 
     std::thread::scope(|scope| {
         let workers = jobs.min(inputs.len().max(1));
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let f = &f;
             let next = &next;
             let slots = &slots;
             let failures = &failures;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 let tid = worker_tid(w);
                 if tracer.is_enabled() {
                     tracer.set_thread_name(tid, &format!("worker-{w}"));
@@ -304,7 +305,16 @@ where
                         });
                     }
                 }
-            });
+            }));
+        }
+        // Join every worker instead of letting the scope wait for their
+        // closures only: a join returns once the thread has exited and
+        // handed its malloc arena back, so the next call's workers reuse
+        // the same arenas rather than racing a thread still exiting.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 

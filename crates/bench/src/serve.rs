@@ -52,16 +52,27 @@
 //! run interrupted harder than that is recoverable via `reproduce
 //! resume` from its checkpoint journal (`docs/ROBUSTNESS.md`).
 //!
+//! Nothing on the request path sleeps. The accept loop blocks in
+//! `accept()`; when the worker returns after a drain it connects once to
+//! the listener to wake the loop so it can exit. A signal handler only
+//! sets a flag, which a watcher thread turns into a drain. The worker and
+//! the events streams wait on the registry's condvar, which every
+//! submission, state transition and drain notifies. Connection handler
+//! threads wait for the next connection instead of exiting, so a steady
+//! client is served by the same thread. A finished job keeps only its
+//! registry entry in memory; its journal records live on disk.
+//!
 //! Protocol plumbing (parsing, limits, serialization) lives in the
 //! dependency-free `vax_serve` crate; this module owns the registry, the
 //! journal, the worker, and the HTTP surface. See `docs/SERVICE.md`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use vax_analysis::Json;
@@ -76,14 +87,16 @@ use crate::heartbeat::progress_line;
 use crate::jobspec::JobSpec;
 use crate::progress::{Progress, Verbosity};
 
-/// How often the accept loop polls for the drain flag, and how often the
-/// events stream re-samples a running job.
+/// How often the signal watcher checks for SIGTERM/SIGINT, and how long
+/// the accept loop backs off after a failed `accept()`.
 const POLL: Duration = Duration::from_millis(50);
-/// Events-stream sampling period.
+/// Events-stream sampling period while a job's state holds.
 const EVENTS_PERIOD: Duration = Duration::from_millis(200);
 /// Per-connection socket timeout: a stalled client cannot pin its
 /// handler thread forever.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+/// Longest a shed connection waits for its client to close.
+const LINGER: Duration = Duration::from_secs(1);
 /// Most unfinished (queued + running) jobs admitted at once.
 const MAX_PENDING_JOBS: usize = 64;
 /// File name of the durable job journal under the serve root.
@@ -119,6 +132,14 @@ impl JobState {
     fn is_terminal(&self) -> bool {
         matches!(self, JobState::Finished { .. } | JobState::Canceled { .. })
     }
+
+    /// The exit code of a `done` or `failed` job.
+    fn code(&self) -> Option<i32> {
+        match self {
+            JobState::Finished { code } => Some(*code),
+            _ => None,
+        }
+    }
 }
 
 /// One submitted job.
@@ -128,8 +149,8 @@ struct Job {
     spec: JobSpec,
     dir: PathBuf,
     state: JobState,
-    /// The running job's tracer (live progress source); kept after
-    /// finish for the final counter snapshot.
+    /// The running job's tracer (live progress source); dropped when the
+    /// job turns terminal, by which time `runtime.json` holds its totals.
     tracer: Option<Tracer>,
     started: Option<Instant>,
     /// The running job's cancel token; inert until the job starts.
@@ -145,44 +166,38 @@ struct Job {
 /// append would be O(n²) write amplification over a daemon's lifetime).
 /// A crash can tear at most the trailing line, which replay already
 /// warns about and skips; startup compaction then rewrites the file
-/// atomically to one folded record per job, healing any damage.
+/// atomically to one folded record per job, healing any damage. The file
+/// is the journal: no record is kept in memory.
 #[derive(Debug, Default)]
 struct Journal {
-    /// `None` journals to memory only (unit tests).
+    /// `None` journals nowhere (unit tests).
     path: Option<PathBuf>,
-    lines: Vec<String>,
 }
 
 impl Journal {
     fn at(path: PathBuf) -> Journal {
-        Journal {
-            path: Some(path),
-            lines: Vec::new(),
-        }
+        Journal { path: Some(path) }
     }
 
     /// Durably append one record. A write failure is warned about, not
     /// fatal: the daemon keeps serving (degraded durability beats
     /// refusing work).
-    fn append(&mut self, record: &Json) {
-        let line = record.to_string_compact();
-        if let Some(path) = &self.path {
-            if let Err(e) = append_line(path, &line) {
-                eprintln!(
-                    "reproduce serve: cannot append to journal {}: {e}",
-                    path.display()
-                );
-            }
+    fn append(&self, record: &Json) {
+        let Some(path) = &self.path else { return };
+        if let Err(e) = append_line(path, &record.to_string_compact()) {
+            eprintln!(
+                "reproduce serve: cannot append to journal {}: {e}",
+                path.display()
+            );
         }
-        self.lines.push(line);
     }
 
-    /// Rewrite the whole journal atomically from `lines` — the startup
+    /// Rewrite the whole journal atomically as `lines` — the startup
     /// compaction path, not the append path. Failures are warned about,
     /// not fatal.
-    fn flush(&self) {
+    fn rewrite(&self, lines: &[String]) {
         let Some(path) = &self.path else { return };
-        let mut text = self.lines.join("\n");
+        let mut text = lines.join("\n");
         if !text.is_empty() {
             text.push('\n');
         }
@@ -338,7 +353,8 @@ fn replay_journal(text: &str) -> (Vec<ReplayedJob>, Vec<String>) {
     (jobs, warnings)
 }
 
-/// Registry guarded by one mutex; the condvar wakes the worker.
+/// Registry guarded by one mutex; the condvar wakes the worker and the
+/// events streams.
 #[derive(Debug, Default)]
 struct Registry {
     jobs: BTreeMap<String, Job>,
@@ -354,15 +370,35 @@ struct Registry {
 struct Shared {
     opts: ServeOptions,
     registry: Mutex<Registry>,
+    /// Notified on every registry change a thread waits for: a
+    /// submission (the worker), a job state transition (events streams),
+    /// and the start of a drain (both).
     wake: Condvar,
-    /// Set by SIGTERM/SIGINT or `POST /shutdown`: refuse new jobs,
-    /// finish the current one, exit.
+    /// Set by SIGTERM/SIGINT or `POST /shutdown` through [`begin_drain`]:
+    /// refuse new jobs, finish the current one, exit.
     draining: AtomicBool,
+    /// Set when the worker is gone; the accept loop exits on the
+    /// connection the worker makes to wake it ([`WorkerExit`]).
+    stopped: AtomicBool,
     /// Journal-recovered jobs not yet terminal; `/readyz` reports
     /// `recovering` (503) until this drains to zero.
     recovering: AtomicUsize,
     /// In-flight connections, for the `--max-connections` load-shed cap.
     connections: AtomicUsize,
+}
+
+impl Shared {
+    fn new(opts: ServeOptions, registry: Registry, recovering: usize) -> Shared {
+        Shared {
+            opts,
+            registry: Mutex::new(registry),
+            wake: Condvar::new(),
+            draining: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            recovering: AtomicUsize::new(recovering),
+            connections: AtomicUsize::new(0),
+        }
+    }
 }
 
 /// One claimed slot under the `--max-connections` cap. Claiming and
@@ -399,6 +435,31 @@ fn lock_registry(shared: &Shared) -> MutexGuard<'_, Registry> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Start a drain and wake every waiter. The flag is set under the
+/// registry lock, so a thread that checks it before waiting on
+/// [`Shared::wake`] cannot miss the notification.
+fn begin_drain(shared: &Shared) {
+    let _reg = lock_registry(shared);
+    shared.draining.store(true, Ordering::SeqCst);
+    shared.wake.notify_all();
+}
+
+/// Move job `id` to `state`, journal the transition, and wake every
+/// waiter. A terminal job drops its tracer: the engine has written
+/// `runtime.json` by then, so a finished job costs only its registry
+/// entry.
+fn transition(shared: &Shared, reg: &mut Registry, id: &str, state: JobState) {
+    reg.journal
+        .append(&journal_state(id, state.name(), state.code()));
+    if let Some(job) = reg.jobs.get_mut(id) {
+        if state.is_terminal() {
+            job.tracer = None;
+        }
+        job.state = state;
+    }
+    shared.wake.notify_all();
+}
+
 /// The daemon's coarse health: `draining` > `recovering` > `ready`.
 fn health_state(shared: &Shared) -> &'static str {
     if shared.draining.load(Ordering::SeqCst) {
@@ -414,7 +475,8 @@ fn health_state(shared: &Shared) -> &'static str {
 mod sig {
     //! Minimal signal hookup without a libc crate: `signal(2)` is in
     //! every libc this build links anyway, and an `AtomicBool` store is
-    //! async-signal-safe. The accept loop polls the flag.
+    //! async-signal-safe. A watcher thread polls the flag
+    //! (`watch_signals`).
     use std::sync::atomic::{AtomicBool, Ordering};
 
     pub static TERMINATE: AtomicBool = AtomicBool::new(false);
@@ -451,7 +513,8 @@ mod sig {
     }
 }
 
-/// Run the daemon until drained. Returns the process exit code.
+/// Run the daemon until drained. Returns the process exit code. Every
+/// thread it starts is joined before it returns.
 pub fn run_serve(opts: &ServeOptions) -> i32 {
     let progress = Progress::new(opts.verbosity);
     let listener = match TcpListener::bind(&opts.addr) {
@@ -461,10 +524,13 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
             return 1;
         }
     };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("reproduce serve: cannot configure listener: {e}");
-        return 1;
-    }
+    let bound = match listener.local_addr() {
+        Ok(addr) => addr,
+        Err(e) => {
+            eprintln!("reproduce serve: cannot read the bound address: {e}");
+            return 1;
+        }
+    };
     if let Err(e) = std::fs::create_dir_all(&opts.root) {
         eprintln!(
             "reproduce serve: cannot create {}: {e}",
@@ -523,12 +589,12 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
     if !registry.jobs.is_empty() || !journal_text.is_empty() {
         // Startup compaction: the replayed history collapses to one
         // folded record per job.
-        registry.journal.lines = registry
+        let folded: Vec<String> = registry
             .jobs
             .values()
             .map(|j| folded_record(&j.id, &j.spec, &j.state).to_string_compact())
             .collect();
-        registry.journal.flush();
+        registry.journal.rewrite(&folded);
         progress.info(&format!(
             "journal replay: {} job(s), {} to finish",
             registry.jobs.len(),
@@ -536,80 +602,233 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
         ));
     }
 
-    let shared = Arc::new(Shared {
-        opts: opts.clone(),
-        registry: Mutex::new(registry),
-        wake: Condvar::new(),
-        draining: AtomicBool::new(false),
-        recovering: AtomicUsize::new(recovering),
-        connections: AtomicUsize::new(0),
-    });
-    // local_addr never fails on a bound listener, but don't panic a
-    // daemon over a log line.
-    let bound = listener
-        .local_addr()
-        .map_or_else(|_| opts.addr.clone(), |a| a.to_string());
+    let shared = Arc::new(Shared::new(opts.clone(), registry, recovering));
     progress.info(&format!(
         "serving on http://{bound} (root {})",
         opts.root.display()
     ));
 
     let worker = {
+        let exit = WorkerExit {
+            shared: Arc::clone(&shared),
+            listener: loopback_if_unspecified(bound),
+        };
+        std::thread::spawn(move || worker_loop(&exit.shared))
+    };
+    let watcher = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || worker_loop(&shared))
+        std::thread::spawn(move || watch_signals(&shared))
     };
 
     // The accept loop outlives the drain signal: status, artifact, and
     // events requests keep working while the running job finishes. It
-    // ends when the worker does.
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if sig::pending() {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
-        }
-        if worker.is_finished() {
+    // ends on the connection the worker makes when it is gone.
+    let mut handlers = Handlers::new();
+    let mut shedders: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    for conn in listener.incoming() {
+        if shared.stopped.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let (slot, active) = ConnectionSlot::acquire(&shared);
-                if active > shared.opts.max_connections {
-                    // Load-shed inline: one small write, then close; the
-                    // slot releases when `slot` drops at scope end.
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                    let _ = error_response(503, "connection limit reached; retry shortly")
-                        .with_header("Retry-After", "1")
-                        .write(&mut stream);
-                } else {
-                    let shared = Arc::clone(&shared);
-                    handlers.push(std::thread::spawn(move || {
-                        // The guard rides into the handler thread so even
-                        // a panic unwinds through its Drop.
-                        let _slot = slot;
-                        handle_connection(stream, &shared);
-                    }));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
+        let stream = match conn {
+            Ok(stream) => stream,
             Err(e) => {
+                // Back off, so a lasting failure (out of file
+                // descriptors) cannot spin the loop.
                 eprintln!("reproduce serve: accept failed: {e}");
                 std::thread::sleep(POLL);
+                continue;
             }
+        };
+        let (slot, active) = ConnectionSlot::acquire(&shared);
+        if active > shared.opts.max_connections {
+            // Load-shed: the connection holds no slot; a short-lived
+            // thread answers it and closes it.
+            drop(slot);
+            shedders.retain(|h| !h.is_finished());
+            shedders.push(std::thread::spawn(move || shed(stream)));
+        } else {
+            handlers.dispatch(stream, slot, &shared);
         }
-        handlers.retain(|h| !h.is_finished());
     }
 
     progress.info("draining: finishing the running job");
     let _ = worker.join();
-    for h in handlers {
+    watcher.thread().unpark();
+    let _ = watcher.join();
+    handlers.join();
+    for h in shedders {
         let _ = h.join();
     }
     progress.info("drained cleanly");
     0
+}
+
+/// An accepted connection and its slot under the cap, on its way to a
+/// handler thread.
+type Handoff = (TcpStream, ConnectionSlot);
+
+/// The connection handler threads. A handler that has answered its
+/// connection waits for the next one instead of exiting, and the accept
+/// loop starts a thread only when none is waiting. The pool grows to the
+/// most connections ever open at once (at most `--max-connections`), and
+/// a client that sends one request at a time is served by one thread for
+/// the daemon's life. Handlers must not exit between jobs: glibc gives a
+/// new thread the malloc arena of the thread that exited last, so a
+/// handler exiting just before a job's pool thread starts would move that
+/// job's memory to another arena, every arena a job has used keeps its
+/// freed memory resident, and the daemon's peak memory would depend on
+/// thread timing.
+struct Handlers {
+    /// Handlers that have answered their connection and not yet been
+    /// handed another.
+    idle: Arc<AtomicUsize>,
+    sender: Sender<Handoff>,
+    receiver: Arc<Mutex<Receiver<Handoff>>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Handlers {
+    fn new() -> Handlers {
+        let (sender, receiver) = channel();
+        Handlers {
+            idle: Arc::new(AtomicUsize::new(0)),
+            sender,
+            receiver: Arc::new(Mutex::new(receiver)),
+            threads: Vec::new(),
+        }
+    }
+
+    /// Hand a connection to a waiting handler, or start one for it.
+    fn dispatch(&mut self, stream: TcpStream, slot: ConnectionSlot, shared: &Arc<Shared>) {
+        let claimed = self
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if claimed.is_ok() {
+            // The receiver lives as long as `self`, so the send cannot
+            // fail; the claimed handler takes it from the queue.
+            let _ = self.sender.send((stream, slot));
+            return;
+        }
+        let idle = Arc::clone(&self.idle);
+        let receiver = Arc::clone(&self.receiver);
+        let shared = Arc::clone(shared);
+        self.threads.push(std::thread::spawn(move || {
+            handler_loop((stream, slot), &receiver, &idle, &shared);
+        }));
+    }
+
+    /// Close the queue and join every handler; a busy one finishes its
+    /// connection first.
+    fn join(self) {
+        drop(self.sender);
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// One handler thread: serve `first`, then every connection handed to it,
+/// until the accept loop closes the queue.
+fn handler_loop(
+    first: Handoff,
+    receiver: &Mutex<Receiver<Handoff>>,
+    idle: &AtomicUsize,
+    shared: &Shared,
+) {
+    let mut next = first;
+    loop {
+        let (stream, slot) = next;
+        handle_connection(&stream, shared);
+        // Free the slot and report this handler idle before the
+        // connection closes, so a client that has read its whole answer
+        // and reconnects at once never finds its connection still
+        // counted or this handler still busy. The guard rides into the
+        // handler thread so even a panic unwinds through its Drop.
+        drop(slot);
+        idle.fetch_add(1, Ordering::SeqCst);
+        drop(stream);
+        let handoff = receiver
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        match handoff {
+            Ok(handoff) => next = handoff,
+            Err(_) => return,
+        }
+    }
+}
+
+/// Answer a connection over the `--max-connections` cap with 503 and
+/// `Retry-After`, then close it lingering: closing with the client's
+/// request unread would make the kernel reset the connection, and the
+/// client could lose the answer. So stop writing, and discard what the
+/// client sends until it closes, for at most [`LINGER`] in all.
+fn shed(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = error_response(503, "connection limit reached; retry shortly")
+        .with_header("Retry-After", "1")
+        .write(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut buf = [0u8; 4096];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if matches!(stream.read(&mut buf), Ok(0) | Err(_)) {
+            break;
+        }
+    }
+}
+
+/// The address that reaches `bound` from this host: itself, or the
+/// loopback address of its family when the listener is bound to an
+/// unspecified address (`0.0.0.0`, `::`).
+fn loopback_if_unspecified(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        let loopback: IpAddr = match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        bound.set_ip(loopback);
+    }
+    bound
+}
+
+/// Owned by the worker thread. Its drop, when the worker returns after a
+/// drain or unwinds, marks the daemon stopped and connects once to the
+/// listener, which wakes the accept loop out of `accept()` so it can
+/// exit.
+struct WorkerExit {
+    shared: Arc<Shared>,
+    listener: SocketAddr,
+}
+
+impl Drop for WorkerExit {
+    fn drop(&mut self) {
+        // A worker that died without a drain runs no more jobs either.
+        begin_drain(&self.shared);
+        self.shared.stopped.store(true, Ordering::SeqCst);
+        if let Err(e) = TcpStream::connect(self.listener) {
+            eprintln!(
+                "reproduce serve: cannot wake the accept loop at {}: {e}",
+                self.listener
+            );
+        }
+    }
+}
+
+/// Turn SIGTERM/SIGINT, which only set `sig::TERMINATE`, into a drain.
+/// Ticks every [`POLL`], off the request path, and ends once the daemon
+/// is draining (`run_serve` unparks it to end it at once).
+fn watch_signals(shared: &Shared) {
+    while !shared.draining.load(Ordering::SeqCst) {
+        if sig::pending() {
+            begin_drain(shared);
+            return;
+        }
+        std::thread::park_timeout(POLL);
+    }
 }
 
 /// The single job-executing thread. One [`JobEngine`] lives here for the
@@ -618,22 +837,20 @@ fn worker_loop(shared: &Shared) {
     let engine = JobEngine::new();
     loop {
         let next = {
-            let mut reg = lock_registry(shared);
-            loop {
-                // Check drain BEFORE claiming: a job left queued at
-                // drain stays journaled as queued, so the next daemon on
-                // this root recovers it.
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                if let Some(id) = reg.queue.pop_front() {
-                    break Some(id);
-                }
-                let (guard, _timeout) = shared
-                    .wake
-                    .wait_timeout(reg, POLL)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                reg = guard;
+            let reg = lock_registry(shared);
+            let mut reg = shared
+                .wake
+                .wait_while(reg, |reg| {
+                    !shared.draining.load(Ordering::SeqCst) && reg.queue.is_empty()
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            // Check drain BEFORE claiming: a job left queued at drain
+            // stays journaled as queued, so the next daemon on this root
+            // recovers it.
+            if shared.draining.load(Ordering::SeqCst) {
+                None
+            } else {
+                reg.queue.pop_front()
             }
         };
         let Some(id) = next else { return };
@@ -658,13 +875,11 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
             // Canceled between enqueue and claim; nothing to run.
             return;
         }
-        job.state = JobState::Running;
         job.tracer = Some(tracer.clone());
         job.started = Some(Instant::now());
         job.cancel = cancel.clone();
         let picked = (job.spec.clone(), job.dir.clone(), job.recovered);
-        let record = journal_state(id, "running", None);
-        reg.journal.append(&record);
+        transition(shared, &mut reg, id, JobState::Running);
         picked
     };
     // JobSpec::decode bounds deadline_secs, but a worker panic here is a
@@ -743,30 +958,13 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
         ("status", terminal.name().into()),
         (
             "code",
-            match &terminal {
-                JobState::Finished { code } => i64::from(*code).into(),
-                _ => Json::Null,
-            },
+            terminal.code().map_or(Json::Null, |c| i64::from(c).into()),
         ),
     ]);
     if let Err(e) = write_atomic(&dir.join("status.json"), &status.to_string_pretty()) {
         eprintln!("reproduce serve: job {id}: cannot write status.json: {e}");
     }
-    {
-        let mut reg = lock_registry(shared);
-        let record = journal_state(
-            id,
-            terminal.name(),
-            match &terminal {
-                JobState::Finished { code } => Some(*code),
-                _ => None,
-            },
-        );
-        if let Some(job) = reg.jobs.get_mut(id) {
-            job.state = terminal;
-        }
-        reg.journal.append(&record);
-    }
+    transition(shared, &mut lock_registry(shared), id, terminal);
     if recovered {
         shared.recovering.fetch_sub(1, Ordering::SeqCst);
     }
@@ -814,14 +1012,12 @@ fn build_request(
     }
 }
 
-/// Serve one connection: read a request, route it, answer, close.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+/// Serve one connection: read a request, route it, answer. The caller
+/// closes the connection.
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(stream);
     let mut stream = stream;
     let req = match Request::read(&mut reader) {
         Ok(req) => req,
@@ -850,7 +1046,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         ("GET", ["jobs", id, "artifacts", name]) => get_artifact(shared, id, name),
         ("GET", ["jobs", id, "events"]) => {
             // Streams directly on the socket; no Response to send after.
-            stream_events(&mut stream, shared, id);
+            stream_events(&mut stream, shared, id, EVENTS_PERIOD);
             return;
         }
         ("GET", ["healthz"]) => {
@@ -864,8 +1060,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Response::json(status, &body)
         }
         ("POST", ["shutdown"]) => {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.wake.notify_all();
+            begin_drain(shared);
             Response::json(202, "{\"draining\": true}")
         }
         (_, ["jobs", ..] | ["shutdown"] | ["healthz"] | ["readyz"]) => {
@@ -935,12 +1130,12 @@ fn submit_job(req: &Request, shared: &Shared) -> Response {
     if let Err(e) = persisted {
         // The job was journaled, so mark it failed rather than erasing
         // it: the live registry and a replayed registry must agree.
-        let mut reg = lock_registry(shared);
-        if let Some(job) = reg.jobs.get_mut(&id) {
-            job.state = JobState::Finished { code: 1 };
-        }
-        let record = journal_state(&id, "failed", Some(1));
-        reg.journal.append(&record);
+        transition(
+            shared,
+            &mut lock_registry(shared),
+            &id,
+            JobState::Finished { code: 1 },
+        );
         return error_response(500, &format!("cannot persist job: {e}"));
     }
     {
@@ -968,18 +1163,15 @@ fn cancel_job(shared: &Shared, id: &str) -> Response {
     };
     match state {
         JobState::Queued => {
-            let (dir, kind, was_recovered) = {
-                let Some(job) = reg.jobs.get_mut(id) else {
-                    return error_response(404, &format!("no job '{id}'"));
-                };
-                job.state = JobState::Canceled {
-                    kind: CancelKind::Canceled,
-                };
-                (job.dir.clone(), job.spec.kind(), job.recovered)
+            let (dir, kind, was_recovered) = match reg.jobs.get(id) {
+                Some(job) => (job.dir.clone(), job.spec.kind(), job.recovered),
+                None => return error_response(404, &format!("no job '{id}'")),
             };
             reg.queue.retain(|q| q != id);
-            let record = journal_state(id, "canceled", None);
-            reg.journal.append(&record);
+            let canceled = JobState::Canceled {
+                kind: CancelKind::Canceled,
+            };
+            transition(shared, &mut reg, id, canceled);
             drop(reg);
             if was_recovered {
                 shared.recovering.fetch_sub(1, Ordering::SeqCst);
@@ -1132,10 +1324,12 @@ fn get_artifact(shared: &Shared, id: &str, name: &str) -> Response {
 }
 
 /// `GET /jobs/:id/events`: a close-delimited ndjson stream of status
-/// snapshots, one every [`EVENTS_PERIOD`], ending with the terminal
-/// state. The poll-driven shape keeps the handler free of any coupling
-/// to the worker: it reads the same registry the status endpoint does.
-fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) {
+/// snapshots ending with the terminal state. A line goes out at once on
+/// every state change and every `period` while the state holds (a running
+/// job's progress). The handler reads the same registry the status
+/// endpoint does and waits on its condvar, so its only coupling to the
+/// worker is the state transitions.
+fn stream_events(stream: &mut impl Write, shared: &Shared, id: &str, period: Duration) {
     {
         let reg = lock_registry(shared);
         if !reg.jobs.contains_key(id) {
@@ -1147,36 +1341,42 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) {
         return;
     }
     loop {
-        let (line, terminal) = {
+        let (line, state, last) = {
             let reg = lock_registry(shared);
-            match reg.jobs.get(id) {
-                None => return,
-                Some(job) => (
-                    status_json(job).to_string_compact(),
-                    job.state.is_terminal(),
-                ),
-            }
+            let Some(job) = reg.jobs.get(id) else { return };
+            let line = status_json(job).to_string_compact();
+            let last = job.state.is_terminal() || stranded(shared, &job.state);
+            (line, job.state.clone(), last)
         };
         if stream
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| stream.flush())
             .is_err()
+            || last
         {
             return;
         }
-        if terminal {
-            return;
-        }
-        // A drained daemon never starts its remaining queued jobs; end
-        // those streams instead of pinning the drain on a live client.
-        if shared.draining.load(Ordering::SeqCst) {
-            let reg = lock_registry(shared);
-            if reg.jobs.get(id).is_none_or(|j| j.state == JobState::Queued) {
-                return;
-            }
-        }
-        std::thread::sleep(EVENTS_PERIOD);
+        await_change(shared, id, &state, period);
     }
+}
+
+/// A drained daemon never starts its remaining queued jobs; their events
+/// streams end instead of pinning the drain on a live client. Read under
+/// the registry lock: the worker claims a job only under it, and only
+/// while not draining.
+fn stranded(shared: &Shared, state: &JobState) -> bool {
+    *state == JobState::Queued && shared.draining.load(Ordering::SeqCst)
+}
+
+/// Wait until job `id` leaves state `seen`, a drain strands it in the
+/// queue, or `period` passes, whichever comes first.
+fn await_change(shared: &Shared, id: &str, seen: &JobState, period: Duration) {
+    let reg = lock_registry(shared);
+    let _ = shared.wake.wait_timeout_while(reg, period, |reg| {
+        reg.jobs
+            .get(id)
+            .is_some_and(|job| job.state == *seen && !stranded(shared, &job.state))
+    });
 }
 
 #[cfg(test)]
@@ -1190,14 +1390,24 @@ mod tests {
     }
 
     fn bare_shared() -> Arc<Shared> {
-        Arc::new(Shared {
-            opts: ServeOptions::default(),
-            registry: Mutex::new(Registry::default()),
-            wake: Condvar::new(),
-            draining: AtomicBool::new(false),
-            recovering: AtomicUsize::new(0),
-            connections: AtomicUsize::new(0),
-        })
+        Arc::new(Shared::new(ServeOptions::default(), Registry::default(), 0))
+    }
+
+    /// A registry holding one job `id` in `state`.
+    fn shared_with_job(id: &str, state: JobState) -> Arc<Shared> {
+        let shared = bare_shared();
+        let job = Job {
+            id: id.to_string(),
+            spec: run_spec(),
+            dir: PathBuf::from(id),
+            state,
+            tracer: None,
+            started: None,
+            cancel: CancelToken::default(),
+            recovered: false,
+        };
+        lock_registry(&shared).jobs.insert(id.to_string(), job);
+        shared
     }
 
     #[test]
@@ -1326,7 +1536,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vax-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_NAME);
-        let mut journal = Journal::at(path.clone());
+        let journal = Journal::at(path.clone());
         journal.append(&journal_submit("j-000001", &run_spec()));
         journal.append(&journal_state("j-000001", "running", None));
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1336,15 +1546,125 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert!(jobs[0].recovered);
         // Appends land after a compaction rewrite, not over it.
-        journal.lines =
-            vec![folded_record("j-000001", &run_spec(), &JobState::Queued).to_string_compact()];
-        journal.flush();
+        journal.rewrite(&[
+            folded_record("j-000001", &run_spec(), &JobState::Queued).to_string_compact()
+        ]);
         journal.append(&journal_state("j-000001", "done", Some(0)));
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         let (jobs, _) = replay_journal(&text);
         assert_eq!(jobs[0].state, JobState::Finished { code: 0 });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_records_live_on_disk_only() {
+        let dir = std::env::temp_dir().join(format!("vax-journal-disk-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(JOURNAL_NAME);
+        let journal = Journal::at(path.clone());
+        for n in 1..=40 {
+            journal.append(&journal_submit(&format!("j-{n:06}"), &run_spec()));
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 40);
+        let (jobs, warnings) = replay_journal(&text);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(jobs.len(), 40);
+        // The value is where the journal lives and nothing else.
+        let held = format!("{journal:?}");
+        assert!(!held.contains("j-000001"), "{held}");
+        assert_eq!(
+            std::mem::size_of::<Journal>(),
+            std::mem::size_of::<Option<PathBuf>>()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn terminal_job_drops_its_tracer_and_renders_as_before() {
+        let id = "j-000001";
+        let shared = shared_with_job(id, JobState::Queued);
+        {
+            let mut reg = lock_registry(&shared);
+            reg.jobs.get_mut(id).unwrap().tracer = Some(Tracer::enabled());
+            reg.jobs.get_mut(id).unwrap().started = Some(Instant::now());
+            transition(&shared, &mut reg, id, JobState::Running);
+            assert!(
+                reg.jobs[id].tracer.is_some(),
+                "running jobs report progress"
+            );
+            assert!(status_json(&reg.jobs[id]).get("progress").is_some());
+            transition(&shared, &mut reg, id, JobState::Finished { code: 0 });
+            assert!(reg.jobs[id].tracer.is_none());
+        }
+        let response = job_status(&shared, id);
+        assert_eq!(response.status, 200);
+        assert_eq!(
+            String::from_utf8(response.body).unwrap(),
+            "{\n  \"id\": \"j-000001\",\n  \"kind\": \"run\",\n  \"status\": \"done\",\n  \"code\": 0\n}\n"
+        );
+    }
+
+    #[test]
+    fn events_wait_wakes_on_a_transition_and_ends_on_terminal() {
+        let id = "j-000001";
+        let shared = shared_with_job(id, JobState::Running);
+        // While the state holds, the wait lasts the period (the progress
+        // cadence).
+        let start = Instant::now();
+        await_change(&shared, id, &JobState::Running, Duration::from_millis(30));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        // A transition ends a 10 s wait early.
+        let mover = Arc::clone(&shared);
+        let finisher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let done = JobState::Finished { code: 0 };
+            transition(&mover, &mut lock_registry(&mover), id, done);
+        });
+        let start = Instant::now();
+        await_change(&shared, id, &JobState::Running, Duration::from_secs(10));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "woke after {:?}",
+            start.elapsed()
+        );
+        finisher.join().unwrap();
+        // The stream of a job that is already terminal is one line.
+        let mut out = Vec::new();
+        stream_events(&mut out, &shared, id, Duration::from_secs(10));
+        let text = String::from_utf8(out).unwrap();
+        let (head, body) = text.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body.lines().count(), 1, "{body}");
+        assert!(body.contains("\"done\""), "{body}");
+    }
+
+    #[test]
+    fn draining_ends_the_wait_of_a_queued_job() {
+        let id = "j-000001";
+        let shared = shared_with_job(id, JobState::Queued);
+        let drainer = Arc::clone(&shared);
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            begin_drain(&drainer);
+        });
+        let start = Instant::now();
+        let mut out = Vec::new();
+        stream_events(&mut out, &shared, id, Duration::from_secs(10));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        stopper.join().unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("\"queued\""), "{text}");
+    }
+
+    #[test]
+    fn wake_address_is_loopback_for_unspecified_binds() {
+        let wake = |a: &str| loopback_if_unspecified(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:4780"), "127.0.0.1:4780");
+        assert_eq!(wake("[::]:4780"), "[::1]:4780");
+        assert_eq!(wake("127.0.0.1:4780"), "127.0.0.1:4780");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
     }
 
     #[test]
@@ -1380,6 +1700,65 @@ mod tests {
         let (slot, active) = ConnectionSlot::acquire(&shared);
         assert_eq!(active, 1);
         drop(slot);
+        assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
+    }
+
+    /// Accept one connection from `listener` and hand it to `handlers`.
+    fn accept_into(handlers: &mut Handlers, listener: &TcpListener, shared: &Arc<Shared>) {
+        let (stream, _) = listener.accept().unwrap();
+        let (slot, _) = ConnectionSlot::acquire(shared);
+        handlers.dispatch(stream, slot, shared);
+    }
+
+    /// Send `GET /healthz` on `client` and read the whole answer.
+    fn healthz(mut client: TcpStream) -> String {
+        client
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).unwrap();
+        answer
+    }
+
+    #[test]
+    fn one_request_at_a_time_is_served_by_one_handler_thread() {
+        let shared = bare_shared();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut handlers = Handlers::new();
+        for _ in 0..5 {
+            let client = TcpStream::connect(addr).unwrap();
+            accept_into(&mut handlers, &listener, &shared);
+            let answer = healthz(client);
+            assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+        }
+        // Each answer ended after its handler had freed its slot and
+        // reported idle, so every later connection went to that handler.
+        assert_eq!(handlers.threads.len(), 1);
+        assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
+        handlers.join();
+    }
+
+    #[test]
+    fn overlapping_connections_each_get_a_handler_and_join_ends_them() {
+        let shared = bare_shared();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut handlers = Handlers::new();
+        // Both connections are open before either sends its request, so
+        // the first handler is still reading when the second arrives.
+        let first = TcpStream::connect(addr).unwrap();
+        accept_into(&mut handlers, &listener, &shared);
+        let second = TcpStream::connect(addr).unwrap();
+        accept_into(&mut handlers, &listener, &shared);
+        assert_eq!(handlers.threads.len(), 2);
+        for client in [second, first] {
+            let answer = healthz(client);
+            assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+        }
+        // Both handlers now wait for a connection; closing the queue
+        // ends them.
+        handlers.join();
         assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
     }
 

@@ -391,3 +391,132 @@ fn submissions_during_drain_are_refused() {
     assert!(exit.success());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A cold first job that runs for most of a second in release builds
+/// (codegen and boot of 30 cells), long enough to signal the daemon
+/// while it runs.
+const COLD_RUN: &str = r#"{"kind": "run", "instructions": 20000, "seed": 7, "shards": 6}"#;
+
+/// Start a daemon whose stderr is kept: the handle yields the whole log
+/// once the daemon exits and closes the pipe.
+fn start_logged_daemon(root: &Path) -> (Daemon, std::thread::JoinHandle<String>) {
+    let mut child = reproduce()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--root",
+            root.to_str().unwrap(),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn reproduce serve");
+    let stderr = child.stderr.take().expect("stderr piped");
+    let mut lines = BufReader::new(stderr).lines();
+    let mut log = String::new();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("daemon exited before announcing its address")
+            .expect("read daemon stderr");
+        log.push_str(&line);
+        log.push('\n');
+        if let Some(rest) = line.split("http://").nth(1) {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    let log = std::thread::spawn(move || {
+        for line in lines.map_while(Result::ok) {
+            log.push_str(&line);
+            log.push('\n');
+        }
+        log
+    });
+    (Daemon { child, addr }, log)
+}
+
+fn send_sigterm(daemon: &Daemon) {
+    let status = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -TERM failed: {status:?}");
+}
+
+/// Wait for the daemon to exit; fail if it is still up after `limit`.
+fn exit_within(daemon: &mut Daemon, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = daemon.child.try_wait().expect("poll daemon") {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon still running {limit:?} after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn sigterm_drains_an_idle_daemon() {
+    let root = scratch("sigterm-idle");
+    let (mut daemon, log) = start_logged_daemon(&root);
+    let (status, body) = http_text(&daemon.addr, "GET", "/healthz", None);
+    assert_eq!(status, 200, "{body}");
+    send_sigterm(&daemon);
+    let exit = exit_within(&mut daemon, Duration::from_secs(5));
+    assert!(exit.success(), "drain must exit 0, got {exit:?}");
+    let log = log.join().unwrap();
+    assert!(log.contains("drained cleanly"), "{log}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn sigterm_finishes_the_running_job_and_refuses_new_ones() {
+    let root = scratch("sigterm-running");
+    let (mut daemon, log) = start_logged_daemon(&root);
+    let addr = daemon.addr.clone();
+    let (status, body) = http_text(&addr, "POST", "/jobs", Some(COLD_RUN));
+    assert_eq!(status, 202, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, body) = http_text(&addr, "GET", "/jobs/j-000001", None);
+        if body.contains("\"running\"") {
+            break;
+        }
+        assert!(
+            body.contains("\"queued\""),
+            "job ended before the signal: {body}"
+        );
+        assert!(Instant::now() < deadline, "job never started: {body}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    send_sigterm(&daemon);
+    // The daemon keeps answering while the job runs; once the signal
+    // turns into a drain, submissions are refused.
+    loop {
+        let (_, body) = http_text(&addr, "GET", "/healthz", None);
+        if body.contains("\"draining\"") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "signal never drained: {body}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (status, body) = http_text(&addr, "POST", "/jobs", Some(SMALL_RUN));
+    assert_eq!(status, 503, "{body}");
+
+    // The daemon exits once the running job is done, so its end state
+    // is read from disk.
+    let exit = exit_within(&mut daemon, Duration::from_secs(120));
+    assert!(exit.success(), "drain must exit 0, got {exit:?}");
+    let status = std::fs::read_to_string(root.join("j-000001").join("status.json")).unwrap();
+    assert!(status.contains("\"status\": \"done\""), "{status}");
+    assert!(status.contains("\"code\": 0"), "{status}");
+    assert!(root.join("j-000001").join("measurement.json").is_file());
+    let log = log.join().unwrap();
+    assert!(log.contains("drained cleanly"), "{log}");
+    let _ = std::fs::remove_dir_all(&root);
+}
