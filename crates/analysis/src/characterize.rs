@@ -42,7 +42,8 @@ pub const DEFAULT_WARMUP: u64 = 2000;
 pub const SCHEMA: &str = "vax-characterize/v1";
 
 /// One probe (or baseline) execution, already reduced against the control
-/// store that produced it so the `!Send` system never leaves the worker.
+/// store that produced it, so the system itself never leaves the worker
+/// that built it.
 #[derive(Debug, Clone)]
 pub struct ProbeRun {
     /// The assembled loop.

@@ -3,7 +3,8 @@
 //! A [`CancelToken`] is the one signal a frontend (the serve daemon's
 //! cancel endpoint, a `deadline_secs` spec field) can use to stop a job
 //! early without corrupting it. It is *cooperative*: the shard pool checks
-//! the token at cell boundaries — the same granularity as the watchdog —
+//! the token only before it claims the next cell (the watchdog, by
+//! contrast, fires inside a cell every `WATCHDOG_STRIDE` = 2,048 steps),
 //! so an in-flight cell always finishes and checkpoints before the run
 //! winds down. Everything already checkpointed stays on disk, which is
 //! what makes a canceled run resumable (`reproduce resume`) or simply

@@ -28,7 +28,7 @@ use vax_trace::{worker_tid, Tracer, MAIN_TID};
 
 use crate::cli::CharacterizeOptions;
 use crate::fsio::write_atomic;
-use crate::pool::{panic_message, run_supervised_cancelable};
+use crate::pool::{panic_message, run_supervised};
 use crate::progress::Progress;
 
 /// Everything `reproduce characterize` produces.
@@ -189,7 +189,7 @@ pub fn run_characterize(
     let baseline = run_baseline(opts, tracer);
     let baseline_cpi = baseline.m.cycles as f64 / baseline.m.instructions().max(1) as f64;
 
-    let outcome = run_supervised_cancelable(
+    let outcome = run_supervised(
         opts.jobs,
         &targets,
         opts.retries,
@@ -307,7 +307,7 @@ pub fn run_refute(
 
     let baseline = run_baseline(opts, tracer);
 
-    let outcome = run_supervised_cancelable(
+    let outcome = run_supervised(
         opts.jobs,
         &targets,
         opts.retries,

@@ -188,7 +188,7 @@ impl JobEngine {
 
         // Meter only the simulation itself, not rendering or artifact I/O.
         let meter = HostMeter::start();
-        let out = runner::run_composite_cached(opts, progress, tracer, &self.caches);
+        let out = runner::run_composite(opts, progress, tracer, &self.caches);
         let bench = meter.finish(out.analysis.cycles, out.analysis.instructions);
         progress.info(&bench.summary());
         if let Some(dir) = &opts.bench_out {
@@ -245,21 +245,20 @@ impl JobEngine {
         tracer: &Tracer,
     ) -> (JobOutcome, Option<PathBuf>) {
         let mut stdout = String::new();
-        let (opts, out) =
-            match runner::resume_composite_cached(resume, progress, tracer, &self.caches) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("reproduce resume: {e}");
-                    return (
-                        JobOutcome {
-                            code: 1,
-                            stdout,
-                            canceled: None,
-                        },
-                        None,
-                    );
-                }
-            };
+        let (opts, out) = match runner::resume_composite(resume, progress, tracer, &self.caches) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("reproduce resume: {e}");
+                return (
+                    JobOutcome {
+                        code: 1,
+                        stdout,
+                        canceled: None,
+                    },
+                    None,
+                );
+            }
+        };
         if let Some(kind) = out.canceled {
             progress.info(&format!(
                 "resume {}: final artifacts not exported",

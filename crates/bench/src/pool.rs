@@ -1,13 +1,16 @@
 //! A supervised scoped-thread job pool for the sharded execution engine.
 //!
-//! The simulated systems are deliberately `!Send` (the trace bus hands
-//! `Rc<RefCell<dyn TraceSink>>` handles to every subsystem), so the pool
-//! never moves a system between threads. Instead each worker *builds* its
-//! systems locally: jobs go in as `Sync` descriptions (`&I`), results come
-//! out as `Send` values (`O`), and the caller sees them in input order —
-//! slot `i` of the returned vector always holds the output for `inputs[i]`,
-//! no matter which worker ran it or when it finished. That input-indexed
-//! contract is what lets the runner merge shard results deterministically.
+//! Jobs go in as `Sync` descriptions (`&I`) and each attempt builds its
+//! simulated system from that description on the worker that claims it.
+//! Systems are `Send`, but a machine that already ran (or half-ran and
+//! panicked) carries state a fresh one does not: building every attempt
+//! from its seed is what makes a result independent of which worker ran
+//! it, of what that worker ran before, and of how many attempts it took.
+//! Results come out as `Send` values (`O`), and the caller sees them in
+//! input order — slot `i` of the returned vector always holds the output
+//! for `inputs[i]`, no matter which worker ran it or when it finished. That
+//! input-indexed contract is what lets the runner merge shard results
+//! deterministically.
 //!
 //! Supervision: a panicking job (shard panic or watchdog timeout) does not
 //! poison the pool, deadlock the scope, or abandon the rest of the queue.
@@ -118,89 +121,46 @@ pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
 
 /// Run `f` over every input on `jobs` worker threads under supervision.
 ///
-/// `f(i, &inputs[i], attempt)` may run on any worker; workers pull the next
-/// unclaimed index from a shared counter, so at most `jobs` calls are in
-/// flight and long jobs don't starve short ones of a thread. With
+/// `f(worker, i, &inputs[i], attempt)` may run on any worker; workers pull
+/// the next unclaimed index from a shared counter, so at most `jobs` calls
+/// are in flight and long jobs don't starve short ones of a thread. With
 /// `jobs == 1` the single worker processes indices `0..n` strictly in
-/// order — the serial loop, verbatim. `attempt` starts at 0 and counts the
-/// retries of that particular index.
+/// order — the serial loop, verbatim. `worker` lets callers place their own
+/// spans on the right track; `attempt` starts at 0 and counts the retries
+/// of that particular index.
 ///
 /// A panicking attempt is retried in place up to `retries` more times; a
 /// job that exhausts all `1 + retries` attempts becomes a [`JobFailure`]
 /// and the worker moves on to the next index. The queue always drains.
+/// Retries back off exponentially (`backoff_ms`): a transient host
+/// hiccup (the usual cause of a watchdog trip) gets time to clear instead
+/// of an immediate identical attempt, and the `retry_backoff_ms` counter
+/// records the total sleep.
+///
+/// Workers poll `cancel` *before claiming* each input, so a fired token
+/// stops the grid at the next cell boundary: in-flight cells finish
+/// normally (and checkpoint, when the caller checkpoints), unclaimed cells
+/// are left as empty slots with no failure recorded. (The watchdog is
+/// finer-grained: it fires inside a cell, every `WATCHDOG_STRIDE` = 2,048
+/// steps.) A fired token also stops further retries of the current input.
+/// The caller distinguishes "not run because canceled" from "quarantined"
+/// by re-checking the token; pass `&CancelToken::default()` to never stop.
+///
+/// Observability: each worker gets its own trace track ([`worker_tid`],
+/// named `worker-N`). On that track the pool records, per job, a
+/// `queue-wait` span covering the gap between finishing the previous job
+/// and claiming this one (recorded only when a job is actually claimed, so
+/// span counts stay invariant under the worker count), and a `job` span per
+/// attempt (parented under `parent`, normally the run's root span) inside
+/// which `f` runs — so any spans `f` opens nest under it. Irregular moments
+/// are instant events: `shard-panic` or `watchdog` (by panic payload) per
+/// failed attempt, `retry` when another attempt follows, `quarantine` when
+/// attempts are exhausted; `retries`/`quarantines` counters track totals.
+/// A disabled tracer records nothing.
 ///
 /// # Panics
 /// Panics if `jobs == 0` (the CLI rejects this before we get here).
-pub fn run_supervised<I, O, F>(jobs: usize, inputs: &[I], retries: u32, f: F) -> PoolOutcome<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I, u32) -> O + Sync,
-{
-    run_supervised_traced(
-        jobs,
-        inputs,
-        retries,
-        &Tracer::disabled(),
-        0,
-        |_worker, i, input, attempt| f(i, input, attempt),
-    )
-}
-
-/// [`run_supervised`] with per-worker observability.
-///
-/// Each worker gets its own trace track ([`worker_tid`], named
-/// `worker-N`). On that track the pool records, per job: a `queue-wait`
-/// span covering the gap between finishing the previous job and claiming
-/// this one (recorded only when a job is actually claimed, so span counts
-/// stay invariant under the worker count), and a `job` span per attempt
-/// (parented under `parent`, normally the run's root span) inside which
-/// `f` runs — so any spans `f` opens nest under it. Irregular moments are
-/// instant events: `shard-panic` or `watchdog` (by panic payload) per
-/// failed attempt, `retry` when another attempt follows, `quarantine` when
-/// attempts are exhausted; `retries`/`quarantines` counters track totals.
-///
-/// `f(worker, i, &inputs[i], attempt)` additionally receives the worker
-/// index so callers can place their own spans on the right track.
-pub fn run_supervised_traced<I, O, F>(
-    jobs: usize,
-    inputs: &[I],
-    retries: u32,
-    tracer: &Tracer,
-    parent: SpanId,
-    f: F,
-) -> PoolOutcome<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, usize, &I, u32) -> O + Sync,
-{
-    run_supervised_cancelable(
-        jobs,
-        inputs,
-        retries,
-        tracer,
-        parent,
-        &CancelToken::default(),
-        f,
-    )
-}
-
-/// [`run_supervised_traced`] with a cooperative [`CancelToken`].
-///
-/// Workers poll the token *before claiming* each input — the same cadence
-/// as the watchdog, one check per cell — so a fired token stops the grid
-/// within one cell boundary: in-flight cells finish normally (and
-/// checkpoint, when the caller checkpoints), unclaimed cells are left as
-/// empty slots with no failure recorded. The caller distinguishes "not
-/// run because canceled" from "quarantined" by re-checking the token.
-///
-/// Retries of a failed attempt back off exponentially ([`backoff_ms`]):
-/// a transient host hiccup (the usual cause of a watchdog trip) gets time
-/// to clear instead of an immediate identical attempt, and the
-/// `retry_backoff_ms` counter records the total sleep. A fired token also
-/// stops further retries of the current input.
-pub fn run_supervised_cancelable<I, O, F>(
+pub fn run_supervised<I, O, F>(
     jobs: usize,
     inputs: &[I],
     retries: u32,
@@ -334,12 +294,26 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// [`run_supervised`] with spans parented under 0 and no cancel.
+    fn supervise<I: Sync, O: Send>(
+        jobs: usize,
+        inputs: &[I],
+        retries: u32,
+        tracer: &Tracer,
+        f: impl Fn(usize, usize, &I, u32) -> O + Sync,
+    ) -> PoolOutcome<O> {
+        run_supervised(jobs, inputs, retries, tracer, 0, &CancelToken::default(), f)
+    }
+
     fn run_ok<I: Sync, O: Send>(
         jobs: usize,
         inputs: &[I],
         f: impl Fn(usize, &I) -> O + Sync,
     ) -> Vec<O> {
-        run_supervised(jobs, inputs, 0, |i, input, _| f(i, input)).into_results()
+        supervise(jobs, inputs, 0, &Tracer::disabled(), |_, i, input, _| {
+            f(i, input)
+        })
+        .into_results()
     }
 
     #[test]
@@ -374,7 +348,7 @@ mod tests {
     #[test]
     fn failure_drains_the_rest_of_the_queue() {
         let inputs: Vec<u64> = (0..16).collect();
-        let outcome = run_supervised(4, &inputs, 0, |_, &x, _| {
+        let outcome = supervise(4, &inputs, 0, &Tracer::disabled(), |_, _, &x, _| {
             if x == 5 {
                 panic!("shard {x} exploded");
             }
@@ -401,7 +375,7 @@ mod tests {
     #[test]
     fn retry_recovers_a_flaky_job() {
         let tries = AtomicU32::new(0);
-        let outcome = run_supervised(2, &[7u32], 2, |_, &x, attempt| {
+        let outcome = supervise(2, &[7u32], 2, &Tracer::disabled(), |_, _, &x, attempt| {
             tries.fetch_add(1, Ordering::Relaxed);
             if attempt < 2 {
                 panic!("transient");
@@ -415,7 +389,10 @@ mod tests {
 
     #[test]
     fn exhausted_retries_report_the_attempt_count() {
-        let outcome: PoolOutcome<u32> = run_supervised(1, &[0u32], 3, |_, _, _| panic!("always"));
+        let outcome: PoolOutcome<u32> =
+            supervise(1, &[0u32], 3, &Tracer::disabled(), |_, _, _, _| {
+                panic!("always")
+            });
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].attempts, 4);
         assert_eq!(outcome.slots, vec![None]);
@@ -423,7 +400,9 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_a_programming_error() {
-        let r = std::panic::catch_unwind(|| run_supervised(0, &[1u8], 0, |_, &x, _| x));
+        let r = std::panic::catch_unwind(|| {
+            supervise(0, &[1u8], 0, &Tracer::disabled(), |_, _, &x, _| x)
+        });
         assert!(r.is_err());
     }
 
@@ -431,8 +410,7 @@ mod tests {
     fn traced_pool_records_queue_waits_and_job_spans() {
         let tracer = Tracer::enabled();
         let inputs: Vec<u64> = (0..6).collect();
-        let outcome =
-            run_supervised_traced(3, &inputs, 0, &tracer, 0, |_w, _i, &x, _attempt| x * 2);
+        let outcome = supervise(3, &inputs, 0, &tracer, |_w, _i, &x, _attempt| x * 2);
         assert!(outcome.is_complete());
         let phases = tracer.phase_totals();
         // One claim per input, one attempt per input — invariant in the
@@ -456,7 +434,7 @@ mod tests {
     fn traced_pool_records_retry_and_quarantine_instants() {
         let tracer = Tracer::enabled();
         let outcome: PoolOutcome<u32> =
-            run_supervised_traced(1, &[0u32], 1, &tracer, 0, |_, _, _, _| panic!("always"));
+            supervise(1, &[0u32], 1, &tracer, |_, _, _, _| panic!("always"));
         assert_eq!(outcome.failures.len(), 1);
         let instants = tracer.instant_totals();
         assert_eq!(instants["shard-panic"], 2, "one per attempt");
@@ -469,10 +447,9 @@ mod tests {
     #[test]
     fn traced_pool_classifies_watchdog_panics() {
         let tracer = Tracer::enabled();
-        let _outcome: PoolOutcome<u32> =
-            run_supervised_traced(1, &[0u32], 0, &tracer, 0, |_, _, _, _| {
-                std::panic::panic_any(vax780::WatchdogExpired)
-            });
+        let _outcome: PoolOutcome<u32> = supervise(1, &[0u32], 0, &tracer, |_, _, _, _| {
+            std::panic::panic_any(vax780::WatchdogExpired)
+        });
         let instants = tracer.instant_totals();
         assert_eq!(instants["watchdog"], 1);
         assert!(!instants.contains_key("shard-panic"));
@@ -480,14 +457,13 @@ mod tests {
 
     #[test]
     fn canceled_pool_stops_claiming_at_a_cell_boundary() {
-        use crate::cancel::CancelToken;
         let token = CancelToken::new();
         let inputs: Vec<u32> = (0..64).collect();
         let started = AtomicUsize::new(0);
         // One worker makes the claim order deterministic: cells 0..=3 run,
         // the token fires inside cell 3, and the pre-claim check stops the
         // sweep before cell 4.
-        let outcome = run_supervised_cancelable(
+        let outcome = run_supervised(
             1,
             &inputs,
             0,
@@ -514,9 +490,8 @@ mod tests {
 
     #[test]
     fn canceled_retries_are_not_quarantines() {
-        use crate::cancel::CancelToken;
         let token = CancelToken::new();
-        let outcome: PoolOutcome<u32> = run_supervised_cancelable(
+        let outcome: PoolOutcome<u32> = run_supervised(
             1,
             &[0u32],
             5,
@@ -556,7 +531,7 @@ mod tests {
     fn retries_record_backoff_counters() {
         let tracer = Tracer::enabled();
         let outcome: PoolOutcome<u32> =
-            run_supervised_traced(1, &[0u32], 1, &tracer, 0, |_, _, _, _| panic!("always"));
+            supervise(1, &[0u32], 1, &tracer, |_, _, _, _| panic!("always"));
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(
             tracer.counter_value("retry_backoff_ms"),
@@ -569,12 +544,11 @@ mod tests {
     fn callback_sees_a_valid_worker_index() {
         let max_worker = AtomicUsize::new(0);
         let inputs: Vec<u32> = (0..12).collect();
-        let out = run_supervised_traced(
+        let out = supervise(
             3,
             &inputs,
             0,
             &Tracer::disabled(),
-            0,
             |worker, _i, &x, _attempt| {
                 max_worker.fetch_max(worker, Ordering::Relaxed);
                 x

@@ -4,9 +4,9 @@
 //!
 //! The run is a grid of independent shard jobs — one per `(workload,
 //! shard)` cell, seeded by `vax_workload::rte::shard_seed` — executed on a
-//! [`crate::pool`] of supervised worker threads. Each worker builds its
-//! own simulated system (the systems are `!Send`; only job descriptions
-//! and results cross threads) and measures it; the parent then reduces the
+//! [`crate::pool`] of supervised worker threads. Each attempt builds its
+//! own simulated system from the cell's seed (only job descriptions and
+//! results cross threads) and measures it; the parent then reduces the
 //! results in `(workload, shard)` index order: measurements through
 //! [`vax780::merge_ordered`], interval samples through
 //! [`TimeSeries::splice`]. Because the reduction order is fixed by index
@@ -35,7 +35,7 @@ use crate::cache::WarmCaches;
 use crate::cancel::CancelKind;
 use crate::cli::{Options, ResumeOptions};
 use crate::fsio::write_atomic;
-use crate::pool::{panic_message, run_supervised_cancelable};
+use crate::pool::{panic_message, run_supervised};
 use crate::progress::Progress;
 use crate::resume::{cell_path, checkpoints_dir, header_json, header_path, load_cells};
 
@@ -98,30 +98,24 @@ struct CellData {
 /// run journals checkpoints for [`resume_composite`]; any stale journal in
 /// that directory is cleared first.
 ///
+/// Harness observability: every pipeline phase of every cell (codegen,
+/// boot, simulate, checkpoint) becomes a span on the worker's trace track,
+/// the reduction becomes a `merge` span on the main track, and the
+/// tracer's counters accumulate cells done, instructions, decode-cache
+/// hits/misses, and scheduled fault injections. Pass
+/// `&Tracer::disabled()` to record nothing.
+///
+/// `caches` are shared warm caches (see [`crate::cache`]). A long-lived
+/// engine passes its own so a repeated job skips codegen and boot; a
+/// fresh `&WarmCaches::new()` behaves identically to no cache at all
+/// (every cell of one run has a distinct seed, so a single run only ever
+/// misses).
+///
 /// # Panics
 /// Panics if `opts.jobs == 0` or `opts.shards == 0` (the CLI rejects both
 /// up front). A worker panic no longer propagates — it is retried and, on
 /// exhaustion, quarantined into [`RunOutput::failed_cells`].
-pub fn run_composite(opts: &Options, progress: &Progress) -> RunOutput {
-    run_composite_traced(opts, progress, &Tracer::disabled())
-}
-
-/// [`run_composite`] with harness observability: every pipeline phase of
-/// every cell (codegen, boot, simulate, checkpoint) becomes a span on the
-/// worker's trace track, the reduction becomes a `merge` span on the main
-/// track, and the tracer's counters accumulate cells done, instructions,
-/// decode-cache hits/misses, and scheduled fault injections. A disabled
-/// tracer makes this identical to [`run_composite`].
-pub fn run_composite_traced(opts: &Options, progress: &Progress, tracer: &Tracer) -> RunOutput {
-    run_composite_cached(opts, progress, tracer, &WarmCaches::new())
-}
-
-/// [`run_composite_traced`] against shared warm caches (see
-/// [`crate::cache`]). A long-lived engine passes its own caches so a
-/// repeated job skips codegen and boot; the plain entry points pass a
-/// fresh cache, which behaves identically to no cache at all (every cell
-/// of one run has a distinct seed, so a single run only ever misses).
-pub fn run_composite_cached(
+pub fn run_composite(
     opts: &Options,
     progress: &Progress,
     tracer: &Tracer,
@@ -142,32 +136,14 @@ pub fn run_composite_cached(
 /// the experiment definition from the checkpoint header, load every
 /// parseable cell, and run only the missing ones. Returns the
 /// reconstructed options (the caller renders/exports with them, exactly as
-/// it would for a fresh run) alongside the output.
+/// it would for a fresh run) alongside the output. `tracer` and `caches`
+/// are as for [`run_composite`]; already-checkpointed cells count toward
+/// the tracer's `cells_done` before any new work starts.
 ///
 /// # Errors
 /// Returns a message when the header is missing or damaged — without it
 /// the experiment definition would be guesswork.
 pub fn resume_composite(
-    resume: &ResumeOptions,
-    progress: &Progress,
-) -> Result<(Options, RunOutput), String> {
-    resume_composite_traced(resume, progress, &Tracer::disabled())
-}
-
-/// [`resume_composite`] with harness observability (see
-/// [`run_composite_traced`]); already-checkpointed cells count toward the
-/// tracer's `cells_done` before any new work starts.
-pub fn resume_composite_traced(
-    resume: &ResumeOptions,
-    progress: &Progress,
-    tracer: &Tracer,
-) -> Result<(Options, RunOutput), String> {
-    resume_composite_cached(resume, progress, tracer, &WarmCaches::new())
-}
-
-/// [`resume_composite_traced`] against shared warm caches (see
-/// [`run_composite_cached`]).
-pub fn resume_composite_cached(
     resume: &ResumeOptions,
     progress: &Progress,
     tracer: &Tracer,
@@ -268,7 +244,7 @@ fn run_grid(
         })
         .collect();
 
-    let outcome = run_supervised_cancelable(
+    let outcome = run_supervised(
         opts.jobs,
         &todo,
         opts.retries,

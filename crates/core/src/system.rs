@@ -288,10 +288,10 @@ impl SystemBuilder {
 
 /// A booted machine captured as plain data: the physical-memory contents
 /// after layout (trimmed of trailing zero bytes), the page-table registers,
-/// and the boot register file. Unlike [`System`] this is `Send`, so a warm
-/// cache can hand one image to any worker thread; rehydration via
-/// [`System::from_boot_image`] costs a memcpy of the retained bytes instead
-/// of a full layout.
+/// and the boot register file. Unlike a [`System`] it never runs, so a warm
+/// cache can hand one image to any worker thread and every rehydration
+/// starts from the same state; rehydration via [`System::from_boot_image`]
+/// costs a memcpy of the retained bytes instead of a full layout.
 #[derive(Debug, Clone)]
 pub struct BootImage {
     config: SystemConfig,

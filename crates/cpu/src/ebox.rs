@@ -20,7 +20,6 @@ use vax_arch::{
     Specifier,
 };
 use vax_mem::addr::PAGE_SIZE;
-use vax_mem::trace::{StallClass, TraceEvent};
 use vax_mem::{MemorySystem, PhysAddr, RefClass, VirtAddr};
 
 use crate::config::CpuConfig;
@@ -183,13 +182,9 @@ impl Cpu {
 
     // ---- fatal-error reporting ----
 
-    /// Abort the simulation: dump the flight recorder to stderr, emit an
-    /// [`TraceEvent::Exception`] for attached sinks, then panic with `msg`.
-    pub(crate) fn fatal(&self, kind: &'static str, msg: String) -> ! {
-        let (pc, cycle) = (self.regs[15], self.cycle);
-        self.mem
-            .trace
-            .emit_with(|| TraceEvent::Exception { pc, kind, cycle });
+    /// Abort the simulation: dump the flight recorder to stderr, then panic
+    /// with `msg`.
+    pub(crate) fn fatal(&self, msg: String) -> ! {
         self.flight.dump_stderr();
         panic!("{msg}");
     }
@@ -198,7 +193,7 @@ impl Cpu {
 
     fn translate_d(&mut self, va: VirtAddr) -> PhysAddr {
         loop {
-            if let Some(pa) = self.mem.probe_tb_at(va, RefClass::DStream, self.cycle) {
+            if let Some(pa) = self.mem.probe_tb(va, RefClass::DStream) {
                 return pa;
             }
             self.run_tb_miss(va);
@@ -214,13 +209,10 @@ impl Cpu {
             self.c(r.at(i as u16));
         }
         let fill = self.mem.tb_fill(va, self.cycle).unwrap_or_else(|e| {
-            self.fatal(
-                "page-fault",
-                format!(
-                    "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",
-                    self.regs[15], self.regs, self.psl
-                ),
-            )
+            self.fatal(format!(
+                "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",
+                self.regs[15], self.regs, self.psl
+            ))
         });
         let read_upc = r.at(self.cs.tb_miss_read_off);
         for _ in 0..fill.pte_reads {
@@ -349,7 +341,7 @@ impl Cpu {
     fn raw(&self, va: VirtAddr) -> PhysAddr {
         self.mem
             .raw_translate(va)
-            .unwrap_or_else(|e| self.fatal("unmapped", format!("unmapped address {va}: {e}")))
+            .unwrap_or_else(|e| self.fatal(format!("unmapped address {va}: {e}")))
     }
 
     // ---- I-stream consumption ----
@@ -363,7 +355,6 @@ impl Cpu {
         let mut remaining = n;
         while remaining > 0 {
             let chunk = remaining.min(4);
-            let mut stall_start: Option<u64> = None;
             loop {
                 self.ib.sync(self.cycle, &mut self.mem);
                 if self.ib.valid_bytes() >= chunk {
@@ -371,36 +362,14 @@ impl Cpu {
                 }
                 if let Some(va) = self.ib.itb_miss() {
                     self.ib.clear_itb_miss();
-                    self.end_ib_stall(&mut stall_start);
                     self.run_tb_miss(va);
                     continue;
-                }
-                if stall_start.is_none() {
-                    stall_start = Some(self.cycle);
-                    let cycle = self.cycle;
-                    self.mem.trace.emit_with(|| TraceEvent::StallBegin {
-                        class: StallClass::IbEmpty,
-                        cycle,
-                    });
                 }
                 self.hist.record(wait_upc, Plane::Normal);
                 self.tick();
             }
-            self.end_ib_stall(&mut stall_start);
             self.ib.consume(chunk);
             remaining -= chunk;
-        }
-    }
-
-    /// Close an open IB-starvation window on the trace bus.
-    fn end_ib_stall(&mut self, start: &mut Option<u64>) {
-        if let Some(from) = start.take() {
-            let now = self.cycle;
-            self.mem.trace.emit_with(|| TraceEvent::StallEnd {
-                class: StallClass::IbEmpty,
-                cycle: now,
-                cycles: now - from,
-            });
         }
     }
 
@@ -451,10 +420,7 @@ impl Cpu {
             match vax_arch::decode(&self.decode_buf) {
                 Ok(insn) => return insn,
                 Err(vax_arch::DecodeError::Truncated) if want < 64 => want += 8,
-                Err(e) => self.fatal(
-                    "illegal-insn",
-                    format!("illegal instruction at {pc:#x}: {e}"),
-                ),
+                Err(e) => self.fatal(format!("illegal instruction at {pc:#x}: {e}")),
             }
         }
     }
@@ -472,7 +438,7 @@ impl Cpu {
             let pa = self
                 .mem
                 .raw_translate_watched(va)
-                .unwrap_or_else(|e| self.fatal("unmapped", format!("unmapped address {va}: {e}")));
+                .unwrap_or_else(|e| self.fatal(format!("unmapped address {va}: {e}")));
             let chunk = va.remaining_in(PAGE_SIZE).min(len - off);
             self.mem.watch_code(pa, chunk);
             off += chunk;
@@ -495,12 +461,6 @@ impl Cpu {
     // ---- interrupt dispatch ----
 
     fn dispatch_interrupt(&mut self, ipl: u8, scb_slot: u32, hardware: bool) {
-        let cycle = self.cycle;
-        self.mem.trace.emit_with(|| TraceEvent::Interrupt {
-            ipl,
-            hardware,
-            cycle,
-        });
         let r = self.cs.interrupt;
         // State sequencing.
         self.c_span(r, 0, self.cs.interrupt_read_off);
@@ -641,10 +601,6 @@ impl Cpu {
         }
         if insn.opcode == Opcode::Ldpctx {
             self.stats.context_switches += 1;
-            let cycle = self.cycle;
-            self.mem
-                .trace
-                .emit_with(|| TraceEvent::ContextSwitch { cycle });
         }
 
         // PC now names the next sequential instruction (pushed by calls).
@@ -707,14 +663,6 @@ impl Cpu {
         };
         if matches!(outcome, StepOutcome::Retired(_)) {
             self.flight.record(insn_pc, self.cycle, &insn);
-            let cycle = self.cycle;
-            self.mem.trace.emit_with(|| TraceEvent::Retire {
-                pc: insn_pc,
-                opcode: insn.opcode.byte() as u16,
-                mnemonic: insn.opcode.mnemonic(),
-                size: insn.len,
-                cycle,
-            });
         }
         outcome
     }

@@ -10,7 +10,6 @@
 use upc_monitor::{MicroOp, Region};
 use vax_arch::psl::AccessMode;
 use vax_arch::{Instruction, Opcode, OpcodeGroup, Psl};
-use vax_mem::trace::TraceEvent;
 use vax_mem::VirtAddr;
 
 use crate::ebox::{mask, Cpu, VEC_CHMK};
@@ -1154,28 +1153,12 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
         Opcode::Bpt => {
             cpu.c_span(r, SETUP, 4);
             cpu.stats.exceptions += 1;
-            let (pc, cycle) = (cpu.regs[15], cpu.cycle);
-            cpu.mem.trace.emit_with(|| TraceEvent::Exception {
-                pc,
-                kind: "bpt",
-                cycle,
-            });
             // A breakpoint is the debugging entry point: dump the flight
             // recorder so the trap site comes with its instruction history.
             cpu.flight.dump_stderr();
             Flow::Normal
         }
         Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => {
-            let kind = match insn.opcode {
-                Opcode::Chmk => "chmk",
-                Opcode::Chme => "chme",
-                Opcode::Chms => "chms",
-                _ => "chmu",
-            };
-            let (pc, cycle) = (cpu.regs[15], cpu.cycle);
-            cpu.mem
-                .trace
-                .emit_with(|| TraceEvent::Exception { pc, kind, cycle });
             cpu.c_span(r, SETUP, 10);
             let code = ops[0].value as u32;
             // Push PSL, PC, then the change-mode code.

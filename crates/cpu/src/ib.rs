@@ -81,7 +81,7 @@ impl Ib {
         }
         if self.pending.is_none() && self.itb_miss.is_none() && self.valid < IB_BYTES {
             let va = VirtAddr(self.vpc);
-            match mem.probe_tb_at(va, RefClass::IStream, now) {
+            match mem.probe_tb(va, RefClass::IStream) {
                 None => self.itb_miss = Some(va),
                 Some(pa) => {
                     let lw_pa = PhysAddr(pa.0 & !3);

@@ -6,9 +6,9 @@
 //! results keyed by virtual PC, in the style of dynamic-translation
 //! simulators' predecode tables. It is a pure *host-side* accelerator:
 //! fetch/decode in this simulator is untimed (I-stream timing is carried by
-//! the IB model), so a hit changes no histogram bucket, stat counter, or
-//! trace event — simulated behaviour is bit-for-bit identical with the
-//! cache on or off, which `CpuConfig::decode_cache` lets tests prove.
+//! the IB model), so a hit changes no histogram bucket or stat counter —
+//! simulated behaviour is bit-for-bit identical with the cache on or off,
+//! which `CpuConfig::decode_cache` lets tests prove.
 //!
 //! # Validity
 //!

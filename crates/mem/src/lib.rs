@@ -32,7 +32,6 @@ pub mod phys;
 pub mod sbi;
 pub mod stats;
 pub mod tb;
-pub mod trace;
 pub mod writebuf;
 
 pub use addr::{PhysAddr, Region, VirtAddr, PAGE_SIZE};
@@ -43,7 +42,4 @@ pub use pagetable::{PageTables, Pte};
 pub use phys::PhysicalMemory;
 pub use stats::MemStats;
 pub use tb::{Tb, TbConfig};
-pub use trace::{
-    NullSink, RecordingSink, StallClass, TraceBus, TraceEvent, TraceSink, TraceStream,
-};
 pub use writebuf::WriteBuffer;

@@ -15,7 +15,6 @@ use crate::phys::PhysicalMemory;
 use crate::sbi::{Sbi, SbiConfig};
 use crate::stats::MemStats;
 use crate::tb::{Tb, TbConfig};
-use crate::trace::{StallClass, TraceBus, TraceEvent, TraceStream};
 use crate::writebuf::WriteBuffer;
 
 /// Which stream a reference belongs to (I-Fetch vs. EBOX data).
@@ -98,9 +97,6 @@ pub struct MemorySystem {
     pub tables: PageTables,
     /// Event counters.
     pub stats: MemStats,
-    /// Observability event bus (shared with the CPU, which owns this memory
-    /// system). Detached — and free — unless a sink is attached.
-    pub trace: TraceBus,
     /// Write-path watchpoints backing the CPU's decoded-instruction cache.
     code_watch: CodeWatch,
     /// Latched SBI/memory parity fault awaiting machine-check delivery.
@@ -120,7 +116,6 @@ impl MemorySystem {
             wb: WriteBuffer::new(),
             tables: PageTables::empty(),
             stats: MemStats::new(),
-            trace: TraceBus::detached(),
             code_watch: CodeWatch::new(config.mem_bytes),
             parity_latch: false,
         }
@@ -203,29 +198,13 @@ impl MemorySystem {
 
     /// Probe the TB. `None` means TB miss (counted per `class`).
     pub fn probe_tb(&mut self, va: VirtAddr, class: RefClass) -> Option<PhysAddr> {
-        self.probe_tb_at(va, class, 0)
-    }
-
-    /// [`MemorySystem::probe_tb`] with a cycle stamp for the trace bus.
-    pub fn probe_tb_at(&mut self, va: VirtAddr, class: RefClass, now: u64) -> Option<PhysAddr> {
         match self.tb.probe(va) {
             Some(pfn) => Some(PhysAddr::from_pfn(pfn, va.offset())),
             None => {
-                let stream = match class {
-                    RefClass::IStream => {
-                        self.stats.tb_miss_i += 1;
-                        TraceStream::IStream
-                    }
-                    RefClass::DStream => {
-                        self.stats.tb_miss_d += 1;
-                        TraceStream::DStream
-                    }
-                };
-                self.trace.emit_with(|| TraceEvent::TbMiss {
-                    stream,
-                    va: va.0,
-                    cycle: now,
-                });
+                match class {
+                    RefClass::IStream => self.stats.tb_miss_i += 1,
+                    RefClass::DStream => self.stats.tb_miss_d += 1,
+                }
                 None
             }
         }
@@ -288,32 +267,11 @@ impl MemorySystem {
             0
         } else {
             self.stats.pte_read_misses += 1;
-            self.trace.emit_with(|| TraceEvent::CacheMiss {
-                stream: TraceStream::PteFetch,
-                pa: pa.0,
-                cycle: now,
-            });
             let done = self.sbi.read_miss(now);
             done - now
         };
-        self.note_read_stall(now, stall);
-        (Pte(self.phys.read(pa, 4) as u32), stall)
-    }
-
-    /// Account a read stall and emit its begin/end pair.
-    fn note_read_stall(&mut self, now: u64, stall: u64) {
         self.stats.read_stall_cycles += stall;
-        if stall > 0 {
-            self.trace.emit_with(|| TraceEvent::StallBegin {
-                class: StallClass::Read,
-                cycle: now,
-            });
-            self.trace.emit_with(|| TraceEvent::StallEnd {
-                class: StallClass::Read,
-                cycle: now + stall,
-                cycles: stall,
-            });
-        }
+        (Pte(self.phys.read(pa, 4) as u32), stall)
     }
 
     /// [`MemorySystem::raw_translate`], additionally registering the PTE
@@ -387,15 +345,10 @@ impl MemorySystem {
             0
         } else {
             self.stats.d_read_misses += 1;
-            self.trace.emit_with(|| TraceEvent::CacheMiss {
-                stream: TraceStream::DStream,
-                pa: pa.0,
-                cycle: now,
-            });
             let done = self.sbi.read_miss(now);
             done - now
         };
-        self.note_read_stall(now, stall);
+        self.stats.read_stall_cycles += stall;
         ReadOutcome { stall, miss: !hit }
     }
 
@@ -414,17 +367,6 @@ impl MemorySystem {
         // queue behind it.
         self.sbi.write(now + stall);
         self.stats.write_stall_cycles += stall;
-        if stall > 0 {
-            self.trace.emit_with(|| TraceEvent::StallBegin {
-                class: StallClass::Write,
-                cycle: now,
-            });
-            self.trace.emit_with(|| TraceEvent::StallEnd {
-                class: StallClass::Write,
-                cycle: now + stall,
-                cycles: stall,
-            });
-        }
         stall
     }
 
@@ -440,11 +382,6 @@ impl MemorySystem {
             }
         } else {
             self.stats.i_read_misses += 1;
-            self.trace.emit_with(|| TraceEvent::CacheMiss {
-                stream: TraceStream::IStream,
-                pa: pa.0,
-                cycle: now,
-            });
             let done = self.sbi.read_miss(now);
             FillOutcome {
                 avail_at: done,

@@ -12,10 +12,12 @@ use std::path::{Path, PathBuf};
 use rand::prelude::{Rng, SeedableRng, StdRng};
 use vax780::{IntervalSample, TimeSeries};
 use vax_analysis::{diff_json, timeseries_from_json, Json, Profile, Tolerance};
+use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::diffcmd::{diff_run_dirs, FileDiff};
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner;
+use vax_trace::Tracer;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-small")
@@ -116,7 +118,7 @@ fn missing_artifact_fails_even_with_loose_tolerance() {
 fn committed_fixture_matches_a_fresh_run() {
     let opts = fixture_options();
     let progress = Progress::new(Verbosity::Quiet);
-    let out = runner::run_composite(&opts, &progress);
+    let out = runner::run_composite(&opts, &progress, &Tracer::disabled(), &WarmCaches::new());
     assert!(out.conservation_err.is_none());
     assert!(out.validation.is_clean());
 

@@ -58,6 +58,15 @@ fn deterministic_across_runs() {
     assert_eq!(run(), run(), "simulation must be exactly reproducible");
 }
 
+/// A machine can move between threads: nothing inside it is `Rc`-shared.
+/// The check is made by the compiler, so adding a `!Send` field to any
+/// part of the machine fails the build of this test.
+#[test]
+fn system_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<vax780::System>();
+}
+
 #[test]
 fn context_switch_flushes_tb_process_half() {
     let mut sys = build_system(Workload::TimesharingResearch, 3, 9);

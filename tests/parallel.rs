@@ -4,9 +4,11 @@
 //! `(workload, shard)` index order regardless of completion order.
 
 use vax_analysis::RunManifest;
+use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
+use vax_trace::Tracer;
 
 fn run_with_jobs(jobs: usize, shards: u64) -> (RunOutput, Vec<(&'static str, String)>) {
     let opts = Options {
@@ -17,7 +19,12 @@ fn run_with_jobs(jobs: usize, shards: u64) -> (RunOutput, Vec<(&'static str, Str
         shards,
         ..Options::default()
     };
-    let out = runner::run_composite(&opts, &Progress::new(Verbosity::Quiet));
+    let out = runner::run_composite(
+        &opts,
+        &Progress::new(Verbosity::Quiet),
+        &Tracer::disabled(),
+        &WarmCaches::new(),
+    );
     let manifest = RunManifest {
         experiment: opts.experiment.clone(),
         seed: Some(opts.seed),

@@ -13,9 +13,11 @@
 
 use vax780::FaultClass;
 use vax_analysis::RunManifest;
+use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
+use vax_trace::Tracer;
 use vax_workload::Workload;
 
 fn small_run() -> Options {
@@ -30,7 +32,12 @@ fn small_run() -> Options {
 }
 
 fn artifacts(opts: &Options) -> (RunOutput, Vec<(&'static str, String)>) {
-    let out = runner::run_composite(opts, &Progress::new(Verbosity::Quiet));
+    let out = runner::run_composite(
+        opts,
+        &Progress::new(Verbosity::Quiet),
+        &Tracer::disabled(),
+        &WarmCaches::new(),
+    );
     let manifest = RunManifest {
         experiment: opts.experiment.clone(),
         seed: Some(opts.seed),

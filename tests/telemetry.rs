@@ -1,12 +1,12 @@
-//! End-to-end telemetry tests: trace events against the counters they
-//! shadow, interval-sample conservation, flight-recorder behavior, JSON
-//! round trips, and the counter-validation pass on a real workload.
+//! End-to-end telemetry tests: interval-sample conservation,
+//! flight-recorder behavior, JSON round trips, and the counter-validation
+//! pass on a real workload (whose eight invariants cross-check the
+//! histogram against the independent CPU and memory counters).
 
 use vax780::{ProcessSpec, SystemBuilder, SystemConfig};
 use vax_analysis::{validate, Analysis, Json};
 use vax_arch::{Opcode, Reg};
 use vax_asm::{Asm, Operand};
-use vax_mem::RecordingSink;
 
 /// A small compute loop touching registers and memory.
 fn loop_system() -> vax780::System {
@@ -59,26 +59,6 @@ fn interval_samples_conserve_the_whole_run() {
     for (upc, plane, count) in total.hist.nonzero() {
         assert_eq!(merged.hist.read(upc, plane), count, "bucket {upc:?}");
     }
-}
-
-#[test]
-fn trace_events_match_independent_counters() {
-    let mut sys = loop_system();
-    let sink = RecordingSink::shared();
-    sys.cpu.mem.trace.attach(sink.clone());
-    sys.run_instructions(2_000);
-    sys.cpu.mem.trace.detach();
-
-    let events = sink.borrow();
-    let stats = &sys.cpu.stats;
-    let mem = &sys.cpu.mem.stats;
-    assert_eq!(events.count("retire"), stats.instructions);
-    assert_eq!(events.count("interrupt"), stats.total_interrupts());
-    assert_eq!(events.count("context-switch"), stats.context_switches);
-    assert_eq!(events.count("tb-miss"), mem.total_tb_misses());
-    assert_eq!(events.count("cache-miss"), mem.total_read_misses());
-    // Every stall window opens and closes.
-    assert_eq!(events.count("stall-begin"), events.count("stall-end"));
 }
 
 #[test]
