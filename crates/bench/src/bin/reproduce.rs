@@ -86,7 +86,13 @@ fn main() {
             }
         },
         Command::Run(opts) => run_engine(JobRequest::Run(opts)),
-        Command::Resume(r) => run_engine(JobRequest::Resume(r)),
+        Command::Resume(r) => match vax_bench::resume::options_from_header(&r) {
+            Ok(opts) => run_engine(JobRequest::Resume(opts)),
+            Err(e) => {
+                eprintln!("reproduce resume: {e}");
+                1
+            }
+        },
         Command::TraceCheck(path) => run_trace_check(&path),
         Command::Characterize(o) => run_engine(JobRequest::Characterize(o)),
         Command::Refute(o) => run_engine(JobRequest::Refute(o)),

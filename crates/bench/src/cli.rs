@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use vax780::FaultClass;
 
+use crate::jobspec::MAX_GRID;
 use crate::options::{parse_f64, parse_shard_timeout, parse_u64, CommonOpts};
 use crate::progress::Verbosity;
 
@@ -137,6 +138,9 @@ impl Default for Options {
 /// Options for `reproduce resume DIR`. The experiment definition comes from
 /// the checkpoint header in `DIR/checkpoints/run.json`; only runtime knobs
 /// (parallelism, supervision, narration) can be chosen at resume time.
+/// [`crate::resume::options_from_header`] merges the two into the
+/// interrupted run's [`Options`], which the engine runs as
+/// `JobRequest::Resume`.
 #[derive(Debug, Clone)]
 pub struct ResumeOptions {
     /// The interrupted run's output directory (with its `checkpoints/`).
@@ -155,8 +159,6 @@ pub struct ResumeOptions {
     pub trace_out: Option<PathBuf>,
     /// Progress-heartbeat period in ms.
     pub progress_ms: Option<u64>,
-    /// Cooperative cancel token (see [`Options::cancel`]).
-    pub cancel: crate::cancel::CancelToken,
 }
 
 /// Options for `reproduce serve`: the long-lived characterization daemon.
@@ -561,17 +563,7 @@ fn parse_inject_panic(value: Option<&String>) -> Result<(u64, u64, u32), String>
 /// Parse `reproduce resume` arguments (after the subcommand word).
 pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
     let mut dir: Option<PathBuf> = None;
-    let mut opts = ResumeOptions {
-        dir: PathBuf::new(),
-        jobs: 1,
-        retries: 0,
-        shard_timeout_secs: None,
-        strict: false,
-        verbosity: Verbosity::Normal,
-        trace_out: None,
-        progress_ms: None,
-        cancel: crate::cancel::CancelToken::default(),
-    };
+    let (mut shard_timeout_secs, mut strict) = (None, false);
     let mut common = CommonOpts::default();
     let mut i = 0;
     while i < args.len() {
@@ -581,9 +573,9 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
         match args[i].as_str() {
             "--shard-timeout" => {
                 i += 1;
-                opts.shard_timeout_secs = Some(parse_shard_timeout(args.get(i))?);
+                shard_timeout_secs = Some(parse_shard_timeout(args.get(i))?);
             }
-            "--strict" => opts.strict = true,
+            "--strict" => strict = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown argument '{flag}' for resume\n{}", usage()))
             }
@@ -598,17 +590,16 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
         }
         i += 1;
     }
-    opts.verbosity = common.verbosity()?;
-    if let Some(jobs) = common.jobs {
-        opts.jobs = jobs;
-    }
-    if let Some(retries) = common.retries {
-        opts.retries = retries;
-    }
-    opts.trace_out = common.trace_out;
-    opts.progress_ms = common.progress_ms;
-    opts.dir = dir.ok_or_else(|| format!("resume requires a run directory\n{}", usage()))?;
-    Ok(opts)
+    Ok(ResumeOptions {
+        verbosity: common.verbosity()?,
+        dir: dir.ok_or_else(|| format!("resume requires a run directory\n{}", usage()))?,
+        jobs: common.jobs.unwrap_or(1),
+        retries: common.retries.unwrap_or(0),
+        shard_timeout_secs,
+        strict,
+        trace_out: common.trace_out,
+        progress_ms: common.progress_ms,
+    })
 }
 
 /// Parse `reproduce bench-check` arguments (after the subcommand word).
@@ -727,6 +718,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.shards = parse_u64("--shards", args.get(i))?;
                 if opts.shards == 0 {
                     return Err("--shards must be at least 1".to_string());
+                }
+                if opts.shards > MAX_GRID {
+                    return Err(format!("--shards must be at most {MAX_GRID}"));
                 }
             }
             "--interval-cycles" => {
@@ -950,6 +944,37 @@ mod tests {
             parse(&["--flight-recorder", "0"]).is_ok(),
             "zero capacity means disabled"
         );
+    }
+
+    #[test]
+    fn integers_above_the_json_range_are_rejected() {
+        // manifest.json would record such a seed as a float, and no
+        // checkpoint header could carry it to a resume.
+        for seed in ["18446744073709551615", "9223372036854775808"] {
+            let err = parse(&["--seed", seed]).unwrap_err();
+            assert!(err.contains("--seed") && err.contains(seed), "{err}");
+        }
+        let o = parse(&["--seed", "9223372036854775807"]).unwrap();
+        assert_eq!(o.seed, i64::MAX as u64);
+    }
+
+    #[test]
+    fn shards_are_bounded_by_the_spec_grid() {
+        let err = parse(&["--shards", "4097"]).unwrap_err();
+        assert!(err.contains("--shards must be at most 4096"), "{err}");
+        assert_eq!(parse(&["--shards", "4096"]).unwrap().shards, MAX_GRID);
+    }
+
+    #[test]
+    fn retries_are_bounded_by_the_spec_limit() {
+        // 2^32 must be refused, not cast to 0 retries.
+        for n in ["4294967296", "1001"] {
+            let err = parse(&["--retries", n]).unwrap_err();
+            assert!(err.contains("--retries must be at most 1000"), "{err}");
+            let err = parse_cmd(&["resume", "d", "--retries", n]).unwrap_err();
+            assert!(err.contains("--retries must be at most 1000"), "{err}");
+        }
+        assert_eq!(parse(&["--retries", "1000"]).unwrap().retries, 1000);
     }
 
     #[test]

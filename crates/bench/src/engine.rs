@@ -26,7 +26,7 @@ use vax_trace::{Tracer, MAIN_TID};
 use crate::cache::WarmCaches;
 use crate::cancel::CancelKind;
 use crate::charrun;
-use crate::cli::{CharacterizeOptions, Format, Options, ResumeOptions};
+use crate::cli::{CharacterizeOptions, Format, Options};
 use crate::fsio::write_atomic;
 use crate::heartbeat::{runtime_json, Heartbeat};
 use crate::meter::HostMeter;
@@ -43,33 +43,42 @@ pub enum JobRequest {
     Characterize(CharacterizeOptions),
     /// Adversarial counter cross-checks (`reproduce refute`).
     Refute(CharacterizeOptions),
-    /// Finish an interrupted `--out` run from its checkpoints.
-    Resume(ResumeOptions),
+    /// Finish an interrupted run, given its own options, from the
+    /// checkpoints under their `out` directory: the `Run` measurement,
+    /// except that journaled cells are loaded instead of re-run.
+    Resume(Options),
 }
 
 impl JobRequest {
     fn trace_out(&self) -> Option<&Path> {
         match self {
-            JobRequest::Run(o) => o.trace_out.as_deref(),
+            JobRequest::Run(o) | JobRequest::Resume(o) => o.trace_out.as_deref(),
             JobRequest::Characterize(o) | JobRequest::Refute(o) => o.trace_out.as_deref(),
-            JobRequest::Resume(o) => o.trace_out.as_deref(),
         }
     }
 
     fn progress_ms(&self) -> Option<u64> {
         match self {
-            JobRequest::Run(o) => o.progress_ms,
+            JobRequest::Run(o) | JobRequest::Resume(o) => o.progress_ms,
             JobRequest::Characterize(o) | JobRequest::Refute(o) => o.progress_ms,
-            JobRequest::Resume(o) => o.progress_ms,
         }
     }
 
     fn progress(&self) -> Progress {
         Progress::new(match self {
-            JobRequest::Run(o) => o.verbosity,
+            JobRequest::Run(o) | JobRequest::Resume(o) => o.verbosity,
             JobRequest::Characterize(o) | JobRequest::Refute(o) => o.verbosity,
-            JobRequest::Resume(o) => o.verbosity,
         })
+    }
+
+    /// The directory `runtime.json` belongs in: the job's output
+    /// directory, except for `fig1`, which runs nothing.
+    fn runtime_dir(&self) -> Option<&Path> {
+        match self {
+            JobRequest::Run(o) | JobRequest::Resume(o) if o.experiment == "fig1" => None,
+            JobRequest::Run(o) | JobRequest::Resume(o) => o.out.as_deref(),
+            JobRequest::Characterize(o) | JobRequest::Refute(o) => o.out.as_deref(),
+        }
     }
 }
 
@@ -117,10 +126,9 @@ impl JobEngine {
     pub fn execute(&self, req: &JobRequest) -> JobOutcome {
         let progress = req.progress();
         let (tracer, heartbeat) = start_observability(req.trace_out(), req.progress_ms());
-        let (mut outcome, flush_dir) = self.run_job(req, &progress, &tracer);
+        let mut outcome = self.run_job(req, &progress, &tracer);
         drop(heartbeat);
-        let obs_code =
-            flush_observability(&tracer, req.trace_out(), flush_dir.as_deref(), &progress);
+        let obs_code = flush_observability(&tracer, req.trace_out(), req.runtime_dir(), &progress);
         if outcome.code == 0 {
             outcome.code = obs_code;
         }
@@ -133,155 +141,91 @@ impl JobEngine {
     /// and the `runtime.json` roll-up into its output directory.
     pub fn execute_traced(&self, req: &JobRequest, tracer: &Tracer) -> JobOutcome {
         let progress = req.progress();
-        let (mut outcome, flush_dir) = self.run_job(req, &progress, tracer);
-        let obs_code =
-            flush_observability(tracer, req.trace_out(), flush_dir.as_deref(), &progress);
+        let mut outcome = self.run_job(req, &progress, tracer);
+        let obs_code = flush_observability(tracer, req.trace_out(), req.runtime_dir(), &progress);
         if outcome.code == 0 {
             outcome.code = obs_code;
         }
         outcome
     }
 
-    /// Run the job body (no observability setup/flush). Returns the
-    /// outcome and the directory `runtime.json` belongs in — for resume
-    /// that is only known after the checkpoint header is read, which is
-    /// why it is a return value and not `req.out()`.
-    fn run_job(
-        &self,
-        req: &JobRequest,
-        progress: &Progress,
-        tracer: &Tracer,
-    ) -> (JobOutcome, Option<PathBuf>) {
+    /// Run the job body (no observability setup/flush).
+    fn run_job(&self, req: &JobRequest, progress: &Progress, tracer: &Tracer) -> JobOutcome {
         match req {
-            JobRequest::Run(opts) => self.run_measure(opts, progress, tracer),
-            JobRequest::Characterize(opts) => {
-                let outcome = run_characterize(opts, progress, tracer);
-                (outcome, opts.out.clone())
-            }
-            JobRequest::Refute(opts) => {
-                let outcome = run_refute(opts, progress, tracer);
-                (outcome, opts.out.clone())
-            }
-            JobRequest::Resume(resume) => self.run_resume(resume, progress, tracer),
+            JobRequest::Run(opts) => self.run_measure(opts, false, progress, tracer),
+            JobRequest::Resume(opts) => self.run_measure(opts, true, progress, tracer),
+            JobRequest::Characterize(opts) => run_characterize(opts, progress, tracer),
+            JobRequest::Refute(opts) => run_refute(opts, progress, tracer),
         }
     }
 
-    /// The measurement run (`reproduce` with no subcommand).
+    /// The measurement run (`reproduce` with no subcommand), or with
+    /// `resume` its completion from the checkpoints under `opts.out`
+    /// (`reproduce resume`). Both render and export through the same code,
+    /// so a resumed run's artifacts are the bytes of an uninterrupted one.
     fn run_measure(
         &self,
         opts: &Options,
+        resume: bool,
         progress: &Progress,
         tracer: &Tracer,
-    ) -> (JobOutcome, Option<PathBuf>) {
+    ) -> JobOutcome {
         let mut stdout = String::new();
         if opts.experiment == "fig1" {
             stdout.push_str(&fig1());
-            return (
-                JobOutcome {
-                    code: 0,
-                    stdout,
-                    canceled: None,
-                },
-                None,
-            );
+            return JobOutcome {
+                code: 0,
+                stdout,
+                canceled: None,
+            };
         }
 
-        // Meter only the simulation itself, not rendering or artifact I/O.
-        let meter = HostMeter::start();
-        let out = runner::run_composite(opts, progress, tracer, &self.caches);
-        let bench = meter.finish(out.analysis.cycles, out.analysis.instructions);
-        progress.info(&bench.summary());
-        if let Some(dir) = &opts.bench_out {
-            match bench.write_to(dir) {
-                Ok(path) => progress.info(&format!("wrote {}", path.display())),
-                Err(e) => {
-                    eprintln!("reproduce: {e}");
-                    return (
-                        JobOutcome {
+        let out = if resume {
+            runner::resume_composite(opts, progress, tracer, &self.caches)
+        } else {
+            // Meter only the simulation itself, not rendering or artifact
+            // I/O. A resume is not metered: its instruction count would
+            // include the cells it loaded instead of simulating.
+            let meter = HostMeter::start();
+            let out = runner::run_composite(opts, progress, tracer, &self.caches);
+            let bench = meter.finish(out.analysis.cycles, out.analysis.instructions);
+            progress.info(&bench.summary());
+            if let Some(dir) = &opts.bench_out {
+                match bench.write_to(dir) {
+                    Ok(path) => progress.info(&format!("wrote {}", path.display())),
+                    Err(e) => {
+                        eprintln!("reproduce: {e}");
+                        return JobOutcome {
                             code: 1,
                             stdout,
                             canceled: out.canceled,
-                        },
-                        opts.out.clone(),
-                    );
+                        };
+                    }
                 }
             }
-        }
+            out
+        };
         if let Some(kind) = out.canceled {
             // A canceled run keeps its checkpoints and runtime.json but
             // never exports final artifacts — a half-covered composite
             // must not look like a finished measurement.
             progress.info(&format!(
-                "run {}: final artifacts not exported",
+                "{} {}: final artifacts not exported",
+                if resume { "resume" } else { "run" },
                 kind.name()
             ));
-            return (
-                JobOutcome {
-                    code: 1,
-                    stdout,
-                    canceled: Some(kind),
-                },
-                opts.out.clone(),
-            );
+            return JobOutcome {
+                code: 1,
+                stdout,
+                canceled: Some(kind),
+            };
         }
         let code = render_and_export(opts, &out, progress, tracer, &mut stdout);
-        (
-            JobOutcome {
-                code,
-                stdout,
-                canceled: None,
-            },
-            opts.out.clone(),
-        )
-    }
-
-    /// `reproduce resume`: finish an interrupted `--out` run from its
-    /// checkpoints, then render/export exactly as the original invocation
-    /// would have.
-    fn run_resume(
-        &self,
-        resume: &ResumeOptions,
-        progress: &Progress,
-        tracer: &Tracer,
-    ) -> (JobOutcome, Option<PathBuf>) {
-        let mut stdout = String::new();
-        let (opts, out) = match runner::resume_composite(resume, progress, tracer, &self.caches) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("reproduce resume: {e}");
-                return (
-                    JobOutcome {
-                        code: 1,
-                        stdout,
-                        canceled: None,
-                    },
-                    None,
-                );
-            }
-        };
-        if let Some(kind) = out.canceled {
-            progress.info(&format!(
-                "resume {}: final artifacts not exported",
-                kind.name()
-            ));
-            return (
-                JobOutcome {
-                    code: 1,
-                    stdout,
-                    canceled: Some(kind),
-                },
-                opts.out.clone(),
-            );
+        JobOutcome {
+            code,
+            stdout,
+            canceled: None,
         }
-        let code = render_and_export(&opts, &out, progress, tracer, &mut stdout);
-        (
-            JobOutcome {
-                code,
-                stdout,
-                canceled: None,
-            },
-            opts.out.clone(),
-        )
     }
 }
 

@@ -11,9 +11,12 @@
 //! output directories, trace files, narration levels, heartbeat periods,
 //! bench-meter paths. Those belong to whoever runs the job (the daemon
 //! picks the job directory; `--jobs`/`--retries` may be suggested by the
-//! spec but are clamped by the server's own limits). This mirrors the
-//! checkpoint-header split in `crate::resume`: experiment definition in
-//! the artifact, runtime knobs outside it.
+//! spec but are clamped by the server's own limits). The checkpoint
+//! header of a `--out` run (`crate::resume`) *is* a run spec, written by
+//! [`RunSpec::from_options`] with the runtime-only fields unset and the
+//! output format stored beside it. So one codec carries the experiment
+//! definition everywhere: HTTP bodies, the daemon journal, `spec.json`
+//! and `checkpoints/run.json`.
 //!
 //! The codec is canonical: [`JobSpec::encode`] always emits every field of
 //! the spec's kind, in a fixed order, with defaults materialized — so
@@ -32,8 +35,18 @@ use crate::cli::{CharacterizeOptions, Options, EXPERIMENTS};
 pub const JOBSPEC_FORMAT_VERSION: u64 = 1;
 
 /// Upper bound on `jobs` and `shards` in a spec. The CLI trusts its local
-/// operator; a service must not let one request spawn an absurd grid.
+/// operator with `--jobs`; a service must not let one request spawn an
+/// absurd grid. `--shards` shares the bound, because it is part of the
+/// definition every `--out` run writes into its checkpoint header.
 pub const MAX_GRID: u64 = 4096;
+
+/// Upper bound on `retries` in a spec and on `--retries`.
+pub const MAX_RETRIES: u64 = 1_000;
+
+/// Largest integer a spec field or a CLI flag accepts. `Json::Int` is an
+/// `i64`, so a larger value could not round-trip through the spec, the
+/// checkpoint header or `manifest.json`.
+pub const MAX_JSON_INT: u64 = i64::MAX as u64;
 
 /// Upper bound on `deadline_secs` (~31.7 years). Anything larger is a
 /// client bug, and huge values would overflow `Duration`/`Instant`
@@ -97,23 +110,32 @@ pub struct RunSpec {
 
 impl Default for RunSpec {
     fn default() -> RunSpec {
-        let o = Options::default();
+        RunSpec::from_options(&Options::default())
+    }
+}
+
+impl RunSpec {
+    /// The experiment definition of run `opts`: the inverse of
+    /// [`JobSpec::to_run_options`] on the definition fields. The
+    /// runtime-only fields (`jobs`, `retries`, `deadline_secs`, `strict`)
+    /// stay unset, because they never change what a run measures.
+    pub fn from_options(opts: &Options) -> RunSpec {
         RunSpec {
             jobs: None,
             retries: None,
             deadline_secs: None,
-            instructions: o.instructions,
-            seed: o.seed,
-            shards: o.shards,
-            experiment: o.experiment,
-            per_workload: o.per_workload,
-            interval_cycles: o.interval_cycles,
-            profile: o.profile,
-            top: o.top as u64,
-            flight_recorder: o.flight_recorder as u64,
-            fault_seed: None,
-            fault_classes: Vec::new(),
-            strict: o.strict,
+            instructions: opts.instructions,
+            seed: opts.seed,
+            shards: opts.shards,
+            experiment: opts.experiment.clone(),
+            per_workload: opts.per_workload,
+            interval_cycles: opts.interval_cycles,
+            profile: opts.profile,
+            top: opts.top as u64,
+            flight_recorder: opts.flight_recorder as u64,
+            fault_seed: opts.fault_seed,
+            fault_classes: opts.fault_classes.clone(),
+            strict: false,
         }
     }
 }
@@ -333,7 +355,7 @@ impl JobSpec {
             }
         }
         let jobs = field_u64(json, "jobs", 1, MAX_GRID)?;
-        let retries = field_u64(json, "retries", 0, 1_000)?;
+        let retries = field_u64(json, "retries", 0, MAX_RETRIES)?;
         let deadline_secs = field_f64(json, "deadline_secs")?;
         if deadline_secs == Some(0.0) {
             return Err("jobspec: 'deadline_secs' must be greater than zero".to_string());

@@ -9,12 +9,15 @@
 //! implementation; each subcommand parser offers every unrecognized flag
 //! to it first and keeps only its command-specific arms.
 //!
-//! The shared numeric helpers (`parse_u64`, `parse_f64`, …) live here too,
-//! so the `JobSpec` decoder (`crate::jobspec`) validates values with the
-//! same rules and messages as the CLI.
+//! The shared numeric helpers (`parse_u64`, `parse_f64`, …) live here too.
+//! They share their bounds with the `JobSpec` decoder (`crate::jobspec`):
+//! no integer above [`MAX_JSON_INT`], `--retries` up to [`MAX_RETRIES`]
+//! and `--shards` up to `MAX_GRID`. So every run the CLI accepts has a
+//! spec, and its checkpoint header can carry it to a resume.
 
 use std::path::PathBuf;
 
+use crate::jobspec::{MAX_JSON_INT, MAX_RETRIES};
 use crate::progress::Verbosity;
 
 /// The engine-level flags every grid-running subcommand shares.
@@ -52,7 +55,11 @@ impl CommonOpts {
             }
             "--retries" => {
                 *i += 1;
-                self.retries = Some(parse_u64("--retries", args.get(*i))? as u32);
+                let n = parse_u64("--retries", args.get(*i))?;
+                if n > MAX_RETRIES {
+                    return Err(format!("--retries must be at most {MAX_RETRIES}"));
+                }
+                self.retries = Some(n as u32);
             }
             "--trace-out" => {
                 *i += 1;
@@ -90,11 +97,15 @@ impl CommonOpts {
     }
 }
 
-/// Parse a flag's value as a non-negative integer.
+/// Parse a flag's value as a non-negative integer up to [`MAX_JSON_INT`].
 pub fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, String> {
     let raw = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    raw.parse()
-        .map_err(|_| format!("invalid value for {flag}: '{raw}' (expected a non-negative integer)"))
+    match raw.parse() {
+        Ok(n) if n <= MAX_JSON_INT => Ok(n),
+        _ => Err(format!(
+            "invalid value for {flag}: '{raw}' (expected an integer from 0 to {MAX_JSON_INT})"
+        )),
+    }
 }
 
 /// Parse a flag's value as a finite non-negative number.

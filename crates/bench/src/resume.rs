@@ -2,34 +2,36 @@
 //!
 //! A run with `--out DIR` journals its progress under `DIR/checkpoints/`:
 //!
-//! - `run.json` — the experiment definition (instructions, seed, shards,
-//!   experiment, format, fault plan, ...), written once before the grid
-//!   starts. Runtime knobs — `--jobs`, `--retries`, `--shard-timeout`,
-//!   `--strict`, verbosity — are deliberately absent: they never change
-//!   results, so a resume may choose them anew.
+//! - `run.json` — the header `{"format": "text"|"json", "spec": SPEC}`,
+//!   written before the grid starts. `SPEC` is the run's experiment
+//!   definition as a canonical run [`JobSpec`] (the codec of HTTP bodies,
+//!   the daemon journal and `spec.json`), and its `format_version` gates
+//!   the header. The spec's runtime-only fields (`jobs`, `retries`,
+//!   `deadline_secs`, `strict`) are null/false: they never change results,
+//!   so a resume chooses them anew, as it does `--shard-timeout` and
+//!   verbosity. `format` sits beside the spec rather than in it, because
+//!   it shapes what the run prints, not what it measures.
 //! - `cell-<w>-<s>.json` — one full-fidelity
 //!   [`vax_analysis::CheckpointCell`] per completed `(workload, shard)`
 //!   cell, written atomically the moment the cell finishes.
 //!
-//! `reproduce resume DIR` reconstructs the run options from `run.json`,
-//! loads every parseable cell, re-runs only the missing ones (same shard
-//! seeds ⇒ same results), and re-exports. Because the reduction is keyed
-//! by grid index and every writer is atomic, the resumed export is
-//! byte-identical to an uninterrupted run no matter when the original
-//! process died.
+//! `reproduce resume DIR` turns the header into the run's options
+//! ([`options_from_header`]) and hands them to the engine as
+//! `JobRequest::Resume`, which runs the measurement path of a fresh run
+//! except that `crate::runner::resume_composite` loads every parseable
+//! cell first and re-runs only the missing ones (same shard seeds ⇒ same
+//! results). Because the reduction is keyed by grid index and every writer
+//! is atomic, the resumed export is byte-identical to an uninterrupted run
+//! no matter when the original process died.
 
 use std::path::{Path, PathBuf};
 
-use vax780::FaultClass;
 use vax_analysis::{cell_from_json, CheckpointCell, Json};
 use vax_workload::Workload;
 
-use crate::cli::{Format, Options, ResumeOptions, EXPERIMENTS};
+use crate::cli::{Format, Options, ResumeOptions};
+use crate::jobspec::{JobSpec, RunSpec};
 use crate::progress::Progress;
-
-/// Format version of the run header; bump on any schema change so a resume
-/// never reinterprets an older run's definition.
-pub const HEADER_FORMAT_VERSION: i64 = 1;
 
 /// The checkpoint directory of a run exporting to `out`.
 pub fn checkpoints_dir(out: &Path) -> PathBuf {
@@ -46,142 +48,69 @@ pub fn cell_path(out: &Path, workload: u64, shard: u64) -> PathBuf {
     checkpoints_dir(out).join(format!("cell-{workload}-{shard}.json"))
 }
 
-/// Serialize the experiment definition of `opts` (runtime knobs excluded).
+/// The checkpoint header of run `opts`: its output format beside its
+/// experiment definition (see the module docs).
 pub fn header_json(opts: &Options) -> Json {
+    let format = match opts.format {
+        Format::Text => "text",
+        Format::Json => "json",
+    };
     Json::obj([
-        ("format_version", Json::Int(HEADER_FORMAT_VERSION)),
-        ("instructions", Json::from(opts.instructions)),
-        ("seed", Json::from(opts.seed)),
-        ("shards", Json::from(opts.shards)),
-        ("experiment", Json::Str(opts.experiment.clone())),
-        (
-            "format",
-            Json::Str(
-                match opts.format {
-                    Format::Text => "text",
-                    Format::Json => "json",
-                }
-                .to_string(),
-            ),
-        ),
-        ("interval_cycles", Json::from(opts.interval_cycles)),
-        ("per_workload", Json::Bool(opts.per_workload)),
-        ("profile", Json::Bool(opts.profile)),
-        ("top", Json::from(opts.top as u64)),
-        ("flight_recorder", Json::from(opts.flight_recorder as u64)),
-        ("fault_seed", opts.fault_seed.map_or(Json::Null, Json::from)),
-        (
-            "fault_classes",
-            Json::arr(
-                opts.fault_classes
-                    .iter()
-                    .map(|c| Json::Str(c.name().to_string())),
-            ),
-        ),
+        ("format", format.into()),
+        ("spec", JobSpec::Run(RunSpec::from_options(opts)).encode()),
     ])
 }
 
-/// Reconstruct run options from a header, taking runtime knobs (and the
-/// output directory) from the resume invocation.
+/// Rebuild the options of the run journaled under `resume.dir` from its
+/// checkpoint header, taking the runtime knobs (and the output directory)
+/// from the resume invocation.
 ///
 /// # Errors
-/// Any structural defect in the header — wrong version, missing or
-/// mistyped field, unknown experiment or fault class — is an error: a
-/// resume must never guess at the experiment definition.
-pub fn options_from_header(text: &str, resume: &ResumeOptions) -> Result<Options, String> {
-    let j = Json::parse(text).map_err(|e| format!("checkpoint header: {e}"))?;
-    let int = |key: &str| -> Result<u64, String> {
-        j.get(key)
-            .and_then(Json::as_i64)
-            .and_then(|v| u64::try_from(v).ok())
-            .ok_or_else(|| format!("checkpoint header: missing integer '{key}'"))
-    };
-    let flag = |key: &str| -> Result<bool, String> {
-        match j.get(key) {
-            Some(Json::Bool(b)) => Ok(*b),
-            _ => Err(format!("checkpoint header: missing boolean '{key}'")),
-        }
-    };
-
-    let version = j
-        .get("format_version")
-        .and_then(Json::as_i64)
-        .ok_or("checkpoint header: missing 'format_version'")?;
-    if version != HEADER_FORMAT_VERSION {
+/// A missing header, a header from before the spec layout, a `format`
+/// other than text|json, or a spec the [`JobSpec`] decoder rejects (or
+/// that is not a run) is an error: a resume must never guess at the
+/// experiment definition.
+pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
+    let path = header_path(&resume.dir);
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "cannot read checkpoint header {}: {e} (was the run started with --out?)",
+            path.display()
+        )
+    })?;
+    let header = Json::parse(&text).map_err(|e| format!("checkpoint header: {e}"))?;
+    if header.get("format_version").is_some() {
         return Err(format!(
-            "checkpoint header: format_version {version} \
-             (this binary writes {HEADER_FORMAT_VERSION})"
+            "checkpoint header {} predates the spec layout {{\"format\", \"spec\"}}; \
+             rerun the experiment with this build",
+            path.display()
         ));
     }
-
-    let experiment = j
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or("checkpoint header: missing string 'experiment'")?;
-    if !EXPERIMENTS.contains(&experiment) {
-        return Err(format!(
-            "checkpoint header: unknown experiment '{experiment}'"
-        ));
-    }
-    let format = match j.get("format").and_then(Json::as_str) {
+    let format = match header.get("format").and_then(Json::as_str) {
         Some("text") => Format::Text,
         Some("json") => Format::Json,
         _ => return Err("checkpoint header: 'format' must be text|json".to_string()),
     };
-    let fault_seed = match j.get("fault_seed") {
-        Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_i64()
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or("checkpoint header: 'fault_seed' is not a u64")?,
-        ),
-        None => return Err("checkpoint header: missing 'fault_seed'".to_string()),
-    };
-    let mut fault_classes = Vec::new();
-    for c in j
-        .get("fault_classes")
-        .and_then(Json::as_arr)
-        .ok_or("checkpoint header: missing 'fault_classes' array")?
-    {
-        let name = c
-            .as_str()
-            .ok_or("checkpoint header: fault class is not a string")?;
-        fault_classes.push(FaultClass::parse(name).map_err(|e| format!("checkpoint header: {e}"))?);
+    let spec = header
+        .get("spec")
+        .ok_or_else(|| "missing 'spec'".to_string())
+        .and_then(JobSpec::from_json)
+        .map_err(|e| format!("checkpoint header: {e}"))?;
+    if !matches!(spec, JobSpec::Run(_)) {
+        return Err(format!(
+            "checkpoint header: the spec is a {} job, not a run",
+            spec.kind()
+        ));
     }
-
-    let shards = int("shards")?;
-    if shards == 0 {
-        return Err("checkpoint header: 'shards' must be at least 1".to_string());
-    }
-    let instructions = int("instructions")?;
-    if instructions == 0 {
-        return Err("checkpoint header: 'instructions' must be at least 1".to_string());
-    }
-
     Ok(Options {
-        instructions,
-        seed: int("seed")?,
-        jobs: resume.jobs,
-        shards,
-        experiment: experiment.to_string(),
-        per_workload: flag("per_workload")?,
         format,
         out: Some(resume.dir.clone()),
-        interval_cycles: int("interval_cycles")?.max(1),
-        profile: flag("profile")?,
-        top: int("top")?.max(1) as usize,
-        flight_recorder: int("flight_recorder")? as usize,
         verbosity: resume.verbosity,
-        bench_out: None,
-        fault_seed,
-        fault_classes,
-        retries: resume.retries,
         shard_timeout_secs: resume.shard_timeout_secs,
         strict: resume.strict,
-        inject_panic: None,
         trace_out: resume.trace_out.clone(),
         progress_ms: resume.progress_ms,
-        cancel: resume.cancel.clone(),
+        ..spec.to_run_options(resume.jobs, resume.retries)
     })
 }
 
@@ -232,10 +161,12 @@ pub fn load_cells(out: &Path, shards: u64, progress: &Progress) -> Vec<Option<Ch
 mod tests {
     use super::*;
     use crate::progress::Verbosity;
+    use vax780::FaultClass;
 
-    fn resume_opts(dir: &str) -> ResumeOptions {
+    /// A resume of `dir` whose runtime knobs differ from every default.
+    fn resume_opts(dir: &Path) -> ResumeOptions {
         ResumeOptions {
-            dir: PathBuf::from(dir),
+            dir: dir.to_path_buf(),
             jobs: 3,
             retries: 2,
             shard_timeout_secs: Some(9.0),
@@ -243,13 +174,38 @@ mod tests {
             verbosity: Verbosity::Quiet,
             trace_out: None,
             progress_ms: None,
-            cancel: crate::cancel::CancelToken::default(),
         }
     }
 
+    /// Write `text` as the checkpoint header of a fresh scratch run dir.
+    fn run_dir_with_header(name: &str, text: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vax-resume-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(checkpoints_dir(&dir)).unwrap();
+        std::fs::write(header_path(&dir), text).unwrap();
+        dir
+    }
+
+    /// header → options → header: the options carry the definition back
+    /// byte for byte, and take every runtime knob from the resume.
+    fn round_trip(name: &str, opts: &Options) -> Options {
+        let text = header_json(opts).to_string_pretty();
+        let dir = run_dir_with_header(name, &text);
+        let back = options_from_header(&resume_opts(&dir)).unwrap();
+        assert_eq!(header_json(&back).to_string_pretty(), text);
+        assert_eq!(back.format, opts.format);
+        assert_eq!((back.jobs, back.retries), (3, 2));
+        assert_eq!(back.shard_timeout_secs, Some(9.0));
+        assert!(back.strict);
+        assert_eq!(back.verbosity, Verbosity::Quiet);
+        assert_eq!(back.out.as_deref(), Some(dir.as_path()));
+        assert!(back.inject_panic.is_none() && back.bench_out.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+        back
+    }
+
     #[test]
-    fn header_round_trips_the_experiment_definition() {
-        let mut opts = Options {
+    fn header_is_a_run_spec_that_round_trips_through_options() {
+        let opts = Options {
             instructions: 123_456,
             seed: 99,
             shards: 4,
@@ -262,76 +218,78 @@ mod tests {
             flight_recorder: 64,
             fault_seed: Some(42),
             fault_classes: vec![FaultClass::Parity, FaultClass::Smc],
+            // Runtime knobs: none of them may reach the header.
+            jobs: 8,
+            retries: 5,
+            strict: true,
             ..Options::default()
         };
-        let text = header_json(&opts).to_string_pretty();
-        let back = options_from_header(&text, &resume_opts("/tmp/run")).unwrap();
+        let header = header_json(&opts);
+        assert_eq!(header.get("format").and_then(Json::as_str), Some("json"));
+        let spec = JobSpec::from_json(header.get("spec").unwrap()).unwrap();
+        assert!(matches!(
+            spec,
+            JobSpec::Run(RunSpec {
+                jobs: None,
+                retries: None,
+                deadline_secs: None,
+                strict: false,
+                ..
+            })
+        ));
+        // Byte-stable, and the encoding names every definition field, so
+        // the definition survives exactly.
+        round_trip("definition", &opts);
 
-        // The experiment definition survives...
-        assert_eq!(back.instructions, opts.instructions);
-        assert_eq!(back.seed, opts.seed);
-        assert_eq!(back.shards, opts.shards);
-        assert_eq!(back.experiment, opts.experiment);
-        assert_eq!(back.format, opts.format);
-        assert_eq!(back.interval_cycles, opts.interval_cycles);
-        assert_eq!(back.per_workload, opts.per_workload);
-        assert_eq!(back.profile, opts.profile);
-        assert_eq!(back.top, opts.top);
-        assert_eq!(back.flight_recorder, opts.flight_recorder);
-        assert_eq!(back.fault_seed, opts.fault_seed);
-        assert_eq!(back.fault_classes, opts.fault_classes);
-        // ...while runtime knobs come from the resume invocation.
-        assert_eq!(back.jobs, 3);
-        assert_eq!(back.retries, 2);
-        assert_eq!(back.shard_timeout_secs, Some(9.0));
-        assert!(back.strict);
-        assert_eq!(back.out.as_deref(), Some(Path::new("/tmp/run")));
-        assert!(back.inject_panic.is_none());
-
-        // A header never pins runtime knobs: regenerating it from the
-        // resumed options produces the same bytes.
-        opts.jobs = back.jobs;
-        opts.retries = back.retries;
-        opts.shard_timeout_secs = back.shard_timeout_secs;
-        opts.strict = back.strict;
-        opts.verbosity = back.verbosity;
-        opts.out = back.out.clone();
-        assert_eq!(header_json(&back).to_string_pretty(), text);
+        // So do the extremes the CLI accepts.
+        let argv = ["--seed", "9223372036854775807", "--shards", "4096"].map(String::from);
+        let back = round_trip("extremes", &crate::cli::parse_args(&argv).unwrap());
+        assert_eq!((back.seed, back.shards), (i64::MAX as u64, 4096));
     }
 
     #[test]
-    fn header_without_faults_round_trips_null() {
-        let text = header_json(&Options::default()).to_string_pretty();
-        assert!(text.contains("\"fault_seed\": null"), "{text}");
-        let back = options_from_header(&text, &resume_opts("/x")).unwrap();
-        assert!(back.fault_seed.is_none());
-        assert!(back.fault_classes.is_empty());
-    }
-
-    #[test]
-    fn rejects_damaged_headers() {
+    fn rejects_damaged_old_and_foreign_headers() {
         let good = header_json(&Options::default()).to_string_pretty();
-        for (from, to, expect) in [
-            (
-                "\"format_version\": 1",
-                "\"format_version\": 99",
-                "format_version",
-            ),
+        let edits = [
             (
                 "\"experiment\": \"all\"",
-                "\"experiment\": \"table99\"",
+                "\"experiment\": \"x\"",
                 "unknown experiment",
             ),
             ("\"format\": \"text\"", "\"format\": \"xml\"", "text|json"),
-            ("\"shards\": 1", "\"shards\": 0", "at least 1"),
-            ("\"seed\": 1984", "\"seed\": \"x\"", "seed"),
-        ] {
-            let text = good.replacen(from, to, 1);
-            assert_ne!(text, good, "replacement '{from}' missed");
-            let err = options_from_header(&text, &resume_opts("/x")).unwrap_err();
+            ("\"shards\": 1", "\"shards\": 0", "'shards'"),
+            ("\"seed\": 1984", "\"seed\": \"x\"", "'seed'"),
+            (
+                "\"format_version\": 1",
+                "\"format_version\": 2",
+                "format_version 2",
+            ),
+            ("\"spec\"", "\"spec_\"", "missing 'spec'"),
+        ];
+        let whole = [
+            (
+                r#"{"format_version": 1, "seed": 1984}"#,
+                "predates the spec layout",
+            ),
+            (
+                r#"{"format": "json", "spec": {"kind": "refute"}}"#,
+                "not a run",
+            ),
+            ("{", "checkpoint header"),
+        ];
+        let cases = edits
+            .map(|(from, to, expect)| (good.replacen(from, to, 1), expect))
+            .into_iter()
+            .chain(whole.map(|(text, expect)| (text.to_string(), expect)));
+        for (text, expect) in cases {
+            assert_ne!(text, good, "edit for '{expect}' missed");
+            let dir = run_dir_with_header("damaged", &text);
+            let err = options_from_header(&resume_opts(&dir)).unwrap_err();
             assert!(err.contains(expect), "{err}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(options_from_header("{", &resume_opts("/x")).is_err());
-        assert!(options_from_header("[]", &resume_opts("/x")).is_err());
+        let missing = std::env::temp_dir().join(format!("vax-resume-none-{}", std::process::id()));
+        let err = options_from_header(&resume_opts(&missing)).unwrap_err();
+        assert!(err.contains("was the run started with --out?"), "{err}");
     }
 }

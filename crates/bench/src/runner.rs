@@ -22,8 +22,8 @@
 //!
 //! Crash safety: with `--out DIR` every completed cell is journaled
 //! atomically to `DIR/checkpoints/` (see [`crate::resume`]), and
-//! [`resume_composite`] finishes an interrupted run by re-running only the
-//! missing cells.
+//! [`resume_composite`] finishes an interrupted run, given its options, by
+//! re-running only the missing cells.
 
 use vax780::{merge_ordered, FaultPlan, Measurement, TimeSeries};
 use vax_analysis::{validate, Analysis, CheckpointCell, ValidationReport};
@@ -33,7 +33,7 @@ use vax_workload::Workload;
 
 use crate::cache::WarmCaches;
 use crate::cancel::CancelKind;
-use crate::cli::{Options, ResumeOptions};
+use crate::cli::Options;
 use crate::fsio::write_atomic;
 use crate::pool::{panic_message, run_supervised};
 use crate::progress::Progress;
@@ -132,40 +132,34 @@ pub fn run_composite(
     run_grid(opts, progress, cells, tracer, caches)
 }
 
-/// Finish the interrupted run journaled under `resume.dir`: reconstruct
-/// the experiment definition from the checkpoint header, load every
-/// parseable cell, and run only the missing ones. Returns the
-/// reconstructed options (the caller renders/exports with them, exactly as
-/// it would for a fresh run) alongside the output. `tracer` and `caches`
-/// are as for [`run_composite`]; already-checkpointed cells count toward
-/// the tracer's `cells_done` before any new work starts.
+/// Finish the interrupted run journaled under `opts.out`: load every
+/// parseable cell checkpoint there and run only the missing cells. `opts`
+/// are the interrupted run's own (the CLI rebuilds them from the
+/// checkpoint header with [`crate::resume::options_from_header`]; the serve
+/// daemon from the job's spec). `tracer` and `caches` are as for
+/// [`run_composite`]; already-checkpointed cells count toward the tracer's
+/// `cells_done` before any new work starts.
 ///
-/// # Errors
-/// Returns a message when the header is missing or damaged — without it
-/// the experiment definition would be guesswork.
+/// # Panics
+/// Panics if `opts.out` is `None`: there is no journal to resume from.
 pub fn resume_composite(
-    resume: &ResumeOptions,
+    opts: &Options,
     progress: &Progress,
     tracer: &Tracer,
     caches: &WarmCaches,
-) -> Result<(Options, RunOutput), String> {
-    let path = header_path(&resume.dir);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read checkpoint header {}: {e} (was the run started with --out?)",
-            path.display()
-        )
-    })?;
-    let opts = crate::resume::options_from_header(&text, resume)?;
-    let cells = load_cells(&resume.dir, opts.shards, progress);
+) -> RunOutput {
+    let dir = opts
+        .out
+        .as_deref()
+        .expect("resume_composite: opts.out names the run directory");
+    let cells = load_cells(dir, opts.shards, progress);
     let done = cells.iter().filter(|c| c.is_some()).count();
     progress.info(&format!(
         "resuming from {}: {done}/{} cells checkpointed",
-        resume.dir.display(),
+        dir.display(),
         cells.len()
     ));
-    let out = run_grid(&opts, progress, cells, tracer, caches);
-    Ok((opts, out))
+    run_grid(opts, progress, cells, tracer, caches)
 }
 
 /// Shared grid engine: run every cell not already `preloaded`, then reduce.

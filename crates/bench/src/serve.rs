@@ -37,11 +37,13 @@
 //! restarted on the same `--root` replays the journal before accepting
 //! traffic: terminal jobs keep their status (and their downloadable
 //! artifacts), still-queued jobs are re-enqueued, and a job that was
-//! mid-run is re-enqueued first — a measurement run with an intact
-//! checkpoint header resumes from its per-cell journal
-//! (`reproduce resume` semantics, in-process), so the recovered
-//! artifacts are byte-identical to an uninterrupted run. On startup the
-//! replayed history is compacted to one folded record per job.
+//! mid-run is re-enqueued first. A measurement run whose checkpoint
+//! header survived resumes from its per-cell journal under its own spec:
+//! the request is the one a fresh run of the spec gets, with its
+//! `strict`, `jobs` and `retries`, sent as `JobRequest::Resume` (what
+//! `reproduce resume` sends, in-process). So the recovered artifacts are
+//! byte-identical to an uninterrupted run. On startup the replayed
+//! history is compacted to one folded record per job.
 //!
 //! ## Lifecycle and drain
 //!
@@ -80,7 +82,7 @@ use vax_serve::{write_streaming_head, HttpError, Request, Response};
 use vax_trace::{Tracer, MAIN_TID};
 
 use crate::cancel::{CancelKind, CancelToken};
-use crate::cli::{Format, ResumeOptions, ServeOptions};
+use crate::cli::{Format, ServeOptions};
 use crate::engine::{JobEngine, JobOutcome, JobRequest};
 use crate::fsio::write_atomic;
 use crate::heartbeat::progress_line;
@@ -859,7 +861,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Run one job start to finish, updating the registry and journal
-/// around it. Recovered jobs resume from their checkpoints when the
+/// around it. A recovered run job resumes from its checkpoints when the
 /// checkpoint header survived; cancellation and deadlines land at the
 /// next cell boundary via the job's [`CancelToken`].
 fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
@@ -910,22 +912,7 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
             tracer.count(MAIN_TID, "jobs_resumed", 1);
         }
     }
-    let request = if resumed {
-        Ok(JobRequest::Resume(ResumeOptions {
-            dir: dir.clone(),
-            jobs: shared.opts.jobs,
-            retries: shared.opts.retries,
-            shard_timeout_secs: None,
-            strict: false,
-            verbosity: Verbosity::Quiet,
-            trace_out: None,
-            progress_ms: None,
-            cancel: cancel.clone(),
-        }))
-    } else {
-        build_request(&spec, &dir, &shared.opts, &cancel)
-    };
-    let outcome = match request {
+    let outcome = match build_request(&spec, &dir, resumed, &shared.opts, &cancel) {
         Ok(req) => engine.execute_traced(&req, &tracer),
         Err(msg) => {
             eprintln!("reproduce serve: job {id}: {msg}");
@@ -972,10 +959,14 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
 
 /// Materialize the engine request for a spec: the daemon's runtime knobs
 /// (artifact dir, JSON format, quiet narration, default parallelism,
-/// cancel token) on top of the spec's experiment definition.
+/// cancel token) on top of the spec's experiment definition. With
+/// `resume` (a recovered run job whose checkpoint header survived) a run
+/// spec becomes `JobRequest::Resume` of the same options, so the job
+/// finishes from its checkpoints under its own knobs.
 fn build_request(
     spec: &JobSpec,
     dir: &Path,
+    resume: bool,
     opts: &ServeOptions,
     cancel: &CancelToken,
 ) -> Result<JobRequest, String> {
@@ -986,7 +977,11 @@ fn build_request(
             run.out = Some(dir.to_path_buf());
             run.verbosity = Verbosity::Quiet;
             run.cancel = cancel.clone();
-            Ok(JobRequest::Run(run))
+            Ok(if resume {
+                JobRequest::Resume(run)
+            } else {
+                JobRequest::Run(run)
+            })
         }
         JobSpec::Characterize(_) => {
             let mut ch = spec.to_characterize_options(opts.jobs, opts.retries);
@@ -1760,6 +1755,26 @@ mod tests {
         // ends them.
         handlers.join();
         assert_eq!(shared.connections.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn recovered_run_job_resumes_under_its_own_spec() {
+        let spec = JobSpec::decode(
+            r#"{"kind": "run", "instructions": 2000, "strict": true, "jobs": 2, "retries": 3}"#,
+        )
+        .unwrap();
+        let (dir, server) = (PathBuf::from("j-000007"), ServeOptions::default());
+        let req = build_request(&spec, &dir, true, &server, &CancelToken::default()).unwrap();
+        let JobRequest::Resume(o) = req else {
+            panic!("a recovered run job must resume, got {req:?}");
+        };
+        assert!(o.strict, "the spec's strict survives a restart");
+        assert_eq!((o.jobs, o.retries), (2, 3), "the spec's, not the server's");
+        assert_eq!(o.format, Format::Json);
+        assert_eq!(o.out.as_deref(), Some(dir.as_path()));
+        assert_eq!(o.instructions, 2000);
+        let fresh = build_request(&spec, &dir, false, &server, &CancelToken::default());
+        assert!(matches!(fresh, Ok(JobRequest::Run(_))));
     }
 
     #[test]

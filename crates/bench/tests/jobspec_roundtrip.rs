@@ -57,8 +57,8 @@ fn random_run(rng: &mut Rng) -> RunSpec {
             None
         },
         instructions: 1 + rng.below(10_000_000),
-        // The JSON integer domain is i64; specs cannot carry seeds above
-        // i64::MAX (the CLI can, but such seeds don't serve any purpose).
+        // The JSON integer domain is i64, so no seed above i64::MAX has a
+        // spec; the CLI rejects such seeds too (`MAX_JSON_INT`).
         seed: rng.next() >> 1,
         shards: 1 + rng.below(8),
         experiment: EXPERIMENTS[rng.below(EXPERIMENTS.len() as u64) as usize].to_string(),

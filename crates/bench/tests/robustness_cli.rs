@@ -1,6 +1,8 @@
 //! End-to-end robustness checks against the real `reproduce` binary:
 //! crash-safe resume (SIGKILL mid-run, then `resume` completes the grid
-//! byte-identically) and the strict/retry exit-code contract.
+//! byte-identically; a text run's stdout survives too; an old-layout
+//! checkpoint header fails clearly) and the strict/retry exit-code
+//! contract.
 //!
 //! These run the debug binary on deliberately small grids, so each test
 //! costs seconds, not minutes.
@@ -117,6 +119,68 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
 
     std::fs::remove_dir_all(&clean).unwrap();
     std::fs::remove_dir_all(&interrupted).unwrap();
+}
+
+#[test]
+fn text_run_resumes_to_identical_stdout() {
+    // `format` lives beside the spec in the checkpoint header, and a text
+    // run prints everything it makes: only a faithful header reproduces it.
+    let dir = scratch("text");
+    let out = dir.display().to_string();
+    let first = reproduce()
+        .args(["--instructions", "2000", "--seed", "7", "--format", "text"])
+        .args(["--experiment", "table8", "--per-workload", "--shards", "2"])
+        .args(["--out", &out, "--quiet"])
+        .output()
+        .unwrap();
+    assert!(first.status.success());
+    let stdout = String::from_utf8(first.stdout).unwrap();
+    assert!(stdout.contains("Per-workload CPI"), "{stdout}");
+
+    for (w, s) in [(0, 1), (3, 0)] {
+        std::fs::remove_file(dir.join(format!("checkpoints/cell-{w}-{s}.json"))).unwrap();
+    }
+    let resumed = reproduce()
+        .args(["resume", &out, "--quiet"])
+        .output()
+        .unwrap();
+    assert!(resumed.status.success(), "resume failed");
+    assert_eq!(String::from_utf8(resumed.stdout).unwrap(), stdout);
+    assert_eq!(count_checkpoint_cells(&dir), 10, "deleted cells re-ran");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn header_in_the_old_flat_layout_fails_clearly() {
+    let dir = scratch("flat-header");
+    std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
+    // The header as builds before the spec layout wrote it.
+    let flat = r#"{
+  "format_version": 1,
+  "instructions": 2000,
+  "seed": 7,
+  "shards": 1,
+  "experiment": "all",
+  "format": "json",
+  "interval_cycles": 500000,
+  "per_workload": false,
+  "profile": false,
+  "top": 20,
+  "flight_recorder": 0,
+  "fault_seed": null,
+  "fault_classes": []
+}
+"#;
+    std::fs::write(dir.join("checkpoints/run.json"), flat).unwrap();
+    let out = reproduce()
+        .args(["resume", &dir.display().to_string(), "--quiet"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("run.json"), "{stderr}");
+    assert!(stderr.contains("predates the spec layout"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
