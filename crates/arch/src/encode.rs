@@ -62,7 +62,12 @@ pub fn encode(insn: &Instruction) -> Vec<u8> {
     out
 }
 
-fn encode_specifier(spec: &Specifier, operand_size: u32, out: &mut Vec<u8>) {
+/// Encode one operand specifier for an operand of `operand_size` bytes,
+/// appending to `out`: the index prefix, the mode byte, then the extension.
+///
+/// # Panics
+/// As [`encode_into`], if `value` does not fit the mode's extension width.
+pub fn encode_specifier(spec: &Specifier, operand_size: u32, out: &mut Vec<u8>) {
     use AddressingMode::*;
     if let Some(ix) = spec.index {
         out.push(0x40 | ix.number());

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use vax_arch::encode::encode_into;
-use vax_arch::{Instruction, Opcode, OperandKind, Reg, Specifier};
+use std::hash::{BuildHasherDefault, Hasher};
+use vax_arch::encode::encode_specifier;
+use vax_arch::{AddressingMode, Opcode, OperandKind, Reg, Specifier};
 
 /// An assembler-level operand: like [`Specifier`] but may reference labels.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,95 +41,47 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// Encoded length in bytes for an operand of `size` data bytes.
-    fn encoded_len(&self, size: u32) -> u32 {
+    /// The [`Specifier`] this operand encodes as. A label reference gets a
+    /// zero displacement, which [`Asm`] patches with the label's address.
+    fn specifier(&self) -> Specifier {
+        let mode = |mode, reg| Specifier {
+            mode,
+            reg,
+            value: 0,
+            index: None,
+        };
         match self {
-            Operand::Lit(_) | Operand::Reg(_) => 1,
-            Operand::Deferred(_)
-            | Operand::AutoInc(_)
-            | Operand::AutoDec(_)
-            | Operand::AutoIncDef(_) => 1,
-            Operand::Imm(_) => 1 + size,
-            Operand::Disp(d, _) | Operand::DispDef(d, _) => {
-                1 + if (-128..=127).contains(d) {
-                    1
-                } else if (-32768..=32767).contains(d) {
-                    2
-                } else {
-                    4
-                }
-            }
-            Operand::Abs(_) => 5,
-            Operand::Label(_) | Operand::LabelDef(_) => 5, // always long PC-relative
-            Operand::Indexed(base, _) => 1 + base.encoded_len(size),
-        }
-    }
-
-    /// Resolve to a [`Specifier`], with `pc_after` the address just past
-    /// this specifier's encoding (for PC-relative forms).
-    fn resolve(&self, labels: &HashMap<String, u32>, pc_after: u32) -> Result<Specifier, AsmError> {
-        Ok(match self {
             Operand::Lit(v) => Specifier::literal(*v),
             Operand::Imm(v) => Specifier::immediate(*v),
             Operand::Reg(r) => Specifier::register(*r),
             Operand::Deferred(r) => Specifier::deferred(*r),
-            Operand::AutoInc(r) => Specifier {
-                mode: vax_arch::AddressingMode::Autoincrement,
-                reg: *r,
-                value: 0,
-                index: None,
-            },
-            Operand::AutoDec(r) => Specifier {
-                mode: vax_arch::AddressingMode::Autodecrement,
-                reg: *r,
-                value: 0,
-                index: None,
-            },
-            Operand::AutoIncDef(r) => Specifier {
-                mode: vax_arch::AddressingMode::AutoincrementDeferred,
-                reg: *r,
-                value: 0,
-                index: None,
-            },
+            Operand::AutoInc(r) => mode(AddressingMode::Autoincrement, *r),
+            Operand::AutoDec(r) => mode(AddressingMode::Autodecrement, *r),
+            Operand::AutoIncDef(r) => mode(AddressingMode::AutoincrementDeferred, *r),
             Operand::Disp(d, r) => Specifier::displacement(*d, *r),
             Operand::DispDef(d, r) => {
                 let mut s = Specifier::displacement(*d, *r);
                 s.mode = match s.mode {
-                    vax_arch::AddressingMode::ByteDisp => {
-                        vax_arch::AddressingMode::ByteDispDeferred
-                    }
-                    vax_arch::AddressingMode::WordDisp => {
-                        vax_arch::AddressingMode::WordDispDeferred
-                    }
-                    _ => vax_arch::AddressingMode::LongDispDeferred,
+                    AddressingMode::ByteDisp => AddressingMode::ByteDispDeferred,
+                    AddressingMode::WordDisp => AddressingMode::WordDispDeferred,
+                    _ => AddressingMode::LongDispDeferred,
                 };
                 s
             }
             Operand::Abs(a) => Specifier::absolute(*a),
-            Operand::Label(name) => {
-                let target = *labels
-                    .get(name)
-                    .ok_or_else(|| AsmError::UndefinedLabel(name.clone()))?;
-                Specifier {
-                    mode: vax_arch::AddressingMode::PcRelative,
-                    reg: Reg::PC,
-                    value: target.wrapping_sub(pc_after) as i32 as i64,
-                    index: None,
-                }
-            }
-            Operand::LabelDef(name) => {
-                let target = *labels
-                    .get(name)
-                    .ok_or_else(|| AsmError::UndefinedLabel(name.clone()))?;
-                Specifier {
-                    mode: vax_arch::AddressingMode::PcRelativeDeferred,
-                    reg: Reg::PC,
-                    value: target.wrapping_sub(pc_after) as i32 as i64,
-                    index: None,
-                }
-            }
-            Operand::Indexed(base, ix) => base.resolve(labels, pc_after)?.indexed(*ix),
-        })
+            Operand::Label(_) => mode(AddressingMode::PcRelative, Reg::PC),
+            Operand::LabelDef(_) => mode(AddressingMode::PcRelativeDeferred, Reg::PC),
+            Operand::Indexed(base, ix) => base.specifier().indexed(*ix),
+        }
+    }
+
+    /// The label a PC-relative operand refers to, if any.
+    fn label(&self) -> Option<&str> {
+        match self {
+            Operand::Label(name) | Operand::LabelDef(name) => Some(name),
+            Operand::Indexed(base, _) => base.label(),
+            _ => None,
+        }
     }
 }
 
@@ -157,6 +110,13 @@ pub enum AsmError {
     },
     /// A branch opcode without a target, or a target on a non-branch.
     BranchTarget(&'static str),
+    /// [`Asm::org`] asked for an address the image has already passed.
+    OrgBehind {
+        /// The requested address.
+        org: u32,
+        /// The address the next item would have been emitted at.
+        at: u32,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -173,26 +133,58 @@ impl fmt::Display for AsmError {
                 got,
             } => write!(f, "{opcode}: expected {expected} operands, got {got}"),
             AsmError::BranchTarget(op) => write!(f, "{op}: branch target mismatch"),
+            AsmError::OrgBehind { org, at } => {
+                write!(f, "org {org:#x} is behind the current address {at:#x}")
+            }
         }
     }
 }
 
 impl std::error::Error for AsmError {}
 
+/// A displacement field that refers to a label.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// Longword PC-relative: it wraps, so every label is in range.
+    Long,
+    /// Byte branch displacement; range errors name the `&str`.
+    Byte(&'static str),
+    /// Word branch or CASE-table displacement; range errors name the `&str`.
+    Word(&'static str),
+}
+
+impl Field {
+    /// Write `target - base` into the field at `at`, or report that the
+    /// displacement does not fit.
+    fn patch(self, bytes: &mut [u8], at: usize, base: u32, target: u32) -> Result<(), AsmError> {
+        let disp = i64::from(target) - i64::from(base);
+        let out_of_range = |opcode| AsmError::BranchOutOfRange { opcode, disp };
+        match self {
+            Field::Long => {
+                bytes[at..at + 4].copy_from_slice(&target.wrapping_sub(base).to_le_bytes())
+            }
+            Field::Byte(what) => {
+                bytes[at] = i8::try_from(disp).map_err(|_| out_of_range(what))? as u8;
+            }
+            Field::Word(what) => {
+                let d = i16::try_from(disp).map_err(|_| out_of_range(what))?;
+                bytes[at..at + 2].copy_from_slice(&d.to_le_bytes());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A reference to a label that was not yet defined when it was emitted.
 #[derive(Debug, Clone)]
-enum Item {
-    Insn {
-        opcode: Opcode,
-        operands: Vec<Operand>,
-        target: Option<String>,
-    },
-    Bytes(Vec<u8>),
-    Align(u32),
-    /// Reserve n zero bytes.
-    Block(u32),
-    /// A CASEx displacement table: one word per target, each relative to
-    /// the table's own start address (VAX CASE semantics).
-    CaseTable(Vec<String>),
+struct Fixup {
+    /// Offset of the displacement field in the output.
+    at: u32,
+    /// The address the displacement is taken from.
+    base: u32,
+    field: Field,
+    /// The label's index in `Asm::addrs`.
+    label: u32,
 }
 
 /// An assembled image.
@@ -224,13 +216,56 @@ impl Image {
     }
 }
 
-/// The two-pass assembler.
+/// FNV-1a for the label table. Every definition and reference looks a
+/// label up; with the default SipHash, generating a workload program took
+/// ~10% longer. Label names are short and come from the program's own
+/// generators and assembly sources, never from outside input, so no one
+/// can pick names that collide.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The one-pass assembler.
+///
+/// Every item is encoded as it is emitted. No operand's length depends on
+/// a label: label operands are always long PC-relative, branch widths are
+/// fixed by the opcode, and CASE entries are words. So each item's address
+/// is final when it is emitted. A reference to a label already defined is
+/// encoded in place; one to a label defined later leaves a zero field and
+/// a fixup, which [`Asm::assemble`] patches.
+///
+/// Errors are held until [`Asm::assemble`], which reports the first one in
+/// program order.
 #[derive(Debug, Clone)]
 pub struct Asm {
     origin: u32,
-    items: Vec<Item>,
-    /// Label name → item index at which it is defined.
-    label_defs: Vec<(String, usize)>,
+    bytes: Vec<u8>,
+    /// Each label named so far, defined or only referenced, to its index
+    /// in `addrs`.
+    names: HashMap<String, u32, BuildHasherDefault<Fnv>>,
+    /// Label addresses by index; `None` until defined.
+    addrs: Vec<Option<u32>>,
+    /// Forward references, in program order.
+    fixups: Vec<Fixup>,
+    /// The first error met while emitting, with the output offset it
+    /// was met at.
+    error: Option<(u32, AsmError)>,
 }
 
 impl Asm {
@@ -238,14 +273,63 @@ impl Asm {
     pub fn new(origin: u32) -> Asm {
         Asm {
             origin,
-            items: Vec::new(),
-            label_defs: Vec::new(),
+            bytes: Vec::new(),
+            names: HashMap::default(),
+            addrs: Vec::new(),
+            fixups: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// The address the next item is emitted at.
+    fn here(&self) -> u32 {
+        self.origin + self.bytes.len() as u32
+    }
+
+    /// Record `err` unless an earlier one is already held.
+    fn fail(&mut self, err: AsmError) {
+        if self.error.is_none() {
+            self.error = Some((self.bytes.len() as u32, err));
+        }
+    }
+
+    /// The index of label `name`, adding it undefined if it is new.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.names.get(name) {
+            return id as usize;
+        }
+        self.names.insert(name.to_string(), self.addrs.len() as u32);
+        self.addrs.push(None);
+        self.addrs.len() - 1
+    }
+
+    /// Fill the `field` at output offset `at` with `label`'s address
+    /// relative to `base`, now if the label is defined, else at assembly.
+    fn refer(&mut self, label: &str, at: usize, field: Field, base: u32) {
+        let id = self.intern(label);
+        match self.addrs[id] {
+            Some(target) => {
+                if let Err(e) = field.patch(&mut self.bytes, at, base, target) {
+                    self.fail(e);
+                }
+            }
+            None => self.fixups.push(Fixup {
+                at: at as u32,
+                base,
+                field,
+                label: id as u32,
+            }),
         }
     }
 
     /// Define a label at the current position.
     pub fn label(&mut self, name: &str) -> &mut Self {
-        self.label_defs.push((name.to_string(), self.items.len()));
+        let id = self.intern(name);
+        if self.addrs[id].is_some() {
+            self.fail(AsmError::DuplicateLabel(name.to_string()));
+        } else {
+            self.addrs[id] = Some(self.here());
+        }
         self
     }
 
@@ -257,17 +341,55 @@ impl Asm {
         operands: &[Operand],
         target: Option<&str>,
     ) -> &mut Self {
-        self.items.push(Item::Insn {
-            opcode,
-            operands: operands.to_vec(),
-            target: target.map(str::to_string),
-        });
+        let expected = opcode.specifier_count();
+        if operands.len() != expected {
+            self.fail(AsmError::OperandCount {
+                opcode: opcode.mnemonic(),
+                expected,
+                got: operands.len(),
+            });
+            return self;
+        }
+        if target.is_some() != opcode.has_branch_disp() {
+            self.fail(AsmError::BranchTarget(opcode.mnemonic()));
+            return self;
+        }
+        self.bytes.push(opcode.byte());
+        let mut operands = operands.iter();
+        let mut branch = None;
+        for kind in opcode.operands() {
+            match *kind {
+                OperandKind::Spec(_, dt) => {
+                    let op = operands.next().expect("operand count checked above");
+                    encode_specifier(&op.specifier(), dt.size(), &mut self.bytes);
+                    if let Some(label) = op.label() {
+                        // PC-relative: the displacement ends the specifier
+                        // and counts from the address just past it.
+                        let at = self.bytes.len() - 4;
+                        self.refer(label, at, Field::Long, self.here());
+                    }
+                }
+                OperandKind::Branch(w) => {
+                    let field = if w.size() == 1 {
+                        Field::Byte(opcode.mnemonic())
+                    } else {
+                        Field::Word(opcode.mnemonic())
+                    };
+                    branch = Some((self.bytes.len(), field));
+                    self.bytes.resize(self.bytes.len() + w.size() as usize, 0);
+                }
+            }
+        }
+        if let (Some((at, field)), Some(label)) = (branch, target) {
+            // A branch displacement counts from the end of the instruction.
+            self.refer(label, at, field, self.here());
+        }
         self
     }
 
     /// Append raw data bytes.
     pub fn bytes(&mut self, data: &[u8]) -> &mut Self {
-        self.items.push(Item::Bytes(data.to_vec()));
+        self.bytes.extend_from_slice(data);
         self
     }
 
@@ -283,179 +405,80 @@ impl Asm {
 
     /// Reserve `n` zero bytes.
     pub fn block(&mut self, n: u32) -> &mut Self {
-        self.items.push(Item::Block(n));
+        self.bytes.resize(self.bytes.len() + n as usize, 0);
         self
     }
 
     /// Align to a power-of-two boundary.
     pub fn align(&mut self, to: u32) -> &mut Self {
         assert!(to.is_power_of_two());
-        self.items.push(Item::Align(to));
-        self
+        let pad = (to - self.here() % to) % to;
+        self.block(pad)
+    }
+
+    /// Zero-fill up to the absolute address `addr`. An `addr` behind the
+    /// current position is an [`AsmError::OrgBehind`].
+    pub fn org(&mut self, addr: u32) -> &mut Self {
+        let at = self.here();
+        if addr < at {
+            self.fail(AsmError::OrgBehind { org: addr, at });
+            return self;
+        }
+        self.block(addr - at)
     }
 
     /// Emit a CASEx displacement table (place immediately after the CASEx
     /// instruction). Each entry is a word displacement from the table start
     /// to the target label.
     pub fn case_table(&mut self, targets: &[&str]) -> &mut Self {
-        self.items.push(Item::CaseTable(
-            targets.iter().map(|s| s.to_string()).collect(),
-        ));
+        let base = self.here();
+        for name in targets {
+            let at = self.bytes.len();
+            self.bytes.extend_from_slice(&[0, 0]);
+            self.refer(name, at, Field::Word("CASE table"), base);
+        }
         self
     }
 
-    fn item_len(item: &Item, at: u32, labels_known: bool) -> u32 {
-        match item {
-            Item::Insn {
-                opcode, operands, ..
-            } => {
-                let mut len = 1u32;
-                let mut oi = 0;
-                for kind in opcode.operands() {
-                    match kind {
-                        OperandKind::Spec(_, dt) => {
-                            // A count mismatch is reported in pass 2; size
-                            // the missing operand as one byte meanwhile.
-                            len += operands.get(oi).map_or(1, |o| o.encoded_len(dt.size()));
-                            oi += 1;
-                        }
-                        OperandKind::Branch(w) => len += w.size(),
-                    }
-                }
-                let _ = labels_known;
-                len
-            }
-            Item::Bytes(b) => b.len() as u32,
-            Item::Block(n) => *n,
-            Item::Align(to) => (to - (at % to)) % to,
-            Item::CaseTable(targets) => 2 * targets.len() as u32,
-        }
-    }
-
-    /// Run both passes and produce the image.
+    /// Patch the forward references and produce the image.
     ///
     /// # Errors
-    /// Any [`AsmError`]: undefined/duplicate labels, operand count
-    /// mismatches, out-of-range branch displacements.
-    pub fn assemble(&self) -> Result<Image, AsmError> {
-        // Pass 1: addresses.
-        let mut labels: HashMap<String, u32> = HashMap::new();
-        let mut addrs = Vec::with_capacity(self.items.len());
-        {
-            let mut at = self.origin;
-            let mut def_iter = self.label_defs.iter().peekable();
-            for (i, item) in self.items.iter().enumerate() {
-                while let Some((name, idx)) = def_iter.peek() {
-                    if *idx == i {
-                        if labels.insert(name.clone(), at).is_some() {
-                            return Err(AsmError::DuplicateLabel(name.clone()));
-                        }
-                        def_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                addrs.push(at);
-                at += Self::item_len(item, at, false);
-            }
-            // Labels at the very end.
-            for (name, idx) in def_iter {
-                if *idx == self.items.len() {
-                    if labels.insert(name.clone(), at).is_some() {
-                        return Err(AsmError::DuplicateLabel(name.clone()));
-                    }
-                } else {
-                    return Err(AsmError::DuplicateLabel(name.clone()));
-                }
-            }
+    /// The first [`AsmError`] in program order: undefined/duplicate labels,
+    /// operand count mismatches, out-of-range branch displacements, an
+    /// `org` behind the current position.
+    pub fn assemble(self) -> Result<Image, AsmError> {
+        let Asm {
+            origin,
+            mut bytes,
+            names,
+            addrs,
+            fixups,
+            error,
+        } = self;
+        // Fixups are in program order; an emit-time error at the same
+        // offset came first (a label or `org` just before a CASE table).
+        let before = error.as_ref().map_or(u32::MAX, |(at, _)| *at);
+        for f in fixups.iter().take_while(|f| f.at < before) {
+            let Some(target) = addrs[f.label as usize] else {
+                let (name, _) = names
+                    .into_iter()
+                    .find(|&(_, id)| id == f.label)
+                    .expect("every fixup's label was interned");
+                return Err(AsmError::UndefinedLabel(name));
+            };
+            f.field.patch(&mut bytes, f.at as usize, f.base, target)?;
         }
-        // Pass 2: encode.
-        let mut bytes = Vec::new();
-        for (i, item) in self.items.iter().enumerate() {
-            let at = addrs[i];
-            match item {
-                Item::Bytes(b) => bytes.extend_from_slice(b),
-                Item::Block(n) => bytes.extend(std::iter::repeat_n(0u8, *n as usize)),
-                Item::Align(to) => {
-                    let pad = (to - (at % to)) % to;
-                    bytes.extend(std::iter::repeat_n(0u8, pad as usize));
-                }
-                Item::CaseTable(targets) => {
-                    for name in targets {
-                        let t = *labels
-                            .get(name)
-                            .ok_or_else(|| AsmError::UndefinedLabel(name.clone()))?;
-                        let d = t as i64 - at as i64;
-                        if !(-32768..=32767).contains(&d) {
-                            return Err(AsmError::BranchOutOfRange {
-                                opcode: "CASE table",
-                                disp: d,
-                            });
-                        }
-                        bytes.extend_from_slice(&(d as i16).to_le_bytes());
-                    }
-                }
-                Item::Insn {
-                    opcode,
-                    operands,
-                    target,
-                } => {
-                    let expected = opcode.specifier_count();
-                    if operands.len() != expected {
-                        return Err(AsmError::OperandCount {
-                            opcode: opcode.mnemonic(),
-                            expected,
-                            got: operands.len(),
-                        });
-                    }
-                    if target.is_some() != opcode.has_branch_disp() {
-                        return Err(AsmError::BranchTarget(opcode.mnemonic()));
-                    }
-                    // Resolve specifiers with running PC.
-                    let mut cursor = at + 1;
-                    let mut specs = Vec::with_capacity(expected);
-                    let mut oi = 0;
-                    for kind in opcode.operands() {
-                        match kind {
-                            OperandKind::Spec(_, dt) => {
-                                let enc = operands[oi].encoded_len(dt.size());
-                                cursor += enc;
-                                specs.push(operands[oi].resolve(&labels, cursor)?);
-                                oi += 1;
-                            }
-                            OperandKind::Branch(w) => cursor += w.size(),
-                        }
-                    }
-                    let disp = match target {
-                        Some(name) => {
-                            let t = *labels
-                                .get(name)
-                                .ok_or_else(|| AsmError::UndefinedLabel(name.clone()))?;
-                            let insn_len = Self::item_len(item, at, true);
-                            let d = t as i64 - (at + insn_len) as i64;
-                            let ok = match opcode.operands().iter().find(|k| k.is_branch_disp()) {
-                                Some(OperandKind::Branch(w)) if w.size() == 1 => {
-                                    (-128..=127).contains(&d)
-                                }
-                                _ => (-32768..=32767).contains(&d),
-                            };
-                            if !ok {
-                                return Err(AsmError::BranchOutOfRange {
-                                    opcode: opcode.mnemonic(),
-                                    disp: d,
-                                });
-                            }
-                            Some(d as i32)
-                        }
-                        None => None,
-                    };
-                    let insn = Instruction::new(*opcode, specs, disp);
-                    encode_into(&insn, &mut bytes);
-                }
-            }
+        if let Some((_, e)) = error {
+            return Err(e);
         }
+        let mut labels = HashMap::with_capacity(names.len());
+        labels.extend(
+            names
+                .into_iter()
+                .filter_map(|(name, id)| Some((name, addrs[id as usize]?))),
+        );
         Ok(Image {
-            origin: self.origin,
+            origin,
             bytes,
             labels,
         })

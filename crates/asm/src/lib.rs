@@ -1,6 +1,6 @@
 //! # vax-asm
 //!
-//! A small two-pass VAX assembler with two front ends:
+//! A small one-pass VAX assembler with two front ends:
 //!
 //! * a **builder API** ([`Asm`]) used programmatically by the kernel
 //!   builder and the workload generators — items are opcodes with symbolic
@@ -10,7 +10,10 @@
 //!
 //! Label-referencing operands assemble to PC-relative (longword
 //! displacement) form; branch displacements use the width fixed by the
-//! opcode and error out of range.
+//! opcode and error out of range. No encoding's length depends on a label,
+//! so each item is encoded as it is emitted: a reference to a label defined
+//! later leaves a fixup that [`Asm::assemble`] patches, and
+//! [`Asm::org`] pads up to an absolute address.
 //!
 //! ```
 //! use vax_asm::{Asm, Operand};

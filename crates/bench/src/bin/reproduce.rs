@@ -15,6 +15,7 @@
 //! reproduce refute <grid flags> [--model COSTS.json] [--abs-tol X] [--rel-tol X]
 //!           [--fixtures DIR] [--max-refutations N]
 //! reproduce serve [--addr HOST:PORT] [--root DIR] [--jobs N] [--retries N]
+//! reproduce --help
 //! ```
 //!
 //! `WHICH` ∈ {fig1, table1..table9, events, all} (default `all`).
@@ -97,6 +98,10 @@ fn main() {
         Command::Characterize(o) => run_engine(JobRequest::Characterize(o)),
         Command::Refute(o) => run_engine(JobRequest::Refute(o)),
         Command::Serve(o) => vax_bench::serve::run_serve(&o),
+        Command::Help => {
+            println!("{}", cli::usage());
+            0
+        }
     };
     std::process::exit(code);
 }

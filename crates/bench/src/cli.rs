@@ -301,6 +301,8 @@ pub enum Command {
     Refute(CharacterizeOptions),
     /// `reproduce serve`: HTTP job daemon over the same engine.
     Serve(ServeOptions),
+    /// `--help` or `-h` anywhere: print the usage and exit 0.
+    Help,
 }
 
 /// One-line usage string.
@@ -334,8 +336,11 @@ pub fn usage() -> String {
 ///
 /// # Errors
 /// Returns a message describing the first invalid flag or value; the caller
-/// should print it and exit nonzero.
+/// should print it and the [`usage`], and exit nonzero.
 pub fn parse_command(args: &[String]) -> Result<Command, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     match args.first().map(String::as_str) {
         Some("diff") => parse_diff_args(&args[1..]).map(Command::Diff),
         Some("bench-check") => parse_bench_check_args(&args[1..]).map(Command::BenchCheck),
@@ -455,7 +460,7 @@ pub fn parse_characterize_args(
                 i += 1;
                 opts.max_refutations = parse_u64("--max-refutations", args.get(i))? as usize;
             }
-            other => return Err(format!("unknown argument '{other}' for {cmd}\n{}", usage())),
+            other => return Err(format!("unknown argument '{other}' for {cmd}")),
         }
         i += 1;
     }
@@ -511,7 +516,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 }
                 opts.max_connections = n as usize;
             }
-            other => return Err(format!("unknown argument '{other}' for serve\n{}", usage())),
+            other => return Err(format!("unknown argument '{other}' for serve")),
         }
         i += 1;
     }
@@ -534,11 +539,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
 pub fn parse_trace_check_args(args: &[String]) -> Result<PathBuf, String> {
     match args {
         [file] if !file.starts_with("--") => Ok(PathBuf::from(file)),
-        [] => Err(format!("trace-check requires a trace file\n{}", usage())),
-        _ => Err(format!(
-            "trace-check takes exactly one trace file\n{}",
-            usage()
-        )),
+        [] => Err("trace-check requires a trace file".to_string()),
+        _ => Err("trace-check takes exactly one trace file".to_string()),
     }
 }
 
@@ -577,13 +579,12 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
             }
             "--strict" => strict = true,
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown argument '{flag}' for resume\n{}", usage()))
+                return Err(format!("unknown argument '{flag}' for resume"))
             }
             path => {
                 if dir.replace(PathBuf::from(path)).is_some() {
                     return Err(format!(
-                        "resume takes exactly one run directory (got extra '{path}')\n{}",
-                        usage()
+                        "resume takes exactly one run directory (got extra '{path}')"
                     ));
                 }
             }
@@ -592,7 +593,7 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
     }
     Ok(ResumeOptions {
         verbosity: common.verbosity()?,
-        dir: dir.ok_or_else(|| format!("resume requires a run directory\n{}", usage()))?,
+        dir: dir.ok_or_else(|| "resume requires a run directory".to_string())?,
         jobs: common.jobs.unwrap_or(1),
         retries: common.retries.unwrap_or(0),
         shard_timeout_secs,
@@ -622,10 +623,7 @@ pub fn parse_bench_check_args(
                 }
             }
             flag if flag.starts_with("--") => {
-                return Err(format!(
-                    "unknown argument '{flag}' for bench-check\n{}",
-                    usage()
-                ))
+                return Err(format!("unknown argument '{flag}' for bench-check"))
             }
             path => paths.push(PathBuf::from(path)),
         }
@@ -634,9 +632,8 @@ pub fn parse_bench_check_args(
     if paths.len() != 2 {
         return Err(format!(
             "bench-check takes a baseline report and a candidate report or \
-             directory (got {} paths)\n{}",
-            paths.len(),
-            usage()
+             directory (got {} paths)",
+            paths.len()
         ));
     }
     let candidate = paths.pop().unwrap();
@@ -665,7 +662,7 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
                 rel_tol = parse_f64("--rel-tol", args.get(i))?;
             }
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown argument '{flag}' for diff\n{}", usage()))
+                return Err(format!("unknown argument '{flag}' for diff"))
             }
             dir => dirs.push(PathBuf::from(dir)),
         }
@@ -673,9 +670,8 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
     }
     if dirs.len() != 2 {
         return Err(format!(
-            "diff takes exactly two run directories (got {})\n{}",
-            dirs.len(),
-            usage()
+            "diff takes exactly two run directories (got {})",
+            dirs.len()
         ));
     }
     let candidate = dirs.pop().unwrap();
@@ -802,7 +798,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             "--strict" => opts.strict = true,
             "--per-workload" => opts.per_workload = true,
             "--profile" => opts.profile = true,
-            other => return Err(format!("unknown argument '{other}'\n{}", usage())),
+            other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
     }

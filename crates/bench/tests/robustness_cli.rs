@@ -1,8 +1,8 @@
 //! End-to-end robustness checks against the real `reproduce` binary:
 //! crash-safe resume (SIGKILL mid-run, then `resume` completes the grid
 //! byte-identically; a text run's stdout survives too; an old-layout
-//! checkpoint header fails clearly) and the strict/retry exit-code
-//! contract.
+//! checkpoint header fails clearly), the strict/retry exit-code
+//! contract, and the usage text on bad arguments and `--help`.
 //!
 //! These run the debug binary on deliberately small grids, so each test
 //! costs seconds, not minutes.
@@ -271,4 +271,47 @@ fn fault_seed_runs_are_reproducible_from_the_command_line() {
     }
     std::fs::remove_dir_all(&a).unwrap();
     std::fs::remove_dir_all(&b).unwrap();
+}
+
+#[test]
+fn every_bad_argument_prints_the_usage_once() {
+    let cases: &[&[&str]] = &[
+        &["--bogus-flag"],
+        &["--instructions", "0"],
+        &["diff", "onlyonedir"],
+        &["diff", "a", "b", "--bogus-flag"],
+        &["resume"],
+        &["trace-check"],
+        &["bench-check", "one.json"],
+        &["characterize", "--bogus-flag"],
+        &["serve", "--bogus-flag"],
+    ];
+    for args in cases {
+        let out = reproduce().args(*args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.matches("usage: reproduce").count(),
+            1,
+            "{args:?} must print the usage exactly once:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_zero() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["diff", "--help"],
+        &["--seed", "7", "-h"],
+    ] {
+        let out = reproduce().args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {:?}", out.status);
+        assert!(stdout.starts_with("usage: reproduce"), "{args:?}: {stdout}");
+        assert_eq!(stdout.matches("usage: reproduce").count(), 1, "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
 }

@@ -192,11 +192,11 @@ impl SystemBuilder {
 
         // Kernel image in system space.
         let kcfg = self.config.kernel;
-        // Assemble once at a provisional origin to learn the size.
-        let (probe, _) = kernel::build(S0_BASE + self.next_sys_page * PAGE_SIZE, &pcb_vas, kcfg);
-        let kpages = (probe.bytes.len() as u32).div_ceil(PAGE_SIZE);
-        let kbase = self.alloc_sys_pages(kpages);
-        let (kimage, entries) = kernel::build(kbase.0, &pcb_vas, kcfg);
+        // Assemble at the next free system page, then allocate the pages
+        // the image needs, which start at that same page.
+        let (kimage, entries) =
+            kernel::build(S0_BASE + self.next_sys_page * PAGE_SIZE, &pcb_vas, kcfg);
+        let kbase = self.alloc_sys_pages((kimage.bytes.len() as u32).div_ceil(PAGE_SIZE));
         assert_eq!(kimage.origin, kbase.0);
         self.poke(kbase, &kimage.bytes);
 

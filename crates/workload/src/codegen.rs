@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vax780::ProcessSpec;
 use vax_arch::{Opcode, Reg};
-use vax_asm::{Asm, Operand};
+use vax_asm::{Asm, AsmError, Operand};
 
 use crate::profile::WorkloadProfile;
 
@@ -162,7 +162,12 @@ impl<'p> Gen<'p> {
 
     fn lbl(&mut self) -> String {
         self.label_n += 1;
-        format!("L{}", self.label_n)
+        // Not `format!`: every branch makes a label, and the formatter
+        // costs twice this.
+        let mut name = String::with_capacity(11);
+        name.push('L');
+        name.push_str(&self.label_n.to_string());
+        name
     }
 
     fn sample_kind(&mut self) -> Stmt {
@@ -1075,9 +1080,7 @@ impl<'p> Gen<'p> {
         self.asm.insn(Opcode::Rsb, &[], None);
     }
 
-    fn emit_data(&mut self, code_size: u32) {
-        let pad = DATA_BASE - (ORIGIN + code_size);
-        self.asm.block(pad);
+    fn emit_data(&mut self) {
         let d = self.d;
         // pointer table: zeros (initialized at startup).
         self.asm.block(d.strs - d.ptrs);
@@ -1137,23 +1140,16 @@ impl<'p> Gen<'p> {
                 self.emit_sub(&sub_name);
             }
         }
-        // Size the code (data labels are not referenced by code, so this
-        // assembles standalone).
-        let code_size = self
-            .asm
-            .assemble()
-            .expect("generated code must assemble")
-            .bytes
-            .len() as u32;
-        assert!(
-            ORIGIN + code_size <= DATA_BASE,
-            "generated code ({code_size} bytes) overflows the data base"
-        );
-        self.emit_data(code_size);
-        let image = self
-            .asm
-            .assemble()
-            .expect("generated program must assemble");
+        // The data region starts at a fixed address: pad the code up to it.
+        self.asm.org(DATA_BASE);
+        self.emit_data();
+        let image = self.asm.assemble().unwrap_or_else(|e| match e {
+            AsmError::OrgBehind { at, .. } => panic!(
+                "generated code ({} bytes) overflows the data base",
+                at - ORIGIN
+            ),
+            e => panic!("generated program must assemble: {e}"),
+        });
         ProcessSpec::new(image, "entry")
             .with_bss_pages(0)
             .with_stack_pages(16)
@@ -1187,6 +1183,14 @@ mod tests {
         let c = generate_process(&p, 8);
         assert_eq!(a.image.bytes, b.image.bytes);
         assert_ne!(a.image.bytes, c.image.bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the data base")]
+    fn code_past_the_data_base_panics() {
+        let mut p = WorkloadProfile::baseline();
+        p.routines = 200;
+        generate_process(&p, 1);
     }
 
     #[test]
