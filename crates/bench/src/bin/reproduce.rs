@@ -1,24 +1,12 @@
 //! Regenerate the paper's tables: the full reproduction harness.
 //!
-//! ```text
-//! reproduce [--instructions N] [--seed S] [--jobs N] [--shards K]
-//!           [--experiment WHICH] [--per-workload]
-//!           [--format text|json] [--out DIR] [--interval-cycles N]
-//!           [--profile] [--top N] [--flight-recorder K] [--quiet|--verbose]
-//!           [--bench-out DIR] [--fault-seed S] [--fault-classes C1,C2,..]
-//!           [--retries N] [--shard-timeout SECS] [--strict]
-//! reproduce diff BASELINE_DIR CANDIDATE_DIR [--abs-tol X] [--rel-tol X]
-//! reproduce bench-check BASELINE_JSON CANDIDATE_JSON_OR_DIR [--max-regression FRAC]
-//! reproduce resume DIR [--jobs N] [--retries N] [--shard-timeout SECS] [--strict]
-//! reproduce characterize [--opcodes M,..] [--modes k,..] [--reps N] [--iters N]
-//!           [--warmup N] [--jobs N] [--retries N] [--out DIR] [--list]
-//! reproduce refute <grid flags> [--model COSTS.json] [--abs-tol X] [--rel-tol X]
-//!           [--fixtures DIR] [--max-refutations N]
-//! reproduce serve [--addr HOST:PORT] [--root DIR] [--jobs N] [--retries N]
-//! reproduce --help
-//! ```
+//! `reproduce --help` prints the usage of every subcommand. Its spec
+//! flags come from the field tables of `vax_bench::jobspec`, the ones a
+//! served job's JSON spec is checked against, so the usage cannot drift
+//! from what the parsers accept.
 //!
-//! `WHICH` ∈ {fig1, table1..table9, events, all} (default `all`).
+//! `--experiment` is one of fig1, table1..table9, events, all (default
+//! `all`).
 //! `--per-workload` also prints the composite's five constituent CPIs.
 //! `--jobs N` runs the workload × shard grid on N worker threads; results
 //! are reduced in a fixed grid order, so exports are byte-identical at any

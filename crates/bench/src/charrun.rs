@@ -58,12 +58,13 @@ pub struct RefuteOutput {
 /// Resolve the CLI's string filters (already validated by the parser;
 /// anything unresolvable here is simply dropped).
 fn filters(opts: &CharacterizeOptions) -> (Vec<Opcode>, Vec<AddressingMode>) {
-    let opcodes = opts
+    let p = &opts.spec.probe;
+    let opcodes = p
         .opcodes
         .iter()
         .filter_map(|m| Opcode::from_mnemonic(m))
         .collect();
-    let modes = opts
+    let modes = p
         .modes
         .iter()
         .filter_map(|k| vax_asm::probe::mode_from_key(k))
@@ -112,7 +113,7 @@ pub fn render_grid_list(opts: &CharacterizeOptions) -> String {
 /// track.
 fn run_baseline(opts: &CharacterizeOptions, tracer: &Tracer) -> ProbeRun {
     let _g = tracer.span(MAIN_TID, "baseline", vec![]);
-    let b = run_probe(None, 0, opts.iters, opts.warmup)
+    let b = run_probe(None, 0, opts.spec.probe.iters, opts.spec.probe.warmup)
         .expect("baseline scaffold must always assemble");
     tracer.count(MAIN_TID, "instructions", b.m.instructions());
     tracer.count(MAIN_TID, "sim_cycles", b.m.cycles);
@@ -136,8 +137,8 @@ fn probe_cell(
             ("attempt", attempt.into()),
         ],
     );
-    run_probe(Some(target), opts.reps, opts.iters, opts.warmup)
-        .expect("grid targets always assemble")
+    let p = &opts.spec.probe;
+    run_probe(Some(target), p.reps as u32, p.iters, p.warmup).expect("grid targets always assemble")
 }
 
 /// Record the per-cell counters after a successful measurement (retried
@@ -154,7 +155,7 @@ fn count_cell(tracer: &Tracer, tid: u64, run: &ProbeRun) {
 /// Run the characterization grid described by `opts`.
 ///
 /// # Panics
-/// Panics if `opts.jobs == 0` (the CLI rejects it up front). A worker
+/// Panics if `opts.jobs() == 0` (the CLI rejects it up front). A worker
 /// panic is retried and, on exhaustion, quarantined into
 /// [`CharacterizeOutput::failed_cells`].
 pub fn run_characterize(
@@ -171,9 +172,9 @@ pub fn run_characterize(
         vec![
             ("experiment", "characterize".into()),
             ("cells", (targets.len() as u64).into()),
-            ("reps", opts.reps.into()),
-            ("iters", opts.iters.into()),
-            ("jobs", (opts.jobs as u64).into()),
+            ("reps", opts.spec.probe.reps.into()),
+            ("iters", opts.spec.probe.iters.into()),
+            ("jobs", (opts.jobs() as u64).into()),
         ],
     );
     tracer.counter_set("cells_total", targets.len() as u64);
@@ -181,18 +182,18 @@ pub fn run_characterize(
         "characterizing {} cell(s) ({} skipped) x {} rep(s) x {} iteration(s), {} job(s) ...",
         targets.len(),
         skips.len(),
-        opts.reps,
-        opts.iters,
-        opts.jobs
+        opts.spec.probe.reps,
+        opts.spec.probe.iters,
+        opts.jobs()
     ));
 
     let baseline = run_baseline(opts, tracer);
     let baseline_cpi = baseline.m.cycles as f64 / baseline.m.instructions().max(1) as f64;
 
     let outcome = run_supervised(
-        opts.jobs,
+        opts.jobs(),
         &targets,
-        opts.retries,
+        opts.retries(),
         tracer,
         run_span.id(),
         &opts.cancel,
@@ -242,9 +243,9 @@ pub fn run_characterize(
 
     CharacterizeOutput {
         table: CostTable {
-            reps: opts.reps,
-            iters: opts.iters,
-            warmup: opts.warmup,
+            reps: opts.spec.probe.reps as u32,
+            iters: opts.spec.probe.iters,
+            warmup: opts.spec.probe.warmup,
             baseline_cpi,
             baseline_loop_bytes: baseline.probe.loop_bytes,
             records,
@@ -263,7 +264,7 @@ pub fn run_refute(
     progress: &Progress,
     tracer: &Tracer,
 ) -> Result<RefuteOutput, String> {
-    let model = match &opts.model {
+    let model = match &opts.model_file {
         None => None,
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -272,8 +273,8 @@ pub fn run_refute(
         }
     };
     let tol = RefuteTolerance {
-        abs: opts.abs_tol,
-        rel: opts.rel_tol,
+        abs: opts.spec.abs_tol,
+        rel: opts.spec.rel_tol,
     };
     let model_ref = model.as_ref().map(|t| (t, tol));
 
@@ -286,18 +287,18 @@ pub fn run_refute(
         vec![
             ("experiment", "refute".into()),
             ("cells", (targets.len() as u64).into()),
-            ("reps", opts.reps.into()),
-            ("iters", opts.iters.into()),
-            ("jobs", (opts.jobs as u64).into()),
+            ("reps", opts.spec.probe.reps.into()),
+            ("iters", opts.spec.probe.iters.into()),
+            ("jobs", (opts.jobs() as u64).into()),
         ],
     );
     tracer.counter_set("cells_total", targets.len() as u64);
     progress.info(&format!(
         "refuting over {} cell(s) x {} rep(s) x {} iteration(s), {} job(s){} ...",
         targets.len(),
-        opts.reps,
-        opts.iters,
-        opts.jobs,
+        opts.spec.probe.reps,
+        opts.spec.probe.iters,
+        opts.jobs(),
         if model.is_some() {
             " against cost model"
         } else {
@@ -308,9 +309,9 @@ pub fn run_refute(
     let baseline = run_baseline(opts, tracer);
 
     let outcome = run_supervised(
-        opts.jobs,
+        opts.jobs(),
         &targets,
-        opts.retries,
+        opts.retries(),
         tracer,
         run_span.id(),
         &opts.cancel,
@@ -381,7 +382,7 @@ pub fn run_refute(
             mode_key(target.mode).to_string(),
             names,
         ));
-        if to_minimize.len() < opts.max_refutations {
+        if (to_minimize.len() as u64) < opts.spec.max_refutations {
             to_minimize.push((*target, failures));
         }
     }
@@ -405,9 +406,9 @@ pub fn run_refute(
             );
             minimize(
                 &target,
-                opts.reps,
-                opts.iters,
-                opts.warmup,
+                opts.spec.probe.reps as u32,
+                opts.spec.probe.iters,
+                opts.spec.probe.warmup,
                 &baseline,
                 model_ref,
                 failures,
@@ -455,19 +456,26 @@ pub fn run_refute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobspec::{ProbeSpec, RefuteSpec};
     use crate::progress::Verbosity;
 
     fn small_opts() -> CharacterizeOptions {
         CharacterizeOptions {
-            opcodes: vec!["MOVL".into(), "CLRL".into()],
-            modes: vec![
-                "register".into(),
-                "literal".into(),
-                "register_deferred".into(),
-            ],
-            reps: 2,
-            iters: 8,
-            warmup: 1500,
+            spec: RefuteSpec {
+                probe: ProbeSpec {
+                    opcodes: vec!["MOVL".into(), "CLRL".into()],
+                    modes: vec![
+                        "register".into(),
+                        "literal".into(),
+                        "register_deferred".into(),
+                    ],
+                    reps: 2,
+                    iters: 8,
+                    warmup: 1500,
+                    ..ProbeSpec::default()
+                },
+                ..RefuteSpec::default()
+            },
             verbosity: Verbosity::Quiet,
             ..CharacterizeOptions::default()
         }
@@ -487,9 +495,9 @@ mod tests {
     fn characterize_grid_is_jobs_invariant() {
         let progress = Progress::new(Verbosity::Quiet);
         let mut o1 = small_opts();
-        o1.jobs = 1;
+        o1.spec.probe.jobs = Some(1);
         let mut o4 = small_opts();
-        o4.jobs = 4;
+        o4.spec.probe.jobs = Some(4);
         let t1 = run_characterize(&o1, &progress, &Tracer::disabled());
         let t4 = run_characterize(&o4, &progress, &Tracer::disabled());
         assert!(t1.failed_cells.is_empty() && t4.failed_cells.is_empty());
@@ -513,7 +521,7 @@ mod tests {
         )
         .unwrap();
         let mut ropts = opts.clone();
-        ropts.model = Some(model_path.clone());
+        ropts.model_file = Some(model_path.clone());
         ropts.fixtures = Some(dir.join("fixtures"));
         let out = run_refute(&ropts, &progress, &Tracer::disabled()).unwrap();
         assert_eq!(out.cells_checked, 5);

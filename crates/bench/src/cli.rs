@@ -5,18 +5,28 @@
 //! message (and a nonzero exit in the binary), never silently defaulted —
 //! a bad flag would otherwise waste a five-workload measurement run.
 //!
-//! Four commands: the default measurement run, `reproduce diff A B`
-//! which compares two exported run directories for CI gating,
-//! `reproduce bench-check BASELINE CANDIDATE` which gates on host
-//! throughput regressions, and `reproduce resume DIR` which completes an
-//! interrupted run from its checkpoints.
+//! Eight commands: the default measurement run; `diff`, which compares
+//! two exported run directories for CI gating; `bench-check`, which gates
+//! on host throughput regressions; `resume`, which completes an
+//! interrupted run from its checkpoints; `trace-check`, which validates a
+//! Chrome-trace file; `characterize` and `refute`, the probe-grid cost
+//! table and its counter cross-checks; and `serve`, the HTTP job daemon.
+//!
+//! The command line is the second syntax of a [`JobSpec`]. Each spec flag
+//! is a field of the `crate::jobspec` tables, and `parse_spec` turns the
+//! flags into a spec object that decodes the way an HTTP body does, so
+//! both syntaxes share one validator. [`usage`] lists the spec flags from
+//! the same tables. Only the frontend flags — output paths and format,
+//! narration, tracing, the shard watchdog, test hooks, the daemon's
+//! address — are hand-written arms here.
 
 use std::path::PathBuf;
 
-use vax780::FaultClass;
+use vax_analysis::Json;
 
-use crate::jobspec::MAX_GRID;
-use crate::options::{parse_f64, parse_shard_timeout, parse_u64, CommonOpts};
+use crate::cancel::CancelToken;
+use crate::jobspec::{self, flag, Field, JobSpec, Kind, RefuteSpec, RunSpec, Syntax};
+use crate::options::{parse_f64, parse_shard_timeout, parse_u64, value, Args, CommonOpts};
 use crate::progress::Verbosity;
 
 /// Valid `--experiment` values.
@@ -35,60 +45,24 @@ pub enum Format {
     Json,
 }
 
-/// Parsed command line for `reproduce`.
-#[derive(Debug, Clone)]
+/// Parsed command line for `reproduce`: the run's spec plus the
+/// frontend's own knobs.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Instructions measured per workload.
-    pub instructions: u64,
-    /// Root RNG seed; each `(workload, shard)` cell runs with a
-    /// SplitMix64-split stream of it (`vax_workload::rte::shard_seed`).
-    pub seed: u64,
-    /// Worker threads for the sharded execution engine (≥ 1). Changes
-    /// wall-clock time only, never results: exports are byte-identical at
-    /// any job count.
-    pub jobs: usize,
-    /// Replica shards per workload (≥ 1). Changes the experiment: each
-    /// shard measures `instructions` with its own seed stream and the
-    /// shards merge into the workload's measurement.
-    pub shards: u64,
-    /// Which table/figure to emit (one of [`EXPERIMENTS`]).
-    pub experiment: String,
-    /// Also print the five constituent per-workload CPIs.
-    pub per_workload: bool,
+    /// The experiment definition and the runtime fields.
+    pub spec: RunSpec,
     /// Output format.
     pub format: Format,
     /// Directory for machine-readable artifacts (manifest, tables, time
     /// series, validation report). Created if absent.
     pub out: Option<PathBuf>,
-    /// Interval-sampler period in cycles for the telemetry time series.
-    pub interval_cycles: u64,
-    /// Emit the µPC attribution profile (hot-routine report, folded stacks,
-    /// profile.json).
-    pub profile: bool,
-    /// Rows in the hot-routine report.
-    pub top: usize,
-    /// Flight-recorder capacity in instructions; 0 disables it.
-    pub flight_recorder: usize,
     /// Stderr narration level (`--quiet` / `--verbose`).
     pub verbosity: Verbosity,
     /// Directory for the host self-metering report `BENCH_<unix-ts>.json`.
     pub bench_out: Option<PathBuf>,
-    /// Fault-injection seed: when set, every `(workload, shard)` cell runs
-    /// under a deterministic [`vax780::FaultPlan`] split from this seed.
-    pub fault_seed: Option<u64>,
-    /// Fault classes to inject (canonical order; all of them unless
-    /// `--fault-classes` narrows the set). Empty iff `fault_seed` is unset.
-    pub fault_classes: Vec<FaultClass>,
-    /// Extra attempts for a shard whose run panics or times out. Each
-    /// attempt builds a fresh system from the same shard seed, so a retry
-    /// that succeeds is byte-identical to a first-attempt success.
-    pub retries: u32,
     /// Per-attempt wall-clock budget in seconds for one shard; exceeded ⇒
     /// the shard's watchdog trips and the attempt counts as failed.
     pub shard_timeout_secs: Option<f64>,
-    /// Exit nonzero when any cell was quarantined (partial results are
-    /// still exported either way).
-    pub strict: bool,
     /// Test hook: make cell `(workload, shard)` panic on its first N
     /// attempts (`--inject-panic W:S:N`), exercising the supervisor.
     pub inject_panic: Option<(u64, u64, u32)>,
@@ -102,36 +76,21 @@ pub struct Options {
     /// leaves it inert (no flag sets it); the serve daemon installs a live
     /// token so `POST /jobs/:id/cancel` and `deadline_secs` can stop the
     /// grid between cells.
-    pub cancel: crate::cancel::CancelToken,
+    pub cancel: CancelToken,
 }
 
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            instructions: crate::DEFAULT_INSTRUCTIONS,
-            seed: crate::DEFAULT_SEED,
-            jobs: 1,
-            shards: 1,
-            experiment: "all".to_string(),
-            per_workload: false,
-            format: Format::Text,
-            out: None,
-            interval_cycles: 500_000,
-            profile: false,
-            top: 20,
-            flight_recorder: 0,
-            verbosity: Verbosity::Normal,
-            bench_out: None,
-            fault_seed: None,
-            fault_classes: Vec::new(),
-            retries: 0,
-            shard_timeout_secs: None,
-            strict: false,
-            inject_panic: None,
-            trace_out: None,
-            progress_ms: None,
-            cancel: crate::cancel::CancelToken::default(),
-        }
+impl Options {
+    /// Worker threads for the sharded execution engine (the spec's, else
+    /// 1). Changes wall-clock time only, never results: exports are
+    /// byte-identical at any job count.
+    pub fn jobs(&self) -> usize {
+        self.spec.jobs.map_or(1, |j| j as usize)
+    }
+
+    /// Extra attempts for a shard whose run panics or times out (the
+    /// spec's, else 0).
+    pub fn retries(&self) -> u32 {
+        self.spec.retries.map_or(0, |r| r as u32)
     }
 }
 
@@ -210,22 +169,11 @@ pub struct DiffOptions {
 
 /// Options shared by `reproduce characterize` and `reproduce refute`
 /// (refute adds the model/fixture knobs; characterize ignores them).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CharacterizeOptions {
-    /// Opcode filter (mnemonics, upper-cased); empty = the full table.
-    pub opcodes: Vec<String>,
-    /// Addressing-mode filter (mode keys); empty = all 16 modes.
-    pub modes: Vec<String>,
-    /// Probe copies per loop iteration.
-    pub reps: u32,
-    /// Measured loop iterations per cell.
-    pub iters: u64,
-    /// Warmup instructions per cell.
-    pub warmup: u64,
-    /// Worker threads for the probe grid.
-    pub jobs: usize,
-    /// Retry budget per cell.
-    pub retries: u32,
+    /// The probe grid and, for refute, the model tolerances. `spec.model`
+    /// stays `None`: the model to refute is `model_file`.
+    pub spec: RefuteSpec,
     /// Directory for `costs.json` / `costs.md` (and `runtime.json` when
     /// traced). Stdout when absent (characterize only).
     pub out: Option<PathBuf>,
@@ -239,42 +187,22 @@ pub struct CharacterizeOptions {
     /// Progress-heartbeat period in ms.
     pub progress_ms: Option<u64>,
     /// Cooperative cancel token (see [`Options::cancel`]).
-    pub cancel: crate::cancel::CancelToken,
+    pub cancel: CancelToken,
     /// Cost table to refute (`refute --model costs.json`).
-    pub model: Option<PathBuf>,
-    /// Absolute model tolerance, cycles per instruction.
-    pub abs_tol: f64,
-    /// Relative model tolerance.
-    pub rel_tol: f64,
+    pub model_file: Option<PathBuf>,
     /// Directory for minimized refutation fixtures (refute only).
     pub fixtures: Option<PathBuf>,
-    /// Minimize and record at most this many refutations (the rest are
-    /// still counted and reported).
-    pub max_refutations: usize,
 }
 
-impl Default for CharacterizeOptions {
-    fn default() -> CharacterizeOptions {
-        CharacterizeOptions {
-            opcodes: Vec::new(),
-            modes: Vec::new(),
-            reps: 8,
-            iters: 64,
-            warmup: 2000,
-            jobs: 1,
-            retries: 0,
-            out: None,
-            list: false,
-            verbosity: Verbosity::Normal,
-            trace_out: None,
-            progress_ms: None,
-            cancel: crate::cancel::CancelToken::default(),
-            model: None,
-            abs_tol: 0.5,
-            rel_tol: 0.01,
-            fixtures: None,
-            max_refutations: 8,
-        }
+impl CharacterizeOptions {
+    /// Worker threads for the probe grid (the spec's, else 1).
+    pub fn jobs(&self) -> usize {
+        self.spec.probe.jobs.map_or(1, |j| j as usize)
+    }
+
+    /// Retry budget per cell (the spec's, else 0).
+    pub fn retries(&self) -> u32 {
+        self.spec.probe.retries.map_or(0, |r| r as u32)
     }
 }
 
@@ -305,34 +233,98 @@ pub enum Command {
     Help,
 }
 
-/// One-line usage string.
+/// Which flags of its spec kind's table a subcommand accepts.
+type Accept = fn(&Field) -> bool;
+
+/// Every flag of the spec kind's table.
+fn every_flag(_: &Field) -> bool {
+    true
+}
+
+/// The run fields a resume chooses anew; the rest of the definition comes
+/// from the checkpoint header.
+fn resume_flag(f: &Field) -> bool {
+    matches!(f.key, "jobs" | "retries" | "strict")
+}
+
+/// The run fields whose daemon-wide defaults `serve` takes.
+fn serve_flag(f: &Field) -> bool {
+    matches!(f.key, "jobs" | "retries")
+}
+
+/// The usage text. Every spec flag in it comes from the field tables.
 pub fn usage() -> String {
-    "usage: reproduce [--instructions N] [--seed S] [--jobs N] [--shards K] \
-     [--experiment fig1|table1..table9|events|all] [--per-workload] \
-     [--format text|json] [--out DIR] [--interval-cycles N] \
-     [--profile] [--top N] [--flight-recorder K] [--quiet|--verbose] \
-     [--bench-out DIR] [--fault-seed S] [--fault-classes C1,C2,..] \
-     [--retries N] [--shard-timeout SECS] [--strict] [--inject-panic W:S:N] \
-     [--trace-out FILE] [--progress[=MS]]\n\
-     \x20      reproduce diff BASELINE_DIR CANDIDATE_DIR [--abs-tol X] [--rel-tol X]\n\
-     \x20      reproduce bench-check BASELINE_JSON CANDIDATE_JSON_OR_DIR \
-     [--max-regression FRAC]\n\
-     \x20      reproduce resume DIR [--jobs N] [--retries N] [--shard-timeout SECS] \
-     [--strict] [--quiet|--verbose] [--trace-out FILE] [--progress[=MS]]\n\
-     \x20      reproduce trace-check TRACE_JSON\n\
-     \x20      reproduce characterize [--opcodes M1,M2,..] [--modes K1,K2,..] \
-     [--reps N] [--iters N] [--warmup N] [--jobs N] [--retries N] [--out DIR] \
-     [--list] [--quiet|--verbose] [--trace-out FILE] [--progress[=MS]]\n\
-     \x20      reproduce refute [same as characterize, minus --list] \
-     [--model COSTS_JSON] [--abs-tol X] [--rel-tol X] [--fixtures DIR] \
-     [--max-refutations N]\n\
-     \x20      reproduce serve [--addr HOST:PORT] [--root DIR] [--jobs N] \
-     [--retries N] [--max-connections N] [--quiet|--verbose]"
-        .to_string()
+    const NARRATION: &str = "[--quiet|--verbose] [--trace-out FILE] [--progress[=MS]]";
+    format!(
+        "usage: reproduce {} [--format text|json] [--out DIR] [--bench-out DIR] \
+         [--shard-timeout SECS] [--inject-panic W:S:N] {NARRATION}\n\
+         \x20      reproduce diff BASELINE_DIR CANDIDATE_DIR [--abs-tol X] [--rel-tol X]\n\
+         \x20      reproduce bench-check BASELINE_JSON CANDIDATE_JSON_OR_DIR \
+         [--max-regression FRAC]\n\
+         \x20      reproduce resume DIR {} [--shard-timeout SECS] {NARRATION}\n\
+         \x20      reproduce trace-check TRACE_JSON\n\
+         \x20      reproduce characterize {} [--out DIR] [--list] {NARRATION}\n\
+         \x20      reproduce refute {} [--out DIR] [--model COSTS_JSON] [--fixtures DIR] \
+         {NARRATION}\n\
+         \x20      reproduce serve [--addr HOST:PORT] [--root DIR] {} [--max-connections N] \
+         [--quiet|--verbose]",
+        spec_usage("run", every_flag),
+        spec_usage("run", resume_flag),
+        spec_usage("characterize", every_flag),
+        spec_usage("refute", every_flag),
+        spec_usage("run", serve_flag),
+    )
+}
+
+/// The usage of the flags of the `kind` fields that `accept` admits, in
+/// table order.
+fn spec_usage(kind: &str, accept: Accept) -> String {
+    let flags: Vec<String> = jobspec::fields(kind)
+        .filter(|f| accept(f))
+        .filter_map(|f| match f.arg? {
+            "" => Some(format!("[{}]", flag(f.key))),
+            arg => Some(format!("[{} {arg}]", flag(f.key))),
+        })
+        .collect();
+    flags.join(" ")
+}
+
+/// Parse `args` as a spec of `kind`: the command-line syntax of
+/// `JobSpec::read`. Each flag of a `kind` field that `accept` admits
+/// becomes a member of a spec object (a repeated flag replaces the
+/// earlier value), and the object decodes as an HTTP body does. Every
+/// other argument goes to the shared [`CommonOpts`], and failing those to
+/// `other`, with the arguments after it.
+fn parse_spec<'a>(
+    kind: &str,
+    args: &'a [String],
+    accept: Accept,
+    mut other: impl FnMut(&'a str, &mut Args<'a>) -> Result<(), String>,
+) -> Result<(JobSpec, CommonOpts), String> {
+    let mut members = vec![("kind".to_string(), Json::from(kind))];
+    let mut common = CommonOpts::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let field =
+            jobspec::fields(kind).find(|f| f.arg.is_some() && accept(f) && *arg == flag(f.key));
+        let Some(f) = field else {
+            if !common.try_parse(arg, &mut rest)? {
+                other(arg, &mut rest)?;
+            }
+            continue;
+        };
+        let value = match f.kind {
+            Kind::Switch => Json::Bool(true),
+            kind => kind.parse_arg(f.key, rest.next())?,
+        };
+        members.retain(|(key, _)| key != f.key);
+        members.push((f.key.to_string(), value));
+    }
+    Ok((JobSpec::read(&Json::Obj(members), Syntax::Argv)?, common))
 }
 
 /// Parse the full argument list (without the program name), dispatching on
-/// the optional `diff` subcommand.
+/// the optional subcommand.
 ///
 /// # Errors
 /// Returns a message describing the first invalid flag or value; the caller
@@ -364,113 +356,20 @@ pub fn parse_characterize_args(
 ) -> Result<CharacterizeOptions, String> {
     let cmd = if refute { "refute" } else { "characterize" };
     let mut opts = CharacterizeOptions::default();
-    let mut common = CommonOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        if common.try_parse(args, &mut i)? {
-            continue;
-        }
-        match args[i].as_str() {
-            "--opcodes" => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .ok_or_else(|| "--opcodes requires a comma-separated list".to_string())?;
-                for mn in raw.split(',').filter(|s| !s.is_empty()) {
-                    if vax_arch::Opcode::from_mnemonic(mn).is_none() {
-                        return Err(format!("unknown opcode '{mn}' in --opcodes"));
-                    }
-                    opts.opcodes.push(mn.to_uppercase());
-                }
-                if opts.opcodes.is_empty() {
-                    return Err("--opcodes requires at least one mnemonic".to_string());
-                }
-            }
-            "--modes" => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .ok_or_else(|| "--modes requires a comma-separated list".to_string())?;
-                for key in raw.split(',').filter(|s| !s.is_empty()) {
-                    if vax_asm::probe::mode_from_key(key).is_none() {
-                        return Err(format!(
-                            "unknown addressing mode '{key}' in --modes (e.g. register, \
-                             byte_disp, pc_relative_deferred)"
-                        ));
-                    }
-                    opts.modes.push(key.to_string());
-                }
-                if opts.modes.is_empty() {
-                    return Err("--modes requires at least one mode key".to_string());
-                }
-            }
-            "--reps" => {
-                i += 1;
-                let n = parse_u64("--reps", args.get(i))?;
-                if n == 0 || n > u64::from(vax_asm::probe::MAX_REPS) {
-                    return Err(format!(
-                        "--reps must be between 1 and {}",
-                        vax_asm::probe::MAX_REPS
-                    ));
-                }
-                opts.reps = n as u32;
-            }
-            "--iters" => {
-                i += 1;
-                opts.iters = parse_u64("--iters", args.get(i))?;
-                if opts.iters == 0 {
-                    return Err("--iters must be at least 1".to_string());
-                }
-            }
-            "--warmup" => {
-                i += 1;
-                opts.warmup = parse_u64("--warmup", args.get(i))?;
-            }
-            "--out" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .ok_or_else(|| "--out requires a directory".to_string())?;
-                opts.out = Some(PathBuf::from(dir));
-            }
+    let (spec, common) = parse_spec(cmd, args, every_flag, |arg, rest| {
+        match arg {
+            "--out" => opts.out = Some(value(arg, rest, "a directory")?.into()),
             "--list" if !refute => opts.list = true,
             "--model" if refute => {
-                i += 1;
-                let file = args
-                    .get(i)
-                    .ok_or_else(|| "--model requires a costs.json path".to_string())?;
-                opts.model = Some(PathBuf::from(file));
+                opts.model_file = Some(value(arg, rest, "a costs.json path")?.into());
             }
-            "--abs-tol" if refute => {
-                i += 1;
-                opts.abs_tol = parse_f64("--abs-tol", args.get(i))?;
-            }
-            "--rel-tol" if refute => {
-                i += 1;
-                opts.rel_tol = parse_f64("--rel-tol", args.get(i))?;
-            }
-            "--fixtures" if refute => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .ok_or_else(|| "--fixtures requires a directory".to_string())?;
-                opts.fixtures = Some(PathBuf::from(dir));
-            }
-            "--max-refutations" if refute => {
-                i += 1;
-                opts.max_refutations = parse_u64("--max-refutations", args.get(i))? as usize;
-            }
+            "--fixtures" if refute => opts.fixtures = Some(value(arg, rest, "a directory")?.into()),
             other => return Err(format!("unknown argument '{other}' for {cmd}")),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
+    opts.spec = spec.to_characterize_options(1, 0).spec;
     opts.verbosity = common.verbosity()?;
-    if let Some(jobs) = common.jobs {
-        opts.jobs = jobs;
-    }
-    if let Some(retries) = common.retries {
-        opts.retries = retries;
-    }
     opts.trace_out = common.trace_out;
     opts.progress_ms = common.progress_ms;
     Ok(opts)
@@ -479,18 +378,10 @@ pub fn parse_characterize_args(
 /// Parse `reproduce serve` arguments (after the subcommand word).
 pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
-    let mut common = CommonOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        if common.try_parse(args, &mut i)? {
-            continue;
-        }
-        match args[i].as_str() {
+    let (spec, common) = parse_spec("run", args, serve_flag, |arg, rest| {
+        match arg {
             "--addr" => {
-                i += 1;
-                let addr = args
-                    .get(i)
-                    .ok_or_else(|| "--addr requires HOST:PORT".to_string())?;
+                let addr = value(arg, rest, "HOST:PORT")?;
                 if !addr.contains(':') {
                     return Err(format!(
                         "invalid value for --addr: '{addr}' (expected HOST:PORT)"
@@ -498,16 +389,9 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 }
                 opts.addr = addr.clone();
             }
-            "--root" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .ok_or_else(|| "--root requires a directory".to_string())?;
-                opts.root = PathBuf::from(dir);
-            }
+            "--root" => opts.root = value(arg, rest, "a directory")?.into(),
             "--max-connections" => {
-                i += 1;
-                let n = parse_u64("--max-connections", args.get(i))?;
+                let n = parse_u64(arg, rest.next())?;
                 if n == 0 {
                     return Err(
                         "invalid value for --max-connections: '0' (expected at least 1)"
@@ -518,20 +402,17 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             }
             other => return Err(format!("unknown argument '{other}' for serve")),
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
     if common.trace_out.is_some() || common.progress_ms.is_some() {
         return Err(
             "serve manages tracing per job; --trace-out/--progress are not accepted".to_string(),
         );
     }
+    let defaults = spec.to_run_options(opts.jobs, opts.retries);
+    opts.jobs = defaults.jobs();
+    opts.retries = defaults.retries();
     opts.verbosity = common.verbosity()?;
-    if let Some(jobs) = common.jobs {
-        opts.jobs = jobs;
-    }
-    if let Some(retries) = common.retries {
-        opts.retries = retries;
-    }
     Ok(opts)
 }
 
@@ -564,20 +445,10 @@ fn parse_inject_panic(value: Option<&String>) -> Result<(u64, u64, u32), String>
 
 /// Parse `reproduce resume` arguments (after the subcommand word).
 pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
-    let mut dir: Option<PathBuf> = None;
-    let (mut shard_timeout_secs, mut strict) = (None, false);
-    let mut common = CommonOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        if common.try_parse(args, &mut i)? {
-            continue;
-        }
-        match args[i].as_str() {
-            "--shard-timeout" => {
-                i += 1;
-                shard_timeout_secs = Some(parse_shard_timeout(args.get(i))?);
-            }
-            "--strict" => strict = true,
+    let (mut dir, mut shard_timeout_secs) = (None, None);
+    let (spec, common) = parse_spec("run", args, resume_flag, |arg, rest| {
+        match arg {
+            "--shard-timeout" => shard_timeout_secs = Some(parse_shard_timeout(rest.next())?),
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown argument '{flag}' for resume"))
             }
@@ -589,15 +460,16 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
                 }
             }
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
+    let run = spec.to_run_options(1, 0);
     Ok(ResumeOptions {
         verbosity: common.verbosity()?,
         dir: dir.ok_or_else(|| "resume requires a run directory".to_string())?,
-        jobs: common.jobs.unwrap_or(1),
-        retries: common.retries.unwrap_or(0),
+        jobs: run.jobs(),
+        retries: run.retries(),
         shard_timeout_secs,
-        strict,
+        strict: run.spec.strict,
         trace_out: common.trace_out,
         progress_ms: common.progress_ms,
     })
@@ -691,134 +563,25 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
 /// should print it and exit nonzero.
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    let mut common = CommonOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        if common.try_parse(args, &mut i)? {
-            continue;
-        }
-        match args[i].as_str() {
-            "--instructions" => {
-                i += 1;
-                opts.instructions = parse_u64("--instructions", args.get(i))?;
-                if opts.instructions == 0 {
-                    return Err("--instructions must be at least 1".to_string());
-                }
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_u64("--seed", args.get(i))?;
-            }
-            "--shards" => {
-                i += 1;
-                opts.shards = parse_u64("--shards", args.get(i))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                if opts.shards > MAX_GRID {
-                    return Err(format!("--shards must be at most {MAX_GRID}"));
-                }
-            }
-            "--interval-cycles" => {
-                i += 1;
-                opts.interval_cycles = parse_u64("--interval-cycles", args.get(i))?;
-                if opts.interval_cycles == 0 {
-                    return Err("--interval-cycles must be at least 1".to_string());
-                }
-            }
-            "--experiment" => {
-                i += 1;
-                let e = args
-                    .get(i)
-                    .ok_or_else(|| "--experiment requires a value".to_string())?;
-                if !EXPERIMENTS.contains(&e.as_str()) {
-                    return Err(format!(
-                        "unknown experiment '{e}' (expected one of: {})",
-                        EXPERIMENTS.join(", ")
-                    ));
-                }
-                opts.experiment = e.clone();
-            }
+    let (spec, common) = parse_spec("run", args, every_flag, |arg, rest| {
+        match arg {
             "--format" => {
-                i += 1;
-                let f = args
-                    .get(i)
-                    .ok_or_else(|| "--format requires a value".to_string())?;
-                opts.format = match f.as_str() {
+                opts.format = match value(arg, rest, "a value")?.as_str() {
                     "text" => Format::Text,
                     "json" => Format::Json,
                     other => return Err(format!("unknown format '{other}' (expected text|json)")),
-                };
-            }
-            "--out" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .ok_or_else(|| "--out requires a directory".to_string())?;
-                opts.out = Some(PathBuf::from(dir));
-            }
-            "--bench-out" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .ok_or_else(|| "--bench-out requires a directory".to_string())?;
-                opts.bench_out = Some(PathBuf::from(dir));
-            }
-            "--top" => {
-                i += 1;
-                let n = parse_u64("--top", args.get(i))?;
-                if n == 0 {
-                    return Err("--top must be at least 1".to_string());
                 }
-                opts.top = n as usize;
             }
-            "--flight-recorder" => {
-                i += 1;
-                opts.flight_recorder = parse_u64("--flight-recorder", args.get(i))? as usize;
-            }
-            "--fault-seed" => {
-                i += 1;
-                opts.fault_seed = Some(parse_u64("--fault-seed", args.get(i))?);
-            }
-            "--fault-classes" => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .ok_or_else(|| "--fault-classes requires a value".to_string())?;
-                opts.fault_classes = vax780::parse_classes(raw)?;
-            }
-            "--shard-timeout" => {
-                i += 1;
-                opts.shard_timeout_secs = Some(parse_shard_timeout(args.get(i))?);
-            }
-            "--inject-panic" => {
-                i += 1;
-                opts.inject_panic = Some(parse_inject_panic(args.get(i))?);
-            }
-            "--strict" => opts.strict = true,
-            "--per-workload" => opts.per_workload = true,
-            "--profile" => opts.profile = true,
+            "--out" => opts.out = Some(value(arg, rest, "a directory")?.into()),
+            "--bench-out" => opts.bench_out = Some(value(arg, rest, "a directory")?.into()),
+            "--shard-timeout" => opts.shard_timeout_secs = Some(parse_shard_timeout(rest.next())?),
+            "--inject-panic" => opts.inject_panic = Some(parse_inject_panic(rest.next())?),
             other => return Err(format!("unknown argument '{other}'")),
         }
-        i += 1;
-    }
-    match opts.fault_seed {
-        // Classes without a seed would silently inject nothing.
-        None if !opts.fault_classes.is_empty() => {
-            return Err("--fault-classes requires --fault-seed".to_string());
-        }
-        Some(_) if opts.fault_classes.is_empty() => {
-            opts.fault_classes = FaultClass::ALL.to_vec();
-        }
-        _ => {}
-    }
+        Ok(())
+    })?;
+    opts.spec = spec.to_run_options(1, 0).spec;
     opts.verbosity = common.verbosity()?;
-    if let Some(jobs) = common.jobs {
-        opts.jobs = jobs;
-    }
-    if let Some(retries) = common.retries {
-        opts.retries = retries;
-    }
     opts.trace_out = common.trace_out;
     opts.progress_ms = common.progress_ms;
     Ok(opts)
@@ -827,6 +590,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobspec::MAX_GRID;
+    use vax780::FaultClass;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -841,16 +606,16 @@ mod tests {
     #[test]
     fn defaults() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.instructions, crate::DEFAULT_INSTRUCTIONS);
-        assert_eq!(o.seed, crate::DEFAULT_SEED);
-        assert_eq!(o.jobs, 1);
-        assert_eq!(o.shards, 1);
-        assert_eq!(o.experiment, "all");
+        assert_eq!(o.spec.instructions, crate::DEFAULT_INSTRUCTIONS);
+        assert_eq!(o.spec.seed, crate::DEFAULT_SEED);
+        assert_eq!(o.jobs(), 1);
+        assert_eq!(o.spec.shards, 1);
+        assert_eq!(o.spec.experiment, "all");
         assert_eq!(o.format, Format::Text);
         assert!(o.out.is_none());
-        assert!(!o.profile);
-        assert_eq!(o.top, 20);
-        assert_eq!(o.flight_recorder, 0);
+        assert!(!o.spec.profile);
+        assert_eq!(o.spec.top, 20);
+        assert_eq!(o.spec.flight_recorder, 0);
         assert_eq!(o.verbosity, Verbosity::Normal);
         assert!(o.bench_out.is_none());
     }
@@ -885,18 +650,18 @@ mod tests {
             "/tmp/bench",
         ])
         .unwrap();
-        assert_eq!(o.instructions, 5000);
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.jobs, 4);
-        assert_eq!(o.shards, 2);
-        assert_eq!(o.experiment, "table8");
-        assert!(o.per_workload);
+        assert_eq!(o.spec.instructions, 5000);
+        assert_eq!(o.spec.seed, 7);
+        assert_eq!(o.jobs(), 4);
+        assert_eq!(o.spec.shards, 2);
+        assert_eq!(o.spec.experiment, "table8");
+        assert!(o.spec.per_workload);
         assert_eq!(o.format, Format::Json);
         assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        assert_eq!(o.interval_cycles, 1000);
-        assert!(o.profile);
-        assert_eq!(o.top, 5);
-        assert_eq!(o.flight_recorder, 64);
+        assert_eq!(o.spec.interval_cycles, 1000);
+        assert!(o.spec.profile);
+        assert_eq!(o.spec.top, 5);
+        assert_eq!(o.spec.flight_recorder, 64);
         assert_eq!(o.verbosity, Verbosity::Verbose);
         assert_eq!(
             o.bench_out.as_deref(),
@@ -951,14 +716,14 @@ mod tests {
             assert!(err.contains("--seed") && err.contains(seed), "{err}");
         }
         let o = parse(&["--seed", "9223372036854775807"]).unwrap();
-        assert_eq!(o.seed, i64::MAX as u64);
+        assert_eq!(o.spec.seed, i64::MAX as u64);
     }
 
     #[test]
     fn shards_are_bounded_by_the_spec_grid() {
         let err = parse(&["--shards", "4097"]).unwrap_err();
         assert!(err.contains("--shards must be at most 4096"), "{err}");
-        assert_eq!(parse(&["--shards", "4096"]).unwrap().shards, MAX_GRID);
+        assert_eq!(parse(&["--shards", "4096"]).unwrap().spec.shards, MAX_GRID);
     }
 
     #[test]
@@ -970,7 +735,7 @@ mod tests {
             let err = parse_cmd(&["resume", "d", "--retries", n]).unwrap_err();
             assert!(err.contains("--retries must be at most 1000"), "{err}");
         }
-        assert_eq!(parse(&["--retries", "1000"]).unwrap().retries, 1000);
+        assert_eq!(parse(&["--retries", "1000"]).unwrap().retries(), 1000);
     }
 
     #[test]
@@ -992,12 +757,16 @@ mod tests {
     #[test]
     fn fault_flags_parse() {
         let o = parse(&["--fault-seed", "7"]).unwrap();
-        assert_eq!(o.fault_seed, Some(7));
-        assert_eq!(o.fault_classes, FaultClass::ALL.to_vec(), "defaults to all");
+        assert_eq!(o.spec.fault_seed, Some(7));
+        assert_eq!(
+            o.spec.fault_classes,
+            FaultClass::ALL.to_vec(),
+            "defaults to all"
+        );
 
         let o = parse(&["--fault-seed", "7", "--fault-classes", "parity,smc"]).unwrap();
         assert_eq!(
-            o.fault_classes,
+            o.spec.fault_classes,
             vec![FaultClass::Parity, FaultClass::Smc],
             "canonical order, narrowed set"
         );
@@ -1007,8 +776,8 @@ mod tests {
         assert!(parse(&["--fault-seed", "7", "--fault-classes", "bogus"]).is_err());
 
         let o = parse(&[]).unwrap();
-        assert!(o.fault_seed.is_none());
-        assert!(o.fault_classes.is_empty());
+        assert!(o.spec.fault_seed.is_none());
+        assert!(o.spec.fault_classes.is_empty());
     }
 
     #[test]
@@ -1023,9 +792,9 @@ mod tests {
             "1:0:2",
         ])
         .unwrap();
-        assert_eq!(o.retries, 2);
+        assert_eq!(o.retries(), 2);
         assert_eq!(o.shard_timeout_secs, Some(1.5));
-        assert!(o.strict);
+        assert!(o.spec.strict);
         assert_eq!(o.inject_panic, Some((1, 0, 2)));
 
         assert!(parse(&["--shard-timeout", "0"]).is_err());
@@ -1142,7 +911,7 @@ mod tests {
             _ => panic!("expected diff"),
         }
         match parse_cmd(&["--profile"]).unwrap() {
-            Command::Run(o) => assert!(o.profile),
+            Command::Run(o) => assert!(o.spec.profile),
             _ => panic!("expected run"),
         }
     }
@@ -1203,12 +972,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Characterize(o) => {
-                assert_eq!(o.opcodes, vec!["MOVL", "ADDL2"]);
-                assert_eq!(o.modes, vec!["register", "byte_disp"]);
-                assert_eq!(o.reps, 4);
-                assert_eq!(o.iters, 32);
-                assert_eq!(o.warmup, 500);
-                assert_eq!(o.jobs, 4);
+                assert_eq!(o.spec.probe.opcodes, vec!["MOVL", "ADDL2"]);
+                assert_eq!(o.spec.probe.modes, vec!["register", "byte_disp"]);
+                assert_eq!(o.spec.probe.reps, 4);
+                assert_eq!(o.spec.probe.iters, 32);
+                assert_eq!(o.spec.probe.warmup, 500);
+                assert_eq!(o.jobs(), 4);
                 assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/tmp/ch")));
                 assert!(o.list);
             }
@@ -1218,8 +987,11 @@ mod tests {
         // Defaults.
         match parse_cmd(&["characterize"]).unwrap() {
             Command::Characterize(o) => {
-                assert!(o.opcodes.is_empty() && o.modes.is_empty());
-                assert_eq!((o.reps, o.iters, o.warmup), (8, 64, 2000));
+                assert!(o.spec.probe.opcodes.is_empty() && o.spec.probe.modes.is_empty());
+                assert_eq!(
+                    (o.spec.probe.reps, o.spec.probe.iters, o.spec.probe.warmup),
+                    (8, 64, 2000)
+                );
                 assert!(!o.list);
             }
             _ => panic!("expected characterize"),
@@ -1270,12 +1042,15 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Refute(o) => {
-                assert_eq!(o.opcodes, vec!["MOVL"]);
-                assert_eq!(o.model.as_deref(), Some(std::path::Path::new("costs.json")));
-                assert_eq!(o.abs_tol, 0.25);
-                assert_eq!(o.rel_tol, 0.05);
+                assert_eq!(o.spec.probe.opcodes, vec!["MOVL"]);
+                assert_eq!(
+                    o.model_file.as_deref(),
+                    Some(std::path::Path::new("costs.json"))
+                );
+                assert_eq!(o.spec.abs_tol, 0.25);
+                assert_eq!(o.spec.rel_tol, 0.05);
                 assert_eq!(o.fixtures.as_deref(), Some(std::path::Path::new("/tmp/fx")));
-                assert_eq!(o.max_refutations, 3);
+                assert_eq!(o.spec.max_refutations, 3);
             }
             _ => panic!("expected refute"),
         }
@@ -1349,5 +1124,166 @@ mod tests {
         assert!(parse_cmd(&["diff", "a", "b", "--frobnicate"])
             .unwrap_err()
             .contains("--frobnicate"));
+    }
+
+    #[test]
+    fn flight_recorder_is_bounded() {
+        // The ring is reserved up front in every cell: an unbounded
+        // capacity aborted the run (exit 101) instead of exiting 2.
+        let err = parse(&["--flight-recorder", "9223372036854775807"]).unwrap_err();
+        assert!(
+            err.contains("--flight-recorder must be at most 4096"),
+            "{err}"
+        );
+        let o = parse(&["--flight-recorder", "4096"]).unwrap();
+        assert_eq!(o.spec.flight_recorder, jobspec::MAX_FLIGHT_RECORDER);
+    }
+
+    #[test]
+    fn shard_timeout_is_bounded_on_run_and_resume() {
+        // Past MAX_DEADLINE_SECS the watchdog's Duration conversion
+        // panicked in every attempt, quarantining every cell.
+        for args in [
+            &["--shard-timeout", "1e300"][..],
+            &["resume", "d", "--shard-timeout", "1e300"],
+        ] {
+            let err = parse_cmd(args).unwrap_err();
+            assert!(
+                err.contains("--shard-timeout must be at most 1e9"),
+                "{args:?}: {err}"
+            );
+        }
+        match parse_cmd(&["resume", "d", "--shard-timeout", "1e9"]).unwrap() {
+            Command::Resume(r) => assert_eq!(r.shard_timeout_secs, Some(1e9)),
+            _ => panic!("expected resume"),
+        }
+    }
+
+    #[test]
+    fn jobs_are_bounded_by_the_spec_grid_everywhere() {
+        for cmd in [
+            &[][..],
+            &["resume", "d"],
+            &["characterize"],
+            &["refute"],
+            &["serve"],
+        ] {
+            let args: Vec<&str> = cmd.iter().copied().chain(["--jobs", "4097"]).collect();
+            let err = parse_cmd(&args).unwrap_err();
+            assert!(
+                err.contains("--jobs must be at most 4096"),
+                "{args:?}: {err}"
+            );
+        }
+        assert_eq!(parse(&["--jobs", "4096"]).unwrap().jobs(), 4096);
+    }
+
+    #[test]
+    fn list_flags_reject_empty_items() {
+        for args in [
+            &["characterize", "--opcodes", "MOVL,"][..],
+            &["characterize", "--modes", "register,,byte_disp"],
+            &["--fault-seed", "7", "--fault-classes", "parity,,smc"],
+        ] {
+            let err = parse_cmd(args).unwrap_err();
+            assert!(err.contains("has an empty item"), "{args:?}: {err}");
+        }
+    }
+
+    /// The subcommands that take spec flags: argv before the flags, the
+    /// start of their usage line, their spec kind, and the flags of that
+    /// kind they accept.
+    const SPEC_COMMANDS: [(&[&str], &str, &str, Accept); 5] = [
+        (&[], "usage: reproduce [", "run", every_flag),
+        (
+            &["characterize"],
+            "reproduce characterize",
+            "characterize",
+            every_flag,
+        ),
+        (&["refute"], "reproduce refute", "refute", every_flag),
+        (&["resume", "d"], "reproduce resume", "run", resume_flag),
+        (&["serve"], "reproduce serve", "run", serve_flag),
+    ];
+
+    /// `(argv text, JSON value)` pairs; the argv text of a switch is "".
+    type Values = Vec<(String, Json)>;
+
+    /// Values of a field at its bounds, which it accepts, and one past
+    /// them, which it rejects. `MAX_JSON_INT + 1` is no JSON integer, so
+    /// it is left out.
+    fn bounds(kind: Kind) -> (Values, Values) {
+        let int = |n: u64| (n.to_string(), Json::from(n));
+        let text = |t: &str, v: Json| (t.to_string(), v);
+        match kind {
+            Kind::Int(min, max) => (
+                vec![int(min), int(max)],
+                [
+                    min.checked_sub(1),
+                    (max < jobspec::MAX_JSON_INT).then_some(max + 1),
+                ]
+                .into_iter()
+                .flatten()
+                .map(int)
+                .collect(),
+            ),
+            Kind::Num => (
+                vec![text("0", Json::Num(0.0)), text("2.5", Json::Num(2.5))],
+                vec![text("-1", Json::Num(-1.0))],
+            ),
+            Kind::Switch => (vec![text("", Json::Bool(true))], vec![]),
+            Kind::Text(names) => (
+                vec![text(names[0], names[0].into())],
+                vec![text("nonsense", "nonsense".into())],
+            ),
+            Kind::List(_) => (
+                vec![],
+                vec![text("nonsense", Json::arr(["nonsense".into()]))],
+            ),
+            Kind::Secs | Kind::Object => (vec![], vec![]),
+        }
+    }
+
+    #[test]
+    fn the_field_table_drives_both_syntaxes() {
+        let usage = usage();
+        for (cmd, head, kind, accept) in SPEC_COMMANDS {
+            let line = usage.lines().find(|l| l.trim_start().starts_with(head));
+            let line = line.unwrap_or_else(|| panic!("no usage line for {head}"));
+            for f in jobspec::fields(kind).filter(|f| f.arg.is_some() && accept(f)) {
+                let flag = flag(f.key);
+                assert!(
+                    line.contains(&format!("[{flag}")),
+                    "{head}: no {flag} in {line}"
+                );
+                let argv = |raw: &str| -> Vec<String> {
+                    let value = (!raw.is_empty()).then(|| raw.to_string());
+                    [flag.clone()].into_iter().chain(value).collect()
+                };
+                let from_argv = |raw: &str| {
+                    let stray = |a: &str, _: &mut Args| Err(format!("stray '{a}'"));
+                    parse_spec(kind, &argv(raw), every_flag, stray).map(|(spec, _)| spec)
+                };
+                let from_json = |v: &Json| {
+                    let body = Json::obj([("kind", kind.into()), (f.key, v.clone())]);
+                    JobSpec::read(&body, Syntax::Json)
+                };
+                let (ok, bad) = bounds(f.kind);
+                for (raw, v) in ok {
+                    assert_eq!(from_argv(&raw), from_json(&v), "{kind} {flag} {raw}");
+                }
+                for (raw, v) in bad {
+                    let argv_err = from_argv(&raw).unwrap_err();
+                    let json_err = from_json(&v).unwrap_err();
+                    let quoted = format!("'{}'", f.key);
+                    assert_eq!(json_err.replace(&quoted, &flag), argv_err, "{kind} {raw}");
+                    // The subcommand's own parser says the same.
+                    let args = cmd.iter().map(|a| a.to_string()).chain(argv(&raw));
+                    let args: Vec<String> = args.collect();
+                    let err = parse_command(&args).unwrap_err();
+                    assert_eq!(err, argv_err, "{args:?}");
+                }
+            }
+        }
     }
 }

@@ -75,7 +75,7 @@ impl JobRequest {
     /// directory, except for `fig1`, which runs nothing.
     fn runtime_dir(&self) -> Option<&Path> {
         match self {
-            JobRequest::Run(o) | JobRequest::Resume(o) if o.experiment == "fig1" => None,
+            JobRequest::Run(o) | JobRequest::Resume(o) if o.spec.experiment == "fig1" => None,
             JobRequest::Run(o) | JobRequest::Resume(o) => o.out.as_deref(),
             JobRequest::Characterize(o) | JobRequest::Refute(o) => o.out.as_deref(),
         }
@@ -171,7 +171,7 @@ impl JobEngine {
         tracer: &Tracer,
     ) -> JobOutcome {
         let mut stdout = String::new();
-        if opts.experiment == "fig1" {
+        if opts.spec.experiment == "fig1" {
             stdout.push_str(&fig1());
             return JobOutcome {
                 code: 0,
@@ -448,7 +448,7 @@ fn render_and_export(
     // directory (--out if given, else the working directory); the top-N
     // report goes to stdout in text mode and stderr in json mode so the
     // machine-readable stream stays clean.
-    if opts.profile {
+    if opts.spec.profile {
         let profile = Profile::new(&out.cs.map, &out.analysis.m.hist);
         let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("."));
         if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -470,7 +470,7 @@ fn render_and_export(
             "wrote profile.folded and profile.json to {}",
             dir.display()
         ));
-        let report = profile.top_routines_report(opts.top);
+        let report = profile.top_routines_report(opts.spec.top as usize);
         match opts.format {
             Format::Text => {
                 let _ = writeln!(stdout, "{report}");
@@ -479,7 +479,7 @@ fn render_and_export(
         }
     }
 
-    if opts.per_workload {
+    if opts.spec.per_workload {
         let mut s = String::from("Per-workload CPI:\n");
         for (w, cpi) in &out.per_workload {
             s.push_str(&format!("  {:<34} {cpi:>6.2}\n", w.name()));
@@ -494,15 +494,16 @@ fn render_and_export(
 
     if opts.format == Format::Json {
         let manifest = RunManifest {
-            experiment: opts.experiment.clone(),
-            seed: Some(opts.seed),
-            instructions: opts.instructions,
-            warmup: opts.instructions / 10,
-            interval_cycles: opts.interval_cycles,
-            shards: opts.shards,
+            experiment: opts.spec.experiment.clone(),
+            seed: Some(opts.spec.seed),
+            instructions: opts.spec.instructions,
+            warmup: opts.spec.instructions / 10,
+            interval_cycles: opts.spec.interval_cycles,
+            shards: opts.spec.shards,
             config: "default VAX-11/780 configuration, 5-workload composite".to_string(),
-            fault_seed: opts.fault_seed,
+            fault_seed: opts.spec.fault_seed,
             fault_classes: opts
+                .spec
                 .fault_classes
                 .iter()
                 .map(|c| c.name().to_string())
@@ -548,7 +549,7 @@ fn render_and_export(
         return exit_code(opts, out);
     }
 
-    let rendered = match opts.experiment.as_str() {
+    let rendered = match opts.spec.experiment.as_str() {
         "all" => {
             let mut s = fig1();
             s.push('\n');
@@ -576,7 +577,7 @@ fn render_and_export(
 /// partial results are still worth exiting 0 for, and the manifest records
 /// the damage.
 fn exit_code(opts: &Options, out: &RunOutput) -> i32 {
-    if !out.validation.is_clean() || (opts.strict && out.degraded) {
+    if !out.validation.is_clean() || (opts.spec.strict && out.degraded) {
         1
     } else {
         0

@@ -1,32 +1,30 @@
-//! Flags shared by every `reproduce` frontend, parsed in one place.
+//! Frontend flags shared by every `reproduce` subcommand, and the
+//! argument helpers of the parsers.
 //!
 //! The run, resume, characterize, refute, and serve subcommands all accept
-//! the same engine-level knobs (`--jobs`, `--retries`, `--trace-out`,
-//! `--progress`, `--quiet`/`--verbose`). Before this module each parser
-//! re-implemented them — identical match arms with identical validation in
-//! three places, one divergence away from the subcommands disagreeing
-//! about what `--jobs 0` means. [`CommonOpts::try_parse`] is now the only
-//! implementation; each subcommand parser offers every unrecognized flag
-//! to it first and keeps only its command-specific arms.
+//! the same narration and tracing flags (`--trace-out`, `--progress`,
+//! `--quiet`/`--verbose`). [`CommonOpts::try_parse`] is their only
+//! implementation; each subcommand parser offers it every argument that
+//! is not a spec flag and keeps only its command-specific arms. Spec
+//! flags (`--jobs`, `--retries` and the experiment definition) are not
+//! here: they come from the field tables of `crate::jobspec`, which
+//! validate them exactly as they validate a JSON spec.
 //!
-//! The shared numeric helpers (`parse_u64`, `parse_f64`, …) live here too.
-//! They share their bounds with the `JobSpec` decoder (`crate::jobspec`):
-//! no integer above [`MAX_JSON_INT`], `--retries` up to [`MAX_RETRIES`]
-//! and `--shards` up to `MAX_GRID`. So every run the CLI accepts has a
-//! spec, and its checkpoint header can carry it to a resume.
+//! `parse_u64` caps integers at [`MAX_JSON_INT`], so every integer the
+//! command line accepts fits a spec, and `--shard-timeout` follows the
+//! rule of a spec's `deadline_secs`.
 
 use std::path::PathBuf;
 
-use crate::jobspec::{MAX_JSON_INT, MAX_RETRIES};
+use crate::jobspec::{Kind, Syntax, MAX_JSON_INT};
 use crate::progress::Verbosity;
 
-/// The engine-level flags every grid-running subcommand shares.
+/// The arguments after the one being parsed.
+pub type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The narration and tracing flags every grid-running subcommand shares.
 #[derive(Debug, Clone, Default)]
 pub struct CommonOpts {
-    /// `--jobs N` (worker threads, ≥ 1); `None` when not given.
-    pub jobs: Option<usize>,
-    /// `--retries N` (extra attempts per failing cell).
-    pub retries: Option<u32>,
     /// `--trace-out FILE` (Chrome-trace export; enables the tracer).
     pub trace_out: Option<PathBuf>,
     /// `--progress[=MS]` (stderr heartbeat period; enables the tracer).
@@ -36,38 +34,16 @@ pub struct CommonOpts {
 }
 
 impl CommonOpts {
-    /// Offer `args[*i]` to the shared parser. Consumes the flag (and its
-    /// value, advancing `*i` past both) and returns `Ok(true)` when it is
-    /// one of the shared flags; returns `Ok(false)` untouched otherwise.
+    /// Offer `arg` to the shared parser. Consumes the flag (and its value
+    /// from `rest`) and returns `Ok(true)` when it is one of the shared
+    /// flags; returns `Ok(false)`, consuming nothing, otherwise.
     ///
     /// # Errors
     /// Returns the standard message for a shared flag with a missing or
     /// invalid value.
-    pub fn try_parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        match args[*i].as_str() {
-            "--jobs" => {
-                *i += 1;
-                let n = parse_u64("--jobs", args.get(*i))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                self.jobs = Some(n as usize);
-            }
-            "--retries" => {
-                *i += 1;
-                let n = parse_u64("--retries", args.get(*i))?;
-                if n > MAX_RETRIES {
-                    return Err(format!("--retries must be at most {MAX_RETRIES}"));
-                }
-                self.retries = Some(n as u32);
-            }
-            "--trace-out" => {
-                *i += 1;
-                let file = args
-                    .get(*i)
-                    .ok_or_else(|| "--trace-out requires a file path".to_string())?;
-                self.trace_out = Some(PathBuf::from(file));
-            }
+    pub fn try_parse(&mut self, arg: &str, rest: &mut Args) -> Result<bool, String> {
+        match arg {
+            "--trace-out" => self.trace_out = Some(value(arg, rest, "a file path")?.into()),
             flag if flag == "--progress" || flag.starts_with("--progress=") => {
                 self.progress_ms = Some(parse_progress(flag)?);
             }
@@ -75,7 +51,6 @@ impl CommonOpts {
             "--verbose" => self.verbose = true,
             _ => return Ok(false),
         }
-        *i += 1;
         Ok(true)
     }
 
@@ -95,6 +70,15 @@ impl CommonOpts {
             Verbosity::Normal
         })
     }
+}
+
+/// The value of flag `arg`, taken from `rest`; `what` names what the flag
+/// needs when the value is missing.
+///
+/// # Errors
+/// Returns "`arg` requires `what`" when `rest` is empty.
+pub fn value<'a>(arg: &str, rest: &mut Args<'a>, what: &str) -> Result<&'a String, String> {
+    rest.next().ok_or_else(|| format!("{arg} requires {what}"))
 }
 
 /// Parse a flag's value as a non-negative integer up to [`MAX_JSON_INT`].
@@ -138,13 +122,13 @@ pub fn parse_progress(arg: &str) -> Result<u64, String> {
     }
 }
 
-/// Parse `--shard-timeout` (seconds, strictly positive).
+/// Parse `--shard-timeout` (seconds) by the rule of a spec's
+/// `deadline_secs`: `0 < x ≤ MAX_DEADLINE_SECS`, so the per-attempt
+/// watchdog can always be armed.
 pub fn parse_shard_timeout(value: Option<&String>) -> Result<f64, String> {
-    let v = parse_f64("--shard-timeout", value)?;
-    if v <= 0.0 {
-        return Err("--shard-timeout must be greater than zero".to_string());
-    }
-    Ok(v)
+    let secs = Kind::Secs.parse_arg("shard_timeout", value)?;
+    let secs = Kind::Secs.check("shard_timeout", &secs, Syntax::Argv)?;
+    Ok(secs.as_f64().unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -157,14 +141,14 @@ mod tests {
 
     #[test]
     fn consumes_shared_flags_and_advances() {
-        let args = argv(&["--jobs", "4", "--retries", "2", "--progress=250"]);
+        let args = argv(&["--trace-out", "t.json", "--quiet", "--progress=250"]);
         let mut c = CommonOpts::default();
-        let mut i = 0;
-        while i < args.len() {
-            assert!(c.try_parse(&args, &mut i).unwrap(), "all flags are shared");
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            assert!(c.try_parse(arg, &mut rest).unwrap(), "all flags are shared");
         }
-        assert_eq!(c.jobs, Some(4));
-        assert_eq!(c.retries, Some(2));
+        assert_eq!(c.trace_out, Some(PathBuf::from("t.json")));
+        assert_eq!(c.verbosity().unwrap(), Verbosity::Quiet);
         assert_eq!(c.progress_ms, Some(250));
     }
 
@@ -172,19 +156,18 @@ mod tests {
     fn leaves_foreign_flags_untouched() {
         let args = argv(&["--shards", "2"]);
         let mut c = CommonOpts::default();
-        let mut i = 0;
-        assert!(!c.try_parse(&args, &mut i).unwrap());
-        assert_eq!(i, 0, "a rejected flag must not consume anything");
+        let mut rest = args.iter();
+        let arg = rest.next().unwrap();
+        assert!(!c.try_parse(arg, &mut rest).unwrap());
+        assert_eq!(rest.len(), 1, "a rejected flag must not consume anything");
     }
 
     #[test]
     fn shared_validation_rules() {
         let mut c = CommonOpts::default();
-        let mut i = 0;
-        let err = c.try_parse(&argv(&["--jobs", "0"]), &mut i).unwrap_err();
-        assert!(err.contains("--jobs must be at least 1"), "{err}");
-        let mut i = 0;
-        let err = c.try_parse(&argv(&["--trace-out"]), &mut i).unwrap_err();
+        let err = c.try_parse("--progress=0", &mut [].iter()).unwrap_err();
+        assert!(err.contains("at least 1 ms"), "{err}");
+        let err = c.try_parse("--trace-out", &mut [].iter()).unwrap_err();
         assert!(err.contains("file path"), "{err}");
     }
 
@@ -192,11 +175,28 @@ mod tests {
     fn verbosity_resolution() {
         let mut c = CommonOpts::default();
         assert_eq!(c.verbosity().unwrap(), Verbosity::Normal);
-        let mut i = 0;
-        c.try_parse(&argv(&["--quiet"]), &mut i).unwrap();
+        c.try_parse("--quiet", &mut [].iter()).unwrap();
         assert_eq!(c.verbosity().unwrap(), Verbosity::Quiet);
-        let mut i = 0;
-        c.try_parse(&argv(&["--verbose"]), &mut i).unwrap();
+        c.try_parse("--verbose", &mut [].iter()).unwrap();
         assert!(c.verbosity().is_err(), "quiet+verbose conflict");
+    }
+
+    #[test]
+    fn shard_timeout_follows_the_deadline_rule() {
+        let arg = |v: &str| parse_shard_timeout(Some(&v.to_string()));
+        assert_eq!(arg("1.5"), Ok(1.5));
+        assert_eq!(arg("1e9"), Ok(1e9), "the bound itself is valid");
+        for (bad, why) in [
+            ("0", "--shard-timeout must be greater than zero"),
+            ("1e300", "--shard-timeout must be at most 1e9"),
+            (
+                "inf",
+                "--shard-timeout must be a finite non-negative number",
+            ),
+            ("abc", "invalid value for --shard-timeout: 'abc'"),
+        ] {
+            let err = arg(bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 }

@@ -49,15 +49,23 @@ pub fn cell_path(out: &Path, workload: u64, shard: u64) -> PathBuf {
 }
 
 /// The checkpoint header of run `opts`: its output format beside its
-/// experiment definition (see the module docs).
+/// experiment definition, the run's spec with the runtime fields unset
+/// (see the module docs).
 pub fn header_json(opts: &Options) -> Json {
     let format = match opts.format {
         Format::Text => "text",
         Format::Json => "json",
     };
+    let definition = RunSpec {
+        jobs: None,
+        retries: None,
+        deadline_secs: None,
+        strict: false,
+        ..opts.spec.clone()
+    };
     Json::obj([
         ("format", format.into()),
-        ("spec", JobSpec::Run(RunSpec::from_options(opts)).encode()),
+        ("spec", JobSpec::Run(definition).encode()),
     ])
 }
 
@@ -102,16 +110,17 @@ pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
             spec.kind()
         ));
     }
-    Ok(Options {
+    let mut opts = Options {
         format,
         out: Some(resume.dir.clone()),
         verbosity: resume.verbosity,
         shard_timeout_secs: resume.shard_timeout_secs,
-        strict: resume.strict,
         trace_out: resume.trace_out.clone(),
         progress_ms: resume.progress_ms,
         ..spec.to_run_options(resume.jobs, resume.retries)
-    })
+    };
+    opts.spec.strict = resume.strict;
+    Ok(opts)
 }
 
 /// Load every parseable cell checkpoint of the `Workload::ALL.len() ×
@@ -193,9 +202,9 @@ mod tests {
         let back = options_from_header(&resume_opts(&dir)).unwrap();
         assert_eq!(header_json(&back).to_string_pretty(), text);
         assert_eq!(back.format, opts.format);
-        assert_eq!((back.jobs, back.retries), (3, 2));
+        assert_eq!((back.jobs(), back.retries()), (3, 2));
         assert_eq!(back.shard_timeout_secs, Some(9.0));
-        assert!(back.strict);
+        assert!(back.spec.strict);
         assert_eq!(back.verbosity, Verbosity::Quiet);
         assert_eq!(back.out.as_deref(), Some(dir.as_path()));
         assert!(back.inject_panic.is_none() && back.bench_out.is_none());
@@ -206,22 +215,25 @@ mod tests {
     #[test]
     fn header_is_a_run_spec_that_round_trips_through_options() {
         let opts = Options {
-            instructions: 123_456,
-            seed: 99,
-            shards: 4,
-            experiment: "table8".to_string(),
+            spec: RunSpec {
+                instructions: 123_456,
+                seed: 99,
+                shards: 4,
+                experiment: "table8".to_string(),
+                interval_cycles: 7_000,
+                per_workload: true,
+                profile: true,
+                top: 11,
+                flight_recorder: 64,
+                fault_seed: Some(42),
+                fault_classes: vec![FaultClass::Parity, FaultClass::Smc],
+                // Runtime knobs: none of them may reach the header.
+                jobs: Some(8),
+                retries: Some(5),
+                strict: true,
+                ..RunSpec::default()
+            },
             format: Format::Json,
-            interval_cycles: 7_000,
-            per_workload: true,
-            profile: true,
-            top: 11,
-            flight_recorder: 64,
-            fault_seed: Some(42),
-            fault_classes: vec![FaultClass::Parity, FaultClass::Smc],
-            // Runtime knobs: none of them may reach the header.
-            jobs: 8,
-            retries: 5,
-            strict: true,
             ..Options::default()
         };
         let header = header_json(&opts);
@@ -244,7 +256,7 @@ mod tests {
         // So do the extremes the CLI accepts.
         let argv = ["--seed", "9223372036854775807", "--shards", "4096"].map(String::from);
         let back = round_trip("extremes", &crate::cli::parse_args(&argv).unwrap());
-        assert_eq!((back.seed, back.shards), (i64::MAX as u64, 4096));
+        assert_eq!((back.spec.seed, back.spec.shards), (i64::MAX as u64, 4096));
     }
 
     #[test]

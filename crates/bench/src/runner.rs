@@ -91,9 +91,9 @@ struct CellData {
 ///
 /// Warmup is `instructions / 10` per shard (not measured); the cell at
 /// `(workload w, shard s)` is seeded with
-/// `SeedStream::new(seed).stream(w).stream(s)`. Up to `opts.jobs` shards
+/// `SeedStream::new(seed).stream(w).stream(s)`. Up to `opts.jobs()` shards
 /// run concurrently; results are reduced in grid-index order so the output
-/// does not depend on `opts.jobs`. When `opts.flight_recorder > 0` every
+/// does not depend on `opts.jobs()`. When `opts.spec.flight_recorder > 0` every
 /// shard gets its own recorder of that capacity. When `opts.out` is set the
 /// run journals checkpoints for [`resume_composite`]; any stale journal in
 /// that directory is cleared first.
@@ -112,7 +112,7 @@ struct CellData {
 /// misses).
 ///
 /// # Panics
-/// Panics if `opts.jobs == 0` or `opts.shards == 0` (the CLI rejects both
+/// Panics if `opts.jobs() == 0` or `opts.spec.shards == 0` (the CLI rejects both
 /// up front). A worker panic no longer propagates — it is retried and, on
 /// exhaustion, quarantined into [`RunOutput::failed_cells`].
 pub fn run_composite(
@@ -121,14 +121,17 @@ pub fn run_composite(
     tracer: &Tracer,
     caches: &WarmCaches,
 ) -> RunOutput {
-    assert!(opts.shards > 0, "run_composite: shards must be at least 1");
+    assert!(
+        opts.spec.shards > 0,
+        "run_composite: shards must be at least 1"
+    );
     // A fresh run must not inherit cells journaled by an earlier run in
     // the same directory (a previous grid may have been larger, and its
     // leftover cells would satisfy a later resume with foreign data).
     if let Some(out) = &opts.out {
         let _ = std::fs::remove_dir_all(checkpoints_dir(out));
     }
-    let cells = vec![None; Workload::ALL.len() * opts.shards as usize];
+    let cells = vec![None; Workload::ALL.len() * opts.spec.shards as usize];
     run_grid(opts, progress, cells, tracer, caches)
 }
 
@@ -152,7 +155,7 @@ pub fn resume_composite(
         .out
         .as_deref()
         .expect("resume_composite: opts.out names the run directory");
-    let cells = load_cells(dir, opts.shards, progress);
+    let cells = load_cells(dir, opts.spec.shards, progress);
     let done = cells.iter().filter(|c| c.is_some()).count();
     progress.info(&format!(
         "resuming from {}: {done}/{} cells checkpointed",
@@ -170,19 +173,19 @@ fn run_grid(
     tracer: &Tracer,
     caches: &WarmCaches,
 ) -> RunOutput {
-    let instructions = opts.instructions;
-    let seed = opts.seed;
-    let shards = opts.shards as usize;
+    let instructions = opts.spec.instructions;
+    let seed = opts.spec.seed;
+    let shards = opts.spec.shards as usize;
     assert_eq!(preloaded.len(), Workload::ALL.len() * shards);
     tracer.set_thread_name(MAIN_TID, "main");
     let run_span = tracer.span(
         MAIN_TID,
         "run",
         vec![
-            ("experiment", opts.experiment.as_str().into()),
+            ("experiment", opts.spec.experiment.as_str().into()),
             ("seed", seed.into()),
-            ("shards", opts.shards.into()),
-            ("jobs", opts.jobs.into()),
+            ("shards", opts.spec.shards.into()),
+            ("jobs", opts.jobs().into()),
             ("instructions", instructions.into()),
         ],
     );
@@ -194,10 +197,10 @@ fn run_grid(
     progress.info(&format!(
         "running 5 workloads x {shards} shard(s) x {instructions} instructions \
          (seed {seed}, {} job(s)) ...",
-        opts.jobs
+        opts.jobs()
     ));
-    if let Some(fault_seed) = opts.fault_seed {
-        let classes: Vec<&str> = opts.fault_classes.iter().map(|c| c.name()).collect();
+    if let Some(fault_seed) = opts.spec.fault_seed {
+        let classes: Vec<&str> = opts.spec.fault_classes.iter().map(|c| c.name()).collect();
         progress.info(&format!(
             "injecting faults: seed {fault_seed}, classes [{}]",
             classes.join(", ")
@@ -228,20 +231,20 @@ fn run_grid(
     let todo: Vec<ShardJob> = Workload::ALL
         .iter()
         .enumerate()
-        .flat_map(|(w, &workload)| (0..opts.shards).map(move |shard| (w, workload, shard)))
+        .flat_map(|(w, &workload)| (0..opts.spec.shards).map(move |shard| (w, workload, shard)))
         .filter(|&(w, _, shard)| slots[w * shards + shard as usize].is_none())
         .map(|(w, workload, shard)| ShardJob {
             workload,
             workload_index: w as u64,
             shard,
-            recorder: SharedFlightRecorder::with_capacity(opts.flight_recorder),
+            recorder: SharedFlightRecorder::with_capacity(opts.spec.flight_recorder as usize),
         })
         .collect();
 
     let outcome = run_supervised(
-        opts.jobs,
+        opts.jobs(),
         &todo,
-        opts.retries,
+        opts.retries(),
         tracer,
         run_span.id(),
         &opts.cancel,
@@ -278,13 +281,13 @@ fn run_grid(
                 system.cpu.flight = job.recorder.clone();
             }
             let mut fault_count = 0u64;
-            if let Some(fault_seed) = opts.fault_seed {
+            if let Some(fault_seed) = opts.spec.fault_seed {
                 let plan = FaultPlan::generate(
                     fault_seed,
                     job.workload_index as usize,
                     job.shard as usize,
                     instructions,
-                    &opts.fault_classes,
+                    &opts.spec.fault_classes,
                 );
                 fault_count = plan.len() as u64;
                 system.install_fault_plan(plan);
@@ -296,7 +299,7 @@ fn run_grid(
             }
             let (m, series) = {
                 let _g = tracer.span(tid, "simulate", vec![]);
-                system.measure_sampled(instructions / 10, instructions, opts.interval_cycles)
+                system.measure_sampled(instructions / 10, instructions, opts.spec.interval_cycles)
             };
             // Counters are recorded only after a *successful* measurement,
             // so a retried attempt never double-counts and runtime.json

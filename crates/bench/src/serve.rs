@@ -1000,7 +1000,7 @@ fn build_request(
                 let path = dir.join("model.json");
                 write_atomic(&path, &model.to_string_pretty())
                     .map_err(|e| format!("cannot write model.json: {e}"))?;
-                ch.model = Some(path);
+                ch.model_file = Some(path);
             }
             Ok(JobRequest::Refute(ch))
         }
@@ -1768,11 +1768,15 @@ mod tests {
         let JobRequest::Resume(o) = req else {
             panic!("a recovered run job must resume, got {req:?}");
         };
-        assert!(o.strict, "the spec's strict survives a restart");
-        assert_eq!((o.jobs, o.retries), (2, 3), "the spec's, not the server's");
+        assert!(o.spec.strict, "the spec's strict survives a restart");
+        assert_eq!(
+            (o.jobs(), o.retries()),
+            (2, 3),
+            "the spec's, not the server's"
+        );
         assert_eq!(o.format, Format::Json);
         assert_eq!(o.out.as_deref(), Some(dir.as_path()));
-        assert_eq!(o.instructions, 2000);
+        assert_eq!(o.spec.instructions, 2000);
         let fresh = build_request(&spec, &dir, false, &server, &CancelToken::default());
         assert!(matches!(fresh, Ok(JobRequest::Run(_))));
     }

@@ -2,9 +2,11 @@
 //! encode → decode → encode is byte-stable. This is what lets a job
 //! directory's `spec.json` serve as the job's identity: re-submitting it
 //! produces the same canonical bytes, and any textual difference between
-//! two spec files is a real difference in the experiment.
+//! two spec files is a real difference in the experiment. The canonical
+//! bytes themselves are pinned too.
 
 use vax780::FaultClass;
+use vax_analysis::Json;
 use vax_bench::jobspec::{JobSpec, ProbeSpec, RefuteSpec, RunSpec};
 
 /// SplitMix64 — enough randomness for a property sweep, no dependencies.
@@ -162,4 +164,90 @@ fn decoding_is_idempotent_under_field_reordering() {
     let canonical = spec.encode().to_string_pretty();
     let again = JobSpec::decode(&canonical).unwrap();
     assert_eq!(again.encode().to_string_pretty(), canonical);
+}
+
+/// The canonical encodings of [`pinned_specs`], byte for byte. These bytes
+/// are in every `spec.json`, daemon journal and checkpoint header, so a
+/// change here is a format change. Each spec's fields of one type hold
+/// distinct values, so two fields swapped in the codec change the bytes
+/// even where the round trip would not notice.
+const PINNED: [&str; 7] = [
+    r#"{"format_version":1,"kind":"run","jobs":null,"retries":null,"deadline_secs":null,"instructions":1000000,"seed":1984,"shards":1,"experiment":"all","per_workload":false,"interval_cycles":500000,"profile":false,"top":20,"flight_recorder":0,"fault_seed":null,"fault_classes":[],"strict":false}"#,
+    r#"{"format_version":1,"kind":"characterize","jobs":null,"retries":null,"deadline_secs":null,"opcodes":[],"modes":[],"reps":8,"iters":64,"warmup":2000}"#,
+    r#"{"format_version":1,"kind":"refute","jobs":null,"retries":null,"deadline_secs":null,"opcodes":[],"modes":[],"reps":8,"iters":64,"warmup":2000,"abs_tol":0.5,"rel_tol":0.01,"max_refutations":8,"model":null}"#,
+    r#"{"format_version":1,"kind":"run","jobs":3,"retries":2,"deadline_secs":2.5,"instructions":60000,"seed":7,"shards":5,"experiment":"table2","per_workload":true,"interval_cycles":10000,"profile":false,"top":11,"flight_recorder":64,"fault_seed":9,"fault_classes":["parity","smc"],"strict":true}"#,
+    r#"{"format_version":1,"kind":"run","jobs":null,"retries":null,"deadline_secs":null,"instructions":1000000,"seed":1984,"shards":1,"experiment":"all","per_workload":false,"interval_cycles":500000,"profile":true,"top":20,"flight_recorder":0,"fault_seed":0,"fault_classes":["parity","tb-storm","hw-burst","sw-burst","smc"],"strict":true}"#,
+    r#"{"format_version":1,"kind":"characterize","jobs":2,"retries":1,"deadline_secs":1.5,"opcodes":["MOVL","ADDL2"],"modes":["register","byte_disp"],"reps":4,"iters":32,"warmup":500}"#,
+    r#"{"format_version":1,"kind":"refute","jobs":4,"retries":0,"deadline_secs":null,"opcodes":["CMPL"],"modes":[],"reps":3,"iters":16,"warmup":100,"abs_tol":0.25,"rel_tol":0.05,"max_refutations":3,"model":{"format":"vax-characterize/v1","cells":[]}}"#,
+];
+
+/// The default of each kind, a run with every field set (and its switches
+/// mixed, completed by a second run), a filtered characterize, and a
+/// refute with an inline model.
+fn pinned_specs() -> [JobSpec; 7] {
+    [
+        JobSpec::Run(RunSpec::default()),
+        JobSpec::Characterize(ProbeSpec::default()),
+        JobSpec::Refute(RefuteSpec::default()),
+        JobSpec::Run(RunSpec {
+            jobs: Some(3),
+            retries: Some(2),
+            deadline_secs: Some(2.5),
+            instructions: 60_000,
+            seed: 7,
+            shards: 5,
+            experiment: "table2".to_string(),
+            per_workload: true,
+            interval_cycles: 10_000,
+            profile: false,
+            top: 11,
+            flight_recorder: 64,
+            fault_seed: Some(9),
+            fault_classes: vec![FaultClass::Parity, FaultClass::Smc],
+            strict: true,
+        }),
+        JobSpec::Run(RunSpec {
+            profile: true,
+            strict: true,
+            fault_seed: Some(0),
+            fault_classes: FaultClass::ALL.to_vec(),
+            ..RunSpec::default()
+        }),
+        JobSpec::Characterize(ProbeSpec {
+            jobs: Some(2),
+            retries: Some(1),
+            deadline_secs: Some(1.5),
+            opcodes: vec!["MOVL".to_string(), "ADDL2".to_string()],
+            modes: vec!["register".to_string(), "byte_disp".to_string()],
+            reps: 4,
+            iters: 32,
+            warmup: 500,
+        }),
+        JobSpec::Refute(RefuteSpec {
+            probe: ProbeSpec {
+                jobs: Some(4),
+                retries: Some(0),
+                opcodes: vec!["CMPL".to_string()],
+                reps: 3,
+                iters: 16,
+                warmup: 100,
+                ..ProbeSpec::default()
+            },
+            abs_tol: 0.25,
+            rel_tol: 0.05,
+            max_refutations: 3,
+            model: Some(Json::obj([
+                ("format", Json::from("vax-characterize/v1")),
+                ("cells", Json::arr([])),
+            ])),
+        }),
+    ]
+}
+
+#[test]
+fn canonical_bytes_are_pinned() {
+    for (spec, pinned) in pinned_specs().iter().zip(PINNED) {
+        assert_eq!(spec.encode().to_string_compact(), pinned);
+        assert_eq!(JobSpec::decode(pinned).unwrap(), *spec, "{pinned}");
+    }
 }

@@ -319,6 +319,31 @@ fn health_endpoints_report_ready_and_drain() {
 }
 
 #[test]
+fn an_out_of_range_spec_is_refused_and_the_daemon_stays_up() {
+    // A ring this large used to be accepted, then abort the worker while
+    // reserving it; the journal replayed the abort on every restart.
+    let root = scratch("bounds");
+    let daemon = start_daemon(&root);
+    let spec = r#"{"kind":"run","instructions":1000,"flight_recorder":9223372036854775807}"#;
+    let (status, body) = http_text(&daemon.addr, "POST", "/jobs", Some(spec));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("'flight_recorder' must be at most 4096"),
+        "{body}"
+    );
+    let (status, body) = http_text(&daemon.addr, "GET", "/healthz", None);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"ready\""), "{body}");
+    let journal = std::fs::read_to_string(root.join("journal.ndjson")).unwrap_or_default();
+    assert!(
+        journal.is_empty(),
+        "a refused spec is never journaled: {journal}"
+    );
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn connection_cap_sheds_load_with_retry_after() {
     let root = scratch("conncap");
     let mut daemon = start_daemon_with(&root, &["--max-connections", "2"]);

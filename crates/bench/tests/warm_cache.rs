@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use vax_bench::cache::CacheCounts;
 use vax_bench::cli::{Format, Options};
 use vax_bench::engine::{JobEngine, JobRequest};
+use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::Verbosity;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -21,9 +22,12 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn small_run(out: &Path) -> Options {
     Options {
-        instructions: 2_000,
-        seed: 42,
-        shards: 2,
+        spec: RunSpec {
+            instructions: 2_000,
+            seed: 42,
+            shards: 2,
+            ..RunSpec::default()
+        },
         format: Format::Json,
         out: Some(out.to_path_buf()),
         verbosity: Verbosity::Quiet,
@@ -115,10 +119,10 @@ fn distinct_experiments_do_not_cross_contaminate() {
     let dir_b = scratch("seed-b");
     let engine = JobEngine::new();
     let mut run_a = small_run(&dir_a);
-    run_a.shards = 1;
+    run_a.spec.shards = 1;
     let mut run_b = small_run(&dir_b);
-    run_b.shards = 1;
-    run_b.seed = 43;
+    run_b.spec.shards = 1;
+    run_b.spec.seed = 43;
     assert_eq!(engine.execute(&JobRequest::Run(run_a)).code, 0);
     assert_eq!(engine.execute(&JobRequest::Run(run_b)).code, 0);
     assert_eq!(

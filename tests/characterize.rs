@@ -17,6 +17,7 @@ use vax_arch::{decode, Opcode};
 use vax_asm::{probe_grid, probe_loop};
 use vax_bench::charrun::{run_characterize, run_refute};
 use vax_bench::cli::CharacterizeOptions;
+use vax_bench::jobspec::{ProbeSpec, RefuteSpec};
 use vax_bench::progress::{Progress, Verbosity};
 use vax_trace::Tracer;
 
@@ -30,12 +31,18 @@ fn quiet() -> Progress {
 /// loops stay strictly periodic.
 fn subset_opts() -> CharacterizeOptions {
     CharacterizeOptions {
-        opcodes: ["MOVL", "ADDL2", "CLRL", "INCL", "BICL2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        reps: 4,
-        iters: 16,
+        spec: RefuteSpec {
+            probe: ProbeSpec {
+                opcodes: ["MOVL", "ADDL2", "CLRL", "INCL", "BICL2"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect(),
+                reps: 4,
+                iters: 16,
+                ..ProbeSpec::default()
+            },
+            ..RefuteSpec::default()
+        },
         verbosity: Verbosity::Quiet,
         ..CharacterizeOptions::default()
     }
@@ -101,9 +108,9 @@ fn every_probeable_grid_cell_round_trips_through_the_decoder() {
 #[test]
 fn cost_table_is_byte_identical_across_job_counts() {
     let mut serial = subset_opts();
-    serial.jobs = 1;
+    serial.spec.probe.jobs = Some(1);
     let mut fanned = subset_opts();
-    fanned.jobs = 4;
+    fanned.spec.probe.jobs = Some(4);
     let a = run_characterize(&serial, &quiet(), &Tracer::disabled());
     let b = run_characterize(&fanned, &quiet(), &Tracer::disabled());
     assert!(a.failed_cells.is_empty() && b.failed_cells.is_empty());
@@ -120,10 +127,16 @@ fn ediv_cells_characterize_with_none_quarantined() {
     // EDIV's execute phase (26 cycles) is longer than the FLOAT region (24
     // µops); it must loop on the region's last µop instead of overrunning it.
     let opts = CharacterizeOptions {
-        opcodes: vec!["EDIV".to_string()],
-        reps: 4,
-        iters: 16,
-        jobs: 2,
+        spec: RefuteSpec {
+            probe: ProbeSpec {
+                opcodes: vec!["EDIV".to_string()],
+                reps: 4,
+                iters: 16,
+                jobs: Some(2),
+                ..ProbeSpec::default()
+            },
+            ..RefuteSpec::default()
+        },
         verbosity: Verbosity::Quiet,
         ..CharacterizeOptions::default()
     };
@@ -146,7 +159,7 @@ fn refute_catches_and_minimizes_a_seeded_model_error() {
 
     // Measure the truth, then claim two extra data reads for one cell.
     let mut opts = subset_opts();
-    opts.modes = vec!["register".into(), "register_deferred".into()];
+    opts.spec.probe.modes = vec!["register".into(), "register_deferred".into()];
     let truth = run_characterize(&opts, &quiet(), &Tracer::disabled());
     assert!(truth.failed_cells.is_empty());
     let mut model = truth.table.clone();
@@ -161,7 +174,7 @@ fn refute_catches_and_minimizes_a_seeded_model_error() {
     std::fs::write(&model_path, vax_analysis::costs_json(&model)).unwrap();
 
     let mut ropts = opts.clone();
-    ropts.model = Some(model_path);
+    ropts.model_file = Some(model_path);
     ropts.fixtures = Some(dir.join("refutations"));
     let out = run_refute(&ropts, &quiet(), &Tracer::disabled()).unwrap();
     assert_eq!(out.refuted_cells.len(), 1, "{:?}", out.refuted_cells);
@@ -220,12 +233,18 @@ fn golden_path() -> PathBuf {
 /// with the `characterize-smoke` CI job and `docs/CHARACTERIZATION.md`.
 fn golden_options() -> CharacterizeOptions {
     CharacterizeOptions {
-        opcodes: ["MOVL", "ADDL2", "CLRL"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        reps: 4,
-        iters: 16,
+        spec: RefuteSpec {
+            probe: ProbeSpec {
+                opcodes: ["MOVL", "ADDL2", "CLRL"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect(),
+                reps: 4,
+                iters: 16,
+                ..ProbeSpec::default()
+            },
+            ..RefuteSpec::default()
+        },
         verbosity: Verbosity::Quiet,
         ..CharacterizeOptions::default()
     }

@@ -15,6 +15,7 @@ use vax_analysis::{diff_json, timeseries_from_json, Json, Profile, Tolerance};
 use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::diffcmd::{diff_run_dirs, FileDiff};
+use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner;
 use vax_trace::Tracer;
@@ -26,9 +27,12 @@ fn fixture_dir() -> PathBuf {
 /// The parameters `golden-small` was generated with (see docs/TELEMETRY.md).
 fn fixture_options() -> Options {
     Options {
-        instructions: 2000,
-        seed: 1984,
-        interval_cycles: 5000,
+        spec: RunSpec {
+            instructions: 2000,
+            seed: 1984,
+            interval_cycles: 5000,
+            ..RunSpec::default()
+        },
         ..Options::default()
     }
 }
@@ -123,15 +127,16 @@ fn committed_fixture_matches_a_fresh_run() {
     assert!(out.validation.is_clean());
 
     let manifest = vax_analysis::RunManifest {
-        experiment: opts.experiment.clone(),
-        seed: Some(opts.seed),
-        instructions: opts.instructions,
-        warmup: opts.instructions / 10,
-        interval_cycles: opts.interval_cycles,
-        shards: opts.shards,
+        experiment: opts.spec.experiment.clone(),
+        seed: Some(opts.spec.seed),
+        instructions: opts.spec.instructions,
+        warmup: opts.spec.instructions / 10,
+        interval_cycles: opts.spec.interval_cycles,
+        shards: opts.spec.shards,
         config: "default VAX-11/780 configuration, 5-workload composite".to_string(),
-        fault_seed: opts.fault_seed,
+        fault_seed: opts.spec.fault_seed,
         fault_classes: opts
+            .spec
             .fault_classes
             .iter()
             .map(|c| c.name().to_string())

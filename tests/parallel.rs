@@ -6,17 +6,21 @@
 use vax_analysis::RunManifest;
 use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
+use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
 use vax_trace::Tracer;
 
 fn run_with_jobs(jobs: usize, shards: u64) -> (RunOutput, Vec<(&'static str, String)>) {
     let opts = Options {
-        instructions: 1_500,
-        seed: 42,
-        interval_cycles: 5_000,
-        jobs,
-        shards,
+        spec: RunSpec {
+            instructions: 1_500,
+            seed: 42,
+            interval_cycles: 5_000,
+            jobs: Some(jobs as u64),
+            shards,
+            ..RunSpec::default()
+        },
         ..Options::default()
     };
     let out = runner::run_composite(
@@ -26,15 +30,16 @@ fn run_with_jobs(jobs: usize, shards: u64) -> (RunOutput, Vec<(&'static str, Str
         &WarmCaches::new(),
     );
     let manifest = RunManifest {
-        experiment: opts.experiment.clone(),
-        seed: Some(opts.seed),
-        instructions: opts.instructions,
-        warmup: opts.instructions / 10,
-        interval_cycles: opts.interval_cycles,
-        shards: opts.shards,
+        experiment: opts.spec.experiment.clone(),
+        seed: Some(opts.spec.seed),
+        instructions: opts.spec.instructions,
+        warmup: opts.spec.instructions / 10,
+        interval_cycles: opts.spec.interval_cycles,
+        shards: opts.spec.shards,
         config: "default VAX-11/780 configuration, 5-workload composite".to_string(),
-        fault_seed: opts.fault_seed,
+        fault_seed: opts.spec.fault_seed,
         fault_classes: opts
+            .spec
             .fault_classes
             .iter()
             .map(|c| c.name().to_string())

@@ -15,6 +15,7 @@ use vax780::FaultClass;
 use vax_analysis::RunManifest;
 use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
+use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
 use vax_trace::Tracer;
@@ -22,11 +23,14 @@ use vax_workload::Workload;
 
 fn small_run() -> Options {
     Options {
-        instructions: 3_000,
-        seed: 7,
-        shards: 2,
-        jobs: 2,
-        interval_cycles: 5_000,
+        spec: RunSpec {
+            instructions: 3_000,
+            seed: 7,
+            shards: 2,
+            jobs: Some(2),
+            interval_cycles: 5_000,
+            ..RunSpec::default()
+        },
         ..Options::default()
     }
 }
@@ -39,15 +43,16 @@ fn artifacts(opts: &Options) -> (RunOutput, Vec<(&'static str, String)>) {
         &WarmCaches::new(),
     );
     let manifest = RunManifest {
-        experiment: opts.experiment.clone(),
-        seed: Some(opts.seed),
-        instructions: opts.instructions,
-        warmup: opts.instructions / 10,
-        interval_cycles: opts.interval_cycles,
-        shards: opts.shards,
+        experiment: opts.spec.experiment.clone(),
+        seed: Some(opts.spec.seed),
+        instructions: opts.spec.instructions,
+        warmup: opts.spec.instructions / 10,
+        interval_cycles: opts.spec.interval_cycles,
+        shards: opts.spec.shards,
         config: "default VAX-11/780 configuration, 5-workload composite".to_string(),
-        fault_seed: opts.fault_seed,
+        fault_seed: opts.spec.fault_seed,
         fault_classes: opts
+            .spec
             .fault_classes
             .iter()
             .map(|c| c.name().to_string())
@@ -66,8 +71,11 @@ fn artifacts(opts: &Options) -> (RunOutput, Vec<(&'static str, String)>) {
 #[test]
 fn fault_injection_is_deterministic_and_observable() {
     let opts = Options {
-        fault_seed: Some(7),
-        fault_classes: FaultClass::ALL.to_vec(),
+        spec: RunSpec {
+            fault_seed: Some(7),
+            fault_classes: FaultClass::ALL.to_vec(),
+            ..small_run().spec
+        },
         ..small_run()
     };
     let (a, a_files) = artifacts(&opts);
@@ -94,7 +102,10 @@ fn fault_injection_is_deterministic_and_observable() {
 
     // A different seed is a different schedule.
     let (c, _) = artifacts(&Options {
-        fault_seed: Some(8),
+        spec: RunSpec {
+            fault_seed: Some(8),
+            ..opts.spec
+        },
         ..opts
     });
     assert_ne!(c.analysis.m, a.analysis.m);
@@ -105,9 +116,12 @@ fn fault_injection_is_deterministic_and_observable() {
 fn every_fault_class_alone_keeps_validation_clean() {
     for class in FaultClass::ALL {
         let (out, _) = artifacts(&Options {
-            instructions: 2_000,
-            fault_seed: Some(1),
-            fault_classes: vec![class],
+            spec: RunSpec {
+                instructions: 2_000,
+                fault_seed: Some(1),
+                fault_classes: vec![class],
+                ..small_run().spec
+            },
             ..small_run()
         });
         assert!(
@@ -124,8 +138,11 @@ fn every_fault_class_alone_keeps_validation_clean() {
 fn retried_panic_recovers_to_byte_identity() {
     let (_, clean) = artifacts(&small_run());
     let (out, recovered) = artifacts(&Options {
+        spec: RunSpec {
+            retries: Some(2),
+            ..small_run().spec
+        },
         inject_panic: Some((0, 0, 1)),
-        retries: 2,
         ..small_run()
     });
     assert!(!out.degraded);
@@ -138,8 +155,11 @@ fn retried_panic_recovers_to_byte_identity() {
 fn exhausted_retries_quarantine_the_cell_and_keep_the_rest() {
     let (base, _) = artifacts(&small_run());
     let (out, files) = artifacts(&Options {
+        spec: RunSpec {
+            retries: Some(1),
+            ..small_run().spec
+        },
         inject_panic: Some((1, 0, u32::MAX)),
-        retries: 1,
         ..small_run()
     });
     assert!(out.degraded);
@@ -160,8 +180,11 @@ fn exhausted_retries_quarantine_the_cell_and_keep_the_rest() {
 #[test]
 fn watchdog_timeout_quarantines_stuck_shards() {
     let (out, _) = artifacts(&Options {
-        instructions: 400_000,
-        shards: 1,
+        spec: RunSpec {
+            instructions: 400_000,
+            shards: 1,
+            ..small_run().spec
+        },
         shard_timeout_secs: Some(0.001),
         ..small_run()
     });
