@@ -6,7 +6,14 @@
 //! round trip. Object member order is preserved (insertion order), so
 //! serialization is deterministic.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a small document (a
+/// 200 KB run of `[`) overflows the stack of the thread parsing it. The
+/// deepest document the repository writes nests 9 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,10 +173,16 @@ impl Json {
     /// Parse a JSON document.
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// duplicate object key, or array or object nested deeper than 128
+    /// levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, at: 0 };
+        let mut p = Parser {
+            bytes,
+            at: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -240,6 +253,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around `at`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -281,11 +296,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.at)),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -400,6 +430,7 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
+        let mut keys = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
@@ -413,7 +444,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            if members.iter().any(|(k, _)| *k == key) {
+            if !keys.insert(key.clone()) {
                 return Err(format!("duplicate key '{key}' at byte {key_at}"));
             }
             members.push((key, value));

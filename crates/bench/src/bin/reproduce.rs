@@ -24,12 +24,9 @@
 //! tools, and `profile.json`.
 //!
 //! `diff` compares two exported run directories metric by metric and exits
-//! nonzero on out-of-tolerance drift — the CI regression gate.
-//!
-//! `bench-check` compares a fresh `BENCH_<ts>.json` self-metering report
-//! against a committed baseline and exits nonzero when host throughput
-//! (simulated instructions per host second) regressed by more than the
-//! allowed fraction (default 30%) — the CI performance-smoke gate.
+//! nonzero on out-of-tolerance drift — the CI regression gate. Host speed
+//! is measured by the repository benchmark (`examples/benchmark`), not by
+//! this binary; see `docs/PERFORMANCE.md`.
 //!
 //! `--fault-seed` injects a deterministic schedule of simulated hardware
 //! faults; `--retries`/`--shard-timeout`/`--strict` supervise shard
@@ -64,16 +61,6 @@ fn main() {
     };
     let code = match cmd {
         Command::Diff(d) => run_diff(&d),
-        Command::BenchCheck(o) => match vax_bench::benchcheck::run_bench_check(&o) {
-            Ok(verdict) => {
-                println!("{verdict}");
-                0
-            }
-            Err(msg) => {
-                eprintln!("reproduce bench-check: {msg}");
-                1
-            }
-        },
         Command::Run(opts) => run_engine(JobRequest::Run(opts)),
         Command::Resume(r) => match vax_bench::resume::options_from_header(&r) {
             Ok(opts) => run_engine(JobRequest::Resume(opts)),

@@ -5,11 +5,10 @@
 //! message (and a nonzero exit in the binary), never silently defaulted —
 //! a bad flag would otherwise waste a five-workload measurement run.
 //!
-//! Eight commands: the default measurement run; `diff`, which compares
-//! two exported run directories for CI gating; `bench-check`, which gates
-//! on host throughput regressions; `resume`, which completes an
-//! interrupted run from its checkpoints; `trace-check`, which validates a
-//! Chrome-trace file; `characterize` and `refute`, the probe-grid cost
+//! Seven commands: the default measurement run; `diff`, which compares
+//! two exported run directories for CI gating; `resume`, which completes
+//! an interrupted run from its checkpoints; `trace-check`, which validates
+//! a Chrome-trace file; `characterize` and `refute`, the probe-grid cost
 //! table and its counter cross-checks; and `serve`, the HTTP job daemon.
 //!
 //! The command line is the second syntax of a [`JobSpec`]. Each spec flag
@@ -58,8 +57,6 @@ pub struct Options {
     pub out: Option<PathBuf>,
     /// Stderr narration level (`--quiet` / `--verbose`).
     pub verbosity: Verbosity,
-    /// Directory for the host self-metering report `BENCH_<unix-ts>.json`.
-    pub bench_out: Option<PathBuf>,
     /// Per-attempt wall-clock budget in seconds for one shard; exceeded ⇒
     /// the shard's watchdog trips and the attempt counts as failed.
     pub shard_timeout_secs: Option<f64>,
@@ -207,16 +204,14 @@ impl CharacterizeOptions {
 }
 
 /// A parsed invocation: the measurement run, the run-directory diff, the
-/// host-throughput gate, the checkpoint resume, the trace validator, or
-/// the characterization observatory (cost tables / counter refutation).
+/// checkpoint resume, the trace validator, the characterization
+/// observatory (cost tables / counter refutation), or the daemon.
 #[derive(Debug, Clone)]
 pub enum Command {
     /// The default five-workload measurement run.
     Run(Options),
     /// `reproduce diff BASELINE CANDIDATE`.
     Diff(DiffOptions),
-    /// `reproduce bench-check BASELINE CANDIDATE`.
-    BenchCheck(crate::benchcheck::BenchCheckOptions),
     /// `reproduce resume DIR`.
     Resume(ResumeOptions),
     /// `reproduce trace-check FILE`: validate a Chrome-trace file's
@@ -256,11 +251,9 @@ fn serve_flag(f: &Field) -> bool {
 pub fn usage() -> String {
     const NARRATION: &str = "[--quiet|--verbose] [--trace-out FILE] [--progress[=MS]]";
     format!(
-        "usage: reproduce {} [--format text|json] [--out DIR] [--bench-out DIR] \
+        "usage: reproduce {} [--format text|json] [--out DIR] \
          [--shard-timeout SECS] [--inject-panic W:S:N] {NARRATION}\n\
          \x20      reproduce diff BASELINE_DIR CANDIDATE_DIR [--abs-tol X] [--rel-tol X]\n\
-         \x20      reproduce bench-check BASELINE_JSON CANDIDATE_JSON_OR_DIR \
-         [--max-regression FRAC]\n\
          \x20      reproduce resume DIR {} [--shard-timeout SECS] {NARRATION}\n\
          \x20      reproduce trace-check TRACE_JSON\n\
          \x20      reproduce characterize {} [--out DIR] [--list] {NARRATION}\n\
@@ -335,7 +328,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, String> {
     }
     match args.first().map(String::as_str) {
         Some("diff") => parse_diff_args(&args[1..]).map(Command::Diff),
-        Some("bench-check") => parse_bench_check_args(&args[1..]).map(Command::BenchCheck),
         Some("resume") => parse_resume_args(&args[1..]).map(Command::Resume),
         Some("trace-check") => parse_trace_check_args(&args[1..]).map(Command::TraceCheck),
         Some("characterize") => {
@@ -475,48 +467,6 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
     })
 }
 
-/// Parse `reproduce bench-check` arguments (after the subcommand word).
-pub fn parse_bench_check_args(
-    args: &[String],
-) -> Result<crate::benchcheck::BenchCheckOptions, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut max_regression = 0.30;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-regression" => {
-                i += 1;
-                max_regression = parse_f64("--max-regression", args.get(i))?;
-                if max_regression >= 1.0 {
-                    return Err(format!(
-                        "invalid value for --max-regression: '{max_regression}' \
-                         (expected a fraction below 1.0)"
-                    ));
-                }
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown argument '{flag}' for bench-check"))
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-        i += 1;
-    }
-    if paths.len() != 2 {
-        return Err(format!(
-            "bench-check takes a baseline report and a candidate report or \
-             directory (got {} paths)",
-            paths.len()
-        ));
-    }
-    let candidate = paths.pop().unwrap();
-    let baseline = paths.pop().unwrap();
-    Ok(crate::benchcheck::BenchCheckOptions {
-        baseline,
-        candidate,
-        max_regression,
-    })
-}
-
 /// Parse `reproduce diff` arguments (after the subcommand word).
 pub fn parse_diff_args(args: &[String]) -> Result<DiffOptions, String> {
     let mut dirs: Vec<PathBuf> = Vec::new();
@@ -573,7 +523,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--out" => opts.out = Some(value(arg, rest, "a directory")?.into()),
-            "--bench-out" => opts.bench_out = Some(value(arg, rest, "a directory")?.into()),
             "--shard-timeout" => opts.shard_timeout_secs = Some(parse_shard_timeout(rest.next())?),
             "--inject-panic" => opts.inject_panic = Some(parse_inject_panic(rest.next())?),
             other => return Err(format!("unknown argument '{other}'")),
@@ -617,7 +566,6 @@ mod tests {
         assert_eq!(o.spec.top, 20);
         assert_eq!(o.spec.flight_recorder, 0);
         assert_eq!(o.verbosity, Verbosity::Normal);
-        assert!(o.bench_out.is_none());
     }
 
     #[test]
@@ -646,8 +594,6 @@ mod tests {
             "--flight-recorder",
             "64",
             "--verbose",
-            "--bench-out",
-            "/tmp/bench",
         ])
         .unwrap();
         assert_eq!(o.spec.instructions, 5000);
@@ -663,10 +609,6 @@ mod tests {
         assert_eq!(o.spec.top, 5);
         assert_eq!(o.spec.flight_recorder, 64);
         assert_eq!(o.verbosity, Verbosity::Verbose);
-        assert_eq!(
-            o.bench_out.as_deref(),
-            Some(std::path::Path::new("/tmp/bench"))
-        );
     }
 
     #[test]
@@ -914,39 +856,6 @@ mod tests {
             Command::Run(o) => assert!(o.spec.profile),
             _ => panic!("expected run"),
         }
-    }
-
-    #[test]
-    fn bench_check_subcommand_parses() {
-        let cmd =
-            parse_cmd(&["bench-check", "base.json", "out", "--max-regression", "0.5"]).unwrap();
-        match cmd {
-            Command::BenchCheck(o) => {
-                assert_eq!(o.baseline, std::path::PathBuf::from("base.json"));
-                assert_eq!(o.candidate, std::path::PathBuf::from("out"));
-                assert_eq!(o.max_regression, 0.5);
-            }
-            _ => panic!("expected bench-check"),
-        }
-        match parse_cmd(&["bench-check", "a", "b"]).unwrap() {
-            Command::BenchCheck(o) => assert_eq!(o.max_regression, 0.30),
-            _ => panic!("expected bench-check"),
-        }
-    }
-
-    #[test]
-    fn bench_check_rejects_bad_shapes() {
-        assert!(parse_cmd(&["bench-check", "a"])
-            .unwrap_err()
-            .contains("baseline report"));
-        assert!(parse_cmd(&["bench-check", "a", "b", "c"])
-            .unwrap_err()
-            .contains("got 3"));
-        assert!(parse_cmd(&["bench-check", "a", "b", "--max-regression", "1.5"]).is_err());
-        assert!(parse_cmd(&["bench-check", "a", "b", "--max-regression", "-1"]).is_err());
-        assert!(parse_cmd(&["bench-check", "a", "b", "--frobnicate"])
-            .unwrap_err()
-            .contains("--frobnicate"));
     }
 
     #[test]

@@ -12,10 +12,10 @@ use std::path::Path;
 
 use vax_analysis::{diff_json, DiffReport, Json, Tolerance};
 
-/// The JSON artifacts a run directory may contain, in report order.
-/// `profile.json` and `BENCH_*.json` are run-shape dependent: the profile is
-/// compared only when at least one side has it, and bench reports are never
-/// compared (host timing is not reproducible).
+/// The JSON artifacts a run directory may contain, in report order. A
+/// file neither side has is skipped, so the run-shape dependent ones
+/// (`profile.json`, `costs.json`, `runtime.json`) are compared only when
+/// at least one side has them; one side alone is a failure.
 pub const COMPARED_FILES: &[&str] = &[
     "manifest.json",
     "measurement.json",

@@ -29,7 +29,6 @@ use crate::charrun;
 use crate::cli::{CharacterizeOptions, Format, Options};
 use crate::fsio::write_atomic;
 use crate::heartbeat::{runtime_json, Heartbeat};
-use crate::meter::HostMeter;
 use crate::progress::Progress;
 use crate::runner::{self, RunOutput};
 
@@ -183,27 +182,7 @@ impl JobEngine {
         let out = if resume {
             runner::resume_composite(opts, progress, tracer, &self.caches)
         } else {
-            // Meter only the simulation itself, not rendering or artifact
-            // I/O. A resume is not metered: its instruction count would
-            // include the cells it loaded instead of simulating.
-            let meter = HostMeter::start();
-            let out = runner::run_composite(opts, progress, tracer, &self.caches);
-            let bench = meter.finish(out.analysis.cycles, out.analysis.instructions);
-            progress.info(&bench.summary());
-            if let Some(dir) = &opts.bench_out {
-                match bench.write_to(dir) {
-                    Ok(path) => progress.info(&format!("wrote {}", path.display())),
-                    Err(e) => {
-                        eprintln!("reproduce: {e}");
-                        return JobOutcome {
-                            code: 1,
-                            stdout,
-                            canceled: out.canceled,
-                        };
-                    }
-                }
-            }
-            out
+            runner::run_composite(opts, progress, tracer, &self.caches)
         };
         if let Some(kind) = out.canceled {
             // A canceled run keeps its checkpoints and runtime.json but

@@ -1,7 +1,7 @@
 //! Crash-safe filesystem writes.
 //!
 //! Every artifact the `reproduce` binary persists — run exports, profile
-//! reports, bench reports, checkpoints — goes through [`write_atomic`]:
+//! reports, checkpoints — goes through [`write_atomic`]:
 //! the bytes land in a same-directory temp file which is then renamed over
 //! the final path. A reader (or a resumed run) therefore sees either the
 //! complete old contents or the complete new contents, never a torn file,

@@ -1,10 +1,11 @@
 //! # vax-bench
 //!
-//! Benchmark harness and the `reproduce` binary that regenerates every
-//! table and figure of Emer & Clark (ISCA 1984). See `src/bin/reproduce.rs`
-//! and the Criterion benches under `benches/`.
+//! The `reproduce` binary that regenerates every table and figure of Emer
+//! & Clark (ISCA 1984), and the job engine and serve daemon behind it. See
+//! `src/bin/reproduce.rs`. Host performance is measured by the repository
+//! benchmark in `examples/benchmark`, which drives this crate through its
+//! public functions.
 
-pub mod benchcheck;
 pub mod cache;
 pub mod cancel;
 pub mod charrun;
@@ -12,7 +13,6 @@ pub mod cli;
 pub mod diffcmd;
 pub mod engine;
 pub mod fsio;
-pub mod harness;
 pub mod heartbeat;
 pub mod jobspec;
 pub mod meter;

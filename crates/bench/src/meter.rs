@@ -1,140 +1,7 @@
-//! Host self-metering: how fast does the simulator itself run?
+//! The host's peak resident set, read from procfs.
 //!
-//! The paper measured a real 780 with a hardware monitor; we measure the
-//! *simulator* with the host's own clock and memory accounting so that
-//! performance regressions in the simulator show up in CI next to the
-//! architectural numbers. A run produces a [`BenchReport`] — wall-clock
-//! seconds, simulated cycles/sec and instructions/sec, and peak RSS — and
-//! can persist it as `BENCH_<unix-ts>.json` for artifact upload.
-
-use std::path::{Path, PathBuf};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-use vax_analysis::Json;
-
-use crate::fsio::write_atomic;
-
-/// A started wall-clock measurement; call [`HostMeter::finish`] when the
-/// simulated work is done.
-#[derive(Debug)]
-pub struct HostMeter {
-    started: Instant,
-}
-
-impl HostMeter {
-    /// Start timing now.
-    pub fn start() -> HostMeter {
-        HostMeter {
-            started: Instant::now(),
-        }
-    }
-
-    /// Stop timing and fold in the simulated totals.
-    pub fn finish(self, simulated_cycles: u64, simulated_instructions: u64) -> BenchReport {
-        let wall = self.started.elapsed().as_secs_f64();
-        // Guard against a sub-resolution elapsed time on very short runs so
-        // the rates stay finite.
-        let denom = wall.max(1e-9);
-        BenchReport {
-            wall_seconds: wall,
-            simulated_cycles,
-            simulated_instructions,
-            cycles_per_sec: simulated_cycles as f64 / denom,
-            instructions_per_sec: simulated_instructions as f64 / denom,
-            peak_rss_bytes: peak_rss_bytes(),
-            unix_ts: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        }
-    }
-}
-
-/// Self-metering results for one `reproduce` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    /// Wall-clock seconds spent simulating.
-    pub wall_seconds: f64,
-    /// Total simulated machine cycles (all workloads, including warmup is
-    /// excluded — this is the measured composite).
-    pub simulated_cycles: u64,
-    /// Total simulated instructions retired in the measured composite.
-    pub simulated_instructions: u64,
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// Simulated instructions per wall-clock second.
-    pub instructions_per_sec: f64,
-    /// Peak resident set size of this process in bytes, if the host exposes
-    /// it (`/proc/self/status` `VmHWM`); `None` elsewhere.
-    pub peak_rss_bytes: Option<u64>,
-    /// Seconds since the Unix epoch when the report was produced.
-    pub unix_ts: u64,
-}
-
-impl BenchReport {
-    /// The report as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut o = vec![
-            ("format_version".to_string(), Json::Int(1)),
-            ("unix_ts".to_string(), Json::Int(self.unix_ts as i64)),
-            ("wall_seconds".to_string(), Json::Num(self.wall_seconds)),
-            (
-                "simulated_cycles".to_string(),
-                Json::Int(self.simulated_cycles as i64),
-            ),
-            (
-                "simulated_instructions".to_string(),
-                Json::Int(self.simulated_instructions as i64),
-            ),
-            ("cycles_per_sec".to_string(), Json::Num(self.cycles_per_sec)),
-            (
-                "instructions_per_sec".to_string(),
-                Json::Num(self.instructions_per_sec),
-            ),
-        ];
-        o.push((
-            "peak_rss_bytes".to_string(),
-            match self.peak_rss_bytes {
-                Some(b) => Json::Int(b as i64),
-                None => Json::Null,
-            },
-        ));
-        Json::Obj(o)
-    }
-
-    /// The conventional file name, `BENCH_<unix-ts>.json`.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.unix_ts)
-    }
-
-    /// One-line human summary for progress output.
-    pub fn summary(&self) -> String {
-        let rss = match self.peak_rss_bytes {
-            Some(b) => format!(", peak RSS {:.1} MiB", b as f64 / (1024.0 * 1024.0)),
-            None => String::new(),
-        };
-        format!(
-            "host: {:.2}s wall, {:.2} M simulated cycles/sec, {:.2} M instructions/sec{rss}",
-            self.wall_seconds,
-            self.cycles_per_sec / 1e6,
-            self.instructions_per_sec / 1e6,
-        )
-    }
-
-    /// Write the report into `dir` as [`BenchReport::file_name`], returning
-    /// the path written.
-    ///
-    /// # Errors
-    /// Propagates directory-creation and write failures as strings.
-    pub fn write_to(&self, dir: &Path) -> Result<PathBuf, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join(self.file_name());
-        write_atomic(&path, &self.to_json().to_string_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        Ok(path)
-    }
-}
+//! The repository benchmark (`examples/benchmark`) reports it as its
+//! `peak_rss_mb` metric.
 
 /// Peak resident set size in bytes, read from `/proc/self/status` (`VmHWM`,
 /// reported in kB). Returns `None` on hosts without procfs.
@@ -162,52 +29,6 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meter_produces_positive_rates() {
-        let meter = HostMeter::start();
-        // Burn a sliver of time so elapsed is nonzero.
-        let mut acc = 0u64;
-        for i in 0..10_000u64 {
-            acc = acc.wrapping_add(i * i);
-        }
-        assert!(acc > 0);
-        let r = meter.finish(1_000_000, 100_000);
-        assert!(r.wall_seconds > 0.0);
-        assert!(r.cycles_per_sec > 0.0);
-        assert!(r.instructions_per_sec > 0.0);
-        assert!(r.cycles_per_sec > r.instructions_per_sec);
-        assert!(r.unix_ts > 1_700_000_000, "a plausible current timestamp");
-    }
-
-    #[test]
-    fn report_json_has_required_fields() {
-        let r = BenchReport {
-            wall_seconds: 1.5,
-            simulated_cycles: 3_000_000,
-            simulated_instructions: 300_000,
-            cycles_per_sec: 2_000_000.0,
-            instructions_per_sec: 200_000.0,
-            peak_rss_bytes: Some(42 * 1024 * 1024),
-            unix_ts: 1_754_000_000,
-        };
-        let j = r.to_json();
-        for key in [
-            "wall_seconds",
-            "simulated_cycles",
-            "simulated_instructions",
-            "cycles_per_sec",
-            "instructions_per_sec",
-            "peak_rss_bytes",
-            "unix_ts",
-        ] {
-            assert!(j.get(key).is_some(), "missing {key}");
-        }
-        assert_eq!(r.file_name(), "BENCH_1754000000.json");
-        let text = j.to_string_pretty();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("cycles_per_sec").unwrap().as_f64(), Some(2e6));
-    }
 
     #[test]
     fn parses_vm_hwm() {
@@ -238,27 +59,6 @@ mod tests {
         // VmHWM of a fresh process can legitimately be small but not absent;
         // zero parses as zero, distinct from None.
         assert_eq!(parse_vm_hwm("VmHWM:\t0 kB\n"), Some(0));
-    }
-
-    #[test]
-    fn missing_vm_hwm_serializes_as_json_null() {
-        let r = BenchReport {
-            wall_seconds: 1.0,
-            simulated_cycles: 1,
-            simulated_instructions: 1,
-            cycles_per_sec: 1.0,
-            instructions_per_sec: 1.0,
-            peak_rss_bytes: None,
-            unix_ts: 1_754_000_000,
-        };
-        let j = r.to_json();
-        assert!(
-            matches!(j.get("peak_rss_bytes"), Some(Json::Null)),
-            "absent RSS must be null, not 0 or missing"
-        );
-        let text = j.to_string_pretty();
-        assert!(text.contains("\"peak_rss_bytes\": null"), "{text}");
-        assert!(!r.summary().contains("RSS"), "no fabricated RSS in summary");
     }
 
     #[test]

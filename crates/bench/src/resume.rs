@@ -207,7 +207,7 @@ mod tests {
         assert!(back.spec.strict);
         assert_eq!(back.verbosity, Verbosity::Quiet);
         assert_eq!(back.out.as_deref(), Some(dir.as_path()));
-        assert!(back.inject_panic.is_none() && back.bench_out.is_none());
+        assert!(back.inject_panic.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
         back
     }

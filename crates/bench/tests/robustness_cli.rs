@@ -283,6 +283,7 @@ fn every_bad_argument_prints_the_usage_once() {
         &["resume"],
         &["trace-check"],
         &["bench-check", "one.json"],
+        &["--bench-out", "x"],
         &["characterize", "--bogus-flag"],
         &["serve", "--bogus-flag"],
     ];

@@ -321,19 +321,23 @@ fn health_endpoints_report_ready_and_drain() {
 #[test]
 fn an_out_of_range_spec_is_refused_and_the_daemon_stays_up() {
     // A ring this large used to be accepted, then abort the worker while
-    // reserving it; the journal replayed the abort on every restart.
+    // reserving it; the journal replayed the abort on every restart. A
+    // 200 KB body of nested arrays used to overflow the handler's stack.
     let root = scratch("bounds");
     let daemon = start_daemon(&root);
-    let spec = r#"{"kind":"run","instructions":1000,"flight_recorder":9223372036854775807}"#;
-    let (status, body) = http_text(&daemon.addr, "POST", "/jobs", Some(spec));
-    assert_eq!(status, 400, "{body}");
-    assert!(
-        body.contains("'flight_recorder' must be at most 4096"),
-        "{body}"
-    );
-    let (status, body) = http_text(&daemon.addr, "GET", "/healthz", None);
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"ready\""), "{body}");
+    let ring = r#"{"kind":"run","instructions":1000,"flight_recorder":9223372036854775807}"#;
+    let nested = "[".repeat(100_000) + &"]".repeat(100_000);
+    for (spec, expect) in [
+        (ring, "'flight_recorder' must be at most 4096"),
+        (&nested, "nesting deeper than 128 levels at byte 128"),
+    ] {
+        let (status, body) = http_text(&daemon.addr, "POST", "/jobs", Some(spec));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(expect), "{body}");
+        let (status, body) = http_text(&daemon.addr, "GET", "/healthz", None);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"ready\""), "{body}");
+    }
     let journal = std::fs::read_to_string(root.join("journal.ndjson")).unwrap_or_default();
     assert!(
         journal.is_empty(),

@@ -28,8 +28,9 @@
 //! lock, no allocation. Spans are only ever placed around whole pipeline
 //! phases (a cell's codegen, boot, simulate, …), never inside the
 //! simulator's hot loop, so even an *enabled* tracer records a few dozen
-//! events per million simulated instructions. The `bench-check` CI gate
-//! runs with tracing disabled and holds the throughput floor.
+//! events per million simulated instructions. The repository benchmark's
+//! untraced runs, which the `perf-gate` CI job pairs against the parent
+//! commit, carry a disabled tracer.
 //!
 //! ## Determinism contract
 //!

@@ -28,6 +28,13 @@ fn json_parser_rejects_truncated_and_garbage_documents() {
     ] {
         assert!(Json::parse(bad).is_err(), "accepted '{bad}'");
     }
+    // Nested far past the parser's depth cap: refused, not a stack overflow.
+    let deep_array = "[".repeat(100_000) + &"]".repeat(100_000);
+    let deep_object = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+    for deep in [deep_array, deep_object] {
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("deeper than 128 levels at byte"), "{err}");
+    }
 }
 
 #[test]
@@ -37,6 +44,13 @@ fn json_parser_rejects_duplicate_keys_with_position() {
     assert!(err.contains("byte"), "carries the offset: {err}");
     // Nested duplicates are caught too.
     assert!(Json::parse("{\"a\": {\"b\": 1, \"b\": 2}}").is_err());
+    // So is one after 50,000 distinct keys, without comparing every pair.
+    let members: String = (0..50_000).map(|i| format!("\"k{i}\": 0, ")).collect();
+    let err = Json::parse(&format!("{{{members}\"k7\": 1}}")).unwrap_err();
+    assert_eq!(
+        err,
+        format!("duplicate key 'k7' at byte {}", members.len() + 1)
+    );
 }
 
 #[test]
