@@ -8,12 +8,10 @@
 //! merge checkpointed cells with freshly-run ones and export bytes
 //! identical to an uninterrupted run.
 //!
-//! The interval series is stored via [`crate::export::timeseries_json`],
-//! which *is* lossy — but idempotently so: every field the exporters derive
-//! from a series survives the projection (totals are stored into their
-//! first component), so a re-export of a parsed series is byte-identical.
-//! The measurement, by contrast, feeds the analysis/validation pipeline and
-//! is stored in full.
+//! The interval series is stored via [`crate::export::timeseries_json`]
+//! unchanged: a sample is already just the counters that export carries,
+//! so the parsed series equals the journaled one. The measurement, by
+//! contrast, feeds the analysis/validation pipeline and is stored in full.
 
 use upc_monitor::{Histogram, MicroPc, Plane};
 use vax780::{Measurement, TimeSeries};
@@ -358,12 +356,8 @@ mod tests {
         // reconstructed exactly, so analysis and validation of a resumed
         // composite see the same inputs as an uninterrupted run.
         assert_eq!(back.m, cell.m);
-        // The series survives its (idempotent) projection: re-encoding
-        // produces the same bytes.
-        assert_eq!(
-            timeseries_json(&back.series).to_string_pretty(),
-            timeseries_json(&cell.series).to_string_pretty()
-        );
+        // The series is its rows, so it round-trips exactly too.
+        assert_eq!(back.series, cell.series);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! and array-length changes are *structural* deltas and are never within
 //! tolerance.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::json::Json;
@@ -195,6 +196,18 @@ fn join(path: &str, key: &str) -> String {
     }
 }
 
+/// An object's members by key, so matching two objects' keys takes time
+/// linear in their size (a [`Json::get`] per key would be quadratic). The
+/// parser refuses duplicate keys; in a document built in code the first
+/// occurrence wins, as it does for `get`.
+fn index(members: &[(String, Json)]) -> HashMap<&str, &Json> {
+    let mut map = HashMap::with_capacity(members.len());
+    for (k, v) in members {
+        map.entry(k.as_str()).or_insert(v);
+    }
+    map
+}
+
 fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport) {
     match (a, b) {
         // Exact integer comparison first: counters larger than 2^53 would
@@ -246,8 +259,9 @@ fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport
             }
         }
         (Json::Obj(xs), Json::Obj(ys)) => {
+            let (in_a, in_b) = (index(xs), index(ys));
             for (k, x) in xs {
-                match b.get(k) {
+                match in_b.get(k.as_str()) {
                     Some(y) => walk(&join(path, k), x, y, tol, report),
                     None => report.deltas.push(MetricDelta {
                         path: join(path, k),
@@ -259,7 +273,7 @@ fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport
                 }
             }
             for (k, _) in ys {
-                if a.get(k).is_none() {
+                if !in_a.contains_key(k.as_str()) {
                     report.deltas.push(MetricDelta {
                         path: join(path, k),
                         kind: DeltaKind::Structure {
@@ -387,6 +401,87 @@ mod tests {
             }
             other => panic!("expected value delta, got {other:?}"),
         }
+    }
+
+    /// A path and what was reported there, for comparing whole reports.
+    fn reported(r: &DiffReport) -> Vec<(String, String)> {
+        r.deltas
+            .iter()
+            .map(|d| {
+                let what = match &d.kind {
+                    DeltaKind::Structure { detail } => detail.clone(),
+                    DeltaKind::Numeric { a, b } => format!("{a} -> {b}"),
+                    DeltaKind::Value { a, b } => format!("{a} -> {b}"),
+                };
+                (d.path.clone(), what)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn permuted_keys_and_one_sided_keys_report_in_baseline_order() {
+        let int = |v: i64| Json::from(v);
+        // The candidate reorders the members at both levels, drops `b`,
+        // `e` and `c.q`, adds `y`, `x` and `c.s`, and changes `d`.
+        let a = Json::obj([
+            ("a", int(1)),
+            ("b", int(2)),
+            (
+                "c",
+                Json::obj([("p", int(1)), ("q", int(2)), ("r", int(3))]),
+            ),
+            ("d", Json::from(4.5)),
+            ("e", Json::from("e")),
+            ("f", Json::Null),
+        ]);
+        let b = Json::obj([
+            ("y", Json::from(true)),
+            ("f", Json::Null),
+            ("d", Json::from(4.75)),
+            (
+                "c",
+                Json::obj([("r", int(3)), ("s", int(9)), ("p", int(1))]),
+            ),
+            ("x", int(0)),
+            ("a", int(1)),
+        ]);
+        let r = diff_json(&a, &b, &Tolerance::exact());
+        let want = [
+            ("b", "missing in candidate"),
+            ("c.q", "missing in candidate"),
+            ("c.s", "missing in baseline"),
+            ("d", "4.5 -> 4.75"),
+            ("e", "missing in candidate"),
+            ("y", "missing in baseline"),
+            ("x", "missing in baseline"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|(p, w)| (p.to_string(), w.to_string()))
+            .collect();
+        assert_eq!(reported(&r), want);
+        assert_eq!(r.compared, 5, "a, c.p, c.r, d, f");
+
+        // Wide objects: every key found whatever the order, one delta.
+        let n = 5_000;
+        let wide = |keys: Vec<i64>, bumped: i64| {
+            let value = |i: i64| int(if i == bumped { i + 1 } else { i });
+            Json::Obj(
+                keys.into_iter()
+                    .map(|i| (format!("k{i}"), value(i)))
+                    .collect(),
+            )
+        };
+        let r = diff_json(
+            &wide((0..n).collect(), -1),
+            &wide((0..n).rev().collect(), 1234),
+            &Tolerance::exact(),
+        );
+        assert_eq!(r.compared, n as usize);
+        assert_eq!(
+            reported(&r),
+            [("k1234".to_string(), "1234 -> 1235".to_string())]
+        );
     }
 
     #[test]

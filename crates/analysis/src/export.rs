@@ -7,7 +7,7 @@
 //! scraping console output.
 
 use upc_monitor::{Activity, CycleClass, Plane};
-use vax780::{Measurement, TimeSeries};
+use vax780::{IntervalSample, Measurement, TimeSeries};
 use vax_arch::{AddressingMode, BranchKind, OpcodeGroup};
 
 use crate::analysis::Analysis;
@@ -178,30 +178,27 @@ pub fn measurement_json(m: &Measurement) -> Json {
     ])
 }
 
-/// Serialize the interval time series.
+/// Serialize the interval time series: one object per sample, its fields
+/// plus the derived `cycles`, `cpi` and `interrupt_headway`.
 pub fn timeseries_json(ts: &TimeSeries) -> Json {
     Json::obj([
         ("intervals", Json::from(ts.len() as u64)),
         (
             "samples",
             Json::arr(ts.samples.iter().map(|s| {
-                let d = &s.delta;
                 Json::obj([
                     ("start_cycle", Json::from(s.start_cycle)),
                     ("end_cycle", Json::from(s.end_cycle)),
                     ("cycles", Json::from(s.cycles())),
-                    ("instructions", Json::from(d.instructions())),
+                    ("instructions", Json::from(s.instructions)),
                     ("cpi", Json::from(s.cpi())),
-                    ("read_stall_cycles", Json::from(s.read_stalls())),
-                    ("write_stall_cycles", Json::from(s.write_stalls())),
-                    ("ib_reads", Json::from(d.mem_stats.i_reads)),
-                    (
-                        "cache_read_misses",
-                        Json::from(d.mem_stats.total_read_misses()),
-                    ),
-                    ("tb_misses", Json::from(d.mem_stats.total_tb_misses())),
-                    ("interrupts", Json::from(d.cpu_stats.total_interrupts())),
-                    ("context_switches", Json::from(d.cpu_stats.context_switches)),
+                    ("read_stall_cycles", Json::from(s.read_stall_cycles)),
+                    ("write_stall_cycles", Json::from(s.write_stall_cycles)),
+                    ("ib_reads", Json::from(s.ib_reads)),
+                    ("cache_read_misses", Json::from(s.cache_read_misses)),
+                    ("tb_misses", Json::from(s.tb_misses)),
+                    ("interrupts", Json::from(s.interrupts)),
+                    ("context_switches", Json::from(s.context_switches)),
                     ("interrupt_headway", Json::from(s.interrupt_headway())),
                 ])
             })),
@@ -209,15 +206,10 @@ pub fn timeseries_json(ts: &TimeSeries) -> Json {
     ])
 }
 
-/// Parse a [`timeseries_json`] export back into a series.
-///
-/// Like [`TimeSeries::from_csv`], the export is a lossy projection — totals
-/// without their components, no histogram — so each total is stored in the
-/// first component counter (`cache_read_misses` into `d_read_misses`,
-/// `tb_misses` into `tb_miss_d`, `interrupts` into `hw_interrupts`).
-/// Re-serializing the parsed series reproduces the original document
-/// exactly: the derived `cpi`, `interrupt_headway`, and stall fields
-/// recompute bit-identically from the preserved integers.
+/// Parse a [`timeseries_json`] export back into a series. Like
+/// [`TimeSeries::from_csv`], each object is a sample: the integer fields
+/// are stored and the derived ones recompute from them, so the parsed
+/// series equals the exported one and re-serializes to the same document.
 ///
 /// # Errors
 /// Returns a message naming the first missing or mistyped field.
@@ -246,27 +238,27 @@ pub fn timeseries_from_json(j: &Json) -> Result<TimeSeries, String> {
         };
         let start_cycle = int("start_cycle")?;
         let end_cycle = int("end_cycle")?;
-        if int("cycles")? != end_cycle.saturating_sub(start_cycle) {
+        if end_cycle < start_cycle {
+            return Err(format!(
+                "timeseries: sample {i}: 'end_cycle' precedes 'start_cycle'"
+            ));
+        }
+        if int("cycles")? != end_cycle - start_cycle {
             return Err(format!(
                 "timeseries: sample {i}: 'cycles' disagrees with bounds"
             ));
         }
-        let mut delta = Measurement {
-            cycles: end_cycle - start_cycle,
-            ..Measurement::default()
-        };
-        delta.cpu_stats.instructions = int("instructions")?;
-        delta.mem_stats.read_stall_cycles = int("read_stall_cycles")?;
-        delta.mem_stats.write_stall_cycles = int("write_stall_cycles")?;
-        delta.mem_stats.i_reads = int("ib_reads")?;
-        delta.mem_stats.d_read_misses = int("cache_read_misses")?;
-        delta.mem_stats.tb_miss_d = int("tb_misses")?;
-        delta.cpu_stats.hw_interrupts = int("interrupts")?;
-        delta.cpu_stats.context_switches = int("context_switches")?;
-        ts.samples.push(vax780::IntervalSample {
+        ts.samples.push(IntervalSample {
             start_cycle,
             end_cycle,
-            delta,
+            instructions: int("instructions")?,
+            read_stall_cycles: int("read_stall_cycles")?,
+            write_stall_cycles: int("write_stall_cycles")?,
+            ib_reads: int("ib_reads")?,
+            cache_read_misses: int("cache_read_misses")?,
+            tb_misses: int("tb_misses")?,
+            interrupts: int("interrupts")?,
+            context_switches: int("context_switches")?,
         });
     }
     Ok(ts)
@@ -763,5 +755,6 @@ mod tests {
             .map(|s| s.get("instructions").and_then(Json::as_i64).unwrap())
             .sum();
         assert_eq!(total as u64, m.instructions());
+        assert_eq!(timeseries_from_json(&j).unwrap(), ts, "rows round-trip");
     }
 }

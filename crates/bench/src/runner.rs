@@ -105,7 +105,7 @@ struct CellData {
 /// hits/misses, and scheduled fault injections. Pass
 /// `&Tracer::disabled()` to record nothing.
 ///
-/// `caches` are shared warm caches (see [`crate::cache`]). A long-lived
+/// `caches` is a shared warm cache (see [`crate::cache`]). A long-lived
 /// engine passes its own so a repeated job skips codegen and boot; a
 /// fresh `&WarmCaches::new()` behaves identically to no cache at all
 /// (every cell of one run has a distinct seed, so a single run only ever
@@ -264,19 +264,13 @@ fn run_grid(
                     panic!("injected panic (attempt {attempt})");
                 }
             }
-            let cell_seed = vax_workload::rte::shard_seed(seed, job.workload_index, job.shard);
-            let (specs, workload_hit) = {
-                let _g = tracer.span(tid, "codegen", vec![]);
-                caches.processes(
-                    job.workload,
-                    vax_workload::rte::PROCESSES_PER_WORKLOAD,
-                    cell_seed,
-                )
-            };
-            let (mut system, boot_hit) = {
-                let _g = tracer.span(tid, "boot", vec![]);
-                caches.boot(&specs)
-            };
+            let (mut system, cache_hit) = caches.boot(
+                job.workload,
+                vax_workload::rte::PROCESSES_PER_WORKLOAD,
+                vax_workload::rte::shard_seed(seed, job.workload_index, job.shard),
+                tracer,
+                tid,
+            );
             if job.recorder.is_enabled() {
                 system.cpu.flight = job.recorder.clone();
             }
@@ -310,11 +304,12 @@ fn run_grid(
                 tracer.count(tid, "decode_cache_misses", d.misses);
                 tracer.count(tid, "instructions", m.instructions());
                 tracer.count(tid, "sim_cycles", m.cycles);
-                let hit = |b: bool| b as u64;
-                tracer.count(tid, "workload_cache_hits", hit(workload_hit));
-                tracer.count(tid, "workload_cache_misses", hit(!workload_hit));
-                tracer.count(tid, "boot_cache_hits", hit(boot_hit));
-                tracer.count(tid, "boot_cache_misses", hit(!boot_hit));
+                // One lookup decides both setup phases.
+                let (hit, miss) = (cache_hit as u64, !cache_hit as u64);
+                tracer.count(tid, "workload_cache_hits", hit);
+                tracer.count(tid, "workload_cache_misses", miss);
+                tracer.count(tid, "boot_cache_hits", hit);
+                tracer.count(tid, "boot_cache_misses", miss);
                 if fault_count > 0 {
                     tracer.count(tid, "fault_injections", fault_count);
                 }

@@ -7,9 +7,8 @@ use vax_mem::MemStats;
 /// Everything one measurement run produced: the µPC histogram (both
 /// planes), the CPU's own counters, and the memory-system counters.
 ///
-/// Measurements are mergeable — the paper's composite workload is "the sum
-/// of the five UPC histograms" — and diffable, which is how the interval
-/// sampler derives per-interval deltas from cumulative counters.
+/// Measurements are mergeable: the paper's composite workload is "the sum
+/// of the five UPC histograms".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Measurement {
     /// The histogram board contents.
@@ -42,23 +41,6 @@ impl Measurement {
         self.cpu_stats.merge(&other.cpu_stats);
         self.mem_stats.merge(&other.mem_stats);
         self.cycles += other.cycles;
-    }
-
-    /// Component-wise `self - earlier`: the activity between two cumulative
-    /// snapshots of the same machine.
-    ///
-    /// # Panics
-    /// Panics if any counter of `earlier` exceeds its value in `self`.
-    pub fn diff(&self, earlier: &Measurement) -> Measurement {
-        Measurement {
-            hist: self.hist.diff(&earlier.hist),
-            cpu_stats: self.cpu_stats.diff(&earlier.cpu_stats),
-            mem_stats: self.mem_stats.diff(&earlier.mem_stats),
-            cycles: self
-                .cycles
-                .checked_sub(earlier.cycles)
-                .expect("Measurement::diff: cycle counter ran backwards"),
-        }
     }
 }
 
@@ -93,29 +75,5 @@ mod tests {
         assert_eq!(a.cycles, 150);
         assert_eq!(a.instructions(), 15);
         assert_eq!(a.mem_stats.d_reads, 7);
-    }
-
-    #[test]
-    fn diff_inverts_merge() {
-        let mut later = empty();
-        later.cycles = 150;
-        later.cpu_stats.instructions = 15;
-        later.mem_stats.d_reads = 7;
-        later.mem_stats.read_stall_cycles = 30;
-        let mut earlier = empty();
-        earlier.cycles = 100;
-        earlier.cpu_stats.instructions = 10;
-        earlier.mem_stats.d_reads = 5;
-        earlier.mem_stats.read_stall_cycles = 12;
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.cycles, 50);
-        assert_eq!(delta.instructions(), 5);
-        assert_eq!(delta.mem_stats.d_reads, 2);
-        assert_eq!(delta.mem_stats.read_stall_cycles, 18);
-        // Adding the delta back reproduces the later snapshot's counters.
-        let mut rebuilt = earlier.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt.cycles, later.cycles);
-        assert_eq!(rebuilt.mem_stats, later.mem_stats);
     }
 }

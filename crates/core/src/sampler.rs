@@ -1,61 +1,136 @@
-//! Interval sampling: a time series of per-interval [`Measurement`] deltas.
+//! Interval sampling: a time series of per-interval counter rows.
 //!
 //! The paper's histogram board accumulates over a whole run; this module
-//! adds the time dimension. [`crate::System::measure_sampled`] snapshots the
-//! cumulative counters roughly every `interval_cycles` cycles and stores the
-//! *delta* from the previous snapshot, so each [`IntervalSample`] is a small
-//! self-contained measurement of that slice of simulated time: its CPI, its
-//! stall breakdown, its interrupt headway. Summing every sample reproduces
-//! the whole-run measurement exactly (counter conservation), which the test
-//! suite checks.
+//! adds the time dimension. [`crate::System::measure_sampled`] reads the
+//! live CPU and memory counters at the first step boundary past each
+//! multiple of `interval_cycles` and keeps the difference from the previous
+//! reading as one [`IntervalSample`]: exactly the counters the
+//! `timeseries.json`/`.csv` exports carry, never the 16K-bucket board. Each
+//! row is a small self-contained view of that slice of simulated time: its
+//! CPI, its stall breakdown, its interrupt headway. Summing the rows
+//! reproduces each of those counters of the whole-run measurement exactly
+//! (counter conservation), which the test suite checks.
 
-use crate::measurement::Measurement;
+use vax_cpu::CpuStats;
+use vax_mem::MemStats;
 
-/// One interval's worth of activity.
-#[derive(Debug, Clone)]
+/// One interval's worth of activity: its bounds and the counters the
+/// series exports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// Cycle number (since measurement start) at the start of the interval.
     pub start_cycle: u64,
     /// Cycle number at the end of the interval.
     pub end_cycle: u64,
-    /// The delta measurement for this interval.
-    pub delta: Measurement,
+    /// Instructions retired.
+    pub instructions: u64,
+    /// Read-stall cycles suffered by the EBOX.
+    pub read_stall_cycles: u64,
+    /// Write-stall cycles suffered by the EBOX.
+    pub write_stall_cycles: u64,
+    /// I-stream (IB) longword references.
+    pub ib_reads: u64,
+    /// Cache read misses, I + D + PTE ([`MemStats::total_read_misses`]).
+    pub cache_read_misses: u64,
+    /// TB misses, I + D ([`MemStats::total_tb_misses`]).
+    pub tb_misses: u64,
+    /// Interrupts delivered, hardware + software
+    /// ([`CpuStats::total_interrupts`]).
+    pub interrupts: u64,
+    /// Context switches (LDPCTX executions).
+    pub context_switches: u64,
 }
 
 impl IntervalSample {
+    /// The counters accumulated since they were last cleared, as one row
+    /// over `[0, end_cycle)`. Reads the counters in place; nothing is
+    /// copied but the row.
+    pub(crate) fn read(end_cycle: u64, cpu: &CpuStats, mem: &MemStats) -> IntervalSample {
+        IntervalSample {
+            start_cycle: 0,
+            end_cycle,
+            instructions: cpu.instructions,
+            read_stall_cycles: mem.read_stall_cycles,
+            write_stall_cycles: mem.write_stall_cycles,
+            ib_reads: mem.i_reads,
+            cache_read_misses: mem.total_read_misses(),
+            tb_misses: mem.total_tb_misses(),
+            interrupts: cpu.total_interrupts(),
+            context_switches: cpu.context_switches,
+        }
+    }
+
+    /// The eight counters in field order: the one list
+    /// [`IntervalSample::since`] and [`TimeSeries::merged`] walk.
+    fn counters(&self) -> [u64; 8] {
+        [
+            self.instructions,
+            self.read_stall_cycles,
+            self.write_stall_cycles,
+            self.ib_reads,
+            self.cache_read_misses,
+            self.tb_misses,
+            self.interrupts,
+            self.context_switches,
+        ]
+    }
+
+    fn counters_mut(&mut self) -> [&mut u64; 8] {
+        [
+            &mut self.instructions,
+            &mut self.read_stall_cycles,
+            &mut self.write_stall_cycles,
+            &mut self.ib_reads,
+            &mut self.cache_read_misses,
+            &mut self.tb_misses,
+            &mut self.interrupts,
+            &mut self.context_switches,
+        ]
+    }
+
+    /// The activity between two cumulative [`IntervalSample::read`]s of
+    /// the same machine: the interval `[earlier.end_cycle, self.end_cycle)`
+    /// and the counter-wise differences.
+    ///
+    /// # Panics
+    /// Panics if a counter of `earlier` exceeds its value in `self`: the
+    /// readings were taken out of order or from different machines.
+    pub(crate) fn since(&self, earlier: &IntervalSample) -> IntervalSample {
+        let mut delta = *self;
+        delta.start_cycle = earlier.end_cycle;
+        for (d, e) in delta.counters_mut().into_iter().zip(earlier.counters()) {
+            *d = d
+                .checked_sub(e)
+                .expect("IntervalSample::since: counter ran backwards");
+        }
+        delta
+    }
+
     /// Interval length in cycles.
     pub fn cycles(&self) -> u64 {
         self.end_cycle - self.start_cycle
     }
 
-    /// CPI over this interval alone.
+    /// CPI over this interval alone (zero when no instruction retired).
     pub fn cpi(&self) -> f64 {
-        self.delta.cpi()
-    }
-
-    /// Read-stall cycles in this interval.
-    pub fn read_stalls(&self) -> u64 {
-        self.delta.mem_stats.read_stall_cycles
-    }
-
-    /// Write-stall cycles in this interval.
-    pub fn write_stalls(&self) -> u64 {
-        self.delta.mem_stats.write_stall_cycles
+        if self.instructions == 0 {
+            return 0.0;
+        }
+        self.cycles() as f64 / self.instructions as f64
     }
 
     /// Mean cycles between interrupts in this interval (interrupt headway,
     /// Table 7). Zero when no interrupt fell in the interval.
     pub fn interrupt_headway(&self) -> f64 {
-        let n = self.delta.cpu_stats.total_interrupts();
-        if n == 0 {
+        if self.interrupts == 0 {
             return 0.0;
         }
-        self.cycles() as f64 / n as f64
+        self.cycles() as f64 / self.interrupts as f64
     }
 }
 
 /// The sampled run: ordered, contiguous intervals.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimeSeries {
     /// Samples in time order; `samples[i].end_cycle ==
     /// samples[i+1].start_cycle`.
@@ -73,12 +148,17 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
-    /// Merge every interval back into one measurement. By construction this
-    /// equals the whole-run measurement (conservation).
-    pub fn merged(&self) -> Measurement {
-        let mut total = Measurement::default();
+    /// Sum every row into one: an interval from cycle 0 as long as all the
+    /// intervals together, holding each counter's total. For the series of
+    /// one measurement that is the measurement's own counters
+    /// (conservation).
+    pub fn merged(&self) -> IntervalSample {
+        let mut total = IntervalSample::default();
         for s in &self.samples {
-            total.merge(&s.delta);
+            total.end_cycle += s.cycles();
+            for (t, c) in total.counters_mut().into_iter().zip(s.counters()) {
+                *t += c;
+            }
         }
         total
     }
@@ -117,13 +197,12 @@ impl TimeSeries {
             "TimeSeries::splice: offset {cycle_offset} precedes series end {}",
             self.end_cycle()
         );
-        for s in &other.samples {
-            self.samples.push(IntervalSample {
+        self.samples
+            .extend(other.samples.iter().map(|s| IntervalSample {
                 start_cycle: s.start_cycle + cycle_offset,
                 end_cycle: s.end_cycle + cycle_offset,
-                delta: s.delta.clone(),
-            });
-        }
+                ..*s
+            }));
         cycle_offset + other.end_cycle()
     }
 
@@ -138,39 +217,32 @@ impl TimeSeries {
              interrupt_headway\n",
         );
         for s in &self.samples {
-            let d = &s.delta;
             let _ = writeln!(
                 out,
                 "{},{},{},{},{:.4},{},{},{},{},{},{},{},{:.1}",
                 s.start_cycle,
                 s.end_cycle,
                 s.cycles(),
-                d.instructions(),
+                s.instructions,
                 s.cpi(),
-                s.read_stalls(),
-                s.write_stalls(),
-                d.mem_stats.i_reads,
-                d.mem_stats.total_read_misses(),
-                d.mem_stats.total_tb_misses(),
-                d.cpu_stats.total_interrupts(),
-                d.cpu_stats.context_switches,
+                s.read_stall_cycles,
+                s.write_stall_cycles,
+                s.ib_reads,
+                s.cache_read_misses,
+                s.tb_misses,
+                s.interrupts,
+                s.context_switches,
                 s.interrupt_headway(),
             );
         }
         out
     }
 
-    /// Parse a [`TimeSeries::to_csv`] export back into a series.
-    ///
-    /// The CSV is a lossy projection of the full measurement — it carries
-    /// totals, not their components, and no histogram — so the parsed
-    /// series stores each total in the first component counter
-    /// (`total_read_misses` into `d_read_misses`, `total_tb_misses` into
-    /// `tb_miss_d`, `total_interrupts` into `hw_interrupts`) and sets
-    /// `delta.cycles` to the interval length. Every exported column is
-    /// preserved: re-exporting the parsed series reproduces the CSV text
-    /// byte for byte (the derived `cpi` and `interrupt_headway` columns
-    /// recompute identically from the preserved fields).
+    /// Parse a [`TimeSeries::to_csv`] export back into a series. Each row
+    /// is a sample: the stored columns are its fields, and the derived
+    /// `cycles`, `cpi` and `interrupt_headway` columns recompute from them,
+    /// so the parsed series equals the exported one and re-exports the CSV
+    /// text byte for byte.
     ///
     /// # Errors
     /// Returns a message naming the offending line when the header or a
@@ -205,24 +277,19 @@ impl TimeSeries {
             if int(2)? != end_cycle - start_cycle {
                 return Err(format!("line {row}: cycles column disagrees with bounds"));
             }
-            let mut delta = Measurement {
-                cycles: end_cycle - start_cycle,
-                ..Measurement::default()
-            };
-            delta.cpu_stats.instructions = int(3)?;
-            delta.mem_stats.read_stall_cycles = int(5)?;
-            delta.mem_stats.write_stall_cycles = int(6)?;
-            delta.mem_stats.i_reads = int(7)?;
-            delta.mem_stats.d_read_misses = int(8)?;
-            delta.mem_stats.tb_miss_d = int(9)?;
-            delta.cpu_stats.hw_interrupts = int(10)?;
-            delta.cpu_stats.context_switches = int(11)?;
             // Columns 4 (cpi) and 12 (interrupt_headway) are derived; they
             // are regenerated on export rather than stored.
             series.samples.push(IntervalSample {
                 start_cycle,
                 end_cycle,
-                delta,
+                instructions: int(3)?,
+                read_stall_cycles: int(5)?,
+                write_stall_cycles: int(6)?,
+                ib_reads: int(7)?,
+                cache_read_misses: int(8)?,
+                tb_misses: int(9)?,
+                interrupts: int(10)?,
+                context_switches: int(11)?,
             });
         }
         Ok(series)
@@ -234,16 +301,12 @@ mod tests {
     use super::*;
 
     fn sample(start: u64, end: u64, instructions: u64) -> IntervalSample {
-        let mut delta = Measurement {
-            cycles: end - start,
-            ..Measurement::default()
-        };
-        delta.cpu_stats.instructions = instructions;
-        delta.mem_stats.read_stall_cycles = 3;
         IntervalSample {
             start_cycle: start,
             end_cycle: end,
-            delta,
+            instructions,
+            read_stall_cycles: 3,
+            ..IntervalSample::default()
         }
     }
 
@@ -253,9 +316,33 @@ mod tests {
             samples: vec![sample(0, 100, 10), sample(100, 250, 20)],
         };
         let m = ts.merged();
-        assert_eq!(m.cycles, 250);
-        assert_eq!(m.instructions(), 30);
-        assert_eq!(m.mem_stats.read_stall_cycles, 6);
+        assert_eq!((m.start_cycle, m.end_cycle), (0, 250));
+        assert_eq!(m.instructions, 30);
+        assert_eq!(m.read_stall_cycles, 6);
+    }
+
+    #[test]
+    fn since_inverts_a_cumulative_reading() {
+        let mut cpu = CpuStats::new();
+        let mut mem = MemStats::new();
+        cpu.instructions = 10;
+        mem.d_read_misses = 2;
+        let earlier = IntervalSample::read(100, &cpu, &mem);
+        cpu.instructions = 25;
+        cpu.sw_interrupts = 1;
+        mem.i_read_misses = 3;
+        mem.tb_miss_i = 4;
+        let later = IntervalSample::read(160, &cpu, &mem);
+        let delta = later.since(&earlier);
+        assert_eq!((delta.start_cycle, delta.end_cycle), (100, 160));
+        assert_eq!(delta.instructions, 15);
+        assert_eq!(delta.cache_read_misses, 3);
+        assert_eq!(delta.tb_misses, 4);
+        assert_eq!(delta.interrupts, 1);
+        let whole = TimeSeries {
+            samples: vec![earlier, delta],
+        };
+        assert_eq!(whole.merged(), later, "the rows sum to the later reading");
     }
 
     #[test]
@@ -277,8 +364,8 @@ mod tests {
         };
         let csv = ts.to_csv();
         let parsed = TimeSeries::from_csv(&csv).unwrap();
+        assert_eq!(parsed, ts);
         assert_eq!(parsed.to_csv(), csv);
-        assert_eq!(parsed.merged().instructions(), 30);
         assert!(TimeSeries::from_csv("bogus header\n1,2\n").is_err());
         assert!(TimeSeries::from_csv("").is_err());
     }
@@ -294,7 +381,7 @@ mod tests {
         let mut spliced = TimeSeries::default();
         let off = spliced.splice(0, &a);
         assert_eq!(off, 250);
-        assert_eq!(spliced.to_csv(), a.to_csv(), "identity splice at offset 0");
+        assert_eq!(spliced, a, "identity splice at offset 0");
         let end = spliced.splice(off, &b);
         assert_eq!(end, 340);
         assert_eq!(spliced.end_cycle(), 340);
@@ -303,21 +390,23 @@ mod tests {
             assert_eq!(w[0].end_cycle, w[1].start_cycle);
         }
         // Conservation: the spliced series merges to the sum of the parts.
-        let mut want = a.merged();
-        want.merge(&b.merged());
-        assert_eq!(spliced.merged(), want);
+        let parts = TimeSeries {
+            samples: [a.merged(), b.merged()].to_vec(),
+        };
+        assert_eq!(spliced.merged(), parts.merged());
         // Round trip: rebasing the tail back by the splice offset
         // reproduces `b` exactly.
-        let mut back = TimeSeries::default();
-        for s in &spliced.samples[a.len()..] {
-            back.samples.push(IntervalSample {
-                start_cycle: s.start_cycle - off,
-                end_cycle: s.end_cycle - off,
-                delta: s.delta.clone(),
-            });
-        }
-        assert_eq!(back.to_csv(), b.to_csv());
-        assert_eq!(back.merged(), b.merged());
+        let back = TimeSeries {
+            samples: spliced.samples[a.len()..]
+                .iter()
+                .map(|s| IntervalSample {
+                    start_cycle: s.start_cycle - off,
+                    end_cycle: s.end_cycle - off,
+                    ..*s
+                })
+                .collect(),
+        };
+        assert_eq!(back, b);
     }
 
     #[test]
@@ -339,7 +428,7 @@ mod tests {
     fn headway() {
         let mut s = sample(0, 1000, 10);
         assert_eq!(s.interrupt_headway(), 0.0);
-        s.delta.cpu_stats.hw_interrupts = 4;
+        s.interrupts = 4;
         assert!((s.interrupt_headway() - 250.0).abs() < 1e-9);
     }
 }

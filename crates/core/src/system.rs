@@ -457,11 +457,13 @@ impl System {
         self.snapshot(base)
     }
 
-    /// [`System::measure`] plus interval sampling: the cumulative counters
-    /// are snapshotted at the first step boundary past each multiple of
-    /// `interval_cycles`, and each sample holds the *delta* from the
-    /// previous snapshot. Returns the whole-run measurement and the time
-    /// series; merging the series reproduces the measurement exactly.
+    /// [`System::measure`] plus interval sampling: at the first step
+    /// boundary past each multiple of `interval_cycles` the live CPU and
+    /// memory counters are read in place, and each sample holds the
+    /// exported counters' growth since the previous reading. The board is
+    /// never copied. Returns the whole-run measurement and the time
+    /// series; summing the series reproduces the measurement's exported
+    /// counters exactly.
     ///
     /// # Panics
     /// Panics if `interval_cycles` is zero.
@@ -474,8 +476,7 @@ impl System {
         assert!(interval_cycles > 0, "interval_cycles must be positive");
         let base = self.begin_measurement(warmup);
         let mut series = TimeSeries::default();
-        let mut prev = Measurement::default();
-        let mut prev_cycle = 0u64;
+        let mut prev = IntervalSample::default();
         let mut next_boundary = interval_cycles;
         for _ in 0..n {
             if let StepOutcome::Halted = self.cpu.step() {
@@ -487,31 +488,22 @@ impl System {
             // step boundary at or past the interval mark.
             let rel = self.cpu.cycle - base;
             if rel >= next_boundary {
-                let cum = self.snapshot(base);
-                series.samples.push(IntervalSample {
-                    start_cycle: prev_cycle,
-                    end_cycle: rel,
-                    delta: cum.diff(&prev),
-                });
+                let cum = IntervalSample::read(rel, &self.cpu.stats, &self.cpu.mem.stats);
+                series.samples.push(cum.since(&prev));
                 prev = cum;
-                prev_cycle = rel;
                 while next_boundary <= rel {
                     next_boundary += interval_cycles;
                 }
             }
         }
         self.cpu.hist.stop();
-        let total = self.snapshot(base);
         let rel = self.cpu.cycle - base;
-        if rel > prev_cycle {
+        if rel > prev.end_cycle {
             // Final partial interval.
-            series.samples.push(IntervalSample {
-                start_cycle: prev_cycle,
-                end_cycle: rel,
-                delta: total.diff(&prev),
-            });
+            let cum = IntervalSample::read(rel, &self.cpu.stats, &self.cpu.mem.stats);
+            series.samples.push(cum.since(&prev));
         }
-        (total, series)
+        (self.snapshot(base), series)
     }
 
     /// Warm up and reset every counter; returns the base cycle number.

@@ -120,10 +120,10 @@ impl CpuStats {
         self.istream_bytes as f64 / self.instructions as f64
     }
 
-    /// Every scalar counter, in declaration order — the single field list
-    /// shared by [`CpuStats::merge`] and [`CpuStats::diff`], so a newly
-    /// added counter cannot be summed but not diffed (or vice versa). The
-    /// per-opcode and per-branch-class arrays are handled alongside.
+    /// Every scalar counter, in declaration order — the field list
+    /// [`CpuStats::merge`] walks, so a newly added counter cannot be left
+    /// out of the sum. The per-opcode and per-branch-class arrays are
+    /// handled alongside.
     fn scalars(&self) -> [u64; 13] {
         [
             self.instructions,
@@ -172,34 +172,6 @@ impl CpuStats {
             self.branch_executed[i] += other.branch_executed[i];
             self.branch_taken[i] += other.branch_taken[i];
         }
-    }
-
-    /// Counter-wise `self - earlier` (interval sampling).
-    ///
-    /// # Panics
-    /// Panics if any counter in `earlier` exceeds its value in `self` — the
-    /// snapshots were taken out of order or from different machines.
-    pub fn diff(&self, earlier: &CpuStats) -> CpuStats {
-        fn sub(a: u64, b: u64) -> u64 {
-            a.checked_sub(b)
-                .expect("CpuStats::diff: counter ran backwards")
-        }
-        let mut out = self.clone();
-        for (o, b) in out.scalars_mut().into_iter().zip(earlier.scalars()) {
-            *o = sub(*o, b);
-        }
-        for (o, (a, b)) in out
-            .opcode_counts
-            .iter_mut()
-            .zip(self.opcode_counts.iter().zip(&earlier.opcode_counts))
-        {
-            *o = sub(*a, *b);
-        }
-        for i in 0..10 {
-            out.branch_executed[i] = sub(self.branch_executed[i], earlier.branch_executed[i]);
-            out.branch_taken[i] = sub(self.branch_taken[i], earlier.branch_taken[i]);
-        }
-        out
     }
 }
 

@@ -55,8 +55,8 @@ impl MemStats {
         self.tb_miss_d + self.tb_miss_i
     }
 
-    /// Every counter, in declaration order (the single field list shared by
-    /// [`MemStats::merge`] and [`MemStats::diff`]).
+    /// Every counter, in declaration order (the field list
+    /// [`MemStats::merge`] walks).
     fn fields(&self) -> [u64; 14] {
         [
             self.d_reads,
@@ -100,21 +100,6 @@ impl MemStats {
         for (a, b) in self.fields_mut().into_iter().zip(other.fields()) {
             *a += b;
         }
-    }
-
-    /// Counter-wise `self - earlier` (interval sampling).
-    ///
-    /// # Panics
-    /// Panics if `earlier` is not a prefix snapshot of `self` (any counter
-    /// running backwards indicates mismatched snapshots).
-    pub fn diff(&self, earlier: &MemStats) -> MemStats {
-        let mut out = *self;
-        for (a, b) in out.fields_mut().into_iter().zip(earlier.fields()) {
-            *a = a
-                .checked_sub(b)
-                .expect("MemStats::diff: counter ran backwards");
-        }
-        out
     }
 }
 

@@ -123,35 +123,6 @@ impl Histogram {
         }
     }
 
-    /// Bucket-wise `self - earlier` (interval sampling over a cumulative
-    /// board). The result is stopped; `running` state is not meaningful on
-    /// a derived snapshot.
-    ///
-    /// # Panics
-    /// Panics if the boards differ in size or any bucket of `earlier`
-    /// exceeds its value in `self`.
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        assert_eq!(
-            self.normal.len(),
-            earlier.normal.len(),
-            "cannot diff histograms of different sizes"
-        );
-        let sub = |a: &[u64], b: &[u64]| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| {
-                    x.checked_sub(*y)
-                        .expect("Histogram::diff: bucket ran backwards")
-                })
-                .collect()
-        };
-        Histogram {
-            normal: sub(&self.normal, &earlier.normal),
-            stalled: sub(&self.stalled, &earlier.stalled),
-            running: false,
-        }
-    }
-
     /// Iterate over non-zero buckets as (µPC, plane, count).
     pub fn nonzero(&self) -> impl Iterator<Item = (MicroPc, Plane, u64)> + '_ {
         let normals = self

@@ -85,6 +85,7 @@ fn timeseries_json_importer_rejects_wrong_shapes() {
         "[]",
         "{\"samples\": 3}",
         "{\"samples\": [{\"start_cycle\": 0}]}",
+        "{\"intervals\": 1, \"samples\": [{\"start_cycle\": 9, \"end_cycle\": 5, \"cycles\": 0}]}",
     ] {
         let j = Json::parse(bad).unwrap();
         assert!(timeseries_from_json(&j).is_err(), "accepted '{bad}'");

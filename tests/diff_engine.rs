@@ -190,23 +190,19 @@ fn timeseries_exports_roundtrip_exactly() {
         let n = rng.gen_range(1usize..12);
         for _ in 0..n {
             let len = rng.gen_range(1u64..100_000);
-            let mut delta = vax780::Measurement {
-                cycles: len,
-                ..vax780::Measurement::default()
-            };
-            // Instructions stay nonzero so the derived CPI column is finite.
-            delta.cpu_stats.instructions = rng.gen_range(1u64..len + 1);
-            delta.cpu_stats.hw_interrupts = rng.gen_range(0u64..50);
-            delta.cpu_stats.context_switches = rng.gen_range(0u64..20);
-            delta.mem_stats.read_stall_cycles = rng.gen_range(0u64..len / 2 + 1);
-            delta.mem_stats.write_stall_cycles = rng.gen_range(0u64..len / 2 + 1);
-            delta.mem_stats.i_reads = rng.gen_range(0u64..len + 1);
-            delta.mem_stats.d_read_misses = rng.gen_range(0u64..1000);
-            delta.mem_stats.tb_miss_d = rng.gen_range(0u64..500);
             series.samples.push(IntervalSample {
                 start_cycle: cycle,
                 end_cycle: cycle + len,
-                delta,
+                // Instructions stay nonzero so the derived CPI column is
+                // finite.
+                instructions: rng.gen_range(1u64..len + 1),
+                read_stall_cycles: rng.gen_range(0u64..len / 2 + 1),
+                write_stall_cycles: rng.gen_range(0u64..len / 2 + 1),
+                ib_reads: rng.gen_range(0u64..len + 1),
+                cache_read_misses: rng.gen_range(0u64..1000),
+                tb_misses: rng.gen_range(0u64..500),
+                interrupts: rng.gen_range(0u64..50),
+                context_switches: rng.gen_range(0u64..20),
             });
             cycle += len;
         }
@@ -214,12 +210,14 @@ fn timeseries_exports_roundtrip_exactly() {
         let csv = series.to_csv();
         let reparsed = TimeSeries::from_csv(&csv)
             .unwrap_or_else(|e| panic!("case {case}: csv parse failed: {e}"));
+        assert_eq!(reparsed, series, "case {case}: csv lost a field");
         assert_eq!(reparsed.to_csv(), csv, "case {case}: csv not byte-stable");
 
         let json = vax_analysis::timeseries_json(&series);
         let parsed = Json::parse(&json.to_string_pretty()).unwrap();
         let back = timeseries_from_json(&parsed)
             .unwrap_or_else(|e| panic!("case {case}: json parse failed: {e}"));
+        assert_eq!(back, series, "case {case}: json lost a field");
         assert_eq!(
             vax_analysis::timeseries_json(&back).to_string_pretty(),
             json.to_string_pretty(),

@@ -90,7 +90,7 @@ fn sharded_grid_has_expected_shape() {
         );
     }
     assert_eq!(
-        out.series.merged().instructions(),
+        out.series.merged().instructions,
         n,
         "series conserves the composite's instructions"
     );
