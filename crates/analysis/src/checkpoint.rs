@@ -13,7 +13,7 @@
 //! so the parsed series equals the journaled one. The measurement, by
 //! contrast, feeds the analysis/validation pipeline and is stored in full.
 
-use upc_monitor::{Histogram, MicroPc, Plane};
+use upc_monitor::{ControlStoreMap, Histogram, MicroPc, Plane};
 use vax780::{Measurement, TimeSeries};
 use vax_arch::Opcode;
 
@@ -199,10 +199,13 @@ pub fn cell_to_json(cell: &CheckpointCell) -> Json {
     ])
 }
 
-/// Parse a cell checkpoint. Any structural defect — wrong version, missing
-/// field, out-of-range index — is an error; the caller treats an unreadable
-/// checkpoint as "cell not done" and re-runs it.
-pub fn cell_from_json(j: &Json) -> Result<CheckpointCell, String> {
+/// Parse a cell checkpoint journaled by a run that reduces against `map`.
+/// Any structural defect is an error, and the caller treats an unreadable
+/// checkpoint as "cell not done" and re-runs it. Defects include a wrong
+/// version, a missing field, an out-of-range index, a histogram µPC outside
+/// `map`, a `(µPC, plane)` pair listed twice, and bucket counts that do not
+/// sum to the cell's `cycles` (the first conservation invariant).
+pub fn cell_from_json(j: &Json, map: &ControlStoreMap) -> Result<CheckpointCell, String> {
     let int = |j: &Json, key: &str| -> Result<u64, String> {
         j.get(key)
             .and_then(Json::as_i64)
@@ -276,7 +279,13 @@ pub fn cell_from_json(j: &Json) -> Result<CheckpointCell, String> {
         }
     }
 
-    let mut hist = Histogram::new_16k();
+    // The board backs exactly the control store, so a µPC past it, which
+    // the reduction could not attribute, is refused here rather than
+    // panicking the reduction.
+    let locations = map.len();
+    let mut hist = Histogram::new(locations);
+    let mut seen = vec![false; 2 * locations];
+    let mut total = 0u64;
     hist.start();
     let triples = j
         .get("histogram")
@@ -290,7 +299,10 @@ pub fn cell_from_json(j: &Json) -> Result<CheckpointCell, String> {
         let upc = triple[0]
             .as_i64()
             .and_then(|v| u16::try_from(v).ok())
-            .ok_or("checkpoint: histogram µPC out of range")?;
+            .filter(|&upc| usize::from(upc) < locations)
+            .ok_or_else(|| {
+                format!("checkpoint: histogram µPC outside the {locations}-location control store")
+            })?;
         let plane = match triple[1].as_i64() {
             Some(0) => Plane::Normal,
             Some(1) => Plane::Stalled,
@@ -300,9 +312,24 @@ pub fn cell_from_json(j: &Json) -> Result<CheckpointCell, String> {
             .as_i64()
             .and_then(|v| u64::try_from(v).ok())
             .ok_or("checkpoint: histogram count is not a u64")?;
+        let stalled = usize::from(plane == Plane::Stalled);
+        if std::mem::replace(&mut seen[2 * usize::from(upc) + stalled], true) {
+            return Err(format!(
+                "checkpoint: histogram µPC {upc} plane {stalled} listed twice"
+            ));
+        }
+        total = total
+            .checked_add(n)
+            .ok_or("checkpoint: histogram counts overflow")?;
         hist.record_n(MicroPc(upc), plane, n);
     }
     hist.stop();
+    if total != m.cycles {
+        return Err(format!(
+            "checkpoint: histogram counts sum to {total}, not the cell's {} cycles",
+            m.cycles
+        ));
+    }
     m.hist = hist;
 
     let series = timeseries_from_json(j.get("series").ok_or("checkpoint: missing 'series'")?)?;
@@ -321,6 +348,10 @@ mod tests {
     use vax780::{ProcessSpec, SystemBuilder, SystemConfig};
     use vax_arch::Reg;
     use vax_asm::{Asm, Operand};
+
+    fn map() -> ControlStoreMap {
+        vax_cpu::ControlStore::new(&vax_cpu::CpuConfig::default()).map
+    }
 
     fn measured_cell() -> CheckpointCell {
         let mut asm = Asm::new(0x200);
@@ -349,7 +380,7 @@ mod tests {
         let cell = measured_cell();
         let j = cell_to_json(&cell);
         let text = j.to_string_pretty();
-        let back = cell_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = cell_from_json(&Json::parse(&text).unwrap(), &map()).unwrap();
         assert_eq!(back.workload, 3);
         assert_eq!(back.shard, 1);
         // Full fidelity: the measurement (histogram buckets included) is
@@ -376,11 +407,13 @@ mod tests {
         // Wrong version.
         let j = Json::parse(&good.replacen("\"format_version\": 1", "\"format_version\": 99", 1))
             .unwrap();
-        assert!(cell_from_json(&j).unwrap_err().contains("format_version"));
+        assert!(cell_from_json(&j, &map())
+            .unwrap_err()
+            .contains("format_version"));
         // Truncation is a parse error upstream of the codec.
         assert!(Json::parse(&good[..good.len() / 2]).is_err());
         // Missing field.
         let j = Json::parse(&good.replacen("\"cycles\"", "\"cycle_count\"", 1)).unwrap();
-        assert!(cell_from_json(&j).unwrap_err().contains("cycles"));
+        assert!(cell_from_json(&j, &map()).unwrap_err().contains("cycles"));
     }
 }

@@ -10,19 +10,24 @@
 //! image.
 //!
 //! Within one run every cell has a distinct seed, so a cold run records
-//! only misses. The cache pays off when a long-lived engine (the
-//! `reproduce serve` daemon) executes a *second* job with the same
-//! experiment definition.
+//! only misses. The cache pays off only when a long-lived engine executes
+//! a *second* job with the same experiment definition, so only the
+//! `reproduce serve` daemon's engine keeps images ([`WarmCaches::new`]).
+//! A one-shot engine (`JobEngine::new`, behind every CLI run) holds a
+//! cache that retains nothing ([`WarmCaches::one_shot`]): it counts every
+//! lookup as a miss, as a retaining cache would in a single run, and frees
+//! each image with the cell that booted it.
 //!
 //! Correctness leans on `SystemBuilder::build` being routed through
 //! `BootImage` capture + rehydration: a cache hit replays the exact code
 //! path a cold build takes, so cached and uncached runs are byte-identical
 //! by construction (property-tested in `tests/warm_cache.rs`).
 //!
-//! The map is bounded: once it holds `CACHE_CAP` (64) images, new ones are
-//! simply not retained (hit/miss accounting is unaffected). Everything is
-//! `Send + Sync`; one [`WarmCaches`] is shared by all workers of all jobs
-//! of an engine.
+//! The map is bounded: once it holds its capacity of images (64 for the
+//! daemon), new ones are simply not retained (hit/miss accounting is
+//! unaffected). Everything is `Send + Sync`; the daemon's engine holds one
+//! [`WarmCaches`] for its whole life, shared by all workers of all its
+//! jobs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +37,8 @@ use vax780::{BootImage, ProcessSpec, System};
 use vax_trace::Tracer;
 use vax_workload::Workload;
 
-/// Most boot images retained: at 1.1–1.3 MB each, about 80 MB.
+/// Most boot images the daemon's cache retains: at 1.1–1.3 MB each,
+/// about 80 MB.
 const CACHE_CAP: usize = 64;
 
 /// Cumulative hit/miss counts of the cache.
@@ -45,17 +51,40 @@ pub struct CacheCounts {
 }
 
 /// The shared warm cache (see module docs).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WarmCaches {
     images: Mutex<HashMap<(Workload, usize, u64), Arc<BootImage>>>,
+    /// Most images `images` may hold.
+    cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+impl Default for WarmCaches {
+    fn default() -> WarmCaches {
+        WarmCaches::new()
+    }
+}
+
 impl WarmCaches {
-    /// An empty cache.
+    /// An empty cache that retains up to 64 images: the daemon's.
     pub fn new() -> WarmCaches {
-        WarmCaches::default()
+        WarmCaches::with_cap(CACHE_CAP)
+    }
+
+    /// A cache for an engine that runs one job: it retains no image, so
+    /// every lookup misses.
+    pub fn one_shot() -> WarmCaches {
+        WarmCaches::with_cap(0)
+    }
+
+    fn with_cap(cap: usize) -> WarmCaches {
+        WarmCaches {
+            images: Mutex::default(),
+            cap,
+            hits: AtomicU64::default(),
+            misses: AtomicU64::default(),
+        }
     }
 
     /// A booted [`System`] for the `nproc` processes of `workload` seeded
@@ -91,7 +120,7 @@ impl WarmCaches {
         let img = found.unwrap_or_else(|specs| {
             let img = Arc::new(vax_workload::rte::boot_image(specs));
             let mut map = self.images.lock().expect("warm cache lock poisoned");
-            if map.len() < CACHE_CAP {
+            if map.len() < self.cap {
                 map.insert(key, Arc::clone(&img));
             }
             img
@@ -99,6 +128,11 @@ impl WarmCaches {
         let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         (System::from_boot_image(&img), hit)
+    }
+
+    /// Boot images held now.
+    pub fn retained(&self) -> usize {
+        self.images.lock().expect("warm cache lock poisoned").len()
     }
 
     /// Cumulative hit/miss counts. One lookup decides both setup phases,
@@ -156,7 +190,7 @@ mod tests {
         for seed in 0..CACHE_CAP as u64 + 1 {
             assert!(!boot(&caches, Workload::Educational, 1, seed).1);
         }
-        assert_eq!(caches.images.lock().unwrap().len(), CACHE_CAP);
+        assert_eq!(caches.retained(), CACHE_CAP);
         assert!(boot(&caches, Workload::Educational, 1, 0).1, "retained");
         assert!(
             !boot(&caches, Workload::Educational, 1, CACHE_CAP as u64).1,

@@ -4,8 +4,8 @@
 //! The grid is one job per probeable opcode × addressing-mode cell. The
 //! baseline scaffold is measured **once, on the main thread** before the
 //! fan-out — every cell's attribution subtracts the same baseline, and a
-//! worker sends back only the compact [`CostRecord`] (never the 256 KB
-//! histogram), so memory stays flat across a ~2000-cell grid. Results
+//! worker sends back only the compact [`CostRecord`] (never the histogram
+//! board), so memory stays flat across a ~2000-cell grid. Results
 //! land in input-indexed slots and are reduced in grid order, so
 //! `costs.json` is byte-identical at any `--jobs` count, exactly like the
 //! composite run.

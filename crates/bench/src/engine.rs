@@ -10,11 +10,14 @@
 //! and a CLI invocation of the same spec produce byte-identical artifacts
 //! by construction (CI-enforced by the serve-smoke job).
 //!
-//! The engine is long-lived: it owns the [`WarmCaches`] that let a second
-//! job with the same experiment definition skip workload codegen and
-//! kernel boot. A fresh engine per CLI invocation makes the caches a
-//! no-op there (every cell misses once); a daemon keeps one engine across
-//! jobs, which is where the warm path pays.
+//! An engine owns a [`WarmCaches`]. The daemon keeps one engine across
+//! jobs, built with [`JobEngine::with_caches`] over a cache that retains
+//! boot images, so a second job with the same experiment definition skips
+//! workload codegen and kernel boot. [`JobEngine::new`], one per CLI
+//! invocation or benchmark job, runs a single job whose cells all have
+//! distinct seeds, so it retains no image: a kept image could never be hit,
+//! and its memory would only add to the job's peak. Both record every
+//! lookup in `runtime.json` and export the same bytes.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -97,19 +100,27 @@ pub struct JobOutcome {
     pub canceled: Option<CancelKind>,
 }
 
-/// Long-lived executor for [`JobRequest`]s (see module docs).
-#[derive(Debug, Default)]
+/// Executor for [`JobRequest`]s (see module docs).
+#[derive(Debug)]
 pub struct JobEngine {
     caches: Arc<WarmCaches>,
 }
 
+impl Default for JobEngine {
+    fn default() -> JobEngine {
+        JobEngine::new()
+    }
+}
+
 impl JobEngine {
-    /// An engine with empty warm caches.
+    /// A one-shot engine: its cache retains no boot image, so every cell
+    /// generates and boots its own machine and frees it when done.
     pub fn new() -> JobEngine {
-        JobEngine::default()
+        JobEngine::with_caches(Arc::new(WarmCaches::one_shot()))
     }
 
-    /// An engine sharing an existing cache set.
+    /// An engine sharing an existing cache set (the daemon's, which
+    /// retains images across jobs).
     pub fn with_caches(caches: Arc<WarmCaches>) -> JobEngine {
         JobEngine { caches }
     }

@@ -18,14 +18,19 @@
 //! `reproduce resume DIR` turns the header into the run's options
 //! ([`options_from_header`]) and hands them to the engine as
 //! `JobRequest::Resume`, which runs the measurement path of a fresh run
-//! except that `crate::runner::resume_composite` loads every parseable
-//! cell first and re-runs only the missing ones (same shard seeds ⇒ same
-//! results). Because the reduction is keyed by grid index and every writer
-//! is atomic, the resumed export is byte-identical to an uninterrupted run
-//! no matter when the original process died.
+//! except that `crate::runner::resume_composite` first folds every
+//! parseable cell as it loads it and then re-runs only the missing ones
+//! (same shard seeds ⇒ same results). A damaged cell — one that does not
+//! parse, names another grid index, or fails the codec's structural checks
+//! against the run's control store — counts as missing and re-runs.
+//! Because the counters fold to the same sums in any order, the series
+//! splices by grid index, and every writer is atomic, the resumed export
+//! is byte-identical to an uninterrupted run no matter when the original
+//! process died.
 
 use std::path::{Path, PathBuf};
 
+use upc_monitor::ControlStoreMap;
 use vax_analysis::{cell_from_json, CheckpointCell, Json};
 use vax_workload::Workload;
 
@@ -123,24 +128,28 @@ pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Load every parseable cell checkpoint of the `Workload::ALL.len() ×
-/// shards` grid, in grid-index order. A missing or corrupt checkpoint is
-/// `None` (the cell will be re-run); a corrupt one is also warned about,
-/// since it means the journal was damaged rather than merely incomplete.
-pub fn load_cells(out: &Path, shards: u64, progress: &Progress) -> Vec<Option<CheckpointCell>> {
-    let mut cells = Vec::with_capacity(Workload::ALL.len() * shards as usize);
+/// Hand every parseable cell checkpoint of the `Workload::ALL.len() ×
+/// shards` grid to `keep`, one at a time in grid-index order, with its grid
+/// index; the caller holds at most one parsed cell at a time. `map` is the
+/// control store the run reduces against. A missing or corrupt checkpoint
+/// is skipped (the cell will be re-run); a corrupt one is also warned
+/// about, since it means the journal was damaged rather than merely
+/// incomplete.
+pub fn load_cells(
+    out: &Path,
+    shards: u64,
+    map: &ControlStoreMap,
+    progress: &Progress,
+    mut keep: impl FnMut(usize, CheckpointCell),
+) {
     for w in 0..Workload::ALL.len() as u64 {
         for s in 0..shards {
             let path = cell_path(out, w, s);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(_) => {
-                    cells.push(None);
-                    continue;
-                }
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
             };
             let cell = Json::parse(&text)
-                .and_then(|j| cell_from_json(&j))
+                .and_then(|j| cell_from_json(&j, map))
                 .and_then(|c| {
                     if c.workload == w && c.shard == s {
                         Ok(c)
@@ -152,18 +161,14 @@ pub fn load_cells(out: &Path, shards: u64, progress: &Progress) -> Vec<Option<Ch
                     }
                 });
             match cell {
-                Ok(c) => cells.push(Some(c)),
-                Err(e) => {
-                    progress.warn(&format!(
-                        "discarding corrupt checkpoint {}: {e}",
-                        path.display()
-                    ));
-                    cells.push(None);
-                }
+                Ok(c) => keep((w * shards + s) as usize, c),
+                Err(e) => progress.warn(&format!(
+                    "discarding corrupt checkpoint {}: {e}",
+                    path.display()
+                )),
             }
         }
     }
-    cells
 }
 
 #[cfg(test)]

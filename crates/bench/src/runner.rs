@@ -6,12 +6,17 @@
 //! shard)` cell, seeded by `vax_workload::rte::shard_seed` — executed on a
 //! [`crate::pool`] of supervised worker threads. Each attempt builds its
 //! own simulated system from the cell's seed (only job descriptions and
-//! results cross threads) and measures it; the parent then reduces the
-//! results in `(workload, shard)` index order: measurements through
-//! [`vax780::merge_ordered`], interval samples through
-//! [`TimeSeries::splice`]. Because the reduction order is fixed by index
-//! and never by completion order, a run's output is byte-identical at any
-//! `--jobs` count — `--jobs` buys wall-clock time, not different numbers.
+//! results cross threads) and measures it. As the last step of a
+//! successful attempt the cell's measurement is folded into its
+//! workload's accumulator, in whatever order cells finish: every counter
+//! is an integer sum, so any fold order gives the bytes a grid-order
+//! [`vax780::merge_ordered`] would. A cell keeps only its cycles and its
+//! interval rows, because [`TimeSeries::splice`] places rows at cycle
+//! offsets that do depend on order; the parent splices them in `(workload,
+//! shard)` index order. So a run's memory does not grow with its shard
+//! count by a measurement per cell, and its output is byte-identical at
+//! any `--jobs` count — `--jobs` buys wall-clock time, not different
+//! numbers.
 //!
 //! Supervision: a shard attempt that panics (or trips its `--shard-timeout`
 //! watchdog) is retried up to `--retries` times on a fresh system built
@@ -23,9 +28,12 @@
 //! Crash safety: with `--out DIR` every completed cell is journaled
 //! atomically to `DIR/checkpoints/` (see [`crate::resume`]), and
 //! [`resume_composite`] finishes an interrupted run, given its options, by
-//! re-running only the missing cells.
+//! folding each journaled cell as it loads it and re-running only the
+//! missing cells.
 
-use vax780::{merge_ordered, FaultPlan, Measurement, TimeSeries};
+use std::sync::Mutex;
+
+use vax780::{FaultPlan, Measurement, TimeSeries};
 use vax_analysis::{validate, Analysis, CheckpointCell, ValidationReport};
 use vax_cpu::{ControlStore, CpuConfig, SharedFlightRecorder};
 use vax_trace::{worker_tid, Tracer, MAIN_TID};
@@ -81,10 +89,49 @@ struct ShardJob {
     recorder: SharedFlightRecorder,
 }
 
-/// What a shard sends back across the thread boundary.
-struct CellData {
-    m: Measurement,
+/// What the grid keeps of a finished cell once its measurement is folded:
+/// what the grid-order splice of the interval series needs.
+struct CellTail {
+    cycles: u64,
     series: TimeSeries,
+}
+
+/// The grid's reduction while it runs: one accumulator per workload, into
+/// which each finished cell's measurement is folded, and each finished
+/// cell's [`CellTail`] in grid order.
+struct Fold {
+    workloads: Vec<Mutex<Measurement>>,
+    tails: Vec<Option<CellTail>>,
+}
+
+impl Fold {
+    /// Nothing folded yet, for a grid of `shards` shards per workload.
+    fn new(shards: usize) -> Fold {
+        Fold {
+            workloads: Workload::ALL
+                .iter()
+                .map(|_| Mutex::new(Measurement::default()))
+                .collect(),
+            tails: (0..Workload::ALL.len() * shards).map(|_| None).collect(),
+        }
+    }
+
+    /// Fold `m` into workload `w`'s accumulator.
+    fn add(&self, w: usize, m: &Measurement) {
+        self.workloads[w]
+            .lock()
+            .expect("a fold never panics while it holds the lock")
+            .merge(m);
+    }
+
+    /// Fold a journaled cell, at grid index `slot`, and keep its tail.
+    fn keep(&mut self, slot: usize, cell: CheckpointCell) {
+        self.add(cell.workload as usize, &cell.m);
+        self.tails[slot] = Some(CellTail {
+            cycles: cell.m.cycles,
+            series: cell.series,
+        });
+    }
 }
 
 /// Run the workload × shard grid described by `opts`.
@@ -105,11 +152,12 @@ struct CellData {
 /// hits/misses, and scheduled fault injections. Pass
 /// `&Tracer::disabled()` to record nothing.
 ///
-/// `caches` is a shared warm cache (see [`crate::cache`]). A long-lived
-/// engine passes its own so a repeated job skips codegen and boot; a
-/// fresh `&WarmCaches::new()` behaves identically to no cache at all
+/// `caches` is the engine's warm cache (see [`crate::cache`]). The
+/// daemon's engine passes one that keeps boot images, so a repeated job
+/// skips codegen and boot; a one-shot engine passes one that keeps none
 /// (every cell of one run has a distinct seed, so a single run only ever
-/// misses).
+/// misses, and a retained image could never be hit). Either way the
+/// exported bytes are the same.
 ///
 /// # Panics
 /// Panics if `opts.jobs() == 0` or `opts.spec.shards == 0` (the CLI rejects both
@@ -131,15 +179,16 @@ pub fn run_composite(
     if let Some(out) = &opts.out {
         let _ = std::fs::remove_dir_all(checkpoints_dir(out));
     }
-    let cells = vec![None; Workload::ALL.len() * opts.spec.shards as usize];
-    run_grid(opts, progress, cells, tracer, caches)
+    let cs = ControlStore::new(&CpuConfig::default());
+    let fold = Fold::new(opts.spec.shards as usize);
+    run_grid(opts, progress, cs, fold, tracer, caches)
 }
 
-/// Finish the interrupted run journaled under `opts.out`: load every
-/// parseable cell checkpoint there and run only the missing cells. `opts`
-/// are the interrupted run's own (the CLI rebuilds them from the
-/// checkpoint header with [`crate::resume::options_from_header`]; the serve
-/// daemon from the job's spec). `tracer` and `caches` are as for
+/// Finish the interrupted run journaled under `opts.out`: fold every
+/// parseable cell checkpoint there as it loads, then run only the missing
+/// cells. `opts` are the interrupted run's own (the CLI rebuilds them from
+/// the checkpoint header with [`crate::resume::options_from_header`]; the
+/// serve daemon from the job's spec). `tracer` and `caches` are as for
 /// [`run_composite`]; already-checkpointed cells count toward the tracer's
 /// `cells_done` before any new work starts.
 ///
@@ -155,28 +204,34 @@ pub fn resume_composite(
         .out
         .as_deref()
         .expect("resume_composite: opts.out names the run directory");
-    let cells = load_cells(dir, opts.spec.shards, progress);
-    let done = cells.iter().filter(|c| c.is_some()).count();
+    let cs = ControlStore::new(&CpuConfig::default());
+    let mut fold = Fold::new(opts.spec.shards as usize);
+    load_cells(dir, opts.spec.shards, &cs.map, progress, |slot, cell| {
+        fold.keep(slot, cell)
+    });
+    let done = fold.tails.iter().filter(|c| c.is_some()).count();
     progress.info(&format!(
         "resuming from {}: {done}/{} cells checkpointed",
         dir.display(),
-        cells.len()
+        fold.tails.len()
     ));
-    run_grid(opts, progress, cells, tracer, caches)
+    run_grid(opts, progress, cs, fold, tracer, caches)
 }
 
-/// Shared grid engine: run every cell not already `preloaded`, then reduce.
+/// Shared grid engine: run every cell `fold` does not hold yet, folding
+/// each as it finishes, then reduce against `cs`.
 fn run_grid(
     opts: &Options,
     progress: &Progress,
-    preloaded: Vec<Option<CheckpointCell>>,
+    cs: ControlStore,
+    mut fold: Fold,
     tracer: &Tracer,
     caches: &WarmCaches,
 ) -> RunOutput {
     let instructions = opts.spec.instructions;
     let seed = opts.spec.seed;
     let shards = opts.spec.shards as usize;
-    assert_eq!(preloaded.len(), Workload::ALL.len() * shards);
+    assert_eq!(fold.tails.len(), Workload::ALL.len() * shards);
     tracer.set_thread_name(MAIN_TID, "main");
     let run_span = tracer.span(
         MAIN_TID,
@@ -189,8 +244,8 @@ fn run_grid(
             ("instructions", instructions.into()),
         ],
     );
-    tracer.counter_set("cells_total", preloaded.len() as u64);
-    let preloaded_done = preloaded.iter().filter(|c| c.is_some()).count() as u64;
+    tracer.counter_set("cells_total", fold.tails.len() as u64);
+    let preloaded_done = fold.tails.iter().filter(|c| c.is_some()).count() as u64;
     if preloaded_done > 0 {
         tracer.count(MAIN_TID, "cells_done", preloaded_done);
     }
@@ -218,21 +273,11 @@ fn run_grid(
             .map(|()| out.clone())
     });
 
-    let mut slots: Vec<Option<CellData>> = preloaded
-        .into_iter()
-        .map(|c| {
-            c.map(|c| CellData {
-                m: c.m,
-                series: c.series,
-            })
-        })
-        .collect();
-
     let todo: Vec<ShardJob> = Workload::ALL
         .iter()
         .enumerate()
         .flat_map(|(w, &workload)| (0..opts.spec.shards).map(move |shard| (w, workload, shard)))
-        .filter(|&(w, _, shard)| slots[w * shards + shard as usize].is_none())
+        .filter(|&(w, _, shard)| fold.tails[w * shards + shard as usize].is_none())
         .map(|(w, workload, shard)| ShardJob {
             workload,
             workload_index: w as u64,
@@ -241,6 +286,7 @@ fn run_grid(
         })
         .collect();
 
+    let folding = &fold;
     let outcome = run_supervised(
         opts.jobs(),
         &todo,
@@ -321,29 +367,29 @@ fn run_grid(
                 m.cycles,
                 series.samples.len()
             ));
-            let data = if let Some(out) = &journal {
+            let cell = CheckpointCell {
+                workload: job.workload_index,
+                shard: job.shard,
+                m,
+                series,
+            };
+            if let Some(out) = &journal {
                 let _g = tracer.span(tid, "checkpoint", vec![]);
-                let cell = CheckpointCell {
-                    workload: job.workload_index,
-                    shard: job.shard,
-                    m,
-                    series,
-                };
                 let path = cell_path(out, cell.workload, cell.shard);
                 if let Err(e) =
                     write_atomic(&path, &vax_analysis::cell_to_json(&cell).to_string_pretty())
                 {
                     progress.warn(&format!("checkpoint {} not written: {e}", path.display()));
                 }
-                CellData {
-                    m: cell.m,
-                    series: cell.series,
-                }
-            } else {
-                CellData { m, series }
-            };
+            }
             tracer.count(tid, "cells_done", 1);
-            data
+            // The last step: nothing after it can fail, so a cell is
+            // folded exactly once however many attempts it took.
+            folding.add(job.workload_index as usize, &cell.m);
+            CellTail {
+                cycles: cell.m.cycles,
+                series: cell.series,
+            }
         },
     );
 
@@ -374,27 +420,34 @@ fn run_grid(
     }
     for (job, result) in todo.iter().zip(outcome.slots) {
         let slot = job.workload_index as usize * shards + job.shard as usize;
-        slots[slot] = result;
+        fold.tails[slot] = result;
     }
 
-    // Deterministic reduction: grid-index order, regardless of which
-    // worker finished when. Quarantined cells are simply absent — the
-    // composite covers whatever survived.
+    // The workloads' accumulators already hold every finished cell; the
+    // composite sums them in workload order, and the series splices in
+    // grid-index order, regardless of which worker finished when.
+    // Quarantined cells are simply absent — the composite covers whatever
+    // survived.
     let merge_span = tracer.span(MAIN_TID, "merge", vec![]);
-    let cs = ControlStore::new(&CpuConfig::default());
     let mut per: Vec<(Workload, f64)> = Vec::new();
     let mut composite = Measurement::default();
     let mut series = TimeSeries::default();
     let mut cycle_offset = 0u64;
-    for (w, &workload) in Workload::ALL.iter().enumerate() {
-        let cells = &slots[w * shards..(w + 1) * shards];
-        let merged: Measurement = merge_ordered(cells.iter().flatten().map(|r| &r.m));
-        for r in cells.iter().flatten() {
+    let workloads = fold.workloads.into_iter().map(|m| {
+        m.into_inner()
+            .expect("a fold never panics while it holds the lock")
+    });
+    for ((&workload, merged), tails) in Workload::ALL
+        .iter()
+        .zip(workloads)
+        .zip(fold.tails.chunks(shards))
+    {
+        for tail in tails.iter().flatten() {
             // Advance by the shard's measured cycles, not the last sample
             // boundary: a measurement whose tail produced no sample still
             // occupies its cycles on the composite timeline.
-            series.splice(cycle_offset, &r.series);
-            cycle_offset += r.m.cycles;
+            series.splice(cycle_offset, &tail.series);
+            cycle_offset += tail.cycles;
         }
         progress.info(&format!(
             "  {} done (CPI {:.2})",

@@ -81,6 +81,7 @@ use vax_analysis::Json;
 use vax_serve::{write_streaming_head, HttpError, Request, Response};
 use vax_trace::{Tracer, MAIN_TID};
 
+use crate::cache::WarmCaches;
 use crate::cancel::{CancelKind, CancelToken};
 use crate::cli::{Format, ServeOptions};
 use crate::engine::{JobEngine, JobOutcome, JobRequest};
@@ -834,9 +835,10 @@ fn watch_signals(shared: &Shared) {
 }
 
 /// The single job-executing thread. One [`JobEngine`] lives here for the
-/// daemon's whole life — that is the warm-cache tenancy.
+/// daemon's whole life, over a cache that retains boot images — that is
+/// the warm-cache tenancy.
 fn worker_loop(shared: &Shared) {
-    let engine = JobEngine::new();
+    let engine = JobEngine::with_caches(Arc::new(WarmCaches::new()));
     loop {
         let next = {
             let reg = lock_registry(shared);

@@ -11,6 +11,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use vax_analysis::Json;
+
 fn reproduce() -> Command {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
 }
@@ -148,6 +150,94 @@ fn text_run_resumes_to_identical_stdout() {
     assert_eq!(String::from_utf8(resumed.stdout).unwrap(), stdout);
     assert_eq!(count_checkpoint_cells(&dir), 10, "deleted cells re-ran");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An edit of a cell's histogram triples, each `[µPC, plane, count]`.
+type Edit = fn(&mut Vec<[i64; 3]>);
+
+/// `cell` (a journaled checkpoint) with `edit` applied to its histogram
+/// triples.
+fn edit_histogram(cell: &str, edit: Edit) -> String {
+    let mut cell = Json::parse(cell).unwrap();
+    let Json::Obj(members) = &mut cell else {
+        panic!("a cell is an object")
+    };
+    let (_, hist) = members.iter_mut().find(|(k, _)| k == "histogram").unwrap();
+    let mut triples: Vec<[i64; 3]> = hist
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|t| [0, 1, 2].map(|i| t.as_arr().unwrap()[i].as_i64().unwrap()))
+        .collect();
+    edit(&mut triples);
+    *hist = Json::arr(
+        triples
+            .into_iter()
+            .map(|t| Json::arr(t.into_iter().map(Json::Int))),
+    );
+    cell.to_string_pretty()
+}
+
+#[test]
+fn a_damaged_checkpoint_cell_reruns_and_resume_matches_the_clean_run() {
+    let clean = scratch("damaged-clean");
+    let damaged = scratch("damaged");
+    for dir in [&clean, &damaged] {
+        let status = reproduce()
+            .args(["--instructions", "2000", "--seed", "7", "--shards", "2"])
+            .args(["--format", "json", "--out", &dir.display().to_string()])
+            .arg("--quiet")
+            .status()
+            .unwrap();
+        assert!(status.success());
+    }
+
+    // Three cells, each damaged in one way the codec must refuse; all keep
+    // their JSON shape. A µPC on the board but past the control store used
+    // to import and then panic the reduction.
+    let edits: [(&str, Edit); 3] = [
+        ("cell-1-0.json", |h| h[0][0] = 10_000),
+        ("cell-2-1.json", |h| {
+            let i = h.iter().position(|t| t[2] >= 2).unwrap();
+            h[i][2] -= 1;
+            let [upc, plane, _] = h[i];
+            h.push([upc, plane, 1]);
+        }),
+        ("cell-4-0.json", |h| h[0][2] += 1),
+    ];
+    for (name, edit) in edits {
+        let path = damaged.join("checkpoints").join(name);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, edit_histogram(&text, edit)).unwrap();
+    }
+
+    let out = reproduce()
+        .args(["resume", &damaged.display().to_string(), "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "resume failed: {stderr}");
+    for (name, _) in edits {
+        assert!(
+            stderr.contains(&format!(
+                "corrupt checkpoint {}",
+                damaged.join("checkpoints").join(name).display()
+            )),
+            "{name} not discarded: {stderr}"
+        );
+        // The cell re-ran and journaled the clean run's bytes again.
+        let cell = |dir: &Path| std::fs::read(dir.join("checkpoints").join(name)).unwrap();
+        assert_eq!(cell(&clean), cell(&damaged), "{name}");
+    }
+    let names = artifact_names(&clean);
+    assert_eq!(names, artifact_names(&damaged));
+    for name in &names {
+        let a = std::fs::read(clean.join(name)).unwrap();
+        let b = std::fs::read(damaged.join(name)).unwrap();
+        assert_eq!(a, b, "{name} differs after resuming over damaged cells");
+    }
+    std::fs::remove_dir_all(&clean).unwrap();
+    std::fs::remove_dir_all(&damaged).unwrap();
 }
 
 #[test]

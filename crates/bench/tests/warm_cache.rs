@@ -1,14 +1,17 @@
 //! Warm-cache correctness: a run served from the boot-image cache must be
-//! byte-identical to a cold run, and the engine must actually hit the
-//! cache on a repeated experiment definition.
+//! byte-identical to a cold run, and the daemon's engine must actually hit
+//! the cache on a repeated experiment definition. A one-shot engine
+//! (`JobEngine::new`, behind every CLI run) keeps no image at all.
 //!
 //! Referenced by `crate::cache`'s module docs as the property test for
 //! "cached and uncached runs are byte-identical by construction".
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use vax_bench::cache::CacheCounts;
+use vax_analysis::Json;
+use vax_bench::cache::{CacheCounts, WarmCaches};
 use vax_bench::cli::{Format, Options};
 use vax_bench::engine::{JobEngine, JobRequest};
 use vax_bench::jobspec::RunSpec;
@@ -35,6 +38,11 @@ fn small_run(out: &Path) -> Options {
     }
 }
 
+/// An engine built the way the daemon's worker builds its one.
+fn daemon_engine() -> JobEngine {
+    JobEngine::with_caches(Arc::new(WarmCaches::new()))
+}
+
 fn read_dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .unwrap()
@@ -53,10 +61,10 @@ fn warm_run_is_byte_identical_to_cold_run() {
     let cold_dir = scratch("cold");
     let warm_dir = scratch("warm");
 
-    // One engine, two executions of the same experiment definition: the
-    // first populates the caches (all misses), the second runs entirely
-    // from them (all hits).
-    let engine = JobEngine::new();
+    // One daemon engine, two executions of the same experiment
+    // definition: the first populates the cache (all misses), the second
+    // runs entirely from it (all hits).
+    let engine = daemon_engine();
     let cold = engine.execute(&JobRequest::Run(small_run(&cold_dir)));
     assert_eq!(cold.code, 0, "cold run failed");
     let cells = 5 * 2; // 5 workloads × 2 shards
@@ -109,7 +117,7 @@ fn distinct_experiments_do_not_cross_contaminate() {
     // produce different measurements through the cached path.
     let dir_a = scratch("seed-a");
     let dir_b = scratch("seed-b");
-    let engine = JobEngine::new();
+    let engine = daemon_engine();
     let mut run_a = small_run(&dir_a);
     run_a.spec.shards = 1;
     let mut run_b = small_run(&dir_b);
@@ -130,4 +138,56 @@ fn distinct_experiments_do_not_cross_contaminate() {
     assert_ne!(a, b, "different seeds must measure differently");
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn a_one_shot_engine_retains_no_image_and_misses_every_cell() {
+    let first_dir = scratch("one-shot-1");
+    let second_dir = scratch("one-shot-2");
+    let trace = scratch("one-shot-trace.json");
+    let engine = JobEngine::new();
+    let cells = 5 * 2; // 5 workloads × 2 shards
+    for (dir, misses) in [(&first_dir, cells), (&second_dir, 2 * cells)] {
+        // Traced, so the run writes runtime.json beside its artifacts.
+        let opts = Options {
+            trace_out: Some(trace.clone()),
+            ..small_run(dir)
+        };
+        assert_eq!(engine.execute(&JobRequest::Run(opts)).code, 0);
+        assert_eq!(
+            engine.caches().counts(),
+            CacheCounts { hits: 0, misses },
+            "a repeated run on a one-shot engine misses every cell again"
+        );
+        assert_eq!(engine.caches().retained(), 0, "no image outlives its cell");
+        // runtime.json reports both setup phases, all misses.
+        let runtime = std::fs::read_to_string(dir.join("runtime.json")).unwrap();
+        let runtime = Json::parse(&runtime).unwrap();
+        let counters = runtime.get("counters").unwrap();
+        for (key, want) in [
+            ("workload_cache_hits", 0),
+            ("workload_cache_misses", cells),
+            ("boot_cache_hits", 0),
+            ("boot_cache_misses", cells),
+        ] {
+            assert_eq!(
+                counters.get(key).and_then(Json::as_i64),
+                Some(want as i64),
+                "{key}"
+            );
+        }
+    }
+    // Everything but runtime.json (wall-clock totals) repeats byte for byte.
+    let artifacts = |dir: &Path| {
+        let mut files = read_dir_files(dir);
+        files.remove("runtime.json");
+        files
+    };
+    let first = artifacts(&first_dir);
+    assert!(first.contains_key("measurement.json"));
+    assert_eq!(first, artifacts(&second_dir));
+    for path in [&first_dir, &second_dir] {
+        let _ = std::fs::remove_dir_all(path);
+    }
+    let _ = std::fs::remove_file(&trace);
 }

@@ -8,7 +8,9 @@ use vax_mem::MemStats;
 /// planes), the CPU's own counters, and the memory-system counters.
 ///
 /// Measurements are mergeable: the paper's composite workload is "the sum
-/// of the five UPC histograms".
+/// of the five UPC histograms". `Measurement::default()` is the identity
+/// of that sum: zero counters and a board with nothing backed, which grows
+/// to the first merged board's backing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Measurement {
     /// The histogram board contents.

@@ -1,15 +1,17 @@
-//! Deterministic result merging: the [`Mergeable`] trait and the
-//! index-ordered reduction used by the sharded execution engine.
+//! Deterministic result merging: the [`Mergeable`] trait and
+//! [`merge_ordered`].
 //!
 //! The paper's composite workload is literally "the sum of the five
 //! experiments' histograms"; this module names that structure. Every
 //! counter block the simulator produces — [`Histogram`], [`CpuStats`],
 //! [`MemStats`], and the whole [`Measurement`] — forms a commutative
 //! monoid under counter addition with `Default::default()` as identity
-//! (the laws are property-tested in `tests/merge_properties.rs`). Parallel
-//! runs lean on that: shards complete in nondeterministic order, but
-//! [`merge_ordered`] reduces them by `(workload, shard)` index, so the
-//! composite is bit-identical to a serial run regardless of scheduling.
+//! (the laws are property-tested in `tests/merge_properties.rs`, across
+//! boards of unequal backing too). Parallel runs lean on that: the sharded
+//! engine folds each cell into its workload's total as the cell finishes,
+//! in nondeterministic order, and because every counter is an integer
+//! sum, the composite is bit-identical to a serial run's regardless of
+//! scheduling.
 
 use upc_monitor::Histogram;
 use vax_cpu::CpuStats;
@@ -17,7 +19,8 @@ use vax_mem::MemStats;
 
 use crate::measurement::Measurement;
 
-/// A counter block that can absorb another block of the same shape.
+/// A counter block that can absorb another block of the same kind (for a
+/// [`Histogram`], of any backing).
 ///
 /// Implementations must satisfy the monoid laws the deterministic-merge
 /// guarantee rests on, with `Default::default()` as the identity:
@@ -25,7 +28,7 @@ use crate::measurement::Measurement;
 /// * identity — `default ⊕ a = a`;
 /// * associativity — `(a ⊕ b) ⊕ c = a ⊕ (b ⊕ c)`;
 /// * commutativity — `a ⊕ b = b ⊕ a` (counter sums commute, so any
-///   fixed merge order is as good as any other — we fix index order).
+///   merge order is as good as any other, completion order included).
 pub trait Mergeable: Default {
     /// Fold `other` into `self` (`self ← self ⊕ other`).
     fn merge_from(&mut self, other: &Self);
@@ -57,11 +60,10 @@ impl Mergeable for Measurement {
 
 /// Reduce `parts` in iteration order into one block.
 ///
-/// The caller fixes determinism by the order of `parts` (the pool stores
-/// shard results by `(workload, shard)` index, not completion order);
-/// commutativity makes any fixed order equivalent, but index order keeps
-/// the parallel reduction byte-identical to the serial loop by
-/// construction rather than by argument.
+/// Every block's counters are integer sums, so the result is the same for
+/// any order of `parts` (commutativity and associativity, property-tested):
+/// a reduction in grid-index order and a fold in completion order give the
+/// same bytes.
 pub fn merge_ordered<T, I>(parts: I) -> T
 where
     T: Mergeable,

@@ -658,6 +658,23 @@ mod tests {
     }
 
     #[test]
+    fn the_board_backs_exactly_the_control_store() {
+        let mut b = SystemBuilder::new(SystemConfig::default());
+        b.add_process(spin_process());
+        let mut sys = b.build();
+        let locations = sys.cpu.cs.map.len();
+        assert!(locations < upc_monitor::BOARD_BUCKETS);
+        assert_eq!(sys.cpu.hist.backed_buckets(), locations);
+        let m = sys.measure(2_000, 10_000);
+        assert_eq!(m.hist.backed_buckets(), locations, "the snapshot too");
+        let past = upc_monitor::MicroPc(locations as u16);
+        for plane in [upc_monitor::Plane::Normal, upc_monitor::Plane::Stalled] {
+            assert_eq!(m.hist.read(past, plane), 0);
+            assert_eq!(m.hist.read(upc_monitor::MicroPc(16_383), plane), 0);
+        }
+    }
+
+    #[test]
     fn measurement_procedure() {
         let mut b = SystemBuilder::new(SystemConfig::default());
         b.add_process(spin_process());

@@ -72,7 +72,8 @@ pub struct Cpu {
     pub cycle: u64,
     /// The memory subsystem.
     pub mem: MemorySystem,
-    /// The attached µPC histogram monitor.
+    /// The attached µPC histogram monitor, backing exactly the locations
+    /// the control store allocates.
     pub hist: Histogram,
     /// The control store layout (reduction key).
     pub cs: ControlStore,
@@ -101,7 +102,9 @@ pub struct Cpu {
 impl Cpu {
     /// Build a CPU over a memory system. The histogram starts *stopped*;
     /// call `cpu.hist.start()` to begin measurement (warm-up runs can thus
-    /// be excluded, as the paper excluded the Null process).
+    /// be excluded, as the paper excluded the Null process). It backs the
+    /// control store's `cs.map.len()` locations, every µPC the CPU can
+    /// record, not the board's full 16 K.
     pub fn new(config: CpuConfig, mem: MemorySystem) -> Cpu {
         let cs = ControlStore::new(&config);
         Cpu {
@@ -109,7 +112,7 @@ impl Cpu {
             psl: Psl::new_kernel(31),
             cycle: 0,
             mem,
-            hist: Histogram::new_16k(),
+            hist: Histogram::new(cs.map.len()),
             cs,
             config,
             iprs: Ipr::default(),

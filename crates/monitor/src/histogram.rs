@@ -4,6 +4,13 @@
 //! stalled), incremented at the microcycle rate while collection is enabled.
 //! The board does not interpret anything — interpretation is the job of the
 //! reduction in `vax-analysis`, keyed by the control-store map.
+//!
+//! Every board is logically [`BOARD_BUCKETS`] wide, but only a prefix of it
+//! is backed by memory, sized by its owner: a CPU backs exactly the
+//! locations its control store allocates, so the buckets no microinstruction
+//! can select cost nothing to allocate, clear, copy, scan or merge. An
+//! unbacked bucket reads 0, a merge grows the receiver's backing to the
+//! longer of the two, and equality compares counts, never backing sizes.
 
 use crate::map::MicroPc;
 use crate::BOARD_BUCKETS;
@@ -17,17 +24,26 @@ pub enum Plane {
     Stalled,
 }
 
-/// The micro-PC histogram board.
+/// The micro-PC histogram board (see the module docs for its backing).
 #[derive(Debug, Clone)]
 pub struct Histogram {
+    /// The backed prefix of each plane; both always have the same length.
     normal: Vec<u64>,
     stalled: Vec<u64>,
     running: bool,
 }
 
 impl Histogram {
-    /// A board with `buckets` locations per plane, stopped and cleared.
+    /// A board backing its first `buckets` locations per plane, stopped
+    /// and cleared.
+    ///
+    /// # Panics
+    /// Panics if `buckets` exceeds [`BOARD_BUCKETS`].
     pub fn new(buckets: usize) -> Histogram {
+        assert!(
+            buckets <= BOARD_BUCKETS,
+            "the board has {BOARD_BUCKETS} locations, not {buckets}"
+        );
         Histogram {
             normal: vec![0; buckets],
             stalled: vec![0; buckets],
@@ -35,9 +51,14 @@ impl Histogram {
         }
     }
 
-    /// The real board: 16,000-odd locations (we round to 16 K).
+    /// The real board: 16,000-odd locations (we round to 16 K), all backed.
     pub fn new_16k() -> Histogram {
         Histogram::new(BOARD_BUCKETS)
+    }
+
+    /// Locations backed per plane; every location past them reads 0.
+    pub fn backed_buckets(&self) -> usize {
+        self.normal.len()
     }
 
     /// Begin collection (Unibus "start" command).
@@ -55,7 +76,8 @@ impl Histogram {
         self.running
     }
 
-    /// Clear all buckets (Unibus "clear" command).
+    /// Clear all buckets (Unibus "clear" command). Only the backed prefix
+    /// can hold a count, so only it is written.
     pub fn clear(&mut self) {
         self.normal.fill(0);
         self.stalled.fill(0);
@@ -63,6 +85,10 @@ impl Histogram {
 
     /// Record `n` cycles at `upc` in `plane`. No-op while stopped — the
     /// board is passive and never perturbs the machine.
+    ///
+    /// # Panics
+    /// Panics if `upc` is past the backed prefix: the owner sized the
+    /// backing to every location it can select.
     #[inline]
     pub fn record_n(&mut self, upc: MicroPc, plane: Plane, n: u64) {
         if !self.running {
@@ -81,13 +107,13 @@ impl Histogram {
         self.record_n(upc, plane, 1);
     }
 
-    /// Read one bucket.
+    /// Read one bucket; a location past the backed prefix reads 0.
     pub fn read(&self, upc: MicroPc, plane: Plane) -> u64 {
-        let i = upc.0 as usize;
-        match plane {
-            Plane::Normal => self.normal[i],
-            Plane::Stalled => self.stalled[i],
-        }
+        let counts = match plane {
+            Plane::Normal => &self.normal,
+            Plane::Stalled => &self.stalled,
+        };
+        counts.get(upc.0 as usize).copied().unwrap_or(0)
     }
 
     /// Total cycles recorded across both planes (conservation checks).
@@ -105,16 +131,12 @@ impl Histogram {
 
     /// Merge another histogram's counts into this one — how the paper's
     /// composite workload (the sum of the five experiments' histograms) was
-    /// formed.
-    ///
-    /// # Panics
-    /// Panics if the two boards have different bucket counts.
+    /// formed. The receiver's backing grows to cover `other`'s.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.normal.len(),
-            other.normal.len(),
-            "cannot merge histograms of different sizes"
-        );
+        if self.normal.len() < other.normal.len() {
+            self.normal.resize(other.normal.len(), 0);
+            self.stalled.resize(other.stalled.len(), 0);
+        }
         for (a, b) in self.normal.iter_mut().zip(&other.normal) {
             *a += b;
         }
@@ -142,19 +164,25 @@ impl Histogram {
 }
 
 impl Default for Histogram {
-    /// The real board geometry ([`Histogram::new_16k`]), stopped and clear.
+    /// A board with nothing backed, stopped: the identity of
+    /// [`Histogram::merge`], which backs what the first merged board backs.
     fn default() -> Histogram {
-        Histogram::new_16k()
+        Histogram::new(0)
     }
 }
 
-/// Two boards are equal when they recorded the same counts. The transient
-/// `running` flag is collection state, not data: a stopped snapshot and a
-/// still-armed board with identical buckets compare equal, which is what
-/// merge-law reasoning (`a ⊕ b = b ⊕ a`, `∅ ⊕ a = a`) needs.
+/// Two boards are equal when they recorded the same counts. Neither the
+/// backing size nor the transient `running` flag is data: an unbacked
+/// location and a backed zero read alike, and a stopped snapshot equals a
+/// still-armed board with identical buckets, which is what merge-law
+/// reasoning (`a ⊕ b = b ⊕ a`, `∅ ⊕ a = a`) needs.
 impl PartialEq for Histogram {
     fn eq(&self, other: &Histogram) -> bool {
-        self.normal == other.normal && self.stalled == other.stalled
+        fn same(a: &[u64], b: &[u64]) -> bool {
+            let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            long[..short.len()] == *short && long[short.len()..].iter().all(|&c| c == 0)
+        }
+        same(&self.normal, &other.normal) && same(&self.stalled, &other.stalled)
     }
 }
 
@@ -225,6 +253,20 @@ mod tests {
         assert_eq!(a, b);
         a.record(MicroPc(4), Plane::Stalled);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn a_board_backs_only_the_prefix_its_owner_sizes() {
+        let mut h = Histogram::new(10);
+        assert_eq!(h.backed_buckets(), 10);
+        h.start();
+        h.record_n(MicroPc(9), Plane::Stalled, 3);
+        assert_eq!(h.read(MicroPc(9), Plane::Stalled), 3);
+        // The rest of the logical board reads zero without being backed.
+        assert_eq!(h.read(MicroPc(10), Plane::Stalled), 0);
+        assert_eq!(h.read(MicroPc(16_383), Plane::Normal), 0);
+        assert_eq!(Histogram::default().backed_buckets(), 0);
+        assert_eq!(Histogram::new_16k().backed_buckets(), BOARD_BUCKETS);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! This crate models the instrument faithfully:
 //!
-//! * [`Histogram`] — the count board: 16 K × 2 counters, with the Unibus
-//!   device's start/stop/clear/read operations. It is completely passive.
+//! * [`Histogram`] — the count board: 16 K locations × 2 planes, with the
+//!   Unibus device's start/stop/clear/read operations. It is completely
+//!   passive. Only a prefix sized by its owner is backed by memory (a CPU
+//!   backs the locations its control store allocates); the rest reads 0.
 //! * [`ControlStoreMap`] — the *data reduction key*: which µPC ranges belong
 //!   to which activity (instruction decode, first-specifier processing,
 //!   execute microcode of each opcode group, TB-miss service, …) and what

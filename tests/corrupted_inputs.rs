@@ -8,9 +8,15 @@
 
 use std::path::{Path, PathBuf};
 
-use vax780::TimeSeries;
-use vax_analysis::{cell_from_json, timeseries_from_json, Json, Tolerance};
+use upc_monitor::ControlStoreMap;
+use vax780::{ProcessSpec, SystemBuilder, SystemConfig, TimeSeries};
+use vax_analysis::{
+    cell_from_json, cell_to_json, timeseries_from_json, CheckpointCell, Json, Tolerance,
+};
+use vax_arch::{Opcode, Reg};
+use vax_asm::{Asm, Operand};
 use vax_bench::diffcmd;
+use vax_cpu::{ControlStore, CpuConfig};
 
 #[test]
 fn json_parser_rejects_truncated_and_garbage_documents() {
@@ -92,15 +98,98 @@ fn timeseries_json_importer_rejects_wrong_shapes() {
     }
 }
 
+/// The control store every run reduces against.
+fn control_store() -> ControlStoreMap {
+    ControlStore::new(&CpuConfig::default()).map
+}
+
+/// A measured cell as the run journals it.
+fn journaled_cell() -> Json {
+    let mut asm = Asm::new(0x200);
+    asm.label("entry");
+    asm.insn(
+        Opcode::Addl2,
+        &[Operand::Lit(1), Operand::Reg(Reg::new(3))],
+        None,
+    );
+    asm.insn(Opcode::Brb, &[], Some("entry"));
+    let mut b = SystemBuilder::new(SystemConfig::default());
+    b.add_process(ProcessSpec::new(asm.assemble().unwrap(), "entry"));
+    let (m, series) = b.build().measure_sampled(500, 4_000, 2_000);
+    cell_to_json(&CheckpointCell {
+        workload: 0,
+        shard: 0,
+        m,
+        series,
+    })
+}
+
+/// An edit of a cell's histogram triples, each `[µPC, plane, count]`.
+type Edit = fn(&mut Vec<[i64; 3]>);
+
+/// `cell` with `edit` applied to its histogram triples.
+fn edit_histogram(cell: &Json, edit: Edit) -> Json {
+    let mut cell = cell.clone();
+    let Json::Obj(members) = &mut cell else {
+        panic!("a cell is an object")
+    };
+    let (_, hist) = members.iter_mut().find(|(k, _)| k == "histogram").unwrap();
+    let mut triples: Vec<[i64; 3]> = hist
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|t| [0, 1, 2].map(|i| t.as_arr().unwrap()[i].as_i64().unwrap()))
+        .collect();
+    edit(&mut triples);
+    *hist = Json::arr(
+        triples
+            .into_iter()
+            .map(|t| Json::arr(t.into_iter().map(Json::Int))),
+    );
+    cell
+}
+
 #[test]
 fn checkpoint_codec_rejects_structural_damage() {
+    let map = control_store();
     for bad in [
         "{}",
         "{\"format_version\": 1}",
         "{\"format_version\": 2, \"workload\": 0}",
     ] {
         let j = Json::parse(bad).unwrap();
-        assert!(cell_from_json(&j).is_err(), "accepted '{bad}'");
+        assert!(cell_from_json(&j, &map).is_err(), "accepted '{bad}'");
+    }
+
+    let good = journaled_cell();
+    assert!(cell_from_json(&good, &map).is_ok());
+    // Each edit keeps every other field, and the first four keep the
+    // counts' sum equal to the cell's cycles, so each damage is alone.
+    let damaged: [(&str, Edit); 6] = [
+        // Past the 16 K board: this used to panic in the board's record.
+        ("outside the", |h| h[0][0] = 20_000),
+        // On the board but past the control store: this used to import,
+        // then panic the reduction.
+        ("outside the", |h| h[0][0] = 10_000),
+        ("outside the", |h| h[0][0] = control_store().len() as i64),
+        // One bucket's count split over two triples for the same pair.
+        ("listed twice", |h| {
+            let i = h.iter().position(|t| t[2] >= 2).unwrap();
+            h[i][2] -= 1;
+            let [upc, plane, _] = h[i];
+            h.push([upc, plane, 1]);
+        }),
+        ("sum to", |h| h[0][2] += 1),
+        ("overflow", |h| {
+            for t in h.iter_mut().take(3) {
+                t[2] = i64::MAX;
+            }
+        }),
+    ];
+    for (expect, edit) in damaged {
+        let bad = edit_histogram(&good, edit);
+        let err = cell_from_json(&bad, &map).expect_err(expect);
+        assert!(err.contains(expect), "expected '{expect}': {err}");
     }
 }
 

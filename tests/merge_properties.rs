@@ -6,20 +6,34 @@
 //! under `Mergeable::merge_from` with `Default::default()` as identity.
 //! These tests exercise the laws on randomized instances of all four
 //! blocks: [`Histogram`], [`CpuStats`], [`MemStats`], and [`Measurement`].
+//! A board backs only a prefix of its 16 K locations, so the histogram
+//! laws mix the three backings a run meets: an empty `Default` (the
+//! accumulator a fold starts from), a board sized to the control store (a
+//! CPU's), and a fully backed `Histogram::new_16k()`.
 
 use rand::prelude::{Rng, SeedableRng, StdRng};
-use upc_monitor::{Histogram, MicroPc, Plane};
+use upc_monitor::{Histogram, MicroPc, Plane, BOARD_BUCKETS};
 use vax780::{merge_ordered, Measurement, Mergeable};
-use vax_cpu::CpuStats;
+use vax_cpu::{ControlStore, CpuConfig, CpuStats};
 use vax_mem::MemStats;
 
+/// Locations a CPU's board backs: its control store's.
+fn control_store_locations() -> usize {
+    ControlStore::new(&CpuConfig::default()).map.len()
+}
+
+/// A random board of one of the three backings, with random counts in
+/// its backed prefix (none for the empty board).
 fn rand_hist(rng: &mut StdRng) -> Histogram {
-    // Real board geometry: Default is 16 K buckets and merge requires
-    // matching sizes, so the identity law only makes sense at full size.
-    let mut h = Histogram::default();
+    let backed = match rng.gen_range(0u8..3) {
+        0 => return Histogram::default(),
+        1 => control_store_locations(),
+        _ => BOARD_BUCKETS,
+    };
+    let mut h = Histogram::new(backed);
     h.start();
     for _ in 0..rng.gen_range(1usize..40) {
-        let upc = MicroPc(rng.gen_range(0u16..16_384));
+        let upc = MicroPc(rng.gen_range(0..backed as u16));
         let plane = if rng.gen_bool(0.7) {
             Plane::Normal
         } else {
@@ -135,7 +149,59 @@ where
 
 #[test]
 fn histogram_merge_laws() {
-    check_laws(0x780_0001, 8, rand_hist);
+    check_laws(0x780_0001, 24, rand_hist);
+}
+
+#[test]
+fn histogram_merge_laws_hold_across_every_pairing_of_backings() {
+    // Each of the 27 ordered backings of (a, b, c), so no pairing is left
+    // to chance.
+    let mut rng = StdRng::seed_from_u64(0x780_0005);
+    let boards = |rng: &mut StdRng, backed: usize| {
+        let mut h = Histogram::new(backed);
+        h.start();
+        for _ in 0..backed.min(20) {
+            let upc = MicroPc(rng.gen_range(0..backed as u16));
+            h.record_n(upc, Plane::Stalled, rng.gen_range(1u64..1000));
+        }
+        h
+    };
+    let backings = [0, control_store_locations(), BOARD_BUCKETS];
+    for &x in &backings {
+        for &y in &backings {
+            for &z in &backings {
+                let mut kinds = [x, y, z].into_iter();
+                check_laws(rng.gen(), 1, |rng| boards(rng, kinds.next().unwrap()));
+            }
+        }
+    }
+}
+
+#[test]
+fn histogram_equality_ignores_unbacked_zeros() {
+    let locations = control_store_locations();
+    assert_eq!(Histogram::default(), Histogram::new_16k());
+    assert_eq!(Histogram::new(locations), Histogram::default());
+
+    let mut cs_sized = Histogram::new(locations);
+    let mut full = Histogram::new_16k();
+    for h in [&mut cs_sized, &mut full] {
+        h.start();
+        h.record_n(MicroPc(5), Plane::Normal, 3);
+        h.record_n(MicroPc(locations as u16 - 1), Plane::Stalled, 9);
+    }
+    assert_eq!(cs_sized, full);
+    assert_eq!(full, cs_sized);
+
+    // A count past the control store is data the smaller board lacks.
+    full.record(MicroPc(locations as u16), Plane::Normal);
+    assert_ne!(cs_sized, full);
+    assert_ne!(full, cs_sized);
+    let mut grown = cs_sized.clone();
+    grown.merge(&full);
+    assert_eq!(grown.backed_buckets(), BOARD_BUCKETS);
+    assert_eq!(grown.read(MicroPc(locations as u16), Plane::Normal), 1);
+    assert_eq!(grown.read(MicroPc(5), Plane::Normal), 6);
 }
 
 #[test]
