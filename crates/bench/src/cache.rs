@@ -1,13 +1,14 @@
-//! The warm cache for the expensive per-cell setup phases: workload code
-//! generation and kernel boot.
+//! The warm cache for the expensive per-cell setup phase: kernel boot.
 //!
 //! One map from a cell's `(workload, nproc, seed)`, the exact inputs of
-//! [`vax_workload::rte::shard_processes`], to the [`BootImage`] those
-//! processes boot into. A miss generates the processes and moves them into
-//! the layout ([`vax_workload::rte::boot_image`]), so the image, 1.1–1.3 MB
-//! of trimmed physical memory, is all a cell leaves behind; the specs are
-//! neither copied nor kept. A hit skips both phases and rehydrates the
-//! image.
+//! [`vax_workload::rte::seed_boot_image`], to the [`BootImage`] it lays
+//! out. The image holds the system layout (page tables, PCBs, kernel;
+//! about 50 KB) plus the processes generated so far: a process is
+//! generated, 170–200 KB of code and data, only when the kernel of a
+//! machine rehydrated from the image first selects it, and every machine
+//! sharing the image then loads that copy. A miss lays out a fresh image;
+//! a hit skips the layout, and every generation some earlier machine
+//! already made.
 //!
 //! Within one run every cell has a distinct seed, so a cold run records
 //! only misses. The cache pays off only when a long-lived engine executes
@@ -16,7 +17,8 @@
 //! A one-shot engine (`JobEngine::new`, behind every CLI run) holds a
 //! cache that retains nothing ([`WarmCaches::one_shot`]): it counts every
 //! lookup as a miss, as a retaining cache would in a single run, and frees
-//! each image with the cell that booted it.
+//! each image with the cell that booted it. Such a machine alone holds its
+//! processes, so it keeps no copy of what it generates.
 //!
 //! Correctness leans on `SystemBuilder::build` being routed through
 //! `BootImage` capture + rehydration: a cache hit replays the exact code
@@ -33,12 +35,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vax780::{BootImage, ProcessSpec, System};
+use vax780::{BootImage, System};
 use vax_trace::Tracer;
 use vax_workload::Workload;
 
-/// Most boot images the daemon's cache retains: at 1.1–1.3 MB each,
-/// about 80 MB.
+/// Most boot images the daemon's cache retains: with all six processes
+/// generated, 1.1–1.3 MB each, so at most about 80 MB.
 const CACHE_CAP: usize = 64;
 
 /// Cumulative hit/miss counts of the cache.
@@ -88,13 +90,15 @@ impl WarmCaches {
     }
 
     /// A booted [`System`] for the `nproc` processes of `workload` seeded
-    /// from `seed`, and whether its image came from the cache. The
-    /// lookup, and on a miss the code generation, run under a `codegen`
-    /// span on track `tid`; the layout on a miss and the rehydration run
-    /// under a `boot` span. Hits and misses alike rehydrate with
-    /// `System::from_boot_image`, the path `SystemBuilder::build` takes,
-    /// so hits cannot diverge. The map's lock is held only to look up and
-    /// insert, so concurrent workers do not wait on each other's setup.
+    /// from `seed`, and whether its image came from the cache. The lookup
+    /// runs under a `codegen` span on track `tid`; the layout on a miss
+    /// and the rehydration run under a `boot` span. The processes
+    /// themselves are generated when the machine's kernel first selects
+    /// them, inside whatever span runs the machine. Hits and misses alike
+    /// rehydrate with `System::from_boot_image`, the path
+    /// `SystemBuilder::build` takes, so hits cannot diverge. The map's
+    /// lock is held only to look up and insert, so concurrent workers do
+    /// not wait on each other's setup.
     pub fn boot(
         &self,
         workload: Workload,
@@ -104,21 +108,18 @@ impl WarmCaches {
         tid: u64,
     ) -> (System, bool) {
         let key = (workload, nproc, seed);
-        // Ok: the cached image; Err: a miss's freshly generated processes.
-        let found: Result<Arc<BootImage>, Vec<ProcessSpec>> = {
+        let cached = {
             let _codegen = tracer.span(tid, "codegen", vec![]);
-            let cached = self
-                .images
+            self.images
                 .lock()
                 .expect("warm cache lock poisoned")
                 .get(&key)
-                .cloned();
-            cached.ok_or_else(|| vax_workload::rte::shard_processes(workload, nproc, seed))
+                .cloned()
         };
         let _boot = tracer.span(tid, "boot", vec![]);
-        let hit = found.is_ok();
-        let img = found.unwrap_or_else(|specs| {
-            let img = Arc::new(vax_workload::rte::boot_image(specs));
+        let hit = cached.is_some();
+        let img = cached.unwrap_or_else(|| {
+            let img = Arc::new(vax_workload::rte::seed_boot_image(workload, nproc, seed));
             let mut map = self.images.lock().expect("warm cache lock poisoned");
             if map.len() < self.cap {
                 map.insert(key, Arc::clone(&img));
@@ -135,7 +136,7 @@ impl WarmCaches {
         self.images.lock().expect("warm cache lock poisoned").len()
     }
 
-    /// Cumulative hit/miss counts. One lookup decides both setup phases,
+    /// Cumulative hit/miss counts. One lookup decides the whole setup,
     /// so these are also the codegen and the boot counts.
     pub fn counts(&self) -> CacheCounts {
         CacheCounts {

@@ -149,7 +149,9 @@ impl Fold {
 /// boot, simulate, checkpoint) becomes a span on the worker's trace track,
 /// the reduction becomes a `merge` span on the main track, and the
 /// tracer's counters accumulate cells done, instructions, decode-cache
-/// hits/misses, and scheduled fault injections. Pass
+/// hits/misses, processes generated, and scheduled fault injections. A
+/// cell generates each of its processes when its kernel first selects it,
+/// so generation is charged to its `simulate` span. Pass
 /// `&Tracer::disabled()` to record nothing.
 ///
 /// `caches` is the engine's warm cache (see [`crate::cache`]). The
@@ -350,6 +352,7 @@ fn run_grid(
                 tracer.count(tid, "decode_cache_misses", d.misses);
                 tracer.count(tid, "instructions", m.instructions());
                 tracer.count(tid, "sim_cycles", m.cycles);
+                tracer.count(tid, "processes_generated", system.processes_generated());
                 // One lookup decides both setup phases.
                 let (hit, miss) = (cache_hit as u64, !cache_hit as u64);
                 tracer.count(tid, "workload_cache_hits", hit);

@@ -99,6 +99,24 @@ fn http_text(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, 
     (status, String::from_utf8_lossy(&bytes).into_owned())
 }
 
+/// Poll a job until its status body contains `state` (a quoted state
+/// name, such as `"\"running\""`).
+fn await_state(addr: &str, id: &str, state: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (status, body) = http_text(addr, "GET", &format!("/jobs/{id}"), None);
+        assert_eq!(status, 200, "status poll failed: {body}");
+        if body.contains(state) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job {id} never reached {state}; last status: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// Poll a job until it reaches any terminal state; returns the final
 /// status body.
 fn await_terminal(addr: &str, id: &str) -> String {
@@ -368,9 +386,12 @@ fn cancel_queued_job_is_immediate_and_unknown_is_404() {
     let (status, body) = http_text(&addr, "POST", "/jobs/j-000042/cancel", None);
     assert_eq!(status, 404, "{body}");
 
-    // The first job occupies the worker; the second sits queued.
+    // The first job occupies the worker; the second sits queued. Wait for
+    // the worker to claim the first before canceling anything: until then
+    // it is queued too, and a queued cancel answers 200, not 202.
     let (status, _) = http_text(&addr, "POST", "/jobs", Some(BIG_RUN));
     assert_eq!(status, 202);
+    await_state(&addr, "j-000001", "\"running\"");
     let (status, _) = http_text(&addr, "POST", "/jobs", Some(SMALL_RUN));
     assert_eq!(status, 202);
 

@@ -1,6 +1,7 @@
 //! Warm-cache correctness: a run served from the boot-image cache must be
 //! byte-identical to a cold run, and the daemon's engine must actually hit
-//! the cache on a repeated experiment definition. A one-shot engine
+//! the cache on a repeated experiment definition, generating each process
+//! once however many machines share its image. A one-shot engine
 //! (`JobEngine::new`, behind every CLI run) keeps no image at all.
 //!
 //! Referenced by `crate::cache`'s module docs as the property test for
@@ -10,12 +11,16 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use vax780::System;
 use vax_analysis::Json;
 use vax_bench::cache::{CacheCounts, WarmCaches};
 use vax_bench::cli::{Format, Options};
 use vax_bench::engine::{JobEngine, JobRequest};
 use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::Verbosity;
+use vax_trace::{Tracer, MAIN_TID};
+use vax_workload::rte::{boot_image, shard_processes, PROCESSES_PER_WORKLOAD};
+use vax_workload::Workload;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("warm-cache-{tag}-{}", std::process::id()));
@@ -164,11 +169,13 @@ fn a_one_shot_engine_retains_no_image_and_misses_every_cell() {
         let runtime = std::fs::read_to_string(dir.join("runtime.json")).unwrap();
         let runtime = Json::parse(&runtime).unwrap();
         let counters = runtime.get("counters").unwrap();
+        // 2,200 steps per cell never switch: one process generated each.
         for (key, want) in [
             ("workload_cache_hits", 0),
             ("workload_cache_misses", cells),
             ("boot_cache_hits", 0),
             ("boot_cache_misses", cells),
+            ("processes_generated", cells),
         ] {
             assert_eq!(
                 counters.get(key).and_then(Json::as_i64),
@@ -190,4 +197,34 @@ fn a_one_shot_engine_retains_no_image_and_misses_every_cell() {
         let _ = std::fs::remove_dir_all(path);
     }
     let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn a_retained_image_generates_each_process_once_across_rehydrations() {
+    // 66,000 steps: the kernel selects all six processes.
+    let (warmup, n) = (6_000, 60_000);
+    let (workload, seed) = (Workload::Commercial, 1984);
+    let cold = System::from_boot_image(&boot_image(shard_processes(
+        workload,
+        PROCESSES_PER_WORKLOAD,
+        seed,
+    )))
+    .measure(warmup, n);
+    assert!(cold.cpu_stats.context_switches >= 5, "every process runs");
+
+    let caches = WarmCaches::new();
+    let mut generated = Vec::new();
+    for want_hit in [false, true, true] {
+        let (mut sys, hit) = caches.boot(
+            workload,
+            PROCESSES_PER_WORKLOAD,
+            seed,
+            &Tracer::disabled(),
+            MAIN_TID,
+        );
+        assert_eq!(hit, want_hit);
+        assert_eq!(sys.measure(warmup, n), cold, "equal to a cold boot");
+        generated.push(sys.processes_generated());
+    }
+    assert_eq!(generated, [PROCESSES_PER_WORKLOAD as u64, 0, 0]);
 }

@@ -39,5 +39,7 @@ pub use kernel::KernelConfig;
 pub use measurement::Measurement;
 pub use merge::{merge_ordered, Mergeable};
 pub use sampler::{IntervalSample, TimeSeries};
-pub use system::{BootImage, ProcessSpec, System, SystemBuilder, SystemConfig};
+pub use system::{
+    BootImage, DeferredProcess, ProcessShape, ProcessSpec, System, SystemBuilder, SystemConfig,
+};
 pub use vax_cpu::CpuConfig;

@@ -1,5 +1,21 @@
 //! System construction: physical memory layout, address spaces, kernel
 //! installation, and the run loop.
+//!
+//! A process is added either ready, as a [`ProcessSpec`] whose bytes the
+//! layout copies into its frames, or deferred, as a [`DeferredProcess`]
+//! whose frames, page table and PCB the layout builds from its declared
+//! [`ProcessShape`] alone. A machine generates a deferred process and
+//! loads its bytes the first time its kernel selects it: the step that
+//! executes the `MTPR` to PCBB naming the process's PCB. Nothing reads a
+//! process's frames before then. The process's page table and PCB live in
+//! system pages, which the layout writes; an IB fill probes only the TB
+//! and cache tags; and the bytes are read only by decode and execute,
+//! after `LDPCTX` and `REI` have run. So a deferred machine runs exactly
+//! as the ready one does, and a cell that never switches generates one
+//! program instead of all of them.
+
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use vax_arch::Psl;
 use vax_asm::Image;
@@ -60,6 +76,75 @@ impl ProcessSpec {
         self.stack_pages = n;
         self
     }
+
+    /// What the layout reads of the spec besides its bytes.
+    pub fn shape(&self) -> ProcessShape {
+        ProcessShape {
+            origin: self.image.origin,
+            len: self.image.bytes.len() as u32,
+            entry: self.image.addr_of(&self.entry),
+            bss_pages: self.bss_pages,
+            stack_pages: self.stack_pages,
+        }
+    }
+}
+
+/// A process's P0 image without its bytes: all the layout needs to map
+/// its frames and write its page table and PCB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcessShape {
+    /// Virtual address of the image's first byte.
+    pub origin: u32,
+    /// Image length in bytes.
+    pub len: u32,
+    /// Virtual address of the entry point.
+    pub entry: u32,
+    /// Zero-filled data pages mapped after the image.
+    pub bss_pages: u32,
+    /// Stack pages mapped at the top of the P0 region.
+    pub stack_pages: u32,
+}
+
+/// A process laid out from its declared shape and generated the first
+/// time the kernel selects it (see the module docs).
+pub trait DeferredProcess: fmt::Debug + Send + Sync {
+    /// The shape every call of [`DeferredProcess::generate`] returns.
+    fn shape(&self) -> ProcessShape;
+
+    /// Generate the process. Every call returns the same bytes.
+    fn generate(&self) -> ProcessSpec;
+}
+
+/// A process as the builder holds it until the layout.
+#[derive(Debug)]
+enum Process {
+    Ready(ProcessSpec),
+    Deferred(Box<dyn DeferredProcess>),
+}
+
+/// A deferred process after the layout: where its bytes go, and the bytes
+/// once a machine sharing the slot has generated them.
+#[derive(Debug)]
+struct Deferred {
+    process: Box<dyn DeferredProcess>,
+    /// System VA of the PCB; an `MTPR` to PCBB naming it selects the
+    /// process.
+    pcb: u32,
+    /// Physical address of the image's first byte.
+    at: PhysAddr,
+    bytes: OnceLock<Vec<u8>>,
+}
+
+impl Deferred {
+    fn generate(&self) -> Vec<u8> {
+        let spec = self.process.generate();
+        assert_eq!(
+            spec.shape(),
+            self.process.shape(),
+            "a deferred process must generate in its declared shape"
+        );
+        spec.image.bytes
+    }
 }
 
 /// System-space base of the SCB (must match [`CpuConfig::scb_base`]).
@@ -74,7 +159,7 @@ pub struct SystemBuilder {
     mem: MemorySystem,
     next_pfn: u32,
     next_sys_page: u32,
-    processes: Vec<ProcessSpec>,
+    processes: Vec<Process>,
 }
 
 impl SystemBuilder {
@@ -144,9 +229,16 @@ impl SystemBuilder {
         }
     }
 
-    /// Add a user process. Returns its index.
+    /// Add a user process whose bytes the layout loads. Returns its index.
     pub fn add_process(&mut self, spec: ProcessSpec) -> usize {
-        self.processes.push(spec);
+        self.processes.push(Process::Ready(spec));
+        self.processes.len() - 1
+    }
+
+    /// Add a user process that each machine built from this layout
+    /// generates the first time its kernel selects it. Returns its index.
+    pub fn add_deferred(&mut self, process: impl DeferredProcess + 'static) -> usize {
+        self.processes.push(Process::Deferred(Box::new(process)));
         self.processes.len() - 1
     }
 
@@ -183,11 +275,30 @@ impl SystemBuilder {
             "a system needs at least one process"
         );
         let processes = std::mem::take(&mut self.processes);
-        let mut pcb_vas = Vec::with_capacity(processes.len());
-
-        for spec in &processes {
-            let pcb = self.build_process(spec);
-            pcb_vas.push(pcb.0);
+        let nproc = processes.len();
+        let mut pcb_vas = Vec::with_capacity(nproc);
+        let mut deferred = Vec::new();
+        // The frames of deferred processes, ascending: all zero.
+        let mut holes = Vec::new();
+        for process in processes {
+            match process {
+                Process::Ready(spec) => {
+                    let (pcb, _) = self.build_process(spec.shape(), Some(&spec.image.bytes));
+                    pcb_vas.push(pcb.0);
+                }
+                Process::Deferred(process) => {
+                    let shape = process.shape();
+                    let (pcb, frames) = self.build_process(shape, None);
+                    pcb_vas.push(pcb.0);
+                    deferred.push(Deferred {
+                        process,
+                        pcb: pcb.0,
+                        at: PhysAddr(frames.start + shape.origin),
+                        bytes: OnceLock::new(),
+                    });
+                    holes.push(frames);
+                }
+            }
         }
 
         // Kernel image in system space.
@@ -215,40 +326,60 @@ impl SystemBuilder {
         // The builder only ever touched physical memory and the table
         // registers (pokes are untimed raw stores); cache, TB, and write
         // buffer are still in their reset state, so phys + tables + the
-        // boot register file capture the whole machine.
+        // boot register file capture the whole machine. The image keeps
+        // what was written up to the last nonzero byte, less the deferred
+        // processes' frames.
         let mut regs = [0u32; 16];
         regs[14] = kstack_top;
         regs[15] = entries.boot;
         let written = self.mem.phys().written();
         let used = written.len() - written.iter().rev().take_while(|&&b| b == 0).count();
+        let mut phys = Vec::with_capacity(holes.len() + 1);
+        let mut start = 0;
+        let end_of_memory = std::iter::once(used as u32..used as u32);
+        for hole in holes.into_iter().chain(end_of_memory) {
+            let end = (hole.start as usize).min(used);
+            if end > start {
+                phys.push((start as u32, written[start..end].to_vec()));
+            }
+            start = start.max(hole.end as usize);
+        }
         BootImage {
             config: self.config,
-            phys: written[..used].to_vec(),
+            phys,
             tables: self.mem.tables,
             regs,
             psl: Psl::new_kernel(31),
-            nproc: processes.len(),
+            nproc,
             entries,
+            deferred: deferred.into(),
         }
     }
 
     /// Lay out one process: P0 pages (guard/code/bss/stack), page table in
-    /// system space, and its PCB. Returns the PCB system VA.
-    fn build_process(&mut self, spec: &ProcessSpec) -> VirtAddr {
-        let image = &spec.image;
+    /// system space, and its PCB, then copy `bytes`, when given, into the
+    /// image's pages. Returns the PCB system VA and the physical range of
+    /// the P0 frames, which are contiguous: VA `v` lives at `start + v`.
+    fn build_process(
+        &mut self,
+        shape: ProcessShape,
+        bytes: Option<&[u8]>,
+    ) -> (VirtAddr, std::ops::Range<u32>) {
         assert!(
-            image.origin >= PAGE_SIZE,
+            shape.origin >= PAGE_SIZE,
             "process images must leave page 0 for the guard/null page"
         );
-        let code_end = image.origin + image.bytes.len() as u32;
+        let code_end = shape.origin + shape.len;
         let code_pages = code_end.div_ceil(PAGE_SIZE);
-        let total_pages = code_pages + spec.bss_pages + spec.stack_pages;
+        let total_pages = code_pages + shape.bss_pages + shape.stack_pages;
 
         // P0 page table: contiguous system pages.
         let pt_bytes = total_pages * 4;
         let pt_pages = pt_bytes.div_ceil(PAGE_SIZE);
         let p0br = self.alloc_sys_pages(pt_pages);
-        // Map every P0 page to a fresh frame.
+        // Map every P0 page to a fresh frame; nothing else allocates
+        // frames meanwhile, so they are consecutive.
+        let first_pfn = self.next_pfn;
         for vpn in 0..total_pages {
             let pfn = self.alloc_frame();
             let pte_va = p0br.add(vpn * 4);
@@ -260,21 +391,22 @@ impl SystemBuilder {
                 .phys_mut()
                 .write(pte_pa, 4, Pte::valid(pfn).0 as u64);
         }
-        // Install temporary tables to poke the image in.
-        let saved = self.mem.tables;
-        self.mem.tables.p0br = p0br;
-        self.mem.tables.p0lr = total_pages;
-        self.poke(VirtAddr(image.origin), &image.bytes);
-        self.mem.tables = saved;
+        if let Some(bytes) = bytes {
+            // Install temporary tables to poke the image in.
+            let saved = self.mem.tables;
+            self.mem.tables.p0br = p0br;
+            self.mem.tables.p0lr = total_pages;
+            self.poke(VirtAddr(shape.origin), bytes);
+            self.mem.tables = saved;
+        }
 
         let sp_top = total_pages * PAGE_SIZE;
-        let entry = image.addr_of(&spec.entry);
 
         // PCB.
         let pcb = self.alloc_sys_pages(1);
         let mut pcb_bytes = [0u8; 84];
         pcb_bytes[56..60].copy_from_slice(&sp_top.to_le_bytes());
-        pcb_bytes[60..64].copy_from_slice(&entry.to_le_bytes());
+        pcb_bytes[60..64].copy_from_slice(&shape.entry.to_le_bytes());
         pcb_bytes[64..68].copy_from_slice(&Psl::new_user().to_u32().to_le_bytes());
         pcb_bytes[68..72].copy_from_slice(&p0br.0.to_le_bytes());
         pcb_bytes[72..76].copy_from_slice(&total_pages.to_le_bytes());
@@ -282,26 +414,33 @@ impl SystemBuilder {
         pcb_bytes[76..80].copy_from_slice(&0u32.to_le_bytes());
         pcb_bytes[80..84].copy_from_slice(&0u32.to_le_bytes());
         self.poke(pcb, &pcb_bytes);
-        pcb
+        let frames = first_pfn * PAGE_SIZE..(first_pfn + total_pages) * PAGE_SIZE;
+        (pcb, frames)
     }
 }
 
-/// A booted machine captured as plain data: the physical-memory contents
-/// after layout (trimmed of trailing zero bytes), the page-table registers,
-/// and the boot register file. Unlike a [`System`] it never runs, so a warm
-/// cache can hand one image to any worker thread and every rehydration
-/// starts from the same state; rehydration via [`System::from_boot_image`]
-/// costs a memcpy of the retained bytes instead of a full layout.
+/// A booted machine captured as plain data: the system layout (the
+/// physical memory the layout wrote, up to its last nonzero byte, less the
+/// frames of deferred processes), the page-table registers, the boot
+/// register file, and the deferred processes generated so far. Unlike a
+/// [`System`] it never runs, so a warm cache can hand one image to any
+/// worker thread and every rehydration starts from the same state;
+/// rehydration via [`System::from_boot_image`] costs a copy of the layout
+/// instead of a full layout. The deferred processes are shared by the image
+/// and every machine rehydrated from it while the image lives: a process is
+/// generated at most once across all of them.
 #[derive(Debug, Clone)]
 pub struct BootImage {
     config: SystemConfig,
-    /// Physical memory up to the last nonzero byte; the rest is zero.
-    phys: Vec<u8>,
+    /// `(physical address, bytes)` runs in ascending order; every byte
+    /// outside them is zero.
+    phys: Vec<(u32, Vec<u8>)>,
     tables: PageTables,
     regs: [u32; 16],
     psl: Psl,
     nproc: usize,
     entries: KernelEntries,
+    deferred: Arc<[Deferred]>,
 }
 
 impl BootImage {
@@ -310,9 +449,17 @@ impl BootImage {
         self.config
     }
 
-    /// Size in bytes of the retained (nonzero) physical-memory prefix.
+    /// Bytes the image holds: the layout's runs plus the deferred
+    /// processes generated so far.
     pub fn retained_bytes(&self) -> usize {
-        self.phys.len()
+        let layout: usize = self.phys.iter().map(|(_, run)| run.len()).sum();
+        let generated: usize = self
+            .deferred
+            .iter()
+            .filter_map(|d| d.bytes.get())
+            .map(Vec::len)
+            .sum();
+        layout + generated
     }
 }
 
@@ -336,22 +483,38 @@ pub struct System {
     /// [`WatchdogExpired`] when it passes.
     deadline: Option<std::time::Instant>,
     watchdog_countdown: u32,
+    /// The deferred processes, shared with the image this machine came
+    /// from while it lives.
+    deferred: Arc<[Deferred]>,
+    /// Which deferred processes this machine has loaded.
+    loaded: Vec<bool>,
+    /// PCBB at the last selection check.
+    pcbb: u32,
+    /// Deferred processes this machine generated.
+    generated: u64,
 }
 
 impl System {
     /// Rehydrate a machine from a captured [`BootImage`]: fresh memory
     /// system (cold cache, TB, and write buffer — exactly the reset state a
-    /// cold build leaves them in), image bytes loaded, table registers and
+    /// cold build leaves them in), the layout loaded, table registers and
     /// boot register file restored. [`SystemBuilder::build`] routes through
     /// this, so restored and freshly built machines are indistinguishable.
+    /// The machine loads each deferred process when its kernel first
+    /// selects it, from the image's copy if a machine sharing the image
+    /// generated it already.
     pub fn from_boot_image(img: &BootImage) -> System {
         let mut mem = MemorySystem::new(img.config.mem);
         mem.tables = img.tables;
-        mem.phys_mut().load(PhysAddr(0), &img.phys);
+        let phys = mem.phys_mut();
+        for (at, run) in &img.phys {
+            phys.load(PhysAddr(*at), run);
+        }
         let mut cpu = Cpu::new(img.config.cpu, mem);
         cpu.regs = img.regs;
         cpu.psl = img.psl;
         cpu.set_pc(img.regs[15]);
+        let pcbb = cpu.iprs.pcbb;
         System {
             cpu,
             nproc: img.nproc,
@@ -359,7 +522,62 @@ impl System {
             faults: FaultPlan::none(),
             deadline: None,
             watchdog_countdown: WATCHDOG_STRIDE,
+            deferred: Arc::clone(&img.deferred),
+            loaded: vec![false; img.deferred.len()],
+            pcbb,
+            generated: 0,
         }
+    }
+
+    /// How many deferred processes this machine has generated. A process
+    /// another machine sharing the image generated first is loaded from
+    /// the image's copy and not counted.
+    pub fn processes_generated(&self) -> u64 {
+        self.generated
+    }
+
+    /// Load the deferred process the kernel has just selected, if this
+    /// machine has not loaded it yet. Checked after every step, so the
+    /// bytes land in the step that executes the `MTPR` to PCBB, before
+    /// the `LDPCTX` and `REI` that follow it.
+    #[inline]
+    fn check_selection(&mut self) {
+        if self.cpu.iprs.pcbb != self.pcbb {
+            self.pcbb = self.cpu.iprs.pcbb;
+            self.load_selected();
+        }
+    }
+
+    #[cold]
+    fn load_selected(&mut self) {
+        let Some(i) = self.deferred.iter().position(|d| d.pcb == self.pcbb) else {
+            return;
+        };
+        if std::mem::replace(&mut self.loaded[i], true) {
+            return;
+        }
+        let d = &self.deferred[i];
+        // A machine that alone holds the slots keeps no copy: no other
+        // machine can ever load it.
+        let alone = Arc::strong_count(&self.deferred) == 1;
+        let mut generated = false;
+        let owned;
+        let bytes: &[u8] = match d.bytes.get() {
+            Some(bytes) => bytes,
+            None if alone => {
+                generated = true;
+                owned = d.generate();
+                &owned
+            }
+            None => d.bytes.get_or_init(|| {
+                generated = true;
+                d.generate()
+            }),
+        };
+        // Nothing has run from these frames, so no decode watches them:
+        // the load leaves the decode cache alone.
+        self.cpu.mem.value_load(d.at, bytes);
+        self.generated += u64::from(generated);
     }
 
     /// Install a fault plan. Events fire between instructions of the next
@@ -437,6 +655,7 @@ impl System {
                 return false;
             }
             self.check_watchdog();
+            self.check_selection();
         }
         true
     }
@@ -451,6 +670,7 @@ impl System {
                 break;
             }
             self.check_watchdog();
+            self.check_selection();
             self.poll_faults();
         }
         self.cpu.hist.stop();
@@ -483,6 +703,7 @@ impl System {
                 break;
             }
             self.check_watchdog();
+            self.check_selection();
             self.poll_faults();
             // Instructions are not preemptible: the boundary is the first
             // step boundary at or past the interval mark.
@@ -534,6 +755,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use vax_arch::{Opcode, Reg};
     use vax_asm::{Asm, Operand};
 
@@ -653,8 +875,115 @@ mod tests {
             assert_eq!(flat.len(), 8 << 20);
             let used = flat.len() - flat.iter().rev().take_while(|&&x| x == 0).count();
             assert_eq!(image.retained_bytes(), used, "case {case}");
-            assert_eq!(image.phys, flat[..used], "case {case}");
+            assert_eq!(image.phys, [(0, flat[..used].to_vec())], "case {case}");
         }
+    }
+
+    /// A spin process generated on demand, counting its generations.
+    #[derive(Debug, Default)]
+    struct DeferredSpin {
+        calls: Arc<AtomicUsize>,
+        /// Declare one byte more than the generated image has.
+        misdeclared: bool,
+    }
+
+    impl DeferredProcess for DeferredSpin {
+        fn shape(&self) -> ProcessShape {
+            let mut shape = spin_process().shape();
+            shape.len += u32::from(self.misdeclared);
+            shape
+        }
+
+        fn generate(&self) -> ProcessSpec {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            spin_process()
+        }
+    }
+
+    /// Three spin processes, the first `deferred` of them deferred, and
+    /// the deferred ones' generation counts.
+    fn spin_image(deferred: usize) -> (BootImage, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut b = SystemBuilder::new(SystemConfig::default());
+        for i in 0..3 {
+            if i < deferred {
+                b.add_deferred(DeferredSpin {
+                    calls: Arc::clone(&calls),
+                    misdeclared: false,
+                });
+            } else {
+                b.add_process(spin_process());
+            }
+        }
+        (b.build_image(), calls)
+    }
+
+    #[test]
+    fn deferred_processes_run_as_ready_ones_and_load_at_first_selection() {
+        let (ready, _) = spin_image(0);
+        let mut want = System::from_boot_image(&ready);
+        want.run_instructions(2);
+        let want_m = want.measure(20_000, 300_000);
+        assert!(want_m.cpu_stats.context_switches >= 2, "every process runs");
+        for deferred in 1..=3 {
+            let (image, calls) = spin_image(deferred);
+            assert!(image.retained_bytes() < ready.retained_bytes());
+            let mut sys = System::from_boot_image(&image);
+            // The kernel boots with MOVL pcbtab, R0; MTPR R0, #PCBB.
+            sys.run_instructions(1);
+            assert_eq!(sys.processes_generated(), 0, "before the MTPR");
+            sys.run_instructions(1);
+            assert_eq!(sys.processes_generated(), 1, "in the MTPR's step");
+            let m = sys.measure(20_000, 300_000);
+            assert_eq!(m, want_m, "{deferred} deferred");
+            assert_eq!(
+                sys.cpu.decode_cache_stats(),
+                want.cpu.decode_cache_stats(),
+                "{deferred} deferred: a load flushes no decode"
+            );
+            assert_eq!(sys.processes_generated(), deferred as u64);
+            assert_eq!(calls.load(Ordering::Relaxed), deferred);
+        }
+    }
+
+    #[test]
+    fn machines_sharing_an_image_generate_each_process_once() {
+        let (image, calls) = spin_image(3);
+        let layout = image.retained_bytes();
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let mut sys = System::from_boot_image(&image);
+                let m = sys.measure(20_000, 300_000);
+                (m, sys.processes_generated())
+            })
+            .collect();
+        assert_eq!(runs[0].0, runs[1].0);
+        assert_eq!((runs[0].1, runs[1].1), (3, 0));
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        let program = spin_process().image.bytes.len();
+        assert_eq!(image.retained_bytes(), layout + 3 * program);
+    }
+
+    #[test]
+    fn a_machine_alone_with_its_processes_keeps_no_copy() {
+        let (image, calls) = spin_image(3);
+        let mut sys = System::from_boot_image(&image);
+        drop(image);
+        sys.measure(20_000, 300_000);
+        assert_eq!(sys.processes_generated(), 3);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert!(sys.deferred.iter().all(|d| d.bytes.get().is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "must generate in its declared shape")]
+    fn a_process_generated_off_its_declared_shape_panics() {
+        let mut b = SystemBuilder::new(SystemConfig::default());
+        b.add_deferred(DeferredSpin {
+            misdeclared: true,
+            ..DeferredSpin::default()
+        });
+        b.build().run_instructions(10);
     }
 
     #[test]

@@ -405,6 +405,16 @@ impl MemorySystem {
         self.phys.write(pa, size, v);
     }
 
+    /// Copy `data` into physical memory at `pa` without touching timing
+    /// state: a loader's store into a running machine. Like
+    /// [`MemorySystem::value_write`], and unlike
+    /// [`MemorySystem::phys_mut`], it advances the code epoch only if it
+    /// overlaps watched code.
+    pub fn value_load(&mut self, pa: PhysAddr, data: &[u8]) {
+        self.code_watch.note_write(pa, data.len() as u32);
+        self.phys.load(pa, data);
+    }
+
     /// Record an unaligned reference (the extra physical access is charged
     /// by the CPU's alignment microcode).
     pub fn note_unaligned(&mut self) {
@@ -559,5 +569,18 @@ mod tests {
             ms.raw_translate(VirtAddr(10 * PAGE_SIZE + 4)).unwrap(),
             PhysAddr::from_pfn(0x700, 4)
         );
+    }
+
+    #[test]
+    fn value_load_advances_the_code_epoch_only_over_watched_code() {
+        let mut ms = system();
+        ms.watch_code(PhysAddr(0x80200), 8);
+        let epoch = ms.code_epoch();
+        ms.value_load(PhysAddr(0x90000), &[0xAB; 4096]);
+        assert_eq!(ms.code_epoch(), epoch, "unwatched frames");
+        assert_eq!(ms.value_read(PhysAddr(0x90FFF), 1), 0xAB);
+        ms.value_load(PhysAddr(0x80000), &[1; 0x208]);
+        assert_eq!(ms.code_epoch(), epoch + 1, "the load covers watched code");
+        assert_eq!(ms.value_read(PhysAddr(0x80204), 4), 0x0101_0101);
     }
 }

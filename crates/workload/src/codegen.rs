@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vax780::ProcessSpec;
+use vax780::{ProcessShape, ProcessSpec};
 use vax_arch::{Opcode, Reg};
 use vax_asm::{Asm, AsmError, Operand};
 
@@ -34,6 +34,8 @@ use Operand::{Imm, Label, Lit, Reg as R};
 const DATA_BASE: u32 = 0x10000;
 /// Code origin (page 0 is the guard page).
 const ORIGIN: u32 = 0x200;
+/// Stack pages of every generated process (it maps no bss pages).
+const STACK_PAGES: u32 = 16;
 
 /// Data-region layout, derived from the profile.
 #[derive(Debug, Clone, Copy)]
@@ -1152,13 +1154,27 @@ impl<'p> Gen<'p> {
         });
         ProcessSpec::new(image, "entry")
             .with_bss_pages(0)
-            .with_stack_pages(16)
+            .with_stack_pages(STACK_PAGES)
     }
 }
 
 /// Generate one user process for a profile. Deterministic per seed.
 pub fn generate_process(profile: &WorkloadProfile, seed: u64) -> ProcessSpec {
     Gen::new(profile, seed).generate()
+}
+
+/// The shape of every process [`generate_process`] makes for `profile`,
+/// whatever the seed: the entry opens the code at [`ORIGIN`], the code is
+/// padded to the fixed data base, and the data region's size depends
+/// only on the profile.
+pub(crate) fn process_shape(profile: &WorkloadProfile) -> ProcessShape {
+    ProcessShape {
+        origin: ORIGIN,
+        len: DataLayout::new(profile).wsb_end - ORIGIN,
+        entry: ORIGIN,
+        bss_pages: 0,
+        stack_pages: STACK_PAGES,
+    }
 }
 
 #[cfg(test)]
@@ -1191,6 +1207,20 @@ mod tests {
         let mut p = WorkloadProfile::baseline();
         p.routines = 200;
         generate_process(&p, 1);
+    }
+
+    #[test]
+    fn every_generated_process_has_its_profiles_declared_shape() {
+        for w in crate::Workload::ALL {
+            let p = w.profile();
+            for seed in [0, 1, 1984, u64::MAX] {
+                assert_eq!(
+                    generate_process(&p, seed).shape(),
+                    process_shape(&p),
+                    "{w:?}/{seed}"
+                );
+            }
+        }
     }
 
     #[test]
