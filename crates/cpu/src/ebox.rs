@@ -20,7 +20,7 @@ use vax_arch::{
     Specifier,
 };
 use vax_mem::addr::PAGE_SIZE;
-use vax_mem::{MemorySystem, PhysAddr, RefClass, VirtAddr};
+use vax_mem::{MemorySystem, PhysAddr, VirtAddr};
 
 use crate::config::CpuConfig;
 use crate::exec::{self, Flow};
@@ -196,7 +196,7 @@ impl Cpu {
 
     fn translate_d(&mut self, va: VirtAddr) -> PhysAddr {
         loop {
-            if let Some(pa) = self.mem.probe_tb(va, RefClass::DStream) {
+            if let Some(pa) = self.mem.probe_tb(va) {
                 return pa;
             }
             self.run_tb_miss(va);
@@ -274,7 +274,11 @@ impl Cpu {
             self.hist.record_n(upc, Plane::Stalled, out.stall);
         }
         self.advance(1 + out.stall);
-        let value = self.read_value(va, size);
+        let value = if size <= va.remaining_in(PAGE_SIZE) {
+            self.mem.value_read(self.checked_tb_pa(va, pa), size)
+        } else {
+            self.read_value(va, size)
+        };
         if va.is_unaligned(size) {
             // Second physical reference to the next longword.
             let next_lw = VirtAddr((va.0 & !3) + 4);
@@ -302,7 +306,12 @@ impl Cpu {
             self.hist.record_n(upc, Plane::Stalled, stall);
         }
         self.advance(1 + stall);
-        self.write_value(va, size, value);
+        if size <= va.remaining_in(PAGE_SIZE) {
+            let pa = self.checked_tb_pa(va, pa);
+            self.mem.value_write(pa, size, value);
+        } else {
+            self.write_value(va, size, value);
+        }
         if va.is_unaligned(size) {
             let next_lw = VirtAddr((va.0 & !3) + 4);
             let pa2 = self.translate_d(next_lw);
@@ -339,6 +348,21 @@ impl Cpu {
             self.mem
                 .value_write(pa2, size - in_page, value >> (8 * in_page));
         }
+    }
+
+    /// `pa`, the TB's translation of `va`, which a data reference within
+    /// one page reads or writes through, as the 780's EBOX does. The TB
+    /// only holds what `tb_fill` walked, and the guest flushes an entry
+    /// when it rewrites the PTE, so this is the page-table walk's answer;
+    /// debug builds check it.
+    #[inline]
+    fn checked_tb_pa(&self, va: VirtAddr, pa: PhysAddr) -> PhysAddr {
+        debug_assert_eq!(
+            self.mem.raw_translate(va),
+            Ok(pa),
+            "the TB's translation of {va} disagrees with the page tables"
+        );
+        pa
     }
 
     fn raw(&self, va: VirtAddr) -> PhysAddr {

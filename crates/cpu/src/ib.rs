@@ -10,8 +10,16 @@
 //! An I-stream TB miss does not trap immediately: a flag is set, fetching
 //! stops, and the miss is serviced by the EBOX when decode actually starves
 //! (paper §2.1).
+//!
+//! The EBOX calls [`Ib::sync`] on every microcycle, but the I-Fetch unit
+//! can act only when a fill arrives or when room opens up. The IB keeps
+//! the earliest cycle at which `sync` can change anything (the pending
+//! fill's arrival, or never while the IB is full or blocked on a TB miss),
+//! and `sync` returns at once before it. [`Ib::consume`], [`Ib::flush`]
+//! and [`Ib::clear_itb_miss`] reset it, so every fill is still issued on
+//! the cycle it would be without the skip.
 
-use vax_mem::{MemorySystem, PhysAddr, RefClass, VirtAddr};
+use vax_mem::{MemorySystem, VirtAddr};
 
 /// IB capacity in bytes.
 pub const IB_BYTES: u32 = 8;
@@ -33,6 +41,10 @@ pub struct Ib {
     pending: Option<PendingFill>,
     /// Fetch blocked on an I-stream TB miss at this address.
     itb_miss: Option<VirtAddr>,
+    /// Earliest cycle at which `sync` can change anything: the pending
+    /// fill's `avail_at`, `u64::MAX` while the IB is full or blocked on an
+    /// I-stream TB miss, 0 after a change that may let a fill issue.
+    next_event: u64,
 }
 
 impl Ib {
@@ -43,6 +55,7 @@ impl Ib {
             valid: 0,
             pending: None,
             itb_miss: None,
+            next_event: 0,
         }
     }
 
@@ -58,6 +71,7 @@ impl Ib {
         self.valid = 0;
         self.pending = None;
         self.itb_miss = None;
+        self.next_event = 0;
     }
 
     /// The blocked-fetch address, if fetch hit an I-stream TB miss.
@@ -68,11 +82,27 @@ impl Ib {
     /// Clear the TB-miss flag after the EBOX has serviced it.
     pub fn clear_itb_miss(&mut self) {
         self.itb_miss = None;
+        self.next_event = 0;
     }
 
     /// Advance the I-Fetch unit to time `now`: complete an arrived fill and
     /// issue a new one if there is room.
+    #[inline]
     pub fn sync(&mut self, now: u64, mem: &mut MemorySystem) {
+        if now < self.next_event {
+            debug_assert!(
+                match self.pending {
+                    Some(p) => p.avail_at > now,
+                    None => self.itb_miss.is_some() || self.valid == IB_BYTES,
+                },
+                "IB sync skipped at cycle {now} with a fill due or room free"
+            );
+            return;
+        }
+        self.fetch(now, mem);
+    }
+
+    fn fetch(&mut self, now: u64, mem: &mut MemorySystem) {
         if let Some(p) = self.pending {
             if p.avail_at <= now {
                 self.valid += p.nbytes;
@@ -81,11 +111,9 @@ impl Ib {
         }
         if self.pending.is_none() && self.itb_miss.is_none() && self.valid < IB_BYTES {
             let va = VirtAddr(self.vpc);
-            match mem.probe_tb(va, RefClass::IStream) {
+            match mem.ifetch(va, now) {
                 None => self.itb_miss = Some(va),
-                Some(pa) => {
-                    let lw_pa = PhysAddr(pa.0 & !3);
-                    let fill = mem.ifetch_cycle(lw_pa, now);
+                Some(fill) => {
                     let lw_remaining = va.remaining_in(4);
                     let room = IB_BYTES - self.valid;
                     let take = lw_remaining.min(room);
@@ -97,6 +125,9 @@ impl Ib {
                 }
             }
         }
+        // With no fill pending, the IB is full or blocked: nothing happens
+        // until a consume, flush or cleared TB miss resets the mark.
+        self.next_event = self.pending.map_or(u64::MAX, |p| p.avail_at);
     }
 
     /// Consume `n` buffered bytes.
@@ -111,6 +142,7 @@ impl Ib {
             self.valid
         );
         self.valid -= n;
+        self.next_event = 0;
     }
 }
 
@@ -123,7 +155,7 @@ impl Default for Ib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vax_mem::{PageTables, Pte};
+    use vax_mem::{PageTables, PhysAddr, Pte};
 
     fn mem_with_code() -> MemorySystem {
         let mut ms = MemorySystem::new_780();
@@ -213,6 +245,71 @@ mod tests {
         assert_eq!(ib.valid_bytes(), 8);
         ib.consume(3);
         assert_eq!(ib.valid_bytes(), 5);
+    }
+
+    /// An IB fetching from 0x200 (TB filled), synced until full; returns
+    /// it with the next cycle.
+    fn full_ib(ms: &mut MemorySystem) -> (Ib, u64) {
+        ms.tb_fill(VirtAddr(0x200), 0).unwrap();
+        let mut ib = Ib::new();
+        ib.flush(0x200);
+        for t in 0..40 {
+            ib.sync(t, ms);
+        }
+        assert_eq!(ib.valid_bytes(), 8);
+        (ib, 40)
+    }
+
+    #[test]
+    fn a_full_ib_issues_no_fill_until_consume() {
+        let mut ms = mem_with_code();
+        let (mut ib, t) = full_ib(&mut ms);
+        let reads = ms.stats.i_reads;
+        for t in t..t + 50 {
+            ib.sync(t, &mut ms);
+        }
+        assert_eq!(ms.stats.i_reads, reads, "a full IB fetches nothing");
+        ib.consume(3);
+        ib.sync(t + 50, &mut ms);
+        assert_eq!(
+            ms.stats.i_reads,
+            reads + 1,
+            "room opens: the next sync fills"
+        );
+        assert_eq!(ib.vpc, 0x20B, "three bytes of room");
+    }
+
+    #[test]
+    fn flush_issues_at_the_new_pc_on_the_next_sync() {
+        let mut ms = mem_with_code();
+        let (mut ib, t) = full_ib(&mut ms);
+        let reads = ms.stats.i_reads;
+        ib.flush(0x20A);
+        ib.sync(t, &mut ms);
+        assert_eq!(ms.stats.i_reads, reads + 1);
+        assert_eq!(ib.vpc, 0x20C, "two bytes to the end of the longword");
+        // A pending fill does not hold back a flush to an unmapped page.
+        ib.flush(0x400);
+        ib.sync(t, &mut ms);
+        assert_eq!(ib.itb_miss(), Some(VirtAddr(0x400)));
+        assert_eq!(ms.stats.tb_miss_i, 1);
+    }
+
+    #[test]
+    fn clear_itb_miss_resumes_fetching() {
+        let mut ms = mem_with_code();
+        let mut ib = Ib::new();
+        ib.flush(0x200);
+        for t in 0..50 {
+            ib.sync(t, &mut ms);
+        }
+        assert_eq!(ib.itb_miss(), Some(VirtAddr(0x200)));
+        assert_eq!((ms.stats.tb_miss_i, ms.stats.i_reads), (1, 0), "blocked");
+        ms.tb_fill(VirtAddr(0x200), 50).unwrap();
+        ib.clear_itb_miss();
+        ib.sync(50, &mut ms);
+        assert_eq!((ms.stats.tb_miss_i, ms.stats.i_reads), (1, 1));
+        assert_eq!(ib.itb_miss(), None);
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub struct Cache {
     pow2: Option<(u32, u32)>,
     lines: Vec<Line>,
     victim: Vec<u8>,
+    /// Advances on every fill and invalidate; see [`Cache::epoch`].
+    epoch: u64,
 }
 
 impl Cache {
@@ -82,6 +84,7 @@ impl Cache {
                 .then(|| (sets as u32 - 1, sets.trailing_zeros())),
             lines: vec![Line::default(); sets * config.ways],
             victim: vec![0; sets],
+            epoch: 0,
         }
     }
 
@@ -95,9 +98,23 @@ impl Cache {
         self.config
     }
 
+    /// Mutation counter: advances on every fill (a read miss) and on
+    /// [`Cache::invalidate_all`]. Hits and writes leave it alone. While it
+    /// is unchanged, a block that [`Cache::probe`] found is still present.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The block number of `pa`: addresses in one block share it.
+    #[inline]
+    pub fn block_of(&self, pa: PhysAddr) -> u32 {
+        pa.0 >> self.block_shift
+    }
+
     #[inline]
     fn set_and_tag(&self, pa: PhysAddr) -> (usize, u32) {
-        let block = pa.0 >> self.block_shift;
+        let block = self.block_of(pa);
         match self.pow2 {
             Some((mask, shift)) => ((block & mask) as usize, block >> shift),
             None => ((block as usize) % self.sets, block / self.sets as u32),
@@ -123,6 +140,7 @@ impl Cache {
             return true;
         }
         // Fill: invalid way first, else round-robin victim.
+        self.epoch += 1;
         let slot = ways.iter().position(|l| !l.valid).unwrap_or_else(|| {
             let v = &mut self.victim[set];
             let w = *v as usize % self.config.ways;
@@ -142,6 +160,7 @@ impl Cache {
 
     /// Invalidate the whole cache.
     pub fn invalidate_all(&mut self) {
+        self.epoch += 1;
         for l in &mut self.lines {
             l.valid = false;
         }

@@ -37,7 +37,7 @@ pub mod writebuf;
 pub use addr::{PhysAddr, Region, VirtAddr, PAGE_SIZE};
 pub use cache::{Cache, CacheConfig};
 pub use codewatch::CodeWatch;
-pub use memsys::{MemConfig, MemorySystem, RefClass};
+pub use memsys::{MemConfig, MemorySystem};
 pub use pagetable::{PageTables, Pte};
 pub use phys::PhysicalMemory;
 pub use stats::MemStats;

@@ -6,6 +6,15 @@
 //! the EBOX probes the TB, takes a microtrap to fill it, retries the
 //! reference, and so on. The CPU crate drives these steps and charges each
 //! cycle to the proper µPC bucket.
+//!
+//! The I-Fetch unit's reference is the one exception: [`MemorySystem::ifetch`]
+//! probes the TB and the cache in one call, because the IB refills from the
+//! same page, and often the same cache block, several times per instruction.
+//! It remembers the last fill's translation while the TB's
+//! [`Tb::epoch`] is unchanged, and the last fill's cache block while the
+//! cache's [`Cache::epoch`] is unchanged, and serves a repeat from that
+//! memo with exactly the counts the probe would make. Debug builds check
+//! every memo hit against the probe it replaces.
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::{Cache, CacheConfig};
@@ -16,15 +25,6 @@ use crate::sbi::{Sbi, SbiConfig};
 use crate::stats::MemStats;
 use crate::tb::{Tb, TbConfig};
 use crate::writebuf::WriteBuffer;
-
-/// Which stream a reference belongs to (I-Fetch vs. EBOX data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefClass {
-    /// Instruction-buffer fill.
-    IStream,
-    /// EBOX data reference.
-    DStream,
-}
 
 /// Full memory-system configuration.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +85,30 @@ pub struct TbFill {
     pub pfn: u32,
 }
 
+/// The last IB fill's translation and cache block (see
+/// [`MemorySystem::ifetch`]). Each half is valid while the structure it
+/// came from is unchanged: its epoch equals that structure's
+/// [`Tb::epoch`] or [`Cache::epoch`]. `u64::MAX` marks a half as empty,
+/// since the epochs count up from 0.
+#[derive(Debug, Clone, Copy)]
+struct FillMemo {
+    tb_epoch: u64,
+    vpn: u32,
+    pfn: u32,
+    cache_epoch: u64,
+    block: u32,
+}
+
+impl FillMemo {
+    const EMPTY: FillMemo = FillMemo {
+        tb_epoch: u64::MAX,
+        vpn: 0,
+        pfn: 0,
+        cache_epoch: u64::MAX,
+        block: 0,
+    };
+}
+
 /// The complete memory subsystem of one simulated 11/780.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -103,6 +127,8 @@ pub struct MemorySystem {
     /// Set by fault injection; consumed (and cleared) by the CPU between
     /// instructions, which turns it into a machine-check interrupt.
     parity_latch: bool,
+    /// The last IB fill's page and cache block.
+    fill_memo: FillMemo,
 }
 
 impl MemorySystem {
@@ -118,6 +144,7 @@ impl MemorySystem {
             stats: MemStats::new(),
             code_watch: CodeWatch::new(config.mem_bytes),
             parity_latch: false,
+            fill_memo: FillMemo::EMPTY,
         }
     }
 
@@ -196,15 +223,13 @@ impl MemorySystem {
 
     // ---- Translation ----
 
-    /// Probe the TB. `None` means TB miss (counted per `class`).
-    pub fn probe_tb(&mut self, va: VirtAddr, class: RefClass) -> Option<PhysAddr> {
+    /// Probe the TB for an EBOX data reference. `None` means TB miss
+    /// (counted in `tb_miss_d`).
+    pub fn probe_tb(&mut self, va: VirtAddr) -> Option<PhysAddr> {
         match self.tb.probe(va) {
             Some(pfn) => Some(PhysAddr::from_pfn(pfn, va.offset())),
             None => {
-                match class {
-                    RefClass::IStream => self.stats.tb_miss_i += 1,
-                    RefClass::DStream => self.stats.tb_miss_d += 1,
-                }
+                self.stats.tb_miss_d += 1;
                 None
             }
         }
@@ -370,12 +395,51 @@ impl MemorySystem {
         stall
     }
 
-    /// An IB longword fill request at cycle `now`. Does not stall the EBOX;
-    /// returns when the data arrives.
-    pub fn ifetch_cycle(&mut self, pa: PhysAddr, now: u64) -> FillOutcome {
+    /// An IB fill request at cycle `now` for the aligned longword holding
+    /// `va`: a TB probe, then a cache read of the longword. `None` is an
+    /// I-stream TB miss (counted in `tb_miss_i`; the IB latches it and the
+    /// EBOX services it). Otherwise returns when the data arrives; a fill
+    /// never stalls the EBOX.
+    ///
+    /// A fill in the previous fill's page, with the TB unchanged since,
+    /// reuses its translation; one in the previous fill's cache block, with
+    /// the cache unchanged since, is a hit without a probe. Either way the
+    /// counters move exactly as the probe would move them.
+    pub fn ifetch(&mut self, va: VirtAddr, now: u64) -> Option<FillOutcome> {
+        let memo = &mut self.fill_memo;
+        let pfn = if memo.tb_epoch == self.tb.epoch() && memo.vpn == va.vpn() {
+            debug_assert_eq!(
+                self.tb.probe(va),
+                Some(memo.pfn),
+                "IB fill page memo disagrees with the TB at {va}"
+            );
+            memo.pfn
+        } else {
+            let Some(pfn) = self.tb.probe(va) else {
+                self.stats.tb_miss_i += 1;
+                return None;
+            };
+            memo.tb_epoch = self.tb.epoch();
+            memo.vpn = va.vpn();
+            memo.pfn = pfn;
+            pfn
+        };
+        let pa = PhysAddr::from_pfn(pfn, va.offset() & !3);
         self.stats.i_reads += 1;
-        let hit = self.cache.access_read(pa);
-        if hit {
+        let block = self.cache.block_of(pa);
+        let hit = if memo.cache_epoch == self.cache.epoch() && memo.block == block {
+            debug_assert!(
+                self.cache.probe(pa),
+                "IB fill block memo names a block the cache lacks at {pa}"
+            );
+            true
+        } else {
+            let hit = self.cache.access_read(pa);
+            memo.cache_epoch = self.cache.epoch();
+            memo.block = block;
+            hit
+        };
+        Some(if hit {
             FillOutcome {
                 avail_at: now + 1,
                 miss: false,
@@ -387,7 +451,7 @@ impl MemorySystem {
                 avail_at: done,
                 miss: true,
             }
-        }
+        })
     }
 
     // ---- Untimed value plumbing ----
@@ -422,7 +486,8 @@ impl MemorySystem {
     }
 
     /// Write a PTE for `va` into the page tables (used by system builders
-    /// while constructing address spaces; untimed).
+    /// while constructing address spaces; untimed). Drops the TB's entry
+    /// for `va`, as the TBIS a guest issues after such a rewrite would.
     ///
     /// # Panics
     /// Panics if the page tables do not cover `va`.
@@ -438,6 +503,7 @@ impl MemorySystem {
                 .expect("install_pte: page-table page not mapped"),
         };
         self.phys.write(pa, 4, pte.0 as u64);
+        self.tb.invalidate_page(va);
         // A remap changes what any virtual PC names; cached decodes of
         // affected addresses must not survive it.
         self.code_watch.invalidate_all();
@@ -495,11 +561,11 @@ mod tests {
     fn tb_miss_then_hit() {
         let mut ms = system();
         let va = VirtAddr(0x200);
-        assert!(ms.probe_tb(va, RefClass::DStream).is_none());
+        assert!(ms.probe_tb(va).is_none());
         assert_eq!(ms.stats.tb_miss_d, 1);
         let fill = ms.tb_fill(va, 0).unwrap();
         assert!(fill.pte_reads >= 1);
-        let pa = ms.probe_tb(va, RefClass::DStream).unwrap();
+        let pa = ms.probe_tb(va).unwrap();
         assert_eq!(pa, PhysAddr(0x80200));
     }
 
@@ -552,13 +618,19 @@ mod tests {
     #[test]
     fn ifetch_timing() {
         let mut ms = system();
-        let pa = PhysAddr(0x80000);
-        let f1 = ms.ifetch_cycle(pa, 10);
+        let va = VirtAddr(0x2);
+        assert_eq!(ms.ifetch(va, 0), None, "an I-stream TB miss");
+        assert_eq!(ms.stats.tb_miss_i, 1);
+        // The fill's PTE reads hold the SBI until cycle `t`.
+        let t = ms.tb_fill(va, 0).unwrap().stall;
+        let f1 = ms.ifetch(va, t).unwrap();
         assert!(f1.miss);
-        assert_eq!(f1.avail_at, 16);
-        let f2 = ms.ifetch_cycle(pa, 20);
+        assert_eq!(f1.avail_at, t + 6);
+        let f2 = ms.ifetch(va, 20).unwrap();
         assert!(!f2.miss);
         assert_eq!(f2.avail_at, 21);
+        assert_eq!((ms.stats.i_reads, ms.stats.i_read_misses), (2, 1));
+        assert_eq!(ms.stats.tb_miss_d, 0);
     }
 
     #[test]
@@ -569,6 +641,127 @@ mod tests {
             ms.raw_translate(VirtAddr(10 * PAGE_SIZE + 4)).unwrap(),
             PhysAddr::from_pfn(0x700, 4)
         );
+    }
+
+    #[test]
+    fn install_pte_drops_the_stale_tb_entry() {
+        let mut ms = system();
+        let va = VirtAddr(3 * PAGE_SIZE + 8);
+        assert_eq!(ms.tb_fill(va, 0).unwrap().pfn, (0x80000 >> 9) + 3);
+        ms.install_pte(va, Pte::valid(0x700));
+        assert_eq!(ms.probe_tb(va), None, "the old translation is gone");
+        assert_eq!(ms.tb_fill(va, 100).unwrap().pfn, 0x700);
+        assert_eq!(ms.probe_tb(va), Some(PhysAddr::from_pfn(0x700, 8)));
+    }
+
+    /// The I-stream counters `(i_reads, i_read_misses, tb_miss_i)`.
+    fn istream(ms: &MemorySystem) -> (u64, u64, u64) {
+        (ms.stats.i_reads, ms.stats.i_read_misses, ms.stats.tb_miss_i)
+    }
+
+    /// A memory system whose TB maps P0 page 0 and whose IB has just
+    /// filled from `va` in it, so both halves of the fill memo are set.
+    fn after_fill(va: VirtAddr) -> MemorySystem {
+        let mut ms = system();
+        ms.tb_fill(va, 0).unwrap();
+        assert!(ms.ifetch(va, 20).unwrap().miss);
+        assert!(!ms.ifetch(va, 40).unwrap().miss);
+        assert_eq!(istream(&ms), (2, 1, 0));
+        ms
+    }
+
+    #[test]
+    fn ifetch_memo_counts_what_the_probe_counts() {
+        let mut ms = after_fill(VirtAddr(0x10));
+        // The same block, the next block and a page's worth of longwords.
+        for lw in 0..128u32 {
+            ms.ifetch(VirtAddr(lw * 4), 50 + u64::from(lw)).unwrap();
+        }
+        // 64 blocks of 8 bytes, the first one already cached.
+        assert_eq!(istream(&ms), (130, 64, 0));
+        assert_eq!(ms.stats.tb_miss_d, 0);
+    }
+
+    #[test]
+    fn ifetch_memo_dies_when_d_reads_evict_its_block() {
+        let va = VirtAddr(0x10);
+        let mut ms = after_fill(va);
+        // Two other blocks of the IB block's set (2-way, 512 sets of 8
+        // bytes) evict it.
+        let stride = 512 * 8;
+        ms.read_cycle(PhysAddr(0x80010 + stride), 60);
+        ms.read_cycle(PhysAddr(0x80010 + 2 * stride), 80);
+        assert!(!ms.cache().probe(PhysAddr(0x80010)));
+        let f = ms.ifetch(va, 100).unwrap();
+        assert!(f.miss, "the evicted block is fetched again");
+        assert_eq!(istream(&ms), (3, 2, 0));
+    }
+
+    #[test]
+    fn ifetch_memo_dies_when_the_tb_changes() {
+        let va = VirtAddr(0x10);
+        // Process-half set 0 holds P0 pages 0 and 32; a fill of page 64
+        // replaces page 0 (round robin) and the next fill must miss.
+        let mut ms = system();
+        ms.tables.p0lr = 128;
+        for vpn in 16..128u32 {
+            ms.phys.write(
+                PhysAddr(0x40000 + vpn * 4),
+                4,
+                Pte::valid(0x500 + vpn).0 as u64,
+            );
+        }
+        ms.tb_fill(va, 0).unwrap();
+        ms.tb_fill(VirtAddr(32 * PAGE_SIZE), 20).unwrap();
+        ms.ifetch(va, 40).unwrap();
+        ms.tb_fill(VirtAddr(64 * PAGE_SIZE), 60).unwrap();
+        assert_eq!(ms.ifetch(va, 80), None, "tb_fill evicted the memo page");
+        assert_eq!(istream(&ms), (1, 1, 1));
+
+        for name in ["TBIS", "TBIA", "invalidate_process"] {
+            let mut ms = after_fill(va);
+            let tb = ms.tb_mut();
+            match name {
+                "TBIS" => tb.invalidate_page(VirtAddr(0x1F0)),
+                "TBIA" => tb.invalidate_all(),
+                _ => tb.invalidate_process(),
+            }
+            assert_eq!(ms.ifetch(va, 60), None, "{name}");
+            assert_eq!(istream(&ms), (2, 1, 1), "{name}");
+        }
+    }
+
+    #[test]
+    fn ifetch_memo_dies_when_a_pte_read_fills_the_cache() {
+        // P0 page 0 fetches from 0x80000, cache set 0. Its PTE (0x40000)
+        // and the P0 table's system PTE (0x10000) share set 0 as well.
+        let va = VirtAddr(0x4);
+        let mut ms = system();
+        ms.tb_fill(va, 0).unwrap();
+        assert!(ms.ifetch(va, 20).unwrap().miss, "evicts the system PTE");
+        // Two TB fills whose PTE reads miss in set 0: the first evicts the
+        // P0 PTE's block, the second the IB's.
+        ms.tb_fill(VirtAddr(0x8000_0200), 40).unwrap();
+        ms.tb_fill(VirtAddr(0x200), 60).unwrap();
+        assert_eq!(ms.stats.pte_read_misses, 4);
+        assert!(!ms.cache().probe(PhysAddr(0x80004)));
+        assert!(ms.ifetch(va, 80).unwrap().miss);
+        assert_eq!(istream(&ms), (2, 2, 0));
+    }
+
+    #[test]
+    fn hits_and_writes_leave_both_epochs_alone() {
+        let mut ms = after_fill(VirtAddr(0x10));
+        let (tb, cache) = (ms.tb.epoch(), ms.cache.epoch());
+        assert!(!ms.read_cycle(PhysAddr(0x80010), 60).miss);
+        ms.write_cycle(PhysAddr(0x80010), 70);
+        ms.write_cycle(PhysAddr(0x90000), 80);
+        assert!(ms.probe_tb(VirtAddr(0x10)).is_some());
+        assert!(ms.probe_tb(VirtAddr(0x400)).is_none());
+        assert!(!ms.ifetch(VirtAddr(0x14), 90).unwrap().miss);
+        assert_eq!((ms.tb.epoch(), ms.cache.epoch()), (tb, cache));
+        ms.read_cycle(PhysAddr(0x90000), 100);
+        assert_eq!(ms.cache.epoch(), cache + 1, "a read miss fills");
     }
 
     #[test]

@@ -53,6 +53,8 @@ pub struct Tb {
     entries: Vec<TbEntry>,
     /// Round-robin victim pointer per (half, set).
     victim: Vec<u8>,
+    /// Advances on every insert and invalidate; see [`Tb::epoch`].
+    epoch: u64,
 }
 
 impl Tb {
@@ -78,6 +80,7 @@ impl Tb {
                 .then(|| sets_per_half as u32 - 1),
             entries: vec![TbEntry::default(); config.entries],
             victim: vec![0; sets_per_half * halves],
+            epoch: 0,
         }
     }
 
@@ -89,6 +92,14 @@ impl Tb {
     /// The configured geometry.
     pub fn config(&self) -> TbConfig {
         self.config
+    }
+
+    /// Mutation counter: advances on every [`Tb::insert`] and every
+    /// invalidate. While it is unchanged, [`Tb::probe`] of any address
+    /// returns what it returned last time.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     #[inline]
@@ -131,6 +142,7 @@ impl Tb {
         let set = self.set_index(va);
         let base = self.base(half, set);
         let tag = va.vpn();
+        self.epoch += 1;
         // Replace an existing entry for the same tag, else an invalid way,
         // else the round-robin victim.
         let ways = &mut self.entries[base..base + self.config.ways];
@@ -153,6 +165,7 @@ impl Tb {
 
     /// Invalidate a single page's translation (TBIS).
     pub fn invalidate_page(&mut self, va: VirtAddr) {
+        self.epoch += 1;
         let half = self.half(va);
         let set = self.set_index(va);
         let base = self.base(half, set);
@@ -166,6 +179,7 @@ impl Tb {
 
     /// Flush the process half (done by LDPCTX on a context switch).
     pub fn invalidate_process(&mut self) {
+        self.epoch += 1;
         let end = if self.config.split {
             self.sets_per_half * self.config.ways
         } else {
@@ -178,6 +192,7 @@ impl Tb {
 
     /// Flush everything (TBIA).
     pub fn invalidate_all(&mut self) {
+        self.epoch += 1;
         for e in &mut self.entries {
             e.valid = false;
         }
