@@ -1,18 +1,17 @@
-//! Machine-readable telemetry: JSON builders for measurements, the paper's
-//! tables, interval time series, and the run manifest.
+//! Machine-readable telemetry: JSON builders for measurements, interval
+//! time series and the run manifest, and the bundle of a run's artifacts.
 //!
-//! Each builder mirrors the corresponding renderer in [`crate::tables`] but
-//! emits numbers instead of formatted text, so downstream tooling can diff
-//! runs against each other and against the paper's published values without
+//! `tables.json` comes from the table model in [`crate::tables`], the same
+//! values the text report prints, so downstream tooling can diff runs
+//! against each other and against the paper's published values without
 //! scraping console output.
 
-use upc_monitor::{Activity, CycleClass, Plane};
+use upc_monitor::Plane;
 use vax780::{IntervalSample, Measurement, TimeSeries};
-use vax_arch::{AddressingMode, BranchKind, OpcodeGroup};
+use vax_arch::BranchKind;
 
 use crate::analysis::Analysis;
 use crate::json::Json;
-use crate::paper;
 use crate::validate::ValidationReport;
 
 /// Everything needed to reproduce a run, written alongside its results.
@@ -264,357 +263,6 @@ pub fn timeseries_from_json(j: &Json) -> Result<TimeSeries, String> {
     Ok(ts)
 }
 
-fn measured_paper(measured: f64, paper: f64) -> Json {
-    Json::obj([
-        ("measured", Json::from(measured)),
-        ("paper", Json::from(paper)),
-    ])
-}
-
-fn table1_json(a: &Analysis) -> Json {
-    let measured = a.group_percent();
-    Json::arr(OpcodeGroup::ALL.iter().enumerate().map(|(i, g)| {
-        Json::obj([
-            ("group", Json::from(g.name())),
-            ("measured_percent", Json::from(measured[i])),
-            ("paper_percent", Json::from(paper::TABLE1_GROUP_PERCENT[i])),
-        ])
-    }))
-}
-
-fn table2_json(a: &Analysis) -> Json {
-    let n = a.instructions.max(1) as f64;
-    let row = |name: &str, execd: u64, taken: u64, p: (f64, f64, f64)| {
-        Json::obj([
-            ("class", Json::from(name)),
-            (
-                "executed_percent",
-                measured_paper(100.0 * execd as f64 / n, p.0),
-            ),
-            (
-                "taken_percent",
-                measured_paper(
-                    if execd > 0 {
-                        100.0 * taken as f64 / execd as f64
-                    } else {
-                        0.0
-                    },
-                    p.1,
-                ),
-            ),
-            (
-                "taken_of_all_percent",
-                measured_paper(100.0 * taken as f64 / n, p.2),
-            ),
-        ])
-    };
-    let mut tot_exec = 0u64;
-    let mut tot_taken = 0u64;
-    let mut rows: Vec<Json> = BranchKind::TABLE2_ROWS
-        .iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let execd = a.m.cpu_stats.branch_executed_of(*k);
-            let taken = a.m.cpu_stats.branch_taken_of(*k);
-            tot_exec += execd;
-            tot_taken += taken;
-            row(k.name(), execd, taken, paper::TABLE2[i])
-        })
-        .collect();
-    rows.push(row("TOTAL", tot_exec, tot_taken, paper::TABLE2_TOTAL));
-    Json::Arr(rows)
-}
-
-fn table3_json(a: &Analysis) -> Json {
-    let n = a.instructions.max(1) as f64;
-    Json::obj([
-        (
-            "first_specifiers_per_instr",
-            measured_paper(a.spec1.total() as f64 / n, paper::TABLE3_SPEC1),
-        ),
-        (
-            "other_specifiers_per_instr",
-            measured_paper(a.spec26.total() as f64 / n, paper::TABLE3_SPEC26),
-        ),
-        (
-            "branch_displacements_per_instr",
-            measured_paper(a.m.cpu_stats.branch_disps as f64 / n, paper::TABLE3_BDISP),
-        ),
-    ])
-}
-
-fn table4_json(a: &Analysis) -> Json {
-    let modes = Json::arr(AddressingMode::ALL.iter().enumerate().map(|(i, m)| {
-        Json::obj([
-            ("mode", Json::from(format!("{m:?}"))),
-            ("spec1_count", Json::from(a.spec1.by_mode[i])),
-            ("spec26_count", Json::from(a.spec26.by_mode[i])),
-        ])
-    }));
-    Json::obj([
-        ("by_mode", modes),
-        ("spec1_total", Json::from(a.spec1.total())),
-        ("spec26_total", Json::from(a.spec26.total())),
-        ("spec1_indexed", Json::from(a.spec1.indexed)),
-        ("spec26_indexed", Json::from(a.spec26.indexed)),
-        ("indexed_percent_paper", Json::from(paper::TABLE4_INDEXED.2)),
-    ])
-}
-
-fn table5_json(a: &Analysis) -> Json {
-    let rows = [
-        ("Spec1", Activity::Spec1),
-        ("Spec2-6", Activity::Spec26),
-        ("Simple", Activity::ExecSimple),
-        ("Field", Activity::ExecField),
-        ("Float", Activity::ExecFloat),
-        ("Call/Ret", Activity::ExecCallRet),
-        ("System", Activity::ExecSystem),
-        ("Character", Activity::ExecCharacter),
-        ("Decimal", Activity::ExecDecimal),
-    ];
-    let other_rows = [
-        Activity::Decode,
-        Activity::BDisp,
-        Activity::IntExcept,
-        Activity::MemMgmt,
-        Activity::Abort,
-    ];
-    let mut reads = 0.0;
-    let mut writes = 0.0;
-    let mut out: Vec<Json> = rows
-        .iter()
-        .map(|(name, act)| {
-            let r = a.cell(*act, CycleClass::Read);
-            let w = a.cell(*act, CycleClass::Write);
-            reads += r;
-            writes += w;
-            Json::obj([
-                ("source", Json::from(*name)),
-                ("reads_per_instr", Json::from(r)),
-                ("writes_per_instr", Json::from(w)),
-            ])
-        })
-        .collect();
-    let or: f64 = other_rows
-        .iter()
-        .map(|&x| a.cell(x, CycleClass::Read))
-        .sum();
-    let ow: f64 = other_rows
-        .iter()
-        .map(|&x| a.cell(x, CycleClass::Write))
-        .sum();
-    reads += or;
-    writes += ow;
-    out.push(Json::obj([
-        ("source", Json::from("Other")),
-        ("reads_per_instr", Json::from(or)),
-        ("writes_per_instr", Json::from(ow)),
-    ]));
-    let n = a.instructions.max(1) as f64;
-    Json::obj([
-        ("rows", Json::Arr(out)),
-        (
-            "total_reads_per_instr",
-            measured_paper(reads, paper::TABLE5_READS_TOTAL),
-        ),
-        (
-            "total_writes_per_instr",
-            measured_paper(writes, paper::TABLE5_WRITES_TOTAL),
-        ),
-        (
-            "unaligned_refs_per_instr",
-            measured_paper(
-                a.m.mem_stats.unaligned_refs as f64 / n,
-                paper::UNALIGNED_PER_INSTR,
-            ),
-        ),
-    ])
-}
-
-fn table6_json(a: &Analysis) -> Json {
-    Json::obj([(
-        "avg_instruction_bytes",
-        measured_paper(
-            a.m.cpu_stats.avg_instruction_bytes(),
-            paper::TABLE6_AVG_INSTR_BYTES,
-        ),
-    )])
-}
-
-fn table7_json(a: &Analysis) -> Json {
-    let entry = |v: Option<f64>, p: f64| {
-        Json::obj([
-            ("measured", v.map(Json::from).unwrap_or(Json::Null)),
-            ("paper", Json::from(p)),
-        ])
-    };
-    Json::obj([
-        (
-            "sw_interrupt_request_headway",
-            entry(
-                a.headway(a.m.cpu_stats.sw_interrupt_requests),
-                paper::TABLE7_SOFT_REQ_HEADWAY,
-            ),
-        ),
-        (
-            "interrupt_headway",
-            entry(
-                a.headway(a.m.cpu_stats.total_interrupts()),
-                paper::TABLE7_INTERRUPT_HEADWAY,
-            ),
-        ),
-        (
-            "context_switch_headway",
-            entry(
-                a.headway(a.m.cpu_stats.context_switches),
-                paper::TABLE7_CONTEXT_SWITCH_HEADWAY,
-            ),
-        ),
-    ])
-}
-
-fn events_json(a: &Analysis) -> Json {
-    let n = a.instructions.max(1) as f64;
-    let ms = &a.m.mem_stats;
-    let ib_refs = ms.i_reads as f64 / n;
-    let avg_bytes = a.m.cpu_stats.avg_instruction_bytes();
-    Json::obj([
-        (
-            "ib_refs_per_instr",
-            measured_paper(ib_refs, paper::IB_REFS_PER_INSTR),
-        ),
-        (
-            "ib_bytes_per_ref",
-            measured_paper(
-                if ib_refs > 0.0 {
-                    avg_bytes / ib_refs
-                } else {
-                    0.0
-                },
-                paper::IB_BYTES_PER_REF,
-            ),
-        ),
-        (
-            "cache_read_misses_per_instr",
-            measured_paper(
-                ms.total_read_misses() as f64 / n,
-                paper::CACHE_MISSES_PER_INSTR.0,
-            ),
-        ),
-        (
-            "cache_read_misses_istream_per_instr",
-            measured_paper(ms.i_read_misses as f64 / n, paper::CACHE_MISSES_PER_INSTR.1),
-        ),
-        (
-            "cache_read_misses_dstream_per_instr",
-            measured_paper(
-                (ms.d_read_misses + ms.pte_read_misses) as f64 / n,
-                paper::CACHE_MISSES_PER_INSTR.2,
-            ),
-        ),
-        (
-            "tb_misses_per_instr",
-            measured_paper(
-                ms.total_tb_misses() as f64 / n,
-                paper::TB_MISSES_PER_INSTR.0,
-            ),
-        ),
-        (
-            "tb_miss_service_cycles",
-            measured_paper(
-                if ms.total_tb_misses() > 0 {
-                    a.tb_miss_cycles as f64 / ms.total_tb_misses() as f64
-                } else {
-                    0.0
-                },
-                paper::TB_MISS_SERVICE_CYCLES,
-            ),
-        ),
-    ])
-}
-
-fn table8_json(a: &Analysis) -> Json {
-    let class_key = crate::profile::class_key;
-    let rows = Json::arr(Activity::ALL.iter().enumerate().map(|(i, act)| {
-        let mut members: Vec<(String, Json)> =
-            vec![("activity".to_string(), Json::from(act.name()))];
-        for class in CycleClass::ALL {
-            members.push((
-                class_key(class).to_string(),
-                Json::from(a.cell(*act, class)),
-            ));
-        }
-        members.push(("total".to_string(), Json::from(a.row_total(*act))));
-        members.push((
-            "paper_total".to_string(),
-            Json::from(paper::TABLE8_ROW_TOTALS[i]),
-        ));
-        Json::Obj(members)
-    }));
-    let mut totals: Vec<(String, Json)> = Vec::new();
-    for (i, class) in CycleClass::ALL.iter().enumerate() {
-        totals.push((
-            class_key(*class).to_string(),
-            measured_paper(a.col_total(*class), paper::TABLE8_COLUMN_TOTALS[i]),
-        ));
-    }
-    Json::obj([
-        ("rows", rows),
-        ("column_totals", Json::Obj(totals)),
-        ("cpi", measured_paper(a.cpi(), paper::TABLE8_CPI)),
-    ])
-}
-
-fn table9_json(a: &Analysis) -> Json {
-    let groups = a.group_percent();
-    Json::arr(OpcodeGroup::ALL.iter().enumerate().filter_map(|(i, g)| {
-        let freq = groups[i] / 100.0;
-        if freq <= 0.0 {
-            return None;
-        }
-        let act = Analysis::group_activity(*g);
-        let mut total = 0.0;
-        let mut members: Vec<(String, Json)> = vec![("group".to_string(), Json::from(g.name()))];
-        for (key, class) in [
-            ("compute", CycleClass::Compute),
-            ("read", CycleClass::Read),
-            ("read_stall", CycleClass::ReadStall),
-            ("write", CycleClass::Write),
-            ("write_stall", CycleClass::WriteStall),
-        ] {
-            let v = a.cell(act, class) / freq;
-            total += v;
-            members.push((key.to_string(), Json::from(v)));
-        }
-        members.push(("total".to_string(), Json::from(total)));
-        members.push((
-            "paper_total".to_string(),
-            Json::from(paper::TABLE9_GROUP_TOTALS[i]),
-        ));
-        Some(Json::Obj(members))
-    }))
-}
-
-/// Serialize Tables 1–9 plus the §4 implementation events.
-pub fn tables_json(a: &Analysis) -> Json {
-    Json::obj([
-        ("instructions", Json::from(a.instructions)),
-        ("cycles", Json::from(a.cycles)),
-        ("cpi", measured_paper(a.cpi(), paper::TABLE8_CPI)),
-        ("table1_opcode_groups", table1_json(a)),
-        ("table2_pc_changing", table2_json(a)),
-        ("table3_specifiers", table3_json(a)),
-        ("table4_specifier_modes", table4_json(a)),
-        ("table5_dstream_refs", table5_json(a)),
-        ("table6_instruction_size", table6_json(a)),
-        ("table7_headways", table7_json(a)),
-        ("section4_events", events_json(a)),
-        ("table8_instruction_timing", table8_json(a)),
-        ("table9_group_timing", table9_json(a)),
-    ])
-}
-
 /// Bundle every artifact of a run into `(file name, contents)` pairs, ready
 /// to be written into an output directory.
 pub fn run_artifacts(
@@ -629,7 +277,10 @@ pub fn run_artifacts(
             "measurement.json",
             measurement_json(&a.m).to_string_pretty(),
         ),
-        ("tables.json", tables_json(a).to_string_pretty()),
+        (
+            "tables.json",
+            crate::tables::tables_json(a).to_string_pretty(),
+        ),
         ("timeseries.json", timeseries_json(ts).to_string_pretty()),
         ("timeseries.csv", ts.to_csv()),
         ("validation.json", validation.to_json().to_string_pretty()),
@@ -717,30 +368,6 @@ mod tests {
                 assert!(body.starts_with("start_cycle,"));
             }
         }
-    }
-
-    #[test]
-    fn tables_json_matches_analysis() {
-        let (sys, m, _) = measured();
-        let a = Analysis::new(&sys.cpu.cs, &m);
-        let t = tables_json(&a);
-        let cpi = t
-            .get("cpi")
-            .and_then(|v| v.get("measured"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((cpi - a.cpi()).abs() < 1e-12);
-        let rows = t
-            .get("table8_instruction_timing")
-            .and_then(|v| v.get("rows"))
-            .and_then(Json::as_arr)
-            .unwrap();
-        assert_eq!(rows.len(), 14);
-        let t1 = t
-            .get("table1_opcode_groups")
-            .and_then(Json::as_arr)
-            .unwrap();
-        assert_eq!(t1.len(), 7);
     }
 
     #[test]

@@ -29,11 +29,10 @@ pub use characterize::{
 pub use checkpoint::{cell_from_json, cell_to_json, CheckpointCell};
 pub use diffrun::{diff_json, DeltaKind, DiffReport, MetricDelta, Tolerance};
 pub use export::{
-    measurement_json, run_artifacts, tables_json, timeseries_from_json, timeseries_json,
-    RunManifest,
+    measurement_json, run_artifacts, timeseries_from_json, timeseries_json, RunManifest,
 };
 pub use json::Json;
 pub use profile::{Profile, ProfileNode, RoutineProfile};
 pub use refute::{check_cell, minimize, refutation_json, Refutation, RefuteCheck, RefuteTolerance};
-pub use tables::print_all_tables;
+pub use tables::{print_all_tables, tables_json};
 pub use validate::{validate, ValidationCheck, ValidationReport};

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vax_analysis::{tables, Profile, RunManifest};
+use vax_analysis::{tables, Analysis, Profile, RunManifest};
 use vax_trace::{Tracer, MAIN_TID};
 
 use crate::cache::WarmCaches;
@@ -539,27 +539,20 @@ fn render_and_export(
         return exit_code(opts, out);
     }
 
-    let rendered = match opts.spec.experiment.as_str() {
-        "all" => {
-            let mut s = fig1();
-            s.push('\n');
-            s.push_str(&tables::print_all_tables(&out.analysis));
-            s
-        }
-        "table1" => tables::table1(&out.analysis),
-        "table2" => tables::table2(&out.analysis),
-        "table3" => tables::table3(&out.analysis),
-        "table4" => tables::table4(&out.analysis),
-        "table5" => tables::table5(&out.analysis),
-        "table6" => tables::table6(&out.analysis),
-        "table7" => tables::table7(&out.analysis),
-        "table8" => tables::table8(&out.analysis),
-        "table9" => tables::table9(&out.analysis),
-        "events" => tables::events(&out.analysis),
-        other => unreachable!("experiment '{other}' passed validation but has no renderer"),
-    };
-    stdout.push_str(&rendered);
+    stdout.push_str(&render_text(&opts.spec.experiment, &out.analysis));
     exit_code(opts, out)
+}
+
+/// The text report of a measured `--experiment`: Figure 1 and every table
+/// for `all`, else the table of that name.
+fn render_text(experiment: &str, a: &Analysis) -> String {
+    if experiment == "all" {
+        return format!("{}\n{}", fig1(), tables::print_all_tables(a));
+    }
+    match tables::by_name(a, experiment) {
+        Some(table) => table.text(),
+        None => unreachable!("experiment '{experiment}' passed validation but has no table"),
+    }
 }
 
 /// Exit code policy: validation divergence always fails; a degraded run
@@ -571,5 +564,47 @@ fn exit_code(opts: &Options, out: &RunOutput) -> i32 {
         1
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cli::EXPERIMENTS;
+    use vax780::{ProcessSpec, SystemBuilder, SystemConfig};
+    use vax_arch::{Opcode, Reg};
+    use vax_asm::{Asm, Operand};
+
+    #[test]
+    fn every_experiment_name_is_a_table_and_renders() {
+        let mut asm = Asm::new(0x200);
+        asm.label("entry");
+        asm.insn(
+            Opcode::Addl2,
+            &[Operand::Lit(1), Operand::Reg(Reg::new(3))],
+            None,
+        );
+        asm.insn(Opcode::Brb, &[], Some("entry"));
+        let mut b = SystemBuilder::new(SystemConfig::default());
+        b.add_process(ProcessSpec::new(asm.assemble().unwrap(), "entry"));
+        let mut sys = b.build();
+        let m = sys.measure(100, 1_000);
+        let a = Analysis::new(&sys.cpu.cs, &m);
+
+        let mut tables: Vec<&str> = tables::TABLES.iter().map(|t| t(&a).name).collect();
+        let mut named: Vec<&str> = EXPERIMENTS
+            .iter()
+            .copied()
+            .filter(|e| !["all", "fig1"].contains(e))
+            .collect();
+        tables.sort_unstable();
+        named.sort_unstable();
+        assert_eq!(
+            named, tables,
+            "--experiment names and the table model disagree"
+        );
+        for name in EXPERIMENTS.iter().filter(|e| **e != "fig1") {
+            assert!(!render_text(name, &a).is_empty(), "{name}");
+        }
     }
 }

@@ -43,5 +43,5 @@ fn main() {
         a.cpi()
     );
     println!();
-    println!("{}", tables::table8(&a));
+    println!("{}", tables::table8(&a).text());
 }

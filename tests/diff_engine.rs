@@ -2,10 +2,12 @@
 //!
 //! `tests/fixtures/golden-small` is a real exported run
 //! (`reproduce --instructions 2000 --seed 1984 --interval-cycles 5000
-//! --format json --profile --out …`). These tests prove the CI gate works:
-//! the fixture diffs clean against itself and against a fresh simulation
-//! with the same parameters (fixture freshness), an injected delta is
-//! caught, and the time-series export formats round-trip exactly.
+//! --format json --profile --out …`) plus the text report of the same
+//! spec (`report.txt`). These tests prove the CI gate works: the fixture
+//! diffs clean against itself and against a fresh simulation with the
+//! same parameters, whose files are its bytes (fixture freshness), an
+//! injected delta is caught, and the time-series export formats
+//! round-trip exactly.
 
 use std::path::{Path, PathBuf};
 
@@ -15,6 +17,7 @@ use vax_analysis::{diff_json, timeseries_from_json, Json, Profile, Tolerance};
 use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::diffcmd::{diff_run_dirs, FileDiff};
+use vax_bench::engine::fig1;
 use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner;
@@ -115,9 +118,11 @@ fn missing_artifact_fails_even_with_loose_tolerance() {
 
 /// Regenerate the fixture's run in-process and diff it against the committed
 /// artifacts: proves the golden fixture is fresh, i.e. the simulator still
-/// produces byte-identical telemetry for the recorded parameters. If this
-/// fails after an intentional model change, regenerate the fixture (see
-/// docs/TELEMETRY.md).
+/// produces byte-identical telemetry and text report for the recorded
+/// parameters. `reproduce diff` compares parsed values, so it cannot see a
+/// reordered key or `2526` rewritten as `2526.0`; the bytes are compared
+/// too. If this fails after an intentional model change, regenerate the
+/// fixture (see docs/TELEMETRY.md).
 #[test]
 fn committed_fixture_matches_a_fresh_run() {
     let opts = fixture_options();
@@ -161,6 +166,14 @@ fn committed_fixture_matches_a_fresh_run() {
         profile.to_json().to_string_pretty(),
     )
     .unwrap();
+    // What `reproduce` prints for the same spec in text mode, without
+    // `--profile`.
+    let report = format!(
+        "{}\n{}",
+        fig1(),
+        vax_analysis::print_all_tables(&out.analysis)
+    );
+    std::fs::write(dir.join("report.txt"), report).unwrap();
 
     let diffs = diff_run_dirs(&fixture_dir(), &dir, &Tolerance::exact()).unwrap();
     for d in &diffs {
@@ -172,10 +185,20 @@ fn committed_fixture_matches_a_fresh_run() {
             d.report
         );
     }
-    // The folded stacks are not JSON, so compare them directly.
-    let committed = std::fs::read_to_string(fixture_dir().join("profile.folded")).unwrap();
-    let fresh = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
-    assert_eq!(committed, fresh, "profile.folded drifted");
+    let names = |d: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&fixture_dir()), names(&dir), "artifact sets differ");
+    for name in names(&fixture_dir()) {
+        let committed = std::fs::read(fixture_dir().join(&name)).unwrap();
+        let fresh = std::fs::read(dir.join(&name)).unwrap();
+        assert!(committed == fresh, "{name} is not the committed bytes");
+    }
 }
 
 /// Property test: a randomized-but-valid TimeSeries survives CSV export →
