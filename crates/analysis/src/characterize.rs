@@ -240,22 +240,12 @@ pub fn select_grid(
     (targets, skips)
 }
 
-/// The `CycleClass::ALL`-order JSON field names for the class split.
-const CLASS_KEYS: [&str; 6] = [
-    "compute",
-    "read",
-    "read_stall",
-    "write",
-    "write_stall",
-    "ib_stall",
-];
-
 fn record_json(r: &CostRecord) -> Json {
     let classes = Json::obj(
-        CLASS_KEYS
+        CycleClass::ALL
             .iter()
             .zip(r.classes.iter())
-            .map(|(k, &v)| (*k, Json::Num(v))),
+            .map(|(c, &v)| (c.key(), Json::Num(v))),
     );
     // Only nonzero activity rows: most cells touch a handful of the 14.
     let activities = Json::obj(
@@ -337,8 +327,8 @@ fn parse_record(j: &Json, i: usize) -> Result<CostRecord, String> {
         .get("classes")
         .ok_or_else(|| format!("{ctx}: missing 'classes'"))?;
     let mut classes = [0.0; 6];
-    for (slot, key) in classes.iter_mut().zip(CLASS_KEYS.iter()) {
-        *slot = parse_f64(classes_j, &ctx, key)?;
+    for (slot, class) in classes.iter_mut().zip(CycleClass::ALL) {
+        *slot = parse_f64(classes_j, &ctx, class.key())?;
     }
     let mut activities = [0.0; 14];
     if let Some(acts) = j.get("activities") {

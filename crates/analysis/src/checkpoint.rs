@@ -17,7 +17,7 @@ use upc_monitor::{ControlStoreMap, Histogram, MicroPc, Plane};
 use vax780::{Measurement, TimeSeries};
 use vax_arch::Opcode;
 
-use crate::export::{timeseries_from_json, timeseries_json};
+use crate::export::{counters_json, timeseries_from_json, timeseries_json};
 use crate::json::Json;
 
 /// Format version of cell checkpoints; bump on any schema change so a
@@ -37,137 +37,9 @@ pub struct CheckpointCell {
     pub series: TimeSeries,
 }
 
-/// CpuStats scalar fields, in declaration order. One list shared by encode
-/// and decode so the two cannot drift apart.
-const CPU_SCALARS: [&str; 13] = [
-    "instructions",
-    "istream_bytes",
-    "hw_interrupts",
-    "sw_interrupts",
-    "sw_interrupt_requests",
-    "machine_checks",
-    "context_switches",
-    "exceptions",
-    "spec1_count",
-    "spec26_count",
-    "spec1_quad_repeats",
-    "spec26_quad_repeats",
-    "branch_disps",
-];
-
-/// MemStats fields, in declaration order.
-const MEM_FIELDS: [&str; 14] = [
-    "d_reads",
-    "d_read_misses",
-    "d_writes",
-    "d_write_hits",
-    "i_reads",
-    "i_read_misses",
-    "tb_miss_d",
-    "tb_miss_i",
-    "unaligned_refs",
-    "pte_reads",
-    "pte_read_misses",
-    "read_stall_cycles",
-    "write_stall_cycles",
-    "parity_faults",
-];
-
-fn cpu_scalar_values(m: &Measurement) -> [u64; 13] {
-    let c = &m.cpu_stats;
-    [
-        c.instructions,
-        c.istream_bytes,
-        c.hw_interrupts,
-        c.sw_interrupts,
-        c.sw_interrupt_requests,
-        c.machine_checks,
-        c.context_switches,
-        c.exceptions,
-        c.spec1_count,
-        c.spec26_count,
-        c.spec1_quad_repeats,
-        c.spec26_quad_repeats,
-        c.branch_disps,
-    ]
-}
-
-fn cpu_scalar_slots(m: &mut Measurement) -> [&mut u64; 13] {
-    let c = &mut m.cpu_stats;
-    [
-        &mut c.instructions,
-        &mut c.istream_bytes,
-        &mut c.hw_interrupts,
-        &mut c.sw_interrupts,
-        &mut c.sw_interrupt_requests,
-        &mut c.machine_checks,
-        &mut c.context_switches,
-        &mut c.exceptions,
-        &mut c.spec1_count,
-        &mut c.spec26_count,
-        &mut c.spec1_quad_repeats,
-        &mut c.spec26_quad_repeats,
-        &mut c.branch_disps,
-    ]
-}
-
-fn mem_field_values(m: &Measurement) -> [u64; 14] {
-    let s = &m.mem_stats;
-    [
-        s.d_reads,
-        s.d_read_misses,
-        s.d_writes,
-        s.d_write_hits,
-        s.i_reads,
-        s.i_read_misses,
-        s.tb_miss_d,
-        s.tb_miss_i,
-        s.unaligned_refs,
-        s.pte_reads,
-        s.pte_read_misses,
-        s.read_stall_cycles,
-        s.write_stall_cycles,
-        s.parity_faults,
-    ]
-}
-
-fn mem_field_slots(m: &mut Measurement) -> [&mut u64; 14] {
-    let s = &mut m.mem_stats;
-    [
-        &mut s.d_reads,
-        &mut s.d_read_misses,
-        &mut s.d_writes,
-        &mut s.d_write_hits,
-        &mut s.i_reads,
-        &mut s.i_read_misses,
-        &mut s.tb_miss_d,
-        &mut s.tb_miss_i,
-        &mut s.unaligned_refs,
-        &mut s.pte_reads,
-        &mut s.pte_read_misses,
-        &mut s.read_stall_cycles,
-        &mut s.write_stall_cycles,
-        &mut s.parity_faults,
-    ]
-}
-
 /// Serialize one completed cell.
 pub fn cell_to_json(cell: &CheckpointCell) -> Json {
     let m = &cell.m;
-    let cpu = Json::Obj(
-        CPU_SCALARS
-            .iter()
-            .zip(cpu_scalar_values(m))
-            .map(|(k, v)| (k.to_string(), Json::from(v)))
-            .collect(),
-    );
-    let mem = Json::Obj(
-        MEM_FIELDS
-            .iter()
-            .zip(mem_field_values(m))
-            .map(|(k, v)| (k.to_string(), Json::from(v)))
-            .collect(),
-    );
     let opcodes = Json::arr(
         m.cpu_stats
             .opcode_counts
@@ -189,11 +61,11 @@ pub fn cell_to_json(cell: &CheckpointCell) -> Json {
         ("workload", Json::from(cell.workload)),
         ("shard", Json::from(cell.shard)),
         ("cycles", Json::from(m.cycles)),
-        ("cpu_scalars", cpu),
+        ("cpu_scalars", counters_json(m.cpu_stats.scalars())),
         ("opcode_counts", opcodes),
         ("branch_executed", branch(&m.cpu_stats.branch_executed)),
         ("branch_taken", branch(&m.cpu_stats.branch_taken)),
-        ("mem_stats", mem),
+        ("mem_stats", counters_json(m.mem_stats.fields())),
         ("histogram", hist),
         ("series", timeseries_json(&cell.series)),
     ])
@@ -231,13 +103,13 @@ pub fn cell_from_json(j: &Json, map: &ControlStoreMap) -> Result<CheckpointCell,
     let cpu = j
         .get("cpu_scalars")
         .ok_or("checkpoint: missing 'cpu_scalars'")?;
-    for (key, slot) in CPU_SCALARS.iter().zip(cpu_scalar_slots(&mut m)) {
+    for (key, slot) in m.cpu_stats.scalars_mut() {
         *slot = int(cpu, key)?;
     }
     let mem = j
         .get("mem_stats")
         .ok_or("checkpoint: missing 'mem_stats'")?;
-    for (key, slot) in MEM_FIELDS.iter().zip(mem_field_slots(&mut m)) {
+    for (key, slot) in m.mem_stats.fields_mut() {
         *slot = int(mem, key)?;
     }
 
@@ -388,6 +260,43 @@ mod tests {
         // composite see the same inputs as an uninterrupted run.
         assert_eq!(back.m, cell.m);
         // The series is its rows, so it round-trips exactly too.
+        assert_eq!(back.series, cell.series);
+    }
+
+    /// Every counter distinct and nonzero, so a name the encoder and the
+    /// decoder pair with different fields cannot round-trip.
+    #[test]
+    fn cell_with_distinct_counters_roundtrips() {
+        let mut cell = measured_cell();
+        assert!(cell.series.len() > 1);
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let cpu = &mut cell.m.cpu_stats;
+        for (_, slot) in cpu.scalars_mut() {
+            *slot = next();
+        }
+        for slot in cpu
+            .opcode_counts
+            .iter_mut()
+            .chain(&mut cpu.branch_executed)
+            .chain(&mut cpu.branch_taken)
+        {
+            *slot = next();
+        }
+        for (_, slot) in cell.m.mem_stats.fields_mut() {
+            *slot = next();
+        }
+        for sample in &mut cell.series.samples {
+            for (_, slot) in sample.counters_mut() {
+                *slot = next();
+            }
+        }
+        let text = cell_to_json(&cell).to_string_pretty();
+        let back = cell_from_json(&Json::parse(&text).unwrap(), &map()).unwrap();
+        assert_eq!(back.m, cell.m);
         assert_eq!(back.series, cell.series);
     }
 

@@ -91,7 +91,6 @@ impl RunManifest {
 /// Serialize one measurement's raw counters.
 pub fn measurement_json(m: &Measurement) -> Json {
     let cs = &m.cpu_stats;
-    let ms = &m.mem_stats;
     let branches = Json::arr(BranchKind::TABLE2_ROWS.iter().map(|k| {
         Json::obj([
             ("class", Json::from(k.name())),
@@ -111,51 +110,19 @@ pub fn measurement_json(m: &Measurement) -> Json {
             })
             .collect(),
     );
+    // `instructions` sits at the top level, beside `cycles` and `cpi`.
+    let cpu = cs
+        .scalars()
+        .into_iter()
+        .filter(|&(k, _)| k != "instructions")
+        .map(|(k, v)| (k, Json::from(v)))
+        .chain([("branches", branches), ("opcode_counts", opcodes)]);
     Json::obj([
         ("cycles", Json::from(m.cycles)),
         ("instructions", Json::from(m.instructions())),
         ("cpi", Json::from(m.cpi())),
-        (
-            "cpu_stats",
-            Json::obj([
-                ("istream_bytes", Json::from(cs.istream_bytes)),
-                ("hw_interrupts", Json::from(cs.hw_interrupts)),
-                ("sw_interrupts", Json::from(cs.sw_interrupts)),
-                (
-                    "sw_interrupt_requests",
-                    Json::from(cs.sw_interrupt_requests),
-                ),
-                ("machine_checks", Json::from(cs.machine_checks)),
-                ("context_switches", Json::from(cs.context_switches)),
-                ("exceptions", Json::from(cs.exceptions)),
-                ("spec1_count", Json::from(cs.spec1_count)),
-                ("spec26_count", Json::from(cs.spec26_count)),
-                ("spec1_quad_repeats", Json::from(cs.spec1_quad_repeats)),
-                ("spec26_quad_repeats", Json::from(cs.spec26_quad_repeats)),
-                ("branch_disps", Json::from(cs.branch_disps)),
-                ("branches", branches),
-                ("opcode_counts", opcodes),
-            ]),
-        ),
-        (
-            "mem_stats",
-            Json::obj([
-                ("d_reads", Json::from(ms.d_reads)),
-                ("d_read_misses", Json::from(ms.d_read_misses)),
-                ("d_writes", Json::from(ms.d_writes)),
-                ("d_write_hits", Json::from(ms.d_write_hits)),
-                ("i_reads", Json::from(ms.i_reads)),
-                ("i_read_misses", Json::from(ms.i_read_misses)),
-                ("tb_miss_d", Json::from(ms.tb_miss_d)),
-                ("tb_miss_i", Json::from(ms.tb_miss_i)),
-                ("unaligned_refs", Json::from(ms.unaligned_refs)),
-                ("pte_reads", Json::from(ms.pte_reads)),
-                ("pte_read_misses", Json::from(ms.pte_read_misses)),
-                ("read_stall_cycles", Json::from(ms.read_stall_cycles)),
-                ("write_stall_cycles", Json::from(ms.write_stall_cycles)),
-                ("parity_faults", Json::from(ms.parity_faults)),
-            ]),
-        ),
+        ("cpu_stats", Json::obj(cpu)),
+        ("mem_stats", counters_json(m.mem_stats.fields())),
         (
             "histogram",
             Json::obj([
@@ -177,29 +144,33 @@ pub fn measurement_json(m: &Measurement) -> Json {
     ])
 }
 
-/// Serialize the interval time series: one object per sample, its fields
-/// plus the derived `cycles`, `cpi` and `interrupt_headway`.
+/// A record's counter list as one JSON object, member per counter.
+pub(crate) fn counters_json<const N: usize>(counters: [(&'static str, u64); N]) -> Json {
+    Json::obj(counters.map(|(k, v)| (k, Json::from(v))))
+}
+
+/// Serialize the interval time series: one object per sample, its bounds,
+/// `cycles`, and its counters, with the derived `cpi` after `instructions`
+/// and `interrupt_headway` last (the columns of [`TimeSeries::to_csv`]).
 pub fn timeseries_json(ts: &TimeSeries) -> Json {
     Json::obj([
         ("intervals", Json::from(ts.len() as u64)),
         (
             "samples",
             Json::arr(ts.samples.iter().map(|s| {
-                Json::obj([
-                    ("start_cycle", Json::from(s.start_cycle)),
-                    ("end_cycle", Json::from(s.end_cycle)),
-                    ("cycles", Json::from(s.cycles())),
-                    ("instructions", Json::from(s.instructions)),
-                    ("cpi", Json::from(s.cpi())),
-                    ("read_stall_cycles", Json::from(s.read_stall_cycles)),
-                    ("write_stall_cycles", Json::from(s.write_stall_cycles)),
-                    ("ib_reads", Json::from(s.ib_reads)),
-                    ("cache_read_misses", Json::from(s.cache_read_misses)),
-                    ("tb_misses", Json::from(s.tb_misses)),
-                    ("interrupts", Json::from(s.interrupts)),
-                    ("context_switches", Json::from(s.context_switches)),
-                    ("interrupt_headway", Json::from(s.interrupt_headway())),
-                ])
+                let [instructions, rest @ ..] = s.counters().map(|(k, v)| (k, Json::from(v)));
+                Json::obj(
+                    [
+                        ("start_cycle", Json::from(s.start_cycle)),
+                        ("end_cycle", Json::from(s.end_cycle)),
+                        ("cycles", Json::from(s.cycles())),
+                        instructions,
+                        ("cpi", Json::from(s.cpi())),
+                    ]
+                    .into_iter()
+                    .chain(rest)
+                    .chain([("interrupt_headway", Json::from(s.interrupt_headway()))]),
+                )
             })),
         ),
     ])
@@ -247,18 +218,15 @@ pub fn timeseries_from_json(j: &Json) -> Result<TimeSeries, String> {
                 "timeseries: sample {i}: 'cycles' disagrees with bounds"
             ));
         }
-        ts.samples.push(IntervalSample {
+        let mut sample = IntervalSample {
             start_cycle,
             end_cycle,
-            instructions: int("instructions")?,
-            read_stall_cycles: int("read_stall_cycles")?,
-            write_stall_cycles: int("write_stall_cycles")?,
-            ib_reads: int("ib_reads")?,
-            cache_read_misses: int("cache_read_misses")?,
-            tb_misses: int("tb_misses")?,
-            interrupts: int("interrupts")?,
-            context_switches: int("context_switches")?,
-        });
+            ..IntervalSample::default()
+        };
+        for (key, slot) in sample.counters_mut() {
+            *slot = int(key)?;
+        }
+        ts.samples.push(sample);
     }
     Ok(ts)
 }

@@ -25,19 +25,6 @@ use upc_monitor::{Activity, ControlStoreMap, CycleClass, Histogram, Plane};
 
 use crate::json::Json;
 
-/// Stable machine-readable key for a cycle class (used in JSON exports and
-/// folded-stack leaf frames).
-pub const fn class_key(class: CycleClass) -> &'static str {
-    match class {
-        CycleClass::Compute => "compute",
-        CycleClass::Read => "read",
-        CycleClass::ReadStall => "read_stall",
-        CycleClass::Write => "write",
-        CycleClass::WriteStall => "write_stall",
-        CycleClass::IbStall => "ib_stall",
-    }
-}
-
 /// Per-class cycle counts, `CycleClass::ALL` order.
 pub type ClassCycles = [u64; 6];
 
@@ -114,12 +101,7 @@ impl ProfileNode {
             CycleClass::ALL
                 .iter()
                 .filter(|c| self.cycles[c.index()] > 0)
-                .map(|c| {
-                    (
-                        class_key(*c).to_string(),
-                        Json::from(self.cycles[c.index()]),
-                    )
-                })
+                .map(|c| (c.key().to_string(), Json::from(self.cycles[c.index()])))
                 .collect(),
         );
         let mut members = vec![
@@ -298,7 +280,7 @@ impl Profile {
                             "{};{};{} {}",
                             stack.join(";"),
                             node.name,
-                            class_key(*class),
+                            class.key(),
                             count
                         );
                     }

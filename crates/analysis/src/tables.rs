@@ -15,7 +15,6 @@ use vax_arch::{AddressingMode, BranchKind, OpcodeGroup};
 use crate::analysis::{Analysis, SpecModeCounts};
 use crate::json::Json;
 use crate::paper;
-use crate::profile::class_key;
 
 /// A measured quantity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -674,7 +673,7 @@ pub fn table8(a: &Analysis) -> Table {
     for (i, &act) in Activity::ALL.iter().enumerate() {
         let row = t.row(act.name());
         for class in CycleClass::ALL {
-            row.cell(class_key(class), a.cell(act, class));
+            row.cell(class.key(), a.cell(act, class));
         }
         row.cell("total", a.row_total(act))
             .paper(paper::TABLE8_ROW_TOTALS[i]);
@@ -683,7 +682,7 @@ pub fn table8(a: &Analysis) -> Table {
     total.show(TextForm::PaperLine, JsonForm::Totals("column_totals"));
     for (i, class) in CycleClass::ALL.into_iter().enumerate() {
         total
-            .cell(class_key(class), a.col_total(class))
+            .cell(class.key(), a.col_total(class))
             .paper(paper::TABLE8_COLUMN_TOTALS[i]);
     }
     total.cell("cpi", a.cpi()).paper(paper::TABLE8_CPI);
@@ -719,7 +718,7 @@ pub fn table9(a: &Analysis) -> Table {
         for class in &CycleClass::ALL[..5] {
             let v = a.cell(act, *class) / freq;
             total += v;
-            row.cell(class_key(*class), v);
+            row.cell(class.key(), v);
         }
         row.cell("total", total)
             .paper(paper::TABLE9_GROUP_TOTALS[i]);

@@ -26,6 +26,7 @@ use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_key, probe_grid, ProbeTarget};
 use vax_trace::{worker_tid, Tracer, MAIN_TID};
 
+use crate::cancel::CancelKind;
 use crate::cli::CharacterizeOptions;
 use crate::fsio::write_atomic;
 use crate::pool::{panic_message, run_supervised};
@@ -38,6 +39,9 @@ pub struct CharacterizeOutput {
     pub table: CostTable,
     /// Cells whose probe exhausted its retries, as `(mnemonic, mode key)`.
     pub failed_cells: Vec<(String, String)>,
+    /// Set when the cancel token stopped the sweep (see
+    /// [`crate::pool::PoolOutcome::canceled`]); the table is then partial.
+    pub canceled: Option<CancelKind>,
 }
 
 /// Everything `reproduce refute` produces.
@@ -53,6 +57,9 @@ pub struct RefuteOutput {
     pub refutations: Vec<(Refutation, Option<PathBuf>)>,
     /// Cells whose probe exhausted its retries.
     pub failed_cells: Vec<(String, String)>,
+    /// Set when the cancel token stopped the sweep; the verdicts then
+    /// cover only the cells that ran, and nothing was minimized.
+    pub canceled: Option<CancelKind>,
 }
 
 /// Resolve the CLI's string filters (already validated by the parser;
@@ -215,9 +222,7 @@ pub fn run_characterize(
         },
     );
 
-    if let Some(kind) = opts.cancel.fired() {
-        tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
-        tracer.count(MAIN_TID, "jobs_canceled", 1);
+    if let Some(kind) = outcome.canceled {
         progress.info(&format!("characterize {} at a cell boundary", kind.name()));
     }
 
@@ -252,6 +257,7 @@ pub fn run_characterize(
             skips,
         },
         failed_cells,
+        canceled: outcome.canceled,
     }
 }
 
@@ -337,9 +343,8 @@ pub fn run_refute(
         },
     );
 
-    if let Some(kind) = opts.cancel.fired() {
-        tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
-        tracer.count(MAIN_TID, "jobs_canceled", 1);
+    let canceled = outcome.canceled;
+    if let Some(kind) = canceled {
         progress.info(&format!("refute {} at a cell boundary", kind.name()));
     }
 
@@ -387,10 +392,10 @@ pub fn run_refute(
         }
     }
 
-    // A fired token also skips minimization: the shrink search re-runs
+    // A canceled sweep also skips minimization: the shrink search re-runs
     // probes serially and would push a deadline-exceeded job well past
     // its budget.
-    if opts.cancel.fired().is_some() {
+    if canceled.is_some() {
         to_minimize.clear();
     }
     let mut refutations = Vec::new();
@@ -450,6 +455,7 @@ pub fn run_refute(
         refuted_cells,
         refutations,
         failed_cells,
+        canceled,
     })
 }
 

@@ -187,10 +187,27 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// A directory path under the system temp dir, removed when the test
+    /// ends, also when it panics.
+    struct Tmp(std::path::PathBuf);
+
+    impl std::ops::Deref for Tmp {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Tmp {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp(name: &str) -> Tmp {
         let d = std::env::temp_dir().join(format!("vax-diffcmd-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        d
+        Tmp(d)
     }
 
     #[test]

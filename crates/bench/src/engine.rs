@@ -323,9 +323,9 @@ fn run_characterize(
         };
     }
     let out = charrun::run_characterize(opts, progress, tracer);
-    // Latched once: the same observation gates the export below and
+    // The pool's one reading of the token gates the export below and
     // becomes the outcome's terminal cause.
-    let canceled = opts.cancel.fired();
+    let canceled = out.canceled;
     if let Some(kind) = canceled {
         // A partial sweep is not a cost table; keep runtime.json, skip
         // the exports.
@@ -387,9 +387,10 @@ fn run_characterize(
 fn run_refute(opts: &CharacterizeOptions, progress: &Progress, tracer: &Tracer) -> JobOutcome {
     let mut stdout = String::new();
     let result = charrun::run_refute(opts, progress, tracer);
-    // Latched once: the same observation suppresses the partial verdict
-    // list and becomes the outcome's terminal cause.
-    let canceled = opts.cancel.fired();
+    // The pool's one reading of the token suppresses the partial verdict
+    // list and becomes the outcome's terminal cause: a deadline that
+    // passes later, while refutations minimize, changes neither.
+    let canceled = result.as_ref().ok().and_then(|out| out.canceled);
     let code = match result {
         Err(msg) => {
             eprintln!("reproduce refute: {msg}");

@@ -5,10 +5,11 @@
 //! * [`Heartbeat`] is a background thread that periodically renders the
 //!   tracer's live counters and per-worker activity as one compact JSON
 //!   line on **stderr** (stdout stays machine-clean for `--format json`).
-//!   This is the feed ROADMAP item 2's streaming daemon will relay to
-//!   subscribers: each line is self-contained, so a consumer can attach
-//!   mid-run and still know cells done/total, throughput, ETA, and what
-//!   every worker is doing right now.
+//!   The serve daemon relays the same line as a running job's `progress`
+//!   in `GET /jobs/:id` and `GET /jobs/:id/events`: each line is
+//!   self-contained, so a consumer can attach mid-run and still know cells
+//!   done/total, throughput, ETA, and what every worker is doing right
+//!   now.
 //! * [`runtime_json`] rolls the finished tracer up into the
 //!   `runtime.json` export artifact: counters, per-phase span totals, and
 //!   instant-event tallies. All *counts* in it are deterministic for a

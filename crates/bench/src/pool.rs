@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use vax_trace::{worker_tid, SpanId, Tracer};
+use vax_trace::{worker_tid, SpanId, Tracer, MAIN_TID};
 
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelKind, CancelToken};
 
 /// First-retry backoff in milliseconds; doubles per attempt up to
 /// [`BACKOFF_CAP_MS`], with deterministic jitter on top.
@@ -77,13 +77,19 @@ impl std::fmt::Debug for JobFailure {
 }
 
 /// Everything the pool produced: one slot per input (in input order;
-/// `None` where the job exhausted its attempts) plus the failures, sorted
-/// by input index.
+/// `None` where the job exhausted its attempts or never ran) plus the
+/// failures, sorted by input index, and whether the cancel token stopped
+/// the workers.
 pub struct PoolOutcome<O> {
-    /// `slots[i]` holds the output for `inputs[i]`, or `None` if it failed.
+    /// `slots[i]` holds the output for `inputs[i]`, or `None` if it failed
+    /// or was left unrun by a cancel.
     pub slots: Vec<Option<O>>,
     /// Jobs that exhausted every attempt, ordered by input index.
     pub failures: Vec<JobFailure>,
+    /// The token's cause, read once when the workers stopped: the one
+    /// value every later decision of the job uses. A token that fires
+    /// after the pool returns leaves it unset.
+    pub canceled: Option<CancelKind>,
 }
 
 impl<O> PoolOutcome<O> {
@@ -144,7 +150,8 @@ pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
 /// finer-grained: it fires inside a cell, every `WATCHDOG_STRIDE` = 2,048
 /// steps.) A fired token also stops further retries of the current input.
 /// The caller distinguishes "not run because canceled" from "quarantined"
-/// by re-checking the token; pass `&CancelToken::default()` to never stop.
+/// by [`PoolOutcome::canceled`], the token read once after the workers
+/// stop; pass `&CancelToken::default()` to never stop.
 ///
 /// Observability: each worker gets its own trace track ([`worker_tid`],
 /// named `worker-N`). On that track the pool records, per job, a
@@ -156,7 +163,9 @@ pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
 /// are instant events: `shard-panic` or `watchdog` (by panic payload) per
 /// failed attempt, `retry` when another attempt follows, `quarantine` when
 /// attempts are exhausted; `retries`/`quarantines` counters track totals.
-/// A disabled tracer records nothing.
+/// A canceled pool records a `cancel` instant (with its `kind`) and the
+/// `jobs_canceled` counter on the main track. A disabled tracer records
+/// nothing.
 ///
 /// # Panics
 /// Panics if `jobs == 0` (the CLI rejects this before we get here).
@@ -278,6 +287,11 @@ where
         }
     });
 
+    let canceled = cancel.fired();
+    if let Some(kind) = canceled {
+        tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
+        tracer.count(MAIN_TID, "jobs_canceled", 1);
+    }
     let mut failures = failures.into_inner().unwrap();
     failures.sort_by_key(|fail| fail.index);
     PoolOutcome {
@@ -286,6 +300,7 @@ where
             .map(|slot| slot.into_inner().unwrap())
             .collect(),
         failures,
+        canceled,
     }
 }
 
@@ -460,24 +475,17 @@ mod tests {
         let token = CancelToken::new();
         let inputs: Vec<u32> = (0..64).collect();
         let started = AtomicUsize::new(0);
+        let tracer = Tracer::enabled();
         // One worker makes the claim order deterministic: cells 0..=3 run,
         // the token fires inside cell 3, and the pre-claim check stops the
         // sweep before cell 4.
-        let outcome = run_supervised(
-            1,
-            &inputs,
-            0,
-            &Tracer::disabled(),
-            0,
-            &token,
-            |_w, _i, &x, _attempt| {
-                started.fetch_add(1, Ordering::Relaxed);
-                if x == 3 {
-                    token.cancel();
-                }
-                x
-            },
-        );
+        let outcome = run_supervised(1, &inputs, 0, &tracer, 0, &token, |_w, _i, &x, _attempt| {
+            started.fetch_add(1, Ordering::Relaxed);
+            if x == 3 {
+                token.cancel();
+            }
+            x
+        });
         // The in-flight cell finishes (cancellation is a boundary, not an
         // abort), nothing is quarantined, and the rest of the grid never
         // runs.
@@ -486,6 +494,21 @@ mod tests {
         assert_eq!(done, 4);
         assert_eq!(started.load(Ordering::Relaxed), 4);
         assert_eq!(outcome.slots[3], Some(3), "the canceling cell completed");
+        assert_eq!(outcome.canceled, Some(CancelKind::Canceled));
+        assert_eq!(tracer.instant_totals()["cancel"], 1);
+        assert_eq!(tracer.counter_value("jobs_canceled"), 1);
+    }
+
+    #[test]
+    fn a_token_fired_after_the_pool_returns_leaves_canceled_unset() {
+        let token = CancelToken::new();
+        let tracer = Tracer::enabled();
+        let outcome = run_supervised(2, &[1u32, 2, 3], 0, &tracer, 0, &token, |_, _, &x, _| x);
+        token.cancel();
+        assert_eq!(outcome.canceled, None);
+        assert!(!tracer.instant_totals().contains_key("cancel"));
+        assert_eq!(tracer.counter_value("jobs_canceled"), 0);
+        assert_eq!(outcome.into_results(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -396,10 +396,8 @@ fn run_grid(
         },
     );
 
-    let canceled = opts.cancel.fired();
+    let canceled = outcome.canceled;
     if let Some(kind) = canceled {
-        tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
-        tracer.count(MAIN_TID, "jobs_canceled", 1);
         progress.info(&format!(
             "run {} at a cell boundary; completed cells remain checkpointed",
             kind.name()

@@ -60,31 +60,34 @@ impl IntervalSample {
         }
     }
 
-    /// The eight counters in field order: the one list
-    /// [`IntervalSample::since`] and [`TimeSeries::merged`] walk.
-    fn counters(&self) -> [u64; 8] {
+    /// The eight counters as `(name, value)`, in field order; each name is
+    /// its field's identifier. The one list [`IntervalSample::since`] and
+    /// [`TimeSeries::merged`] walk and every export reads.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
         [
-            self.instructions,
-            self.read_stall_cycles,
-            self.write_stall_cycles,
-            self.ib_reads,
-            self.cache_read_misses,
-            self.tb_misses,
-            self.interrupts,
-            self.context_switches,
+            ("instructions", self.instructions),
+            ("read_stall_cycles", self.read_stall_cycles),
+            ("write_stall_cycles", self.write_stall_cycles),
+            ("ib_reads", self.ib_reads),
+            ("cache_read_misses", self.cache_read_misses),
+            ("tb_misses", self.tb_misses),
+            ("interrupts", self.interrupts),
+            ("context_switches", self.context_switches),
         ]
     }
 
-    fn counters_mut(&mut self) -> [&mut u64; 8] {
+    /// [`IntervalSample::counters`] as `(name, slot)`, for arithmetic and
+    /// parsing.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 8] {
         [
-            &mut self.instructions,
-            &mut self.read_stall_cycles,
-            &mut self.write_stall_cycles,
-            &mut self.ib_reads,
-            &mut self.cache_read_misses,
-            &mut self.tb_misses,
-            &mut self.interrupts,
-            &mut self.context_switches,
+            ("instructions", &mut self.instructions),
+            ("read_stall_cycles", &mut self.read_stall_cycles),
+            ("write_stall_cycles", &mut self.write_stall_cycles),
+            ("ib_reads", &mut self.ib_reads),
+            ("cache_read_misses", &mut self.cache_read_misses),
+            ("tb_misses", &mut self.tb_misses),
+            ("interrupts", &mut self.interrupts),
+            ("context_switches", &mut self.context_switches),
         ]
     }
 
@@ -98,7 +101,7 @@ impl IntervalSample {
     pub(crate) fn since(&self, earlier: &IntervalSample) -> IntervalSample {
         let mut delta = *self;
         delta.start_cycle = earlier.end_cycle;
-        for (d, e) in delta.counters_mut().into_iter().zip(earlier.counters()) {
+        for ((_, d), (_, e)) in delta.counters_mut().into_iter().zip(earlier.counters()) {
             *d = d
                 .checked_sub(e)
                 .expect("IntervalSample::since: counter ran backwards");
@@ -156,7 +159,7 @@ impl TimeSeries {
         let mut total = IntervalSample::default();
         for s in &self.samples {
             total.end_cycle += s.cycles();
-            for (t, c) in total.counters_mut().into_iter().zip(s.counters()) {
+            for ((_, t), (_, c)) in total.counters_mut().into_iter().zip(s.counters()) {
                 *t += c;
             }
         }
@@ -206,34 +209,31 @@ impl TimeSeries {
         cycle_offset + other.end_cycle()
     }
 
-    /// Render as CSV: one row per interval with the headline per-interval
-    /// statistics (cycles, instructions, CPI, stall breakdown, events).
+    /// Render as CSV: one row per interval, its bounds, `cycles`, and its
+    /// counters, with the derived `cpi` after `instructions` and
+    /// `interrupt_headway` last.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::from(
-            "start_cycle,end_cycle,cycles,instructions,cpi,\
-             read_stall_cycles,write_stall_cycles,ib_reads,\
-             cache_read_misses,tb_misses,interrupts,context_switches,\
-             interrupt_headway\n",
-        );
+        let [(first, _), rest @ ..] = IntervalSample::default().counters();
+        let mut out = format!("start_cycle,end_cycle,cycles,{first},cpi");
+        for (name, _) in rest {
+            let _ = write!(out, ",{name}");
+        }
+        out.push_str(",interrupt_headway\n");
         for s in &self.samples {
-            let _ = writeln!(
+            let [(_, instructions), rest @ ..] = s.counters();
+            let _ = write!(
                 out,
-                "{},{},{},{},{:.4},{},{},{},{},{},{},{},{:.1}",
+                "{},{},{},{instructions},{:.4}",
                 s.start_cycle,
                 s.end_cycle,
                 s.cycles(),
-                s.instructions,
-                s.cpi(),
-                s.read_stall_cycles,
-                s.write_stall_cycles,
-                s.ib_reads,
-                s.cache_read_misses,
-                s.tb_misses,
-                s.interrupts,
-                s.context_switches,
-                s.interrupt_headway(),
+                s.cpi()
             );
+            for (_, v) in rest {
+                let _ = write!(out, ",{v}");
+            }
+            let _ = writeln!(out, ",{:.1}", s.interrupt_headway());
         }
         out
     }
@@ -279,18 +279,17 @@ impl TimeSeries {
             }
             // Columns 4 (cpi) and 12 (interrupt_headway) are derived; they
             // are regenerated on export rather than stored.
-            series.samples.push(IntervalSample {
+            let mut sample = IntervalSample {
                 start_cycle,
                 end_cycle,
-                instructions: int(3)?,
-                read_stall_cycles: int(5)?,
-                write_stall_cycles: int(6)?,
-                ib_reads: int(7)?,
-                cache_read_misses: int(8)?,
-                tb_misses: int(9)?,
-                interrupts: int(10)?,
-                context_switches: int(11)?,
-            });
+                ..IntervalSample::default()
+            };
+            let [(_, instructions), rest @ ..] = sample.counters_mut();
+            *instructions = int(3)?;
+            for (col, (_, slot)) in (5..).zip(rest) {
+                *slot = int(col)?;
+            }
+            series.samples.push(sample);
         }
         Ok(series)
     }
@@ -430,5 +429,39 @@ mod tests {
         assert_eq!(s.interrupt_headway(), 0.0);
         s.interrupts = 4;
         assert!((s.interrupt_headway() - 250.0).abs() < 1e-9);
+    }
+
+    /// A name paired with the wrong field survives every round trip, so
+    /// each field holds a distinct value and both lists must name it.
+    #[test]
+    fn each_counter_name_sits_beside_its_own_field() {
+        let mut s = IntervalSample {
+            start_cycle: 100,
+            end_cycle: 200,
+            instructions: 1,
+            read_stall_cycles: 2,
+            write_stall_cycles: 3,
+            ib_reads: 4,
+            cache_read_misses: 5,
+            tb_misses: 6,
+            interrupts: 7,
+            context_switches: 8,
+        };
+        let want: Vec<(&str, u64)> = [
+            "instructions",
+            "read_stall_cycles",
+            "write_stall_cycles",
+            "ib_reads",
+            "cache_read_misses",
+            "tb_misses",
+            "interrupts",
+            "context_switches",
+        ]
+        .into_iter()
+        .zip(1..)
+        .collect();
+        assert_eq!(s.counters().to_vec(), want);
+        let slots: Vec<(&str, u64)> = s.counters_mut().map(|(k, v)| (k, *v)).to_vec();
+        assert_eq!(slots, want);
     }
 }

@@ -120,49 +120,51 @@ impl CpuStats {
         self.istream_bytes as f64 / self.instructions as f64
     }
 
-    /// Every scalar counter, in declaration order — the field list
-    /// [`CpuStats::merge`] walks, so a newly added counter cannot be left
-    /// out of the sum. The per-opcode and per-branch-class arrays are
-    /// handled alongside.
-    fn scalars(&self) -> [u64; 13] {
+    /// Every scalar counter as `(name, value)`, in declaration order; each
+    /// name is its field's identifier. The one list [`CpuStats::merge`]
+    /// walks and every export and checkpoint reads, so a newly added
+    /// counter cannot be left out of any of them. The per-opcode and
+    /// per-branch-class arrays are handled alongside.
+    pub fn scalars(&self) -> [(&'static str, u64); 13] {
         [
-            self.instructions,
-            self.istream_bytes,
-            self.hw_interrupts,
-            self.sw_interrupts,
-            self.sw_interrupt_requests,
-            self.machine_checks,
-            self.context_switches,
-            self.exceptions,
-            self.spec1_count,
-            self.spec26_count,
-            self.spec1_quad_repeats,
-            self.spec26_quad_repeats,
-            self.branch_disps,
+            ("instructions", self.instructions),
+            ("istream_bytes", self.istream_bytes),
+            ("hw_interrupts", self.hw_interrupts),
+            ("sw_interrupts", self.sw_interrupts),
+            ("sw_interrupt_requests", self.sw_interrupt_requests),
+            ("machine_checks", self.machine_checks),
+            ("context_switches", self.context_switches),
+            ("exceptions", self.exceptions),
+            ("spec1_count", self.spec1_count),
+            ("spec26_count", self.spec26_count),
+            ("spec1_quad_repeats", self.spec1_quad_repeats),
+            ("spec26_quad_repeats", self.spec26_quad_repeats),
+            ("branch_disps", self.branch_disps),
         ]
     }
 
-    fn scalars_mut(&mut self) -> [&mut u64; 13] {
+    /// [`CpuStats::scalars`] as `(name, slot)`, for merging and decoding.
+    pub fn scalars_mut(&mut self) -> [(&'static str, &mut u64); 13] {
         [
-            &mut self.instructions,
-            &mut self.istream_bytes,
-            &mut self.hw_interrupts,
-            &mut self.sw_interrupts,
-            &mut self.sw_interrupt_requests,
-            &mut self.machine_checks,
-            &mut self.context_switches,
-            &mut self.exceptions,
-            &mut self.spec1_count,
-            &mut self.spec26_count,
-            &mut self.spec1_quad_repeats,
-            &mut self.spec26_quad_repeats,
-            &mut self.branch_disps,
+            ("instructions", &mut self.instructions),
+            ("istream_bytes", &mut self.istream_bytes),
+            ("hw_interrupts", &mut self.hw_interrupts),
+            ("sw_interrupts", &mut self.sw_interrupts),
+            ("sw_interrupt_requests", &mut self.sw_interrupt_requests),
+            ("machine_checks", &mut self.machine_checks),
+            ("context_switches", &mut self.context_switches),
+            ("exceptions", &mut self.exceptions),
+            ("spec1_count", &mut self.spec1_count),
+            ("spec26_count", &mut self.spec26_count),
+            ("spec1_quad_repeats", &mut self.spec1_quad_repeats),
+            ("spec26_quad_repeats", &mut self.spec26_quad_repeats),
+            ("branch_disps", &mut self.branch_disps),
         ]
     }
 
     /// Merge another stats block (composite workloads).
     pub fn merge(&mut self, other: &CpuStats) {
-        for (a, b) in self.scalars_mut().into_iter().zip(other.scalars()) {
+        for ((_, a), (_, b)) in self.scalars_mut().into_iter().zip(other.scalars()) {
             *a += b;
         }
         for (a, b) in self.opcode_counts.iter_mut().zip(&other.opcode_counts) {
@@ -213,5 +215,48 @@ mod tests {
     #[test]
     fn zero_instructions_safe() {
         assert_eq!(CpuStats::new().avg_instruction_bytes(), 0.0);
+    }
+
+    /// A name paired with the wrong field survives every round trip, so
+    /// each field holds a distinct value and both lists must name it.
+    #[test]
+    fn each_scalar_name_sits_beside_its_own_field() {
+        let mut s = CpuStats {
+            instructions: 1,
+            istream_bytes: 2,
+            hw_interrupts: 3,
+            sw_interrupts: 4,
+            sw_interrupt_requests: 5,
+            machine_checks: 6,
+            context_switches: 7,
+            exceptions: 8,
+            spec1_count: 9,
+            spec26_count: 10,
+            spec1_quad_repeats: 11,
+            spec26_quad_repeats: 12,
+            branch_disps: 13,
+            ..CpuStats::new()
+        };
+        let want: Vec<(&str, u64)> = [
+            "instructions",
+            "istream_bytes",
+            "hw_interrupts",
+            "sw_interrupts",
+            "sw_interrupt_requests",
+            "machine_checks",
+            "context_switches",
+            "exceptions",
+            "spec1_count",
+            "spec26_count",
+            "spec1_quad_repeats",
+            "spec26_quad_repeats",
+            "branch_disps",
+        ]
+        .into_iter()
+        .zip(1..)
+        .collect();
+        assert_eq!(s.scalars().to_vec(), want);
+        let slots: Vec<(&str, u64)> = s.scalars_mut().map(|(k, v)| (k, *v)).to_vec();
+        assert_eq!(slots, want);
     }
 }

@@ -55,49 +55,51 @@ impl MemStats {
         self.tb_miss_d + self.tb_miss_i
     }
 
-    /// Every counter, in declaration order (the field list
-    /// [`MemStats::merge`] walks).
-    fn fields(&self) -> [u64; 14] {
+    /// Every counter as `(name, value)`, in declaration order; each name
+    /// is its field's identifier. The one list [`MemStats::merge`] walks
+    /// and every export and checkpoint reads.
+    pub fn fields(&self) -> [(&'static str, u64); 14] {
         [
-            self.d_reads,
-            self.d_read_misses,
-            self.d_writes,
-            self.d_write_hits,
-            self.i_reads,
-            self.i_read_misses,
-            self.tb_miss_d,
-            self.tb_miss_i,
-            self.unaligned_refs,
-            self.pte_reads,
-            self.pte_read_misses,
-            self.read_stall_cycles,
-            self.write_stall_cycles,
-            self.parity_faults,
+            ("d_reads", self.d_reads),
+            ("d_read_misses", self.d_read_misses),
+            ("d_writes", self.d_writes),
+            ("d_write_hits", self.d_write_hits),
+            ("i_reads", self.i_reads),
+            ("i_read_misses", self.i_read_misses),
+            ("tb_miss_d", self.tb_miss_d),
+            ("tb_miss_i", self.tb_miss_i),
+            ("unaligned_refs", self.unaligned_refs),
+            ("pte_reads", self.pte_reads),
+            ("pte_read_misses", self.pte_read_misses),
+            ("read_stall_cycles", self.read_stall_cycles),
+            ("write_stall_cycles", self.write_stall_cycles),
+            ("parity_faults", self.parity_faults),
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 14] {
+    /// [`MemStats::fields`] as `(name, slot)`, for merging and decoding.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 14] {
         [
-            &mut self.d_reads,
-            &mut self.d_read_misses,
-            &mut self.d_writes,
-            &mut self.d_write_hits,
-            &mut self.i_reads,
-            &mut self.i_read_misses,
-            &mut self.tb_miss_d,
-            &mut self.tb_miss_i,
-            &mut self.unaligned_refs,
-            &mut self.pte_reads,
-            &mut self.pte_read_misses,
-            &mut self.read_stall_cycles,
-            &mut self.write_stall_cycles,
-            &mut self.parity_faults,
+            ("d_reads", &mut self.d_reads),
+            ("d_read_misses", &mut self.d_read_misses),
+            ("d_writes", &mut self.d_writes),
+            ("d_write_hits", &mut self.d_write_hits),
+            ("i_reads", &mut self.i_reads),
+            ("i_read_misses", &mut self.i_read_misses),
+            ("tb_miss_d", &mut self.tb_miss_d),
+            ("tb_miss_i", &mut self.tb_miss_i),
+            ("unaligned_refs", &mut self.unaligned_refs),
+            ("pte_reads", &mut self.pte_reads),
+            ("pte_read_misses", &mut self.pte_read_misses),
+            ("read_stall_cycles", &mut self.read_stall_cycles),
+            ("write_stall_cycles", &mut self.write_stall_cycles),
+            ("parity_faults", &mut self.parity_faults),
         ]
     }
 
     /// Add another counter block (composite workloads).
     pub fn merge(&mut self, other: &MemStats) {
-        for (a, b) in self.fields_mut().into_iter().zip(other.fields()) {
+        for ((_, a), (_, b)) in self.fields_mut().into_iter().zip(other.fields()) {
             *a += b;
         }
     }
@@ -129,5 +131,49 @@ mod tests {
         };
         stats.clear();
         assert_eq!(stats, MemStats::default());
+    }
+
+    /// A name paired with the wrong field survives every round trip, so
+    /// each field holds a distinct value and both lists must name it.
+    #[test]
+    fn each_name_sits_beside_its_own_field() {
+        let mut stats = MemStats {
+            d_reads: 1,
+            d_read_misses: 2,
+            d_writes: 3,
+            d_write_hits: 4,
+            i_reads: 5,
+            i_read_misses: 6,
+            tb_miss_d: 7,
+            tb_miss_i: 8,
+            unaligned_refs: 9,
+            pte_reads: 10,
+            pte_read_misses: 11,
+            read_stall_cycles: 12,
+            write_stall_cycles: 13,
+            parity_faults: 14,
+        };
+        let want: Vec<(&str, u64)> = [
+            "d_reads",
+            "d_read_misses",
+            "d_writes",
+            "d_write_hits",
+            "i_reads",
+            "i_read_misses",
+            "tb_miss_d",
+            "tb_miss_i",
+            "unaligned_refs",
+            "pte_reads",
+            "pte_read_misses",
+            "read_stall_cycles",
+            "write_stall_cycles",
+            "parity_faults",
+        ]
+        .into_iter()
+        .zip(1..)
+        .collect();
+        assert_eq!(stats.fields().to_vec(), want);
+        let slots: Vec<(&str, u64)> = stats.fields_mut().map(|(k, v)| (k, *v)).to_vec();
+        assert_eq!(slots, want);
     }
 }

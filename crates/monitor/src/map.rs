@@ -157,6 +157,19 @@ impl CycleClass {
         }
     }
 
+    /// Machine-readable key: the JSON member and folded-stack leaf frame
+    /// every artifact names the class by.
+    pub const fn key(self) -> &'static str {
+        match self {
+            CycleClass::Compute => "compute",
+            CycleClass::Read => "read",
+            CycleClass::ReadStall => "read_stall",
+            CycleClass::Write => "write",
+            CycleClass::WriteStall => "write_stall",
+            CycleClass::IbStall => "ib_stall",
+        }
+    }
+
     /// Stable dense index in column order.
     pub fn index(self) -> usize {
         CycleClass::ALL.iter().position(|c| *c == self).unwrap()
@@ -370,5 +383,20 @@ mod tests {
         for (i, c) in CycleClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
+    }
+
+    #[test]
+    fn class_keys_follow_column_order() {
+        assert_eq!(
+            CycleClass::ALL.map(CycleClass::key),
+            [
+                "compute",
+                "read",
+                "read_stall",
+                "write",
+                "write_stall",
+                "ib_stall"
+            ]
+        );
     }
 }

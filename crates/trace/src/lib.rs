@@ -1,8 +1,8 @@
 //! # vax-trace — observability for the *harness*, not the simulated machine.
 //!
-//! The simulated VAX has had first-class instrumentation since PR 1 (the
-//! µPC histogram, the typed trace-event bus in `vax-mem`, the interval
-//! sampler). This crate gives the *runtime around it* — workload codegen,
+//! The simulated VAX has first-class instrumentation (the µPC histogram,
+//! the CPU and memory event counters, the interval sampler, the flight
+//! recorder). This crate gives the *runtime around it* — workload codegen,
 //! kernel boot, the shard pool, merge, export — the same treatment: every
 //! phase of a run becomes a **span** on a monotonic clock, with an explicit
 //! parent id, a thread track, and structured arguments; irregular moments

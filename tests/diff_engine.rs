@@ -1,13 +1,15 @@
-//! The run-diff regression engine against the committed golden fixture.
+//! The run-diff regression engine against the committed golden fixtures.
 //!
 //! `tests/fixtures/golden-small` is a real exported run
 //! (`reproduce --instructions 2000 --seed 1984 --interval-cycles 5000
-//! --format json --profile --out …`) plus the text report of the same
-//! spec (`report.txt`). These tests prove the CI gate works: the fixture
-//! diffs clean against itself and against a fresh simulation with the
-//! same parameters, whose files are its bytes (fixture freshness), an
-//! injected delta is caught, and the time-series export formats
-//! round-trip exactly.
+//! --format json --profile --flight-recorder 64 --out …`) plus the text
+//! report of the same spec (`report.txt`), and
+//! `tests/fixtures/golden-checkpoints` is that run's `checkpoints/`
+//! journal. These tests prove the CI gate works: the fixture diffs clean
+//! against itself and against a fresh simulation with the same
+//! parameters, whose files and checkpoints are its bytes (fixture
+//! freshness), an injected delta is caught, and the time-series export
+//! formats round-trip exactly.
 
 use std::path::{Path, PathBuf};
 
@@ -15,7 +17,7 @@ use rand::prelude::{Rng, SeedableRng, StdRng};
 use vax780::{IntervalSample, TimeSeries};
 use vax_analysis::{diff_json, timeseries_from_json, Json, Profile, Tolerance};
 use vax_bench::cache::WarmCaches;
-use vax_bench::cli::Options;
+use vax_bench::cli::{Format, Options};
 use vax_bench::diffcmd::{diff_run_dirs, FileDiff};
 use vax_bench::engine::fig1;
 use vax_bench::jobspec::RunSpec;
@@ -27,24 +29,82 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-small")
 }
 
-/// The parameters `golden-small` was generated with (see docs/TELEMETRY.md).
-fn fixture_options() -> Options {
+fn checkpoints_fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-checkpoints")
+}
+
+/// The parameters the golden fixtures were generated with (see
+/// docs/TELEMETRY.md), exporting to `out`.
+fn fixture_options(out: &Path) -> Options {
     Options {
         spec: RunSpec {
             instructions: 2000,
             seed: 1984,
             interval_cycles: 5000,
+            profile: true,
+            flight_recorder: 64,
             ..RunSpec::default()
         },
+        format: Format::Json,
+        out: Some(out.to_path_buf()),
         ..Options::default()
     }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
+/// A directory under the system temp dir, removed when the test ends,
+/// also when it panics.
+struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch_dir(name: &str) -> ScratchDir {
     let d = std::env::temp_dir().join(format!("vax-diff-engine-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    ScratchDir(d)
+}
+
+/// The names of the files (not directories) in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_type().unwrap().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// `fresh` holds exactly the files of `committed`, byte for byte.
+fn assert_same_files(committed: &Path, fresh: &Path) {
+    assert_eq!(
+        file_names(committed),
+        file_names(fresh),
+        "file sets of {} and {} differ",
+        committed.display(),
+        fresh.display()
+    );
+    for name in file_names(committed) {
+        let a = std::fs::read(committed.join(&name)).unwrap();
+        let b = std::fs::read(fresh.join(&name)).unwrap();
+        assert!(
+            a == b,
+            "{} is not the committed bytes",
+            fresh.join(&name).display()
+        );
+    }
 }
 
 fn copy_fixture_to(dir: &Path) {
@@ -117,15 +177,16 @@ fn missing_artifact_fails_even_with_loose_tolerance() {
 }
 
 /// Regenerate the fixture's run in-process and diff it against the committed
-/// artifacts: proves the golden fixture is fresh, i.e. the simulator still
-/// produces byte-identical telemetry and text report for the recorded
-/// parameters. `reproduce diff` compares parsed values, so it cannot see a
-/// reordered key or `2526` rewritten as `2526.0`; the bytes are compared
-/// too. If this fails after an intentional model change, regenerate the
-/// fixture (see docs/TELEMETRY.md).
+/// artifacts: proves the golden fixtures are fresh, i.e. the simulator still
+/// produces byte-identical telemetry, text report and checkpoint journal
+/// for the recorded parameters. `reproduce diff` compares parsed values, so
+/// it cannot see a reordered key or `2526` rewritten as `2526.0`; the bytes
+/// are compared too. If this fails after an intentional model change,
+/// regenerate the fixtures (see docs/TELEMETRY.md).
 #[test]
 fn committed_fixture_matches_a_fresh_run() {
-    let opts = fixture_options();
+    let dir = scratch_dir("fresh");
+    let opts = fixture_options(&dir);
     let progress = Progress::new(Verbosity::Quiet);
     let out = runner::run_composite(&opts, &progress, &Tracer::disabled(), &WarmCaches::new());
     assert!(out.conservation_err.is_none());
@@ -153,7 +214,6 @@ fn committed_fixture_matches_a_fresh_run() {
             .map(|(w, s)| (w.name().to_string(), *s))
             .collect(),
     };
-    let dir = scratch_dir("fresh");
     for (name, body) in
         vax_analysis::run_artifacts(&manifest, &out.analysis, &out.series, &out.validation)
     {
@@ -185,20 +245,8 @@ fn committed_fixture_matches_a_fresh_run() {
             d.report
         );
     }
-    let names = |d: &Path| -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(d)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
-    assert_eq!(names(&fixture_dir()), names(&dir), "artifact sets differ");
-    for name in names(&fixture_dir()) {
-        let committed = std::fs::read(fixture_dir().join(&name)).unwrap();
-        let fresh = std::fs::read(dir.join(&name)).unwrap();
-        assert!(committed == fresh, "{name} is not the committed bytes");
-    }
+    assert_same_files(&fixture_dir(), &dir);
+    assert_same_files(&checkpoints_fixture_dir(), &dir.join("checkpoints"));
 }
 
 /// Property test: a randomized-but-valid TimeSeries survives CSV export →
