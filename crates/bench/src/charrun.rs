@@ -8,7 +8,9 @@
 //! board), so memory stays flat across a ~2000-cell grid. Results
 //! land in input-indexed slots and are reduced in grid order, so
 //! `costs.json` is byte-identical at any `--jobs` count, exactly like the
-//! composite run.
+//! composite run. A probe cell runs for about a millisecond, so its machine
+//! is not armed with the job's cancel token: a cancel or a deadline lands
+//! when the pool next claims a cell.
 //!
 //! Observability mirrors `runner::run_grid`: a `run` span on the main
 //! track with `baseline` under it, one `probe` (+`attribute`/`refute`)
@@ -18,6 +20,7 @@
 
 use std::path::PathBuf;
 
+use vax780::CancelKind;
 use vax_analysis::characterize::{
     attribute, costs_from_json, run_probe, select_grid, CostRecord, CostTable, ProbeRun,
 };
@@ -26,10 +29,9 @@ use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_key, probe_grid, ProbeTarget};
 use vax_trace::{worker_tid, Tracer, MAIN_TID};
 
-use crate::cancel::CancelKind;
 use crate::cli::CharacterizeOptions;
 use crate::fsio::write_atomic;
-use crate::pool::{panic_message, run_supervised};
+use crate::pool::run_supervised;
 use crate::progress::Progress;
 
 /// Everything `reproduce characterize` produces.
@@ -218,7 +220,7 @@ pub fn run_characterize(
                 mode_key(target.mode),
                 record.cycles
             ));
-            record
+            Ok(record)
         },
     );
 
@@ -234,7 +236,7 @@ pub fn run_characterize(
             t.opcode.mnemonic(),
             mode_key(t.mode),
             f.attempts,
-            panic_message(&f.payload)
+            f.message
         ));
         failed_cells.push((
             t.opcode.mnemonic().to_string(),
@@ -339,7 +341,7 @@ pub fn run_refute(
                     ],
                 );
             }
-            failures
+            Ok(failures)
         },
     );
 
@@ -356,7 +358,7 @@ pub fn run_refute(
             t.opcode.mnemonic(),
             mode_key(t.mode),
             f.attempts,
-            panic_message(&f.payload)
+            f.message
         ));
         failed_cells.push((
             t.opcode.mnemonic().to_string(),

@@ -21,9 +21,9 @@
 
 use std::path::PathBuf;
 
+use vax780::CancelToken;
 use vax_analysis::Json;
 
-use crate::cancel::CancelToken;
 use crate::jobspec::{self, flag, Field, JobSpec, Kind, RefuteSpec, RunSpec, Syntax};
 use crate::options::{parse_f64, parse_shard_timeout, parse_u64, value, Args, CommonOpts};
 use crate::progress::Verbosity;
@@ -69,10 +69,11 @@ pub struct Options {
     /// Emit a machine-readable progress heartbeat on stderr every N ms
     /// (`--progress` = 1000, `--progress=MS`). Enables the tracer.
     pub progress_ms: Option<u64>,
-    /// Cooperative cancel token, checked at cell boundaries. The CLI
-    /// leaves it inert (no flag sets it); the serve daemon installs a live
-    /// token so `POST /jobs/:id/cancel` and `deadline_secs` can stop the
-    /// grid between cells.
+    /// Cooperative cancel token: every cell's machine reads it every
+    /// 2,048 steps, and the pool before each claim. The CLI leaves it
+    /// inert (no flag sets it); the serve daemon installs a live token so
+    /// `POST /jobs/:id/cancel` and `deadline_secs` can stop the grid
+    /// inside a cell.
     pub cancel: CancelToken,
 }
 

@@ -27,10 +27,6 @@ pub const COMPARED_FILES: &[&str] = &[
     "runtime.json",
 ];
 
-/// Fields whose values legitimately differ between otherwise identical runs
-/// (provenance, not measurement). Top-level manifest keys only.
-const PROVENANCE_KEYS: &[&str] = &["generated_unix_ts", "hostname"];
-
 /// Wall-clock fields inside `runtime.json` (span durations). Stripped at
 /// every nesting level before comparison, so the diff gates on the
 /// deterministic counts — phase counts, counters, event tallies — and
@@ -61,22 +57,8 @@ fn load_json(dir: &Path, name: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
-/// Drop provenance members that are expected to differ run to run.
-fn strip_provenance(j: Json) -> Json {
-    match j {
-        Json::Obj(members) => Json::Obj(
-            members
-                .into_iter()
-                .filter(|(k, _)| !PROVENANCE_KEYS.contains(&k.as_str()))
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
 /// Recursively drop wall-clock members ([`TIMING_KEYS`]) at every level.
-/// Applied to `runtime.json` only; the measurement artifacts have no
-/// timing fields and keep the cheaper top-level provenance strip.
+/// Applied to `runtime.json` only; no other artifact has timing fields.
 fn strip_timing(j: Json) -> Json {
     match j {
         Json::Obj(members) => Json::Obj(
@@ -94,9 +76,9 @@ fn strip_timing(j: Json) -> Json {
 /// The normalization applied to artifact `name` before diffing.
 fn normalize(name: &str, j: Json) -> Json {
     if name == "runtime.json" {
-        strip_timing(strip_provenance(j))
+        strip_timing(j)
     } else {
-        strip_provenance(j)
+        j
     }
 }
 
@@ -293,21 +275,5 @@ mod tests {
         );
         let diffs = diff_run_dirs(&a, &b, &Tolerance::exact()).unwrap();
         assert!(!diffs[0].is_clean(), "counts must still gate");
-    }
-
-    #[test]
-    fn provenance_keys_are_ignored_in_manifest() {
-        let a = tmp("prov-a");
-        let b = tmp("prov-b");
-        write_dir(
-            &a,
-            &[("manifest.json", r#"{"seed": 1984, "generated_unix_ts": 1}"#)],
-        );
-        write_dir(
-            &b,
-            &[("manifest.json", r#"{"seed": 1984, "generated_unix_ts": 2}"#)],
-        );
-        let diffs = diff_run_dirs(&a, &b, &Tolerance::exact()).unwrap();
-        assert!(diffs[0].is_clean(), "timestamps are provenance, not drift");
     }
 }

@@ -23,11 +23,11 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use vax780::CancelKind;
 use vax_analysis::{tables, Analysis, Profile, RunManifest};
 use vax_trace::{Tracer, MAIN_TID};
 
 use crate::cache::WarmCaches;
-use crate::cancel::CancelKind;
 use crate::charrun;
 use crate::cli::{CharacterizeOptions, Format, Options};
 use crate::fsio::write_atomic;

@@ -95,10 +95,11 @@ pub struct RunSpec {
     /// same shard seed, so a retry that succeeds is byte-identical to a
     /// first-attempt success.
     pub retries: Option<u64>,
-    /// Wall-clock budget in seconds, measured from job start; the serve
-    /// daemon ends the job with terminal status `deadline_exceeded` at the
-    /// next cell boundary once elapsed. `None` = no deadline. Never
-    /// changes results, only whether the job is allowed to finish.
+    /// Wall-clock budget in seconds, measured from job start; once it
+    /// elapses the serve daemon stops the job's running cells within
+    /// 2,048 steps, discards them, and ends the job with terminal status
+    /// `deadline_exceeded`. `None` = no deadline. Never changes results,
+    /// only whether the job is allowed to finish.
     pub deadline_secs: Option<f64>,
     /// Instructions measured per workload.
     pub instructions: u64,

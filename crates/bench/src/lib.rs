@@ -7,7 +7,6 @@
 //! public functions.
 
 pub mod cache;
-pub mod cancel;
 pub mod charrun;
 pub mod cli;
 pub mod diffcmd;

@@ -12,14 +12,16 @@
 //! input-indexed contract is what lets the runner merge shard results
 //! deterministically.
 //!
-//! Supervision: a panicking job (shard panic or watchdog timeout) does not
-//! poison the pool, deadlock the scope, or abandon the rest of the queue.
-//! The worker retries the job in place up to `retries` more times — each
-//! attempt builds a fresh system from the same seed, so a successful retry
-//! is byte-identical to a first-attempt success — and only after exhausting
-//! its attempts records a [`JobFailure`] and moves on. Every other job
-//! still runs to completion, so the caller always gets the full picture:
-//! all finished results *and* all failures, never just the first panic.
+//! Supervision: a failed attempt (a panic, or a machine stopped by its
+//! watchdog) does not poison the pool, deadlock the scope, or abandon the
+//! rest of the queue. The worker retries the job in place up to `retries`
+//! more times — each attempt builds a fresh system from the same seed, so
+//! a successful retry is byte-identical to a first-attempt success — and
+//! only after exhausting its attempts records a [`JobFailure`] and moves
+//! on. Every other job still runs to completion, so the caller always gets
+//! the full picture: all finished results *and* all failures, never just
+//! the first panic. An attempt stopped by the job's cancel token is
+//! neither: its slot stays empty, and nothing more is claimed.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,9 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use vax780::{CancelKind, CancelToken, Stop};
 use vax_trace::{worker_tid, SpanId, Tracer, MAIN_TID};
-
-use crate::cancel::{CancelKind, CancelToken};
 
 /// First-retry backoff in milliseconds; doubles per attempt up to
 /// [`BACKOFF_CAP_MS`], with deterministic jitter on top.
@@ -55,25 +56,15 @@ fn backoff_ms(i: u64, attempt: u32) -> u64 {
 }
 
 /// A job that exhausted its attempts: which input failed, how many times it
-/// was tried, and the payload of the *last* panic (re-raise it with
-/// [`std::panic::resume_unwind`], or render it with [`panic_message`]).
+/// was tried, and why the *last* attempt failed.
+#[derive(Debug)]
 pub struct JobFailure {
     /// Index into the `inputs` slice of the job that failed.
     pub index: usize,
     /// Total attempts made (`1 + retries`).
     pub attempts: u32,
-    /// The final panic payload, exactly as `catch_unwind` caught it.
-    pub payload: Box<dyn Any + Send>,
-}
-
-impl std::fmt::Debug for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobFailure")
-            .field("index", &self.index)
-            .field("attempts", &self.attempts)
-            .field("message", &panic_message(&self.payload))
-            .finish()
-    }
+    /// The last attempt's panic message, or the watchdog's.
+    pub message: String,
 }
 
 /// Everything the pool produced: one slot per input (in input order;
@@ -111,17 +102,15 @@ impl<O> PoolOutcome<O> {
     }
 }
 
-/// Best-effort extraction of the human-readable message from a panic
-/// payload (`&str` and `String` payloads cover `panic!` and `assert!`).
-pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
+/// The human-readable message of a panic payload (`&str` and `String`
+/// payloads cover `panic!` and `assert!`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        s
+        s.to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else if payload.downcast_ref::<vax780::WatchdogExpired>().is_some() {
-        "shard watchdog deadline expired"
+        s.clone()
     } else {
-        "<non-string panic payload>"
+        "<non-string panic payload>".to_string()
     }
 }
 
@@ -135,23 +124,23 @@ pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
 /// spans on the right track; `attempt` starts at 0 and counts the retries
 /// of that particular index.
 ///
-/// A panicking attempt is retried in place up to `retries` more times; a
-/// job that exhausts all `1 + retries` attempts becomes a [`JobFailure`]
-/// and the worker moves on to the next index. The queue always drains.
-/// Retries back off exponentially (`backoff_ms`): a transient host
-/// hiccup (the usual cause of a watchdog trip) gets time to clear instead
-/// of an immediate identical attempt, and the `retry_backoff_ms` counter
-/// records the total sleep.
+/// An attempt that panics or returns [`Stop::Watchdog`] fails, and is
+/// retried in place up to `retries` more times; a job that exhausts all
+/// `1 + retries` attempts becomes a [`JobFailure`] and the worker moves on
+/// to the next index. The queue always drains. Retries back off
+/// exponentially (`backoff_ms`): a transient host hiccup (the usual cause
+/// of a watchdog trip) gets time to clear instead of an immediate
+/// identical attempt, and the `retry_backoff_ms` counter records the total
+/// sleep.
 ///
 /// Workers poll `cancel` *before claiming* each input, so a fired token
-/// stops the grid at the next cell boundary: in-flight cells finish
-/// normally (and checkpoint, when the caller checkpoints), unclaimed cells
-/// are left as empty slots with no failure recorded. (The watchdog is
-/// finer-grained: it fires inside a cell, every `WATCHDOG_STRIDE` = 2,048
-/// steps.) A fired token also stops further retries of the current input.
-/// The caller distinguishes "not run because canceled" from "quarantined"
-/// by [`PoolOutcome::canceled`], the token read once after the workers
-/// stop; pass `&CancelToken::default()` to never stop.
+/// claims nothing more; unclaimed cells are left as empty slots with no
+/// failure recorded. An attempt whose machine read the same token mid-cell
+/// returns [`Stop::Canceled`]: its slot stays empty too, with no failure
+/// and no retry. A fired token also stops further retries of the current
+/// input. The caller distinguishes "not run because canceled" from
+/// "quarantined" by [`PoolOutcome::canceled`], the token read once after
+/// the workers stop; pass `&CancelToken::default()` to never stop.
 ///
 /// Observability: each worker gets its own trace track ([`worker_tid`],
 /// named `worker-N`). On that track the pool records, per job, a
@@ -160,9 +149,9 @@ pub fn panic_message(payload: &Box<dyn Any + Send>) -> &str {
 /// span counts stay invariant under the worker count), and a `job` span per
 /// attempt (parented under `parent`, normally the run's root span) inside
 /// which `f` runs — so any spans `f` opens nest under it. Irregular moments
-/// are instant events: `shard-panic` or `watchdog` (by panic payload) per
-/// failed attempt, `retry` when another attempt follows, `quarantine` when
-/// attempts are exhausted; `retries`/`quarantines` counters track totals.
+/// are instant events: `shard-panic` or `watchdog` per failed attempt,
+/// `retry` when another attempt follows, `quarantine` when attempts are
+/// exhausted; `retries`/`quarantines` counters track totals.
 /// A canceled pool records a `cancel` instant (with its `kind`) and the
 /// `jobs_canceled` counter on the main track. A disabled tracer records
 /// nothing.
@@ -181,7 +170,7 @@ pub fn run_supervised<I, O, F>(
 where
     I: Sync,
     O: Send,
-    F: Fn(usize, usize, &I, u32) -> O + Sync,
+    F: Fn(usize, usize, &I, u32) -> Result<O, Stop> + Sync,
 {
     assert!(jobs > 0, "run_supervised: jobs must be at least 1");
     let next = AtomicUsize::new(0);
@@ -209,7 +198,7 @@ where
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(input) = inputs.get(i) else { return };
                     tracer.complete(tid, "queue-wait", wait_start, vec![("index", i.into())]);
-                    let mut last_payload = None;
+                    let mut failure = None;
                     for attempt in 0..=retries {
                         let job = tracer.span_under(
                             tid,
@@ -219,45 +208,39 @@ where
                         );
                         let result = catch_unwind(AssertUnwindSafe(|| f(w, i, input, attempt)));
                         drop(job);
-                        match result {
-                            Ok(out) => {
+                        failure = match result {
+                            Ok(Ok(out)) => {
                                 *slots[i].lock().unwrap() = Some(out);
-                                last_payload = None;
-                                break;
+                                None
                             }
-                            Err(payload) => {
-                                let kind = if payload
-                                    .downcast_ref::<vax780::WatchdogExpired>()
-                                    .is_some()
-                                {
-                                    "watchdog"
-                                } else {
-                                    "shard-panic"
-                                };
-                                tracer.instant(
-                                    tid,
-                                    kind,
-                                    vec![("index", i.into()), ("attempt", attempt.into())],
-                                );
-                                last_payload = Some(payload);
-                                if cancel.fired().is_some() {
-                                    break;
-                                }
-                                if attempt < retries {
-                                    let ms = backoff_ms(i as u64, attempt);
-                                    tracer.instant(
-                                        tid,
-                                        "retry",
-                                        vec![("index", i.into()), ("backoff_ms", ms.into())],
-                                    );
-                                    tracer.count(tid, "retries", 1);
-                                    tracer.count(tid, "retry_backoff_ms", ms);
-                                    std::thread::sleep(Duration::from_millis(ms));
-                                }
+                            Ok(Err(Stop::Canceled(_))) => None,
+                            Ok(Err(Stop::Watchdog)) => {
+                                Some(("watchdog", "shard watchdog deadline expired".to_string()))
                             }
+                            Err(payload) => Some(("shard-panic", panic_message(&*payload))),
+                        };
+                        let Some((kind, _)) = &failure else { break };
+                        tracer.instant(
+                            tid,
+                            kind,
+                            vec![("index", i.into()), ("attempt", attempt.into())],
+                        );
+                        if cancel.fired().is_some() {
+                            break;
+                        }
+                        if attempt < retries {
+                            let ms = backoff_ms(i as u64, attempt);
+                            tracer.instant(
+                                tid,
+                                "retry",
+                                vec![("index", i.into()), ("backoff_ms", ms.into())],
+                            );
+                            tracer.count(tid, "retries", 1);
+                            tracer.count(tid, "retry_backoff_ms", ms);
+                            std::thread::sleep(Duration::from_millis(ms));
                         }
                     }
-                    if let Some(payload) = last_payload {
+                    if let Some((_, message)) = failure {
                         if cancel.fired().is_some() {
                             // Canceled between attempts: the input was not
                             // quarantined, it simply wasn't finished —
@@ -270,7 +253,7 @@ where
                         failures.lock().unwrap().push(JobFailure {
                             index: i,
                             attempts: 1 + retries,
-                            payload,
+                            message,
                         });
                     }
                 }
@@ -309,7 +292,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    /// [`run_supervised`] with spans parented under 0 and no cancel.
+    /// [`run_supervised`] with spans parented under 0, no cancel, and
+    /// attempts that never stop.
     fn supervise<I: Sync, O: Send>(
         jobs: usize,
         inputs: &[I],
@@ -317,7 +301,19 @@ mod tests {
         tracer: &Tracer,
         f: impl Fn(usize, usize, &I, u32) -> O + Sync,
     ) -> PoolOutcome<O> {
-        run_supervised(jobs, inputs, retries, tracer, 0, &CancelToken::default(), f)
+        let never = CancelToken::default();
+        run_supervised(jobs, inputs, retries, tracer, 0, &never, |w, i, x, a| {
+            Ok(f(w, i, x, a))
+        })
+    }
+
+    /// [`run_supervised`] of one input with no cancel, every attempt
+    /// ending in `stop`.
+    fn stop_every_attempt(retries: u32, tracer: &Tracer, stop: Stop) -> PoolOutcome<u32> {
+        let never = CancelToken::default();
+        run_supervised(1, &[0u32], retries, tracer, 0, &never, |_, _, _, _| {
+            Err(stop)
+        })
     }
 
     fn run_ok<I: Sync, O: Send>(
@@ -372,10 +368,7 @@ mod tests {
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].index, 5);
         assert_eq!(outcome.failures[0].attempts, 1);
-        assert_eq!(
-            panic_message(&outcome.failures[0].payload),
-            "shard 5 exploded"
-        );
+        assert_eq!(outcome.failures[0].message, "shard 5 exploded");
         // Every *other* job still completed: the crash report reflects all
         // finished work, not just what happened to finish before the panic.
         for (i, slot) in outcome.slots.iter().enumerate() {
@@ -460,14 +453,29 @@ mod tests {
     }
 
     #[test]
-    fn traced_pool_classifies_watchdog_panics() {
+    fn traced_pool_classifies_watchdog_stops() {
         let tracer = Tracer::enabled();
-        let _outcome: PoolOutcome<u32> = supervise(1, &[0u32], 0, &tracer, |_, _, _, _| {
-            std::panic::panic_any(vax780::WatchdogExpired)
-        });
+        let outcome = stop_every_attempt(0, &tracer, Stop::Watchdog);
         let instants = tracer.instant_totals();
         assert_eq!(instants["watchdog"], 1);
         assert!(!instants.contains_key("shard-panic"));
+        assert_eq!(
+            outcome.failures[0].message,
+            "shard watchdog deadline expired"
+        );
+    }
+
+    #[test]
+    fn a_canceled_attempt_is_neither_failed_nor_retried() {
+        let tracer = Tracer::enabled();
+        let outcome = stop_every_attempt(3, &tracer, Stop::Canceled(CancelKind::Canceled));
+        assert_eq!(outcome.slots, vec![None]);
+        assert!(outcome.failures.is_empty());
+        assert_eq!(tracer.phase_totals()["job"].count, 1, "one attempt");
+        let instants = tracer.instant_totals();
+        for kind in ["watchdog", "shard-panic", "retry", "quarantine"] {
+            assert!(!instants.contains_key(kind), "{kind}");
+        }
     }
 
     #[test]
@@ -484,7 +492,7 @@ mod tests {
             if x == 3 {
                 token.cancel();
             }
-            x
+            Ok(x)
         });
         // The in-flight cell finishes (cancellation is a boundary, not an
         // abort), nothing is quarantined, and the rest of the grid never
@@ -503,7 +511,7 @@ mod tests {
     fn a_token_fired_after_the_pool_returns_leaves_canceled_unset() {
         let token = CancelToken::new();
         let tracer = Tracer::enabled();
-        let outcome = run_supervised(2, &[1u32, 2, 3], 0, &tracer, 0, &token, |_, _, &x, _| x);
+        let outcome = run_supervised(2, &[1u32, 2, 3], 0, &tracer, 0, &token, |_, _, &x, _| Ok(x));
         token.cancel();
         assert_eq!(outcome.canceled, None);
         assert!(!tracer.instant_totals().contains_key("cancel"));

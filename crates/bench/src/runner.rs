@@ -18,32 +18,35 @@
 //! any `--jobs` count — `--jobs` buys wall-clock time, not different
 //! numbers.
 //!
-//! Supervision: a shard attempt that panics (or trips its `--shard-timeout`
-//! watchdog) is retried up to `--retries` times on a fresh system built
-//! from the same shard seed, so a retried success is byte-identical to a
-//! first-attempt success. A cell that exhausts its retries is quarantined —
-//! its flight recording is dumped (when armed), the run is marked degraded,
-//! and the remaining cells still merge into a partial result.
+//! Supervision: a shard attempt that panics (or whose machine its
+//! `--shard-timeout` watchdog stops) is retried up to `--retries` times on
+//! a fresh system built from the same shard seed, so a retried success is
+//! byte-identical to a first-attempt success. A cell that exhausts its
+//! retries is quarantined — its flight recording is dumped (when armed),
+//! the run is marked degraded, and the remaining cells still merge into a
+//! partial result. Every machine also reads the run's cancel token: a
+//! cancel or a deadline stops the running cells within 2,048 steps, and
+//! a stopped cell is discarded before its counters, checkpoint and fold.
 //!
 //! Crash safety: with `--out DIR` every completed cell is journaled
 //! atomically to `DIR/checkpoints/` (see [`crate::resume`]), and
-//! [`resume_composite`] finishes an interrupted run, given its options, by
-//! folding each journaled cell as it loads it and re-running only the
-//! missing cells.
+//! [`resume_composite`] finishes an interrupted or canceled run, given its
+//! options, by folding each journaled cell as it loads it and re-running
+//! only the missing cells.
 
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use vax780::{FaultPlan, Measurement, TimeSeries};
+use vax780::{CancelKind, FaultPlan, Measurement, TimeSeries};
 use vax_analysis::{validate, Analysis, CheckpointCell, ValidationReport};
 use vax_cpu::{ControlStore, CpuConfig, SharedFlightRecorder};
 use vax_trace::{worker_tid, Tracer, MAIN_TID};
 use vax_workload::Workload;
 
 use crate::cache::WarmCaches;
-use crate::cancel::CancelKind;
 use crate::cli::Options;
 use crate::fsio::write_atomic;
-use crate::pool::{panic_message, run_supervised};
+use crate::pool::run_supervised;
 use crate::progress::Progress;
 use crate::resume::{cell_path, checkpoints_dir, header_json, header_path, load_cells};
 
@@ -71,10 +74,10 @@ pub struct RunOutput {
     pub degraded: bool,
     /// The quarantined `(workload, shard)` cells, in grid order.
     pub failed_cells: Vec<(Workload, u64)>,
-    /// Set when the run's cancel token fired: the grid stopped at a cell
-    /// boundary, completed cells are checkpointed, and the merged results
-    /// cover only what finished. The caller must not export final
-    /// artifacts for a canceled run.
+    /// Set when the run's cancel token fired: the running cells stopped
+    /// and were discarded, completed cells are checkpointed, and the
+    /// merged results cover only what finished. The caller must not export
+    /// final artifacts for a canceled run.
     pub canceled: Option<CancelKind>,
 }
 
@@ -334,15 +337,17 @@ fn run_grid(
                 fault_count = plan.len() as u64;
                 system.install_fault_plan(plan);
             }
-            if let Some(secs) = opts.shard_timeout_secs {
-                system.set_deadline(Some(
-                    std::time::Instant::now() + std::time::Duration::from_secs_f64(secs),
-                ));
-            }
+            let watchdog = opts
+                .shard_timeout_secs
+                .map(|secs| Instant::now() + Duration::from_secs_f64(secs));
+            system.set_stop(opts.cancel.clone(), watchdog);
             let (m, series) = {
                 let _g = tracer.span(tid, "simulate", vec![]);
                 system.measure_sampled(instructions / 10, instructions, opts.spec.interval_cycles)
             };
+            if let Some(stop) = system.stopped() {
+                return Err(stop);
+            }
             // Counters are recorded only after a *successful* measurement,
             // so a retried attempt never double-counts and runtime.json
             // totals stay invariant in both --jobs and --retries.
@@ -389,17 +394,17 @@ fn run_grid(
             // The last step: nothing after it can fail, so a cell is
             // folded exactly once however many attempts it took.
             folding.add(job.workload_index as usize, &cell.m);
-            CellTail {
+            Ok(CellTail {
                 cycles: cell.m.cycles,
                 series: cell.series,
-            }
+            })
         },
     );
 
     let canceled = outcome.canceled;
     if let Some(kind) = canceled {
         progress.info(&format!(
-            "run {} at a cell boundary; completed cells remain checkpointed",
+            "run {}; completed cells remain checkpointed",
             kind.name()
         ));
     }
@@ -412,7 +417,7 @@ fn run_grid(
             job.workload.name(),
             job.shard,
             f.attempts,
-            panic_message(&f.payload)
+            f.message
         ));
         if job.recorder.is_enabled() && !job.recorder.is_empty() {
             job.recorder.dump_stderr();

@@ -77,12 +77,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use vax780::{CancelKind, CancelToken};
 use vax_analysis::Json;
 use vax_serve::{write_streaming_head, HttpError, Request, Response};
 use vax_trace::{Tracer, MAIN_TID};
 
 use crate::cache::WarmCaches;
-use crate::cancel::{CancelKind, CancelToken};
 use crate::cli::{Format, ServeOptions};
 use crate::engine::{JobEngine, JobOutcome, JobRequest};
 use crate::fsio::write_atomic;
@@ -114,8 +114,8 @@ enum JobState {
     Finished {
         code: i32,
     },
-    /// Terminal; stopped at a cell boundary by `POST /jobs/:id/cancel`
-    /// or an expired `deadline_secs`. Completed cells stay checkpointed.
+    /// Terminal; stopped by `POST /jobs/:id/cancel` or an expired
+    /// `deadline_secs`. Completed cells stay checkpointed.
     Canceled {
         kind: CancelKind,
     },
@@ -864,8 +864,8 @@ fn worker_loop(shared: &Shared) {
 
 /// Run one job start to finish, updating the registry and journal
 /// around it. A recovered run job resumes from its checkpoints when the
-/// checkpoint header survived; cancellation and deadlines land at the
-/// next cell boundary via the job's [`CancelToken`].
+/// checkpoint header survived; cancellation and deadlines stop it
+/// through the job's [`CancelToken`].
 fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
     let tracer = Tracer::enabled();
     let cancel = CancelToken::new();
@@ -941,15 +941,7 @@ fn execute_job(shared: &Shared, engine: &JobEngine, id: &str) {
             eprintln!("reproduce serve: job {id}: cannot write output.txt: {e}");
         }
     }
-    let status = Json::obj([
-        ("id", Json::from(id)),
-        ("kind", spec.kind().into()),
-        ("status", terminal.name().into()),
-        (
-            "code",
-            terminal.code().map_or(Json::Null, |c| i64::from(c).into()),
-        ),
-    ]);
+    let status = state_json(id, spec.kind(), &terminal);
     if let Err(e) = write_atomic(&dir.join("status.json"), &status.to_string_pretty()) {
         eprintln!("reproduce serve: job {id}: cannot write status.json: {e}");
     }
@@ -1150,8 +1142,8 @@ fn submit_job(req: &Request, shared: &Shared) -> Response {
 }
 
 /// `POST /jobs/:id/cancel`: a queued job goes terminal on the spot; a
-/// running job gets its token fired and goes terminal at the next cell
-/// boundary (checkpoints of completed cells are preserved).
+/// running job gets its token fired, and goes terminal once its running
+/// cells stop (checkpoints of completed cells are preserved).
 fn cancel_job(shared: &Shared, id: &str) -> Response {
     let mut reg = lock_registry(shared);
     let state = match reg.jobs.get(id) {
@@ -1168,17 +1160,12 @@ fn cancel_job(shared: &Shared, id: &str) -> Response {
             let canceled = JobState::Canceled {
                 kind: CancelKind::Canceled,
             };
+            let status = state_json(id, kind, &canceled);
             transition(shared, &mut reg, id, canceled);
             drop(reg);
             if was_recovered {
                 shared.recovering.fetch_sub(1, Ordering::SeqCst);
             }
-            let status = Json::obj([
-                ("id", Json::from(id)),
-                ("kind", kind.into()),
-                ("status", "canceled".into()),
-                ("code", Json::Null),
-            ]);
             // Best-effort status artifact; the dir may not exist if the
             // job's spec never persisted.
             if dir.is_dir() {
@@ -1203,27 +1190,30 @@ fn cancel_job(shared: &Shared, id: &str) -> Response {
     }
 }
 
+/// A job's `{id, kind, status, code}` object: its `status.json` once
+/// terminal, and the head of its `GET /jobs/:id` body.
+fn state_json(id: &str, kind: &str, state: &JobState) -> Json {
+    Json::obj([
+        ("id", Json::from(id)),
+        ("kind", kind.into()),
+        ("status", state.name().into()),
+        (
+            "code",
+            state.code().map_or(Json::Null, |c| i64::from(c).into()),
+        ),
+    ])
+}
+
 /// One job's status object (registry must be locked by the caller).
 fn status_json(job: &Job) -> Json {
-    let mut m: Vec<(String, Json)> = vec![
-        ("id".into(), job.id.as_str().into()),
-        ("kind".into(), job.spec.kind().into()),
-        ("status".into(), job.state.name().into()),
-        (
-            "code".into(),
-            match job.state {
-                JobState::Finished { code } => i64::from(code).into(),
-                _ => Json::Null,
-            },
-        ),
-    ];
-    if job.state == JobState::Running {
-        if let (Some(tracer), Some(started)) = (&job.tracer, job.started) {
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            m.push(("progress".into(), progress_line(tracer, elapsed_ms)));
-        }
+    let mut status = state_json(&job.id, job.spec.kind(), &job.state);
+    if let (JobState::Running, Some(tracer), Some(started), Json::Obj(m)) =
+        (&job.state, &job.tracer, job.started, &mut status)
+    {
+        let elapsed_ms = started.elapsed().as_millis() as u64;
+        m.push(("progress".into(), progress_line(tracer, elapsed_ms)));
     }
-    Json::Obj(m)
+    status
 }
 
 /// `GET /jobs`: every job, submission order.

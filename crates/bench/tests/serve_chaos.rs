@@ -413,7 +413,7 @@ fn cancel_queued_job_is_immediate_and_unknown_is_404() {
 }
 
 #[test]
-fn deadline_exceeded_is_terminal_within_a_cell_boundary() {
+fn deadline_exceeded_is_terminal_and_stops_the_running_cell() {
     let root = scratch("deadline");
     let mut daemon = start_daemon(&root);
     let addr = daemon.addr.clone();

@@ -1,13 +1,14 @@
-//! Cooperative cancellation for grid runs.
+//! The machine's stop signal.
 //!
 //! A [`CancelToken`] is the one signal a frontend (the serve daemon's
 //! cancel endpoint, a `deadline_secs` spec field) can use to stop a job
-//! early without corrupting it. It is *cooperative*: the shard pool checks
-//! the token only before it claims the next cell (the watchdog, by
-//! contrast, fires inside a cell every `WATCHDOG_STRIDE` = 2,048 steps),
-//! so an in-flight cell always finishes and checkpoints before the run
-//! winds down. Everything already checkpointed stays on disk, which is
-//! what makes a canceled run resumable (`reproduce resume`) or simply
+//! early without corrupting it. A [`crate::System`] armed with it by
+//! [`crate::System::set_stop`] reads it every 2,048 steps, beside the
+//! attempt's watchdog deadline, and ends its run loop on the first that
+//! fires, as it does on a halt; [`crate::System::stopped`] then names the
+//! [`Stop`]. A grid discards the stopped cell and claims no more, so
+//! everything checkpointed before the stop stays on disk, which is what
+//! makes a canceled run resumable (`reproduce resume`) or simply
 //! inspectable.
 //!
 //! The default token is inert (`None` inside): checking it is a single
@@ -47,6 +48,15 @@ impl CancelKind {
     }
 }
 
+/// Why a machine's run loop stopped before its step budget ran out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The attempt's watchdog deadline passed: a failed attempt.
+    Watchdog,
+    /// The job's token fired: the attempt is abandoned, not failed.
+    Canceled(CancelKind),
+}
+
 const LIVE: u8 = 0;
 const CANCELED: u8 = 1;
 const DEADLINE: u8 = 2;
@@ -60,8 +70,8 @@ struct Inner {
 }
 
 /// A cloneable cancel handle shared between a controller (who calls
-/// [`CancelToken::cancel`] / [`CancelToken::arm_deadline`]) and the grid
-/// (which polls [`CancelToken::fired`] at cell boundaries).
+/// [`CancelToken::cancel`] / [`CancelToken::arm_deadline`]) and the job
+/// (whose machines and pool poll [`CancelToken::fired`]).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Option<Arc<Inner>>);
 
@@ -99,10 +109,10 @@ impl CancelToken {
         }
     }
 
-    /// Has the token fired, and why? Called at cell boundaries — cheap
-    /// (one branch) when inert, one atomic load plus a cold mutex when
-    /// live. A deadline observed as expired here is latched, so every
-    /// later call reports the same cause.
+    /// Has the token fired, and why? Cheap (one branch) when inert, one
+    /// atomic load plus a cold mutex when live. A deadline observed as
+    /// expired here is latched, so every later call reports the same
+    /// cause.
     pub fn fired(&self) -> Option<CancelKind> {
         let inner = self.0.as_ref()?;
         match inner.fired.load(Ordering::SeqCst) {

@@ -252,18 +252,6 @@ impl FaultPlan {
     }
 }
 
-/// Panic payload thrown by the cooperative watchdog when a shard exceeds
-/// its deadline ([`crate::System::set_deadline`]). The pool supervisor
-/// downcasts panic payloads to this type to classify timeouts.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogExpired;
-
-impl std::fmt::Display for WatchdogExpired {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("shard watchdog deadline expired")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

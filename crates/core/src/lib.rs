@@ -27,6 +27,7 @@
 //! system.run_instructions(10_000);
 //! ```
 
+pub mod cancel;
 pub mod faults;
 pub mod kernel;
 pub mod measurement;
@@ -34,7 +35,8 @@ pub mod merge;
 pub mod sampler;
 pub mod system;
 
-pub use faults::{parse_classes, FaultClass, FaultEvent, FaultKind, FaultPlan, WatchdogExpired};
+pub use cancel::{CancelKind, CancelToken, Stop};
+pub use faults::{parse_classes, FaultClass, FaultEvent, FaultKind, FaultPlan};
 pub use kernel::KernelConfig;
 pub use measurement::Measurement;
 pub use merge::{merge_ordered, Mergeable};

@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use vax_arch::Psl;
 use vax_asm::Image;
@@ -24,7 +25,8 @@ use vax_cpu::{Cpu, CpuConfig, StepOutcome};
 use vax_mem::addr::PAGE_SIZE;
 use vax_mem::{MemConfig, MemorySystem, PageTables, PhysAddr, Pte, VirtAddr};
 
-use crate::faults::{FaultKind, FaultPlan, WatchdogExpired};
+use crate::cancel::{CancelToken, Stop};
+use crate::faults::{FaultKind, FaultPlan};
 use crate::kernel::{self, KernelConfig, KernelEntries};
 use crate::measurement::Measurement;
 use crate::sampler::{IntervalSample, TimeSeries};
@@ -463,10 +465,11 @@ impl BootImage {
     }
 }
 
-/// How many steps pass between watchdog deadline checks. `Instant::now()`
-/// is far too expensive per step; at ~3M simulated instructions/s this
-/// stride still bounds overrun detection to well under a millisecond.
-const WATCHDOG_STRIDE: u32 = 2048;
+/// How many steps pass between reads of the stop token and the watchdog
+/// deadline. `Instant::now()` is far too expensive per step; at ~3M
+/// simulated instructions/s this stride still lands a stop well under a
+/// millisecond after it fires.
+const STOP_STRIDE: u32 = 2048;
 
 /// A booted machine.
 #[derive(Debug)]
@@ -479,10 +482,13 @@ pub struct System {
     pub entries: KernelEntries,
     /// Scheduled fault injections for the measured interval.
     faults: FaultPlan,
-    /// Cooperative watchdog deadline; the run loops panic with
-    /// [`WatchdogExpired`] when it passes.
-    deadline: Option<std::time::Instant>,
-    watchdog_countdown: u32,
+    /// The job's token and the attempt's watchdog deadline, read every
+    /// [`STOP_STRIDE`] steps.
+    stop_token: CancelToken,
+    watchdog: Option<Instant>,
+    stop_countdown: u32,
+    /// Why the run loops last ended early, if they did.
+    stopped: Option<Stop>,
     /// The deferred processes, shared with the image this machine came
     /// from while it lives.
     deferred: Arc<[Deferred]>,
@@ -520,8 +526,10 @@ impl System {
             nproc: img.nproc,
             entries: img.entries.clone(),
             faults: FaultPlan::none(),
-            deadline: None,
-            watchdog_countdown: WATCHDOG_STRIDE,
+            stop_token: CancelToken::default(),
+            watchdog: None,
+            stop_countdown: STOP_STRIDE,
+            stopped: None,
             deferred: Arc::clone(&img.deferred),
             loaded: vec![false; img.deferred.len()],
             pcbb,
@@ -587,26 +595,48 @@ impl System {
         self.faults = plan;
     }
 
-    /// Arm (or disarm, with `None`) the cooperative watchdog. When the
-    /// deadline passes, the run loops panic with [`WatchdogExpired`];
-    /// the pool supervisor catches it and classifies the shard as timed
-    /// out. Checked every [`WATCHDOG_STRIDE`] steps.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-        self.watchdog_countdown = WATCHDOG_STRIDE;
+    /// Arm the stop: the run loops read `token`, then the `watchdog`
+    /// deadline, every 2,048 steps, and on the first that has fired end
+    /// as they do on a halt, with [`System::stopped`] naming it. A
+    /// stopped machine runs no further step until it is armed again.
+    pub fn set_stop(&mut self, token: CancelToken, watchdog: Option<Instant>) {
+        self.stop_token = token;
+        self.watchdog = watchdog;
+        self.stop_countdown = STOP_STRIDE;
+        self.stopped = None;
     }
 
+    /// Why the run loops ended early, if a stop landed.
+    pub fn stopped(&self) -> Option<Stop> {
+        self.stopped
+    }
+
+    /// One step, then the stop and selection checks. False when the
+    /// machine halted or a stop landed.
     #[inline]
-    fn check_watchdog(&mut self) {
-        self.watchdog_countdown -= 1;
-        if self.watchdog_countdown == 0 {
-            self.watchdog_countdown = WATCHDOG_STRIDE;
-            if let Some(d) = self.deadline {
-                if std::time::Instant::now() >= d {
-                    std::panic::panic_any(WatchdogExpired);
-                }
-            }
+    fn advance(&mut self) -> bool {
+        if let StepOutcome::Halted = self.cpu.step() {
+            return false;
         }
+        self.stop_countdown -= 1;
+        if self.stop_countdown == 0 && self.read_stop() {
+            return false;
+        }
+        self.check_selection();
+        true
+    }
+
+    #[cold]
+    fn read_stop(&mut self) -> bool {
+        self.stop_countdown = STOP_STRIDE;
+        self.stopped = match self.stop_token.fired() {
+            Some(kind) => Some(Stop::Canceled(kind)),
+            None => self
+                .watchdog
+                .filter(|&d| Instant::now() >= d)
+                .map(|_| Stop::Watchdog),
+        };
+        self.stopped.is_some()
     }
 
     /// Fire every fault due at the current measured-instruction count.
@@ -648,33 +678,17 @@ impl System {
     }
 
     /// Run `n` instructions (interrupt dispatches count as one step).
-    /// Returns `false` if the machine halted.
+    /// Returns `false` if the machine halted or a stop landed.
     pub fn run_instructions(&mut self, n: u64) -> bool {
-        for _ in 0..n {
-            if let StepOutcome::Halted = self.cpu.step() {
-                return false;
-            }
-            self.check_watchdog();
-            self.check_selection();
-        }
-        true
+        self.stopped.is_none() && (0..n).all(|_| self.advance())
     }
 
     /// Warm up (monitor stopped), then clear all counters and measure `n`
     /// instructions with the monitor running — the paper's experimental
     /// procedure. Returns the measurement.
     pub fn measure(&mut self, warmup: u64, n: u64) -> Measurement {
-        let base = self.begin_measurement(warmup);
-        for _ in 0..n {
-            if let StepOutcome::Halted = self.cpu.step() {
-                break;
-            }
-            self.check_watchdog();
-            self.check_selection();
-            self.poll_faults();
-        }
-        self.cpu.hist.stop();
-        self.snapshot(base)
+        // A period no run reaches: the one measured loop, unsampled.
+        self.measure_sampled(warmup, n, u64::MAX).0
     }
 
     /// [`System::measure`] plus interval sampling: at the first step
@@ -683,7 +697,8 @@ impl System {
     /// exported counters' growth since the previous reading. The board is
     /// never copied. Returns the whole-run measurement and the time
     /// series; summing the series reproduces the measurement's exported
-    /// counters exactly.
+    /// counters exactly. A stop that lands in the warm-up leaves the
+    /// measured interval empty.
     ///
     /// # Panics
     /// Panics if `interval_cycles` is zero.
@@ -698,12 +713,11 @@ impl System {
         let mut series = TimeSeries::default();
         let mut prev = IntervalSample::default();
         let mut next_boundary = interval_cycles;
-        for _ in 0..n {
-            if let StepOutcome::Halted = self.cpu.step() {
+        let steps = if self.stopped.is_some() { 0 } else { n };
+        for _ in 0..steps {
+            if !self.advance() {
                 break;
             }
-            self.check_watchdog();
-            self.check_selection();
             self.poll_faults();
             // Instructions are not preemptible: the boundary is the first
             // step boundary at or past the interval mark.
@@ -753,9 +767,11 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
     use vax_arch::{Opcode, Reg};
     use vax_asm::{Asm, Operand};
 
@@ -1000,6 +1016,73 @@ mod tests {
         for plane in [upc_monitor::Plane::Normal, upc_monitor::Plane::Stalled] {
             assert_eq!(m.hist.read(past, plane), 0);
             assert_eq!(m.hist.read(upc_monitor::MicroPc(16_383), plane), 0);
+        }
+    }
+
+    /// A one-process spin machine armed with `token` and `watchdog`.
+    fn armed(token: CancelToken, watchdog: Option<Instant>) -> System {
+        let mut b = SystemBuilder::new(SystemConfig::default());
+        b.add_process(spin_process());
+        let mut sys = b.build();
+        sys.set_stop(token, watchdog);
+        sys
+    }
+
+    #[test]
+    fn a_fired_token_ends_the_measured_interval_within_a_stride() {
+        for kind in [CancelKind::Canceled, CancelKind::DeadlineExceeded] {
+            let token = CancelToken::new();
+            match kind {
+                CancelKind::Canceled => token.cancel(),
+                CancelKind::DeadlineExceeded => token.arm_deadline(Duration::ZERO),
+            }
+            // The token wins over a watchdog that has passed as well.
+            let mut sys = armed(token, Some(Instant::now()));
+            let m = sys.measure(0, 1_000_000);
+            assert!(m.cpu_stats.instructions > 0, "{kind:?}");
+            assert!(
+                m.cpu_stats.instructions <= u64::from(STOP_STRIDE),
+                "{kind:?}"
+            );
+            assert_eq!(m.hist.total_cycles(), m.cycles, "{kind:?}");
+            assert_eq!(sys.stopped(), Some(Stop::Canceled(kind)));
+            let cycle = sys.cpu.cycle;
+            assert!(!sys.run_instructions(10), "a stopped machine stays stopped");
+            assert_eq!(sys.cpu.cycle, cycle, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_past_watchdog_reports_watchdog() {
+        let mut sys = armed(CancelToken::default(), Some(Instant::now()));
+        assert!(!sys.run_instructions(1_000_000));
+        assert_eq!(sys.stopped(), Some(Stop::Watchdog));
+    }
+
+    #[test]
+    fn a_token_fired_before_a_long_warmup_leaves_the_interval_empty() {
+        let token = CancelToken::new();
+        token.cancel();
+        let mut sys = armed(token, None);
+        let (m, series) = sys.measure_sampled(3 * u64::from(STOP_STRIDE), 10_000, 500);
+        assert_eq!((m.cycles, m.cpu_stats.instructions), (0, 0));
+        assert_eq!(series, TimeSeries::default());
+        assert_eq!(sys.stopped(), Some(Stop::Canceled(CancelKind::Canceled)));
+    }
+
+    #[test]
+    fn an_unfired_stop_measures_as_an_unarmed_machine() {
+        let (image, _) = spin_image(2);
+        let unarmed = System::from_boot_image(&image).measure_sampled(5_000, 50_000, 3_000);
+        let far = Instant::now() + Duration::from_secs(3_600);
+        for (token, watchdog) in [
+            (CancelToken::default(), None),
+            (CancelToken::new(), Some(far)),
+        ] {
+            let mut sys = System::from_boot_image(&image);
+            sys.set_stop(token, watchdog);
+            assert_eq!(sys.measure_sampled(5_000, 50_000, 3_000), unarmed);
+            assert_eq!(sys.stopped(), None);
         }
     }
 

@@ -23,4 +23,4 @@ pub mod rte;
 pub use codegen::generate_process;
 pub use probe::{probe_system, quiesced_config};
 pub use profile::{Workload, WorkloadProfile};
-pub use rte::{build_system, composite_measurement, run_workload};
+pub use rte::build_system;

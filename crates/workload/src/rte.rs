@@ -1,12 +1,12 @@
 //! RTE-style experiment assembly: build a multi-user system for a
-//! workload, run it, and form the composite measurement.
+//! workload, and seed each `(workload, shard)` cell of the composite grid
+//! (the engine in `vax-bench` runs the grid).
 
 use std::sync::Arc;
 
 use rand::SeedStream;
 use vax780::{
-    BootImage, DeferredProcess, Measurement, ProcessShape, ProcessSpec, System, SystemBuilder,
-    SystemConfig,
+    BootImage, DeferredProcess, ProcessShape, ProcessSpec, System, SystemBuilder, SystemConfig,
 };
 
 use crate::codegen::{generate_process, process_shape};
@@ -106,42 +106,14 @@ pub fn shard_seed(root_seed: u64, workload_index: u64, shard: u64) -> u64 {
         .seed()
 }
 
-/// Build the system for one `(workload, shard)` replica of a composite
-/// rooted at `root_seed`, with the standard process count.
-pub fn build_shard(workload: Workload, workload_index: u64, shard: u64, root_seed: u64) -> System {
-    build_system(
-        workload,
-        PROCESSES_PER_WORKLOAD,
-        shard_seed(root_seed, workload_index, shard),
-    )
-}
-
-/// Run one workload: warm up, then measure `instructions`.
-pub fn run_workload(workload: Workload, instructions: u64, seed: u64) -> Measurement {
-    let mut system = build_system(workload, PROCESSES_PER_WORKLOAD, seed);
-    system.measure(instructions / 10, instructions)
-}
-
-/// The paper's composite: the sum of all five workloads' histograms (and
-/// counters). `instructions` is the per-workload measurement length;
-/// workload `i` runs with [`shard_seed`]`(seed, i, 0)`, matching shard 0
-/// of the parallel engine in `vax-bench`.
-pub fn composite_measurement(instructions: u64, seed: u64) -> Measurement {
-    let mut composite = Measurement::default();
-    for (i, &w) in Workload::ALL.iter().enumerate() {
-        let m = run_workload(w, instructions, shard_seed(seed, i as u64, 0));
-        composite.merge(&m);
-    }
-    composite
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn runs_a_small_measurement() {
-        let m = run_workload(Workload::TimesharingResearch, 20_000, 3);
+        let m = build_system(Workload::TimesharingResearch, PROCESSES_PER_WORKLOAD, 3)
+            .measure(2_000, 20_000);
         // Steps include interrupt dispatches; instructions land close.
         assert!(m.instructions() >= 18_000, "{}", m.instructions());
         assert!(m.cpi() > 2.0 && m.cpi() < 40.0, "CPI {}", m.cpi());

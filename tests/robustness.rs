@@ -9,15 +9,21 @@
 //! - a shard panic is retried on a fresh system from the same seed, so a
 //!   recovered run is byte-identical to an undisturbed one;
 //! - exhausted retries quarantine the cell and degrade the run instead of
-//!   aborting it.
+//!   aborting it;
+//! - a cancel stops the running cell, which is discarded, and a resume
+//!   re-runs it to the bytes of an uninterrupted run.
 
-use vax780::FaultClass;
-use vax_analysis::RunManifest;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+use vax780::{CancelKind, CancelToken, FaultClass};
+use vax_analysis::{cell_from_json, Json, RunManifest};
 use vax_bench::cache::WarmCaches;
 use vax_bench::cli::Options;
 use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
+use vax_cpu::{ControlStore, CpuConfig};
 use vax_trace::Tracer;
 use vax_workload::Workload;
 
@@ -42,6 +48,12 @@ fn artifacts(opts: &Options) -> (RunOutput, Vec<(&'static str, String)>) {
         &Tracer::disabled(),
         &WarmCaches::new(),
     );
+    let files = export(opts, &out);
+    (out, files)
+}
+
+/// The artifact files of a finished run.
+fn export(opts: &Options, out: &RunOutput) -> Vec<(&'static str, String)> {
     let manifest = RunManifest {
         experiment: opts.spec.experiment.clone(),
         seed: Some(opts.spec.seed),
@@ -64,8 +76,68 @@ fn artifacts(opts: &Options) -> (RunOutput, Vec<(&'static str, String)>) {
             .map(|(w, s)| (w.name().to_string(), *s))
             .collect(),
     };
-    let files = vax_analysis::run_artifacts(&manifest, &out.analysis, &out.series, &out.validation);
-    (out, files)
+    vax_analysis::run_artifacts(&manifest, &out.analysis, &out.series, &out.validation)
+}
+
+/// A directory under the system temp dir, removed when the test ends.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("vax-robustness-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The cell checkpoints journaled under run directory `out`.
+fn cell_files(out: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(out.join("checkpoints")) else {
+        return Vec::new();
+    };
+    entries
+        .map(|e| e.expect("readable checkpoint entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("cell-") && n.ends_with(".json"))
+        })
+        .collect()
+}
+
+/// Poll `ready` until it holds, for at most a minute.
+fn wait_until(ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !ready() {
+        assert!(Instant::now() < deadline, "the condition never held");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Run `opts` while a second thread fires its token once `ready` holds.
+fn run_canceled_when(
+    opts: &Options,
+    tracer: &Tracer,
+    ready: impl Fn() -> bool + Send,
+) -> RunOutput {
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            wait_until(ready);
+            opts.cancel.cancel();
+        });
+        runner::run_composite(
+            opts,
+            &Progress::new(Verbosity::Quiet),
+            tracer,
+            &WarmCaches::new(),
+        )
+    })
 }
 
 #[test]
@@ -191,4 +263,90 @@ fn watchdog_timeout_quarantines_stuck_shards() {
     // Every cell blows its (absurdly small) budget.
     assert!(out.degraded);
     assert_eq!(out.failed_cells.len(), Workload::ALL.len());
+}
+
+#[test]
+fn a_cancel_while_the_first_cell_runs_discards_that_cell() {
+    let dir = ScratchDir::new("first-cell");
+    let tracer = Tracer::enabled();
+    let opts = Options {
+        spec: RunSpec {
+            instructions: 1_000_000,
+            shards: 1,
+            jobs: Some(1),
+            ..small_run().spec
+        },
+        out: Some(dir.0.clone()),
+        cancel: CancelToken::new(),
+        ..small_run()
+    };
+    let out = run_canceled_when(&opts, &tracer, || {
+        let states = tracer.worker_states();
+        states
+            .iter()
+            .any(|(_, span)| span.as_deref() == Some("simulate"))
+    });
+    assert_eq!(out.canceled, Some(CancelKind::Canceled));
+    assert_eq!(
+        tracer.phase_totals()["cell"].count,
+        1,
+        "only the first cell ran"
+    );
+    assert_eq!(
+        tracer.counter_value("cells_done"),
+        0,
+        "the stopped cell is not counted"
+    );
+    assert_eq!(
+        cell_files(&dir.0),
+        Vec::<PathBuf>::new(),
+        "nor checkpointed"
+    );
+    assert!(!out.degraded, "a canceled cell is not a failed one");
+}
+
+#[test]
+fn a_mid_cell_cancel_resumes_to_the_uninterrupted_bytes() {
+    let dir = ScratchDir::new("mid-cell");
+    let opts = Options {
+        spec: RunSpec {
+            instructions: 20_000,
+            shards: 1,
+            jobs: Some(1),
+            ..small_run().spec
+        },
+        out: Some(dir.0.clone()),
+        cancel: CancelToken::new(),
+        ..small_run()
+    };
+    let out = run_canceled_when(&opts, &Tracer::disabled(), || {
+        !cell_files(&dir.0).is_empty()
+    });
+    assert_eq!(out.canceled, Some(CancelKind::Canceled));
+    let cells = cell_files(&dir.0);
+    assert!(cells.len() < Workload::ALL.len(), "{cells:?}");
+    let map = ControlStore::new(&CpuConfig::default()).map;
+    for path in &cells {
+        let text = std::fs::read_to_string(path).expect("readable checkpoint");
+        let json = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        cell_from_json(&json, &map).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+
+    let inert = Options {
+        cancel: CancelToken::default(),
+        ..opts
+    };
+    let resumed = runner::resume_composite(
+        &inert,
+        &Progress::new(Verbosity::Quiet),
+        &Tracer::disabled(),
+        &WarmCaches::new(),
+    );
+    assert_eq!(resumed.canceled, None);
+    assert!(!resumed.degraded);
+    let (_, uninterrupted) = artifacts(&Options {
+        out: None,
+        ..inert.clone()
+    });
+    assert_eq!(export(&inert, &resumed), uninterrupted);
 }
