@@ -39,8 +39,9 @@ pub struct Analysis {
     pub spec1: SpecModeCounts,
     /// Specifier 2–6 mode counts.
     pub spec26: SpecModeCounts,
-    /// Cycles spent inside the TB-miss service routine (MemMgmt rows of the
-    /// TBMISS region only).
+    /// Cycles spent inside the TB-miss service routine (the store's
+    /// `tb_miss` region only, not the unaligned-reference microcode that
+    /// shares its MemMgmt row).
     pub tb_miss_cycles: u64,
     /// The measurement's raw counters.
     pub m: Measurement,
@@ -57,7 +58,7 @@ impl Analysis {
             let op = map.op(upc);
             let class = classify(op, plane == Plane::Stalled);
             matrix_counts[act.index()][class.index()] += count;
-            if map.routine(upc).starts_with("TBMISS") {
+            if cs.tb_miss.contains(upc) {
                 tb_miss_cycles += count;
             }
         }
@@ -211,7 +212,7 @@ mod tests {
     use vax_arch::{Opcode, Reg};
     use vax_asm::{Asm, Operand};
 
-    fn measured_system() -> (ControlStore, Measurement) {
+    fn measured_system() -> (&'static ControlStore, Measurement) {
         let mut asm = Asm::new(0x200);
         asm.label("entry");
         asm.insn(
@@ -242,13 +243,25 @@ mod tests {
         // Point R6 at the stack-ish data area via warmup state: the
         // program uses 16(R6) with R6 = 0, i.e. the guard page — mapped.
         let m = sys.measure(1_000, 20_000);
-        (sys.cpu.cs.clone(), m)
+        (sys.cpu.cs, m)
+    }
+
+    #[test]
+    fn the_tb_miss_region_is_the_tbmiss_routine() {
+        let cs = ControlStore::get();
+        let mut inside = 0;
+        for (upc, name, _, _) in cs.map.iter() {
+            let by_region = cs.tb_miss.contains(upc);
+            assert_eq!(by_region, name.starts_with("TBMISS"), "{upc} {name}");
+            inside += usize::from(by_region);
+        }
+        assert_eq!(inside, usize::from(cs.tb_miss.len));
     }
 
     #[test]
     fn reduction_conserves_cycles() {
         let (cs, m) = measured_system();
-        let a = Analysis::new(&cs, &m);
+        let a = Analysis::new(cs, &m);
         a.check_conservation().unwrap();
         assert!(a.cpi() > 2.0 && a.cpi() < 40.0, "CPI {}", a.cpi());
         // Matrix grand total × instructions == cycles.
@@ -259,7 +272,7 @@ mod tests {
     #[test]
     fn decode_row_is_one_compute_cycle() {
         let (cs, m) = measured_system();
-        let a = Analysis::new(&cs, &m);
+        let a = Analysis::new(cs, &m);
         let decode_compute = a.cell(Activity::Decode, CycleClass::Compute);
         assert!((decode_compute - 1.0).abs() < 1e-9);
     }
@@ -267,7 +280,7 @@ mod tests {
     #[test]
     fn spec_counts_match_cpu_stats() {
         let (cs, m) = measured_system();
-        let a = Analysis::new(&cs, &m);
+        let a = Analysis::new(cs, &m);
         assert_eq!(a.spec1.total(), m.cpu_stats.spec1_count);
         assert_eq!(a.spec26.total(), m.cpu_stats.spec26_count);
     }
@@ -275,7 +288,7 @@ mod tests {
     #[test]
     fn group_percentages_sum_to_100() {
         let (cs, m) = measured_system();
-        let a = Analysis::new(&cs, &m);
+        let a = Analysis::new(cs, &m);
         let sum: f64 = a.group_percent().iter().sum();
         assert!((sum - 100.0).abs() < 1e-6);
         // The spin loop is all SIMPLE plus kernel activity.

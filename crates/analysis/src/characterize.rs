@@ -20,7 +20,7 @@
 
 use upc_monitor::map::classify;
 use upc_monitor::{Activity, CycleClass, Plane};
-use vax780::Measurement;
+use vax780::{CancelKind, CancelToken, Measurement, Stop};
 use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_from_key, mode_key, probe_grid, probe_loop, ProbeLoop, ProbeTarget};
 use vax_asm::AsmError;
@@ -59,24 +59,46 @@ pub struct ProbeRun {
     pub validation: ValidationReport,
 }
 
+/// Why [`run_probe`] returned no run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ProbeError {
+    /// The probe loop did not assemble.
+    Asm(AsmError),
+    /// The job's token stopped the machine.
+    Canceled(CancelKind),
+}
+
+impl From<AsmError> for ProbeError {
+    fn from(e: AsmError) -> ProbeError {
+        ProbeError::Asm(e)
+    }
+}
+
 /// Assemble, boot, warm up, and measure one probe loop (`target` =
 /// `None` for the baseline scaffold) over exactly `iters` loop
 /// iterations, and reduce the histogram while the control store is still
-/// in reach.
+/// in reach. The machine reads `stop` every 2,048 steps, as a run cell's
+/// does, so a probe of any length ends soon after its job is canceled.
 ///
 /// # Errors
-/// Propagates assembler errors.
+/// Propagates assembler errors, and returns the token's cause when it
+/// stopped the machine.
 pub fn run_probe(
     target: Option<&ProbeTarget>,
     reps: u32,
     iters: u64,
     warmup: u64,
-) -> Result<ProbeRun, AsmError> {
+    stop: &CancelToken,
+) -> Result<ProbeRun, ProbeError> {
     let probe = probe_loop(target, reps)?;
     let mut sys = probe_system(&probe);
+    sys.set_stop(stop.clone(), None);
     let m = sys.measure(warmup, iters * u64::from(probe.period));
-    let matrix = reduce_matrix(&sys.cpu.cs, &m);
-    let validation = validate(&sys.cpu.cs, &m);
+    if let Some(Stop::Canceled(kind)) = sys.stopped() {
+        return Err(ProbeError::Canceled(kind));
+    }
+    let matrix = reduce_matrix(sys.cpu.cs, &m);
+    let validation = validate(sys.cpu.cs, &m);
     Ok(ProbeRun {
         probe,
         iters,
@@ -475,12 +497,12 @@ mod tests {
             &[Opcode::Movl],
             &[AddressingMode::Register, AddressingMode::Literal],
         );
-        let baseline = run_probe(None, 0, 16, DEFAULT_WARMUP).unwrap();
+        let baseline = run_probe(None, 0, 16, DEFAULT_WARMUP, &CancelToken::default()).unwrap();
         let baseline_cpi = baseline.m.cycles as f64 / baseline.m.instructions() as f64;
         let records = targets
             .iter()
             .map(|t| {
-                let p = run_probe(Some(t), 4, 16, DEFAULT_WARMUP).unwrap();
+                let p = run_probe(Some(t), 4, 16, DEFAULT_WARMUP, &CancelToken::default()).unwrap();
                 attribute(t, &p, &baseline)
             })
             .collect();

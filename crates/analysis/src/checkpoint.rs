@@ -13,9 +13,10 @@
 //! so the parsed series equals the journaled one. The measurement, by
 //! contrast, feeds the analysis/validation pipeline and is stored in full.
 
-use upc_monitor::{ControlStoreMap, Histogram, MicroPc, Plane};
+use upc_monitor::{Histogram, MicroPc, Plane};
 use vax780::{Measurement, TimeSeries};
 use vax_arch::Opcode;
+use vax_cpu::ControlStore;
 
 use crate::export::{counters_json, timeseries_from_json, timeseries_json};
 use crate::json::Json;
@@ -71,13 +72,14 @@ pub fn cell_to_json(cell: &CheckpointCell) -> Json {
     ])
 }
 
-/// Parse a cell checkpoint journaled by a run that reduces against `map`.
-/// Any structural defect is an error, and the caller treats an unreadable
-/// checkpoint as "cell not done" and re-runs it. Defects include a wrong
-/// version, a missing field, an out-of-range index, a histogram µPC outside
-/// `map`, a `(µPC, plane)` pair listed twice, and bucket counts that do not
-/// sum to the cell's `cycles` (the first conservation invariant).
-pub fn cell_from_json(j: &Json, map: &ControlStoreMap) -> Result<CheckpointCell, String> {
+/// Parse a cell checkpoint. Any structural defect is an error, and the
+/// caller treats an unreadable checkpoint as "cell not done" and re-runs
+/// it. Defects include a wrong version, a missing field, an out-of-range
+/// index, a histogram µPC outside the control store
+/// ([`ControlStore::get`]), a `(µPC, plane)` pair listed twice, and bucket
+/// counts that do not sum to the cell's `cycles` (the first conservation
+/// invariant).
+pub fn cell_from_json(j: &Json) -> Result<CheckpointCell, String> {
     let int = |j: &Json, key: &str| -> Result<u64, String> {
         j.get(key)
             .and_then(Json::as_i64)
@@ -154,7 +156,7 @@ pub fn cell_from_json(j: &Json, map: &ControlStoreMap) -> Result<CheckpointCell,
     // The board backs exactly the control store, so a µPC past it, which
     // the reduction could not attribute, is refused here rather than
     // panicking the reduction.
-    let locations = map.len();
+    let locations = ControlStore::get().map.len();
     let mut hist = Histogram::new(locations);
     let mut seen = vec![false; 2 * locations];
     let mut total = 0u64;
@@ -221,10 +223,6 @@ mod tests {
     use vax_arch::Reg;
     use vax_asm::{Asm, Operand};
 
-    fn map() -> ControlStoreMap {
-        vax_cpu::ControlStore::new(&vax_cpu::CpuConfig::default()).map
-    }
-
     fn measured_cell() -> CheckpointCell {
         let mut asm = Asm::new(0x200);
         asm.label("entry");
@@ -252,7 +250,7 @@ mod tests {
         let cell = measured_cell();
         let j = cell_to_json(&cell);
         let text = j.to_string_pretty();
-        let back = cell_from_json(&Json::parse(&text).unwrap(), &map()).unwrap();
+        let back = cell_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.workload, 3);
         assert_eq!(back.shard, 1);
         // Full fidelity: the measurement (histogram buckets included) is
@@ -295,7 +293,7 @@ mod tests {
             }
         }
         let text = cell_to_json(&cell).to_string_pretty();
-        let back = cell_from_json(&Json::parse(&text).unwrap(), &map()).unwrap();
+        let back = cell_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.m, cell.m);
         assert_eq!(back.series, cell.series);
     }
@@ -316,13 +314,11 @@ mod tests {
         // Wrong version.
         let j = Json::parse(&good.replacen("\"format_version\": 1", "\"format_version\": 99", 1))
             .unwrap();
-        assert!(cell_from_json(&j, &map())
-            .unwrap_err()
-            .contains("format_version"));
+        assert!(cell_from_json(&j).unwrap_err().contains("format_version"));
         // Truncation is a parse error upstream of the codec.
         assert!(Json::parse(&good[..good.len() / 2]).is_err());
         // Missing field.
         let j = Json::parse(&good.replacen("\"cycles\"", "\"cycle_count\"", 1)).unwrap();
-        assert!(cell_from_json(&j, &map()).unwrap_err().contains("cycles"));
+        assert!(cell_from_json(&j).unwrap_err().contains("cycles"));
     }
 }

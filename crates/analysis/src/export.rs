@@ -301,8 +301,8 @@ mod tests {
     #[test]
     fn artifacts_complete_and_parse() {
         let (sys, m, ts) = measured();
-        let a = Analysis::new(&sys.cpu.cs, &m);
-        let v = validate(&sys.cpu.cs, &m);
+        let a = Analysis::new(sys.cpu.cs, &m);
+        let v = validate(sys.cpu.cs, &m);
         let manifest = RunManifest {
             experiment: "unit".to_string(),
             seed: Some(7),

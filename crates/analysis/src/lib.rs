@@ -24,7 +24,7 @@ pub mod validate;
 pub use analysis::Analysis;
 pub use characterize::{
     attribute, costs_from_json, costs_json, costs_markdown, run_probe, select_grid, CostRecord,
-    CostTable, ProbeRun, SkipRecord,
+    CostTable, ProbeError, ProbeRun, SkipRecord,
 };
 pub use checkpoint::{cell_from_json, cell_to_json, CheckpointCell};
 pub use diffrun::{diff_json, DeltaKind, DiffReport, MetricDelta, Tolerance};

@@ -17,11 +17,11 @@
 //! of [`AddressingMode::ALL`] — and serialized as a regression fixture so
 //! the failing configuration is pinned forever.
 
+use vax780::CancelToken;
 use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_from_key, mode_key, probe_target, ProbeTarget, SCAFFOLD_INSNS};
-use vax_asm::AsmError;
 
-use crate::characterize::{attribute, run_probe, CostTable, ProbeRun};
+use crate::characterize::{attribute, run_probe, CostTable, ProbeError, ProbeRun};
 use crate::json::Json;
 
 /// Tolerance for model-vs-measurement comparisons. A cell's measured
@@ -228,21 +228,23 @@ pub struct Refutation {
 
 /// Minimize a failing probe cell: shrink `reps` toward 1, then walk the
 /// addressing mode toward the front of [`AddressingMode::ALL`], keeping
-/// each reduction only if the cell still fails.
+/// each reduction only if the cell still fails. Every candidate runs as
+/// many iterations as `baseline`, and its machine reads `stop`.
 ///
 /// # Errors
-/// Propagates assembler errors from re-running candidate probes.
+/// Propagates assembler errors from re-running candidate probes, and the
+/// token's cause when it stopped one.
 pub fn minimize(
     target: &ProbeTarget,
     reps: u32,
-    iters: u64,
     warmup: u64,
     baseline: &ProbeRun,
     model: Option<(&CostTable, RefuteTolerance)>,
     initial_failures: Vec<RefuteCheck>,
-) -> Result<Refutation, AsmError> {
-    let fails = |t: &ProbeTarget, r: u32| -> Result<Vec<RefuteCheck>, AsmError> {
-        let run = run_probe(Some(t), r, iters, warmup)?;
+    stop: &CancelToken,
+) -> Result<Refutation, ProbeError> {
+    let fails = |t: &ProbeTarget, r: u32| -> Result<Vec<RefuteCheck>, ProbeError> {
+        let run = run_probe(Some(t), r, baseline.iters, warmup, stop)?;
         Ok(check_cell(t, &run, baseline, model))
     };
 
@@ -281,7 +283,7 @@ pub fn minimize(
         mode: best_target.mode,
         operand: best_target.operand,
         reps: best_reps,
-        iters,
+        iters: baseline.iters,
         warmup,
         found_at: (target.mode, reps),
         failures: best_failures,
@@ -356,14 +358,14 @@ mod tests {
 
     #[test]
     fn clean_cells_produce_no_failures() {
-        let baseline = run_probe(None, 0, ITERS, WARMUP).unwrap();
+        let baseline = run_probe(None, 0, ITERS, WARMUP, &CancelToken::default()).unwrap();
         for (op, mode) in [
             (Opcode::Movl, AddressingMode::Register),
             (Opcode::Addl2, AddressingMode::RegisterDeferred),
             (Opcode::Clrl, AddressingMode::Autoincrement),
         ] {
             let t = probe_target(op, mode).unwrap();
-            let run = run_probe(Some(&t), 4, ITERS, WARMUP).unwrap();
+            let run = run_probe(Some(&t), 4, ITERS, WARMUP, &CancelToken::default()).unwrap();
             let failures = check_cell(&t, &run, &baseline, None);
             assert!(
                 failures.is_empty(),
@@ -377,9 +379,9 @@ mod tests {
 
     #[test]
     fn model_mutation_is_caught_and_minimized() {
-        let baseline = run_probe(None, 0, ITERS, WARMUP).unwrap();
+        let baseline = run_probe(None, 0, ITERS, WARMUP, &CancelToken::default()).unwrap();
         let t = probe_target(Opcode::Movl, AddressingMode::RegisterDeferred).unwrap();
-        let run = run_probe(Some(&t), 4, ITERS, WARMUP).unwrap();
+        let run = run_probe(Some(&t), 4, ITERS, WARMUP, &CancelToken::default()).unwrap();
 
         // An accurate model passes…
         let rec = attribute(&t, &run, &baseline);
@@ -403,11 +405,11 @@ mod tests {
         let r = minimize(
             &t,
             4,
-            ITERS,
             WARMUP,
             &baseline,
             Some((&table, tol)),
             failures,
+            &CancelToken::default(),
         )
         .unwrap();
         // The mutated record is mode-specific, so minimization keeps the
@@ -420,6 +422,22 @@ mod tests {
         let fixture = refutation_json(&r);
         let (op, mode, reps) = refutation_from_json(&fixture).unwrap();
         assert_eq!((op, mode, reps), (r.opcode, r.mode, r.reps));
+    }
+
+    #[test]
+    fn a_fired_token_stops_minimization() {
+        // Candidates run as many iterations as the baseline: here the
+        // most a spec accepts, so only the token can end them.
+        let mut baseline = run_probe(None, 0, ITERS, WARMUP, &CancelToken::default()).unwrap();
+        baseline.iters = (1 << 53) - 1;
+        let t = probe_target(Opcode::Movl, AddressingMode::RegisterDeferred).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = minimize(&t, 4, WARMUP, &baseline, None, Vec::new(), &token);
+        assert_eq!(
+            stopped.unwrap_err(),
+            ProbeError::Canceled(vax780::CancelKind::Canceled)
+        );
     }
 
     #[test]

@@ -794,7 +794,7 @@ mod tests {
         b.add_process(ProcessSpec::new(asm.assemble().unwrap(), "entry"));
         let mut sys = b.build();
         let m = sys.measure(500, 5_000);
-        Analysis::new(&sys.cpu.cs, &m)
+        Analysis::new(sys.cpu.cs, &m)
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
     fn clean_on_real_run() {
         let mut sys = spin_system();
         let m = sys.measure(1_000, 30_000);
-        let report = validate(&sys.cpu.cs, &m);
+        let report = validate(sys.cpu.cs, &m);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.checks.len(), 8);
     }
@@ -215,7 +215,7 @@ mod tests {
         let mut sys = spin_system();
         let mut m = sys.measure(500, 5_000);
         m.cpu_stats.instructions += 1;
-        let report = validate(&sys.cpu.cs, &m);
+        let report = validate(sys.cpu.cs, &m);
         assert!(!report.is_clean());
         let names: Vec<&str> = report.divergences().iter().map(|c| c.name).collect();
         assert!(names.contains(&"IRD decode entries"), "{names:?}");

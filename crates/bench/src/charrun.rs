@@ -8,9 +8,11 @@
 //! board), so memory stays flat across a ~2000-cell grid. Results
 //! land in input-indexed slots and are reduced in grid order, so
 //! `costs.json` is byte-identical at any `--jobs` count, exactly like the
-//! composite run. A probe cell runs for about a millisecond, so its machine
-//! is not armed with the job's cancel token: a cancel or a deadline lands
-//! when the pool next claims a cell.
+//! composite run. Every probe machine — the baseline, each cell, each
+//! minimization candidate — is armed with the job's cancel token, as a
+//! run cell is, so a cancel or a deadline lands within 2,048 steps however
+//! many iterations the spec asks for: a stopped cell leaves its slot
+//! empty, and a stopped baseline or minimization ends the job canceled.
 //!
 //! Observability mirrors `runner::run_grid`: a `run` span on the main
 //! track with `baseline` under it, one `probe` (+`attribute`/`refute`)
@@ -20,9 +22,9 @@
 
 use std::path::PathBuf;
 
-use vax780::CancelKind;
+use vax780::{CancelKind, Stop};
 use vax_analysis::characterize::{
-    attribute, costs_from_json, run_probe, select_grid, CostRecord, CostTable, ProbeRun,
+    attribute, costs_from_json, run_probe, select_grid, CostRecord, CostTable, ProbeError, ProbeRun,
 };
 use vax_analysis::refute::{check_cell, minimize, refutation_json, Refutation, RefuteTolerance};
 use vax_arch::{AddressingMode, Opcode};
@@ -31,7 +33,7 @@ use vax_trace::{worker_tid, Tracer, MAIN_TID};
 
 use crate::cli::CharacterizeOptions;
 use crate::fsio::write_atomic;
-use crate::pool::run_supervised;
+use crate::pool::{record_cancel, run_supervised};
 use crate::progress::Progress;
 
 /// Everything `reproduce characterize` produces.
@@ -118,25 +120,40 @@ pub fn render_grid_list(opts: &CharacterizeOptions) -> String {
     out
 }
 
-/// Measure the shared baseline scaffold under its own span on the main
-/// track.
-fn run_baseline(opts: &CharacterizeOptions, tracer: &Tracer) -> ProbeRun {
-    let _g = tracer.span(MAIN_TID, "baseline", vec![]);
-    let b = run_probe(None, 0, opts.spec.probe.iters, opts.spec.probe.warmup)
-        .expect("baseline scaffold must always assemble");
-    tracer.count(MAIN_TID, "instructions", b.m.instructions());
-    tracer.count(MAIN_TID, "sim_cycles", b.m.cycles);
-    b
+/// The cause of a probe the job's token stopped: grid probes, the
+/// baseline scaffold and minimization candidates always assemble.
+fn canceled_by(e: ProbeError) -> CancelKind {
+    match e {
+        ProbeError::Canceled(kind) => kind,
+        ProbeError::Asm(e) => panic!("grid probes always assemble: {e:?}"),
+    }
 }
 
-/// Run one probe cell on a worker track and return its run.
+/// Measure the shared baseline scaffold under its own span on the main
+/// track. A stop by the job's token ends the job canceled: it is recorded
+/// here, since the pool never runs.
+fn run_baseline(opts: &CharacterizeOptions, tracer: &Tracer) -> Result<ProbeRun, CancelKind> {
+    let _g = tracer.span(MAIN_TID, "baseline", vec![]);
+    let p = &opts.spec.probe;
+    let b = run_probe(None, 0, p.iters, p.warmup, &opts.cancel).map_err(|e| {
+        let kind = canceled_by(e);
+        record_cancel(tracer, kind);
+        kind
+    })?;
+    tracer.count(MAIN_TID, "instructions", b.m.instructions());
+    tracer.count(MAIN_TID, "sim_cycles", b.m.cycles);
+    Ok(b)
+}
+
+/// Run one probe cell on a worker track and return its run, or the stop
+/// the job's token caused.
 fn probe_cell(
     target: &ProbeTarget,
     opts: &CharacterizeOptions,
     tracer: &Tracer,
     tid: u64,
     attempt: u32,
-) -> ProbeRun {
+) -> Result<ProbeRun, Stop> {
     let _g = tracer.span(
         tid,
         "probe",
@@ -147,7 +164,8 @@ fn probe_cell(
         ],
     );
     let p = &opts.spec.probe;
-    run_probe(Some(target), p.reps as u32, p.iters, p.warmup).expect("grid targets always assemble")
+    run_probe(Some(target), p.reps as u32, p.iters, p.warmup, &opts.cancel)
+        .map_err(|e| Stop::Canceled(canceled_by(e)))
 }
 
 /// Record the per-cell counters after a successful measurement (retried
@@ -196,7 +214,26 @@ pub fn run_characterize(
         opts.jobs()
     ));
 
-    let baseline = run_baseline(opts, tracer);
+    let table = |baseline_cpi, baseline_loop_bytes, records| CostTable {
+        reps: opts.spec.probe.reps as u32,
+        iters: opts.spec.probe.iters,
+        warmup: opts.spec.probe.warmup,
+        baseline_cpi,
+        baseline_loop_bytes,
+        records,
+        skips: skips.clone(),
+    };
+    let baseline = match run_baseline(opts, tracer) {
+        Ok(baseline) => baseline,
+        Err(kind) => {
+            progress.info(&format!("characterize {} in the baseline", kind.name()));
+            return CharacterizeOutput {
+                table: table(0.0, 0, Vec::new()),
+                failed_cells: Vec::new(),
+                canceled: Some(kind),
+            };
+        }
+    };
     let baseline_cpi = baseline.m.cycles as f64 / baseline.m.instructions().max(1) as f64;
 
     let outcome = run_supervised(
@@ -208,7 +245,7 @@ pub fn run_characterize(
         &opts.cancel,
         |worker, _i, target: &ProbeTarget, attempt| {
             let tid = worker_tid(worker);
-            let run = probe_cell(target, opts, tracer, tid, attempt);
+            let run = probe_cell(target, opts, tracer, tid, attempt)?;
             let record = {
                 let _g = tracer.span(tid, "attribute", vec![]);
                 attribute(target, &run, &baseline)
@@ -225,7 +262,7 @@ pub fn run_characterize(
     );
 
     if let Some(kind) = outcome.canceled {
-        progress.info(&format!("characterize {} at a cell boundary", kind.name()));
+        progress.info(&format!("characterize {}", kind.name()));
     }
 
     let mut failed_cells = Vec::new();
@@ -249,15 +286,7 @@ pub fn run_characterize(
     drop(run_span);
 
     CharacterizeOutput {
-        table: CostTable {
-            reps: opts.spec.probe.reps as u32,
-            iters: opts.spec.probe.iters,
-            warmup: opts.spec.probe.warmup,
-            baseline_cpi,
-            baseline_loop_bytes: baseline.probe.loop_bytes,
-            records,
-            skips,
-        },
+        table: table(baseline_cpi, baseline.probe.loop_bytes, records),
         failed_cells,
         canceled: outcome.canceled,
     }
@@ -314,7 +343,19 @@ pub fn run_refute(
         }
     ));
 
-    let baseline = run_baseline(opts, tracer);
+    let baseline = match run_baseline(opts, tracer) {
+        Ok(baseline) => baseline,
+        Err(kind) => {
+            progress.info(&format!("refute {} in the baseline", kind.name()));
+            return Ok(RefuteOutput {
+                cells_checked: 0,
+                refuted_cells: Vec::new(),
+                refutations: Vec::new(),
+                failed_cells: Vec::new(),
+                canceled: Some(kind),
+            });
+        }
+    };
 
     let outcome = run_supervised(
         opts.jobs(),
@@ -325,7 +366,7 @@ pub fn run_refute(
         &opts.cancel,
         |worker, _i, target: &ProbeTarget, attempt| {
             let tid = worker_tid(worker);
-            let run = probe_cell(target, opts, tracer, tid, attempt);
+            let run = probe_cell(target, opts, tracer, tid, attempt)?;
             let failures = {
                 let _g = tracer.span(tid, "refute", vec![]);
                 check_cell(target, &run, &baseline, model_ref)
@@ -345,9 +386,9 @@ pub fn run_refute(
         },
     );
 
-    let canceled = outcome.canceled;
+    let mut canceled = outcome.canceled;
     if let Some(kind) = canceled {
-        progress.info(&format!("refute {} at a cell boundary", kind.name()));
+        progress.info(&format!("refute {}", kind.name()));
     }
 
     let mut failed_cells = Vec::new();
@@ -396,7 +437,8 @@ pub fn run_refute(
 
     // A canceled sweep also skips minimization: the shrink search re-runs
     // probes serially and would push a deadline-exceeded job well past
-    // its budget.
+    // its budget. A token that fires while it runs stops it, and the job
+    // ends canceled.
     if canceled.is_some() {
         to_minimize.clear();
     }
@@ -414,13 +456,22 @@ pub fn run_refute(
             minimize(
                 &target,
                 opts.spec.probe.reps as u32,
-                opts.spec.probe.iters,
                 opts.spec.probe.warmup,
                 &baseline,
                 model_ref,
                 failures,
+                &opts.cancel,
             )
-            .expect("minimization candidates always assemble")
+        };
+        let minimized = match minimized {
+            Ok(minimized) => minimized,
+            Err(e) => {
+                let kind = canceled_by(e);
+                record_cancel(tracer, kind);
+                progress.info(&format!("refute {} while minimizing", kind.name()));
+                canceled = Some(kind);
+                break;
+            }
         };
         progress.info(&format!(
             "minimized {} {} (reps {}) from {} (reps {})",

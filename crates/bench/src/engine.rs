@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use vax780::CancelKind;
 use vax_analysis::{tables, Analysis, Profile, RunManifest};
+use vax_cpu::ControlStore;
 use vax_trace::{Tracer, MAIN_TID};
 
 use crate::cache::WarmCaches;
@@ -323,8 +324,8 @@ fn run_characterize(
         };
     }
     let out = charrun::run_characterize(opts, progress, tracer);
-    // The pool's one reading of the token gates the export below and
-    // becomes the outcome's terminal cause.
+    // The token's cause, as the baseline or the pool read it, gates the
+    // export below and becomes the outcome's terminal cause.
     let canceled = out.canceled;
     if let Some(kind) = canceled {
         // A partial sweep is not a cost table; keep runtime.json, skip
@@ -387,9 +388,9 @@ fn run_characterize(
 fn run_refute(opts: &CharacterizeOptions, progress: &Progress, tracer: &Tracer) -> JobOutcome {
     let mut stdout = String::new();
     let result = charrun::run_refute(opts, progress, tracer);
-    // The pool's one reading of the token suppresses the partial verdict
-    // list and becomes the outcome's terminal cause: a deadline that
-    // passes later, while refutations minimize, changes neither.
+    // The token's cause, as the baseline, the pool or a minimization it
+    // stopped read it, suppresses the partial verdict list and becomes the
+    // outcome's terminal cause.
     let canceled = result.as_ref().ok().and_then(|out| out.canceled);
     let code = match result {
         Err(msg) => {
@@ -440,7 +441,7 @@ fn render_and_export(
     // report goes to stdout in text mode and stderr in json mode so the
     // machine-readable stream stays clean.
     if opts.spec.profile {
-        let profile = Profile::new(&out.cs.map, &out.analysis.m.hist);
+        let profile = Profile::new(&ControlStore::get().map, &out.analysis.m.hist);
         let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("."));
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("reproduce: cannot create {}: {e}", dir.display());
@@ -590,7 +591,7 @@ mod tests {
         b.add_process(ProcessSpec::new(asm.assemble().unwrap(), "entry"));
         let mut sys = b.build();
         let m = sys.measure(100, 1_000);
-        let a = Analysis::new(&sys.cpu.cs, &m);
+        let a = Analysis::new(sys.cpu.cs, &m);
 
         let mut tables: Vec<&str> = tables::TABLES.iter().map(|t| t(&a).name).collect();
         let mut named: Vec<&str> = EXPERIMENTS

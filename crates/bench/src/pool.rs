@@ -272,8 +272,7 @@ where
 
     let canceled = cancel.fired();
     if let Some(kind) = canceled {
-        tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
-        tracer.count(MAIN_TID, "jobs_canceled", 1);
+        record_cancel(tracer, kind);
     }
     let mut failures = failures.into_inner().unwrap();
     failures.sort_by_key(|fail| fail.index);
@@ -285,6 +284,13 @@ where
         failures,
         canceled,
     }
+}
+
+/// Mark a job stopped by its token: a `cancel` instant (with its kind)
+/// and the `jobs_canceled` counter on the main track.
+pub(crate) fn record_cancel(tracer: &Tracer, kind: CancelKind) {
+    tracer.instant(MAIN_TID, "cancel", vec![("kind", kind.name().into())]);
+    tracer.count(MAIN_TID, "jobs_canceled", 1);
 }
 
 #[cfg(test)]

@@ -30,7 +30,6 @@
 
 use std::path::{Path, PathBuf};
 
-use upc_monitor::ControlStoreMap;
 use vax_analysis::{cell_from_json, CheckpointCell, Json};
 use vax_workload::Workload;
 
@@ -130,15 +129,13 @@ pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
 
 /// Hand every parseable cell checkpoint of the `Workload::ALL.len() ×
 /// shards` grid to `keep`, one at a time in grid-index order, with its grid
-/// index; the caller holds at most one parsed cell at a time. `map` is the
-/// control store the run reduces against. A missing or corrupt checkpoint
-/// is skipped (the cell will be re-run); a corrupt one is also warned
-/// about, since it means the journal was damaged rather than merely
-/// incomplete.
+/// index; the caller holds at most one parsed cell at a time. A missing or
+/// corrupt checkpoint is skipped (the cell will be re-run); a corrupt one
+/// is also warned about, since it means the journal was damaged rather
+/// than merely incomplete.
 pub fn load_cells(
     out: &Path,
     shards: u64,
-    map: &ControlStoreMap,
     progress: &Progress,
     mut keep: impl FnMut(usize, CheckpointCell),
 ) {
@@ -149,7 +146,7 @@ pub fn load_cells(
                 continue;
             };
             let cell = Json::parse(&text)
-                .and_then(|j| cell_from_json(&j, map))
+                .and_then(|j| cell_from_json(&j))
                 .and_then(|c| {
                     if c.workload == w && c.shard == s {
                         Ok(c)

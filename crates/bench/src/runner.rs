@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use vax780::{CancelKind, FaultPlan, Measurement, TimeSeries};
 use vax_analysis::{validate, Analysis, CheckpointCell, ValidationReport};
-use vax_cpu::{ControlStore, CpuConfig, SharedFlightRecorder};
+use vax_cpu::{ControlStore, SharedFlightRecorder};
 use vax_trace::{worker_tid, Tracer, MAIN_TID};
 use vax_workload::Workload;
 
@@ -55,9 +55,6 @@ use crate::resume::{cell_path, checkpoints_dir, header_json, header_path, load_c
 pub struct RunOutput {
     /// The reduced composite analysis (owns the merged [`vax780::Measurement`]).
     pub analysis: Analysis,
-    /// The control store the reduction was keyed on (all systems share the
-    /// same layout).
-    pub cs: ControlStore,
     /// Composite interval time series, cycle offsets spliced so every
     /// shard of every workload forms one contiguous timeline in
     /// `(workload, shard)` order.
@@ -184,9 +181,8 @@ pub fn run_composite(
     if let Some(out) = &opts.out {
         let _ = std::fs::remove_dir_all(checkpoints_dir(out));
     }
-    let cs = ControlStore::new(&CpuConfig::default());
     let fold = Fold::new(opts.spec.shards as usize);
-    run_grid(opts, progress, cs, fold, tracer, caches)
+    run_grid(opts, progress, fold, tracer, caches)
 }
 
 /// Finish the interrupted run journaled under `opts.out`: fold every
@@ -209,9 +205,8 @@ pub fn resume_composite(
         .out
         .as_deref()
         .expect("resume_composite: opts.out names the run directory");
-    let cs = ControlStore::new(&CpuConfig::default());
     let mut fold = Fold::new(opts.spec.shards as usize);
-    load_cells(dir, opts.spec.shards, &cs.map, progress, |slot, cell| {
+    load_cells(dir, opts.spec.shards, progress, |slot, cell| {
         fold.keep(slot, cell)
     });
     let done = fold.tails.iter().filter(|c| c.is_some()).count();
@@ -220,15 +215,14 @@ pub fn resume_composite(
         dir.display(),
         fold.tails.len()
     ));
-    run_grid(opts, progress, cs, fold, tracer, caches)
+    run_grid(opts, progress, fold, tracer, caches)
 }
 
 /// Shared grid engine: run every cell `fold` does not hold yet, folding
-/// each as it finishes, then reduce against `cs`.
+/// each as it finishes, then reduce against the control store.
 fn run_grid(
     opts: &Options,
     progress: &Progress,
-    cs: ControlStore,
     mut fold: Fold,
     tracer: &Tracer,
     caches: &WarmCaches,
@@ -466,12 +460,13 @@ fn run_grid(
     drop(merge_span);
     drop(run_span);
 
-    let analysis = Analysis::new(&cs, &composite);
+    let cs = ControlStore::get();
+    let analysis = Analysis::new(cs, &composite);
     let conservation_err = analysis.check_conservation().err();
     if let Some(e) = &conservation_err {
         progress.warn(&format!("conservation check failed: {e}"));
     }
-    let validation = validate(&cs, &composite);
+    let validation = validate(cs, &composite);
     if !validation.is_clean() {
         progress.warn(&format!(
             "counter validation diverged:\n{}",
@@ -480,7 +475,6 @@ fn run_grid(
     }
     RunOutput {
         analysis,
-        cs,
         series,
         validation,
         per_workload: per,

@@ -445,6 +445,18 @@ fn deadline_exceeded_is_terminal_and_stops_the_running_cell() {
     assert_eq!(status, 200, "{listing}");
     assert!(listing.contains("status.json"), "{listing}");
 
+    // A probe job whose one cell, like its baseline, would run for days:
+    // the deadline stops the probe machine itself.
+    let spec = r#"{"kind": "characterize", "opcodes": ["MOVL"], "modes": ["register"],
+                   "iters": 9007199254740991, "deadline_secs": 0.05}"#;
+    let (status, body) = http_text(&addr, "POST", "/jobs", Some(spec));
+    assert_eq!(status, 202, "{body}");
+    let final_status = await_terminal(&addr, "j-000002");
+    assert!(
+        final_status.contains("\"deadline_exceeded\""),
+        "{final_status}"
+    );
+
     let (status, _) = http_text(&addr, "POST", "/shutdown", None);
     assert_eq!(status, 202);
     assert!(daemon.child.wait().unwrap().success());

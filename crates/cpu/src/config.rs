@@ -24,9 +24,6 @@ pub struct CpuConfig {
     /// the first execute cycle into the last specifier cycle for SIMPLE and
     /// FIELD instructions.
     pub fusion: bool,
-    /// Overhead compute cycles in the TB-miss service routine (the paper's
-    /// 21.6-cycle average is this, plus PTE reads and their stalls).
-    pub tb_miss_overhead: u32,
     /// Enable the host-side decoded-instruction cache
     /// ([`crate::icache::DecodeCache`]). Fetch/decode is untimed, so this
     /// changes no simulated behaviour — only wall-clock speed. Off is kept
@@ -42,7 +39,6 @@ impl CpuConfig {
         timer_ipl: 22,
         patch_interval: Some(133),
         fusion: true,
-        tb_miss_overhead: 18,
         decode_cache: true,
     };
 }

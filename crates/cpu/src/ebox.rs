@@ -75,8 +75,9 @@ pub struct Cpu {
     /// The attached µPC histogram monitor, backing exactly the locations
     /// the control store allocates.
     pub hist: Histogram,
-    /// The control store layout (reduction key).
-    pub cs: ControlStore,
+    /// The control store layout (reduction key): the process's one
+    /// [`ControlStore::get`].
+    pub cs: &'static ControlStore,
     /// Configuration.
     pub config: CpuConfig,
     /// Internal processor registers.
@@ -106,7 +107,7 @@ impl Cpu {
     /// control store's `cs.map.len()` locations, every µPC the CPU can
     /// record, not the board's full 16 K.
     pub fn new(config: CpuConfig, mem: MemorySystem) -> Cpu {
-        let cs = ControlStore::new(&config);
+        let cs = ControlStore::get();
         Cpu {
             regs: [0; 16],
             psl: Psl::new_kernel(31),
@@ -208,9 +209,7 @@ impl Cpu {
     fn run_tb_miss(&mut self, va: VirtAddr) {
         self.c(self.cs.abort.entry());
         let r = self.cs.tb_miss;
-        for i in 0..self.config.tb_miss_overhead {
-            self.c(r.at(i as u16));
-        }
+        self.c_span(r, 0, self.cs.tb_miss_read_off);
         let fill = self.mem.tb_fill(va, self.cycle).unwrap_or_else(|e| {
             self.fatal(format!(
                 "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",

@@ -8,6 +8,12 @@
 //! routine through the [`ControlStoreMap`], so the monitor's histogram can
 //! be reduced *by address* exactly as the paper's analysts did against the
 //! microcode listings.
+//!
+//! Like the 780's one microcode listing, the layout is a constant: it is
+//! laid out once per process, on first use ([`ControlStore::get`]), and
+//! every machine and every reduction reads that one store.
+
+use std::sync::OnceLock;
 
 use upc_monitor::{Activity, ControlStoreMap, MicroOp, MicroPc, Region};
 use vax_arch::{AddressingMode, Opcode, OpcodeGroup};
@@ -126,7 +132,7 @@ fn spec_ops(mode: AddressingMode, flavor: SpecFlavor) -> Option<&'static [MicroO
 
 /// The specifier microroutine set for one position class (SPEC1 or
 /// SPEC2-6).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecRegions {
     regions: [[Option<Region>; 4]; 16],
     /// The "insufficient bytes" dispatch target for this position class.
@@ -179,8 +185,13 @@ impl SpecRegions {
     }
 }
 
+/// Overhead compute cycles in the TB-miss service routine, before its PTE
+/// read (the paper's 21.6-cycle average is this, plus PTE reads and their
+/// stalls).
+const TB_MISS_OVERHEAD: u16 = 18;
+
 /// The fully laid-out control store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlStore {
     /// The reduction key (shared with the analysis crate).
     pub map: ControlStoreMap,
@@ -196,8 +207,8 @@ pub struct ControlStore {
     pub bdisp: Region,
     /// Execute routine per opcode (indexed by `Opcode as usize`).
     pub exec: Vec<Region>,
-    /// TB-miss service (MemMgmt): `overhead` compute cycles then a PTE-read
-    /// µop at offset `overhead`.
+    /// TB-miss service (MemMgmt): 18 overhead compute cycles, a PTE-read
+    /// µop at offset `tb_miss_read_off`, and one compute cycle.
     pub tb_miss: Region,
     /// Offset of the PTE read within `tb_miss`.
     pub tb_miss_read_off: u16,
@@ -215,8 +226,19 @@ pub struct ControlStore {
 }
 
 impl ControlStore {
-    /// Lay out the control store for a CPU configuration.
-    pub fn new(config: &CpuConfig) -> ControlStore {
+    /// The process's control store, laid out on first use. Every [`Cpu`]
+    /// holds it, so every machine's histogram is keyed on the same µPCs.
+    ///
+    /// [`Cpu`]: crate::Cpu
+    pub fn get() -> &'static ControlStore {
+        static STORE: OnceLock<ControlStore> = OnceLock::new();
+        STORE.get_or_init(|| ControlStore::new(&CpuConfig::VAX_780))
+    }
+
+    /// Lay out a fresh copy of the control store. No field of `config`
+    /// shapes it: machines and reductions read [`ControlStore::get`]
+    /// instead, which lays it out once.
+    pub fn new(_config: &CpuConfig) -> ControlStore {
         use MicroOp::{Compute as C, IbWait, Read as R, Write as W};
         let mut map = ControlStoreMap::new();
 
@@ -240,12 +262,11 @@ impl ControlStore {
             exec.push(map.alloc(&format!("EXEC.{}", info.mnemonic), activity, layout));
         }
 
-        let overhead = config.tb_miss_overhead as usize;
-        let mut tb_ops = vec![C; overhead];
+        let mut tb_ops = vec![C; TB_MISS_OVERHEAD as usize];
         tb_ops.push(R);
         tb_ops.push(C);
         let tb_miss = map.alloc("TBMISS", Activity::MemMgmt, &tb_ops);
-        let tb_miss_read_off = overhead as u16;
+        let tb_miss_read_off = TB_MISS_OVERHEAD;
 
         let unaligned = map.alloc("UNALIGNED", Activity::MemMgmt, &[C, C, R, W]);
 
@@ -292,14 +313,14 @@ mod tests {
 
     #[test]
     fn builds_within_16k() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         assert!(cs.map.len() <= upc_monitor::BOARD_BUCKETS);
         assert!(cs.map.len() > 500, "control store should be substantial");
     }
 
     #[test]
     fn decode_region_shape() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         assert_eq!(cs.map.op(cs.ird.at(0)), MicroOp::Compute);
         assert_eq!(cs.map.op(cs.ird.at(1)), MicroOp::IbWait);
         assert_eq!(cs.map.activity(cs.ird.at(0)), Activity::Decode);
@@ -307,7 +328,7 @@ mod tests {
 
     #[test]
     fn spec_routines_exist() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         let r = cs.spec1.routine(AddressingMode::ByteDisp, SpecFlavor::Read);
         assert_eq!(r.len, 2);
         assert_eq!(cs.map.op(r.at(0)), MicroOp::Compute);
@@ -323,13 +344,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no specifier routine")]
     fn literal_write_impossible() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         let _ = cs.spec1.routine(AddressingMode::Literal, SpecFlavor::Write);
     }
 
     #[test]
     fn exec_regions_cover_all_opcodes() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         assert_eq!(cs.exec.len(), Opcode::COUNT);
         let r = cs.exec_region(Opcode::Movc3);
         assert_eq!(cs.map.activity(r.entry()), Activity::ExecCharacter);
@@ -338,16 +359,15 @@ mod tests {
 
     #[test]
     fn tb_miss_shape() {
-        let config = CpuConfig::default();
-        let cs = ControlStore::new(&config);
+        let cs = ControlStore::get();
         assert_eq!(cs.map.op(cs.tb_miss.at(cs.tb_miss_read_off)), MicroOp::Read);
-        assert_eq!(cs.tb_miss.len as u32, config.tb_miss_overhead + 2);
+        assert_eq!(cs.tb_miss.len, TB_MISS_OVERHEAD + 2);
         assert_eq!(cs.map.activity(cs.tb_miss.entry()), Activity::MemMgmt);
     }
 
     #[test]
     fn interrupt_shape() {
-        let cs = ControlStore::new(&CpuConfig::default());
+        let cs = ControlStore::get();
         assert_eq!(
             cs.map.op(cs.interrupt.at(cs.interrupt_read_off)),
             MicroOp::Read

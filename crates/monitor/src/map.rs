@@ -223,10 +223,15 @@ impl Region {
     pub fn entry(self) -> MicroPc {
         self.base
     }
+
+    /// True when `upc` lies inside the routine.
+    pub fn contains(self, upc: MicroPc) -> bool {
+        (self.base.0..self.base.0 + self.len).contains(&upc.0)
+    }
 }
 
 /// Per-address control-store information.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     /// Index of the owning routine's name in [`ControlStoreMap::routines`].
     routine: u16,
@@ -236,7 +241,7 @@ struct Slot {
 
 /// The control-store map: allocation of µPC space to microroutines and the
 /// classification key for data reduction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlStoreMap {
     slots: Vec<Slot>,
     /// One name per allocated region, shared by all of its addresses.

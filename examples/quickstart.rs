@@ -32,7 +32,7 @@ fn main() {
 
     // The paper's procedure: warm up, clear, measure.
     let m = system.measure(5_000, 100_000);
-    let a = Analysis::new(&system.cpu.cs, &m);
+    let a = Analysis::new(system.cpu.cs, &m);
     a.check_conservation()
         .expect("histogram must conserve cycles");
 

@@ -19,7 +19,7 @@ fn main() {
     for (i, &w) in Workload::ALL.iter().enumerate() {
         let mut system = build_system(w, 4, 42 + i as u64);
         let m = system.measure(20_000, 200_000);
-        let a = Analysis::new(&system.cpu.cs, &m);
+        let a = Analysis::new(system.cpu.cs, &m);
         let g = a.group_percent();
         println!(
             "{:<34} {:>6.2} {:>8.2} {:>8.2} {:>8.2} {:>9.1}",

@@ -13,6 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
+use vax780::CancelToken;
 use vax_arch::{decode, Opcode};
 use vax_asm::{probe_grid, probe_loop};
 use vax_bench::charrun::{run_characterize, run_refute};
@@ -196,7 +197,7 @@ fn refute_catches_and_minimizes_a_seeded_model_error() {
 #[test]
 fn committed_refutation_fixtures_replay_clean() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/refutations");
-    let baseline = vax_analysis::run_probe(None, 0, 16, 2000).unwrap();
+    let baseline = vax_analysis::run_probe(None, 0, 16, 2000, &CancelToken::default()).unwrap();
     let mut replayed = 0usize;
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
@@ -209,7 +210,8 @@ fn committed_refutation_fixtures_replay_clean() {
                 panic!("{}: {e}", path.display());
             });
         let target = vax_asm::probe_target(opcode, mode).unwrap();
-        let probe = vax_analysis::run_probe(Some(&target), reps, 16, 2000).unwrap();
+        let probe = vax_analysis::run_probe(Some(&target), reps, 16, 2000, &CancelToken::default())
+            .unwrap();
         // Replay against the model-free checks only: the fixture's model
         // divergence was the bug it caught; the invariant and structural
         // checks must stay clean forever.

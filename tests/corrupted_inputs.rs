@@ -8,7 +8,6 @@
 
 use std::path::{Path, PathBuf};
 
-use upc_monitor::ControlStoreMap;
 use vax780::{ProcessSpec, SystemBuilder, SystemConfig, TimeSeries};
 use vax_analysis::{
     cell_from_json, cell_to_json, timeseries_from_json, CheckpointCell, Json, Tolerance,
@@ -16,7 +15,7 @@ use vax_analysis::{
 use vax_arch::{Opcode, Reg};
 use vax_asm::{Asm, Operand};
 use vax_bench::diffcmd;
-use vax_cpu::{ControlStore, CpuConfig};
+use vax_cpu::ControlStore;
 
 #[test]
 fn json_parser_rejects_truncated_and_garbage_documents() {
@@ -98,11 +97,6 @@ fn timeseries_json_importer_rejects_wrong_shapes() {
     }
 }
 
-/// The control store every run reduces against.
-fn control_store() -> ControlStoreMap {
-    ControlStore::new(&CpuConfig::default()).map
-}
-
 /// A measured cell as the run journals it.
 fn journaled_cell() -> Json {
     let mut asm = Asm::new(0x200);
@@ -151,18 +145,17 @@ fn edit_histogram(cell: &Json, edit: Edit) -> Json {
 
 #[test]
 fn checkpoint_codec_rejects_structural_damage() {
-    let map = control_store();
     for bad in [
         "{}",
         "{\"format_version\": 1}",
         "{\"format_version\": 2, \"workload\": 0}",
     ] {
         let j = Json::parse(bad).unwrap();
-        assert!(cell_from_json(&j, &map).is_err(), "accepted '{bad}'");
+        assert!(cell_from_json(&j).is_err(), "accepted '{bad}'");
     }
 
     let good = journaled_cell();
-    assert!(cell_from_json(&good, &map).is_ok());
+    assert!(cell_from_json(&good).is_ok());
     // Each edit keeps every other field, and the first four keep the
     // counts' sum equal to the cell's cycles, so each damage is alone.
     let damaged: [(&str, Edit); 6] = [
@@ -171,7 +164,9 @@ fn checkpoint_codec_rejects_structural_damage() {
         // On the board but past the control store: this used to import,
         // then panic the reduction.
         ("outside the", |h| h[0][0] = 10_000),
-        ("outside the", |h| h[0][0] = control_store().len() as i64),
+        ("outside the", |h| {
+            h[0][0] = ControlStore::get().map.len() as i64
+        }),
         // One bucket's count split over two triples for the same pair.
         ("listed twice", |h| {
             let i = h.iter().position(|t| t[2] >= 2).unwrap();
@@ -188,7 +183,7 @@ fn checkpoint_codec_rejects_structural_damage() {
     ];
     for (expect, edit) in damaged {
         let bad = edit_histogram(&good, edit);
-        let err = cell_from_json(&bad, &map).expect_err(expect);
+        let err = cell_from_json(&bad).expect_err(expect);
         assert!(err.contains(expect), "expected '{expect}': {err}");
     }
 }

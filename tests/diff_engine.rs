@@ -23,6 +23,7 @@ use vax_bench::engine::fig1;
 use vax_bench::jobspec::RunSpec;
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner;
+use vax_cpu::ControlStore;
 use vax_trace::Tracer;
 
 fn fixture_dir() -> PathBuf {
@@ -219,7 +220,7 @@ fn committed_fixture_matches_a_fresh_run() {
     {
         std::fs::write(dir.join(name), body).unwrap();
     }
-    let profile = Profile::new(&out.cs.map, &out.analysis.m.hist);
+    let profile = Profile::new(&ControlStore::get().map, &out.analysis.m.hist);
     std::fs::write(dir.join("profile.folded"), profile.folded()).unwrap();
     std::fs::write(
         dir.join("profile.json"),

@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: full-system runs checked end to end.
 
-use vax780::{ProcessSpec, SystemBuilder, SystemConfig};
+use vax780::{Measurement, ProcessSpec, SystemBuilder, SystemConfig};
 use vax_analysis::Analysis;
 use vax_asm::parse;
-use vax_workload::{build_system, generate_process, Workload, WorkloadProfile};
+use vax_asm::probe::probe_loop;
+use vax_cpu::{ControlStore, CpuConfig};
+use vax_workload::{build_system, generate_process, probe_system, Workload, WorkloadProfile};
 
 fn text_system(source: &str) -> vax780::System {
     let image = parse(source, 0x200).expect("assembly failed");
@@ -30,10 +32,27 @@ fn assembled_program_computes_correctly() {
 }
 
 #[test]
+fn every_machine_shares_the_one_control_store() {
+    let workload = build_system(Workload::Commercial, 3, 5);
+    let probe = probe_system(&probe_loop(None, 0).unwrap());
+    assert!(std::ptr::eq(workload.cpu.cs, probe.cpu.cs));
+    assert!(std::ptr::eq(workload.cpu.cs, ControlStore::get()));
+
+    // The shared store is the 780's layout: slot by slot, then region by
+    // region.
+    let (shared, fresh) = (ControlStore::get(), ControlStore::new(&CpuConfig::VAX_780));
+    assert_eq!(shared.map.len(), fresh.map.len());
+    for (a, b) in shared.map.iter().zip(fresh.map.iter()) {
+        assert_eq!(a, b);
+    }
+    assert!(*shared == fresh, "a region differs from a fresh layout");
+}
+
+#[test]
 fn histogram_conserves_every_cycle() {
     let mut sys = build_system(Workload::TimesharingResearch, 3, 11);
     let m = sys.measure(5_000, 60_000);
-    let a = Analysis::new(&sys.cpu.cs, &m);
+    let a = Analysis::new(sys.cpu.cs, &m);
     a.check_conservation().unwrap();
     // Row/column sums equal the grand total.
     let rows: f64 = upc_monitor::Activity::ALL
@@ -86,20 +105,12 @@ fn context_switch_flushes_tb_process_half() {
 fn composite_statistics_land_near_paper_shape() {
     // A short composite: assert loose bands, not exact values — the point
     // is that the shape of the characterization holds even on small runs.
-    let mut composite = None;
-    let mut cs = None;
+    let mut composite = Measurement::default();
     for (i, &w) in Workload::ALL.iter().enumerate() {
         let mut sys = build_system(w, 3, 21 + i as u64);
-        let m = sys.measure(5_000, 60_000);
-        match &mut composite {
-            None => {
-                composite = Some(m);
-                cs = Some(sys.cpu.cs.clone());
-            }
-            Some(c) => c.merge(&m),
-        }
+        composite.merge(&sys.measure(5_000, 60_000));
     }
-    let a = Analysis::new(cs.as_ref().unwrap(), &composite.unwrap());
+    let a = Analysis::new(ControlStore::get(), &composite);
     // CPI in the high single digits to low tens.
     assert!(a.cpi() > 5.0 && a.cpi() < 16.0, "CPI {}", a.cpi());
     // SIMPLE dominates the mix, as in Table 1.
@@ -125,7 +136,7 @@ fn per_workload_profiles_differ_in_character() {
     let cpi_of = |w: Workload, seed| {
         let mut sys = build_system(w, 3, seed);
         let m = sys.measure(5_000, 60_000);
-        let a = Analysis::new(&sys.cpu.cs, &m);
+        let a = Analysis::new(sys.cpu.cs, &m);
         (a.group_percent(), a.cpi())
     };
     let (sci, _) = cpi_of(Workload::SciEng, 31);

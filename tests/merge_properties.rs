@@ -14,12 +14,12 @@
 use rand::prelude::{Rng, SeedableRng, StdRng};
 use upc_monitor::{Histogram, MicroPc, Plane, BOARD_BUCKETS};
 use vax780::{merge_ordered, Measurement, Mergeable};
-use vax_cpu::{ControlStore, CpuConfig, CpuStats};
+use vax_cpu::{ControlStore, CpuStats};
 use vax_mem::MemStats;
 
 /// Locations a CPU's board backs: its control store's.
 fn control_store_locations() -> usize {
-    ControlStore::new(&CpuConfig::default()).map.len()
+    ControlStore::get().map.len()
 }
 
 /// A random board of one of the three backings, with random counts in

@@ -5,29 +5,22 @@
 use upc_monitor::{Activity, CycleClass};
 use vax_analysis::Analysis;
 use vax_arch::{BranchKind, OpcodeGroup};
+use vax_cpu::ControlStore;
 use vax_workload::{build_system, Workload};
 
-fn composite() -> (vax_cpu::ControlStore, vax780::Measurement) {
-    let mut composite = None;
-    let mut cs = None;
+fn composite() -> vax780::Measurement {
+    let mut composite = vax780::Measurement::default();
     for (i, &w) in Workload::ALL.iter().enumerate() {
         let mut sys = build_system(w, 3, 77 + i as u64);
-        let m = sys.measure(8_000, 80_000);
-        match &mut composite {
-            None => {
-                composite = Some(m);
-                cs = Some(sys.cpu.cs.clone());
-            }
-            Some(c) => c.merge(&m),
-        }
+        composite.merge(&sys.measure(8_000, 80_000));
     }
-    (cs.unwrap(), composite.unwrap())
+    composite
 }
 
 #[test]
 fn paper_conclusions_hold() {
-    let (cs, m) = composite();
-    let a = Analysis::new(&cs, &m);
+    let m = composite();
+    let a = Analysis::new(ControlStore::get(), &m);
 
     // "The average VAX instruction ... takes a little more than 10 cycles"
     // — we land in the same regime.
@@ -107,8 +100,8 @@ fn paper_conclusions_hold() {
 
 #[test]
 fn tb_miss_service_near_paper() {
-    let (cs, m) = composite();
-    let a = Analysis::new(&cs, &m);
+    let m = composite();
+    let a = Analysis::new(ControlStore::get(), &m);
     let misses = m.mem_stats.total_tb_misses();
     assert!(misses > 100, "need TB misses to measure service time");
     let service = a.tb_miss_cycles as f64 / misses as f64;

@@ -11,7 +11,8 @@
 //! - exhausted retries quarantine the cell and degrade the run instead of
 //!   aborting it;
 //! - a cancel stops the running cell, which is discarded, and a resume
-//!   re-runs it to the bytes of an uninterrupted run.
+//!   re-runs it to the bytes of an uninterrupted run;
+//! - a cancel stops a probe job however many iterations its cells ask for.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -19,11 +20,11 @@ use std::time::{Duration, Instant};
 use vax780::{CancelKind, CancelToken, FaultClass};
 use vax_analysis::{cell_from_json, Json, RunManifest};
 use vax_bench::cache::WarmCaches;
-use vax_bench::cli::Options;
-use vax_bench::jobspec::RunSpec;
+use vax_bench::charrun::{run_characterize, run_refute};
+use vax_bench::cli::{CharacterizeOptions, Options};
+use vax_bench::jobspec::{ProbeSpec, RefuteSpec, RunSpec};
 use vax_bench::progress::{Progress, Verbosity};
 use vax_bench::runner::{self, RunOutput};
-use vax_cpu::{ControlStore, CpuConfig};
 use vax_trace::Tracer;
 use vax_workload::Workload;
 
@@ -325,11 +326,10 @@ fn a_mid_cell_cancel_resumes_to_the_uninterrupted_bytes() {
     assert_eq!(out.canceled, Some(CancelKind::Canceled));
     let cells = cell_files(&dir.0);
     assert!(cells.len() < Workload::ALL.len(), "{cells:?}");
-    let map = ControlStore::new(&CpuConfig::default()).map;
     for path in &cells {
         let text = std::fs::read_to_string(path).expect("readable checkpoint");
         let json = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        cell_from_json(&json, &map).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        cell_from_json(&json).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 
     let inert = Options {
@@ -349,4 +349,73 @@ fn a_mid_cell_cancel_resumes_to_the_uninterrupted_bytes() {
         ..inert.clone()
     });
     assert_eq!(export(&inert, &resumed), uninterrupted);
+}
+
+/// Run `job` on its own thread with an enabled tracer, fire `token` once
+/// the job is measuring its baseline, and return what the job returned
+/// and its tracer, failing if the job runs on for more than a second
+/// after the cancel. The thread is not scoped: a job that ignores its
+/// token never ends, and the test must fail rather than wait for it.
+fn canceled_in_the_baseline<T: Send + 'static>(
+    token: &CancelToken,
+    job: impl FnOnce(&Tracer) -> T + Send + 'static,
+) -> (T, Tracer) {
+    let tracer = Tracer::enabled();
+    let (done, ended) = std::sync::mpsc::channel();
+    let job_tracer = tracer.clone();
+    std::thread::spawn(move || {
+        let _ = done.send(job(&job_tracer));
+    });
+    wait_until(|| {
+        tracer
+            .worker_states()
+            .iter()
+            .any(|(_, span)| span.as_deref() == Some("baseline"))
+    });
+    token.cancel();
+    let out = ended
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the job ends within a second of its cancel");
+    (out, tracer)
+}
+
+#[test]
+fn a_canceled_probe_job_ends_within_a_second_however_long_its_cell() {
+    // One cell whose loop would run for days: the most iterations a spec
+    // accepts. The baseline scaffold runs as many.
+    let opts = || CharacterizeOptions {
+        spec: RefuteSpec {
+            probe: ProbeSpec {
+                opcodes: vec!["MOVL".into()],
+                modes: vec!["register".into()],
+                iters: (1 << 53) - 1,
+                ..ProbeSpec::default()
+            },
+            ..RefuteSpec::default()
+        },
+        verbosity: Verbosity::Quiet,
+        cancel: CancelToken::new(),
+        ..CharacterizeOptions::default()
+    };
+    let quiet = || Progress::new(Verbosity::Quiet);
+
+    let char_opts = opts();
+    let token = char_opts.cancel.clone();
+    let (out, tracer) = canceled_in_the_baseline(&token, move |tracer| {
+        run_characterize(&char_opts, &quiet(), tracer)
+    });
+    assert_eq!(out.canceled, Some(CancelKind::Canceled));
+    assert!(out.table.records.is_empty());
+    assert!(out.failed_cells.is_empty(), "a stop is not a failure");
+    assert_eq!(tracer.counter_value("jobs_canceled"), 1);
+
+    let refute_opts = opts();
+    let token = refute_opts.cancel.clone();
+    let (out, tracer) = canceled_in_the_baseline(&token, move |tracer| {
+        run_refute(&refute_opts, &quiet(), tracer)
+    });
+    let out = out.expect("no model to read");
+    assert_eq!(out.canceled, Some(CancelKind::Canceled));
+    assert!(out.refuted_cells.is_empty() && out.failed_cells.is_empty());
+    assert_eq!(tracer.counter_value("jobs_canceled"), 1);
 }

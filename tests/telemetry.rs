@@ -135,7 +135,7 @@ fn validation_is_clean_on_a_real_workload() {
         1984,
     );
     let m = sys.measure(2_000, 20_000);
-    let report = validate(&sys.cpu.cs, &m);
+    let report = validate(sys.cpu.cs, &m);
     assert!(report.is_clean(), "{}", report.render());
 }
 
@@ -143,7 +143,7 @@ fn validation_is_clean_on_a_real_workload() {
 fn exported_measurement_roundtrips_and_matches_tables() {
     let mut sys = loop_system();
     let (m, ts) = sys.measure_sampled(1_000, 10_000, 4_000);
-    let a = Analysis::new(&sys.cpu.cs, &m);
+    let a = Analysis::new(sys.cpu.cs, &m);
 
     let mj = vax_analysis::measurement_json(&m);
     let parsed = Json::parse(&mj.to_string_pretty()).unwrap();
