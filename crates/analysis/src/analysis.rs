@@ -1,10 +1,16 @@
-//! The reduction itself.
+//! The reduction itself: the µPC board against the control-store map.
+//!
+//! [`reduce_matrix`] is the one walk of the board (Table 8's activity ×
+//! cycle-class counts), and [`SpecModeCounts::reduce`] reads the specifier
+//! routines' entry counts (Tables 3–4). [`Analysis::new`] builds on both;
+//! the probe pipeline ([`crate::characterize`]) and the conservation
+//! checks ([`crate::validate`]) call them directly.
 
 use upc_monitor::map::classify;
-use upc_monitor::{Activity, ControlStoreMap, CycleClass, MicroPc, Plane};
+use upc_monitor::{Activity, CycleClass, Histogram, MicroPc, Plane};
 use vax780::Measurement;
 use vax_arch::{AddressingMode, OpcodeGroup};
-use vax_cpu::store::SpecFlavor;
+use vax_cpu::store::{SpecFlavor, SpecRegions};
 use vax_cpu::ControlStore;
 
 /// Per-specifier-position mode counts reduced from routine entry points.
@@ -17,10 +23,40 @@ pub struct SpecModeCounts {
 }
 
 impl SpecModeCounts {
+    /// Reduce one specifier position's routine entries (`cs.spec1` or
+    /// `cs.spec26`) from a histogram.
+    pub fn reduce(regions: &SpecRegions, hist: &Histogram) -> SpecModeCounts {
+        let mut out = SpecModeCounts::default();
+        for (slot, &mode) in out.by_mode.iter_mut().zip(AddressingMode::ALL.iter()) {
+            // Sum entry-point counts across flavors; each evaluation
+            // executes its routine's entry exactly once. Entry µops may be
+            // reads or writes, so read both planes' normal counts.
+            *slot = SpecFlavor::ALL
+                .iter()
+                .filter_map(|&flavor| regions.get(mode, flavor))
+                .map(|region| hist.read(region.entry(), Plane::Normal))
+                .sum();
+        }
+        out.indexed = hist.read(regions.index_prefix.entry(), Plane::Normal);
+        out
+    }
+
     /// Total specifier evaluations.
     pub fn total(&self) -> u64 {
         self.by_mode.iter().sum()
     }
+}
+
+/// Reduce a measurement's histogram to activity × cycle-class cycle
+/// counts: Table 8's matrix before it is divided by the instruction count.
+pub fn reduce_matrix(cs: &ControlStore, m: &Measurement) -> [[u64; 6]; 14] {
+    let mut counts = [[0u64; 6]; 14];
+    for (upc, plane, count) in m.hist.nonzero() {
+        let act = cs.map.activity(upc);
+        let class = classify(cs.map.op(upc), plane == Plane::Stalled);
+        counts[act.index()][class.index()] += count;
+    }
+    counts
 }
 
 /// Everything the tables need, reduced from one (possibly composite)
@@ -50,79 +86,21 @@ pub struct Analysis {
 impl Analysis {
     /// Reduce a measurement against the control store that produced it.
     pub fn new(cs: &ControlStore, m: &Measurement) -> Analysis {
-        let map: &ControlStoreMap = &cs.map;
-        let mut matrix_counts = [[0u64; 6]; 14];
-        let mut tb_miss_cycles = 0u64;
-        for (upc, plane, count) in m.hist.nonzero() {
-            let act = map.activity(upc);
-            let op = map.op(upc);
-            let class = classify(op, plane == Plane::Stalled);
-            matrix_counts[act.index()][class.index()] += count;
-            if cs.tb_miss.contains(upc) {
-                tb_miss_cycles += count;
-            }
-        }
-        let instructions = m.cpu_stats.instructions.max(1);
-        let mut matrix = [[0.0; 6]; 14];
-        for (row, counts) in matrix_counts.iter().enumerate() {
-            for (col, &c) in counts.iter().enumerate() {
-                matrix[row][col] = c as f64 / instructions as f64;
-            }
-        }
-
-        let spec1 = Self::spec_counts(cs, m, true);
-        let spec26 = Self::spec_counts(cs, m, false);
-
+        let instructions = m.cpu_stats.instructions.max(1) as f64;
+        let matrix = reduce_matrix(cs, m).map(|row| row.map(|c| c as f64 / instructions));
+        let tb = cs.tb_miss;
+        let tb_miss_cycles = (0..tb.len)
+            .map(|i| m.hist.read(tb.at(i), Plane::Normal) + m.hist.read(tb.at(i), Plane::Stalled))
+            .sum();
         Analysis {
             instructions: m.cpu_stats.instructions,
             cycles: m.cycles,
             matrix,
-            spec1,
-            spec26,
+            spec1: SpecModeCounts::reduce(&cs.spec1, &m.hist),
+            spec26: SpecModeCounts::reduce(&cs.spec26, &m.hist),
             tb_miss_cycles,
             m: m.clone(),
         }
-    }
-
-    fn spec_counts(cs: &ControlStore, m: &Measurement, first: bool) -> SpecModeCounts {
-        let regions = if first { &cs.spec1 } else { &cs.spec26 };
-        let mut out = SpecModeCounts::default();
-        for (mi, &mode) in AddressingMode::ALL.iter().enumerate() {
-            // Sum entry-point counts across flavors; each evaluation
-            // executes its routine's entry exactly once. Entry µops may be
-            // reads or writes, so read both planes' normal counts.
-            let mut total = 0;
-            for flavor in [
-                SpecFlavor::Read,
-                SpecFlavor::Write,
-                SpecFlavor::Modify,
-                SpecFlavor::Address,
-            ] {
-                if let Some(region) = Self::try_routine(regions, mode, flavor) {
-                    total += m.hist.read(region.entry(), Plane::Normal);
-                }
-            }
-            out.by_mode[mi] = total;
-        }
-        out.indexed = m.hist.read(regions.index_prefix.entry(), Plane::Normal);
-        out
-    }
-
-    fn try_routine(
-        regions: &vax_cpu::store::SpecRegions,
-        mode: AddressingMode,
-        flavor: SpecFlavor,
-    ) -> Option<upc_monitor::Region> {
-        // SpecRegions::routine panics on impossible combinations; probe
-        // via catch-free logic by replicating its legality rule.
-        let legal = match (mode, flavor) {
-            (AddressingMode::Literal, SpecFlavor::Read) => true,
-            (AddressingMode::Literal, _) => false,
-            (AddressingMode::Immediate, SpecFlavor::Read) => true,
-            (AddressingMode::Immediate, _) => false,
-            _ => true,
-        };
-        legal.then(|| regions.routine(mode, flavor))
     }
 
     /// Instructions per event (`None` if the event never occurred).

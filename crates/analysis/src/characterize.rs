@@ -18,15 +18,14 @@
 //! is honest, not a bug). Everything else is conserved exactly — the
 //! refutation pass ([`crate::refute`]) leans on that.
 
-use upc_monitor::map::classify;
-use upc_monitor::{Activity, CycleClass, Plane};
+use upc_monitor::{Activity, CycleClass};
 use vax780::{CancelKind, CancelToken, Measurement, Stop};
 use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_from_key, mode_key, probe_grid, probe_loop, ProbeLoop, ProbeTarget};
 use vax_asm::AsmError;
-use vax_cpu::ControlStore;
 use vax_workload::probe_system;
 
+pub use crate::analysis::reduce_matrix;
 use crate::json::Json;
 use crate::validate::{validate, ValidationReport};
 
@@ -83,6 +82,10 @@ impl From<AsmError> for ProbeError {
 /// # Errors
 /// Propagates assembler errors, and returns the token's cause when it
 /// stopped the machine.
+///
+/// # Panics
+/// Panics if `iters` loop periods overflow a `u64` instruction count (a
+/// spec's `iters` bound keeps every probe it accepts well inside it).
 pub fn run_probe(
     target: Option<&ProbeTarget>,
     reps: u32,
@@ -93,7 +96,10 @@ pub fn run_probe(
     let probe = probe_loop(target, reps)?;
     let mut sys = probe_system(&probe);
     sys.set_stop(stop.clone(), None);
-    let m = sys.measure(warmup, iters * u64::from(probe.period));
+    let measured = iters
+        .checked_mul(u64::from(probe.period))
+        .expect("a probe's measured length fits in a u64");
+    let m = sys.measure(warmup, measured);
     if let Some(Stop::Canceled(kind)) = sys.stopped() {
         return Err(ProbeError::Canceled(kind));
     }
@@ -106,19 +112,6 @@ pub fn run_probe(
         matrix,
         validation,
     })
-}
-
-/// Reduce a measurement's histogram to activity × cycle-class counts
-/// (the same reduction [`crate::Analysis`] performs for Table 8).
-pub fn reduce_matrix(cs: &ControlStore, m: &Measurement) -> [[u64; 6]; 14] {
-    let mut counts = [[0u64; 6]; 14];
-    for (upc, plane, count) in m.hist.nonzero() {
-        let act = cs.map.activity(upc);
-        let op = cs.map.op(upc);
-        let class = classify(op, plane == Plane::Stalled);
-        counts[act.index()][class.index()] += count;
-    }
-    counts
 }
 
 /// The attributed marginal cost of one probed instruction.

@@ -7,12 +7,17 @@
 //! `instructions` counter. This module checks every such exactly-conserved
 //! invariant and reports any divergence — a tripwire for bugs where the
 //! simulator updates one instrument but not the other.
+//!
+//! The specifier checks read their entry totals with
+//! [`SpecModeCounts::reduce`], the helper [`crate::Analysis`] reduces
+//! Tables 3–4 with, so a validation neither clones the measurement nor
+//! reduces the Table 8 matrix.
 
 use upc_monitor::Plane;
 use vax780::Measurement;
 use vax_cpu::ControlStore;
 
-use crate::analysis::Analysis;
+use crate::analysis::SpecModeCounts;
 use crate::json::Json;
 
 /// One conservation invariant: two independent counts of the same events.
@@ -97,7 +102,6 @@ impl ValidationReport {
 /// Run every conservation check of `m` against the control store that
 /// produced it.
 pub fn validate(cs: &ControlStore, m: &Measurement) -> ValidationReport {
-    let a = Analysis::new(cs, m);
     let hist = &m.hist;
     let entry = |region: upc_monitor::Region| hist.read(region.entry(), Plane::Normal);
 
@@ -125,13 +129,13 @@ pub fn validate(cs: &ControlStore, m: &Measurement) -> ValidationReport {
             name: "first-specifier routine entries",
             expected_source: "CpuStats spec1_count + quad repeats",
             expected: m.cpu_stats.spec1_count + m.cpu_stats.spec1_quad_repeats,
-            actual: a.spec1.total(),
+            actual: SpecModeCounts::reduce(&cs.spec1, hist).total(),
         },
         ValidationCheck {
             name: "specifier-2-6 routine entries",
             expected_source: "CpuStats spec26_count + quad repeats",
             expected: m.cpu_stats.spec26_count + m.cpu_stats.spec26_quad_repeats,
-            actual: a.spec26.total(),
+            actual: SpecModeCounts::reduce(&cs.spec26, hist).total(),
         },
         // The stalled plane counts exactly the memory system's stall
         // cycles (IB-wait cycles live on the normal plane).

@@ -62,7 +62,7 @@ fn main() {
     let code = match cmd {
         Command::Diff(d) => run_diff(&d),
         Command::Run(opts) => run_engine(JobRequest::Run(opts)),
-        Command::Resume(r) => match vax_bench::resume::options_from_header(&r) {
+        Command::Resume(r) => match vax_bench::resume::options_from_header(r) {
             Ok(opts) => run_engine(JobRequest::Resume(opts)),
             Err(e) => {
                 eprintln!("reproduce resume: {e}");

@@ -1,39 +1,41 @@
 //! `reproduce characterize` / `reproduce refute`: run the directed-probe
 //! grid on the shard pool.
 //!
-//! The grid is one job per probeable opcode × addressing-mode cell. The
-//! baseline scaffold is measured **once, on the main thread** before the
-//! fan-out — every cell's attribution subtracts the same baseline, and a
-//! worker sends back only the compact [`CostRecord`] (never the histogram
-//! board), so memory stays flat across a ~2000-cell grid. Results
-//! land in input-indexed slots and are reduced in grid order, so
-//! `costs.json` is byte-identical at any `--jobs` count, exactly like the
-//! composite run. Every probe machine — the baseline, each cell, each
-//! minimization candidate — is armed with the job's cancel token, as a
-//! run cell is, so a cancel or a deadline lands within 2,048 steps however
-//! many iterations the spec asks for: a stopped cell leaves its slot
-//! empty, and a stopped baseline or minimization ends the job canceled.
+//! Both commands are one probe sweep and a fold over its slots. The sweep
+//! runs one job per probeable opcode × addressing-mode cell, after
+//! measuring the baseline scaffold **once, on the main thread**: every
+//! cell subtracts the same baseline. A worker runs the command's per-cell
+//! step (attribution, or the cross-checks) and sends back only its
+//! output, never the histogram board, so memory stays flat across a
+//! ~2000-cell grid. Results land in input-indexed slots and are folded in
+//! grid order, so `costs.json` is byte-identical at any `--jobs` count.
+//! Every probe machine — the baseline, each cell, each minimization
+//! candidate — is armed with the job's cancel token, so a cancel or a
+//! deadline lands within 2,048 steps however many iterations the spec
+//! asks for: a stopped cell leaves its slot empty, and a stopped baseline
+//! or minimization ends the job canceled.
 //!
 //! Observability mirrors `runner::run_grid`: a `run` span on the main
 //! track with `baseline` under it, one `probe` (+`attribute`/`refute`)
 //! span per cell on the worker tracks, `minimize` spans on the main track
-//! for the shrink search, and the heartbeat counters (`cells_total`,
-//! `cells_done`, `instructions`) the `--progress` feed reads.
+//! for the shrink search (refute's `run` span closes after them), and the
+//! heartbeat counters (`cells_total`, `cells_done`, `instructions`) the
+//! `--progress` feed reads.
 
 use std::path::PathBuf;
 
 use vax780::{CancelKind, Stop};
 use vax_analysis::characterize::{
-    attribute, costs_from_json, run_probe, select_grid, CostRecord, CostTable, ProbeError, ProbeRun,
+    attribute, costs_from_json, run_probe, select_grid, CostTable, ProbeError, ProbeRun, SkipRecord,
 };
 use vax_analysis::refute::{check_cell, minimize, refutation_json, Refutation, RefuteTolerance};
 use vax_arch::{AddressingMode, Opcode};
 use vax_asm::probe::{mode_key, probe_grid, ProbeTarget};
-use vax_trace::{worker_tid, Tracer, MAIN_TID};
+use vax_trace::{worker_tid, SpanGuard, Tracer, MAIN_TID};
 
 use crate::cli::CharacterizeOptions;
 use crate::fsio::write_atomic;
-use crate::pool::{record_cancel, run_supervised};
+use crate::pool::{record_cancel, run_supervised, PoolOutcome};
 use crate::progress::Progress;
 
 /// Everything `reproduce characterize` produces.
@@ -51,7 +53,8 @@ pub struct CharacterizeOutput {
 /// Everything `reproduce refute` produces.
 #[derive(Debug)]
 pub struct RefuteOutput {
-    /// Probeable cells checked.
+    /// Probeable cells in the swept grid: every one was checked unless
+    /// `canceled` is set.
     pub cells_checked: usize,
     /// Cells with at least one failing cross-check, as
     /// `(mnemonic, mode key, failing check names)`, grid order.
@@ -129,141 +132,118 @@ fn canceled_by(e: ProbeError) -> CancelKind {
     }
 }
 
-/// Measure the shared baseline scaffold under its own span on the main
-/// track. A stop by the job's token ends the job canceled: it is recorded
-/// here, since the pool never runs.
-fn run_baseline(opts: &CharacterizeOptions, tracer: &Tracer) -> Result<ProbeRun, CancelKind> {
-    let _g = tracer.span(MAIN_TID, "baseline", vec![]);
-    let p = &opts.spec.probe;
-    let b = run_probe(None, 0, p.iters, p.warmup, &opts.cancel).map_err(|e| {
-        let kind = canceled_by(e);
-        record_cancel(tracer, kind);
-        kind
-    })?;
-    tracer.count(MAIN_TID, "instructions", b.m.instructions());
-    tracer.count(MAIN_TID, "sim_cycles", b.m.cycles);
-    Ok(b)
+/// One sweep of the probe grid: what `characterize` and `refute` fold.
+struct Sweep<O> {
+    /// The probeable cells the filters selected, grid order.
+    targets: Vec<ProbeTarget>,
+    /// The selected cells that cannot be probed, grid order.
+    skips: Vec<SkipRecord>,
+    /// The shared baseline scaffold's run, or `None` when the job's token
+    /// stopped it (the pool then never ran, and `canceled` is set).
+    baseline: Option<ProbeRun>,
+    /// `slots[i]` holds the step's output for `targets[i]`, or `None` if
+    /// the cell was quarantined or left unrun by a cancel.
+    slots: Vec<Option<O>>,
+    /// Cells whose probe exhausted its retries, as `(mnemonic, mode key)`.
+    failed_cells: Vec<(String, String)>,
+    /// The token's cause, as the baseline or the pool read it.
+    canceled: Option<CancelKind>,
+    /// The open `run` span: it closes when the sweep is dropped.
+    run: SpanGuard,
 }
 
-/// Run one probe cell on a worker track and return its run, or the stop
-/// the job's token caused.
-fn probe_cell(
-    target: &ProbeTarget,
+/// Sweep the probe grid `opts` selects under a `run` span naming
+/// `experiment`: announce it with `start_line(cells, skipped)`, measure
+/// the baseline scaffold once, on the main track, then probe every cell
+/// on the supervised pool and hand each run, with the baseline, to
+/// `step(tid, target, run, baseline)` on its worker track. Every probe
+/// machine reads the job's token: a stopped baseline ends the sweep
+/// before the fan-out, and a stopped cell leaves its slot empty.
+fn sweep<O: Send>(
     opts: &CharacterizeOptions,
-    tracer: &Tracer,
-    tid: u64,
-    attempt: u32,
-) -> Result<ProbeRun, Stop> {
-    let _g = tracer.span(
-        tid,
-        "probe",
-        vec![
-            ("opcode", target.opcode.mnemonic().into()),
-            ("mode", mode_key(target.mode).into()),
-            ("attempt", attempt.into()),
-        ],
-    );
-    let p = &opts.spec.probe;
-    run_probe(Some(target), p.reps as u32, p.iters, p.warmup, &opts.cancel)
-        .map_err(|e| Stop::Canceled(canceled_by(e)))
-}
-
-/// Record the per-cell counters after a successful measurement (retried
-/// attempts therefore never double-count, as in the composite run).
-fn count_cell(tracer: &Tracer, tid: u64, run: &ProbeRun) {
-    if tracer.is_enabled() {
-        tracer.count(tid, "instructions", run.m.instructions());
-        tracer.count(tid, "sim_cycles", run.m.cycles);
-        tracer.count(tid, "probes_done", 1);
-    }
-    tracer.count(tid, "cells_done", 1);
-}
-
-/// Run the characterization grid described by `opts`.
-///
-/// # Panics
-/// Panics if `opts.jobs() == 0` (the CLI rejects it up front). A worker
-/// panic is retried and, on exhaustion, quarantined into
-/// [`CharacterizeOutput::failed_cells`].
-pub fn run_characterize(
-    opts: &CharacterizeOptions,
+    experiment: &str,
     progress: &Progress,
     tracer: &Tracer,
-) -> CharacterizeOutput {
+    start_line: impl FnOnce(usize, usize) -> String,
+    step: impl Fn(u64, &ProbeTarget, &ProbeRun, &ProbeRun) -> O + Sync,
+) -> Sweep<O> {
     let (opcodes, modes) = filters(opts);
     let (targets, skips) = select_grid(&opcodes, &modes);
+    let p = &opts.spec.probe;
     tracer.set_thread_name(MAIN_TID, "main");
-    let run_span = tracer.span(
+    let run = tracer.span(
         MAIN_TID,
         "run",
         vec![
-            ("experiment", "characterize".into()),
+            ("experiment", experiment.into()),
             ("cells", (targets.len() as u64).into()),
-            ("reps", opts.spec.probe.reps.into()),
-            ("iters", opts.spec.probe.iters.into()),
+            ("reps", p.reps.into()),
+            ("iters", p.iters.into()),
             ("jobs", (opts.jobs() as u64).into()),
         ],
     );
     tracer.counter_set("cells_total", targets.len() as u64);
-    progress.info(&format!(
-        "characterizing {} cell(s) ({} skipped) x {} rep(s) x {} iteration(s), {} job(s) ...",
-        targets.len(),
-        skips.len(),
-        opts.spec.probe.reps,
-        opts.spec.probe.iters,
-        opts.jobs()
-    ));
+    progress.info(&start_line(targets.len(), skips.len()));
 
-    let table = |baseline_cpi, baseline_loop_bytes, records| CostTable {
-        reps: opts.spec.probe.reps as u32,
-        iters: opts.spec.probe.iters,
-        warmup: opts.spec.probe.warmup,
-        baseline_cpi,
-        baseline_loop_bytes,
-        records,
-        skips: skips.clone(),
+    let baseline = {
+        let _g = tracer.span(MAIN_TID, "baseline", vec![]);
+        run_probe(None, 0, p.iters, p.warmup, &opts.cancel).map_err(canceled_by)
     };
-    let baseline = match run_baseline(opts, tracer) {
-        Ok(baseline) => baseline,
-        Err(kind) => {
-            progress.info(&format!("characterize {} in the baseline", kind.name()));
-            return CharacterizeOutput {
-                table: table(0.0, 0, Vec::new()),
-                failed_cells: Vec::new(),
-                canceled: Some(kind),
+    let outcome = match &baseline {
+        Ok(baseline) => {
+            tracer.count(MAIN_TID, "instructions", baseline.m.instructions());
+            tracer.count(MAIN_TID, "sim_cycles", baseline.m.cycles);
+            let cell = |worker, _i, target: &ProbeTarget, attempt: u32| {
+                let tid = worker_tid(worker);
+                let run = {
+                    let _g = tracer.span(
+                        tid,
+                        "probe",
+                        vec![
+                            ("opcode", target.opcode.mnemonic().into()),
+                            ("mode", mode_key(target.mode).into()),
+                            ("attempt", attempt.into()),
+                        ],
+                    );
+                    run_probe(Some(target), p.reps as u32, p.iters, p.warmup, &opts.cancel)
+                        .map_err(|e| Stop::Canceled(canceled_by(e)))?
+                };
+                let out = step(tid, target, &run, baseline);
+                // Counted after a successful measurement, so retried
+                // attempts never double-count, as in the composite run.
+                if tracer.is_enabled() {
+                    tracer.count(tid, "instructions", run.m.instructions());
+                    tracer.count(tid, "sim_cycles", run.m.cycles);
+                    tracer.count(tid, "probes_done", 1);
+                }
+                tracer.count(tid, "cells_done", 1);
+                Ok(out)
             };
+            let outcome = run_supervised(
+                opts.jobs(),
+                &targets,
+                opts.retries(),
+                tracer,
+                run.id(),
+                &opts.cancel,
+                cell,
+            );
+            if let Some(kind) = outcome.canceled {
+                progress.info(&format!("{experiment} {}", kind.name()));
+            }
+            outcome
+        }
+        // The pool never runs, so the baseline's stop is recorded here.
+        Err(kind) => {
+            record_cancel(tracer, *kind);
+            progress.info(&format!("{experiment} {} in the baseline", kind.name()));
+            PoolOutcome {
+                slots: Vec::new(),
+                failures: Vec::new(),
+                canceled: Some(*kind),
+            }
         }
     };
-    let baseline_cpi = baseline.m.cycles as f64 / baseline.m.instructions().max(1) as f64;
-
-    let outcome = run_supervised(
-        opts.jobs(),
-        &targets,
-        opts.retries(),
-        tracer,
-        run_span.id(),
-        &opts.cancel,
-        |worker, _i, target: &ProbeTarget, attempt| {
-            let tid = worker_tid(worker);
-            let run = probe_cell(target, opts, tracer, tid, attempt)?;
-            let record = {
-                let _g = tracer.span(tid, "attribute", vec![]);
-                attribute(target, &run, &baseline)
-            };
-            count_cell(tracer, tid, &run);
-            progress.debug(&format!(
-                "  {} {}: {:.2} cycles",
-                target.opcode.mnemonic(),
-                mode_key(target.mode),
-                record.cycles
-            ));
-            Ok(record)
-        },
-    );
-
-    if let Some(kind) = outcome.canceled {
-        progress.info(&format!("characterize {}", kind.name()));
-    }
 
     let mut failed_cells = Vec::new();
     for f in &outcome.failures {
@@ -280,15 +260,76 @@ pub fn run_characterize(
             mode_key(t.mode).to_string(),
         ));
     }
-    // Grid-order reduction: slots are input-indexed, so the table never
-    // depends on worker completion order.
-    let records: Vec<CostRecord> = outcome.slots.into_iter().flatten().collect();
-    drop(run_span);
-
-    CharacterizeOutput {
-        table: table(baseline_cpi, baseline.probe.loop_bytes, records),
+    Sweep {
+        targets,
+        skips,
+        baseline: baseline.ok(),
+        slots: outcome.slots,
         failed_cells,
         canceled: outcome.canceled,
+        run,
+    }
+}
+
+/// Run the characterization grid described by `opts`.
+///
+/// # Panics
+/// Panics if `opts.jobs() == 0` (the CLI rejects it up front). A worker
+/// panic is retried and, on exhaustion, quarantined into
+/// [`CharacterizeOutput::failed_cells`].
+pub fn run_characterize(
+    opts: &CharacterizeOptions,
+    progress: &Progress,
+    tracer: &Tracer,
+) -> CharacterizeOutput {
+    let p = &opts.spec.probe;
+    let start_line = |cells, skipped| {
+        format!(
+            "characterizing {cells} cell(s) ({skipped} skipped) x {} rep(s) x {} iteration(s), \
+             {} job(s) ...",
+            p.reps,
+            p.iters,
+            opts.jobs()
+        )
+    };
+    let sweep = sweep(
+        opts,
+        "characterize",
+        progress,
+        tracer,
+        start_line,
+        |tid, target, run, baseline| {
+            let record = {
+                let _g = tracer.span(tid, "attribute", vec![]);
+                attribute(target, run, baseline)
+            };
+            progress.debug(&format!(
+                "  {} {}: {:.2} cycles",
+                target.opcode.mnemonic(),
+                mode_key(target.mode),
+                record.cycles
+            ));
+            record
+        },
+    );
+    let (baseline_cpi, baseline_loop_bytes) = sweep.baseline.as_ref().map_or((0.0, 0), |b| {
+        let cpi = b.m.cycles as f64 / b.m.instructions().max(1) as f64;
+        (cpi, b.probe.loop_bytes)
+    });
+    CharacterizeOutput {
+        table: CostTable {
+            reps: p.reps as u32,
+            iters: p.iters,
+            warmup: p.warmup,
+            baseline_cpi,
+            baseline_loop_bytes,
+            // Grid-order reduction: slots are input-indexed, so the table
+            // never depends on worker completion order.
+            records: sweep.slots.into_iter().flatten().collect(),
+            skips: sweep.skips,
+        },
+        failed_cells: sweep.failed_cells,
+        canceled: sweep.canceled,
     }
 }
 
@@ -315,63 +356,31 @@ pub fn run_refute(
     };
     let model_ref = model.as_ref().map(|t| (t, tol));
 
-    let (opcodes, modes) = filters(opts);
-    let (targets, _skips) = select_grid(&opcodes, &modes);
-    tracer.set_thread_name(MAIN_TID, "main");
-    let run_span = tracer.span(
-        MAIN_TID,
-        "run",
-        vec![
-            ("experiment", "refute".into()),
-            ("cells", (targets.len() as u64).into()),
-            ("reps", opts.spec.probe.reps.into()),
-            ("iters", opts.spec.probe.iters.into()),
-            ("jobs", (opts.jobs() as u64).into()),
-        ],
-    );
-    tracer.counter_set("cells_total", targets.len() as u64);
-    progress.info(&format!(
-        "refuting over {} cell(s) x {} rep(s) x {} iteration(s), {} job(s){} ...",
-        targets.len(),
-        opts.spec.probe.reps,
-        opts.spec.probe.iters,
-        opts.jobs(),
-        if model.is_some() {
-            " against cost model"
-        } else {
-            ""
-        }
-    ));
-
-    let baseline = match run_baseline(opts, tracer) {
-        Ok(baseline) => baseline,
-        Err(kind) => {
-            progress.info(&format!("refute {} in the baseline", kind.name()));
-            return Ok(RefuteOutput {
-                cells_checked: 0,
-                refuted_cells: Vec::new(),
-                refutations: Vec::new(),
-                failed_cells: Vec::new(),
-                canceled: Some(kind),
-            });
-        }
+    let p = &opts.spec.probe;
+    let start_line = |cells, _skipped| {
+        format!(
+            "refuting over {cells} cell(s) x {} rep(s) x {} iteration(s), {} job(s){} ...",
+            p.reps,
+            p.iters,
+            opts.jobs(),
+            if model.is_some() {
+                " against cost model"
+            } else {
+                ""
+            }
+        )
     };
-
-    let outcome = run_supervised(
-        opts.jobs(),
-        &targets,
-        opts.retries(),
+    let sweep = sweep(
+        opts,
+        "refute",
+        progress,
         tracer,
-        run_span.id(),
-        &opts.cancel,
-        |worker, _i, target: &ProbeTarget, attempt| {
-            let tid = worker_tid(worker);
-            let run = probe_cell(target, opts, tracer, tid, attempt)?;
+        start_line,
+        |tid, target, run, baseline| {
             let failures = {
                 let _g = tracer.span(tid, "refute", vec![]);
-                check_cell(target, &run, &baseline, model_ref)
+                check_cell(target, run, baseline, model_ref)
             };
-            count_cell(tracer, tid, &run);
             if !failures.is_empty() {
                 tracer.instant(
                     tid,
@@ -382,37 +391,16 @@ pub fn run_refute(
                     ],
                 );
             }
-            Ok(failures)
+            failures
         },
     );
-
-    let mut canceled = outcome.canceled;
-    if let Some(kind) = canceled {
-        progress.info(&format!("refute {}", kind.name()));
-    }
-
-    let mut failed_cells = Vec::new();
-    for f in &outcome.failures {
-        let t = &targets[f.index];
-        progress.warn(&format!(
-            "{} {} quarantined after {} attempt(s): {}",
-            t.opcode.mnemonic(),
-            mode_key(t.mode),
-            f.attempts,
-            f.message
-        ));
-        failed_cells.push((
-            t.opcode.mnemonic().to_string(),
-            mode_key(t.mode).to_string(),
-        ));
-    }
 
     // Grid-order pass over the verdicts: collect every refuted cell, then
     // minimize (serially, on the main track — the shrink search re-runs
     // probes and must stay deterministic) up to the configured cap.
     let mut refuted_cells: Vec<(String, String, Vec<String>)> = Vec::new();
     let mut to_minimize: Vec<(ProbeTarget, Vec<_>)> = Vec::new();
-    for (target, slot) in targets.iter().zip(outcome.slots) {
+    for (target, slot) in sweep.targets.iter().zip(sweep.slots) {
         let Some(failures) = slot else { continue };
         if failures.is_empty() {
             continue;
@@ -439,11 +427,14 @@ pub fn run_refute(
     // probes serially and would push a deadline-exceeded job well past
     // its budget. A token that fires while it runs stops it, and the job
     // ends canceled.
+    let mut canceled = sweep.canceled;
     if canceled.is_some() {
         to_minimize.clear();
     }
     let mut refutations = Vec::new();
     for (target, failures) in to_minimize {
+        let baseline = sweep.baseline.as_ref();
+        let baseline = baseline.expect("an uncanceled sweep measured its baseline");
         let minimized = {
             let _g = tracer.span(
                 MAIN_TID,
@@ -455,9 +446,9 @@ pub fn run_refute(
             );
             minimize(
                 &target,
-                opts.spec.probe.reps as u32,
-                opts.spec.probe.warmup,
-                &baseline,
+                p.reps as u32,
+                p.warmup,
+                baseline,
                 model_ref,
                 failures,
                 &opts.cancel,
@@ -501,13 +492,13 @@ pub fn run_refute(
         });
         refutations.push((minimized, path));
     }
-    drop(run_span);
+    drop(sweep.run);
 
     Ok(RefuteOutput {
-        cells_checked: targets.len(),
+        cells_checked: sweep.targets.len(),
         refuted_cells,
         refutations,
-        failed_cells,
+        failed_cells: sweep.failed_cells,
         canceled,
     })
 }
@@ -602,6 +593,91 @@ mod tests {
         assert_eq!(r.opcode, mutated.records[0].opcode);
         assert_eq!(r.reps, 1, "shrunk to a single probe copy");
         assert!(path.as_ref().unwrap().exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Span counts by phase name.
+    fn phase_counts(tracer: &Tracer) -> Vec<(String, u64)> {
+        let phases = tracer.phase_totals().into_iter();
+        phases.map(|(name, p)| (name, p.count)).collect()
+    }
+
+    fn named<const N: usize>(counts: [(&str, u64); N]) -> Vec<(String, u64)> {
+        counts.map(|(name, n)| (name.to_string(), n)).to_vec()
+    }
+
+    #[test]
+    fn traced_sweeps_record_the_same_spans_counters_and_instants_at_any_job_count() {
+        let progress = Progress::new(Verbosity::Quiet);
+        let mut table = None;
+        for jobs in [1, 2] {
+            let mut opts = small_opts();
+            opts.spec.probe.jobs = Some(jobs);
+            let tracer = Tracer::enabled();
+            let out = run_characterize(&opts, &progress, &tracer);
+            assert_eq!(
+                phase_counts(&tracer),
+                named([
+                    ("attribute", 5),
+                    ("baseline", 1),
+                    ("job", 5),
+                    ("probe", 5),
+                    ("queue-wait", 5),
+                    ("run", 1),
+                ]),
+                "jobs {jobs}"
+            );
+            let counters = tracer.counters().into_iter();
+            let counters: Vec<(String, u64)> = counters.map(|(k, v)| (k.to_string(), v)).collect();
+            assert_eq!(
+                counters,
+                named([
+                    ("cells_done", 5),
+                    ("cells_total", 5),
+                    ("instructions", 272),
+                    ("probes_done", 5),
+                    ("sim_cycles", 1_112),
+                ]),
+                "jobs {jobs}"
+            );
+            assert!(tracer.instant_totals().is_empty(), "jobs {jobs}");
+            table = Some(out.table);
+        }
+
+        // Refute against that table with record 0 made 4 cycles dearer:
+        // one cell refuted, minimized and written as a fixture.
+        let mut model = table.unwrap();
+        model.records[0].cycles += 4.0;
+        let dir = std::env::temp_dir().join(format!("vax-refute-traced-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let model_path = dir.join("costs.json");
+        std::fs::write(&model_path, vax_analysis::characterize::costs_json(&model)).unwrap();
+        let mut opts = small_opts();
+        opts.spec.probe.jobs = Some(2);
+        opts.model_file = Some(model_path);
+        opts.fixtures = Some(dir.join("fixtures"));
+        let tracer = Tracer::enabled();
+        let out = run_refute(&opts, &progress, &tracer).unwrap();
+        assert_eq!((out.cells_checked, out.refuted_cells.len()), (5, 1));
+        assert_eq!(
+            phase_counts(&tracer),
+            named([
+                ("baseline", 1),
+                ("job", 5),
+                ("minimize", 1),
+                ("probe", 5),
+                ("queue-wait", 5),
+                ("refute", 5),
+                ("run", 1),
+            ])
+        );
+        assert_eq!(tracer.counter_value("refutations"), 1);
+        assert_eq!(tracer.counter_value("cells_done"), 5);
+        let instants = tracer.instant_totals().into_iter();
+        let instants: Vec<(String, u64)> = instants.collect();
+        assert_eq!(instants, named([("refuted", 1)]));
+        let fixtures = std::fs::read_dir(dir.join("fixtures")).unwrap().count();
+        assert_eq!(fixtures, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -92,32 +92,6 @@ impl Options {
     }
 }
 
-/// Options for `reproduce resume DIR`. The experiment definition comes from
-/// the checkpoint header in `DIR/checkpoints/run.json`; only runtime knobs
-/// (parallelism, supervision, narration) can be chosen at resume time.
-/// [`crate::resume::options_from_header`] merges the two into the
-/// interrupted run's [`Options`], which the engine runs as
-/// `JobRequest::Resume`.
-#[derive(Debug, Clone)]
-pub struct ResumeOptions {
-    /// The interrupted run's output directory (with its `checkpoints/`).
-    pub dir: PathBuf,
-    /// Worker threads for the remaining cells.
-    pub jobs: usize,
-    /// Retry budget for the remaining cells.
-    pub retries: u32,
-    /// Watchdog budget per attempt, in seconds.
-    pub shard_timeout_secs: Option<f64>,
-    /// Exit nonzero if any cell is quarantined.
-    pub strict: bool,
-    /// Stderr narration level.
-    pub verbosity: Verbosity,
-    /// Chrome-trace output file for the resumed portion of the run.
-    pub trace_out: Option<PathBuf>,
-    /// Progress-heartbeat period in ms.
-    pub progress_ms: Option<u64>,
-}
-
 /// Options for `reproduce serve`: the long-lived characterization daemon.
 /// Engine-level knobs (`--jobs`, `--retries`) set the defaults a submitted
 /// `JobSpec` inherits when it leaves them unspecified.
@@ -213,8 +187,11 @@ pub enum Command {
     Run(Options),
     /// `reproduce diff BASELINE CANDIDATE`.
     Diff(DiffOptions),
-    /// `reproduce resume DIR`.
-    Resume(ResumeOptions),
+    /// `reproduce resume DIR`: `out` is DIR, and only the runtime knobs
+    /// (parallelism, supervision, narration) are set; the experiment
+    /// definition comes from the checkpoint header
+    /// ([`crate::resume::options_from_header`]).
+    Resume(Options),
     /// `reproduce trace-check FILE`: validate a Chrome-trace file's
     /// structural invariants.
     TraceCheck(PathBuf),
@@ -436,17 +413,19 @@ fn parse_inject_panic(value: Option<&String>) -> Result<(u64, u64, u32), String>
     })
 }
 
-/// Parse `reproduce resume` arguments (after the subcommand word).
-pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
-    let (mut dir, mut shard_timeout_secs) = (None, None);
+/// Parse `reproduce resume` arguments (after the subcommand word) into
+/// the resumed run's [`Options`]: `out` is the run directory, and its spec
+/// carries only the runtime fields a resume chooses anew.
+pub fn parse_resume_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
     let (spec, common) = parse_spec("run", args, resume_flag, |arg, rest| {
         match arg {
-            "--shard-timeout" => shard_timeout_secs = Some(parse_shard_timeout(rest.next())?),
+            "--shard-timeout" => opts.shard_timeout_secs = Some(parse_shard_timeout(rest.next())?),
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown argument '{flag}' for resume"))
             }
             path => {
-                if dir.replace(PathBuf::from(path)).is_some() {
+                if opts.out.replace(PathBuf::from(path)).is_some() {
                     return Err(format!(
                         "resume takes exactly one run directory (got extra '{path}')"
                     ));
@@ -455,17 +434,14 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeOptions, String> {
         }
         Ok(())
     })?;
-    let run = spec.to_run_options(1, 0);
-    Ok(ResumeOptions {
-        verbosity: common.verbosity()?,
-        dir: dir.ok_or_else(|| "resume requires a run directory".to_string())?,
-        jobs: run.jobs(),
-        retries: run.retries(),
-        shard_timeout_secs,
-        strict: run.spec.strict,
-        trace_out: common.trace_out,
-        progress_ms: common.progress_ms,
-    })
+    opts.spec = spec.to_run_options(1, 0).spec;
+    opts.verbosity = common.verbosity()?;
+    if opts.out.is_none() {
+        return Err("resume requires a run directory".to_string());
+    }
+    opts.trace_out = common.trace_out;
+    opts.progress_ms = common.progress_ms;
+    Ok(opts)
 }
 
 /// Parse `reproduce diff` arguments (after the subcommand word).
@@ -820,11 +796,11 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Resume(r) => {
-                assert_eq!(r.dir, std::path::PathBuf::from("/tmp/run"));
-                assert_eq!(r.jobs, 4);
-                assert_eq!(r.retries, 1);
+                assert_eq!(r.out.as_deref(), Some(std::path::Path::new("/tmp/run")));
+                assert_eq!(r.jobs(), 4);
+                assert_eq!(r.retries(), 1);
                 assert_eq!(r.shard_timeout_secs, Some(30.0));
-                assert!(r.strict);
+                assert!(r.spec.strict);
                 assert_eq!(r.verbosity, Verbosity::Quiet);
             }
             _ => panic!("expected resume"),
@@ -923,6 +899,16 @@ mod tests {
             .unwrap_err()
             .contains("--reps"));
         assert!(parse_cmd(&["characterize", "--iters", "0"]).is_err());
+        // Past the probe bound, iters x period would wrap a u64.
+        let err = parse_cmd(&["characterize", "--iters", "461168601842738791"]).unwrap_err();
+        assert!(
+            err.contains("--iters must be at most 461168601842738790"),
+            "{err}"
+        );
+        match parse_cmd(&["refute", "--iters", "461168601842738790"]).unwrap() {
+            Command::Refute(o) => assert_eq!(o.spec.probe.iters, jobspec::MAX_PROBE_ITERS),
+            _ => panic!("expected refute"),
+        }
         // Refute-only flags are rejected outside refute.
         assert!(parse_cmd(&["characterize", "--model", "m.json"])
             .unwrap_err()

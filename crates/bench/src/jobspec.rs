@@ -39,6 +39,7 @@
 
 use vax780::FaultClass;
 use vax_analysis::Json;
+use vax_asm::probe::{MAX_REPS, SCAFFOLD_INSNS};
 
 use crate::cli::{CharacterizeOptions, Options, EXPERIMENTS};
 use crate::options::parse_u64;
@@ -65,6 +66,11 @@ pub const MAX_RETRIES: u64 = 1_000;
 /// larger value could not round-trip through the spec, the checkpoint
 /// header or `manifest.json`.
 pub const MAX_JSON_INT: u64 = i64::MAX as u64;
+
+/// Upper bound on a probe's `iters`: a probe measures `iters` loop
+/// periods of up to `SCAFFOLD_INSNS + MAX_REPS` instructions, and that
+/// instruction count must stay a JSON integer too, or it would wrap.
+pub const MAX_PROBE_ITERS: u64 = MAX_JSON_INT / (SCAFFOLD_INSNS + MAX_REPS) as u64;
 
 /// Upper bound on a duration in seconds (`deadline_secs`,
 /// `--shard-timeout`; ~31.7 years). Anything larger is a client bug, and
@@ -304,8 +310,8 @@ const RUN: &[Field] = &[
 const PROBE: &[Field] = &[
     field("opcodes", List(opcode), Some("M1,M2,.."), |s| &mut probe(s).opcodes),
     field("modes", List(mode), Some("K1,K2,.."), |s| &mut probe(s).modes),
-    field("reps", Int(1, vax_asm::probe::MAX_REPS as u64), Some("N"), |s| &mut probe(s).reps),
-    field("iters", Int(1, MAX_JSON_INT), Some("N"), |s| &mut probe(s).iters),
+    field("reps", Int(1, MAX_REPS as u64), Some("N"), |s| &mut probe(s).reps),
+    field("iters", Int(1, MAX_PROBE_ITERS), Some("N"), |s| &mut probe(s).iters),
     field("warmup", Int(0, MAX_JSON_INT), Some("N"), |s| &mut probe(s).warmup),
 ];
 
@@ -809,6 +815,23 @@ mod tests {
         }
         let ok = format!(r#"{{"kind": "run", "deadline_secs": {MAX_DEADLINE_SECS}}}"#);
         assert!(JobSpec::decode(&ok).is_ok(), "the bound itself is valid");
+
+        // Past the bound, a probe's measured length, iters x
+        // (SCAFFOLD_INSNS + reps) instructions, would wrap a u64.
+        assert_eq!(MAX_PROBE_ITERS, 461_168_601_842_738_790);
+        for kind in ["characterize", "refute"] {
+            let iters = |n: u64| JobSpec::decode(&format!(r#"{{"kind": "{kind}", "iters": {n}}}"#));
+            let over = iters(MAX_PROBE_ITERS + 1).unwrap_err();
+            assert!(
+                over.contains("'iters' must be at most 461168601842738790"),
+                "{over}"
+            );
+            match iters(MAX_PROBE_ITERS).unwrap() {
+                JobSpec::Characterize(p) => assert_eq!(p.iters, MAX_PROBE_ITERS),
+                JobSpec::Refute(r) => assert_eq!(r.probe.iters, MAX_PROBE_ITERS),
+                JobSpec::Run(_) => panic!("expected a probe spec"),
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use vax_analysis::{cell_from_json, CheckpointCell, Json};
 use vax_workload::Workload;
 
-use crate::cli::{Format, Options, ResumeOptions};
+use crate::cli::{Format, Options};
 use crate::jobspec::{JobSpec, RunSpec};
 use crate::progress::Progress;
 
@@ -73,17 +73,21 @@ pub fn header_json(opts: &Options) -> Json {
     ])
 }
 
-/// Rebuild the options of the run journaled under `resume.dir` from its
-/// checkpoint header, taking the runtime knobs (and the output directory)
-/// from the resume invocation.
+/// Complete a resume's options (`out` is the journaled run's directory,
+/// the spec carries its runtime fields) with the run's experiment
+/// definition and output format, read from its checkpoint header.
 ///
 /// # Errors
-/// A missing header, a header from before the spec layout, a `format`
-/// other than text|json, or a spec the [`JobSpec`] decoder rejects (or
-/// that is not a run) is an error: a resume must never guess at the
-/// experiment definition.
-pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
-    let path = header_path(&resume.dir);
+/// A resume without a run directory, a missing header, a header from
+/// before the spec layout, a `format` other than text|json, or a spec the
+/// [`JobSpec`] decoder rejects (or that is not a run) is an error: a
+/// resume must never guess at the experiment definition.
+pub fn options_from_header(resume: Options) -> Result<Options, String> {
+    let dir = resume
+        .out
+        .as_deref()
+        .ok_or("resume requires a run directory")?;
+    let path = header_path(dir);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
             "cannot read checkpoint header {}: {e} (was the run started with --out?)",
@@ -108,23 +112,25 @@ pub fn options_from_header(resume: &ResumeOptions) -> Result<Options, String> {
         .ok_or_else(|| "missing 'spec'".to_string())
         .and_then(JobSpec::from_json)
         .map_err(|e| format!("checkpoint header: {e}"))?;
-    if !matches!(spec, JobSpec::Run(_)) {
+    let JobSpec::Run(definition) = spec else {
         return Err(format!(
             "checkpoint header: the spec is a {} job, not a run",
             spec.kind()
         ));
-    }
-    let mut opts = Options {
-        format,
-        out: Some(resume.dir.clone()),
-        verbosity: resume.verbosity,
-        shard_timeout_secs: resume.shard_timeout_secs,
-        trace_out: resume.trace_out.clone(),
-        progress_ms: resume.progress_ms,
-        ..spec.to_run_options(resume.jobs, resume.retries)
     };
-    opts.spec.strict = resume.strict;
-    Ok(opts)
+    let runtime = &resume.spec;
+    let spec = RunSpec {
+        jobs: runtime.jobs,
+        retries: runtime.retries,
+        deadline_secs: runtime.deadline_secs,
+        strict: runtime.strict,
+        ..definition
+    };
+    Ok(Options {
+        spec,
+        format,
+        ..resume
+    })
 }
 
 /// Hand every parseable cell checkpoint of the `Workload::ALL.len() ×
@@ -175,16 +181,18 @@ mod tests {
     use vax780::FaultClass;
 
     /// A resume of `dir` whose runtime knobs differ from every default.
-    fn resume_opts(dir: &Path) -> ResumeOptions {
-        ResumeOptions {
-            dir: dir.to_path_buf(),
-            jobs: 3,
-            retries: 2,
+    fn resume_opts(dir: &Path) -> Options {
+        Options {
+            spec: RunSpec {
+                jobs: Some(3),
+                retries: Some(2),
+                strict: true,
+                ..RunSpec::default()
+            },
+            out: Some(dir.to_path_buf()),
             shard_timeout_secs: Some(9.0),
-            strict: true,
             verbosity: Verbosity::Quiet,
-            trace_out: None,
-            progress_ms: None,
+            ..Options::default()
         }
     }
 
@@ -201,7 +209,7 @@ mod tests {
     fn round_trip(name: &str, opts: &Options) -> Options {
         let text = header_json(opts).to_string_pretty();
         let dir = run_dir_with_header(name, &text);
-        let back = options_from_header(&resume_opts(&dir)).unwrap();
+        let back = options_from_header(resume_opts(&dir)).unwrap();
         assert_eq!(header_json(&back).to_string_pretty(), text);
         assert_eq!(back.format, opts.format);
         assert_eq!((back.jobs(), back.retries()), (3, 2));
@@ -298,12 +306,12 @@ mod tests {
         for (text, expect) in cases {
             assert_ne!(text, good, "edit for '{expect}' missed");
             let dir = run_dir_with_header("damaged", &text);
-            let err = options_from_header(&resume_opts(&dir)).unwrap_err();
+            let err = options_from_header(resume_opts(&dir)).unwrap_err();
             assert!(err.contains(expect), "{err}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
         let missing = std::env::temp_dir().join(format!("vax-resume-none-{}", std::process::id()));
-        let err = options_from_header(&resume_opts(&missing)).unwrap_err();
+        let err = options_from_header(resume_opts(&missing)).unwrap_err();
         assert!(err.contains("was the run started with --out?"), "{err}");
     }
 }

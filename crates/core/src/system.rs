@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use vax_arch::Psl;
 use vax_asm::Image;
-use vax_cpu::ebox::{DEVICE_IPL, VEC_CHMK, VEC_DEVICE, VEC_MCHK, VEC_SOFT, VEC_TIMER};
+use vax_cpu::ebox::{DEVICE_IPL, SCB_BASE, VEC_CHMK, VEC_DEVICE, VEC_MCHK, VEC_SOFT, VEC_TIMER};
 use vax_cpu::{Cpu, CpuConfig, StepOutcome};
 use vax_mem::addr::PAGE_SIZE;
 use vax_mem::{MemConfig, MemorySystem, PageTables, PhysAddr, Pte, VirtAddr};
@@ -149,7 +149,7 @@ impl Deferred {
     }
 }
 
-/// System-space base of the SCB (must match [`CpuConfig::scb_base`]).
+/// System-space base; its first page is the SCB, at the CPU's [`SCB_BASE`].
 const S0_BASE: u32 = 0x8000_0000;
 /// Number of system page-table entries (covers 4 MB of S0 space).
 const SYS_PT_ENTRIES: u32 = 8192;
@@ -187,10 +187,9 @@ impl SystemBuilder {
         };
         // Page 0 of system space is the SCB.
         let scb = builder.alloc_sys_pages(1);
-        assert_eq!(scb.0, S0_BASE);
         assert_eq!(
-            scb.0, config.cpu.scb_base.0,
-            "SCB base must match the CPU configuration"
+            scb, SCB_BASE,
+            "the SCB page must land at the CPU's SCB base"
         );
         builder
     }
@@ -318,7 +317,7 @@ impl SystemBuilder {
         let kstack_top = kstack.0 + 4 * PAGE_SIZE;
 
         // SCB vectors.
-        let scb = VirtAddr(S0_BASE);
+        let scb = SCB_BASE;
         self.poke(scb.add(VEC_CHMK * 4), &entries.chmk_handler.to_le_bytes());
         self.poke(scb.add(VEC_TIMER * 4), &entries.timer_isr.to_le_bytes());
         self.poke(scb.add(VEC_SOFT * 4), &entries.softint_isr.to_le_bytes());

@@ -32,7 +32,15 @@ use crate::operand::{EvaldOperand, Loc, PendingWb};
 use crate::stats::CpuStats;
 use crate::store::{ControlStore, SpecFlavor, SpecRegions};
 
-/// SCB slot (longword index from `scb_base`) of the CHMK service vector.
+/// Base virtual address (system space) of the system control block; the
+/// kernel writes service-routine addresses at the `VEC_*` slots here, and
+/// the system builder lays the SCB page out at this address.
+pub const SCB_BASE: VirtAddr = VirtAddr(0x8000_0000);
+
+/// IPL of the interval timer interrupt.
+pub const TIMER_IPL: u8 = 22;
+
+/// SCB slot (longword index from [`SCB_BASE`]) of the CHMK service vector.
 pub const VEC_CHMK: u32 = 0;
 /// SCB slot of the interval-timer interrupt vector.
 pub const VEC_TIMER: u32 = 1;
@@ -47,7 +55,7 @@ pub const VEC_DEVICE: u32 = 4;
 /// IPL at which machine checks are delivered (above every device level).
 pub const MCHK_IPL: u8 = 30;
 /// IPL of injected device-burst interrupts: below the interval timer
-/// (`CpuConfig::timer_ipl`, 22) and above every software level.
+/// ([`TIMER_IPL`]) and above every software level.
 pub const DEVICE_IPL: u8 = 21;
 
 /// What one [`Cpu::step`] did.
@@ -491,7 +499,7 @@ impl Cpu {
         // State sequencing.
         self.c_span(r, 0, self.cs.interrupt_read_off);
         // Vector read.
-        let vec_va = self.config.scb_base.add(scb_slot * 4);
+        let vec_va = SCB_BASE.add(scb_slot * 4);
         let target = self.read_data(r.at(self.cs.interrupt_read_off), vec_va, 4) as u32;
         // Push PSL then PC (PC ends on top, as REI expects).
         let sp = self.regs[14].wrapping_sub(4);
@@ -537,7 +545,7 @@ impl Cpu {
         if let Some(ti) = self.config.timer_interval {
             if self.cycle >= self.next_timer {
                 self.next_timer = self.cycle + ti;
-                self.pending_hw = Some((self.config.timer_ipl, VEC_TIMER));
+                self.pending_hw = Some((TIMER_IPL, VEC_TIMER));
             }
         }
         // Machine check: a latched parity fault becomes the highest-priority
@@ -632,9 +640,10 @@ impl Cpu {
         // PC now names the next sequential instruction (pushed by calls).
         self.regs[15] = insn_end;
 
-        // Execute.
-        let fused = self.config.fusion
-            && insn.opcode.group() == vax_arch::OpcodeGroup::Simple
+        // Execute. The 780's literal operand optimization fuses the first
+        // execute cycle of a SIMPLE instruction into its last specifier
+        // cycle.
+        let fused = insn.opcode.group() == vax_arch::OpcodeGroup::Simple
             && insn.opcode.branch_kind() == BranchKind::None
             && first_spec_mode == Some(AddressingMode::Literal);
         let flow = exec::execute(self, &insn, &mut operands, fused);

@@ -12,7 +12,7 @@ use vax_arch::psl::AccessMode;
 use vax_arch::{Instruction, Opcode, OpcodeGroup, Psl};
 use vax_mem::VirtAddr;
 
-use crate::ebox::{mask, Cpu, VEC_CHMK};
+use crate::ebox::{mask, Cpu, SCB_BASE, VEC_CHMK};
 use crate::ipr::IprNum;
 use crate::operand::EvaldOperand;
 
@@ -1172,7 +1172,7 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             sp = sp.wrapping_sub(4);
             cpu.write_data(r.at(WRITE), VirtAddr(sp), 4, code as u64);
             cpu.regs[14] = sp;
-            let vec_va = cpu.config.scb_base.add(VEC_CHMK * 4);
+            let vec_va = SCB_BASE.add(VEC_CHMK * 4);
             let target = cpu.read_data(r.at(READ), vec_va, 4) as u32;
             cpu.psl.cur_mode = AccessMode::Kernel;
             cpu.c_span(r, FINISH, 2);

@@ -45,7 +45,8 @@ impl SpecFlavor {
         }
     }
 
-    const ALL: [SpecFlavor; 4] = [
+    /// Every flavor, in [`SpecFlavor::index`] order.
+    pub const ALL: [SpecFlavor; 4] = [
         SpecFlavor::Read,
         SpecFlavor::Write,
         SpecFlavor::Modify,
@@ -163,13 +164,20 @@ impl SpecRegions {
         }
     }
 
+    /// The routine for a (mode, flavor) pair, or `None` for an impossible
+    /// combination (e.g. writing a literal).
+    #[inline]
+    pub fn get(&self, mode: AddressingMode, flavor: SpecFlavor) -> Option<Region> {
+        self.regions[mode.index()][flavor.index()]
+    }
+
     /// The routine for a (mode, flavor) pair.
     ///
     /// # Panics
-    /// Panics for impossible combinations (e.g. writing a literal).
+    /// Panics for impossible combinations (see [`SpecRegions::get`]).
     #[inline]
     pub fn routine(&self, mode: AddressingMode, flavor: SpecFlavor) -> Region {
-        self.regions[mode.index()][flavor.index()]
+        self.get(mode, flavor)
             .unwrap_or_else(|| panic!("no specifier routine for {mode:?} {flavor:?}"))
     }
 
@@ -330,6 +338,14 @@ mod tests {
     fn spec_routines_exist() {
         let cs = ControlStore::get();
         let r = cs.spec1.routine(AddressingMode::ByteDisp, SpecFlavor::Read);
+        assert_eq!(
+            cs.spec1.get(AddressingMode::ByteDisp, SpecFlavor::Read),
+            Some(r)
+        );
+        assert_eq!(
+            cs.spec1.get(AddressingMode::Literal, SpecFlavor::Write),
+            None
+        );
         assert_eq!(r.len, 2);
         assert_eq!(cs.map.op(r.at(0)), MicroOp::Compute);
         assert_eq!(cs.map.op(r.at(1)), MicroOp::Read);

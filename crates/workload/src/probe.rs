@@ -49,7 +49,6 @@ mod tests {
         assert_eq!(c.cpu.timer_interval, None);
         assert_eq!(c.cpu.patch_interval, None);
         // Everything else stays at the measured-machine values.
-        assert!(c.cpu.fusion);
         assert!(c.cpu.decode_cache);
     }
 
