@@ -228,21 +228,26 @@ impl CostTable {
     }
 }
 
-/// The targets (and skips) selected by an opcode/mode filter, in grid
-/// order. Empty filters select everything.
+/// The grid cells an opcode/mode filter selects, in grid order (empty
+/// filters select everything): what `select_grid` and `--list` walk.
+pub fn filtered_grid<'a>(
+    opcodes: &'a [Opcode],
+    modes: &'a [AddressingMode],
+) -> impl Iterator<Item = vax_asm::probe::GridCell> + 'a {
+    probe_grid().into_iter().filter(move |cell| {
+        (opcodes.is_empty() || opcodes.contains(&cell.opcode))
+            && (modes.is_empty() || modes.contains(&cell.mode))
+    })
+}
+
+/// The targets (and skips) of [`filtered_grid`], in grid order.
 pub fn select_grid(
     opcodes: &[Opcode],
     modes: &[AddressingMode],
 ) -> (Vec<ProbeTarget>, Vec<SkipRecord>) {
     let mut targets = Vec::new();
     let mut skips = Vec::new();
-    for cell in probe_grid() {
-        if !opcodes.is_empty() && !opcodes.contains(&cell.opcode) {
-            continue;
-        }
-        if !modes.is_empty() && !modes.contains(&cell.mode) {
-            continue;
-        }
+    for cell in filtered_grid(opcodes, modes) {
         match cell.target {
             Ok(t) => targets.push(t),
             Err(r) => skips.push(SkipRecord {

@@ -127,7 +127,9 @@ impl MetricDelta {
 /// The outcome of diffing two documents.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
-    /// Number of leaf values compared.
+    /// Number of metrics compared: each pair of leaves, and each shape
+    /// difference (a one-sided key, an array-length change), which is one
+    /// metric out of tolerance. So `failures() <= compared`.
     pub compared: usize,
     /// Every differing metric, in document order.
     pub deltas: Vec<MetricDelta>,
@@ -151,7 +153,7 @@ impl DiffReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{} leaves compared, {} differ, {} out of tolerance",
+            "{} metrics compared, {} differ, {} out of tolerance",
             self.compared,
             self.deltas.len(),
             self.failures()
@@ -208,6 +210,16 @@ fn index(members: &[(String, Json)]) -> HashMap<&str, &Json> {
     map
 }
 
+/// Record a shape difference: one compared metric, never within tolerance.
+fn shape_delta(report: &mut DiffReport, path: String, detail: String) {
+    report.compared += 1;
+    report.deltas.push(MetricDelta {
+        path,
+        kind: DeltaKind::Structure { detail },
+        within: false,
+    });
+}
+
 fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport) {
     match (a, b) {
         // Exact integer comparison first: counters larger than 2^53 would
@@ -245,13 +257,8 @@ fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport
         }
         (Json::Arr(xs), Json::Arr(ys)) => {
             if xs.len() != ys.len() {
-                report.deltas.push(MetricDelta {
-                    path: path.to_string(),
-                    kind: DeltaKind::Structure {
-                        detail: format!("array length {} -> {}", xs.len(), ys.len()),
-                    },
-                    within: false,
-                });
+                let detail = format!("array length {} -> {}", xs.len(), ys.len());
+                shape_delta(report, path.to_string(), detail);
                 return;
             }
             for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
@@ -263,24 +270,12 @@ fn walk(path: &str, a: &Json, b: &Json, tol: &Tolerance, report: &mut DiffReport
             for (k, x) in xs {
                 match in_b.get(k.as_str()) {
                     Some(y) => walk(&join(path, k), x, y, tol, report),
-                    None => report.deltas.push(MetricDelta {
-                        path: join(path, k),
-                        kind: DeltaKind::Structure {
-                            detail: "missing in candidate".to_string(),
-                        },
-                        within: false,
-                    }),
+                    None => shape_delta(report, join(path, k), "missing in candidate".into()),
                 }
             }
             for (k, _) in ys {
                 if !in_a.contains_key(k.as_str()) {
-                    report.deltas.push(MetricDelta {
-                        path: join(path, k),
-                        kind: DeltaKind::Structure {
-                            detail: "missing in baseline".to_string(),
-                        },
-                        within: false,
-                    });
+                    shape_delta(report, join(path, k), "missing in baseline".into());
                 }
             }
         }
@@ -377,7 +372,10 @@ mod tests {
         if let Json::Obj(members) = &mut c {
             members[3].1 = Json::arr([Json::from(1i64)]);
         }
-        assert!(!diff_json(&doc(10.6, 100), &c, &tol).is_clean());
+        let r = diff_json(&doc(10.6, 100), &c, &tol);
+        assert!(!r.is_clean());
+        assert_eq!(r.failures(), 1);
+        assert_eq!(r.compared, 4, "experiment, cpi, cycles and the rows length");
         // Type change: number -> string.
         let mut d = doc(10.6, 100);
         if let Json::Obj(members) = &mut d {
@@ -460,7 +458,11 @@ mod tests {
             .map(|(p, w)| (p.to_string(), w.to_string()))
             .collect();
         assert_eq!(reported(&r), want);
-        assert_eq!(r.compared, 5, "a, c.p, c.r, d, f");
+        // A one-sided key is one compared metric, out of tolerance.
+        assert_eq!(
+            r.compared, 11,
+            "a, c.p, c.r, d, f and the six one-sided keys"
+        );
 
         // Wide objects: every key found whatever the order, one delta.
         let n = 5_000;

@@ -39,8 +39,11 @@
 //! Every experiment path goes through `vax_bench::engine::JobEngine` —
 //! this file only parses argv, prints the outcome's stdout, and exits
 //! with its code, so a CLI run and a served job of the same spec are the
-//! same computation.
+//! same computation. A reader that closes stdout early (`reproduce diff A
+//! B | head`) has read what it wanted: the command still exits with its
+//! own code.
 
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 use vax_analysis::Tolerance;
@@ -74,17 +77,29 @@ fn main() {
         Command::Refute(o) => run_engine(JobRequest::Refute(o)),
         Command::Serve(o) => vax_bench::serve::run_serve(&o),
         Command::Help => {
-            println!("{}", cli::usage());
+            print_out(&format!("{}\n", cli::usage()));
             0
         }
     };
     std::process::exit(code);
 }
 
+/// Write `text` to stdout, the one way this binary prints there. A closed
+/// pipe ends the output, not the command; any other write error exits 1.
+fn print_out(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("reproduce: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Hand a job to a fresh engine and print what it would have printed.
 fn run_engine(req: JobRequest) -> i32 {
     let outcome = JobEngine::new().execute(&req);
-    print!("{}", outcome.stdout);
+    print_out(&outcome.stdout);
     outcome.code
 }
 
@@ -92,7 +107,7 @@ fn run_engine(req: JobRequest) -> i32 {
 fn run_trace_check(path: &Path) -> i32 {
     match tracecheck::check_trace_file(path) {
         Ok(summary) => {
-            println!("{summary}");
+            print_out(&format!("{summary}\n"));
             0
         }
         Err(msg) => {
@@ -107,7 +122,7 @@ fn run_diff(d: &DiffOptions) -> i32 {
     let tol = Tolerance::new(d.abs_tol, d.rel_tol);
     match diffcmd::diff_run_dirs(&d.baseline, &d.candidate, &tol) {
         Ok(diffs) => {
-            print!("{}", diffcmd::render_dir_diff(&diffs));
+            print_out(&diffcmd::render_dir_diff(&diffs));
             if diffs.iter().all(FileDiff::is_clean) {
                 0
             } else {

@@ -26,11 +26,12 @@ use std::path::PathBuf;
 
 use vax780::{CancelKind, Stop};
 use vax_analysis::characterize::{
-    attribute, costs_from_json, run_probe, select_grid, CostTable, ProbeError, ProbeRun, SkipRecord,
+    attribute, costs_from_json, filtered_grid, run_probe, select_grid, CostTable, ProbeError,
+    ProbeRun, SkipRecord,
 };
 use vax_analysis::refute::{check_cell, minimize, refutation_json, Refutation, RefuteTolerance};
 use vax_arch::{AddressingMode, Opcode};
-use vax_asm::probe::{mode_key, probe_grid, ProbeTarget};
+use vax_asm::probe::{mode_key, ProbeTarget};
 use vax_trace::{worker_tid, SpanGuard, Tracer, MAIN_TID};
 
 use crate::cli::CharacterizeOptions;
@@ -91,15 +92,8 @@ fn filters(opts: &CharacterizeOptions) -> (Vec<Opcode>, Vec<AddressingMode>) {
 pub fn render_grid_list(opts: &CharacterizeOptions) -> String {
     let (opcodes, modes) = filters(opts);
     let mut out = String::from("opcode   mode                   cell\n");
-    let mut probeable = 0usize;
-    let mut skipped = 0usize;
-    for cell in probe_grid() {
-        if !opcodes.is_empty() && !opcodes.contains(&cell.opcode) {
-            continue;
-        }
-        if !modes.is_empty() && !modes.contains(&cell.mode) {
-            continue;
-        }
+    let (mut probeable, mut skipped) = (0usize, 0usize);
+    for cell in filtered_grid(&opcodes, &modes) {
         let verdict = match cell.target {
             Ok(t) => {
                 probeable += 1;
@@ -539,6 +533,11 @@ mod tests {
         assert!(s.contains("probe (operand 0)"), "{s}");
         assert!(s.contains("skip: literal/immediate is read-only"), "{s}");
         assert!(s.contains("5 probeable, 1 skipped"), "{s}");
+        // The list walks the sweep's filter: its counts are the sweep's.
+        let (opcodes, modes) = filters(&small_opts());
+        let (targets, skips) = select_grid(&opcodes, &modes);
+        let counts = format!("{} probeable, {} skipped", targets.len(), skips.len());
+        assert!(s.contains(&counts), "{s}");
     }
 
     #[test]

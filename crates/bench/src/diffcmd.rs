@@ -228,6 +228,22 @@ mod tests {
         let diffs = diff_run_dirs(&a, &b, &Tolerance::new(0.0, 0.2)).unwrap();
         assert!(diffs[0].is_clean());
         assert!(!diffs[1].is_clean(), "missing file never passes tolerance");
+
+        // An array that changed length is one metric compared and out of
+        // tolerance, so the header never reads more failures than metrics.
+        let series = |n, samples| format!(r#"{{"intervals": {n}, "samples": {samples}}}"#);
+        write_dir(&a, &[("timeseries.json", series(1264, "[1, 2]").as_str())]);
+        write_dir(&b, &[("timeseries.json", series(1250, "[1]").as_str())]);
+        let diffs = diff_run_dirs(&a, &b, &Tolerance::exact()).unwrap();
+        let rendered = render_dir_diff(&diffs);
+        assert!(
+            rendered.contains("timeseries.json    DRIFT (2 of 2 metrics out of tolerance)"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("samples: array length 2 -> 1"),
+            "{rendered}"
+        );
     }
 
     #[test]

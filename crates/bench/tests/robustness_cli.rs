@@ -2,7 +2,8 @@
 //! crash-safe resume (SIGKILL mid-run, then `resume` completes the grid
 //! byte-identically; a text run's stdout survives too; an old-layout
 //! checkpoint header fails clearly), the strict/retry exit-code
-//! contract, and the usage text on bad arguments and `--help`.
+//! contract, the usage text on bad arguments and `--help`, and a stdout
+//! whose reader has gone.
 //!
 //! These run the debug binary on deliberately small grids, so each test
 //! costs seconds, not minutes.
@@ -405,4 +406,16 @@ fn help_prints_the_usage_to_stdout_and_exits_zero() {
         assert_eq!(stdout.matches("usage: reproduce").count(), 1, "{args:?}");
         assert!(out.stderr.is_empty(), "{args:?}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_command() {
+    // `reproduce --help | true`: the reader is gone before the usage is
+    // written, so the write fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = reproduce().arg("--help").stdout(writer).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

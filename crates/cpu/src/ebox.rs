@@ -395,8 +395,11 @@ impl Cpu {
                     break;
                 }
                 if let Some(va) = self.ib.itb_miss() {
-                    self.ib.clear_itb_miss();
+                    // Clear the miss only after its service: while it is
+                    // latched, the IB syncs in the service's cycles do not
+                    // probe the TB again and count the same miss twice.
                     self.run_tb_miss(va);
+                    self.ib.clear_itb_miss();
                     continue;
                 }
                 self.hist.record(wait_upc, Plane::Normal);

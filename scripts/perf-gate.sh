@@ -29,6 +29,7 @@ mkdir -p "$records/parent" "$records/change"
 
 build_side() { # SIDE SOURCE_DIR
     echo "perf-gate: building $1 from $2"
+    rm -rf "$build/$1" # from scratch: cargo judges freshness by file mtime
     CARGO_TARGET_DIR="$build/$1" cargo build --release --offline --quiet \
         --manifest-path "$2/examples/benchmark/Cargo.toml"
 }

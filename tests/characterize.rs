@@ -232,7 +232,7 @@ fn golden_path() -> PathBuf {
 }
 
 /// The parameters the golden fixture was generated with — keep in sync
-/// with the `characterize-smoke` CI job and `docs/CHARACTERIZATION.md`.
+/// with `scripts/regen-fixtures.sh`, which writes the fixture.
 fn golden_options() -> CharacterizeOptions {
     CharacterizeOptions {
         spec: RefuteSpec {
@@ -260,8 +260,7 @@ fn committed_golden_cost_table_is_fresh() {
     let committed = std::fs::read_to_string(golden_path()).unwrap();
     assert_eq!(
         fresh, committed,
-        "golden cost table is stale — regenerate with \
-         `reproduce characterize --opcodes MOVL,ADDL2,CLRL --reps 4 --iters 16 \
-         --out tests/fixtures/characterize-golden`"
+        "golden cost table is stale — if the model changed intentionally, \
+         regenerate it with `scripts/regen-fixtures.sh`"
     );
 }

@@ -35,7 +35,7 @@ fn checkpoints_fixture_dir() -> PathBuf {
 }
 
 /// The parameters the golden fixtures were generated with (see
-/// docs/TELEMETRY.md), exporting to `out`.
+/// scripts/regen-fixtures.sh), exporting to `out`.
 fn fixture_options(out: &Path) -> Options {
     Options {
         spec: RunSpec {
@@ -102,7 +102,8 @@ fn assert_same_files(committed: &Path, fresh: &Path) {
         let b = std::fs::read(fresh.join(&name)).unwrap();
         assert!(
             a == b,
-            "{} is not the committed bytes",
+            "{} is not the committed bytes — if the simulator changed \
+             intentionally, run scripts/regen-fixtures.sh",
             fresh.join(&name).display()
         );
     }
@@ -183,7 +184,7 @@ fn missing_artifact_fails_even_with_loose_tolerance() {
 /// for the recorded parameters. `reproduce diff` compares parsed values, so
 /// it cannot see a reordered key or `2526` rewritten as `2526.0`; the bytes
 /// are compared too. If this fails after an intentional model change,
-/// regenerate the fixtures (see docs/TELEMETRY.md).
+/// regenerate the fixtures with `scripts/regen-fixtures.sh`.
 #[test]
 fn committed_fixture_matches_a_fresh_run() {
     let dir = scratch_dir("fresh");
@@ -240,8 +241,8 @@ fn committed_fixture_matches_a_fresh_run() {
     for d in &diffs {
         assert!(
             d.is_clean(),
-            "{} drifted from the committed golden run — regenerate the fixture \
-             if the simulator changed intentionally: {:?}",
+            "{} drifted from the committed golden run — if the simulator changed \
+             intentionally, run scripts/regen-fixtures.sh: {:?}",
             d.file,
             d.report
         );

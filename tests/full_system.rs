@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: full-system runs checked end to end.
 
+use upc_monitor::Plane;
 use vax780::{Measurement, ProcessSpec, SystemBuilder, SystemConfig};
 use vax_analysis::Analysis;
 use vax_asm::parse;
@@ -29,6 +30,47 @@ fn assembled_program_computes_correctly() {
     sys.run_instructions(5_000);
     let pa = sys.cpu.mem.raw_translate(vax_mem::VirtAddr(4096)).unwrap();
     assert_eq!(sys.cpu.mem.value_read(pa, 4), 55);
+}
+
+/// Straight-line code that runs into a page whose translation is not in
+/// the TB takes one I-stream TB miss, and the EBOX services it once: the
+/// IB keeps the miss latched while the service runs, so the service's own
+/// cycles do not probe the TB again.
+#[test]
+fn an_istream_tb_miss_is_serviced_once() {
+    // 3-byte register MOVLs from 0x200 run past the page at 0x400.
+    let mut src = String::from("entry:\n");
+    for _ in 0..250 {
+        src.push_str("        MOVL R1, R2\n");
+    }
+    src.push_str("spin:   BRB spin\n");
+    let mut config = SystemConfig::default();
+    config.cpu.timer_interval = None;
+    config.cpu.patch_interval = None;
+    let mut b = SystemBuilder::new(config);
+    b.add_process(ProcessSpec::new(parse(&src, 0x200).unwrap(), "entry"));
+    let mut sys = b.build();
+    fn run_until(sys: &mut vax780::System, done: impl Fn(u32) -> bool) {
+        while !done(sys.cpu.pc()) {
+            assert!(sys.run_instructions(1));
+        }
+    }
+    // Inside the first code page, with the second not yet fetched from.
+    run_until(&mut sys, |pc| (0x300..0x3f0).contains(&pc));
+    sys.cpu.hist.start();
+    let service = sys.cpu.cs.tb_miss.entry();
+    let counts = |sys: &vax780::System| {
+        let services = sys.cpu.hist.read(service, Plane::Normal);
+        (sys.cpu.mem.stats.tb_miss_i, services)
+    };
+    let before = counts(&sys);
+    run_until(&mut sys, |pc| pc >= 0x410);
+    let after = counts(&sys);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (1, 1),
+        "(tb_miss_i, TB-miss services) crossing into the page at 0x400"
+    );
 }
 
 #[test]
