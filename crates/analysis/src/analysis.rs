@@ -9,7 +9,7 @@
 use upc_monitor::map::classify;
 use upc_monitor::{Activity, CycleClass, Histogram, MicroPc, Plane};
 use vax780::Measurement;
-use vax_arch::{AddressingMode, OpcodeGroup};
+use vax_arch::AddressingMode;
 use vax_cpu::store::{SpecFlavor, SpecRegions};
 use vax_cpu::ControlStore;
 
@@ -79,6 +79,11 @@ pub struct Analysis {
     /// `tb_miss` region only, not the unaligned-reference microcode that
     /// shares its MemMgmt row).
     pub tb_miss_cycles: u64,
+    /// TB-miss services: the service routine's entry count, the paper's
+    /// histogram method. `MemStats::total_tb_misses` counts more: its
+    /// I-stream misses include prefetches an IB flush dropped before any
+    /// service.
+    pub tb_miss_services: u64,
     /// The measurement's raw counters.
     pub m: Measurement,
 }
@@ -99,6 +104,7 @@ impl Analysis {
             spec1: SpecModeCounts::reduce(&cs.spec1, &m.hist),
             spec26: SpecModeCounts::reduce(&cs.spec26, &m.hist),
             tb_miss_cycles,
+            tb_miss_services: m.hist.read(tb.entry(), Plane::Normal),
             m: m.clone(),
         }
     }
@@ -140,19 +146,6 @@ impl Analysis {
             out[i] = 100.0 * *c as f64 / total as f64;
         }
         out
-    }
-
-    /// The execute-phase activity of a group.
-    pub fn group_activity(group: OpcodeGroup) -> Activity {
-        match group {
-            OpcodeGroup::Simple => Activity::ExecSimple,
-            OpcodeGroup::Field => Activity::ExecField,
-            OpcodeGroup::Float => Activity::ExecFloat,
-            OpcodeGroup::CallRet => Activity::ExecCallRet,
-            OpcodeGroup::System => Activity::ExecSystem,
-            OpcodeGroup::Character => Activity::ExecCharacter,
-            OpcodeGroup::Decimal => Activity::ExecDecimal,
-        }
     }
 
     /// Consistency check: the decode row's compute count equals the number
@@ -234,6 +227,20 @@ mod tests {
             inside += usize::from(by_region);
         }
         assert_eq!(inside, usize::from(cs.tb_miss.len));
+    }
+
+    #[test]
+    fn every_tb_miss_service_enters_its_routine_once() {
+        let (cs, m) = measured_system();
+        let a = Analysis::new(cs, &m);
+        assert!(a.tb_miss_services > 0);
+        assert!(a.tb_miss_services <= m.mem_stats.total_tb_misses());
+        // Each service runs every compute µop of the routine once.
+        let read = cs.tb_miss_read_off;
+        for i in (0..cs.tb_miss.len).filter(|&i| i != read) {
+            let n = m.hist.read(cs.tb_miss.at(i), Plane::Normal);
+            assert_eq!(n, a.tb_miss_services, "TBMISS offset {i}");
+        }
     }
 
     #[test]

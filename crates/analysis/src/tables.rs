@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 use upc_monitor::{Activity, CycleClass};
 use vax_arch::{AddressingMode, BranchKind, OpcodeGroup};
+use vax_cpu::store::group_activity;
 
 use crate::analysis::{Analysis, SpecModeCounts};
 use crate::json::Json;
@@ -603,7 +604,8 @@ pub fn table7(a: &Analysis) -> Table {
 }
 
 /// §4 implementation events. The TB misses by stream are in the text
-/// only.
+/// only. The service time is per service (the service routine's entries,
+/// as the paper reduced it), not per counted miss.
 pub fn events(a: &Analysis) -> Table {
     let mut t = Table {
         name: "events",
@@ -623,7 +625,7 @@ pub fn events(a: &Analysis) -> Table {
     let i_misses = ms.i_read_misses as f64 / n;
     let d_misses = (ms.d_read_misses + ms.pte_read_misses) as f64 / n;
     let tb_misses = ms.total_tb_misses() as f64;
-    let tb_service = ratio(a.tb_miss_cycles as f64, tb_misses);
+    let tb_service = ratio(a.tb_miss_cycles as f64, a.tb_miss_services as f64);
     t.row("IB refs/instr")
         .cell("ib_refs_per_instr", ib_refs)
         .paper(paper::IB_REFS_PER_INSTR);
@@ -712,7 +714,7 @@ pub fn table9(a: &Analysis) -> Table {
             row.show(absent, JsonForm::Hidden);
             continue;
         }
-        let act = Analysis::group_activity(*g);
+        let act = group_activity(*g);
         let mut total = 0.0;
         // Every class but IB-Stall, which no execute phase is charged.
         for class in &CycleClass::ALL[..5] {

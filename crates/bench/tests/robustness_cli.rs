@@ -2,8 +2,9 @@
 //! crash-safe resume (SIGKILL mid-run, then `resume` completes the grid
 //! byte-identically; a text run's stdout survives too; an old-layout
 //! checkpoint header fails clearly), the strict/retry exit-code
-//! contract, the usage text on bad arguments and `--help`, and a stdout
-//! whose reader has gone.
+//! contract, the flight-recorder dump of a quarantined cell, the usage
+//! text on bad arguments and `--help`, and a stdout whose reader has
+//! gone.
 //!
 //! These run the debug binary on deliberately small grids, so each test
 //! costs seconds, not minutes.
@@ -330,6 +331,56 @@ fn strict_mode_fails_on_quarantine_and_retries_recover() {
     assert!(manifest.contains("\"degraded\": false"), "{manifest}");
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_quarantined_cell_dumps_its_flight_recorder() {
+    // No cell of 200k instructions ends within a 1 ms watchdog, and with
+    // no retries each is quarantined after its one attempt; the run then
+    // dumps the ring that cell's CPU filled, after its warning.
+    let out = reproduce()
+        .args([
+            "--instructions",
+            "200000",
+            "--shard-timeout",
+            "0.001",
+            "--retries",
+            "0",
+            "--flight-recorder",
+            "8",
+            "--quiet",
+        ])
+        .stdout(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a degraded run exits 0 without --strict"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let dumps: Vec<&str> = stderr
+        .split("quarantined after 1 attempt(s)")
+        .skip(1)
+        .collect();
+    assert_eq!(
+        dumps.len(),
+        5,
+        "one quarantine per workload's cell:\n{stderr}"
+    );
+    for dump in dumps {
+        let lines: Vec<&str> = dump.lines().skip(1).collect();
+        assert_eq!(
+            lines.first(),
+            Some(&"flight recorder: last 8 retired instruction(s)"),
+            "{stderr}"
+        );
+        let entries = lines[1..]
+            .iter()
+            .take_while(|l| l.starts_with("  cycle "))
+            .count();
+        assert_eq!(entries, 8, "{stderr}");
+    }
 }
 
 #[test]

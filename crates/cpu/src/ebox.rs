@@ -28,9 +28,9 @@ use crate::flight::SharedFlightRecorder;
 use crate::ib::Ib;
 use crate::icache::{DecodeCache, DecodeCacheStats};
 use crate::ipr::Ipr;
-use crate::operand::{EvaldOperand, Loc, PendingWb};
+use crate::operand::{EvaldOperand, Loc, PendingWb, WbDest};
 use crate::stats::CpuStats;
-use crate::store::{ControlStore, SpecFlavor, SpecRegions};
+use crate::store::{ControlStore, SpecFlavor};
 
 /// Base virtual address (system space) of the system control block; the
 /// kernel writes service-routine addresses at the `VEC_*` slots here, and
@@ -598,13 +598,13 @@ impl Cpu {
             match kind {
                 OperandKind::Spec(access, dt) => {
                     let spec = insn.specifiers[spec_i];
-                    let sr: &SpecRegions = if spec_i == 0 {
+                    let first = spec_i == 0;
+                    let sr = if first {
                         &self.cs.spec1
                     } else {
                         &self.cs.spec26
                     };
-                    let (ib_wait, index_prefix) = (sr.ib_wait, sr.index_prefix);
-                    if spec_i == 0 {
+                    if first {
                         first_spec_mode = Some(spec.mode);
                         self.stats.spec1_count += 1;
                     } else {
@@ -612,10 +612,8 @@ impl Cpu {
                     }
                     let enc_len = spec.encoded_len(dt.size());
                     cursor = cursor.wrapping_add(enc_len);
-                    self.consume_istream(enc_len, ib_wait);
-                    let first = spec_i == 0;
-                    let (val, wb) =
-                        self.eval_spec(&spec, *access, *dt, first, cursor, index_prefix, op_i);
+                    self.consume_istream(enc_len, sr.ib_wait);
+                    let (val, wb) = self.eval_spec(&spec, *access, *dt, first, cursor, op_i);
                     operands.push(val);
                     if let Some(wb) = wb {
                         writebacks.push(wb);
@@ -654,18 +652,14 @@ impl Cpu {
         // Write-backs (charged to the specifier routines' final µops).
         for wb in &writebacks {
             let value = operands[wb.operand_index].value;
-            match (wb.loc, wb.upc) {
-                (Loc::Mem(va), Some(upc)) => self.write_data(upc, va, wb.size, value),
-                (Loc::Reg(r), Some(upc)) => {
-                    self.c(upc);
+            match wb.dest {
+                WbDest::Mem(va, upc) => self.write_data(upc, va, wb.size, value),
+                WbDest::Reg(r, upc) => {
+                    if let Some(upc) = upc {
+                        self.c(upc);
+                    }
                     self.set_reg(r, wb.size, value);
                 }
-                (Loc::Reg(r), None) => self.set_reg(r, wb.size, value),
-                (Loc::Mem(va), None) => {
-                    let upc = self.cs.spec26.ib_wait; // unreachable in practice
-                    self.write_data(upc, va, wb.size, value)
-                }
-                (Loc::None, _) => {}
             }
         }
 
@@ -707,7 +701,17 @@ impl Cpu {
 
     // ---- specifier evaluation ----
 
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluate one operand specifier by running the routine the control
+    /// store declares for its (mode, flavor) in its position's
+    /// [`SpecRegions`](crate::store::SpecRegions): the µop list is the
+    /// timing. Literal and register operands run their one compute µop (a
+    /// register destination's µop is its write-back move; a register
+    /// modify's write-back is free). A memory operand forms its base
+    /// address and register side effects, a deferred mode runs its first
+    /// two µops as the pointer fetch, an index prefix adds its cycle, and
+    /// the remaining µops run in order: `Compute` is one cycle, `Read`
+    /// fetches the datum, and the final `Write` becomes the pending
+    /// write-back at its µPC.
     fn eval_spec(
         &mut self,
         spec: &Specifier,
@@ -715,17 +719,11 @@ impl Cpu {
         dt: DataType,
         first: bool,
         pc_after: u32,
-        index_prefix: Region,
         operand_index: usize,
     ) -> (EvaldOperand, Option<PendingWb>) {
         use AddressingMode::*;
         let size = dt.size();
-        let flavor = match access {
-            AccessType::Read => SpecFlavor::Read,
-            AccessType::Write => SpecFlavor::Write,
-            AccessType::Modify => SpecFlavor::Modify,
-            AccessType::Address | AccessType::Field => SpecFlavor::Address,
-        };
+        let flavor = SpecFlavor::of(access);
         let sr = if first {
             &self.cs.spec1
         } else {
@@ -733,14 +731,76 @@ impl Cpu {
         };
         let r = sr.routine(spec.mode, flavor);
         let rn = spec.reg;
+        let wb = |dest| PendingWb {
+            operand_index,
+            dest,
+            size,
+        };
+
+        // The base address, after the mode's register side effects; for a
+        // deferred mode, where the pointer its first two µops fetch lives.
+        let (mut a, deferred) = match spec.mode {
+            Literal | Immediate => {
+                self.c(r.entry());
+                return (
+                    EvaldOperand {
+                        value: spec.value as u64,
+                        loc: Loc::None,
+                        size,
+                    },
+                    None,
+                );
+            }
+            Register => {
+                let (value, dest) = match flavor {
+                    SpecFlavor::Write => (0, Some(WbDest::Reg(rn, Some(r.entry())))),
+                    _ => {
+                        self.c(r.entry());
+                        let free = (flavor == SpecFlavor::Modify).then_some(WbDest::Reg(rn, None));
+                        (self.get_reg(rn, size), free)
+                    }
+                };
+                return (
+                    EvaldOperand {
+                        value,
+                        loc: Loc::Reg(rn),
+                        size,
+                    },
+                    dest.map(wb),
+                );
+            }
+            RegisterDeferred => (self.get_reg32(rn), false),
+            Autoincrement => {
+                let a = self.get_reg32(rn);
+                self.bump_reg(rn, size as i32);
+                (a, false)
+            }
+            Autodecrement => {
+                self.bump_reg(rn, -(size as i32));
+                (self.get_reg32(rn), false)
+            }
+            AutoincrementDeferred => {
+                let a = self.get_reg32(rn);
+                self.bump_reg(rn, 4);
+                (a, true)
+            }
+            ByteDisp | WordDisp | LongDisp => {
+                (self.get_reg32(rn).wrapping_add(spec.value as u32), false)
+            }
+            ByteDispDeferred | WordDispDeferred | LongDispDeferred => {
+                (self.get_reg32(rn).wrapping_add(spec.value as u32), true)
+            }
+            Absolute => (spec.value as u32, false),
+            PcRelative => (pc_after.wrapping_add(spec.value as u32), false),
+            PcRelativeDeferred => (pc_after.wrapping_add(spec.value as u32), true),
+        };
 
         // Quad-width data repeats its data-reference µop at the same µPC;
-        // when that µop is the routine's entry (and references the operand,
-        // not a deferred pointer), the histogram's entry count runs one
-        // ahead of the evaluation count. Record the repeat so validation
-        // can reconcile the instruments exactly.
+        // when that µop is the routine's entry, the histogram's entry count
+        // runs one ahead of the evaluation count. Record the repeat so
+        // validation can reconcile the instruments exactly.
         if size > 4
-            && spec.mode != AutoincrementDeferred
+            && !deferred
             && matches!(self.cs.map.op(r.entry()), MicroOp::Read | MicroOp::Write)
         {
             if first {
@@ -750,267 +810,41 @@ impl Cpu {
             }
         }
 
-        // Compute the effective address (with cycle emission for the
-        // address-formation µops), or the value for non-memory modes.
-        let addr: Option<VirtAddr> = match spec.mode {
-            Literal | Immediate => None,
-            Register => None,
-            RegisterDeferred => Some(VirtAddr(self.get_reg32(rn))),
-            Autoincrement => {
-                let a = self.get_reg32(rn);
-                self.bump_reg(rn, size as i32);
-                Some(VirtAddr(a))
-            }
-            Autodecrement => {
-                self.bump_reg(rn, -(size as i32));
-                Some(VirtAddr(self.get_reg32(rn)))
-            }
-            AutoincrementDeferred => {
-                let ptr = VirtAddr(self.get_reg32(rn));
-                self.bump_reg(rn, 4);
-                // Pointer read is the first R of the routine.
-                let a = self.read_data(r.at(0), ptr, 4) as u32;
-                self.c(r.at(1));
-                Some(VirtAddr(a))
-            }
-            ByteDisp | WordDisp | LongDisp => {
-                Some(VirtAddr(self.get_reg32(rn).wrapping_add(spec.value as u32)))
-            }
-            ByteDispDeferred | WordDispDeferred | LongDispDeferred => {
-                let ptr = VirtAddr(self.get_reg32(rn).wrapping_add(spec.value as u32));
-                self.c(r.at(0));
-                let a = self.read_data(r.at(1), ptr, 4) as u32;
-                Some(VirtAddr(a))
-            }
-            Absolute => Some(VirtAddr(spec.value as u32)),
-            PcRelative => Some(VirtAddr(pc_after.wrapping_add(spec.value as u32))),
-            PcRelativeDeferred => {
-                let ptr = VirtAddr(pc_after.wrapping_add(spec.value as u32));
-                self.c(r.at(0));
-                let a = self.read_data(r.at(1), ptr, 4) as u32;
-                Some(VirtAddr(a))
-            }
-        };
-
-        // Index prefix: one more address-computation cycle.
-        let addr = match (spec.index, addr) {
-            (Some(ix), Some(a)) => {
-                self.c(index_prefix.entry());
-                Some(VirtAddr(
-                    a.0.wrapping_add(self.get_reg32(ix).wrapping_mul(size)),
-                ))
-            }
-            (_, a) => a,
-        };
-
-        // Deferred modes already emitted their pointer cycles above; the
-        // remaining µops of the routine are interpreted here.
-        match (spec.mode, flavor) {
-            // -- literal / immediate --
-            (Literal, _) | (Immediate, _) => {
-                self.c(r.at(0));
-                (
-                    EvaldOperand {
-                        value: spec.value as u64,
-                        loc: Loc::None,
-                        size,
-                    },
-                    None,
-                )
-            }
-            // -- register --
-            (Register, SpecFlavor::Read) => {
-                self.c(r.at(0));
-                (
-                    EvaldOperand {
-                        value: self.get_reg(rn, size),
-                        loc: Loc::Reg(rn),
-                        size,
-                    },
-                    None,
-                )
-            }
-            (Register, SpecFlavor::Write) => (
-                EvaldOperand {
-                    value: 0,
-                    loc: Loc::Reg(rn),
-                    size,
-                },
-                Some(PendingWb {
-                    operand_index,
-                    upc: Some(r.at(0)),
-                    loc: Loc::Reg(rn),
-                    size,
-                }),
-            ),
-            (Register, SpecFlavor::Modify) => {
-                self.c(r.at(0));
-                (
-                    EvaldOperand {
-                        value: self.get_reg(rn, size),
-                        loc: Loc::Reg(rn),
-                        size,
-                    },
-                    Some(PendingWb {
-                        operand_index,
-                        upc: None,
-                        loc: Loc::Reg(rn),
-                        size,
-                    }),
-                )
-            }
-            (Register, SpecFlavor::Address) => {
-                self.c(r.at(0));
-                (
-                    EvaldOperand {
-                        value: self.get_reg(rn, size),
-                        loc: Loc::Reg(rn),
-                        size,
-                    },
-                    None,
-                )
-            }
-            // -- memory modes --
-            (mode, SpecFlavor::Read) => {
-                let a = addr.expect("memory mode has address");
-                let data_off = match mode {
-                    RegisterDeferred => 0,
-                    Autoincrement => {
-                        // read then increment-bookkeeping cycle
-                        let v = self.read_data(r.at(0), a, size);
-                        self.c(r.at(1));
-                        return (
-                            EvaldOperand {
-                                value: v,
-                                loc: Loc::Mem(a),
-                                size,
-                            },
-                            None,
-                        );
-                    }
-                    Autodecrement => {
-                        self.c(r.at(0));
-                        1
-                    }
-                    AutoincrementDeferred => 2,
-                    ByteDisp | WordDisp | LongDisp | Absolute | PcRelative => {
-                        self.c(r.at(0));
-                        1
-                    }
-                    ByteDispDeferred | WordDispDeferred | LongDispDeferred | PcRelativeDeferred => {
-                        2
-                    }
-                    _ => unreachable!(),
-                };
-                let v = self.read_data(r.at(data_off), a, size);
-                (
-                    EvaldOperand {
-                        value: v,
-                        loc: Loc::Mem(a),
-                        size,
-                    },
-                    None,
-                )
-            }
-            (mode, SpecFlavor::Write) => {
-                let a = addr.expect("memory mode has address");
-                let wb_off = r.len - 1;
-                // Address-formation compute cycles not yet emitted.
-                match mode {
-                    RegisterDeferred => {}
-                    Autoincrement | Autodecrement | ByteDisp | WordDisp | LongDisp | Absolute
-                    | PcRelative => self.c(r.at(0)),
-                    AutoincrementDeferred
-                    | ByteDispDeferred
-                    | WordDispDeferred
-                    | LongDispDeferred
-                    | PcRelativeDeferred => {}
-                    _ => unreachable!(),
+        let mut upcs = (0..r.len).map(|i| r.at(i));
+        if deferred {
+            for upc in upcs.by_ref().take(2) {
+                match self.cs.map.op(upc) {
+                    MicroOp::Read => a = self.read_data(upc, VirtAddr(a), 4) as u32,
+                    _ => self.c(upc),
                 }
-                (
-                    EvaldOperand {
-                        value: 0,
-                        loc: Loc::Mem(a),
-                        size,
-                    },
-                    Some(PendingWb {
-                        operand_index,
-                        upc: Some(r.at(wb_off)),
-                        loc: Loc::Mem(a),
-                        size,
-                    }),
-                )
-            }
-            (mode, SpecFlavor::Modify) => {
-                let a = addr.expect("memory mode has address");
-                let wb_off = r.len - 1;
-                let data_off = match mode {
-                    RegisterDeferred => 0,
-                    Autoincrement => {
-                        let v = self.read_data(r.at(0), a, size);
-                        self.c(r.at(1));
-                        return (
-                            EvaldOperand {
-                                value: v,
-                                loc: Loc::Mem(a),
-                                size,
-                            },
-                            Some(PendingWb {
-                                operand_index,
-                                upc: Some(r.at(wb_off)),
-                                loc: Loc::Mem(a),
-                                size,
-                            }),
-                        );
-                    }
-                    Autodecrement | ByteDisp | WordDisp | LongDisp | Absolute | PcRelative => {
-                        self.c(r.at(0));
-                        1
-                    }
-                    AutoincrementDeferred
-                    | ByteDispDeferred
-                    | WordDispDeferred
-                    | LongDispDeferred
-                    | PcRelativeDeferred => 2,
-                    _ => unreachable!(),
-                };
-                let v = self.read_data(r.at(data_off), a, size);
-                (
-                    EvaldOperand {
-                        value: v,
-                        loc: Loc::Mem(a),
-                        size,
-                    },
-                    Some(PendingWb {
-                        operand_index,
-                        upc: Some(r.at(wb_off)),
-                        loc: Loc::Mem(a),
-                        size,
-                    }),
-                )
-            }
-            (mode, SpecFlavor::Address) => {
-                let a = addr.expect("memory mode has address");
-                match mode {
-                    Autoincrement | Autodecrement => {
-                        self.c(r.at(0));
-                        self.c(r.at(1));
-                    }
-                    AutoincrementDeferred => self.c(r.at(1)),
-                    ByteDispDeferred | WordDispDeferred | LongDispDeferred | PcRelativeDeferred => {
-                    }
-                    _ => self.c(r.at(0)),
-                }
-                (
-                    EvaldOperand {
-                        value: a.0 as u64,
-                        loc: Loc::Mem(a),
-                        size,
-                    },
-                    None,
-                )
             }
         }
+        if let Some(ix) = spec.index {
+            self.c(sr.index_prefix.entry());
+            a = a.wrapping_add(self.get_reg32(ix).wrapping_mul(size));
+        }
+        let va = VirtAddr(a);
+        let mut value = if flavor == SpecFlavor::Address {
+            a as u64
+        } else {
+            0
+        };
+        let mut dest = None;
+        for upc in upcs {
+            match self.cs.map.op(upc) {
+                MicroOp::Read => value = self.read_data(upc, va, size),
+                MicroOp::Write => dest = Some(WbDest::Mem(va, upc)),
+                _ => self.c(upc),
+            }
+        }
+        (
+            EvaldOperand {
+                value,
+                loc: Loc::Mem(va),
+                size,
+            },
+            dest.map(wb),
+        )
     }
 
     // ---- register helpers ----

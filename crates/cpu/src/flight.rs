@@ -4,22 +4,23 @@
 //! instruction, an unmapped reference — the raw panic message rarely says
 //! *how the machine got there*. The flight recorder keeps the last K
 //! retired instructions (PC, cycle, disassembly) in a fixed-size ring and
-//! dumps them to stderr just before the panic, giving every fatal error a
-//! short instruction-level backtrace of simulated time.
+//! dumps them to stderr, giving a failure a short instruction-level
+//! backtrace of simulated time. Three paths dump it: a BPT instruction
+//! (the guest's debugging entry point), the CPU's fatal-error path
+//! (`Cpu::fatal`, just before its panic), and the orchestrator when a
+//! cell is quarantined after its last attempt.
 //!
 //! Disabled (capacity 0) by default: recording disassembles every retired
 //! instruction into a `String`, which is far too expensive for measurement
 //! runs. Enable it with [`SharedFlightRecorder::with_capacity`] when
 //! debugging a workload.
 //!
-//! The CPU holds a [`SharedFlightRecorder`] — a handle to a shared ring —
-//! so the same recorder can also be registered with a process-wide panic
-//! hook ([`SharedFlightRecorder::register_panic_dump`]): if the simulator
-//! panics anywhere (not only through the CPU's own fatal-error path), the
-//! hook dumps the ring to stderr before the process unwinds.
+//! The CPU holds a [`SharedFlightRecorder`], a handle to a shared ring, so
+//! the orchestrator keeps a clone of a cell's recorder and can dump it
+//! after the machine that filled it is gone.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
 use vax_arch::Instruction;
 
@@ -122,9 +123,8 @@ impl FlightRecorder {
 /// A shareable handle to a [`FlightRecorder`].
 ///
 /// The CPU records through this handle on every retirement; a clone of the
-/// same handle can be registered with the process panic hook, so the ring
-/// is dumped even when the failure is a plain Rust panic rather than a
-/// simulated fatal error. The `enabled` flag is cached outside the lock:
+/// same handle lets the orchestrator dump the ring of a cell it
+/// quarantined. The `enabled` flag is cached outside the lock:
 /// a disabled recorder (the default) costs one branch per retirement.
 #[derive(Debug, Clone, Default)]
 pub struct SharedFlightRecorder {
@@ -185,59 +185,6 @@ impl SharedFlightRecorder {
     pub fn dump_stderr(&self) {
         self.inner.lock().unwrap().dump_stderr();
     }
-
-    /// Make this recorder the one the process panic hook dumps. The hook is
-    /// installed once per process (chaining to the previous hook); the most
-    /// recently registered recorder wins, so a harness running several
-    /// systems in sequence registers each one as it starts.
-    pub fn register_panic_dump(&self) {
-        *panic_target().lock().unwrap() = Some(self.inner.clone());
-        PANIC_HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                prev(info);
-                if let Some(report) = panic_dump() {
-                    eprintln!("{report}");
-                }
-            }));
-        });
-    }
-}
-
-static PANIC_HOOK: Once = Once::new();
-
-fn panic_target() -> &'static Mutex<Option<Arc<Mutex<FlightRecorder>>>> {
-    static TARGET: Mutex<Option<Arc<Mutex<FlightRecorder>>>> = Mutex::new(None);
-    &TARGET
-}
-
-fn last_panic_report() -> &'static Mutex<Option<String>> {
-    static LAST: Mutex<Option<String>> = Mutex::new(None);
-    &LAST
-}
-
-/// Render the registered recorder's report, remembering it for
-/// [`take_last_panic_report`]. Returns `None` when no recorder is
-/// registered, the ring is empty, or a lock is unavailable (`try_lock`:
-/// the panic may have happened while the recorder was mid-update, and the
-/// hook must never deadlock).
-pub fn panic_dump() -> Option<String> {
-    let target = panic_target().try_lock().ok()?.clone()?;
-    let recorder = target.try_lock().ok()?;
-    if recorder.is_empty() {
-        return None;
-    }
-    let report = recorder.report();
-    if let Ok(mut last) = last_panic_report().try_lock() {
-        *last = Some(report.clone());
-    }
-    Some(report)
-}
-
-/// Take the report produced by the most recent [`panic_dump`], if any.
-/// Lets tests observe what the panic hook printed to stderr.
-pub fn take_last_panic_report() -> Option<String> {
-    last_panic_report().lock().unwrap().take()
 }
 
 #[cfg(test)]
@@ -294,21 +241,5 @@ mod tests {
         let disabled = SharedFlightRecorder::disabled();
         disabled.record(0x200, 1, &movl());
         assert!(disabled.is_empty() && !disabled.is_enabled());
-    }
-
-    #[test]
-    fn panic_dump_reports_registered_recorder() {
-        let fr = SharedFlightRecorder::with_capacity(2);
-        fr.register_panic_dump();
-        assert_eq!(panic_dump(), None, "empty ring produces no report");
-        fr.record(0x300, 7, &movl());
-        let report = panic_dump().expect("non-empty ring must report");
-        assert!(report.contains("MOVL"), "{report}");
-        assert_eq!(take_last_panic_report().as_deref(), Some(report.as_str()));
-        assert_eq!(take_last_panic_report(), None, "take drains the slot");
-        // An actual panic (even a caught one) runs the hook.
-        let _ = std::panic::catch_unwind(|| panic!("injected test panic"));
-        let hooked = take_last_panic_report().expect("hook must have dumped");
-        assert!(hooked.contains("0x00000300"), "{hooked}");
     }
 }

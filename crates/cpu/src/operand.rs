@@ -44,19 +44,26 @@ impl EvaldOperand {
     }
 }
 
-/// A deferred write-back: performed after the execute phase, charged to the
-/// specifier routine's final microinstruction.
+/// A deferred write-back: performed after the execute phase.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingWb {
     /// Index of the operand in the instruction's operand list.
     pub operand_index: usize,
-    /// µPC of the write-back microinstruction (`None` for register-modify,
-    /// whose write-back is folded into the execute cycle).
-    pub upc: Option<MicroPc>,
-    /// Destination.
-    pub loc: Loc,
+    /// Destination, and the µop the write-back is charged to.
+    pub dest: WbDest,
     /// Size in bytes.
     pub size: u32,
+}
+
+/// Where a write-back lands, and the specifier µop that pays for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WbDest {
+    /// A memory write, charged to its routine's final `Write` µop.
+    Mem(VirtAddr, MicroPc),
+    /// A register move, charged to the register-write routine's one µop,
+    /// or free (`None`) for a register modify, whose write-back folds into
+    /// the execute cycle.
+    Reg(Reg, Option<MicroPc>),
 }
 
 #[cfg(test)]

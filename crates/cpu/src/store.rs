@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use upc_monitor::{Activity, ControlStoreMap, MicroOp, MicroPc, Region};
-use vax_arch::{AddressingMode, Opcode, OpcodeGroup};
+use vax_arch::{AccessType, AddressingMode, Opcode, OpcodeGroup};
 
 use crate::config::CpuConfig;
 use crate::exec::group_layout;
@@ -45,6 +45,17 @@ impl SpecFlavor {
         }
     }
 
+    /// The flavor whose routine evaluates an operand of `access` type (a
+    /// bit-field base is an address).
+    pub const fn of(access: AccessType) -> SpecFlavor {
+        match access {
+            AccessType::Read => SpecFlavor::Read,
+            AccessType::Write => SpecFlavor::Write,
+            AccessType::Modify => SpecFlavor::Modify,
+            AccessType::Address | AccessType::Field => SpecFlavor::Address,
+        }
+    }
+
     /// Every flavor, in [`SpecFlavor::index`] order.
     pub const ALL: [SpecFlavor; 4] = [
         SpecFlavor::Read,
@@ -54,16 +65,24 @@ impl SpecFlavor {
     ];
 }
 
-/// Microroutine shape for a (mode, flavor) pair, or `None` if the
-/// combination is architecturally impossible / unused by our workloads.
+/// The specifier routine for a (mode, flavor) pair, or `None` if the
+/// combination is architecturally impossible or unused by our workloads.
 ///
-/// Conventions interpreted by the EBOX:
-/// * ops before the final `Write` run at specifier-evaluation time;
-/// * a final `Write` (Write/Modify flavors, memory modes) runs at
-///   write-back time, after execute;
-/// * for Write flavor with register mode, the single `Compute` is the
-///   write-back move into the register;
-/// * quad-width data repeats the data-reference µop at the same address.
+/// The µop list is the routine's timing: `Cpu::eval_spec` runs it, and
+/// the same list keys the histogram reduction, so a cost edit is an edit
+/// to one row here. The EBOX reads each list in this order:
+/// * literal, immediate and register operands run their one `Compute`;
+///   for a register destination it is the write-back move, run after
+///   execute, and a register modify's write-back is free;
+/// * a memory operand forms its base address (and autoincrement or
+///   autodecrement side effect) without a cycle of its own;
+/// * a deferred mode's first two µops fetch the longword pointer at that
+///   base (`Read` is the fetch, `Compute` one cycle);
+/// * an index prefix adds its one cycle (`SpecRegions::index_prefix`);
+/// * the remaining µops run in order: `Compute` is one cycle, `Read`
+///   fetches the datum, and a final `Write` (write and modify flavors) is
+///   the write-back, run after execute at its µPC;
+/// * quad-width data repeats each datum `Read` or `Write` at the same µPC.
 fn spec_ops(mode: AddressingMode, flavor: SpecFlavor) -> Option<&'static [MicroOp]> {
     use AddressingMode::*;
     use MicroOp::{Compute as C, Read as R, Write as W};
@@ -180,16 +199,18 @@ impl SpecRegions {
         self.get(mode, flavor)
             .unwrap_or_else(|| panic!("no specifier routine for {mode:?} {flavor:?}"))
     }
+}
 
-    /// The µop shape of the routine (same convention as the map).
-    pub fn ops(
-        &self,
-        map: &ControlStoreMap,
-        mode: AddressingMode,
-        flavor: SpecFlavor,
-    ) -> Vec<MicroOp> {
-        let r = self.routine(mode, flavor);
-        (0..r.len).map(|i| map.op(r.at(i))).collect()
+/// The Table 8 row an opcode group's execute routines charge.
+pub fn group_activity(group: OpcodeGroup) -> Activity {
+    match group {
+        OpcodeGroup::Simple => Activity::ExecSimple,
+        OpcodeGroup::Field => Activity::ExecField,
+        OpcodeGroup::Float => Activity::ExecFloat,
+        OpcodeGroup::CallRet => Activity::ExecCallRet,
+        OpcodeGroup::System => Activity::ExecSystem,
+        OpcodeGroup::Character => Activity::ExecCharacter,
+        OpcodeGroup::Decimal => Activity::ExecDecimal,
     }
 }
 
@@ -257,17 +278,11 @@ impl ControlStore {
 
         let mut exec = Vec::with_capacity(Opcode::COUNT);
         for info in vax_arch::opcode::OPCODE_TABLE {
-            let layout = group_layout(info.group);
-            let activity = match info.group {
-                OpcodeGroup::Simple => Activity::ExecSimple,
-                OpcodeGroup::Field => Activity::ExecField,
-                OpcodeGroup::Float => Activity::ExecFloat,
-                OpcodeGroup::CallRet => Activity::ExecCallRet,
-                OpcodeGroup::System => Activity::ExecSystem,
-                OpcodeGroup::Character => Activity::ExecCharacter,
-                OpcodeGroup::Decimal => Activity::ExecDecimal,
-            };
-            exec.push(map.alloc(&format!("EXEC.{}", info.mnemonic), activity, layout));
+            let (name, activity) = (
+                format!("EXEC.{}", info.mnemonic),
+                group_activity(info.group),
+            );
+            exec.push(map.alloc(&name, activity, group_layout(info.group)));
         }
 
         let mut tb_ops = vec![C; TB_MISS_OVERHEAD as usize];

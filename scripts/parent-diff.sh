@@ -14,7 +14,8 @@
 # diff` (their runtime.json and trace.json hold wall-clock times). The
 # script exits 1 on any difference and writes .bench_build/parent-diff.txt:
 # each pair's `reproduce diff` (the CPI, Table 8 and section 4 among it)
-# and the files that differ, for an output-changing change to cite.
+# and the files that differ, trimmed to the lines worth citing, for an
+# output-changing change to cite.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -61,13 +62,27 @@ run() { # BINARY BOUND ARGS...
     grep '^peak RSS' "$log" || true
 }
 
+# The report keeps each artifact's header line and every line of
+# tables.json, validation.json and costs.json (the CPI, Table 8, section
+# 4, the invariants, the cost records); of any other artifact and of a
+# `diff -rq` file list it keeps the first 20 lines and counts the rest.
+trim='
+function flush() { if (cut) printf "  ... and %d more\n", cut; cut = kept = 0 }
+/^[a-z_]+\.json +(ok|DRIFT|ERROR)/ {
+    flush(); all = $1 ~ /^(tables|validation|costs)\.json$/; print; next
+}
+/^  / || /^(Files|Only in) / { if (all || ++kept <= 20) print; else cut++; next }
+{ flush(); print }
+END { flush() }'
+
 fail=0
-check() { # LABEL COMMAND...: report COMMAND's output; note a difference
+check() { # LABEL COMMAND...: report COMMAND's output, trimmed; note a difference
     echo "-- $1" >>"$report"
-    if "${@:2}" >>"$report" 2>&1; then
-        echo "parent-diff: $1: same"
-    else
-        echo "parent-diff: $1: DIFFERS"
+    local verdict=same
+    "${@:2}" >check.log 2>&1 || verdict=DIFFERS
+    awk "$trim" check.log >>"$report"
+    echo "parent-diff: $1: $verdict"
+    if [ "$verdict" != same ]; then
         fail=1
     fi
 }

@@ -102,9 +102,13 @@ fn paper_conclusions_hold() {
 fn tb_miss_service_near_paper() {
     let m = composite();
     let a = Analysis::new(ControlStore::get(), &m);
-    let misses = m.mem_stats.total_tb_misses();
-    assert!(misses > 100, "need TB misses to measure service time");
-    let service = a.tb_miss_cycles as f64 / misses as f64;
+    let services = a.tb_miss_services;
+    assert!(
+        services > 100,
+        "need TB-miss services to measure service time"
+    );
+    assert!(services <= m.mem_stats.total_tb_misses());
+    let service = a.tb_miss_cycles as f64 / services as f64;
     // Paper: 21.6 cycles average.
     assert!(
         service > 17.0 && service < 27.0,

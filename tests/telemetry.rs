@@ -112,11 +112,6 @@ fn flight_recorder_caps_and_survives_bpt_dump() {
     // Entries are in cycle order.
     let cycles: Vec<u64> = sys.cpu.flight.snapshot().iter().map(|e| e.cycle).collect();
     assert!(cycles.windows(2).all(|w| w[0] < w[1]), "{cycles:?}");
-    // The same ring, registered with the panic hook, is dumped on panics.
-    sys.cpu.flight.register_panic_dump();
-    let _ = std::panic::catch_unwind(|| panic!("injected test panic"));
-    let dumped = vax_cpu::flight::take_last_panic_report().expect("hook dumps the ring");
-    assert!(dumped.contains("flight recorder"), "{dumped}");
 }
 
 #[test]
