@@ -33,6 +33,9 @@ golden="--instructions 2000 --seed 1984 --interval-cycles 5000"
 mv "$fixtures/golden-small/checkpoints" "$fixtures/golden-checkpoints"
 # shellcheck disable=SC2086
 "$reproduce" $golden --quiet >"$fixtures/golden-small/report.txt"
-"$reproduce" characterize --opcodes MOVL,ADDL2,CLRL --reps 4 --iters 16 \
+# One or more opcodes of each execute group the probes reach, so an
+# execute-cost change in any of them shows up in the golden cost table.
+"$reproduce" characterize --reps 4 --iters 16 \
+    --opcodes MOVL,ADDL2,CLRL,EXTZV,ADDF2,MULL2,PUSHR,MOVC3,ADDP4 \
     --out "$fixtures/characterize-golden" --quiet
 echo "regen-fixtures: rewrote golden-small, golden-checkpoints and characterize-golden"

@@ -232,15 +232,20 @@ fn golden_path() -> PathBuf {
 }
 
 /// The parameters the golden fixture was generated with — keep in sync
-/// with `scripts/regen-fixtures.sh`, which writes the fixture.
+/// with `scripts/regen-fixtures.sh`, which writes the fixture. The
+/// opcodes reach every execute group the probes can (SIMPLE, FIELD,
+/// FLOAT, CALL/RET, CHARACTER, DECIMAL), so a change to any of their
+/// execute costs makes the fixture stale.
 fn golden_options() -> CharacterizeOptions {
     CharacterizeOptions {
         spec: RefuteSpec {
             probe: ProbeSpec {
-                opcodes: ["MOVL", "ADDL2", "CLRL"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
+                opcodes: [
+                    "MOVL", "ADDL2", "CLRL", "EXTZV", "ADDF2", "MULL2", "PUSHR", "MOVC3", "ADDP4",
+                ]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
                 reps: 4,
                 iters: 16,
                 ..ProbeSpec::default()
