@@ -13,6 +13,8 @@
 //! * a TB miss charges one abort cycle plus the MemMgmt service routine;
 //! * microcode patches charge periodic abort cycles.
 
+use std::borrow::Borrow;
+
 use upc_monitor::{Histogram, MicroOp, MicroPc, Plane, Region};
 use vax_arch::psl::AccessMode;
 use vax_arch::{
@@ -185,10 +187,14 @@ impl Cpu {
         self.tick();
     }
 
-    /// Emit `n` compute cycles over a region's offsets `[from, from+n)`.
-    pub(crate) fn c_span(&mut self, region: Region, from: u16, n: u16) {
-        for i in 0..n {
-            self.c(region.at(from + i));
+    /// Emit one compute cycle at each of a region's `offsets`, in order.
+    pub(crate) fn c_steps<I>(&mut self, region: Region, offsets: I)
+    where
+        I: IntoIterator,
+        I::Item: Borrow<u16>,
+    {
+        for i in offsets {
+            self.c(region.at(*i.borrow()));
         }
     }
 
@@ -217,7 +223,7 @@ impl Cpu {
     fn run_tb_miss(&mut self, va: VirtAddr) {
         self.c(self.cs.abort.entry());
         let r = self.cs.tb_miss;
-        self.c_span(r, 0, self.cs.tb_miss_read_off);
+        self.c_steps(r, 0..self.cs.tb_miss_read_off);
         let fill = self.mem.tb_fill(va, self.cycle).unwrap_or_else(|e| {
             self.fatal(format!(
                 "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",
@@ -500,7 +506,7 @@ impl Cpu {
     fn dispatch_interrupt(&mut self, ipl: u8, scb_slot: u32, hardware: bool) {
         let r = self.cs.interrupt;
         // State sequencing.
-        self.c_span(r, 0, self.cs.interrupt_read_off);
+        self.c_steps(r, 0..self.cs.interrupt_read_off);
         // Vector read.
         let vec_va = SCB_BASE.add(scb_slot * 4);
         let target = self.read_data(r.at(self.cs.interrupt_read_off), vec_va, 4) as u32;
@@ -522,7 +528,7 @@ impl Cpu {
         self.regs[14] = sp2;
         // Cleanup cycles.
         let fin = self.cs.interrupt_push_off + 2;
-        self.c_span(r, fin, r.len - fin);
+        self.c_steps(r, fin..r.len);
         self.psl.ipl = ipl;
         self.psl.cur_mode = AccessMode::Kernel;
         self.set_pc(target);

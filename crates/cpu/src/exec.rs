@@ -6,21 +6,31 @@
 //! microinstructions — so histogram counts at loop addresses measure
 //! data-dependent costs (the paper's "average character string is 36–44
 //! characters" inference comes from such counts).
+//!
+//! Each group's module below declares its layout once, as named offsets and
+//! the µop kind at each, and its cost table: one [`ExecRow`] per opcode or
+//! opcode family, listing the compute steps no operand value decides.
+//! [`execute`] runs a row's `setup`, and the routine runs its `each` and
+//! `finish` steps at their points; what an operand value decides (a loop's
+//! trip count, a taken branch, where a field lives) stays code, at named
+//! offsets. So a fixed execute-cost edit is a one-row diff, and
+//! `tests/exec_routines.rs` checks the SIMPLE and FLOAT rows against the
+//! µPC histogram on directed probes.
 
-use upc_monitor::{MicroOp, Region};
+use upc_monitor::{MicroOp, MicroPc, Region};
 use vax_arch::psl::AccessMode;
 use vax_arch::{Instruction, Opcode, OpcodeGroup, Psl};
 use vax_mem::VirtAddr;
 
 use crate::ebox::{mask, Cpu, SCB_BASE, VEC_CHMK};
 use crate::ipr::IprNum;
-use crate::operand::EvaldOperand;
+use crate::operand::{EvaldOperand, Loc};
 
 use MicroOp::{Compute as C, Read as R, Write as W};
 
 /// Control-flow result of the execute phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
+pub(crate) enum Flow {
     /// Fall through to the next instruction.
     Normal,
     /// Take the embedded branch displacement.
@@ -31,9 +41,74 @@ pub enum Flow {
     Halt,
 }
 
-/// Layout offsets for the SIMPLE group: `[entry, redirect, read, extra, write]`.
-pub mod simple_off {
-    /// The (single) execute cycle.
+/// One execute routine's declared timing: the compute steps no operand
+/// value decides, as offsets into its group's layout.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ExecRow {
+    /// The opcodes that share this routine's timing.
+    pub opcodes: &'static [Opcode],
+    /// Steps run on entry, before any operand-dependent work. A SIMPLE
+    /// routine's first is ENTRY, which the 780's literal optimization fuses
+    /// into a literal first specifier's cycle.
+    pub setup: &'static [u16],
+    /// Steps run once per item of the routine's loop: after each register
+    /// pushed or popped (CALL/RET), saved or loaded (SVPCTX, LDPCTX), and
+    /// per digit (DECIMAL).
+    pub each: &'static [u16],
+    /// Steps run once, where the routine's operand-dependent work ends:
+    /// after a field fetch, a frame's pushes or pops, a string loop, or a
+    /// case-table read.
+    pub finish: &'static [u16],
+}
+
+const fn row(opcodes: &'static [Opcode], setup: &'static [u16]) -> ExecRow {
+    ExecRow {
+        opcodes,
+        setup,
+        each: &[],
+        finish: &[],
+    }
+}
+
+impl ExecRow {
+    const fn each(self, each: &'static [u16]) -> ExecRow {
+        ExecRow { each, ..self }
+    }
+
+    const fn finish(self, finish: &'static [u16]) -> ExecRow {
+        ExecRow { finish, ..self }
+    }
+}
+
+/// A group layout of `N` compute µops, but for the data references at
+/// `refs`' offsets.
+const fn layout<const N: usize>(refs: &[(u16, MicroOp)]) -> [MicroOp; N] {
+    let mut ops = [C; N];
+    let mut i = 0;
+    while i < refs.len() {
+        ops[refs[i].0 as usize] = refs[i].1;
+        i += 1;
+    }
+    ops
+}
+
+/// `N` steps at consecutive offsets from `from`.
+const fn span<const N: usize>(from: u16) -> [u16; N] {
+    let mut steps = [0; N];
+    let mut i = 0;
+    while i < N {
+        steps[i] = from + i as u16;
+        i += 1;
+    }
+    steps
+}
+
+/// SIMPLE: `[entry, redirect, read, extra, write]`.
+mod simple {
+    use super::*;
+    use Opcode::*;
+
+    /// The execute cycle every routine opens with.
     pub const ENTRY: u16 = 0;
     /// IB-redirect cycle on taken branches.
     pub const REDIRECT: u16 = 1;
@@ -43,10 +118,52 @@ pub mod simple_off {
     pub const EXTRA: u16 = 3;
     /// Data write (BSB/JSB return push, PUSHL).
     pub const WRITE: u16 = 4;
+    pub const OPS: [MicroOp; 5] = layout(&[(READ, R), (WRITE, W)]);
+
+    pub static ROWS: &[ExecRow] = &[
+        // Data operations: moves, converts, clears, pushes (the push is
+        // the WRITE), integer arithmetic and logic, tests and compares.
+        row(
+            &[
+                Movb, Movw, Movl, Movq, Movab, Movaw, Moval, Movaq, Pushl, Pushab, Pushaw, Pushal,
+                Pushaq, Clrb, Clrw, Clrl, Clrq, Mnegb, Mnegw, Mnegl, Mcomb, Mcomw, Mcoml, Movzbw,
+                Movzbl, Movzwl, Cvtbw, Cvtbl, Cvtwb, Cvtwl, Cvtlb, Cvtlw, Addb2, Addb3, Addw2,
+                Addw3, Addl2, Addl3, Subb2, Subb3, Subw2, Subw3, Subl2, Subl3, Incb, Incw, Incl,
+                Decb, Decw, Decl, Bicb2, Bicb3, Bicw2, Bicw3, Bicl2, Bicl3, Bisb2, Bisb3, Bisw2,
+                Bisw3, Bisl2, Bisl3, Xorb2, Xorb3, Xorw2, Xorw3, Xorl2, Xorl3, Tstb, Tstw, Tstl,
+                Cmpb, Cmpw, Cmpl, Bitb, Bitw, Bitl,
+            ],
+            &[ENTRY],
+        ),
+        // Shifts and rotates.
+        row(&[Ashl, Ashq, Rotl], &[ENTRY, EXTRA]),
+        // Conditional and low-bit branches; a taken one adds REDIRECT.
+        row(
+            &[
+                Bneq, Beql, Bgtr, Bleq, Bgeq, Blss, Bgtru, Blequ, Bvc, Bvs, Bcc, Bcs, Brb, Brw,
+                Blbs, Blbc,
+            ],
+            &[ENTRY],
+        ),
+        row(&[Jmp], &[ENTRY, REDIRECT]),
+        // Loop branches; a taken one adds REDIRECT.
+        row(
+            &[Sobgeq, Sobgtr, Aoblss, Aobleq, Acbb, Acbw, Acbl],
+            &[ENTRY, EXTRA],
+        ),
+        // Case branches: the table READ (when in range), then REDIRECT.
+        row(&[Caseb, Casew, Casel], &[ENTRY]).finish(&[REDIRECT]),
+        // Subroutine linkage: the return address's WRITE or READ, then
+        // REDIRECT.
+        row(&[Bsbb, Bsbw, Jsb, Rsb], &[ENTRY]).finish(&[REDIRECT]),
+    ];
 }
 
-/// Layout offsets for the FIELD group.
-pub mod field_off {
+/// FIELD.
+mod field {
+    use super::*;
+    use Opcode::*;
+
     /// First execute cycle.
     pub const ENTRY: u16 = 0;
     /// Field position/size arithmetic.
@@ -63,10 +180,70 @@ pub mod field_off {
     pub const WRITE: u16 = 6;
     /// IB-redirect cycle for taken bit branches.
     pub const REDIRECT: u16 = 7;
+    pub const OPS: [MicroOp; 8] = layout(&[(READ, R), (WRITE, W)]);
+
+    pub static ROWS: &[ExecRow] = &[
+        // Field reads: each finish follows the field fetch.
+        row(&[Extv, Extzv], &[ENTRY]).finish(&[CALC1, CALC2, MERGE, POST, POST]),
+        row(&[Cmpv, Cmpzv], &[ENTRY]).finish(&[CALC1, CALC2, MERGE, POST]),
+        row(&[Ffs, Ffc], &[ENTRY]).finish(&[CALC1, CALC2, MERGE, POST, MERGE]),
+        // INSV's finish runs once the field is known to be non-empty.
+        row(&[Insv], &[ENTRY]).finish(&[CALC1, CALC2, MERGE]),
+        // Bit branches; a taken one adds REDIRECT.
+        row(&[Bbs, Bbc], &[ENTRY, CALC2, CALC1]),
+        // Bit branches that write the bit: MERGE between its read and write.
+        row(
+            &[Bbss, Bbcs, Bbsc, Bbcc, Bbssi, Bbcci],
+            &[ENTRY, CALC2, CALC1],
+        )
+        .finish(&[MERGE]),
+    ];
 }
 
-/// Layout offsets for the CALL/RET group.
-pub mod callret_off {
+/// FLOAT (with integer multiply and divide, per Table 1): 24 compute µops.
+/// A routine runs straight through its region, re-executing the last µop
+/// once it runs out (EDIV's 26 cycles outrun the 24).
+mod float {
+    use super::*;
+    use Opcode::*;
+
+    pub const OPS: [MicroOp; 24] = layout(&[]);
+
+    /// `N` steps straight through the region.
+    const fn straight<const N: usize>() -> [u16; N] {
+        let mut steps = [0; N];
+        let mut i = 0;
+        while i < N {
+            steps[i] = (if i < OPS.len() { i } else { OPS.len() - 1 }) as u16;
+            i += 1;
+        }
+        steps
+    }
+
+    pub static ROWS: &[ExecRow] = &[
+        row(&[Movf, Tstf, Mnegf, Movd, Tstd], &straight::<2>()),
+        row(&[Cmpf, Cmpd], &straight::<4>()),
+        row(&[Addf2, Addf3, Subf2, Subf3], &straight::<6>()),
+        row(&[Addd2, Addd3, Subd2, Subd3], &straight::<8>()),
+        row(&[Mulf2, Mulf3], &straight::<8>()),
+        row(&[Muld2, Muld3], &straight::<13>()),
+        row(&[Divf2, Divf3], &straight::<15>()),
+        row(&[Divd2, Divd3], &straight::<23>()),
+        row(&[Cvtfl, Cvtlf, Cvtfd, Cvtdl, Cvtld], &straight::<5>()),
+        row(&[Mulb2, Mulb3, Mulw2, Mulw3], &straight::<10>()),
+        row(&[Mull2, Mull3], &straight::<13>()),
+        row(&[Divb2, Divb3, Divw2, Divw3], &straight::<20>()),
+        row(&[Divl2, Divl3], &straight::<24>()),
+        row(&[Emul], &straight::<14>()),
+        row(&[Ediv], &straight::<26>()),
+    ];
+}
+
+/// CALL/RET.
+mod callret {
+    use super::*;
+    use Opcode::*;
+
     /// Setup cycles 0..8.
     pub const SETUP: u16 = 0;
     /// Register/frame push.
@@ -80,10 +257,34 @@ pub mod callret_off {
     pub const POP_GAP: u16 = 11;
     /// Finish cycles 12..16.
     pub const FINISH: u16 = 12;
+    pub const OPS: [MicroOp; 16] = layout(&[(PUSH, W), (POP, R)]);
+
+    pub static ROWS: &[ExecRow] = &[
+        // Three gaps after each push; the condition handler's push, the
+        // frame's last, keeps two, which open the finish.
+        row(&[Calls, Callg], &span::<8>(SETUP))
+            .each(&[PUSH_GAP; 3])
+            .finish(&[
+                PUSH_GAP,
+                PUSH_GAP,
+                FINISH,
+                FINISH + 1,
+                FINISH + 2,
+                FINISH + 3,
+            ]),
+        row(&[Ret], &span::<5>(SETUP))
+            .each(&[POP_GAP; 2])
+            .finish(&span::<3>(FINISH)),
+        row(&[Pushr], &span::<2>(SETUP)).each(&[PUSH_GAP]),
+        row(&[Popr], &span::<2>(SETUP)).each(&[POP_GAP]),
+    ];
 }
 
-/// Layout offsets for the SYSTEM group.
-pub mod system_off {
+/// SYSTEM.
+mod system {
+    use super::*;
+    use Opcode::*;
+
     /// Setup cycles 0..10.
     pub const SETUP: u16 = 0;
     /// Data read.
@@ -92,10 +293,30 @@ pub mod system_off {
     pub const WRITE: u16 = 11;
     /// Finish cycles 12..14.
     pub const FINISH: u16 = 12;
+    pub const OPS: [MicroOp; 14] = layout(&[(READ, R), (WRITE, W)]);
+
+    pub static ROWS: &[ExecRow] = &[
+        row(&[Halt, Nop], &[SETUP]),
+        row(&[Bpt], &span::<4>(SETUP)),
+        row(&[Chmk, Chme, Chms, Chmu], &span::<10>(SETUP)).finish(&span::<2>(FINISH)),
+        row(&[Rei], &span::<6>(SETUP)).finish(&span::<2>(FINISH)),
+        // One FINISH step per general register saved or loaded.
+        row(&[Svpctx, Ldpctx], &span::<2>(SETUP))
+            .each(&[FINISH])
+            .finish(&span::<2>(FINISH)),
+        row(&[Mtpr, Mfpr], &span::<3>(SETUP)),
+        row(&[Insque, Remque], &span::<4>(SETUP)).finish(&span::<2>(FINISH)),
+        row(&[Prober, Probew], &span::<4>(SETUP)),
+        row(&[Bispsw, Bicpsw], &span::<2>(SETUP)),
+    ];
 }
 
-/// Layout offsets for the CHARACTER group.
-pub mod char_off {
+/// CHARACTER. The string loops' steps stay code: a MOVCx iteration spaces
+/// its write between compute cycles.
+mod character {
+    use super::*;
+    use Opcode::*;
+
     /// Setup cycles 0..8.
     pub const SETUP: u16 = 0;
     /// Source longword read.
@@ -113,10 +334,22 @@ pub mod char_off {
     pub const LOOP4: u16 = 13;
     /// Finish cycle.
     pub const FINISH: u16 = 14;
+    pub const OPS: [MicroOp; 15] = layout(&[(READ, R), (WRITE, W)]);
+
+    pub static ROWS: &[ExecRow] = &[
+        row(&[Movc3, Movc5], &span::<8>(SETUP)).finish(&[FINISH]),
+        row(&[Cmpc3, Cmpc5], &span::<8>(SETUP)).finish(&[FINISH]),
+        row(&[Locc, Skpc], &span::<8>(SETUP)).finish(&[FINISH]),
+        row(&[Scanc, Spanc], &span::<8>(SETUP)).finish(&[FINISH]),
+        row(&[Matchc], &span::<8>(SETUP)).finish(&[FINISH]),
+    ];
 }
 
-/// Layout offsets for the DECIMAL group.
-pub mod decimal_off {
+/// DECIMAL. A row's `each` is one digit-loop iteration.
+mod decimal {
+    use super::*;
+    use Opcode::*;
+
     /// Setup cycles 0..10.
     pub const SETUP: u16 = 0;
     /// Packed-operand longword read.
@@ -131,46 +364,76 @@ pub mod decimal_off {
     pub const WRITE: u16 = 14;
     /// Finish cycle.
     pub const FINISH: u16 = 15;
+    pub const OPS: [MicroOp; 16] = layout(&[(READ, R), (WRITE, W)]);
+
+    const DIGIT: [u16; 3] = [DIGIT1, DIGIT2, DIGIT3];
+
+    pub static ROWS: &[ExecRow] = &[
+        row(&[Addp4, Subp4, Addp6, Subp6], &span::<10>(SETUP)).each(&DIGIT),
+        // Multiply and divide run the digit loop's body twice per digit.
+        row(&[Mulp, Divp], &span::<10>(SETUP))
+            .each(&[DIGIT1, DIGIT2, DIGIT3, DIGIT1, DIGIT2, DIGIT3]),
+        row(&[Movp], &span::<10>(SETUP)),
+        row(&[Cmpp3, Cmpp4], &span::<10>(SETUP)).each(&DIGIT),
+        row(&[Cvtlp, Cvtpl], &span::<10>(SETUP)).each(&DIGIT),
+        row(&[Ashp], &span::<10>(SETUP)).each(&DIGIT),
+    ];
 }
 
-static SIMPLE_LAYOUT: &[MicroOp] = &[C, C, R, C, W];
-static FIELD_LAYOUT: &[MicroOp] = &[C, C, C, C, R, C, W, C];
-static FLOAT_LAYOUT: &[MicroOp] = &[C; 24];
-static CALLRET_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, W, C, R, C, C, C, C, C];
-static SYSTEM_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, C, C, R, W, C, C];
-static CHAR_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, R, C, C, W, C, C, C];
-static DECIMAL_LAYOUT: &[MicroOp] = &[C, C, C, C, C, C, C, C, C, C, R, C, C, C, W, C];
-
 /// The shared execute-region layout of an opcode group.
-pub fn group_layout(group: OpcodeGroup) -> &'static [MicroOp] {
+pub(crate) fn group_layout(group: OpcodeGroup) -> &'static [MicroOp] {
     match group {
-        OpcodeGroup::Simple => SIMPLE_LAYOUT,
-        OpcodeGroup::Field => FIELD_LAYOUT,
-        OpcodeGroup::Float => FLOAT_LAYOUT,
-        OpcodeGroup::CallRet => CALLRET_LAYOUT,
-        OpcodeGroup::System => SYSTEM_LAYOUT,
-        OpcodeGroup::Character => CHAR_LAYOUT,
-        OpcodeGroup::Decimal => DECIMAL_LAYOUT,
+        OpcodeGroup::Simple => &simple::OPS,
+        OpcodeGroup::Field => &field::OPS,
+        OpcodeGroup::Float => &float::OPS,
+        OpcodeGroup::CallRet => &callret::OPS,
+        OpcodeGroup::System => &system::OPS,
+        OpcodeGroup::Character => &character::OPS,
+        OpcodeGroup::Decimal => &decimal::OPS,
     }
+}
+
+/// Every row of the cost table, group by group.
+fn rows() -> impl Iterator<Item = &'static ExecRow> {
+    [
+        simple::ROWS,
+        field::ROWS,
+        float::ROWS,
+        callret::ROWS,
+        system::ROWS,
+        character::ROWS,
+        decimal::ROWS,
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// The cost-table row that prices `op`.
+pub(crate) fn row_of(op: Opcode) -> Option<&'static ExecRow> {
+    rows().find(|row| row.opcodes.contains(&op))
 }
 
 /// Run the execute phase of `insn`. `ops` holds the evaluated operands;
 /// results are stored back into `ops[i].value` for deferred write-back.
+/// `fused` is the 780's literal optimization: a SIMPLE routine's first
+/// step runs inside a literal first specifier's cycle.
 pub(crate) fn execute(
     cpu: &mut Cpu,
     insn: &Instruction,
     ops: &mut [EvaldOperand],
     fused: bool,
 ) -> Flow {
-    let r = cpu.cs.exec_region(insn.opcode);
-    match insn.opcode.group() {
-        OpcodeGroup::Simple => exec_simple(cpu, r, insn, ops, fused),
-        OpcodeGroup::Field => exec_field(cpu, r, insn, ops),
-        OpcodeGroup::Float => exec_float(cpu, r, insn, ops),
-        OpcodeGroup::CallRet => exec_callret(cpu, r, insn, ops),
-        OpcodeGroup::System => exec_system(cpu, r, insn, ops),
-        OpcodeGroup::Character => exec_character(cpu, r, insn, ops),
-        OpcodeGroup::Decimal => exec_decimal(cpu, r, insn, ops),
+    let op = insn.opcode;
+    let (r, row) = (cpu.cs.exec_region(op), cpu.cs.exec_row(op));
+    cpu.c_steps(r, &row.setup[usize::from(fused)..]);
+    match op.group() {
+        OpcodeGroup::Simple => exec_simple(cpu, r, row, op, ops),
+        OpcodeGroup::Field => exec_field(cpu, r, row, op, ops),
+        OpcodeGroup::Float => exec_float(&mut cpu.psl, op, ops),
+        OpcodeGroup::CallRet => exec_callret(cpu, r, row, op, ops),
+        OpcodeGroup::System => exec_system(cpu, r, row, op, ops),
+        OpcodeGroup::Character => exec_character(cpu, r, row, op, ops),
+        OpcodeGroup::Decimal => exec_decimal(cpu, r, row, op, ops),
     }
 }
 
@@ -237,42 +500,28 @@ fn branch_condition(psl: &Psl, op: Opcode) -> bool {
     }
 }
 
+/// End a conditional branch: a taken one runs its IB-redirect cycle.
+fn branch(cpu: &mut Cpu, redirect: MicroPc, taken: bool) -> Flow {
+    if taken {
+        cpu.c(redirect);
+        Flow::TakenDisp
+    } else {
+        Flow::Normal
+    }
+}
+
 // ---- SIMPLE ----
 
 fn exec_simple(
     cpu: &mut Cpu,
     r: Region,
-    insn: &Instruction,
+    row: &ExecRow,
+    op: Opcode,
     ops: &mut [EvaldOperand],
-    fused: bool,
 ) -> Flow {
-    use simple_off::*;
-    let op = insn.opcode;
-    // The one execute cycle (unless fused into the final specifier cycle —
-    // the 780's literal/register operand optimization).
-    let entry = |cpu: &mut Cpu| {
-        if !fused {
-            cpu.c(r.at(ENTRY));
-        }
-    };
+    use simple::*;
     match op {
-        // Moves.
-        Opcode::Movb | Opcode::Movw | Opcode::Movl | Opcode::Movq => {
-            entry(cpu);
-            let v = ops[0].value;
-            cc_nz(&mut cpu.psl, v, ops[0].size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Movab | Opcode::Movaw | Opcode::Moval | Opcode::Movaq => {
-            entry(cpu);
-            let v = ops[0].value;
-            cc_nz(&mut cpu.psl, v, 4);
-            ops[1].value = v;
-            Flow::Normal
-        }
         Opcode::Pushl | Opcode::Pushab | Opcode::Pushaw | Opcode::Pushal | Opcode::Pushaq => {
-            entry(cpu);
             let v = ops[0].value as u32;
             cc_nz(&mut cpu.psl, v as u64, 4);
             let sp = cpu.regs[14].wrapping_sub(4);
@@ -280,184 +529,17 @@ fn exec_simple(
             cpu.write_data(r.at(WRITE), VirtAddr(sp), 4, v as u64);
             Flow::Normal
         }
-        Opcode::Clrb | Opcode::Clrw | Opcode::Clrl | Opcode::Clrq => {
-            entry(cpu);
-            cc_nz(&mut cpu.psl, 0, ops[0].size);
-            cpu.psl.z = true;
-            ops[0].value = 0;
-            Flow::Normal
-        }
-        Opcode::Mnegb | Opcode::Mnegw | Opcode::Mnegl => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = (ops[0].value as i64).wrapping_neg() as u64 & mask(size);
-            cc_sub(&mut cpu.psl, ops[0].value, 0, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Mcomb | Opcode::Mcomw | Opcode::Mcoml => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = !ops[0].value & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Movzbw | Opcode::Movzbl | Opcode::Movzwl => {
-            entry(cpu);
-            let v = ops[0].value & mask(ops[0].size);
-            cc_nz(&mut cpu.psl, v, ops[1].size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Cvtbw
-        | Opcode::Cvtbl
-        | Opcode::Cvtwb
-        | Opcode::Cvtwl
-        | Opcode::Cvtlb
-        | Opcode::Cvtlw => {
-            entry(cpu);
-            let v = sext(ops[0].value, ops[0].size) as u64 & mask(ops[1].size);
-            cc_nz(&mut cpu.psl, v, ops[1].size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        // Integer add/sub.
-        Opcode::Addb2 | Opcode::Addw2 | Opcode::Addl2 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[0].value.wrapping_add(ops[1].value) & mask(size);
-            cc_add(&mut cpu.psl, ops[0].value, ops[1].value, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Addb3 | Opcode::Addw3 | Opcode::Addl3 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[0].value.wrapping_add(ops[1].value) & mask(size);
-            cc_add(&mut cpu.psl, ops[0].value, ops[1].value, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        Opcode::Subb2 | Opcode::Subw2 | Opcode::Subl2 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[1].value.wrapping_sub(ops[0].value) & mask(size);
-            cc_sub(&mut cpu.psl, ops[0].value, ops[1].value, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Subb3 | Opcode::Subw3 | Opcode::Subl3 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[1].value.wrapping_sub(ops[0].value) & mask(size);
-            cc_sub(&mut cpu.psl, ops[0].value, ops[1].value, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        Opcode::Incb | Opcode::Incw | Opcode::Incl => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[0].value.wrapping_add(1) & mask(size);
-            cc_add(&mut cpu.psl, 1, ops[0].value, v, size);
-            ops[0].value = v;
-            Flow::Normal
-        }
-        Opcode::Decb | Opcode::Decw | Opcode::Decl => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[0].value.wrapping_sub(1) & mask(size);
-            cc_sub(&mut cpu.psl, 1, ops[0].value, v, size);
-            ops[0].value = v;
-            Flow::Normal
-        }
-        Opcode::Ashl | Opcode::Ashq => {
-            entry(cpu);
-            cpu.c(r.at(EXTRA));
-            let cnt = sext(ops[0].value, 1);
-            let size = ops[1].size;
-            let src = sext(ops[1].value, size);
-            let v = if cnt >= 0 {
-                (src as u64).wrapping_shl(cnt.min(63) as u32)
-            } else {
-                (src >> (-cnt).min(63)) as u64
-            } & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        Opcode::Rotl => {
-            entry(cpu);
-            cpu.c(r.at(EXTRA));
-            let cnt = (sext(ops[0].value, 1).rem_euclid(32)) as u32;
-            let v = (ops[1].value as u32).rotate_left(cnt) as u64;
-            cc_nz(&mut cpu.psl, v, 4);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        // Boolean.
-        Opcode::Bicb2 | Opcode::Bicw2 | Opcode::Bicl2 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[1].value & !ops[0].value & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Bicb3 | Opcode::Bicw3 | Opcode::Bicl3 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = ops[1].value & !ops[0].value & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        Opcode::Bisb2 | Opcode::Bisw2 | Opcode::Bisl2 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = (ops[1].value | ops[0].value) & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Bisb3 | Opcode::Bisw3 | Opcode::Bisl3 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = (ops[1].value | ops[0].value) & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
-        Opcode::Xorb2 | Opcode::Xorw2 | Opcode::Xorl2 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = (ops[1].value ^ ops[0].value) & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[1].value = v;
-            Flow::Normal
-        }
-        Opcode::Xorb3 | Opcode::Xorw3 | Opcode::Xorl3 => {
-            entry(cpu);
-            let size = ops[0].size;
-            let v = (ops[1].value ^ ops[0].value) & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[2].value = v;
-            Flow::Normal
-        }
         // Test / compare / bit test.
         Opcode::Tstb | Opcode::Tstw | Opcode::Tstl => {
-            entry(cpu);
             cc_nz(&mut cpu.psl, ops[0].value, ops[0].size);
             cpu.psl.c = false;
             Flow::Normal
         }
         Opcode::Cmpb | Opcode::Cmpw | Opcode::Cmpl => {
-            entry(cpu);
             cc_cmp(&mut cpu.psl, ops[0].value, ops[1].value, ops[0].size);
             Flow::Normal
         }
         Opcode::Bitb | Opcode::Bitw | Opcode::Bitl => {
-            entry(cpu);
             let v = ops[0].value & ops[1].value;
             cc_nz(&mut cpu.psl, v, ops[0].size);
             Flow::Normal
@@ -476,50 +558,22 @@ fn exec_simple(
         | Opcode::Bcc
         | Opcode::Bcs
         | Opcode::Brb
-        | Opcode::Brw => {
-            cpu.c(r.at(ENTRY));
-            if branch_condition(&cpu.psl, op) {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
-        }
-        Opcode::Jmp => {
-            cpu.c(r.at(ENTRY));
-            cpu.c(r.at(REDIRECT));
-            Flow::Jump(ops[0].value as u32)
-        }
+        | Opcode::Brw => branch(cpu, r.at(REDIRECT), branch_condition(&cpu.psl, op)),
+        Opcode::Jmp => Flow::Jump(ops[0].value as u32),
         // Low-bit tests.
         Opcode::Blbs | Opcode::Blbc => {
-            cpu.c(r.at(ENTRY));
             let bit = ops[0].value & 1 != 0;
-            let taken = if op == Opcode::Blbs { bit } else { !bit };
-            if taken {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
+            branch(cpu, r.at(REDIRECT), bit == (op == Opcode::Blbs))
         }
         // Loop branches.
         Opcode::Sobgeq | Opcode::Sobgtr => {
-            cpu.c(r.at(ENTRY));
-            cpu.c(r.at(EXTRA));
             let v = (ops[0].as_i32()).wrapping_sub(1);
             ops[0].value = v as u32 as u64;
             cc_nz(&mut cpu.psl, v as u32 as u64, 4);
             let taken = if op == Opcode::Sobgeq { v >= 0 } else { v > 0 };
-            if taken {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
+            branch(cpu, r.at(REDIRECT), taken)
         }
         Opcode::Aoblss | Opcode::Aobleq => {
-            cpu.c(r.at(ENTRY));
-            cpu.c(r.at(EXTRA));
             let limit = ops[0].as_i32();
             let v = ops[1].as_i32().wrapping_add(1);
             ops[1].value = v as u32 as u64;
@@ -529,16 +583,9 @@ fn exec_simple(
             } else {
                 v <= limit
             };
-            if taken {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
+            branch(cpu, r.at(REDIRECT), taken)
         }
         Opcode::Acbb | Opcode::Acbw | Opcode::Acbl => {
-            cpu.c(r.at(ENTRY));
-            cpu.c(r.at(EXTRA));
             let size = ops[0].size;
             let limit = sext(ops[0].value, size);
             let add = sext(ops[1].value, size);
@@ -546,17 +593,11 @@ fn exec_simple(
             ops[2].value = v as u64 & mask(size);
             cc_nz(&mut cpu.psl, v as u64, size);
             let taken = if add >= 0 { v <= limit } else { v >= limit };
-            if taken {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
+            branch(cpu, r.at(REDIRECT), taken)
         }
         // Case branches. The word displacement table follows the
         // instruction in the I-stream.
         Opcode::Caseb | Opcode::Casew | Opcode::Casel => {
-            cpu.c(r.at(ENTRY));
             let size = ops[0].size;
             let sel = ops[0].value & mask(size);
             let base = ops[1].value & mask(size);
@@ -569,59 +610,182 @@ fn exec_simple(
             } else {
                 table.wrapping_add(2 * (limit as u32 + 1))
             };
-            cpu.c(r.at(REDIRECT));
+            cpu.c_steps(r, row.finish);
             Flow::Jump(target)
         }
         // Subroutine linkage (simple: just push/pop the PC).
-        Opcode::Bsbb | Opcode::Bsbw => {
-            cpu.c(r.at(ENTRY));
+        Opcode::Bsbb | Opcode::Bsbw | Opcode::Jsb => {
             let sp = cpu.regs[14].wrapping_sub(4);
             cpu.regs[14] = sp;
             let ret = cpu.regs[15];
             cpu.write_data(r.at(WRITE), VirtAddr(sp), 4, ret as u64);
-            cpu.c(r.at(REDIRECT));
-            Flow::TakenDisp
-        }
-        Opcode::Jsb => {
-            cpu.c(r.at(ENTRY));
-            let sp = cpu.regs[14].wrapping_sub(4);
-            cpu.regs[14] = sp;
-            let ret = cpu.regs[15];
-            cpu.write_data(r.at(WRITE), VirtAddr(sp), 4, ret as u64);
-            cpu.c(r.at(REDIRECT));
-            Flow::Jump(ops[0].value as u32)
+            cpu.c_steps(r, row.finish);
+            if op == Opcode::Jsb {
+                Flow::Jump(ops[0].value as u32)
+            } else {
+                Flow::TakenDisp
+            }
         }
         Opcode::Rsb => {
-            cpu.c(r.at(ENTRY));
             let sp = cpu.regs[14];
             let ret = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
             cpu.regs[14] = sp.wrapping_add(4);
-            cpu.c(r.at(REDIRECT));
+            cpu.c_steps(r, row.finish);
             Flow::Jump(ret)
         }
-        other => unreachable!("{other} is not SIMPLE"),
+        // Every other SIMPLE instruction computes a result into its last
+        // operand (the destination of the 2- and 3-operand forms alike).
+        _ => {
+            let v = simple_result(&mut cpu.psl, op, ops);
+            ops[ops.len() - 1].value = v;
+            Flow::Normal
+        }
+    }
+}
+
+/// The result of a SIMPLE data operation; sets the condition codes.
+fn simple_result(psl: &mut Psl, op: Opcode, ops: &[EvaldOperand]) -> u64 {
+    match op {
+        // Moves.
+        Opcode::Movb | Opcode::Movw | Opcode::Movl | Opcode::Movq => {
+            cc_nz(psl, ops[0].value, ops[0].size);
+            ops[0].value
+        }
+        Opcode::Movab | Opcode::Movaw | Opcode::Moval | Opcode::Movaq => {
+            cc_nz(psl, ops[0].value, 4);
+            ops[0].value
+        }
+        Opcode::Clrb | Opcode::Clrw | Opcode::Clrl | Opcode::Clrq => {
+            cc_nz(psl, 0, ops[0].size);
+            0
+        }
+        Opcode::Mnegb | Opcode::Mnegw | Opcode::Mnegl => {
+            let size = ops[0].size;
+            let v = (ops[0].value as i64).wrapping_neg() as u64 & mask(size);
+            cc_sub(psl, ops[0].value, 0, v, size);
+            v
+        }
+        Opcode::Mcomb | Opcode::Mcomw | Opcode::Mcoml => {
+            let v = !ops[0].value & mask(ops[0].size);
+            cc_nz(psl, v, ops[0].size);
+            v
+        }
+        Opcode::Movzbw | Opcode::Movzbl | Opcode::Movzwl => {
+            let v = ops[0].value & mask(ops[0].size);
+            cc_nz(psl, v, ops[1].size);
+            v
+        }
+        Opcode::Cvtbw
+        | Opcode::Cvtbl
+        | Opcode::Cvtwb
+        | Opcode::Cvtwl
+        | Opcode::Cvtlb
+        | Opcode::Cvtlw => {
+            let v = sext(ops[0].value, ops[0].size) as u64 & mask(ops[1].size);
+            cc_nz(psl, v, ops[1].size);
+            v
+        }
+        // Integer add/sub.
+        Opcode::Addb2
+        | Opcode::Addw2
+        | Opcode::Addl2
+        | Opcode::Addb3
+        | Opcode::Addw3
+        | Opcode::Addl3 => {
+            let size = ops[0].size;
+            let v = ops[0].value.wrapping_add(ops[1].value) & mask(size);
+            cc_add(psl, ops[0].value, ops[1].value, v, size);
+            v
+        }
+        Opcode::Subb2
+        | Opcode::Subw2
+        | Opcode::Subl2
+        | Opcode::Subb3
+        | Opcode::Subw3
+        | Opcode::Subl3 => {
+            let size = ops[0].size;
+            let v = ops[1].value.wrapping_sub(ops[0].value) & mask(size);
+            cc_sub(psl, ops[0].value, ops[1].value, v, size);
+            v
+        }
+        Opcode::Incb | Opcode::Incw | Opcode::Incl => {
+            let size = ops[0].size;
+            let v = ops[0].value.wrapping_add(1) & mask(size);
+            cc_add(psl, 1, ops[0].value, v, size);
+            v
+        }
+        Opcode::Decb | Opcode::Decw | Opcode::Decl => {
+            let size = ops[0].size;
+            let v = ops[0].value.wrapping_sub(1) & mask(size);
+            cc_sub(psl, 1, ops[0].value, v, size);
+            v
+        }
+        Opcode::Ashl | Opcode::Ashq => {
+            let cnt = sext(ops[0].value, 1);
+            let size = ops[1].size;
+            let src = sext(ops[1].value, size);
+            let v = if cnt >= 0 {
+                (src as u64).wrapping_shl(cnt.min(63) as u32)
+            } else {
+                (src >> (-cnt).min(63)) as u64
+            } & mask(size);
+            cc_nz(psl, v, size);
+            v
+        }
+        Opcode::Rotl => {
+            let cnt = (sext(ops[0].value, 1).rem_euclid(32)) as u32;
+            let v = (ops[1].value as u32).rotate_left(cnt) as u64;
+            cc_nz(psl, v, 4);
+            v
+        }
+        // Boolean.
+        Opcode::Bicb2
+        | Opcode::Bicw2
+        | Opcode::Bicl2
+        | Opcode::Bicb3
+        | Opcode::Bicw3
+        | Opcode::Bicl3 => {
+            let v = ops[1].value & !ops[0].value & mask(ops[0].size);
+            cc_nz(psl, v, ops[0].size);
+            v
+        }
+        Opcode::Bisb2
+        | Opcode::Bisw2
+        | Opcode::Bisl2
+        | Opcode::Bisb3
+        | Opcode::Bisw3
+        | Opcode::Bisl3 => {
+            let v = (ops[1].value | ops[0].value) & mask(ops[0].size);
+            cc_nz(psl, v, ops[0].size);
+            v
+        }
+        Opcode::Xorb2
+        | Opcode::Xorw2
+        | Opcode::Xorl2
+        | Opcode::Xorb3
+        | Opcode::Xorw3
+        | Opcode::Xorl3 => {
+            let v = (ops[1].value ^ ops[0].value) & mask(ops[0].size);
+            cc_nz(psl, v, ops[0].size);
+            v
+        }
+        other => unreachable!("{other} is not a SIMPLE data operation"),
     }
 }
 
 // ---- FIELD ----
 
 /// Fetch a bit field of `size` bits at bit `pos` relative to `base`.
-fn field_fetch(
-    cpu: &mut Cpu,
-    r: Region,
-    pos: i64,
-    size: u32,
-    base: &EvaldOperand,
-) -> (u64, Option<VirtAddr>) {
-    use field_off::*;
+fn field_fetch(cpu: &mut Cpu, r: Region, pos: i64, size: u32, base: &EvaldOperand) -> u64 {
+    use field::*;
     if size == 0 {
-        return (0, None);
+        return 0;
     }
     match base.loc {
-        crate::operand::Loc::Reg(reg) => {
+        Loc::Reg(reg) => {
             cpu.c(r.at(CALC1));
             let v = cpu.get_reg(reg, 4) >> (pos & 31);
-            (v & mask_bits(size), None)
+            v & mask_bits(size)
         }
         _ => {
             cpu.c(r.at(CALC1));
@@ -637,7 +801,7 @@ fn field_fetch(
             } else {
                 word >> bit_in_lw
             };
-            (v & mask_bits(size), Some(lw))
+            v & mask_bits(size)
         }
     }
 }
@@ -650,56 +814,47 @@ fn mask_bits(bits: u32) -> u64 {
     }
 }
 
-fn exec_field(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    use field_off::*;
-    let op = insn.opcode;
-    cpu.c(r.at(ENTRY));
+fn exec_field(
+    cpu: &mut Cpu,
+    r: Region,
+    row: &ExecRow,
+    op: Opcode,
+    ops: &mut [EvaldOperand],
+) -> Flow {
+    use field::*;
     match op {
-        Opcode::Extv | Opcode::Extzv => {
+        Opcode::Extv | Opcode::Extzv | Opcode::Cmpv | Opcode::Cmpzv | Opcode::Ffs | Opcode::Ffc => {
             let pos = sext(ops[0].value, 4);
             let size = (ops[1].value & 0xFF) as u32;
-            let (raw, _) = field_fetch(cpu, r, pos, size, &ops[2]);
-            cpu.c_span(r, CALC1, 3);
-            cpu.c(r.at(POST));
-            cpu.c(r.at(POST));
-            let v = if op == Opcode::Extv && size > 0 {
-                sext(raw, 4).wrapping_shl(32 - size.min(32)) as u64 >> (32 - size.min(32))
-                    | if raw & (1 << (size.saturating_sub(1))) != 0 && size < 32 {
-                        !mask_bits(size) & mask(4)
+            let raw = field_fetch(cpu, r, pos, size, &ops[2]);
+            cpu.c_steps(r, row.finish);
+            match op {
+                Opcode::Extv | Opcode::Extzv => {
+                    let v = if op == Opcode::Extv && size > 0 {
+                        sext(raw, 4).wrapping_shl(32 - size.min(32)) as u64 >> (32 - size.min(32))
+                            | if raw & (1 << (size.saturating_sub(1))) != 0 && size < 32 {
+                                !mask_bits(size) & mask(4)
+                            } else {
+                                0
+                            }
                     } else {
-                        0
-                    }
-            } else {
-                raw
-            };
-            cc_nz(&mut cpu.psl, v, 4);
-            ops[3].value = v & mask(4);
-            Flow::Normal
-        }
-        Opcode::Cmpv | Opcode::Cmpzv => {
-            let pos = sext(ops[0].value, 4);
-            let size = (ops[1].value & 0xFF) as u32;
-            let (raw, _) = field_fetch(cpu, r, pos, size, &ops[2]);
-            cpu.c_span(r, CALC1, 3);
-            cpu.c(r.at(POST));
-            cc_cmp(&mut cpu.psl, raw, ops[3].value, 4);
-            Flow::Normal
-        }
-        Opcode::Ffs | Opcode::Ffc => {
-            let pos = sext(ops[0].value, 4);
-            let size = (ops[1].value & 0xFF) as u32;
-            let (raw, _) = field_fetch(cpu, r, pos, size, &ops[2]);
-            cpu.c_span(r, CALC1, 3);
-            cpu.c(r.at(POST));
-            cpu.c(r.at(MERGE));
-            let scan = if op == Opcode::Ffs {
-                raw
-            } else {
-                !raw & mask_bits(size)
-            };
-            let found = scan.trailing_zeros().min(size);
-            cpu.psl.z = found == size;
-            ops[3].value = (pos as u64).wrapping_add(found as u64) & mask(4);
+                        raw
+                    };
+                    cc_nz(&mut cpu.psl, v, 4);
+                    ops[3].value = v & mask(4);
+                }
+                Opcode::Cmpv | Opcode::Cmpzv => cc_cmp(&mut cpu.psl, raw, ops[3].value, 4),
+                _ => {
+                    let scan = if op == Opcode::Ffs {
+                        raw
+                    } else {
+                        !raw & mask_bits(size)
+                    };
+                    let found = scan.trailing_zeros().min(size);
+                    cpu.psl.z = found == size;
+                    ops[3].value = (pos as u64).wrapping_add(found as u64) & mask(4);
+                }
+            }
             Flow::Normal
         }
         Opcode::Insv => {
@@ -709,9 +864,9 @@ fn exec_field(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOper
             if size == 0 {
                 return Flow::Normal;
             }
+            cpu.c_steps(r, row.finish);
             match ops[3].loc {
-                crate::operand::Loc::Reg(reg) => {
-                    cpu.c_span(r, CALC1, 3);
+                Loc::Reg(reg) => {
                     cpu.c(r.at(MERGE));
                     let shift = (pos & 31) as u32;
                     let old = cpu.get_reg(reg, 4);
@@ -720,7 +875,6 @@ fn exec_field(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOper
                     cpu.set_reg(reg, 4, v & mask(4));
                 }
                 _ => {
-                    cpu.c_span(r, CALC1, 3);
                     let byte = VirtAddr((ops[3].value as u32).wrapping_add((pos >> 3) as u32));
                     let lw = VirtAddr(byte.0 & !3);
                     let old = cpu.read_data(r.at(READ), lw, 4);
@@ -743,7 +897,8 @@ fn exec_field(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOper
             }
             Flow::Normal
         }
-        // Bit branches (single-bit fields).
+        // Bit branches (single-bit fields): the bit lives in a register's
+        // longword or in a byte of memory.
         Opcode::Bbs
         | Opcode::Bbc
         | Opcode::Bbss
@@ -753,58 +908,29 @@ fn exec_field(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOper
         | Opcode::Bbssi
         | Opcode::Bbcci => {
             let pos = sext(ops[0].value, 4);
-            cpu.c(r.at(CALC2));
-            let (bitval, written) = match ops[1].loc {
-                crate::operand::Loc::Reg(reg) => {
-                    cpu.c(r.at(CALC1));
-                    let old = cpu.get_reg(reg, 4);
-                    let bit = (old >> (pos & 31)) & 1;
-                    let newbit = match op {
-                        Opcode::Bbss | Opcode::Bbcs | Opcode::Bbssi => Some(1u64),
-                        Opcode::Bbsc | Opcode::Bbcc | Opcode::Bbcci => Some(0),
-                        _ => None,
-                    };
-                    if let Some(nb) = newbit {
-                        cpu.c(r.at(MERGE));
-                        let m = 1u64 << (pos & 31);
-                        let v = (old & !m) | (nb << (pos & 31));
-                        cpu.set_reg(reg, 4, v & mask(4));
-                    }
-                    (bit, false)
-                }
-                _ => {
-                    cpu.c(r.at(CALC1));
-                    let byte = VirtAddr((ops[1].value as u32).wrapping_add((pos >> 3) as u32));
-                    let old = cpu.read_data(r.at(READ), byte, 1);
-                    let bit = (old >> (pos & 7)) & 1;
-                    let newbit = match op {
-                        Opcode::Bbss | Opcode::Bbcs | Opcode::Bbssi => Some(1u64),
-                        Opcode::Bbsc | Opcode::Bbcc | Opcode::Bbcci => Some(0),
-                        _ => None,
-                    };
-                    if let Some(nb) = newbit {
-                        cpu.c(r.at(MERGE));
-                        let m = 1u64 << (pos & 7);
-                        let v = (old & !m) | (nb << (pos & 7));
-                        cpu.write_data(r.at(WRITE), byte, 1, v);
-                        (bit, true)
-                    } else {
-                        (bit, false)
-                    }
-                }
+            let byte = VirtAddr((ops[1].value as u32).wrapping_add((pos >> 3) as u32));
+            let (old, shift) = match ops[1].loc {
+                Loc::Reg(reg) => (cpu.get_reg(reg, 4), pos & 31),
+                _ => (cpu.read_data(r.at(READ), byte, 1), pos & 7),
             };
-            let _ = written;
+            cpu.c_steps(r, row.finish);
+            let newbit = match op {
+                Opcode::Bbss | Opcode::Bbcs | Opcode::Bbssi => Some(1u64),
+                Opcode::Bbsc | Opcode::Bbcc | Opcode::Bbcci => Some(0),
+                _ => None,
+            };
+            if let Some(nb) = newbit {
+                let v = (old & !(1 << shift)) | (nb << shift);
+                match ops[1].loc {
+                    Loc::Reg(reg) => cpu.set_reg(reg, 4, v & mask(4)),
+                    _ => cpu.write_data(r.at(WRITE), byte, 1, v),
+                }
+            }
             let on_set = matches!(
                 op,
                 Opcode::Bbs | Opcode::Bbss | Opcode::Bbsc | Opcode::Bbssi
             );
-            let taken = (bitval != 0) == on_set;
-            if taken {
-                cpu.c(r.at(REDIRECT));
-                Flow::TakenDisp
-            } else {
-                Flow::Normal
-            }
+            branch(cpu, r.at(REDIRECT), ((old >> shift) & 1 != 0) == on_set)
         }
         other => unreachable!("{other} is not FIELD"),
     }
@@ -819,157 +945,75 @@ fn f64_of(v: u64) -> f64 {
     f64::from_bits(v)
 }
 
-fn float_cycles(op: Opcode) -> u16 {
-    match op {
-        Opcode::Movf | Opcode::Tstf | Opcode::Mnegf | Opcode::Movd | Opcode::Tstd => 2,
-        Opcode::Cmpf | Opcode::Cmpd => 4,
-        Opcode::Addf2 | Opcode::Addf3 | Opcode::Subf2 | Opcode::Subf3 => 6,
-        Opcode::Addd2 | Opcode::Addd3 | Opcode::Subd2 | Opcode::Subd3 => 8,
-        Opcode::Mulf2 | Opcode::Mulf3 => 8,
-        Opcode::Muld2 | Opcode::Muld3 => 13,
-        Opcode::Divf2 | Opcode::Divf3 => 15,
-        Opcode::Divd2 | Opcode::Divd3 => 23,
-        Opcode::Cvtfl | Opcode::Cvtlf | Opcode::Cvtfd | Opcode::Cvtdl | Opcode::Cvtld => 5,
-        Opcode::Mulb2 | Opcode::Mulb3 | Opcode::Mulw2 | Opcode::Mulw3 => 10,
-        Opcode::Mull2 | Opcode::Mull3 => 13,
-        Opcode::Divb2 | Opcode::Divb3 | Opcode::Divw2 | Opcode::Divw3 => 20,
-        Opcode::Divl2 | Opcode::Divl3 => 24,
-        Opcode::Emul => 14,
-        Opcode::Ediv => 26,
-        _ => 5,
-    }
+/// Store an F_floating result and set the condition codes from it.
+fn put_f(psl: &mut Psl, dst: &mut EvaldOperand, v: f32) {
+    dst.value = v.to_bits() as u64;
+    set_float_cc(psl, v as f64);
 }
 
-/// Region offset of a FLOAT opcode's `i`-th execute cycle: straight through
-/// the region, then re-executing its last microinstruction. EDIV's 26
-/// cycles outrun the 24-µop layout, so its two extra cycles re-execute the
-/// last µop.
-fn float_offset(i: u16) -> u16 {
-    i.min(FLOAT_LAYOUT.len() as u16 - 1)
+/// Store a D_floating result and set the condition codes from it.
+fn put_d(psl: &mut Psl, dst: &mut EvaldOperand, v: f64) {
+    dst.value = v.to_bits();
+    set_float_cc(psl, v);
 }
 
-fn exec_float(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    let op = insn.opcode;
-    for i in 0..float_cycles(op) {
-        cpu.c(r.at(float_offset(i)));
-    }
+fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
+    let (a, b) = (ops[0].value, ops.get(1).map_or(0, |o| o.value));
+    let (fa, fb, da, db) = (f32_of(a), f32_of(b), f64_of(a), f64_of(b));
+    // The 2- and 3-operand forms share shape: the destination is the last
+    // operand.
     let dst = ops.len() - 1;
     match op {
-        // F_floating arithmetic (2- and 3-operand forms share shape: the
-        // destination is the last operand).
-        Opcode::Addf2 | Opcode::Addf3 => {
-            let v = f32_of(ops[0].value) + f32_of(ops[1].value);
-            ops[dst].value = v.to_bits() as u64;
-            set_float_cc(&mut cpu.psl, v as f64);
-        }
-        Opcode::Subf2 | Opcode::Subf3 => {
-            let v = f32_of(ops[1].value) - f32_of(ops[0].value);
-            ops[dst].value = v.to_bits() as u64;
-            set_float_cc(&mut cpu.psl, v as f64);
-        }
-        Opcode::Mulf2 | Opcode::Mulf3 => {
-            let v = f32_of(ops[0].value) * f32_of(ops[1].value);
-            ops[dst].value = v.to_bits() as u64;
-            set_float_cc(&mut cpu.psl, v as f64);
-        }
+        Opcode::Addf2 | Opcode::Addf3 => put_f(psl, &mut ops[dst], fa + fb),
+        Opcode::Subf2 | Opcode::Subf3 => put_f(psl, &mut ops[dst], fb - fa),
+        Opcode::Mulf2 | Opcode::Mulf3 => put_f(psl, &mut ops[dst], fa * fb),
         Opcode::Divf2 | Opcode::Divf3 => {
-            let d = f32_of(ops[0].value);
-            let v = if d == 0.0 {
-                0.0
-            } else {
-                f32_of(ops[1].value) / d
-            };
-            ops[dst].value = v.to_bits() as u64;
-            set_float_cc(&mut cpu.psl, v as f64);
+            put_f(psl, &mut ops[dst], if fa == 0.0 { 0.0 } else { fb / fa })
         }
-        Opcode::Addd2 | Opcode::Addd3 => {
-            let v = f64_of(ops[0].value) + f64_of(ops[1].value);
-            ops[dst].value = v.to_bits();
-            set_float_cc(&mut cpu.psl, v);
-        }
-        Opcode::Subd2 | Opcode::Subd3 => {
-            let v = f64_of(ops[1].value) - f64_of(ops[0].value);
-            ops[dst].value = v.to_bits();
-            set_float_cc(&mut cpu.psl, v);
-        }
-        Opcode::Muld2 | Opcode::Muld3 => {
-            let v = f64_of(ops[0].value) * f64_of(ops[1].value);
-            ops[dst].value = v.to_bits();
-            set_float_cc(&mut cpu.psl, v);
-        }
+        Opcode::Addd2 | Opcode::Addd3 => put_d(psl, &mut ops[dst], da + db),
+        Opcode::Subd2 | Opcode::Subd3 => put_d(psl, &mut ops[dst], db - da),
+        Opcode::Muld2 | Opcode::Muld3 => put_d(psl, &mut ops[dst], da * db),
         Opcode::Divd2 | Opcode::Divd3 => {
-            let d = f64_of(ops[0].value);
-            let v = if d == 0.0 {
-                0.0
-            } else {
-                f64_of(ops[1].value) / d
-            };
-            ops[dst].value = v.to_bits();
-            set_float_cc(&mut cpu.psl, v);
+            put_d(psl, &mut ops[dst], if da == 0.0 { 0.0 } else { db / da })
         }
+        Opcode::Mnegf => put_f(psl, &mut ops[dst], -fa),
+        Opcode::Cvtlf => put_f(psl, &mut ops[dst], sext(a, 4) as f32),
+        Opcode::Cvtld => put_d(psl, &mut ops[dst], sext(a, 4) as f64),
+        Opcode::Cvtfd => put_d(psl, &mut ops[dst], fa as f64),
         Opcode::Movf | Opcode::Movd => {
-            ops[dst].value = ops[0].value;
-            set_float_cc(&mut cpu.psl, f64_of(ops[0].value));
+            ops[dst].value = a;
+            set_float_cc(psl, da);
         }
-        Opcode::Mnegf => {
-            let v = -f32_of(ops[0].value);
-            ops[dst].value = v.to_bits() as u64;
-            set_float_cc(&mut cpu.psl, v as f64);
+        Opcode::Tstf => set_float_cc(psl, fa as f64),
+        Opcode::Tstd => set_float_cc(psl, da),
+        // F_floating widens to D_floating exactly.
+        Opcode::Cmpf | Opcode::Cmpd => {
+            let (x, y) = if op == Opcode::Cmpf {
+                (fa as f64, fb as f64)
+            } else {
+                (da, db)
+            };
+            psl.n = x < y;
+            psl.z = x == y;
+            psl.v = false;
+            psl.c = false;
         }
-        Opcode::Tstf => set_float_cc(&mut cpu.psl, f32_of(ops[0].value) as f64),
-        Opcode::Tstd => set_float_cc(&mut cpu.psl, f64_of(ops[0].value)),
-        Opcode::Cmpf => {
-            let (a, b) = (f32_of(ops[0].value), f32_of(ops[1].value));
-            cpu.psl.n = a < b;
-            cpu.psl.z = a == b;
-            cpu.psl.v = false;
-            cpu.psl.c = false;
-        }
-        Opcode::Cmpd => {
-            let (a, b) = (f64_of(ops[0].value), f64_of(ops[1].value));
-            cpu.psl.n = a < b;
-            cpu.psl.z = a == b;
-            cpu.psl.v = false;
-            cpu.psl.c = false;
-        }
-        Opcode::Cvtfl => {
-            let v = f32_of(ops[0].value) as i64 as u64 & mask(4);
-            cc_nz(&mut cpu.psl, v, 4);
+        Opcode::Cvtfl | Opcode::Cvtdl => {
+            let x = if op == Opcode::Cvtfl { fa as f64 } else { da };
+            let v = x as i64 as u64 & mask(4);
+            cc_nz(psl, v, 4);
             ops[dst].value = v;
-        }
-        Opcode::Cvtdl => {
-            let v = f64_of(ops[0].value) as i64 as u64 & mask(4);
-            cc_nz(&mut cpu.psl, v, 4);
-            ops[dst].value = v;
-        }
-        Opcode::Cvtlf => {
-            let v = sext(ops[0].value, 4) as f32;
-            set_float_cc(&mut cpu.psl, v as f64);
-            ops[dst].value = v.to_bits() as u64;
-        }
-        Opcode::Cvtld => {
-            let v = sext(ops[0].value, 4) as f64;
-            set_float_cc(&mut cpu.psl, v);
-            ops[dst].value = v.to_bits();
-        }
-        Opcode::Cvtfd => {
-            let v = f32_of(ops[0].value) as f64;
-            set_float_cc(&mut cpu.psl, v);
-            ops[dst].value = v.to_bits();
         }
         // Integer multiply/divide (FLOAT group per Table 1).
-        Opcode::Mulb2 | Opcode::Mulw2 | Opcode::Mull2 => {
+        Opcode::Mulb2
+        | Opcode::Mulw2
+        | Opcode::Mull2
+        | Opcode::Mulb3
+        | Opcode::Mulw3
+        | Opcode::Mull3 => {
             let size = ops[0].size;
-            let v = (sext(ops[0].value, size).wrapping_mul(sext(ops[1].value, size))) as u64
-                & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
-            ops[dst].value = v;
-        }
-        Opcode::Mulb3 | Opcode::Mulw3 | Opcode::Mull3 => {
-            let size = ops[0].size;
-            let v = (sext(ops[0].value, size).wrapping_mul(sext(ops[1].value, size))) as u64
-                & mask(size);
-            cc_nz(&mut cpu.psl, v, size);
+            let v = (sext(a, size).wrapping_mul(sext(b, size))) as u64 & mask(size);
+            cc_nz(psl, v, size);
             ops[dst].value = v;
         }
         Opcode::Divb2
@@ -979,34 +1023,34 @@ fn exec_float(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOper
         | Opcode::Divw3
         | Opcode::Divl3 => {
             let size = ops[0].size;
-            let d = sext(ops[0].value, size);
+            let d = sext(a, size);
             let v = if d == 0 {
-                cpu.psl.v = true;
-                ops[1].value
+                psl.v = true;
+                b
             } else {
-                (sext(ops[1].value, size).wrapping_div(d)) as u64 & mask(size)
+                (sext(b, size).wrapping_div(d)) as u64 & mask(size)
             };
-            cc_nz(&mut cpu.psl, v, size);
+            cc_nz(psl, v, size);
             ops[dst].value = v;
         }
         Opcode::Emul => {
-            let v = (sext(ops[0].value, 4) as i128 * sext(ops[1].value, 4) as i128
-                + sext(ops[2].value, 4) as i128) as u64;
-            cc_nz(&mut cpu.psl, v, 8);
+            let v =
+                (sext(a, 4) as i128 * sext(b, 4) as i128 + sext(ops[2].value, 4) as i128) as u64;
+            cc_nz(psl, v, 8);
             ops[dst].value = v;
         }
         Opcode::Ediv => {
-            let d = sext(ops[0].value, 4);
-            let dividend = ops[1].value as i64;
+            let d = sext(a, 4);
+            let dividend = b as i64;
             let (q, rem) = if d == 0 {
-                cpu.psl.v = true;
+                psl.v = true;
                 (0i64, 0i64)
             } else {
                 (dividend.wrapping_div(d), dividend.wrapping_rem(d))
             };
             ops[2].value = q as u64 & mask(4);
             ops[3].value = rem as u64 & mask(4);
-            cc_nz(&mut cpu.psl, q as u64 & mask(4), 4);
+            cc_nz(psl, q as u64 & mask(4), 4);
         }
         other => unreachable!("{other} is not FLOAT"),
     }
@@ -1025,47 +1069,41 @@ fn set_float_cc(psl: &mut Psl, v: f64) {
 /// The CALLS flag bit in our saved mask/PSW longword.
 const FRAME_CALLS: u32 = 1 << 29;
 
-fn push32(cpu: &mut Cpu, r: Region, gaps: u16, value: u32) {
-    use callret_off::*;
+/// Push a longword, then run the `gaps` steps.
+fn push32(cpu: &mut Cpu, r: Region, gaps: &[u16], value: u32) {
     let sp = cpu.regs[14].wrapping_sub(4);
     cpu.regs[14] = sp;
-    cpu.write_data(r.at(PUSH), VirtAddr(sp), 4, value as u64);
-    for _ in 0..gaps {
-        cpu.c(r.at(PUSH_GAP));
-    }
+    cpu.write_data(r.at(callret::PUSH), VirtAddr(sp), 4, value as u64);
+    cpu.c_steps(r, gaps);
 }
 
-fn pop32(cpu: &mut Cpu, r: Region, gaps: u16) -> u32 {
-    use callret_off::*;
+/// Pop a longword, then run the `gaps` steps.
+fn pop32(cpu: &mut Cpu, r: Region, gaps: &[u16]) -> u32 {
     let sp = cpu.regs[14];
-    let v = cpu.read_data(r.at(POP), VirtAddr(sp), 4) as u32;
+    let v = cpu.read_data(r.at(callret::POP), VirtAddr(sp), 4) as u32;
     cpu.regs[14] = sp.wrapping_add(4);
-    for _ in 0..gaps {
-        cpu.c(r.at(POP_GAP));
-    }
+    cpu.c_steps(r, gaps);
     v
 }
 
-fn exec_callret(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    use callret_off::*;
-    match insn.opcode {
+fn exec_callret(
+    cpu: &mut Cpu,
+    r: Region,
+    row: &ExecRow,
+    op: Opcode,
+    ops: &mut [EvaldOperand],
+) -> Flow {
+    use callret::*;
+    match op {
         Opcode::Calls | Opcode::Callg => {
             // Frame (ascending from the new FP, as on the real VAX):
             //   [handler=0][mask|flags][AP][FP][PC][saved regs r_lo..r_hi]
             //   [numarg][args...]           (numarg/args for CALLS only)
-            let is_calls = insn.opcode == Opcode::Calls;
+            let is_calls = op == Opcode::Calls;
             let dst = ops[1].value as u32;
-            cpu.c_span(r, SETUP, 8);
             let entry_mask = cpu.read_data(r.at(POP), VirtAddr(dst), 2) as u32 & 0x0FFF;
-            let numarg = if is_calls {
-                ops[0].value as u32 & 0xFF
-            } else {
-                0
-            };
-            if is_calls {
-                push32(cpu, r, 3, numarg);
-            }
             let ap_val = if is_calls {
+                push32(cpu, r, row.each, ops[0].value as u32 & 0xFF); // numarg
                 cpu.regs[14]
             } else {
                 ops[0].value as u32
@@ -1074,33 +1112,31 @@ fn exec_callret(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOp
             for reg in (0..12u8).rev() {
                 if entry_mask & (1 << reg) != 0 {
                     let v = cpu.regs[reg as usize];
-                    push32(cpu, r, 3, v);
+                    push32(cpu, r, row.each, v);
                 }
             }
-            let ret_pc = cpu.regs[15];
-            push32(cpu, r, 3, ret_pc);
-            push32(cpu, r, 3, cpu.regs[13]);
-            push32(cpu, r, 3, cpu.regs[12]);
+            push32(cpu, r, row.each, cpu.regs[15]); // PC
+            push32(cpu, r, row.each, cpu.regs[13]);
+            push32(cpu, r, row.each, cpu.regs[12]);
             let mask_word = entry_mask | if is_calls { FRAME_CALLS } else { 0 };
-            push32(cpu, r, 3, mask_word);
-            push32(cpu, r, 2, 0); // condition handler
+            push32(cpu, r, row.each, mask_word);
+            push32(cpu, r, &[], 0); // condition handler: its gaps open the finish
             cpu.regs[13] = cpu.regs[14]; // FP
             cpu.regs[12] = ap_val; // AP
-            cpu.c_span(r, FINISH, 4);
+            cpu.c_steps(r, row.finish);
             Flow::Jump(dst.wrapping_add(2))
         }
         Opcode::Ret => {
-            cpu.c_span(r, SETUP, 5);
             cpu.regs[14] = cpu.regs[13]; // SP <- FP
-            let _handler = pop32(cpu, r, 2);
-            let mask_word = pop32(cpu, r, 2);
+            let _handler = pop32(cpu, r, row.each);
+            let mask_word = pop32(cpu, r, row.each);
             let entry_mask = mask_word & 0x0FFF;
-            cpu.regs[12] = pop32(cpu, r, 2); // AP
-            cpu.regs[13] = pop32(cpu, r, 2); // FP
-            let ret_pc = pop32(cpu, r, 2);
+            cpu.regs[12] = pop32(cpu, r, row.each); // AP
+            cpu.regs[13] = pop32(cpu, r, row.each); // FP
+            let ret_pc = pop32(cpu, r, row.each);
             for reg in 0..12u8 {
                 if entry_mask & (1 << reg) != 0 {
-                    let v = pop32(cpu, r, 2);
+                    let v = pop32(cpu, r, row.each);
                     cpu.regs[reg as usize] = v;
                 }
             }
@@ -1108,26 +1144,24 @@ fn exec_callret(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOp
                 let numarg = cpu.read_data(r.at(POP), VirtAddr(cpu.regs[14]), 4) as u32 & 0xFF;
                 cpu.regs[14] = cpu.regs[14].wrapping_add(4 + 4 * numarg);
             }
-            cpu.c_span(r, FINISH, 3);
+            cpu.c_steps(r, row.finish);
             Flow::Jump(ret_pc)
         }
         Opcode::Pushr => {
-            cpu.c_span(r, SETUP, 2);
             let m = ops[0].value as u32 & 0x7FFF;
             for reg in (0..15u8).rev() {
                 if m & (1 << reg) != 0 {
                     let v = cpu.regs[reg as usize];
-                    push32(cpu, r, 1, v);
+                    push32(cpu, r, row.each, v);
                 }
             }
             Flow::Normal
         }
         Opcode::Popr => {
-            cpu.c_span(r, SETUP, 2);
             let m = ops[0].value as u32 & 0x7FFF;
             for reg in 0..15u8 {
                 if m & (1 << reg) != 0 {
-                    let v = pop32(cpu, r, 1);
+                    let v = pop32(cpu, r, row.each);
                     cpu.regs[reg as usize] = v;
                 }
             }
@@ -1139,19 +1173,27 @@ fn exec_callret(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOp
 
 // ---- SYSTEM ----
 
-fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    use system_off::*;
-    match insn.opcode {
-        Opcode::Nop => {
-            cpu.c(r.at(SETUP));
-            Flow::Normal
-        }
-        Opcode::Halt => {
-            cpu.c(r.at(SETUP));
-            Flow::Halt
-        }
+/// Pop the PC and PSL that an interrupt or a CHMx pushed.
+fn pop_pc_psl(cpu: &mut Cpu, r: Region) -> (u32, u32) {
+    let sp = cpu.regs[14];
+    let pc = cpu.read_data(r.at(system::READ), VirtAddr(sp), 4) as u32;
+    let psl = cpu.read_data(r.at(system::READ), VirtAddr(sp.wrapping_add(4)), 4) as u32;
+    cpu.regs[14] = sp.wrapping_add(8);
+    (pc, psl)
+}
+
+fn exec_system(
+    cpu: &mut Cpu,
+    r: Region,
+    row: &ExecRow,
+    op: Opcode,
+    ops: &mut [EvaldOperand],
+) -> Flow {
+    use system::*;
+    match op {
+        Opcode::Nop => Flow::Normal,
+        Opcode::Halt => Flow::Halt,
         Opcode::Bpt => {
-            cpu.c_span(r, SETUP, 4);
             cpu.stats.exceptions += 1;
             // A breakpoint is the debugging entry point: dump the flight
             // recorder so the trap site comes with its instruction history.
@@ -1159,7 +1201,6 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             Flow::Normal
         }
         Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => {
-            cpu.c_span(r, SETUP, 10);
             let code = ops[0].value as u32;
             // Push PSL, PC, then the change-mode code.
             let psl_word = cpu.psl.to_u32();
@@ -1175,50 +1216,37 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             let vec_va = SCB_BASE.add(VEC_CHMK * 4);
             let target = cpu.read_data(r.at(READ), vec_va, 4) as u32;
             cpu.psl.cur_mode = AccessMode::Kernel;
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Jump(target)
         }
         Opcode::Rei => {
-            cpu.c_span(r, SETUP, 6);
-            let mut sp = cpu.regs[14];
-            let pc = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
-            sp = sp.wrapping_add(4);
-            let psl_word = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
-            sp = sp.wrapping_add(4);
-            cpu.regs[14] = sp;
+            let (pc, psl_word) = pop_pc_psl(cpu, r);
             cpu.psl = Psl::from_u32(psl_word);
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Jump(pc)
         }
         Opcode::Svpctx => {
-            cpu.c_span(r, SETUP, 2);
             // Pop the PC/PSL the interrupt pushed, then save state to PCB.
-            let mut sp = cpu.regs[14];
-            let pc = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
-            sp = sp.wrapping_add(4);
-            let psl_word = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
-            sp = sp.wrapping_add(4);
-            cpu.regs[14] = sp;
+            let (pc, psl_word) = pop_pc_psl(cpu, r);
             let pcb = VirtAddr(cpu.iprs.pcbb);
             for i in 0..14u32 {
                 let v = cpu.regs[i as usize];
                 cpu.write_data(r.at(WRITE), pcb.add(i * 4), 4, v as u64);
-                cpu.c(r.at(FINISH));
+                cpu.c_steps(r, row.each);
             }
             let sp_now = cpu.regs[14];
             cpu.write_data(r.at(WRITE), pcb.add(56), 4, sp_now as u64);
             cpu.write_data(r.at(WRITE), pcb.add(60), 4, pc as u64);
             cpu.write_data(r.at(WRITE), pcb.add(64), 4, psl_word as u64);
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Normal
         }
         Opcode::Ldpctx => {
-            cpu.c_span(r, SETUP, 2);
             let pcb = VirtAddr(cpu.iprs.pcbb);
             for i in 0..14u32 {
                 let v = cpu.read_data(r.at(READ), pcb.add(i * 4), 4) as u32;
                 cpu.regs[i as usize] = v;
-                cpu.c(r.at(FINISH));
+                cpu.c_steps(r, row.each);
             }
             let sp = cpu.read_data(r.at(READ), pcb.add(56), 4) as u32;
             let pc = cpu.read_data(r.at(READ), pcb.add(60), 4) as u32;
@@ -1243,11 +1271,10 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             let s2 = s1.wrapping_sub(4);
             cpu.write_data(r.at(WRITE), VirtAddr(s2), 4, pc as u64);
             cpu.regs[14] = s2;
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Normal
         }
         Opcode::Mtpr => {
-            cpu.c_span(r, SETUP, 3);
             let v = ops[0].value as u32;
             let which = ops[1].value as u32;
             match IprNum::from_u32(which) {
@@ -1282,7 +1309,6 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             Flow::Normal
         }
         Opcode::Mfpr => {
-            cpu.c_span(r, SETUP, 3);
             let which = ops[0].value as u32;
             let v = match IprNum::from_u32(which) {
                 Some(IprNum::Ipl) => cpu.psl.ipl as u32,
@@ -1303,7 +1329,6 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             Flow::Normal
         }
         Opcode::Insque => {
-            cpu.c_span(r, SETUP, 4);
             let entry = ops[0].value as u32;
             let pred = ops[1].value as u32;
             let succ = cpu.read_data(r.at(READ), VirtAddr(pred), 4) as u32;
@@ -1313,11 +1338,10 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             cpu.write_data(r.at(WRITE), VirtAddr(pred), 4, entry as u64);
             cpu.write_data(r.at(WRITE), VirtAddr(succ.wrapping_add(4)), 4, entry as u64);
             cpu.psl.z = succ == pred; // queue was empty
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Normal
         }
         Opcode::Remque => {
-            cpu.c_span(r, SETUP, 4);
             let entry = ops[0].value as u32;
             let flink = cpu.read_data(r.at(READ), VirtAddr(entry), 4) as u32;
             let blink = cpu.read_data(r.at(READ), VirtAddr(entry.wrapping_add(4)), 4) as u32;
@@ -1330,26 +1354,22 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
             );
             ops[1].value = entry as u64;
             cpu.psl.z = flink == blink; // queue now empty
-            cpu.c_span(r, FINISH, 2);
+            cpu.c_steps(r, row.finish);
             Flow::Normal
         }
         Opcode::Prober | Opcode::Probew => {
-            cpu.c_span(r, SETUP, 4);
             cpu.psl.z = false; // accessible
             Flow::Normal
         }
-        Opcode::Bispsw => {
-            cpu.c_span(r, SETUP, 2);
-            let m = ops[0].value as u32;
-            let cur = cpu.psl.to_u32() | (m & 0xF);
-            cpu.psl = Psl::from_u32(cur);
-            Flow::Normal
-        }
-        Opcode::Bicpsw => {
-            cpu.c_span(r, SETUP, 2);
-            let m = ops[0].value as u32;
-            let cur = cpu.psl.to_u32() & !(m & 0xF);
-            cpu.psl = Psl::from_u32(cur);
+        Opcode::Bispsw | Opcode::Bicpsw => {
+            let m = ops[0].value as u32 & 0xF;
+            let cur = cpu.psl.to_u32();
+            let new = if op == Opcode::Bispsw {
+                cur | m
+            } else {
+                cur & !m
+            };
+            cpu.psl = Psl::from_u32(new);
             Flow::Normal
         }
         other => unreachable!("{other} is not SYSTEM"),
@@ -1361,19 +1381,24 @@ fn exec_system(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOpe
 /// One string-loop iteration: read a source longword and two bookkeeping
 /// cycles (the read-only string ops).
 fn char_read_iter(cpu: &mut Cpu, r: Region, va: VirtAddr) -> u64 {
-    use char_off::*;
+    use character::*;
     let v = cpu.read_data(r.at(READ), VirtAddr(va.0 & !3), 4);
     cpu.c(r.at(LOOP1));
     cpu.c(r.at(LOOP2));
     v
 }
 
-fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    use char_off::*;
-    cpu.c_span(r, SETUP, 8);
-    match insn.opcode {
+fn exec_character(
+    cpu: &mut Cpu,
+    r: Region,
+    row: &ExecRow,
+    op: Opcode,
+    ops: &mut [EvaldOperand],
+) -> Flow {
+    use character::*;
+    match op {
         Opcode::Movc3 | Opcode::Movc5 => {
-            let (srclen, srcaddr, fill, dstlen, dstaddr) = if insn.opcode == Opcode::Movc3 {
+            let (srclen, srcaddr, fill, dstlen, dstaddr) = if op == Opcode::Movc3 {
                 let len = ops[0].value as u32 & 0xFFFF;
                 (len, ops[1].as_va(), 0u8, len, ops[2].as_va())
             } else {
@@ -1398,7 +1423,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
                 cpu.c(r.at(LOOP4));
                 cpu.c(r.at(LOOP3));
             }
-            cpu.c(r.at(FINISH));
+            cpu.c_steps(r, row.finish);
             // Semantics: byte-accurate copy + fill (after the timed loop so
             // its placeholder writes don't clobber the data).
             let n = srclen.min(dstlen);
@@ -1419,7 +1444,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
             Flow::Normal
         }
         Opcode::Cmpc3 | Opcode::Cmpc5 => {
-            let (len1, a1, len2, a2) = if insn.opcode == Opcode::Cmpc3 {
+            let (len1, a1, len2, a2) = if op == Opcode::Cmpc3 {
                 let len = ops[0].value as u32 & 0xFFFF;
                 (len, ops[1].as_va(), len, ops[2].as_va())
             } else {
@@ -1450,7 +1475,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
                 cpu.c(r.at(LOOP1));
                 cpu.c(r.at(LOOP2));
             }
-            cpu.c(r.at(FINISH));
+            cpu.c_steps(r, row.finish);
             cc_cmp(&mut cpu.psl, ca, cb, 1);
             if diff_at == n {
                 cpu.psl.z = len1 == len2;
@@ -1468,11 +1493,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
             let mut found = len;
             for i in 0..len {
                 let b = cpu.read_value(addr.add(i), 1) as u8;
-                let hit = if insn.opcode == Opcode::Locc {
-                    b == ch
-                } else {
-                    b != ch
-                };
+                let hit = if op == Opcode::Locc { b == ch } else { b != ch };
                 if hit {
                     found = i;
                     break;
@@ -1483,7 +1504,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
             for i in 0..lws {
                 let _ = char_read_iter(cpu, r, addr.add(i * 4));
             }
-            cpu.c(r.at(FINISH));
+            cpu.c_steps(r, row.finish);
             cpu.psl.z = found == len;
             cpu.regs[0] = len - found.min(len);
             cpu.regs[1] = addr.add(found.min(len)).0;
@@ -1498,7 +1519,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
             for i in 0..len {
                 let b = cpu.read_value(addr.add(i), 1) as u8;
                 let t = cpu.read_value(table.add(b as u32), 1) as u8;
-                let hit = if insn.opcode == Opcode::Scanc {
+                let hit = if op == Opcode::Scanc {
                     t & m != 0
                 } else {
                     t & m == 0
@@ -1516,7 +1537,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
                 // coarse model of the per-byte table probes.
                 let _ = cpu.read_data(r.at(READ), VirtAddr(table.0 & !3), 4);
             }
-            cpu.c(r.at(FINISH));
+            cpu.c_steps(r, row.finish);
             cpu.psl.z = found == len;
             cpu.regs[0] = len - found.min(len);
             cpu.regs[1] = addr.add(found.min(len)).0;
@@ -1549,7 +1570,7 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
             for i in 0..lws {
                 let _ = char_read_iter(cpu, r, a2.add(i * 4));
             }
-            cpu.c(r.at(FINISH));
+            cpu.c_steps(r, row.finish);
             cpu.psl.z = at.is_some();
             cpu.regs[0] = if at.is_some() { 0 } else { len1 };
             cpu.regs[3] = a2.add(at.map(|s| s + len1).unwrap_or(len2)).0;
@@ -1564,6 +1585,11 @@ fn exec_character(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [Evald
 /// Packed-decimal byte length for a digit count.
 fn packed_bytes(digits: u32) -> u32 {
     digits / 2 + 1
+}
+
+/// A packed-decimal operand: its digit count and address.
+fn packed(len: &EvaldOperand, addr: &EvaldOperand) -> (u32, VirtAddr) {
+    (len.value as u32 & 0x1F, addr.as_va())
 }
 
 fn read_packed(cpu: &Cpu, addr: VirtAddr, digits: u32) -> i128 {
@@ -1609,7 +1635,7 @@ fn write_packed(cpu: &mut Cpu, addr: VirtAddr, digits: u32, value: i128) {
 
 /// Timed packed-operand read: longword references plus digit cycles.
 fn dec_read_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
-    use decimal_off::*;
+    use decimal::*;
     let lws = packed_bytes(digits).div_ceil(4);
     for i in 0..lws {
         let _ = cpu.read_data(r.at(READ), VirtAddr((addr.0 + i * 4) & !3), 4);
@@ -1618,7 +1644,7 @@ fn dec_read_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
 }
 
 fn dec_write_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
-    use decimal_off::*;
+    use decimal::*;
     let lws = packed_bytes(digits).div_ceil(4);
     for i in 0..lws {
         cpu.write_data(r.at(WRITE), VirtAddr((addr.0 + i * 4) & !3), 4, 0);
@@ -1627,155 +1653,102 @@ fn dec_write_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
     }
 }
 
-fn dec_digit_loop(cpu: &mut Cpu, r: Region, digits: u32, heavy: bool) {
-    use decimal_off::*;
-    for _ in 0..digits {
-        cpu.c(r.at(DIGIT1));
-        cpu.c(r.at(DIGIT2));
-        cpu.c(r.at(DIGIT3));
-        if heavy {
-            cpu.c(r.at(DIGIT1));
-            cpu.c(r.at(DIGIT2));
-            cpu.c(r.at(DIGIT3));
-        }
-    }
-}
-
 fn ten_pow(digits: u32) -> i128 {
     10i128.saturating_pow(digits.min(31))
 }
 
-fn exec_decimal(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOperand]) -> Flow {
-    use decimal_off::*;
-    cpu.c_span(r, SETUP, 10);
-    let op = insn.opcode;
-    match op {
-        Opcode::Addp4 | Opcode::Subp4 => {
-            let srclen = ops[0].value as u32 & 0x1F;
-            let src = ops[1].as_va();
-            let dstlen = ops[2].value as u32 & 0x1F;
-            let dst = ops[3].as_va();
-            dec_read_timed(cpu, r, src, srclen);
-            dec_read_timed(cpu, r, dst, dstlen);
-            dec_digit_loop(cpu, r, dstlen.max(srclen), false);
-            let a = read_packed(cpu, src, srclen);
-            let b = read_packed(cpu, dst, dstlen);
-            let v = if op == Opcode::Addp4 { b + a } else { b - a } % ten_pow(dstlen);
-            dec_write_timed(cpu, r, dst, dstlen);
-            write_packed(cpu, dst, dstlen, v);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+fn exec_decimal(
+    cpu: &mut Cpu,
+    r: Region,
+    row: &ExecRow,
+    op: Opcode,
+    ops: &mut [EvaldOperand],
+) -> Flow {
+    let digit_loop = |cpu: &mut Cpu, digits: u32| {
+        for _ in 0..digits {
+            cpu.c_steps(r, row.each);
         }
-        Opcode::Addp6 | Opcode::Subp6 => {
-            let l1 = ops[0].value as u32 & 0x1F;
-            let a1 = ops[1].as_va();
-            let l2 = ops[2].value as u32 & 0x1F;
-            let a2 = ops[3].as_va();
-            let l3 = ops[4].value as u32 & 0x1F;
-            let a3 = ops[5].as_va();
-            dec_read_timed(cpu, r, a1, l1);
-            dec_read_timed(cpu, r, a2, l2);
-            dec_digit_loop(cpu, r, l3.max(l1).max(l2), false);
-            let x = read_packed(cpu, a1, l1);
-            let y = read_packed(cpu, a2, l2);
-            let v = if op == Opcode::Addp6 { y + x } else { y - x } % ten_pow(l3);
-            dec_write_timed(cpu, r, a3, l3);
-            write_packed(cpu, a3, l3, v);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
-        }
-        Opcode::Mulp | Opcode::Divp => {
-            let l1 = ops[0].value as u32 & 0x1F;
-            let a1 = ops[1].as_va();
-            let l2 = ops[2].value as u32 & 0x1F;
-            let a2 = ops[3].as_va();
-            let l3 = ops[4].value as u32 & 0x1F;
-            let a3 = ops[5].as_va();
-            dec_read_timed(cpu, r, a1, l1);
-            dec_read_timed(cpu, r, a2, l2);
-            dec_digit_loop(cpu, r, l3.max(l1).max(l2), true);
-            let x = read_packed(cpu, a1, l1);
-            let y = read_packed(cpu, a2, l2);
-            let v = if op == Opcode::Mulp {
-                (y.saturating_mul(x)) % ten_pow(l3)
-            } else if x == 0 {
-                cpu.psl.v = true;
-                0
+    };
+    // Each arm yields the value whose sign and zeroness set N and Z.
+    let v = match op {
+        // Two sources into a destination; the 4-operand forms add into
+        // their second operand.
+        Opcode::Addp4
+        | Opcode::Subp4
+        | Opcode::Addp6
+        | Opcode::Subp6
+        | Opcode::Mulp
+        | Opcode::Divp => {
+            let (l1, a1) = packed(&ops[0], &ops[1]);
+            let (l2, a2) = packed(&ops[2], &ops[3]);
+            let (l3, a3) = if ops.len() == 6 {
+                packed(&ops[4], &ops[5])
             } else {
-                (y / x) % ten_pow(l3)
+                (l2, a2)
+            };
+            dec_read_timed(cpu, r, a1, l1);
+            dec_read_timed(cpu, r, a2, l2);
+            digit_loop(cpu, l3.max(l1).max(l2));
+            let x = read_packed(cpu, a1, l1);
+            let y = read_packed(cpu, a2, l2);
+            let v = match op {
+                Opcode::Addp4 | Opcode::Addp6 => (y + x) % ten_pow(l3),
+                Opcode::Subp4 | Opcode::Subp6 => (y - x) % ten_pow(l3),
+                Opcode::Mulp => y.saturating_mul(x) % ten_pow(l3),
+                _ if x == 0 => {
+                    cpu.psl.v = true;
+                    0
+                }
+                _ => (y / x) % ten_pow(l3),
             };
             dec_write_timed(cpu, r, a3, l3);
             write_packed(cpu, a3, l3, v);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+            v
         }
         Opcode::Movp => {
-            let len = ops[0].value as u32 & 0x1F;
-            let src = ops[1].as_va();
+            let (len, src) = packed(&ops[0], &ops[1]);
             let dst = ops[2].as_va();
             dec_read_timed(cpu, r, src, len);
             let v = read_packed(cpu, src, len);
             dec_write_timed(cpu, r, dst, len);
             write_packed(cpu, dst, len, v);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+            v
         }
+        // The condition codes of x - y.
         Opcode::Cmpp3 | Opcode::Cmpp4 => {
-            let (l1, a1, l2, a2) = if op == Opcode::Cmpp3 {
-                let len = ops[0].value as u32 & 0x1F;
-                (len, ops[1].as_va(), len, ops[2].as_va())
+            let (l1, a1) = packed(&ops[0], &ops[1]);
+            let (l2, a2) = if op == Opcode::Cmpp3 {
+                (l1, ops[2].as_va())
             } else {
-                (
-                    ops[0].value as u32 & 0x1F,
-                    ops[1].as_va(),
-                    ops[2].value as u32 & 0x1F,
-                    ops[3].as_va(),
-                )
+                packed(&ops[2], &ops[3])
             };
             dec_read_timed(cpu, r, a1, l1);
             dec_read_timed(cpu, r, a2, l2);
-            dec_digit_loop(cpu, r, l1.max(l2) / 2, false);
-            let x = read_packed(cpu, a1, l1);
-            let y = read_packed(cpu, a2, l2);
-            cpu.psl.n = x < y;
-            cpu.psl.z = x == y;
-            Flow::Normal
+            digit_loop(cpu, l1.max(l2) / 2);
+            read_packed(cpu, a1, l1) - read_packed(cpu, a2, l2)
         }
         Opcode::Cvtlp => {
             let v = sext(ops[0].value, 4) as i128;
-            let len = ops[1].value as u32 & 0x1F;
-            let dst = ops[2].as_va();
-            dec_digit_loop(cpu, r, len, false);
+            let (len, dst) = packed(&ops[1], &ops[2]);
+            digit_loop(cpu, len);
             dec_write_timed(cpu, r, dst, len);
             write_packed(cpu, dst, len, v % ten_pow(len));
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+            v
         }
         Opcode::Cvtpl => {
-            let len = ops[0].value as u32 & 0x1F;
-            let src = ops[1].as_va();
+            let (len, src) = packed(&ops[0], &ops[1]);
             dec_read_timed(cpu, r, src, len);
-            dec_digit_loop(cpu, r, len, false);
+            digit_loop(cpu, len);
             let v = read_packed(cpu, src, len);
             ops[2].value = v as i64 as u64 & mask(4);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+            v
         }
         Opcode::Ashp => {
             let shift = sext(ops[0].value, 1);
-            let srclen = ops[1].value as u32 & 0x1F;
-            let src = ops[2].as_va();
-            let _round = ops[3].value;
-            let dstlen = ops[4].value as u32 & 0x1F;
-            let dst = ops[5].as_va();
+            let (srclen, src) = packed(&ops[1], &ops[2]);
+            let (dstlen, dst) = packed(&ops[4], &ops[5]);
             dec_read_timed(cpu, r, src, srclen);
-            dec_digit_loop(cpu, r, dstlen, false);
+            digit_loop(cpu, dstlen);
             let x = read_packed(cpu, src, srclen);
             let v = if shift >= 0 {
                 x.saturating_mul(ten_pow(shift as u32))
@@ -1784,59 +1757,45 @@ fn exec_decimal(cpu: &mut Cpu, r: Region, insn: &Instruction, ops: &mut [EvaldOp
             } % ten_pow(dstlen);
             dec_write_timed(cpu, r, dst, dstlen);
             write_packed(cpu, dst, dstlen, v);
-            cpu.psl.n = v < 0;
-            cpu.psl.z = v == 0;
-            Flow::Normal
+            v
         }
         other => unreachable!("{other} is not DECIMAL"),
-    }
+    };
+    cpu.psl.n = v < 0;
+    cpu.psl.z = v == 0;
+    Flow::Normal
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vax_arch::opcode::OPCODE_TABLE;
 
     #[test]
-    fn layouts_match_offsets() {
-        assert_eq!(SIMPLE_LAYOUT[simple_off::READ as usize], R);
-        assert_eq!(SIMPLE_LAYOUT[simple_off::WRITE as usize], W);
-        assert_eq!(FIELD_LAYOUT[field_off::READ as usize], R);
-        assert_eq!(FIELD_LAYOUT[field_off::WRITE as usize], W);
-        assert_eq!(CALLRET_LAYOUT[callret_off::PUSH as usize], W);
-        assert_eq!(CALLRET_LAYOUT[callret_off::POP as usize], R);
-        assert_eq!(SYSTEM_LAYOUT[system_off::READ as usize], R);
-        assert_eq!(SYSTEM_LAYOUT[system_off::WRITE as usize], W);
-        assert_eq!(CHAR_LAYOUT[char_off::READ as usize], R);
-        assert_eq!(CHAR_LAYOUT[char_off::WRITE as usize], W);
-        assert_eq!(DECIMAL_LAYOUT[decimal_off::READ as usize], R);
-        assert_eq!(DECIMAL_LAYOUT[decimal_off::WRITE as usize], W);
-    }
-
-    #[test]
-    fn every_float_opcode_stays_inside_its_region() {
-        let float_ops = vax_arch::opcode::OPCODE_TABLE
-            .iter()
-            .filter(|info| info.group == OpcodeGroup::Float);
-        let mut checked = 0;
-        for info in float_ops {
+    fn every_opcode_has_one_row_inside_its_region() {
+        for info in OPCODE_TABLE {
             let op = info.opcode;
-            let n = float_cycles(op);
-            assert!(n > 0, "{op} emits no execute cycle");
-            for i in 0..n {
+            let rows: Vec<&ExecRow> = rows().filter(|row| row.opcodes.contains(&op)).collect();
+            assert_eq!(rows.len(), 1, "{op} is priced by {} rows", rows.len());
+            let layout = group_layout(info.group);
+            let row = rows[0];
+            for &step in row.setup.iter().chain(row.each).chain(row.finish) {
+                let len = layout.len();
                 assert!(
-                    (float_offset(i) as usize) < FLOAT_LAYOUT.len(),
-                    "{op}: cycle {i} of {n} leaves the {}-µop region",
-                    FLOAT_LAYOUT.len()
+                    usize::from(step) < len,
+                    "{op}: step {step} leaves the {len}-µop region"
                 );
+                assert_eq!(layout[usize::from(step)], C, "{op}: step {step}");
             }
-            checked += 1;
+            if info.group == OpcodeGroup::Simple {
+                assert_eq!(row.setup.first(), Some(&simple::ENTRY), "{op}");
+            }
         }
-        assert!(checked > 40, "only {checked} FLOAT opcodes");
         // EDIV keeps its cost: 24 straight cycles, then two re-executions of
         // the last microinstruction.
-        assert_eq!(float_cycles(Opcode::Ediv), 26);
-        let tail: Vec<u16> = (22..26).map(float_offset).collect();
-        assert_eq!(tail, [22, 23, 23, 23]);
+        let ediv = row_of(Opcode::Ediv).unwrap().setup;
+        assert_eq!(ediv.len(), 26);
+        assert_eq!(ediv[22..], [22, 23, 23, 23]);
     }
 
     #[test]

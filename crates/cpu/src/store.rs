@@ -19,7 +19,8 @@ use upc_monitor::{Activity, ControlStoreMap, MicroOp, MicroPc, Region};
 use vax_arch::{AccessType, AddressingMode, Opcode, OpcodeGroup};
 
 use crate::config::CpuConfig;
-use crate::exec::group_layout;
+pub use crate::exec::ExecRow;
+use crate::exec::{group_layout, row_of};
 
 /// Access flavor of a specifier evaluation, determining its microroutine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,8 +235,9 @@ pub struct ControlStore {
     /// Branch displacement: offset 0 = target computation, offset 1 =
     /// displacement-byte IB wait.
     pub bdisp: Region,
-    /// Execute routine per opcode (indexed by `Opcode as usize`).
-    pub exec: Vec<Region>,
+    /// Execute routine per opcode (indexed by `Opcode as usize`): its
+    /// region and the cost-table row that times it.
+    exec: Vec<(Region, &'static ExecRow)>,
     /// TB-miss service (MemMgmt): 18 overhead compute cycles, a PTE-read
     /// µop at offset `tb_miss_read_off`, and one compute cycle.
     pub tb_miss: Region,
@@ -282,7 +284,9 @@ impl ControlStore {
                 format!("EXEC.{}", info.mnemonic),
                 group_activity(info.group),
             );
-            exec.push(map.alloc(&name, activity, group_layout(info.group)));
+            let row = row_of(info.opcode)
+                .unwrap_or_else(|| panic!("{} has no execute cost row", info.mnemonic));
+            exec.push((map.alloc(&name, activity, group_layout(info.group)), row));
         }
 
         let mut tb_ops = vec![C; TB_MISS_OVERHEAD as usize];
@@ -326,7 +330,14 @@ impl ControlStore {
     /// Execute region of an opcode.
     #[inline]
     pub fn exec_region(&self, op: Opcode) -> Region {
-        self.exec[op as usize]
+        self.exec[op as usize].0
+    }
+
+    /// The cost-table row that times an opcode's execute routine: its
+    /// steps are offsets into [`ControlStore::exec_region`].
+    #[inline]
+    pub fn exec_row(&self, op: Opcode) -> &'static ExecRow {
+        self.exec[op as usize].1
     }
 }
 
