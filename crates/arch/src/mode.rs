@@ -92,7 +92,6 @@ impl AddressingMode {
                 | AddressingMode::ByteDispDeferred
                 | AddressingMode::WordDispDeferred
                 | AddressingMode::LongDispDeferred
-                | AddressingMode::Absolute
                 | AddressingMode::PcRelativeDeferred
         )
     }
@@ -313,7 +312,9 @@ mod tests {
     #[test]
     fn deferred_classification() {
         assert!(AddressingMode::ByteDispDeferred.is_deferred());
-        assert!(AddressingMode::Absolute.is_deferred());
+        // `@#addr` names its operand's address in the I-stream: no pointer
+        // is fetched.
+        assert!(!AddressingMode::Absolute.is_deferred());
         assert!(!AddressingMode::ByteDisp.is_deferred());
     }
 

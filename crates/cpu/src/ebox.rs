@@ -745,7 +745,7 @@ impl Cpu {
 
         // The base address, after the mode's register side effects; for a
         // deferred mode, where the pointer its first two µops fetch lives.
-        let (mut a, deferred) = match spec.mode {
+        let mut a = match spec.mode {
             Literal | Immediate => {
                 self.c(r.entry());
                 return (
@@ -775,31 +775,27 @@ impl Cpu {
                     dest.map(wb),
                 );
             }
-            RegisterDeferred => (self.get_reg32(rn), false),
+            RegisterDeferred => self.get_reg32(rn),
             Autoincrement => {
                 let a = self.get_reg32(rn);
                 self.bump_reg(rn, size as i32);
-                (a, false)
+                a
             }
             Autodecrement => {
                 self.bump_reg(rn, -(size as i32));
-                (self.get_reg32(rn), false)
+                self.get_reg32(rn)
             }
             AutoincrementDeferred => {
                 let a = self.get_reg32(rn);
                 self.bump_reg(rn, 4);
-                (a, true)
+                a
             }
-            ByteDisp | WordDisp | LongDisp => {
-                (self.get_reg32(rn).wrapping_add(spec.value as u32), false)
-            }
-            ByteDispDeferred | WordDispDeferred | LongDispDeferred => {
-                (self.get_reg32(rn).wrapping_add(spec.value as u32), true)
-            }
-            Absolute => (spec.value as u32, false),
-            PcRelative => (pc_after.wrapping_add(spec.value as u32), false),
-            PcRelativeDeferred => (pc_after.wrapping_add(spec.value as u32), true),
+            ByteDisp | WordDisp | LongDisp | ByteDispDeferred | WordDispDeferred
+            | LongDispDeferred => self.get_reg32(rn).wrapping_add(spec.value as u32),
+            Absolute => spec.value as u32,
+            PcRelative | PcRelativeDeferred => pc_after.wrapping_add(spec.value as u32),
         };
+        let deferred = spec.mode.is_deferred();
 
         // Quad-width data repeats its data-reference µop at the same µPC;
         // when that µop is the routine's entry, the histogram's entry count
