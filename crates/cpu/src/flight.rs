@@ -20,7 +20,7 @@
 //! after the machine that filled it is gone.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use vax_arch::Instruction;
 
@@ -35,101 +35,16 @@ pub struct FlightEntry {
     pub disasm: String,
 }
 
-/// Bounded ring buffer of recently retired instructions.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<FlightEntry>,
-}
-
-impl FlightRecorder {
-    /// A disabled recorder (capacity 0; recording is a no-op).
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
-    /// A recorder keeping the most recent `capacity` instructions.
-    pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            capacity,
-            ring: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Whether recording is active.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Record a retirement. No-op when disabled.
-    #[inline]
-    pub fn record(&mut self, pc: u32, cycle: u64, insn: &Instruction) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(FlightEntry {
-            pc,
-            cycle,
-            disasm: insn.to_string(),
-        });
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.ring.iter()
-    }
-
-    /// Number of retained entries (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Render the ring as a human-readable report (oldest first).
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "flight recorder: last {} retired instruction(s)",
-            self.ring.len()
-        );
-        for e in &self.ring {
-            let _ = writeln!(
-                out,
-                "  cycle {:>12}  pc {:#010x}  {}",
-                e.cycle, e.pc, e.disasm
-            );
-        }
-        out
-    }
-
-    /// Dump the report to stderr (called on fatal simulation errors).
-    pub fn dump_stderr(&self) {
-        if !self.ring.is_empty() {
-            eprintln!("{}", self.report());
-        }
-    }
-}
-
-/// A shareable handle to a [`FlightRecorder`].
+/// A bounded ring of recently retired instructions, shared by handle.
 ///
 /// The CPU records through this handle on every retirement; a clone of the
 /// same handle lets the orchestrator dump the ring of a cell it
-/// quarantined. The `enabled` flag is cached outside the lock:
-/// a disabled recorder (the default) costs one branch per retirement.
+/// quarantined. The capacity is kept outside the lock: a disabled recorder
+/// (the default) costs one branch per retirement.
 #[derive(Debug, Clone, Default)]
 pub struct SharedFlightRecorder {
-    enabled: bool,
-    inner: Arc<Mutex<FlightRecorder>>,
+    capacity: usize,
+    ring: Arc<Mutex<VecDeque<FlightEntry>>>,
 }
 
 impl SharedFlightRecorder {
@@ -141,49 +56,81 @@ impl SharedFlightRecorder {
     /// A recorder keeping the most recent `capacity` instructions.
     pub fn with_capacity(capacity: usize) -> SharedFlightRecorder {
         SharedFlightRecorder {
-            enabled: capacity > 0,
-            inner: Arc::new(Mutex::new(FlightRecorder::with_capacity(capacity))),
+            capacity,
+            ring: Arc::new(Mutex::new(VecDeque::with_capacity(capacity))),
         }
     }
 
     /// Whether recording is active.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.capacity > 0
+    }
+
+    /// The ring. Each update leaves it whole, so a lock poisoned by a
+    /// panicking cell still guards a ring worth dumping.
+    fn ring(&self) -> MutexGuard<'_, VecDeque<FlightEntry>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record a retirement. No-op when disabled.
     #[inline]
     pub fn record(&self, pc: u32, cycle: u64, insn: &Instruction) {
-        if !self.enabled {
+        if self.capacity == 0 {
             return;
         }
-        self.inner.lock().unwrap().record(pc, cycle, insn);
+        let entry = FlightEntry {
+            pc,
+            cycle,
+            disasm: insn.to_string(),
+        };
+        let mut ring = self.ring();
+        if ring.len() == self.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(entry);
     }
 
     /// Number of retained entries (≤ capacity).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.ring().len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().is_empty()
+        self.ring().is_empty()
     }
 
     /// A copy of the retained entries, oldest first.
     pub fn snapshot(&self) -> Vec<FlightEntry> {
-        self.inner.lock().unwrap().entries().cloned().collect()
+        self.ring().iter().cloned().collect()
     }
 
     /// Render the ring as a human-readable report (oldest first).
     pub fn report(&self) -> String {
-        self.inner.lock().unwrap().report()
+        use std::fmt::Write;
+        let ring = self.ring();
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "flight recorder: last {} retired instruction(s)",
+            ring.len()
+        );
+        for e in ring.iter() {
+            let _ = writeln!(
+                out,
+                "  cycle {:>12}  pc {:#010x}  {}",
+                e.cycle, e.pc, e.disasm
+            );
+        }
+        out
     }
 
     /// Dump the report to stderr (called on fatal simulation errors).
     pub fn dump_stderr(&self) {
-        self.inner.lock().unwrap().dump_stderr();
+        if !self.is_empty() {
+            eprintln!("{}", self.report());
+        }
     }
 }
 
@@ -205,18 +152,18 @@ mod tests {
 
     #[test]
     fn caps_at_capacity() {
-        let mut fr = FlightRecorder::with_capacity(4);
+        let fr = SharedFlightRecorder::with_capacity(4);
         for i in 0..10 {
             fr.record(0x200 + i, i as u64, &movl());
         }
         assert_eq!(fr.len(), 4);
-        let pcs: Vec<u32> = fr.entries().map(|e| e.pc).collect();
+        let pcs: Vec<u32> = fr.snapshot().iter().map(|e| e.pc).collect();
         assert_eq!(pcs, vec![0x206, 0x207, 0x208, 0x209], "keeps the newest");
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let mut fr = FlightRecorder::disabled();
+        let fr = SharedFlightRecorder::disabled();
         fr.record(0x200, 1, &movl());
         assert!(fr.is_empty());
         assert!(!fr.is_enabled());
@@ -224,7 +171,7 @@ mod tests {
 
     #[test]
     fn report_contains_disassembly() {
-        let mut fr = FlightRecorder::with_capacity(2);
+        let fr = SharedFlightRecorder::with_capacity(2);
         fr.record(0x200, 42, &movl());
         let rep = fr.report();
         assert!(rep.contains("MOVL"), "{rep}");
@@ -232,14 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_clones_share_the_ring() {
+    fn handle_clones_share_the_ring() {
         let a = SharedFlightRecorder::with_capacity(4);
         let b = a.clone();
         a.record(0x200, 1, &movl());
         assert_eq!(b.len(), 1);
         assert_eq!(b.snapshot()[0].pc, 0x200);
-        let disabled = SharedFlightRecorder::disabled();
-        disabled.record(0x200, 1, &movl());
-        assert!(disabled.is_empty() && !disabled.is_enabled());
     }
 }

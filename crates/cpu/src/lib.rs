@@ -38,7 +38,7 @@ pub mod store;
 
 pub use config::CpuConfig;
 pub use ebox::{Cpu, StepOutcome};
-pub use flight::{FlightEntry, FlightRecorder, SharedFlightRecorder};
+pub use flight::{FlightEntry, SharedFlightRecorder};
 pub use icache::{DecodeCache, DecodeCacheStats};
 pub use ipr::Ipr;
 pub use stats::CpuStats;
