@@ -6,14 +6,15 @@
 //! what the probed copies spent there. A SIMPLE or FLOAT routine's compute
 //! steps are all fixed (a probe never branches), so each compute µPC of
 //! the opcode's execute region must count, per probed copy, as often as
-//! its row's `setup` and `finish` list the offset. Every other probeable
-//! opcode has a compute step that an operand value decides, and is listed
-//! below with that step instead.
+//! its row's `setup` and `finish` list the offset. One mode per opcode
+//! suffices, since no compute step of these routines depends on it. Every
+//! other probeable opcode has a compute step that an operand value
+//! decides, and is listed below with that step instead.
 
 use upc_monitor::{MicroOp, Plane};
 use vax780::CancelToken;
 use vax_analysis::characterize::{run_probe, ProbeRun, DEFAULT_WARMUP};
-use vax_arch::{AddressingMode, Opcode, OpcodeGroup};
+use vax_arch::{AccessType, AddressingMode, Opcode, OpcodeGroup, OperandKind};
 use vax_asm::probe::{probe_grid, probe_target};
 use vax_cpu::ControlStore;
 
@@ -100,9 +101,15 @@ fn every_fixed_execute_step_counts_as_its_row_declares() {
             );
             continue;
         }
-        // A register first specifier is never fused with the entry step.
-        let target = probe_target(op, AddressingMode::Register)
-            .unwrap_or_else(|e| panic!("{op} has no register cell: {}", e.describe()));
+        // Register mode, where legal: an address operand of a register
+        // faults on the 780, so it goes through a register pointer. Neither
+        // first specifier is a literal, whose cycle the entry step fuses into.
+        let mode = match op.operands()[0] {
+            OperandKind::Spec(AccessType::Address, _) => AddressingMode::RegisterDeferred,
+            _ => AddressingMode::Register,
+        };
+        let target =
+            probe_target(op, mode).unwrap_or_else(|e| panic!("{op} {mode:?}: {}", e.describe()));
         let run = measure(Some(&target), REPS);
         let (region, row) = (cs.exec_region(op), cs.exec_row(op));
         assert!(row.each.is_empty(), "{op}'s row declares a loop");
@@ -117,7 +124,7 @@ fn every_fixed_execute_step_counts_as_its_row_declares() {
             let want = (steps.count() as u64 * copies) as i64;
             if measured != want {
                 wrong.push(format!(
-                    "{op} register: EXEC.{op} offset {k} counted {measured}, declared {want} \
+                    "{op} {mode:?}: EXEC.{op} offset {k} counted {measured}, declared {want} \
                      ({copies} copies)"
                 ));
             }
