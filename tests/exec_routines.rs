@@ -91,7 +91,7 @@ fn every_fixed_execute_step_counts_as_its_row_declares() {
         .map(|cell| cell.opcode)
         .collect();
     probeable.dedup();
-    let mut checked = 0;
+    let (mut checked, mut listed) = (0, 0);
     let mut wrong = Vec::new();
     for op in probeable {
         if !matches!(op.group(), OpcodeGroup::Simple | OpcodeGroup::Float) {
@@ -99,6 +99,7 @@ fn every_fixed_execute_step_counts_as_its_row_declares() {
                 DATA_DEPENDENT.iter().any(|(ops, _)| ops.contains(&op)),
                 "{op} is probeable but neither checked nor listed with its data-dependent step"
             );
+            listed += 1;
             continue;
         }
         // Register mode, where legal: an address operand of a register
@@ -133,5 +134,14 @@ fn every_fixed_execute_step_counts_as_its_row_declares() {
     }
     // Every SIMPLE opcode that leaves the PC alone, and every FLOAT opcode.
     assert_eq!(checked, 80 + 42, "checked {checked} opcodes");
+    let unprobed = DATA_DEPENDENT
+        .iter()
+        .map(|(ops, _)| ops.len())
+        .sum::<usize>()
+        - listed;
+    assert_eq!(
+        unprobed, 0,
+        "the list names {unprobed} opcode(s) the grid does not probe"
+    );
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
