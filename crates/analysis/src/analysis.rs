@@ -236,7 +236,7 @@ mod tests {
         assert!(a.tb_miss_services > 0);
         assert!(a.tb_miss_services <= m.mem_stats.total_tb_misses());
         // Each service runs every compute µop of the routine once.
-        let read = cs.tb_miss_read_off;
+        let read = vax_cpu::store::tbmiss::READ;
         for i in (0..cs.tb_miss.len).filter(|&i| i != read) {
             let n = m.hist.read(cs.tb_miss.at(i), Plane::Normal);
             assert_eq!(n, a.tb_miss_services, "TBMISS offset {i}");

@@ -15,6 +15,7 @@
 
 use upc_monitor::Plane;
 use vax780::Measurement;
+use vax_cpu::store::tbmiss;
 use vax_cpu::ControlStore;
 
 use crate::analysis::SpecModeCounts;
@@ -159,15 +160,15 @@ pub fn validate(cs: &ControlStore, m: &Measurement) -> ValidationReport {
             expected: m.mem_stats.unaligned_refs,
             actual: entry(cs.unaligned),
         },
-        // The TB-miss service routine issues exactly one PTE read per
-        // serviced miss, at a known offset. (The routine's *entry* count is
-        // not conserved: an IB flush can discard a counted-but-unserviced
+        // The TB-miss service charges each PTE read one cycle at its
+        // declared read step. (The routine's *entry* count is not
+        // conserved: an IB flush can discard a counted-but-unserviced
         // I-stream miss, so we check the read µop instead.)
         ValidationCheck {
             name: "TB-miss service PTE reads",
             expected_source: "MemStats::pte_reads",
             expected: m.mem_stats.pte_reads,
-            actual: hist.read(cs.tb_miss.at(cs.tb_miss_read_off), Plane::Normal),
+            actual: hist.read(cs.tb_miss.at(tbmiss::READ), Plane::Normal),
         },
     ];
     ValidationReport { checks }

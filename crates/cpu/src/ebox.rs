@@ -13,8 +13,6 @@
 //! * a TB miss charges one abort cycle plus the MemMgmt service routine;
 //! * microcode patches charge periodic abort cycles.
 
-use std::borrow::Borrow;
-
 use upc_monitor::{Histogram, MicroOp, MicroPc, Plane, Region};
 use vax_arch::psl::AccessMode;
 use vax_arch::{
@@ -32,7 +30,7 @@ use crate::icache::{DecodeCache, DecodeCacheStats};
 use crate::ipr::Ipr;
 use crate::operand::{EvaldOperand, Loc, PendingWb, WbDest};
 use crate::stats::CpuStats;
-use crate::store::{ControlStore, SpecFlavor};
+use crate::store::{abort, bdisp, int_dispatch, ird, tbmiss, unaligned, ControlStore, SpecFlavor};
 
 /// Base virtual address (system space) of the system control block; the
 /// kernel writes service-routine addresses at the `VEC_*` slots here, and
@@ -187,15 +185,30 @@ impl Cpu {
         self.tick();
     }
 
-    /// Emit one compute cycle at each of a region's `offsets`, in order.
-    pub(crate) fn c_steps<I>(&mut self, region: Region, offsets: I)
+    /// Run `steps`, offsets into `region`, in order. A `Compute` step is
+    /// one cycle; the k-th `Read` or `Write` step runs `data(cpu, k, upc)`,
+    /// the caller's k-th data reference, charged at that step's µPC.
+    pub(crate) fn walk<F>(&mut self, region: Region, steps: &[u16], mut data: F)
     where
-        I: IntoIterator,
-        I::Item: Borrow<u16>,
+        F: FnMut(&mut Cpu, usize, MicroPc),
     {
-        for i in offsets {
-            self.c(region.at(*i.borrow()));
+        let mut k = 0;
+        for &step in steps {
+            let upc = region.at(step);
+            if self.cs.map.op(upc) == MicroOp::Compute {
+                self.c(upc);
+            } else {
+                data(self, k, upc);
+                k += 1;
+            }
         }
+    }
+
+    /// Charge one data cycle at `upc`, then its `stall` cycles.
+    fn data_cycle(&mut self, upc: MicroPc, stall: u64) {
+        self.hist.record(upc, Plane::Normal);
+        self.hist.record_n(upc, Plane::Stalled, stall);
+        self.advance(1 + stall);
     }
 
     // ---- fatal-error reporting ----
@@ -221,51 +234,38 @@ impl Cpu {
     /// TB-miss microtrap + service routine (MemMgmt row; abort cycle in the
     /// Abort row; PTE read stalls in the stalled plane).
     fn run_tb_miss(&mut self, va: VirtAddr) {
-        self.c(self.cs.abort.entry());
-        let r = self.cs.tb_miss;
-        self.c_steps(r, 0..self.cs.tb_miss_read_off);
-        let fill = self.mem.tb_fill(va, self.cycle).unwrap_or_else(|e| {
-            self.fatal(format!(
-                "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",
-                self.regs[15], self.regs, self.psl
-            ))
+        self.c(self.cs.abort.at(abort::ABORT));
+        self.walk(self.cs.tb_miss, &tbmiss::STEPS, |cpu, _, upc| {
+            let fill = cpu.mem.tb_fill(va, cpu.cycle).unwrap_or_else(|e| {
+                cpu.fatal(format!(
+                    "unhandled page fault: {e} ({va}) at PC {:#010x}, regs {:x?}, psl {:?}",
+                    cpu.regs[15], cpu.regs, cpu.psl
+                ))
+            });
+            for _ in 1..fill.pte_reads {
+                cpu.data_cycle(upc, 0);
+            }
+            cpu.data_cycle(upc, fill.stall);
         });
-        let read_upc = r.at(self.cs.tb_miss_read_off);
-        for _ in 0..fill.pte_reads {
-            self.hist.record(read_upc, Plane::Normal);
-            self.tick();
-        }
-        if fill.stall > 0 {
-            self.hist.record_n(read_upc, Plane::Stalled, fill.stall);
-            self.advance(fill.stall);
-        }
-        self.c(r.at(self.cs.tb_miss_read_off + 1));
     }
 
     /// Extra microcode for a reference that crossed an aligned-longword
-    /// boundary: two compute cycles plus the second physical reference.
+    /// boundary: the second physical reference, at `pa_second`.
     fn run_unaligned(&mut self, pa_second: PhysAddr, write: bool) {
         self.mem.note_unaligned();
-        let r = self.cs.unaligned;
-        self.c(r.at(0));
-        self.c(r.at(1));
-        if write {
-            let upc = r.at(3);
-            self.hist.record(upc, Plane::Normal);
-            let stall = self.mem.write_cycle(pa_second, self.cycle);
-            if stall > 0 {
-                self.hist.record_n(upc, Plane::Stalled, stall);
-            }
-            self.advance(1 + stall);
+        let steps: &[u16] = if write {
+            &unaligned::WRITE_STEPS
         } else {
-            let upc = r.at(2);
-            self.hist.record(upc, Plane::Normal);
-            let out = self.mem.read_cycle(pa_second, self.cycle);
-            if out.stall > 0 {
-                self.hist.record_n(upc, Plane::Stalled, out.stall);
-            }
-            self.advance(1 + out.stall);
-        }
+            &unaligned::READ_STEPS
+        };
+        self.walk(self.cs.unaligned, steps, |cpu, _, upc| {
+            let stall = if write {
+                cpu.mem.write_cycle(pa_second, cpu.cycle)
+            } else {
+                cpu.mem.read_cycle(pa_second, cpu.cycle).stall
+            };
+            cpu.data_cycle(upc, stall);
+        });
     }
 
     /// One D-stream read of `size` ≤ 8 bytes at `va`, charged to `upc`.
@@ -281,12 +281,8 @@ impl Cpu {
 
     fn read_data_lw(&mut self, upc: MicroPc, va: VirtAddr, size: u32) -> u64 {
         let pa = self.translate_d(va);
-        self.hist.record(upc, Plane::Normal);
-        let out = self.mem.read_cycle(pa, self.cycle);
-        if out.stall > 0 {
-            self.hist.record_n(upc, Plane::Stalled, out.stall);
-        }
-        self.advance(1 + out.stall);
+        let stall = self.mem.read_cycle(pa, self.cycle).stall;
+        self.data_cycle(upc, stall);
         let value = if size <= va.remaining_in(PAGE_SIZE) {
             self.mem.value_read(self.checked_tb_pa(va, pa), size)
         } else {
@@ -313,12 +309,8 @@ impl Cpu {
 
     fn write_data_lw(&mut self, upc: MicroPc, va: VirtAddr, size: u32, value: u64) {
         let pa = self.translate_d(va);
-        self.hist.record(upc, Plane::Normal);
         let stall = self.mem.write_cycle(pa, self.cycle);
-        if stall > 0 {
-            self.hist.record_n(upc, Plane::Stalled, stall);
-        }
-        self.advance(1 + stall);
+        self.data_cycle(upc, stall);
         if size <= va.remaining_in(PAGE_SIZE) {
             let pa = self.checked_tb_pa(va, pa);
             self.mem.value_write(pa, size, value);
@@ -504,31 +496,24 @@ impl Cpu {
     // ---- interrupt dispatch ----
 
     fn dispatch_interrupt(&mut self, ipl: u8, scb_slot: u32, hardware: bool) {
-        let r = self.cs.interrupt;
-        // State sequencing.
-        self.c_steps(r, 0..self.cs.interrupt_read_off);
-        // Vector read.
-        let vec_va = SCB_BASE.add(scb_slot * 4);
-        let target = self.read_data(r.at(self.cs.interrupt_read_off), vec_va, 4) as u32;
-        // Push PSL then PC (PC ends on top, as REI expects).
-        let sp = self.regs[14].wrapping_sub(4);
-        self.write_data(
-            r.at(self.cs.interrupt_push_off),
-            VirtAddr(sp),
-            4,
-            self.psl.to_u32() as u64,
+        let (vec_va, sp) = (SCB_BASE.add(scb_slot * 4), self.regs[14]);
+        let mut target = 0;
+        // The vector read, then the PSL and PC pushes.
+        self.walk(
+            self.cs.interrupt,
+            &int_dispatch::STEPS,
+            |cpu, k, upc| match k {
+                0 => target = cpu.read_data(upc, vec_va, 4) as u32,
+                1 => cpu.write_data(
+                    upc,
+                    VirtAddr(sp.wrapping_sub(4)),
+                    4,
+                    cpu.psl.to_u32().into(),
+                ),
+                _ => cpu.write_data(upc, VirtAddr(sp.wrapping_sub(8)), 4, cpu.pc().into()),
+            },
         );
-        let sp2 = sp.wrapping_sub(4);
-        self.write_data(
-            r.at(self.cs.interrupt_push_off + 1),
-            VirtAddr(sp2),
-            4,
-            self.pc() as u64,
-        );
-        self.regs[14] = sp2;
-        // Cleanup cycles.
-        let fin = self.cs.interrupt_push_off + 2;
-        self.c_steps(r, fin..r.len);
+        self.regs[14] = sp.wrapping_sub(8);
         self.psl.ipl = ipl;
         self.psl.cur_mode = AccessMode::Kernel;
         self.set_pc(target);
@@ -546,7 +531,7 @@ impl Cpu {
         // Microcode patch aborts accrue with time.
         if self.config.patch_interval.is_some() {
             while self.cycle >= self.next_patch {
-                self.c(self.cs.abort.entry());
+                self.c(self.cs.abort.at(abort::ABORT));
                 self.next_patch += self.config.patch_interval.unwrap();
             }
         }
@@ -587,8 +572,8 @@ impl Cpu {
         let insn_end = insn_pc.wrapping_add(insn.len);
 
         // IRD: wait for the opcode byte, then the one decode cycle.
-        self.consume_istream(1, self.cs.ird.at(1));
-        self.c(self.cs.ird.at(0));
+        self.consume_istream(1, self.cs.ird.at(ird::IB_WAIT));
+        self.c(self.cs.ird.at(ird::DECODE));
 
         // Operand specifier processing. The scratch vectors live on the Cpu
         // and are taken/returned so steady-state steps never allocate
@@ -628,7 +613,7 @@ impl Cpu {
                 }
                 OperandKind::Branch(w) => {
                     cursor = cursor.wrapping_add(w.size());
-                    self.consume_istream(w.size(), self.cs.bdisp.at(1));
+                    self.consume_istream(w.size(), self.cs.bdisp.at(bdisp::IB_WAIT));
                 }
             }
         }
@@ -684,7 +669,7 @@ impl Cpu {
             }
             Flow::TakenDisp => {
                 // Branch displacement target computation (only when taken).
-                self.c(self.cs.bdisp.at(0));
+                self.c(self.cs.bdisp.at(bdisp::TARGET));
                 let target = insn_end.wrapping_add(insn.branch_disp.unwrap() as u32);
                 self.stats.record_branch(kind, true);
                 self.set_pc(target);

@@ -9,13 +9,13 @@
 //!
 //! Each group's module below declares its layout once, as named offsets and
 //! the µop kind at each, and its cost table: one [`ExecRow`] per opcode or
-//! opcode family, listing the compute steps no operand value decides.
-//! [`execute`] runs a row's `setup`, and the routine runs its `each` and
-//! `finish` steps at their points; what an operand value decides (a loop's
-//! trip count, a taken branch, where a field lives) stays code, at named
-//! offsets. So a fixed execute-cost edit is a one-row diff, and
-//! `tests/exec_routines.rs` checks the SIMPLE and FLOAT rows against the
-//! µPC histogram on directed probes.
+//! opcode family, listing the steps no operand value decides. `execute`
+//! runs a row's `setup`, and the routine runs its `each` and `finish` steps
+//! at their points, all through `Cpu::walk`; what an operand value decides
+//! (a loop's trip count, a taken branch, where a field lives) stays code,
+//! at named offsets. So a fixed execute-cost edit is a one-row diff, and
+//! `tests/exec_routines.rs` checks the rows against the µPC histogram on
+//! directed probes.
 
 use upc_monitor::{MicroOp, MicroPc, Region};
 use vax_arch::psl::AccessMode;
@@ -25,8 +25,10 @@ use vax_mem::VirtAddr;
 use crate::ebox::{mask, Cpu, SCB_BASE, VEC_CHMK};
 use crate::ipr::IprNum;
 use crate::operand::{EvaldOperand, Loc};
+use crate::store::{layout, span};
 
-use MicroOp::{Compute as C, Read as R, Write as W};
+use MicroOp::{Read as R, Write as W};
+use Opcode::*;
 
 /// Control-flow result of the execute phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +54,9 @@ pub struct ExecRow {
     /// into a literal first specifier's cycle.
     pub setup: &'static [u16],
     /// Steps run once per item of the routine's loop: after each register
-    /// pushed or popped (CALL/RET), saved or loaded (SVPCTX, LDPCTX), and
-    /// per digit (DECIMAL).
+    /// pushed or popped (CALL/RET), saved or loaded (SVPCTX, LDPCTX), per
+    /// digit (DECIMAL), and per longword of string (CHARACTER, whose loop
+    /// body holds its data references).
     pub each: &'static [u16],
     /// Steps run once, where the routine's operand-dependent work ends:
     /// after a field fetch, a frame's pushes or pops, a string loop, or a
@@ -80,33 +83,9 @@ impl ExecRow {
     }
 }
 
-/// A group layout of `N` compute µops, but for the data references at
-/// `refs`' offsets.
-const fn layout<const N: usize>(refs: &[(u16, MicroOp)]) -> [MicroOp; N] {
-    let mut ops = [C; N];
-    let mut i = 0;
-    while i < refs.len() {
-        ops[refs[i].0 as usize] = refs[i].1;
-        i += 1;
-    }
-    ops
-}
-
-/// `N` steps at consecutive offsets from `from`.
-const fn span<const N: usize>(from: u16) -> [u16; N] {
-    let mut steps = [0; N];
-    let mut i = 0;
-    while i < N {
-        steps[i] = from + i as u16;
-        i += 1;
-    }
-    steps
-}
-
 /// SIMPLE: `[entry, redirect, read, extra, write]`.
 mod simple {
     use super::*;
-    use Opcode::*;
 
     /// The execute cycle every routine opens with.
     pub const ENTRY: u16 = 0;
@@ -162,7 +141,6 @@ mod simple {
 /// FIELD.
 mod field {
     use super::*;
-    use Opcode::*;
 
     /// First execute cycle.
     pub const ENTRY: u16 = 0;
@@ -205,7 +183,6 @@ mod field {
 /// once it runs out (EDIV's 26 cycles outrun the 24).
 mod float {
     use super::*;
-    use Opcode::*;
 
     pub const OPS: [MicroOp; 24] = layout(&[]);
 
@@ -242,7 +219,6 @@ mod float {
 /// CALL/RET.
 mod callret {
     use super::*;
-    use Opcode::*;
 
     /// Setup cycles 0..8.
     pub const SETUP: u16 = 0;
@@ -259,19 +235,18 @@ mod callret {
     pub const FINISH: u16 = 12;
     pub const OPS: [MicroOp; 16] = layout(&[(PUSH, W), (POP, R)]);
 
+    /// The condition handler's push, the frame's last, keeps two of its
+    /// three gaps, which open the finish.
+    const CALL_FINISH: [u16; 6] = {
+        let f = span::<4>(FINISH);
+        [PUSH_GAP, PUSH_GAP, f[0], f[1], f[2], f[3]]
+    };
+
     pub static ROWS: &[ExecRow] = &[
-        // Three gaps after each push; the condition handler's push, the
-        // frame's last, keeps two, which open the finish.
+        // Three gaps after each push.
         row(&[Calls, Callg], &span::<8>(SETUP))
             .each(&[PUSH_GAP; 3])
-            .finish(&[
-                PUSH_GAP,
-                PUSH_GAP,
-                FINISH,
-                FINISH + 1,
-                FINISH + 2,
-                FINISH + 3,
-            ]),
+            .finish(&CALL_FINISH),
         row(&[Ret], &span::<5>(SETUP))
             .each(&[POP_GAP; 2])
             .finish(&span::<3>(FINISH)),
@@ -283,7 +258,6 @@ mod callret {
 /// SYSTEM.
 mod system {
     use super::*;
-    use Opcode::*;
 
     /// Setup cycles 0..10.
     pub const SETUP: u16 = 0;
@@ -311,11 +285,10 @@ mod system {
     ];
 }
 
-/// CHARACTER. The string loops' steps stay code: a MOVCx iteration spaces
-/// its write between compute cycles.
+/// CHARACTER. A row's `each` is one iteration of its longword loop, data
+/// references included.
 mod character {
     use super::*;
-    use Opcode::*;
 
     /// Setup cycles 0..8.
     pub const SETUP: u16 = 0;
@@ -336,19 +309,38 @@ mod character {
     pub const FINISH: u16 = 14;
     pub const OPS: [MicroOp; 15] = layout(&[(READ, R), (WRITE, W)]);
 
+    /// The source longword's read and the destination longword's write.
+    const MOVE: [u16; 8] = [READ, LOOP1, LOOP2, LOOP1, WRITE, LOOP3, LOOP4, LOOP3];
+    /// A longword of each string.
+    const COMPARE: [u16; 4] = [READ, READ, LOOP1, LOOP2];
+    /// A longword of the scanned string.
+    const SCAN: [u16; 3] = [READ, LOOP1, LOOP2];
+    /// A longword of the string, then the translate table's.
+    const TABLE: [u16; 4] = [READ, LOOP1, LOOP2, READ];
+
     pub static ROWS: &[ExecRow] = &[
-        row(&[Movc3, Movc5], &span::<8>(SETUP)).finish(&[FINISH]),
-        row(&[Cmpc3, Cmpc5], &span::<8>(SETUP)).finish(&[FINISH]),
-        row(&[Locc, Skpc], &span::<8>(SETUP)).finish(&[FINISH]),
-        row(&[Scanc, Spanc], &span::<8>(SETUP)).finish(&[FINISH]),
-        row(&[Matchc], &span::<8>(SETUP)).finish(&[FINISH]),
+        row(&[Movc3, Movc5], &span::<8>(SETUP))
+            .each(&MOVE)
+            .finish(&[FINISH]),
+        row(&[Cmpc3, Cmpc5], &span::<8>(SETUP))
+            .each(&COMPARE)
+            .finish(&[FINISH]),
+        row(&[Locc, Skpc], &span::<8>(SETUP))
+            .each(&SCAN)
+            .finish(&[FINISH]),
+        row(&[Scanc, Spanc], &span::<8>(SETUP))
+            .each(&TABLE)
+            .finish(&[FINISH]),
+        row(&[Matchc], &span::<8>(SETUP))
+            .each(&SCAN)
+            .finish(&[FINISH]),
     ];
 }
 
-/// DECIMAL. A row's `each` is one digit-loop iteration.
-mod decimal {
+/// DECIMAL. A row's `each` is one digit-loop iteration; `READ_LW` and
+/// `WRITE_LW` run once per longword of packed operand.
+pub mod decimal {
     use super::*;
-    use Opcode::*;
 
     /// Setup cycles 0..10.
     pub const SETUP: u16 = 0;
@@ -364,11 +356,17 @@ mod decimal {
     pub const WRITE: u16 = 14;
     /// Finish cycle.
     pub const FINISH: u16 = 15;
+    /// The routine's µops.
     pub const OPS: [MicroOp; 16] = layout(&[(READ, R), (WRITE, W)]);
+
+    /// One longword of a packed operand read.
+    pub const READ_LW: [u16; 2] = [READ, DIGIT1];
+    /// One longword of a packed result written.
+    pub const WRITE_LW: [u16; 3] = [WRITE, FINISH, DIGIT2];
 
     const DIGIT: [u16; 3] = [DIGIT1, DIGIT2, DIGIT3];
 
-    pub static ROWS: &[ExecRow] = &[
+    pub(super) static ROWS: &[ExecRow] = &[
         row(&[Addp4, Subp4, Addp6, Subp6], &span::<10>(SETUP)).each(&DIGIT),
         // Multiply and divide run the digit loop's body twice per digit.
         row(&[Mulp, Divp], &span::<10>(SETUP))
@@ -425,7 +423,7 @@ pub(crate) fn execute(
 ) -> Flow {
     let op = insn.opcode;
     let (r, row) = (cpu.cs.exec_region(op), cpu.cs.exec_row(op));
-    cpu.c_steps(r, &row.setup[usize::from(fused)..]);
+    cpu.walk(r, &row.setup[usize::from(fused)..], no_refs);
     match op.group() {
         OpcodeGroup::Simple => exec_simple(cpu, r, row, op, ops),
         OpcodeGroup::Field => exec_field(cpu, r, row, op, ops),
@@ -483,20 +481,48 @@ fn cc_cmp(psl: &mut Psl, a: u64, b: u64, size: u32) {
 
 fn branch_condition(psl: &Psl, op: Opcode) -> bool {
     match op {
-        Opcode::Bneq => !psl.z,
-        Opcode::Beql => psl.z,
-        Opcode::Bgtr => !(psl.n || psl.z),
-        Opcode::Bleq => psl.n || psl.z,
-        Opcode::Bgeq => !psl.n,
-        Opcode::Blss => psl.n,
-        Opcode::Bgtru => !(psl.c || psl.z),
-        Opcode::Blequ => psl.c || psl.z,
-        Opcode::Bvc => !psl.v,
-        Opcode::Bvs => psl.v,
-        Opcode::Bcc => !psl.c,
-        Opcode::Bcs => psl.c,
-        Opcode::Brb | Opcode::Brw => true,
+        Bneq => !psl.z,
+        Beql => psl.z,
+        Bgtr => !(psl.n || psl.z),
+        Bleq => psl.n || psl.z,
+        Bgeq => !psl.n,
+        Blss => psl.n,
+        Bgtru => !(psl.c || psl.z),
+        Blequ => psl.c || psl.z,
+        Bvc => !psl.v,
+        Bvs => psl.v,
+        Bcc => !psl.c,
+        Bcs => psl.c,
+        Brb | Brw => true,
         _ => unreachable!("not a condition branch: {op}"),
+    }
+}
+
+/// The data reference of a compute-only step list, which has none.
+fn no_refs(_: &mut Cpu, _: usize, upc: MicroPc) {
+    unreachable!("data step {upc} in a compute-only step list")
+}
+
+/// A loop's data reference at `upc`: a `Read` step reads the aligned
+/// longword holding `va`, and a `Write` step writes a placeholder there,
+/// which the routine's untimed semantics then overwrite.
+fn lw_ref(cpu: &mut Cpu, upc: MicroPc, va: VirtAddr) {
+    let lw = VirtAddr(va.0 & !3);
+    if cpu.cs.map.op(upc) == W {
+        cpu.write_data(upc, lw, 4, 0);
+    } else {
+        cpu.read_data(upc, lw, 4);
+    }
+}
+
+/// Run `steps` once per longword, `lws` times: the k-th data step of the
+/// i-th run references `refs[k]`'s address plus `i` times its stride.
+fn lw_loop(cpu: &mut Cpu, r: Region, steps: &[u16], lws: u32, refs: &[(VirtAddr, u32)]) {
+    for i in 0..lws {
+        cpu.walk(r, steps, |cpu, k, upc| {
+            let (va, stride) = refs[k];
+            lw_ref(cpu, upc, va.add(i * stride));
+        });
     }
 }
 
@@ -521,7 +547,7 @@ fn exec_simple(
 ) -> Flow {
     use simple::*;
     match op {
-        Opcode::Pushl | Opcode::Pushab | Opcode::Pushaw | Opcode::Pushal | Opcode::Pushaq => {
+        Pushl | Pushab | Pushaw | Pushal | Pushaq => {
             let v = ops[0].value as u32;
             cc_nz(&mut cpu.psl, v as u64, 4);
             let sp = cpu.regs[14].wrapping_sub(4);
@@ -530,62 +556,46 @@ fn exec_simple(
             Flow::Normal
         }
         // Test / compare / bit test.
-        Opcode::Tstb | Opcode::Tstw | Opcode::Tstl => {
+        Tstb | Tstw | Tstl => {
             cc_nz(&mut cpu.psl, ops[0].value, ops[0].size);
             cpu.psl.c = false;
             Flow::Normal
         }
-        Opcode::Cmpb | Opcode::Cmpw | Opcode::Cmpl => {
+        Cmpb | Cmpw | Cmpl => {
             cc_cmp(&mut cpu.psl, ops[0].value, ops[1].value, ops[0].size);
             Flow::Normal
         }
-        Opcode::Bitb | Opcode::Bitw | Opcode::Bitl => {
+        Bitb | Bitw | Bitl => {
             let v = ops[0].value & ops[1].value;
             cc_nz(&mut cpu.psl, v, ops[0].size);
             Flow::Normal
         }
         // Conditional and unconditional displacement branches.
-        Opcode::Bneq
-        | Opcode::Beql
-        | Opcode::Bgtr
-        | Opcode::Bleq
-        | Opcode::Bgeq
-        | Opcode::Blss
-        | Opcode::Bgtru
-        | Opcode::Blequ
-        | Opcode::Bvc
-        | Opcode::Bvs
-        | Opcode::Bcc
-        | Opcode::Bcs
-        | Opcode::Brb
-        | Opcode::Brw => branch(cpu, r.at(REDIRECT), branch_condition(&cpu.psl, op)),
-        Opcode::Jmp => Flow::Jump(ops[0].value as u32),
+        Bneq | Beql | Bgtr | Bleq | Bgeq | Blss | Bgtru | Blequ | Bvc | Bvs | Bcc | Bcs | Brb
+        | Brw => branch(cpu, r.at(REDIRECT), branch_condition(&cpu.psl, op)),
+        Jmp => Flow::Jump(ops[0].value as u32),
         // Low-bit tests.
-        Opcode::Blbs | Opcode::Blbc => {
+        Blbs | Blbc => {
             let bit = ops[0].value & 1 != 0;
-            branch(cpu, r.at(REDIRECT), bit == (op == Opcode::Blbs))
+            branch(cpu, r.at(REDIRECT), bit == (op == Blbs))
         }
         // Loop branches.
-        Opcode::Sobgeq | Opcode::Sobgtr => {
+        Sobgeq | Sobgtr => {
             let v = (ops[0].as_i32()).wrapping_sub(1);
             ops[0].value = v as u32 as u64;
             cc_nz(&mut cpu.psl, v as u32 as u64, 4);
-            let taken = if op == Opcode::Sobgeq { v >= 0 } else { v > 0 };
+            let taken = if op == Sobgeq { v >= 0 } else { v > 0 };
             branch(cpu, r.at(REDIRECT), taken)
         }
-        Opcode::Aoblss | Opcode::Aobleq => {
+        Aoblss | Aobleq => {
             let limit = ops[0].as_i32();
             let v = ops[1].as_i32().wrapping_add(1);
             ops[1].value = v as u32 as u64;
             cc_nz(&mut cpu.psl, v as u32 as u64, 4);
-            let taken = if op == Opcode::Aoblss {
-                v < limit
-            } else {
-                v <= limit
-            };
+            let taken = if op == Aoblss { v < limit } else { v <= limit };
             branch(cpu, r.at(REDIRECT), taken)
         }
-        Opcode::Acbb | Opcode::Acbw | Opcode::Acbl => {
+        Acbb | Acbw | Acbl => {
             let size = ops[0].size;
             let limit = sext(ops[0].value, size);
             let add = sext(ops[1].value, size);
@@ -597,7 +607,7 @@ fn exec_simple(
         }
         // Case branches. The word displacement table follows the
         // instruction in the I-stream.
-        Opcode::Caseb | Opcode::Casew | Opcode::Casel => {
+        Caseb | Casew | Casel => {
             let size = ops[0].size;
             let sel = ops[0].value & mask(size);
             let base = ops[1].value & mask(size);
@@ -610,27 +620,27 @@ fn exec_simple(
             } else {
                 table.wrapping_add(2 * (limit as u32 + 1))
             };
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(target)
         }
         // Subroutine linkage (simple: just push/pop the PC).
-        Opcode::Bsbb | Opcode::Bsbw | Opcode::Jsb => {
+        Bsbb | Bsbw | Jsb => {
             let sp = cpu.regs[14].wrapping_sub(4);
             cpu.regs[14] = sp;
             let ret = cpu.regs[15];
             cpu.write_data(r.at(WRITE), VirtAddr(sp), 4, ret as u64);
-            cpu.c_steps(r, row.finish);
-            if op == Opcode::Jsb {
+            cpu.walk(r, row.finish, no_refs);
+            if op == Jsb {
                 Flow::Jump(ops[0].value as u32)
             } else {
                 Flow::TakenDisp
             }
         }
-        Opcode::Rsb => {
+        Rsb => {
             let sp = cpu.regs[14];
             let ret = cpu.read_data(r.at(READ), VirtAddr(sp), 4) as u32;
             cpu.regs[14] = sp.wrapping_add(4);
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(ret)
         }
         // Every other SIMPLE instruction computes a result into its last
@@ -647,80 +657,65 @@ fn exec_simple(
 fn simple_result(psl: &mut Psl, op: Opcode, ops: &[EvaldOperand]) -> u64 {
     match op {
         // Moves.
-        Opcode::Movb | Opcode::Movw | Opcode::Movl | Opcode::Movq => {
+        Movb | Movw | Movl | Movq => {
             cc_nz(psl, ops[0].value, ops[0].size);
             ops[0].value
         }
-        Opcode::Movab | Opcode::Movaw | Opcode::Moval | Opcode::Movaq => {
+        Movab | Movaw | Moval | Movaq => {
             cc_nz(psl, ops[0].value, 4);
             ops[0].value
         }
-        Opcode::Clrb | Opcode::Clrw | Opcode::Clrl | Opcode::Clrq => {
+        Clrb | Clrw | Clrl | Clrq => {
             cc_nz(psl, 0, ops[0].size);
             0
         }
-        Opcode::Mnegb | Opcode::Mnegw | Opcode::Mnegl => {
+        Mnegb | Mnegw | Mnegl => {
             let size = ops[0].size;
             let v = (ops[0].value as i64).wrapping_neg() as u64 & mask(size);
             cc_sub(psl, ops[0].value, 0, v, size);
             v
         }
-        Opcode::Mcomb | Opcode::Mcomw | Opcode::Mcoml => {
+        Mcomb | Mcomw | Mcoml => {
             let v = !ops[0].value & mask(ops[0].size);
             cc_nz(psl, v, ops[0].size);
             v
         }
-        Opcode::Movzbw | Opcode::Movzbl | Opcode::Movzwl => {
+        Movzbw | Movzbl | Movzwl => {
             let v = ops[0].value & mask(ops[0].size);
             cc_nz(psl, v, ops[1].size);
             v
         }
-        Opcode::Cvtbw
-        | Opcode::Cvtbl
-        | Opcode::Cvtwb
-        | Opcode::Cvtwl
-        | Opcode::Cvtlb
-        | Opcode::Cvtlw => {
+        Cvtbw | Cvtbl | Cvtwb | Cvtwl | Cvtlb | Cvtlw => {
             let v = sext(ops[0].value, ops[0].size) as u64 & mask(ops[1].size);
             cc_nz(psl, v, ops[1].size);
             v
         }
         // Integer add/sub.
-        Opcode::Addb2
-        | Opcode::Addw2
-        | Opcode::Addl2
-        | Opcode::Addb3
-        | Opcode::Addw3
-        | Opcode::Addl3 => {
+        Addb2 | Addw2 | Addl2 | Addb3 | Addw3 | Addl3 => {
             let size = ops[0].size;
             let v = ops[0].value.wrapping_add(ops[1].value) & mask(size);
             cc_add(psl, ops[0].value, ops[1].value, v, size);
             v
         }
-        Opcode::Subb2
-        | Opcode::Subw2
-        | Opcode::Subl2
-        | Opcode::Subb3
-        | Opcode::Subw3
-        | Opcode::Subl3 => {
+        Subb2 | Subw2 | Subl2 | Subb3 | Subw3 | Subl3 => {
             let size = ops[0].size;
             let v = ops[1].value.wrapping_sub(ops[0].value) & mask(size);
             cc_sub(psl, ops[0].value, ops[1].value, v, size);
             v
         }
-        Opcode::Incb | Opcode::Incw | Opcode::Incl => {
+        Incb | Incw | Incl => {
             let size = ops[0].size;
             let v = ops[0].value.wrapping_add(1) & mask(size);
             cc_add(psl, 1, ops[0].value, v, size);
             v
         }
-        Opcode::Decb | Opcode::Decw | Opcode::Decl => {
+        Decb | Decw | Decl => {
             let size = ops[0].size;
             let v = ops[0].value.wrapping_sub(1) & mask(size);
             cc_sub(psl, 1, ops[0].value, v, size);
             v
         }
-        Opcode::Ashl | Opcode::Ashq => {
+        Ashl | Ashq => {
             let cnt = sext(ops[0].value, 1);
             let size = ops[1].size;
             let src = sext(ops[1].value, size);
@@ -732,39 +727,24 @@ fn simple_result(psl: &mut Psl, op: Opcode, ops: &[EvaldOperand]) -> u64 {
             cc_nz(psl, v, size);
             v
         }
-        Opcode::Rotl => {
+        Rotl => {
             let cnt = (sext(ops[0].value, 1).rem_euclid(32)) as u32;
             let v = (ops[1].value as u32).rotate_left(cnt) as u64;
             cc_nz(psl, v, 4);
             v
         }
         // Boolean.
-        Opcode::Bicb2
-        | Opcode::Bicw2
-        | Opcode::Bicl2
-        | Opcode::Bicb3
-        | Opcode::Bicw3
-        | Opcode::Bicl3 => {
+        Bicb2 | Bicw2 | Bicl2 | Bicb3 | Bicw3 | Bicl3 => {
             let v = ops[1].value & !ops[0].value & mask(ops[0].size);
             cc_nz(psl, v, ops[0].size);
             v
         }
-        Opcode::Bisb2
-        | Opcode::Bisw2
-        | Opcode::Bisl2
-        | Opcode::Bisb3
-        | Opcode::Bisw3
-        | Opcode::Bisl3 => {
+        Bisb2 | Bisw2 | Bisl2 | Bisb3 | Bisw3 | Bisl3 => {
             let v = (ops[1].value | ops[0].value) & mask(ops[0].size);
             cc_nz(psl, v, ops[0].size);
             v
         }
-        Opcode::Xorb2
-        | Opcode::Xorw2
-        | Opcode::Xorl2
-        | Opcode::Xorb3
-        | Opcode::Xorw3
-        | Opcode::Xorl3 => {
+        Xorb2 | Xorw2 | Xorl2 | Xorb3 | Xorw3 | Xorl3 => {
             let v = (ops[1].value ^ ops[0].value) & mask(ops[0].size);
             cc_nz(psl, v, ops[0].size);
             v
@@ -823,14 +803,14 @@ fn exec_field(
 ) -> Flow {
     use field::*;
     match op {
-        Opcode::Extv | Opcode::Extzv | Opcode::Cmpv | Opcode::Cmpzv | Opcode::Ffs | Opcode::Ffc => {
+        Extv | Extzv | Cmpv | Cmpzv | Ffs | Ffc => {
             let pos = sext(ops[0].value, 4);
             let size = (ops[1].value & 0xFF) as u32;
             let raw = field_fetch(cpu, r, pos, size, &ops[2]);
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             match op {
-                Opcode::Extv | Opcode::Extzv => {
-                    let v = if op == Opcode::Extv && size > 0 {
+                Extv | Extzv => {
+                    let v = if op == Extv && size > 0 {
                         sext(raw, 4).wrapping_shl(32 - size.min(32)) as u64 >> (32 - size.min(32))
                             | if raw & (1 << (size.saturating_sub(1))) != 0 && size < 32 {
                                 !mask_bits(size) & mask(4)
@@ -843,9 +823,9 @@ fn exec_field(
                     cc_nz(&mut cpu.psl, v, 4);
                     ops[3].value = v & mask(4);
                 }
-                Opcode::Cmpv | Opcode::Cmpzv => cc_cmp(&mut cpu.psl, raw, ops[3].value, 4),
+                Cmpv | Cmpzv => cc_cmp(&mut cpu.psl, raw, ops[3].value, 4),
                 _ => {
-                    let scan = if op == Opcode::Ffs {
+                    let scan = if op == Ffs {
                         raw
                     } else {
                         !raw & mask_bits(size)
@@ -857,14 +837,14 @@ fn exec_field(
             }
             Flow::Normal
         }
-        Opcode::Insv => {
+        Insv => {
             let src = ops[0].value;
             let pos = sext(ops[1].value, 4);
             let size = (ops[2].value & 0xFF) as u32;
             if size == 0 {
                 return Flow::Normal;
             }
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             match ops[3].loc {
                 Loc::Reg(reg) => {
                     cpu.c(r.at(MERGE));
@@ -899,24 +879,17 @@ fn exec_field(
         }
         // Bit branches (single-bit fields): the bit lives in a register's
         // longword or in a byte of memory.
-        Opcode::Bbs
-        | Opcode::Bbc
-        | Opcode::Bbss
-        | Opcode::Bbcs
-        | Opcode::Bbsc
-        | Opcode::Bbcc
-        | Opcode::Bbssi
-        | Opcode::Bbcci => {
+        Bbs | Bbc | Bbss | Bbcs | Bbsc | Bbcc | Bbssi | Bbcci => {
             let pos = sext(ops[0].value, 4);
             let byte = VirtAddr((ops[1].value as u32).wrapping_add((pos >> 3) as u32));
             let (old, shift) = match ops[1].loc {
                 Loc::Reg(reg) => (cpu.get_reg(reg, 4), pos & 31),
                 _ => (cpu.read_data(r.at(READ), byte, 1), pos & 7),
             };
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             let newbit = match op {
-                Opcode::Bbss | Opcode::Bbcs | Opcode::Bbssi => Some(1u64),
-                Opcode::Bbsc | Opcode::Bbcc | Opcode::Bbcci => Some(0),
+                Bbss | Bbcs | Bbssi => Some(1u64),
+                Bbsc | Bbcc | Bbcci => Some(0),
                 _ => None,
             };
             if let Some(nb) = newbit {
@@ -926,10 +899,7 @@ fn exec_field(
                     _ => cpu.write_data(r.at(WRITE), byte, 1, v),
                 }
             }
-            let on_set = matches!(
-                op,
-                Opcode::Bbs | Opcode::Bbss | Opcode::Bbsc | Opcode::Bbssi
-            );
+            let on_set = matches!(op, Bbs | Bbss | Bbsc | Bbssi);
             branch(cpu, r.at(REDIRECT), ((old >> shift) & 1 != 0) == on_set)
         }
         other => unreachable!("{other} is not FIELD"),
@@ -964,31 +934,27 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
     // operand.
     let dst = ops.len() - 1;
     match op {
-        Opcode::Addf2 | Opcode::Addf3 => put_f(psl, &mut ops[dst], fa + fb),
-        Opcode::Subf2 | Opcode::Subf3 => put_f(psl, &mut ops[dst], fb - fa),
-        Opcode::Mulf2 | Opcode::Mulf3 => put_f(psl, &mut ops[dst], fa * fb),
-        Opcode::Divf2 | Opcode::Divf3 => {
-            put_f(psl, &mut ops[dst], if fa == 0.0 { 0.0 } else { fb / fa })
-        }
-        Opcode::Addd2 | Opcode::Addd3 => put_d(psl, &mut ops[dst], da + db),
-        Opcode::Subd2 | Opcode::Subd3 => put_d(psl, &mut ops[dst], db - da),
-        Opcode::Muld2 | Opcode::Muld3 => put_d(psl, &mut ops[dst], da * db),
-        Opcode::Divd2 | Opcode::Divd3 => {
-            put_d(psl, &mut ops[dst], if da == 0.0 { 0.0 } else { db / da })
-        }
-        Opcode::Mnegf => put_f(psl, &mut ops[dst], -fa),
-        Opcode::Cvtlf => put_f(psl, &mut ops[dst], sext(a, 4) as f32),
-        Opcode::Cvtld => put_d(psl, &mut ops[dst], sext(a, 4) as f64),
-        Opcode::Cvtfd => put_d(psl, &mut ops[dst], fa as f64),
-        Opcode::Movf | Opcode::Movd => {
+        Addf2 | Addf3 => put_f(psl, &mut ops[dst], fa + fb),
+        Subf2 | Subf3 => put_f(psl, &mut ops[dst], fb - fa),
+        Mulf2 | Mulf3 => put_f(psl, &mut ops[dst], fa * fb),
+        Divf2 | Divf3 => put_f(psl, &mut ops[dst], if fa == 0.0 { 0.0 } else { fb / fa }),
+        Addd2 | Addd3 => put_d(psl, &mut ops[dst], da + db),
+        Subd2 | Subd3 => put_d(psl, &mut ops[dst], db - da),
+        Muld2 | Muld3 => put_d(psl, &mut ops[dst], da * db),
+        Divd2 | Divd3 => put_d(psl, &mut ops[dst], if da == 0.0 { 0.0 } else { db / da }),
+        Mnegf => put_f(psl, &mut ops[dst], -fa),
+        Cvtlf => put_f(psl, &mut ops[dst], sext(a, 4) as f32),
+        Cvtld => put_d(psl, &mut ops[dst], sext(a, 4) as f64),
+        Cvtfd => put_d(psl, &mut ops[dst], fa as f64),
+        Movf | Movd => {
             ops[dst].value = a;
             set_float_cc(psl, da);
         }
-        Opcode::Tstf => set_float_cc(psl, fa as f64),
-        Opcode::Tstd => set_float_cc(psl, da),
+        Tstf => set_float_cc(psl, fa as f64),
+        Tstd => set_float_cc(psl, da),
         // F_floating widens to D_floating exactly.
-        Opcode::Cmpf | Opcode::Cmpd => {
-            let (x, y) = if op == Opcode::Cmpf {
+        Cmpf | Cmpd => {
+            let (x, y) = if op == Cmpf {
                 (fa as f64, fb as f64)
             } else {
                 (da, db)
@@ -998,30 +964,20 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
             psl.v = false;
             psl.c = false;
         }
-        Opcode::Cvtfl | Opcode::Cvtdl => {
-            let x = if op == Opcode::Cvtfl { fa as f64 } else { da };
+        Cvtfl | Cvtdl => {
+            let x = if op == Cvtfl { fa as f64 } else { da };
             let v = x as i64 as u64 & mask(4);
             cc_nz(psl, v, 4);
             ops[dst].value = v;
         }
         // Integer multiply/divide (FLOAT group per Table 1).
-        Opcode::Mulb2
-        | Opcode::Mulw2
-        | Opcode::Mull2
-        | Opcode::Mulb3
-        | Opcode::Mulw3
-        | Opcode::Mull3 => {
+        Mulb2 | Mulw2 | Mull2 | Mulb3 | Mulw3 | Mull3 => {
             let size = ops[0].size;
             let v = (sext(a, size).wrapping_mul(sext(b, size))) as u64 & mask(size);
             cc_nz(psl, v, size);
             ops[dst].value = v;
         }
-        Opcode::Divb2
-        | Opcode::Divw2
-        | Opcode::Divl2
-        | Opcode::Divb3
-        | Opcode::Divw3
-        | Opcode::Divl3 => {
+        Divb2 | Divw2 | Divl2 | Divb3 | Divw3 | Divl3 => {
             let size = ops[0].size;
             let d = sext(a, size);
             let v = if d == 0 {
@@ -1033,13 +989,13 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
             cc_nz(psl, v, size);
             ops[dst].value = v;
         }
-        Opcode::Emul => {
+        Emul => {
             let v =
                 (sext(a, 4) as i128 * sext(b, 4) as i128 + sext(ops[2].value, 4) as i128) as u64;
             cc_nz(psl, v, 8);
             ops[dst].value = v;
         }
-        Opcode::Ediv => {
+        Ediv => {
             let d = sext(a, 4);
             let dividend = b as i64;
             let (q, rem) = if d == 0 {
@@ -1074,7 +1030,7 @@ fn push32(cpu: &mut Cpu, r: Region, gaps: &[u16], value: u32) {
     let sp = cpu.regs[14].wrapping_sub(4);
     cpu.regs[14] = sp;
     cpu.write_data(r.at(callret::PUSH), VirtAddr(sp), 4, value as u64);
-    cpu.c_steps(r, gaps);
+    cpu.walk(r, gaps, no_refs);
 }
 
 /// Pop a longword, then run the `gaps` steps.
@@ -1082,7 +1038,7 @@ fn pop32(cpu: &mut Cpu, r: Region, gaps: &[u16]) -> u32 {
     let sp = cpu.regs[14];
     let v = cpu.read_data(r.at(callret::POP), VirtAddr(sp), 4) as u32;
     cpu.regs[14] = sp.wrapping_add(4);
-    cpu.c_steps(r, gaps);
+    cpu.walk(r, gaps, no_refs);
     v
 }
 
@@ -1095,11 +1051,11 @@ fn exec_callret(
 ) -> Flow {
     use callret::*;
     match op {
-        Opcode::Calls | Opcode::Callg => {
+        Calls | Callg => {
             // Frame (ascending from the new FP, as on the real VAX):
             //   [handler=0][mask|flags][AP][FP][PC][saved regs r_lo..r_hi]
             //   [numarg][args...]           (numarg/args for CALLS only)
-            let is_calls = op == Opcode::Calls;
+            let is_calls = op == Calls;
             let dst = ops[1].value as u32;
             let entry_mask = cpu.read_data(r.at(POP), VirtAddr(dst), 2) as u32 & 0x0FFF;
             let ap_val = if is_calls {
@@ -1123,10 +1079,10 @@ fn exec_callret(
             push32(cpu, r, &[], 0); // condition handler: its gaps open the finish
             cpu.regs[13] = cpu.regs[14]; // FP
             cpu.regs[12] = ap_val; // AP
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(dst.wrapping_add(2))
         }
-        Opcode::Ret => {
+        Ret => {
             cpu.regs[14] = cpu.regs[13]; // SP <- FP
             let _handler = pop32(cpu, r, row.each);
             let mask_word = pop32(cpu, r, row.each);
@@ -1144,10 +1100,10 @@ fn exec_callret(
                 let numarg = cpu.read_data(r.at(POP), VirtAddr(cpu.regs[14]), 4) as u32 & 0xFF;
                 cpu.regs[14] = cpu.regs[14].wrapping_add(4 + 4 * numarg);
             }
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(ret_pc)
         }
-        Opcode::Pushr => {
+        Pushr => {
             let m = ops[0].value as u32 & 0x7FFF;
             for reg in (0..15u8).rev() {
                 if m & (1 << reg) != 0 {
@@ -1157,7 +1113,7 @@ fn exec_callret(
             }
             Flow::Normal
         }
-        Opcode::Popr => {
+        Popr => {
             let m = ops[0].value as u32 & 0x7FFF;
             for reg in 0..15u8 {
                 if m & (1 << reg) != 0 {
@@ -1191,16 +1147,16 @@ fn exec_system(
 ) -> Flow {
     use system::*;
     match op {
-        Opcode::Nop => Flow::Normal,
-        Opcode::Halt => Flow::Halt,
-        Opcode::Bpt => {
+        Nop => Flow::Normal,
+        Halt => Flow::Halt,
+        Bpt => {
             cpu.stats.exceptions += 1;
             // A breakpoint is the debugging entry point: dump the flight
             // recorder so the trap site comes with its instruction history.
             cpu.flight.dump_stderr();
             Flow::Normal
         }
-        Opcode::Chmk | Opcode::Chme | Opcode::Chms | Opcode::Chmu => {
+        Chmk | Chme | Chms | Chmu => {
             let code = ops[0].value as u32;
             // Push PSL, PC, then the change-mode code.
             let psl_word = cpu.psl.to_u32();
@@ -1216,37 +1172,37 @@ fn exec_system(
             let vec_va = SCB_BASE.add(VEC_CHMK * 4);
             let target = cpu.read_data(r.at(READ), vec_va, 4) as u32;
             cpu.psl.cur_mode = AccessMode::Kernel;
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(target)
         }
-        Opcode::Rei => {
+        Rei => {
             let (pc, psl_word) = pop_pc_psl(cpu, r);
             cpu.psl = Psl::from_u32(psl_word);
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Jump(pc)
         }
-        Opcode::Svpctx => {
+        Svpctx => {
             // Pop the PC/PSL the interrupt pushed, then save state to PCB.
             let (pc, psl_word) = pop_pc_psl(cpu, r);
             let pcb = VirtAddr(cpu.iprs.pcbb);
             for i in 0..14u32 {
                 let v = cpu.regs[i as usize];
                 cpu.write_data(r.at(WRITE), pcb.add(i * 4), 4, v as u64);
-                cpu.c_steps(r, row.each);
+                cpu.walk(r, row.each, no_refs);
             }
             let sp_now = cpu.regs[14];
             cpu.write_data(r.at(WRITE), pcb.add(56), 4, sp_now as u64);
             cpu.write_data(r.at(WRITE), pcb.add(60), 4, pc as u64);
             cpu.write_data(r.at(WRITE), pcb.add(64), 4, psl_word as u64);
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Normal
         }
-        Opcode::Ldpctx => {
+        Ldpctx => {
             let pcb = VirtAddr(cpu.iprs.pcbb);
             for i in 0..14u32 {
                 let v = cpu.read_data(r.at(READ), pcb.add(i * 4), 4) as u32;
                 cpu.regs[i as usize] = v;
-                cpu.c_steps(r, row.each);
+                cpu.walk(r, row.each, no_refs);
             }
             let sp = cpu.read_data(r.at(READ), pcb.add(56), 4) as u32;
             let pc = cpu.read_data(r.at(READ), pcb.add(60), 4) as u32;
@@ -1271,10 +1227,10 @@ fn exec_system(
             let s2 = s1.wrapping_sub(4);
             cpu.write_data(r.at(WRITE), VirtAddr(s2), 4, pc as u64);
             cpu.regs[14] = s2;
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Normal
         }
-        Opcode::Mtpr => {
+        Mtpr => {
             let v = ops[0].value as u32;
             let which = ops[1].value as u32;
             match IprNum::from_u32(which) {
@@ -1308,7 +1264,7 @@ fn exec_system(
             }
             Flow::Normal
         }
-        Opcode::Mfpr => {
+        Mfpr => {
             let which = ops[0].value as u32;
             let v = match IprNum::from_u32(which) {
                 Some(IprNum::Ipl) => cpu.psl.ipl as u32,
@@ -1328,7 +1284,7 @@ fn exec_system(
             ops[1].value = v as u64;
             Flow::Normal
         }
-        Opcode::Insque => {
+        Insque => {
             let entry = ops[0].value as u32;
             let pred = ops[1].value as u32;
             let succ = cpu.read_data(r.at(READ), VirtAddr(pred), 4) as u32;
@@ -1338,10 +1294,10 @@ fn exec_system(
             cpu.write_data(r.at(WRITE), VirtAddr(pred), 4, entry as u64);
             cpu.write_data(r.at(WRITE), VirtAddr(succ.wrapping_add(4)), 4, entry as u64);
             cpu.psl.z = succ == pred; // queue was empty
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Normal
         }
-        Opcode::Remque => {
+        Remque => {
             let entry = ops[0].value as u32;
             let flink = cpu.read_data(r.at(READ), VirtAddr(entry), 4) as u32;
             let blink = cpu.read_data(r.at(READ), VirtAddr(entry.wrapping_add(4)), 4) as u32;
@@ -1354,21 +1310,17 @@ fn exec_system(
             );
             ops[1].value = entry as u64;
             cpu.psl.z = flink == blink; // queue now empty
-            cpu.c_steps(r, row.finish);
+            cpu.walk(r, row.finish, no_refs);
             Flow::Normal
         }
-        Opcode::Prober | Opcode::Probew => {
+        Prober | Probew => {
             cpu.psl.z = false; // accessible
             Flow::Normal
         }
-        Opcode::Bispsw | Opcode::Bicpsw => {
+        Bispsw | Bicpsw => {
             let m = ops[0].value as u32 & 0xF;
             let cur = cpu.psl.to_u32();
-            let new = if op == Opcode::Bispsw {
-                cur | m
-            } else {
-                cur & !m
-            };
+            let new = if op == Bispsw { cur | m } else { cur & !m };
             cpu.psl = Psl::from_u32(new);
             Flow::Normal
         }
@@ -1378,14 +1330,12 @@ fn exec_system(
 
 // ---- CHARACTER ----
 
-/// One string-loop iteration: read a source longword and two bookkeeping
-/// cycles (the read-only string ops).
-fn char_read_iter(cpu: &mut Cpu, r: Region, va: VirtAddr) -> u64 {
-    use character::*;
-    let v = cpu.read_data(r.at(READ), VirtAddr(va.0 & !3), 4);
-    cpu.c(r.at(LOOP1));
-    cpu.c(r.at(LOOP2));
-    v
+/// Run the row's loop body once per longword of string, `lws` times (the
+/// k-th data step of the i-th run references `strings[k]`'s address plus
+/// `i` times its stride), then its finish.
+fn string_loop(cpu: &mut Cpu, r: Region, row: &ExecRow, lws: u32, strings: &[(VirtAddr, u32)]) {
+    lw_loop(cpu, r, row.each, lws, strings);
+    cpu.walk(r, row.finish, no_refs);
 }
 
 fn exec_character(
@@ -1395,10 +1345,9 @@ fn exec_character(
     op: Opcode,
     ops: &mut [EvaldOperand],
 ) -> Flow {
-    use character::*;
     match op {
-        Opcode::Movc3 | Opcode::Movc5 => {
-            let (srclen, srcaddr, fill, dstlen, dstaddr) = if op == Opcode::Movc3 {
+        Movc3 | Movc5 => {
+            let (srclen, srcaddr, fill, dstlen, dstaddr) = if op == Movc3 {
                 let len = ops[0].value as u32 & 0xFFFF;
                 (len, ops[1].as_va(), 0u8, len, ops[2].as_va())
             } else {
@@ -1412,18 +1361,8 @@ fn exec_character(
             };
             // Timing: longword loop; the microcode writes only every sixth
             // cycle to avoid write stalls (paper §4.3).
-            let lws = dstlen.div_ceil(4);
-            for i in 0..lws {
-                let _ = cpu.read_data(r.at(READ), VirtAddr((srcaddr.0 + i * 4) & !3), 4);
-                cpu.c(r.at(LOOP1));
-                cpu.c(r.at(LOOP2));
-                cpu.c(r.at(LOOP1));
-                cpu.write_data(r.at(WRITE), VirtAddr((dstaddr.0 + i * 4) & !3), 4, 0);
-                cpu.c(r.at(LOOP3));
-                cpu.c(r.at(LOOP4));
-                cpu.c(r.at(LOOP3));
-            }
-            cpu.c_steps(r, row.finish);
+            let strings = [(srcaddr, 4), (dstaddr, 4)];
+            string_loop(cpu, r, row, dstlen.div_ceil(4), &strings);
             // Semantics: byte-accurate copy + fill (after the timed loop so
             // its placeholder writes don't clobber the data).
             let n = srclen.min(dstlen);
@@ -1443,8 +1382,8 @@ fn exec_character(
             cpu.psl.z = srclen == dstlen;
             Flow::Normal
         }
-        Opcode::Cmpc3 | Opcode::Cmpc5 => {
-            let (len1, a1, len2, a2) = if op == Opcode::Cmpc3 {
+        Cmpc3 | Cmpc5 => {
+            let (len1, a1, len2, a2) = if op == Cmpc3 {
                 let len = ops[0].value as u32 & 0xFFFF;
                 (len, ops[1].as_va(), len, ops[2].as_va())
             } else {
@@ -1469,13 +1408,7 @@ fn exec_character(
             }
             let scanned = if diff_at == n { n } else { diff_at + 1 };
             let lws = scanned.div_ceil(4).max(1);
-            for i in 0..lws {
-                let _ = cpu.read_data(r.at(READ), VirtAddr((a1.0 + i * 4) & !3), 4);
-                let _ = cpu.read_data(r.at(READ), VirtAddr((a2.0 + i * 4) & !3), 4);
-                cpu.c(r.at(LOOP1));
-                cpu.c(r.at(LOOP2));
-            }
-            cpu.c_steps(r, row.finish);
+            string_loop(cpu, r, row, lws, &[(a1, 4), (a2, 4)]);
             cc_cmp(&mut cpu.psl, ca, cb, 1);
             if diff_at == n {
                 cpu.psl.z = len1 == len2;
@@ -1486,31 +1419,27 @@ fn exec_character(
             cpu.regs[3] = a2.add(diff_at).0;
             Flow::Normal
         }
-        Opcode::Locc | Opcode::Skpc => {
+        Locc | Skpc => {
             let ch = ops[0].value as u8;
             let len = ops[1].value as u32 & 0xFFFF;
             let addr = ops[2].as_va();
             let mut found = len;
             for i in 0..len {
                 let b = cpu.read_value(addr.add(i), 1) as u8;
-                let hit = if op == Opcode::Locc { b == ch } else { b != ch };
+                let hit = if op == Locc { b == ch } else { b != ch };
                 if hit {
                     found = i;
                     break;
                 }
             }
             let scanned = if found == len { len } else { found + 1 };
-            let lws = scanned.div_ceil(4).max(1);
-            for i in 0..lws {
-                let _ = char_read_iter(cpu, r, addr.add(i * 4));
-            }
-            cpu.c_steps(r, row.finish);
+            string_loop(cpu, r, row, scanned.div_ceil(4).max(1), &[(addr, 4)]);
             cpu.psl.z = found == len;
             cpu.regs[0] = len - found.min(len);
             cpu.regs[1] = addr.add(found.min(len)).0;
             Flow::Normal
         }
-        Opcode::Scanc | Opcode::Spanc => {
+        Scanc | Spanc => {
             let len = ops[0].value as u32 & 0xFFFF;
             let addr = ops[1].as_va();
             let table = ops[2].as_va();
@@ -1519,25 +1448,17 @@ fn exec_character(
             for i in 0..len {
                 let b = cpu.read_value(addr.add(i), 1) as u8;
                 let t = cpu.read_value(table.add(b as u32), 1) as u8;
-                let hit = if op == Opcode::Scanc {
-                    t & m != 0
-                } else {
-                    t & m == 0
-                };
+                let hit = if op == Scanc { t & m != 0 } else { t & m == 0 };
                 if hit {
                     found = i;
                     break;
                 }
             }
             let scanned = if found == len { len } else { found + 1 };
+            // Table lookups: one reference per longword of string, a coarse
+            // model of the per-byte table probes.
             let lws = scanned.div_ceil(4).max(1);
-            for i in 0..lws {
-                let _ = char_read_iter(cpu, r, addr.add(i * 4));
-                // Table lookups: one reference per longword of string, a
-                // coarse model of the per-byte table probes.
-                let _ = cpu.read_data(r.at(READ), VirtAddr(table.0 & !3), 4);
-            }
-            cpu.c_steps(r, row.finish);
+            string_loop(cpu, r, row, lws, &[(addr, 4), (table, 0)]);
             cpu.psl.z = found == len;
             cpu.regs[0] = len - found.min(len);
             cpu.regs[1] = addr.add(found.min(len)).0;
@@ -1545,7 +1466,7 @@ fn exec_character(
             cpu.regs[3] = table.0;
             Flow::Normal
         }
-        Opcode::Matchc => {
+        Matchc => {
             let len1 = ops[0].value as u32 & 0xFFFF;
             let a1 = ops[1].as_va();
             let len2 = ops[2].value as u32 & 0xFFFF;
@@ -1566,11 +1487,7 @@ fn exec_character(
                 }
             }
             let scanned = at.map(|s| s + len1).unwrap_or(len2);
-            let lws = scanned.div_ceil(4).max(1);
-            for i in 0..lws {
-                let _ = char_read_iter(cpu, r, a2.add(i * 4));
-            }
-            cpu.c_steps(r, row.finish);
+            string_loop(cpu, r, row, scanned.div_ceil(4).max(1), &[(a2, 4)]);
             cpu.psl.z = at.is_some();
             cpu.regs[0] = if at.is_some() { 0 } else { len1 };
             cpu.regs[3] = a2.add(at.map(|s| s + len1).unwrap_or(len2)).0;
@@ -1633,24 +1550,11 @@ fn write_packed(cpu: &mut Cpu, addr: VirtAddr, digits: u32, value: i128) {
     }
 }
 
-/// Timed packed-operand read: longword references plus digit cycles.
-fn dec_read_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
-    use decimal::*;
+/// Run `steps`, `decimal::READ_LW` or `WRITE_LW`, once per longword of
+/// the `digits`-digit packed operand at `addr`.
+fn per_longword(cpu: &mut Cpu, r: Region, steps: &[u16], addr: VirtAddr, digits: u32) {
     let lws = packed_bytes(digits).div_ceil(4);
-    for i in 0..lws {
-        let _ = cpu.read_data(r.at(READ), VirtAddr((addr.0 + i * 4) & !3), 4);
-        cpu.c(r.at(DIGIT1));
-    }
-}
-
-fn dec_write_timed(cpu: &mut Cpu, r: Region, addr: VirtAddr, digits: u32) {
-    use decimal::*;
-    let lws = packed_bytes(digits).div_ceil(4);
-    for i in 0..lws {
-        cpu.write_data(r.at(WRITE), VirtAddr((addr.0 + i * 4) & !3), 4, 0);
-        cpu.c(r.at(FINISH));
-        cpu.c(r.at(DIGIT2));
-    }
+    lw_loop(cpu, r, steps, lws, &[(addr, 4)]);
 }
 
 fn ten_pow(digits: u32) -> i128 {
@@ -1664,21 +1568,17 @@ fn exec_decimal(
     op: Opcode,
     ops: &mut [EvaldOperand],
 ) -> Flow {
+    use decimal::{READ_LW, WRITE_LW};
     let digit_loop = |cpu: &mut Cpu, digits: u32| {
         for _ in 0..digits {
-            cpu.c_steps(r, row.each);
+            cpu.walk(r, row.each, no_refs);
         }
     };
     // Each arm yields the value whose sign and zeroness set N and Z.
     let v = match op {
         // Two sources into a destination; the 4-operand forms add into
         // their second operand.
-        Opcode::Addp4
-        | Opcode::Subp4
-        | Opcode::Addp6
-        | Opcode::Subp6
-        | Opcode::Mulp
-        | Opcode::Divp => {
+        Addp4 | Subp4 | Addp6 | Subp6 | Mulp | Divp => {
             let (l1, a1) = packed(&ops[0], &ops[1]);
             let (l2, a2) = packed(&ops[2], &ops[3]);
             let (l3, a3) = if ops.len() == 6 {
@@ -1686,68 +1586,68 @@ fn exec_decimal(
             } else {
                 (l2, a2)
             };
-            dec_read_timed(cpu, r, a1, l1);
-            dec_read_timed(cpu, r, a2, l2);
+            per_longword(cpu, r, &READ_LW, a1, l1);
+            per_longword(cpu, r, &READ_LW, a2, l2);
             digit_loop(cpu, l3.max(l1).max(l2));
             let x = read_packed(cpu, a1, l1);
             let y = read_packed(cpu, a2, l2);
             let v = match op {
-                Opcode::Addp4 | Opcode::Addp6 => (y + x) % ten_pow(l3),
-                Opcode::Subp4 | Opcode::Subp6 => (y - x) % ten_pow(l3),
-                Opcode::Mulp => y.saturating_mul(x) % ten_pow(l3),
+                Addp4 | Addp6 => (y + x) % ten_pow(l3),
+                Subp4 | Subp6 => (y - x) % ten_pow(l3),
+                Mulp => y.saturating_mul(x) % ten_pow(l3),
                 _ if x == 0 => {
                     cpu.psl.v = true;
                     0
                 }
                 _ => (y / x) % ten_pow(l3),
             };
-            dec_write_timed(cpu, r, a3, l3);
+            per_longword(cpu, r, &WRITE_LW, a3, l3);
             write_packed(cpu, a3, l3, v);
             v
         }
-        Opcode::Movp => {
+        Movp => {
             let (len, src) = packed(&ops[0], &ops[1]);
             let dst = ops[2].as_va();
-            dec_read_timed(cpu, r, src, len);
+            per_longword(cpu, r, &READ_LW, src, len);
             let v = read_packed(cpu, src, len);
-            dec_write_timed(cpu, r, dst, len);
+            per_longword(cpu, r, &WRITE_LW, dst, len);
             write_packed(cpu, dst, len, v);
             v
         }
         // The condition codes of x - y.
-        Opcode::Cmpp3 | Opcode::Cmpp4 => {
+        Cmpp3 | Cmpp4 => {
             let (l1, a1) = packed(&ops[0], &ops[1]);
-            let (l2, a2) = if op == Opcode::Cmpp3 {
+            let (l2, a2) = if op == Cmpp3 {
                 (l1, ops[2].as_va())
             } else {
                 packed(&ops[2], &ops[3])
             };
-            dec_read_timed(cpu, r, a1, l1);
-            dec_read_timed(cpu, r, a2, l2);
+            per_longword(cpu, r, &READ_LW, a1, l1);
+            per_longword(cpu, r, &READ_LW, a2, l2);
             digit_loop(cpu, l1.max(l2) / 2);
             read_packed(cpu, a1, l1) - read_packed(cpu, a2, l2)
         }
-        Opcode::Cvtlp => {
+        Cvtlp => {
             let v = sext(ops[0].value, 4) as i128;
             let (len, dst) = packed(&ops[1], &ops[2]);
             digit_loop(cpu, len);
-            dec_write_timed(cpu, r, dst, len);
+            per_longword(cpu, r, &WRITE_LW, dst, len);
             write_packed(cpu, dst, len, v % ten_pow(len));
             v
         }
-        Opcode::Cvtpl => {
+        Cvtpl => {
             let (len, src) = packed(&ops[0], &ops[1]);
-            dec_read_timed(cpu, r, src, len);
+            per_longword(cpu, r, &READ_LW, src, len);
             digit_loop(cpu, len);
             let v = read_packed(cpu, src, len);
             ops[2].value = v as i64 as u64 & mask(4);
             v
         }
-        Opcode::Ashp => {
+        Ashp => {
             let shift = sext(ops[0].value, 1);
             let (srclen, src) = packed(&ops[1], &ops[2]);
             let (dstlen, dst) = packed(&ops[4], &ops[5]);
-            dec_read_timed(cpu, r, src, srclen);
+            per_longword(cpu, r, &READ_LW, src, srclen);
             digit_loop(cpu, dstlen);
             let x = read_packed(cpu, src, srclen);
             let v = if shift >= 0 {
@@ -1755,7 +1655,7 @@ fn exec_decimal(
             } else {
                 x / ten_pow((-shift) as u32)
             } % ten_pow(dstlen);
-            dec_write_timed(cpu, r, dst, dstlen);
+            per_longword(cpu, r, &WRITE_LW, dst, dstlen);
             write_packed(cpu, dst, dstlen, v);
             v
         }
@@ -1779,13 +1679,21 @@ mod tests {
             assert_eq!(rows.len(), 1, "{op} is priced by {} rows", rows.len());
             let layout = group_layout(info.group);
             let row = rows[0];
-            for &step in row.setup.iter().chain(row.each).chain(row.finish) {
-                let len = layout.len();
-                assert!(
-                    usize::from(step) < len,
-                    "{op}: step {step} leaves the {len}-µop region"
-                );
-                assert_eq!(layout[usize::from(step)], C, "{op}: step {step}");
+            // Only a CHARACTER loop body holds data references.
+            let data_ok = |steps: &[u16]| info.group == OpcodeGroup::Character && steps == row.each;
+            for steps in [row.setup, row.each, row.finish] {
+                for &step in steps {
+                    let len = layout.len();
+                    assert!(
+                        usize::from(step) < len,
+                        "{op}: step {step} leaves the {len}-µop region"
+                    );
+                    let op_at = layout[usize::from(step)];
+                    assert!(
+                        op_at == MicroOp::Compute || data_ok(steps),
+                        "{op}: step {step}"
+                    );
+                }
             }
             if info.group == OpcodeGroup::Simple {
                 assert_eq!(row.setup.first(), Some(&simple::ENTRY), "{op}");

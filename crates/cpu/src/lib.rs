@@ -27,7 +27,7 @@
 
 pub mod config;
 pub mod ebox;
-mod exec;
+pub mod exec;
 pub mod flight;
 pub mod ib;
 pub mod icache;

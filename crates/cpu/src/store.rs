@@ -19,8 +19,32 @@ use upc_monitor::{Activity, ControlStoreMap, MicroOp, MicroPc, Region};
 use vax_arch::{AccessType, AddressingMode, Opcode, OpcodeGroup};
 
 use crate::config::CpuConfig;
-pub use crate::exec::ExecRow;
-use crate::exec::{group_layout, row_of};
+use crate::exec::{group_layout, row_of, ExecRow};
+
+use MicroOp::{Compute as C, IbWait, Read as R, Write as W};
+
+/// A routine layout of `N` compute µops, but for the data references and
+/// IB waits at `refs`' offsets.
+pub(crate) const fn layout<const N: usize>(refs: &[(u16, MicroOp)]) -> [MicroOp; N] {
+    let mut ops = [C; N];
+    let mut i = 0;
+    while i < refs.len() {
+        ops[refs[i].0 as usize] = refs[i].1;
+        i += 1;
+    }
+    ops
+}
+
+/// `N` steps at consecutive offsets from `from`.
+pub(crate) const fn span<const N: usize>(from: u16) -> [u16; N] {
+    let mut steps = [0; N];
+    let mut i = 0;
+    while i < N {
+        steps[i] = from + i as u16;
+        i += 1;
+    }
+    steps
+}
 
 /// Access flavor of a specifier evaluation, determining its microroutine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +110,6 @@ impl SpecFlavor {
 /// * quad-width data repeats each datum `Read` or `Write` at the same µPC.
 fn spec_ops(mode: AddressingMode, flavor: SpecFlavor) -> Option<&'static [MicroOp]> {
     use AddressingMode::*;
-    use MicroOp::{Compute as C, Read as R, Write as W};
     let ops: &'static [MicroOp] = match (mode, flavor) {
         (Literal, SpecFlavor::Read) => &[C],
         (Literal, _) => return None,
@@ -215,44 +238,99 @@ pub fn group_activity(group: OpcodeGroup) -> Activity {
     }
 }
 
-/// Overhead compute cycles in the TB-miss service routine, before its PTE
-/// read (the paper's 21.6-cycle average is this, plus PTE reads and their
-/// stalls).
-const TB_MISS_OVERHEAD: u16 = 18;
+// The routines outside the specifier and execute tables: named offsets,
+// their `layout`, and the step lists `Cpu::walk` runs. The EBOX charges
+// IRD's, BDISP's and ABORT's single steps directly.
+
+/// IRD: the one decode cycle, and the decode-time "insufficient bytes"
+/// dispatch.
+pub mod ird {
+    use super::*;
+    pub const DECODE: u16 = 0;
+    pub const IB_WAIT: u16 = 1;
+    pub const OPS: [MicroOp; 2] = layout(&[(IB_WAIT, IbWait)]);
+}
+
+/// BDISP: a taken branch's target computation, and the displacement's IB
+/// wait.
+pub mod bdisp {
+    use super::*;
+    pub const TARGET: u16 = 0;
+    pub const IB_WAIT: u16 = 1;
+    pub const OPS: [MicroOp; 2] = layout(&[(IB_WAIT, IbWait)]);
+}
+
+/// ABORT: the abort cycle of a microtrap or a microcode patch.
+pub mod abort {
+    use super::*;
+    pub const ABORT: u16 = 0;
+    pub const OPS: [MicroOp; 1] = layout(&[]);
+}
+
+/// TBMISS (MemMgmt): state save and PTE address computation from `SETUP`,
+/// the PTE `READ` (one cycle per PTE read, two when the process PTE's
+/// system page also misses, and their stall), and installing the
+/// translation. The paper's 21.6-cycle average is these cycles plus the
+/// stall.
+pub mod tbmiss {
+    use super::*;
+    pub const SETUP: u16 = 0;
+    pub const READ: u16 = 18;
+    pub const FINISH: u16 = 19;
+    pub const OPS: [MicroOp; 20] = layout(&[(READ, R)]);
+    pub const STEPS: [u16; 20] = span(SETUP);
+}
+
+/// INT.DISPATCH (IntExcept): state sequencing from `SETUP`, the SCB
+/// `VECTOR` read, the PSL and PC pushes (the PC ends on top, as REI
+/// expects), and cleanup from `FINISH`.
+pub mod int_dispatch {
+    use super::*;
+    pub const SETUP: u16 = 0;
+    pub const VECTOR: u16 = 26;
+    pub const PUSH_PSL: u16 = 27;
+    pub const PUSH_PC: u16 = 28;
+    pub const FINISH: u16 = 29;
+    pub const OPS: [MicroOp; 33] = layout(&[(VECTOR, R), (PUSH_PSL, W), (PUSH_PC, W)]);
+    pub const STEPS: [u16; 33] = span(SETUP);
+}
+
+/// UNALIGNED (MemMgmt): a datum that crosses an aligned longword computes
+/// the next one's address, then makes its second physical reference.
+pub mod unaligned {
+    use super::*;
+    pub const CALC1: u16 = 0;
+    pub const CALC2: u16 = 1;
+    pub const READ: u16 = 2;
+    pub const WRITE: u16 = 3;
+    pub const OPS: [MicroOp; 4] = layout(&[(READ, R), (WRITE, W)]);
+    pub const READ_STEPS: [u16; 3] = [CALC1, CALC2, READ];
+    pub const WRITE_STEPS: [u16; 3] = [CALC1, CALC2, WRITE];
+}
 
 /// The fully laid-out control store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlStore {
     /// The reduction key (shared with the analysis crate).
     pub map: ControlStoreMap,
-    /// Instruction decode: offset 0 = the one decode cycle, offset 1 = the
-    /// decode-time IB-wait dispatch.
+    /// Instruction decode ([`ird`]).
     pub ird: Region,
     /// First-specifier routines.
     pub spec1: SpecRegions,
     /// Later-specifier routines.
     pub spec26: SpecRegions,
-    /// Branch displacement: offset 0 = target computation, offset 1 =
-    /// displacement-byte IB wait.
+    /// Branch displacement ([`bdisp`]).
     pub bdisp: Region,
     /// Execute routine per opcode (indexed by `Opcode as usize`): its
     /// region and the cost-table row that times it.
     exec: Vec<(Region, &'static ExecRow)>,
-    /// TB-miss service (MemMgmt): 18 overhead compute cycles, a PTE-read
-    /// µop at offset `tb_miss_read_off`, and one compute cycle.
+    /// TB-miss service ([`tbmiss`]).
     pub tb_miss: Region,
-    /// Offset of the PTE read within `tb_miss`.
-    pub tb_miss_read_off: u16,
-    /// Unaligned-reference microcode (MemMgmt): two compute cycles and the
-    /// extra physical read at offset 2 (write at offset 3).
+    /// Unaligned-reference microcode ([`unaligned`]).
     pub unaligned: Region,
-    /// Interrupt dispatch (IntExcept).
+    /// Interrupt dispatch ([`int_dispatch`]).
     pub interrupt: Region,
-    /// Offsets of the vector read and the two pushes within `interrupt`.
-    pub interrupt_read_off: u16,
-    /// Offset of the first push (PC) in `interrupt`.
-    pub interrupt_push_off: u16,
-    /// The abort cycle (microtraps and patches).
+    /// The abort cycle ([`abort`]).
     pub abort: Region,
 }
 
@@ -270,13 +348,12 @@ impl ControlStore {
     /// shapes it: machines and reductions read [`ControlStore::get`]
     /// instead, which lays it out once.
     pub fn new(_config: &CpuConfig) -> ControlStore {
-        use MicroOp::{Compute as C, IbWait, Read as R, Write as W};
         let mut map = ControlStoreMap::new();
 
-        let ird = map.alloc("IRD", Activity::Decode, &[C, IbWait]);
+        let ird = map.alloc("IRD", Activity::Decode, &ird::OPS);
         let spec1 = SpecRegions::build(&mut map, Activity::Spec1, "SPEC1");
         let spec26 = SpecRegions::build(&mut map, Activity::Spec26, "SPEC26");
-        let bdisp = map.alloc("BDISP", Activity::BDisp, &[C, IbWait]);
+        let bdisp = map.alloc("BDISP", Activity::BDisp, &bdisp::OPS);
 
         let mut exec = Vec::with_capacity(Opcode::COUNT);
         for info in vax_arch::opcode::OPCODE_TABLE {
@@ -289,26 +366,10 @@ impl ControlStore {
             exec.push((map.alloc(&name, activity, group_layout(info.group)), row));
         }
 
-        let mut tb_ops = vec![C; TB_MISS_OVERHEAD as usize];
-        tb_ops.push(R);
-        tb_ops.push(C);
-        let tb_miss = map.alloc("TBMISS", Activity::MemMgmt, &tb_ops);
-        let tb_miss_read_off = TB_MISS_OVERHEAD;
-
-        let unaligned = map.alloc("UNALIGNED", Activity::MemMgmt, &[C, C, R, W]);
-
-        // Interrupt dispatch: ~26 cycles of state sequencing, the vector
-        // read, two pushes, and cleanup.
-        let mut int_ops = vec![C; 26];
-        let interrupt_read_off = int_ops.len() as u16;
-        int_ops.push(R);
-        let interrupt_push_off = int_ops.len() as u16;
-        int_ops.push(W);
-        int_ops.push(W);
-        int_ops.extend_from_slice(&[C; 4]);
-        let interrupt = map.alloc("INT.DISPATCH", Activity::IntExcept, &int_ops);
-
-        let abort = map.alloc("ABORT", Activity::Abort, &[C]);
+        let tb_miss = map.alloc("TBMISS", Activity::MemMgmt, &tbmiss::OPS);
+        let unaligned = map.alloc("UNALIGNED", Activity::MemMgmt, &unaligned::OPS);
+        let interrupt = map.alloc("INT.DISPATCH", Activity::IntExcept, &int_dispatch::OPS);
+        let abort = map.alloc("ABORT", Activity::Abort, &abort::OPS);
 
         ControlStore {
             map,
@@ -318,11 +379,8 @@ impl ControlStore {
             bdisp,
             exec,
             tb_miss,
-            tb_miss_read_off,
             unaligned,
             interrupt,
-            interrupt_read_off,
-            interrupt_push_off,
             abort,
         }
     }
@@ -355,9 +413,9 @@ mod tests {
     #[test]
     fn decode_region_shape() {
         let cs = ControlStore::get();
-        assert_eq!(cs.map.op(cs.ird.at(0)), MicroOp::Compute);
-        assert_eq!(cs.map.op(cs.ird.at(1)), MicroOp::IbWait);
-        assert_eq!(cs.map.activity(cs.ird.at(0)), Activity::Decode);
+        assert_eq!(cs.map.op(cs.ird.at(ird::DECODE)), MicroOp::Compute);
+        assert_eq!(cs.map.op(cs.ird.at(ird::IB_WAIT)), MicroOp::IbWait);
+        assert_eq!(cs.map.activity(cs.ird.entry()), Activity::Decode);
     }
 
     #[test]
@@ -399,24 +457,21 @@ mod tests {
         assert!(cs.map.routine(r.entry()).contains("MOVC3"));
     }
 
+    /// Each service step list stays in its region and meets the data
+    /// references its walker makes, in order.
     #[test]
-    fn tb_miss_shape() {
+    fn service_step_lists_meet_their_walkers_references() {
         let cs = ControlStore::get();
-        assert_eq!(cs.map.op(cs.tb_miss.at(cs.tb_miss_read_off)), MicroOp::Read);
-        assert_eq!(cs.tb_miss.len, TB_MISS_OVERHEAD + 2);
+        let data = |region: Region, steps: &[u16]| -> Vec<MicroOp> {
+            let ops = steps.iter().map(|&s| cs.map.op(region.at(s)));
+            ops.filter(|&op| op != C).collect()
+        };
+        assert_eq!(data(cs.tb_miss, &tbmiss::STEPS), [R]);
+        assert_eq!(data(cs.interrupt, &int_dispatch::STEPS), [R, W, W]);
+        assert_eq!(data(cs.unaligned, &unaligned::READ_STEPS), [R]);
+        assert_eq!(data(cs.unaligned, &unaligned::WRITE_STEPS), [W]);
+        assert_eq!(tbmiss::STEPS.len(), usize::from(cs.tb_miss.len));
+        assert_eq!(int_dispatch::STEPS.len(), usize::from(cs.interrupt.len));
         assert_eq!(cs.map.activity(cs.tb_miss.entry()), Activity::MemMgmt);
-    }
-
-    #[test]
-    fn interrupt_shape() {
-        let cs = ControlStore::get();
-        assert_eq!(
-            cs.map.op(cs.interrupt.at(cs.interrupt_read_off)),
-            MicroOp::Read
-        );
-        assert_eq!(
-            cs.map.op(cs.interrupt.at(cs.interrupt_push_off)),
-            MicroOp::Write
-        );
     }
 }
