@@ -946,10 +946,8 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
         Cvtlf => put_f(psl, &mut ops[dst], sext(a, 4) as f32),
         Cvtld => put_d(psl, &mut ops[dst], sext(a, 4) as f64),
         Cvtfd => put_d(psl, &mut ops[dst], fa as f64),
-        Movf | Movd => {
-            ops[dst].value = a;
-            set_float_cc(psl, da);
-        }
+        Movf => put_f(psl, &mut ops[dst], fa),
+        Movd => put_d(psl, &mut ops[dst], da),
         Tstf => set_float_cc(psl, fa as f64),
         Tstd => set_float_cc(psl, da),
         // F_floating widens to D_floating exactly.
@@ -981,12 +979,12 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
             let size = ops[0].size;
             let d = sext(a, size);
             let v = if d == 0 {
-                psl.v = true;
                 b
             } else {
                 (sext(b, size).wrapping_div(d)) as u64 & mask(size)
             };
             cc_nz(psl, v, size);
+            psl.v = d == 0;
             ops[dst].value = v;
         }
         Emul => {
@@ -999,7 +997,6 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
             let d = sext(a, 4);
             let dividend = b as i64;
             let (q, rem) = if d == 0 {
-                psl.v = true;
                 (0i64, 0i64)
             } else {
                 (dividend.wrapping_div(d), dividend.wrapping_rem(d))
@@ -1007,6 +1004,7 @@ fn exec_float(psl: &mut Psl, op: Opcode, ops: &mut [EvaldOperand]) -> Flow {
             ops[2].value = q as u64 & mask(4);
             ops[3].value = rem as u64 & mask(4);
             cc_nz(psl, q as u64 & mask(4), 4);
+            psl.v = d == 0;
         }
         other => unreachable!("{other} is not FLOAT"),
     }

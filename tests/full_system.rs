@@ -32,6 +32,38 @@ fn assembled_program_computes_correctly() {
     assert_eq!(sys.cpu.mem.value_read(pa, 4), 55);
 }
 
+/// A divide by zero sets V for the BVS that follows it (the condition codes
+/// of the unchanged quotient must not clear it), and MOVF takes N from the
+/// F_floating datum it moves: -1.0 sets N for the BLSS after it. The
+/// program stores 1 at 4096 when BVS branches and at 4100 when BLSS does.
+#[test]
+fn divide_by_zero_sets_v_and_movf_sets_n() {
+    let src = r#"
+        entry:  CLRL R0
+                CLRL R1
+                MOVL #7, R2
+                DIVL2 #0, R2
+                BVS vset
+                BRB vdone
+        vset:   MOVL #1, R0
+        vdone:  MOVL #0xBF800000, R3
+                MOVF R3, R4
+                BLSS nset
+                BRB ndone
+        nset:   MOVL #1, R1
+        ndone:  MOVL R0, @#4096
+                MOVL R1, @#4100
+        spin:   BRB spin
+    "#;
+    let mut sys = text_system(src);
+    sys.run_instructions(5_000);
+    let read = |va| {
+        let pa = sys.cpu.mem.raw_translate(vax_mem::VirtAddr(va)).unwrap();
+        sys.cpu.mem.value_read(pa, 4)
+    };
+    assert_eq!((read(4096), read(4100)), (1, 1), "(BVS taken, BLSS taken)");
+}
+
 /// Straight-line code that runs into a page whose translation is not in
 /// the TB takes one I-stream TB miss, and the EBOX services it once: the
 /// IB keeps the miss latched while the service runs, so the service's own
