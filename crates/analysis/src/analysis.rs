@@ -7,7 +7,7 @@
 //! checks ([`crate::validate`]) call them directly.
 
 use upc_monitor::map::classify;
-use upc_monitor::{Activity, CycleClass, Histogram, MicroPc, Plane};
+use upc_monitor::{Activity, CycleClass, Histogram, Plane};
 use vax780::Measurement;
 use vax_arch::AddressingMode;
 use vax_cpu::store::{SpecFlavor, SpecRegions};
@@ -147,34 +147,7 @@ impl Analysis {
         }
         out
     }
-
-    /// Consistency check: the decode row's compute count equals the number
-    /// of instructions (each instruction decodes in exactly one cycle), and
-    /// the histogram conserves cycles.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let total = self.m.hist.total_cycles();
-        if total != self.cycles {
-            return Err(format!(
-                "histogram cycles {total} != measured cycles {}",
-                self.cycles
-            ));
-        }
-        let decode_cycles =
-            self.cell(Activity::Decode, CycleClass::Compute) * self.instructions as f64;
-        let diff = (decode_cycles - self.instructions as f64).abs();
-        if diff / self.instructions.max(1) as f64 > 0.001 {
-            return Err(format!(
-                "decode compute cycles {decode_cycles} != instructions {}",
-                self.instructions
-            ));
-        }
-        Ok(())
-    }
 }
-
-/// A µPC the analysis never uses but tests may: the first allocated
-/// address.
-pub const FIRST_UPC: MicroPc = MicroPc(0);
 
 #[cfg(test)]
 mod tests {
@@ -246,8 +219,9 @@ mod tests {
     #[test]
     fn reduction_conserves_cycles() {
         let (cs, m) = measured_system();
+        let validation = crate::validate(cs, &m);
+        assert!(validation.is_clean(), "{}", validation.render());
         let a = Analysis::new(cs, &m);
-        a.check_conservation().unwrap();
         assert!(a.cpi() > 2.0 && a.cpi() < 40.0, "CPI {}", a.cpi());
         // Matrix grand total × instructions == cycles.
         let total = a.cpi() * a.instructions as f64;

@@ -64,8 +64,6 @@ pub struct RunOutput {
     /// `(workload, CPI)` for each workload's merged shards, in
     /// [`Workload::ALL`] order.
     pub per_workload: Vec<(Workload, f64)>,
-    /// Conservation-check failure message, if the reduction lost cycles.
-    pub conservation_err: Option<String>,
     /// True when at least one cell exhausted its retries; the merged
     /// results above then cover only the surviving cells.
     pub degraded: bool,
@@ -462,10 +460,6 @@ fn run_grid(
 
     let cs = ControlStore::get();
     let analysis = Analysis::new(cs, &composite);
-    let conservation_err = analysis.check_conservation().err();
-    if let Some(e) = &conservation_err {
-        progress.warn(&format!("conservation check failed: {e}"));
-    }
     let validation = validate(cs, &composite);
     if !validation.is_clean() {
         progress.warn(&format!(
@@ -478,7 +472,6 @@ fn run_grid(
         series,
         validation,
         per_workload: per,
-        conservation_err,
         degraded: !failed_cells.is_empty(),
         failed_cells,
         canceled,
