@@ -29,10 +29,6 @@ pub use crate::analysis::reduce_matrix;
 use crate::json::Json;
 use crate::validate::{validate, ValidationReport};
 
-/// Default probe copies per loop iteration.
-pub const DEFAULT_REPS: u32 = 8;
-/// Default measured loop iterations.
-pub const DEFAULT_ITERS: u64 = 64;
 /// Default warmup instructions (enough to drain the boot path and fill
 /// the TB, cache, and decode cache).
 pub const DEFAULT_WARMUP: u64 = 2000;

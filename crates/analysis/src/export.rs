@@ -176,10 +176,10 @@ pub fn timeseries_json(ts: &TimeSeries) -> Json {
     ])
 }
 
-/// Parse a [`timeseries_json`] export back into a series. Like
-/// [`TimeSeries::from_csv`], each object is a sample: the integer fields
-/// are stored and the derived ones recompute from them, so the parsed
-/// series equals the exported one and re-serializes to the same document.
+/// Parse a [`timeseries_json`] export back into a series. Each object is a
+/// sample: the integer fields are stored and the derived ones recompute
+/// from them, so the parsed series equals the exported one and
+/// re-serializes to the same document.
 ///
 /// # Errors
 /// Returns a message naming the first missing or mistyped field.

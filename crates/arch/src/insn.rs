@@ -1,6 +1,6 @@
 //! Decoded instruction representation.
 
-use crate::datatype::{DataType, OperandKind};
+use crate::datatype::OperandKind;
 use crate::opcode::Opcode;
 use crate::speclist::SpecList;
 use std::fmt;
@@ -51,14 +51,6 @@ impl Instruction {
         };
         insn.len = insn.computed_len();
         insn
-    }
-
-    /// The data type of operand `i` per the opcode signature.
-    pub fn operand_type(&self, i: usize) -> DataType {
-        match self.opcode.operands()[i] {
-            OperandKind::Spec(_, dt) => dt,
-            OperandKind::Branch(_) => DataType::Byte,
-        }
     }
 
     fn computed_len(&self) -> u32 {

@@ -96,20 +96,6 @@ impl AddressingMode {
         )
     }
 
-    /// True if the mode consumes I-stream bytes beyond the specifier byte
-    /// (displacement or immediate data), not counting index prefixes.
-    pub const fn has_extension(self) -> bool {
-        !matches!(
-            self,
-            AddressingMode::Literal
-                | AddressingMode::Register
-                | AddressingMode::RegisterDeferred
-                | AddressingMode::Autodecrement
-                | AddressingMode::Autoincrement
-                | AddressingMode::AutoincrementDeferred
-        )
-    }
-
     /// Byte size of the I-stream extension for this mode, for an operand of
     /// `operand_size` bytes (immediate mode consumes the operand's size).
     pub const fn extension_size(self, operand_size: u32) -> u32 {

@@ -113,11 +113,6 @@ impl Specifier {
         self
     }
 
-    /// True if this specifier carries an index prefix.
-    pub fn is_indexed(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// Total I-stream bytes this specifier occupies for an operand of
     /// `operand_size` bytes (specifier byte + extension + index prefix).
     pub fn encoded_len(&self, operand_size: u32) -> u32 {

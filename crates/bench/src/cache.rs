@@ -15,9 +15,9 @@
 //! a *second* job with the same experiment definition, so only the
 //! `reproduce serve` daemon's engine keeps images ([`WarmCaches::new`]).
 //! A one-shot engine (`JobEngine::new`, behind every CLI run) holds a
-//! cache that retains nothing ([`WarmCaches::one_shot`]): it counts every
-//! lookup as a miss, as a retaining cache would in a single run, and frees
-//! each image with the cell that booted it. Such a machine alone holds its
+//! cache that retains nothing ([`WarmCaches::one_shot`]): every lookup
+//! misses, as it would in a retaining cache in a single run, and each
+//! image is freed with the cell that booted it. Such a machine alone holds its
 //! processes, so it keeps no copy of what it generates.
 //!
 //! Correctness leans on `SystemBuilder::build` being routed through
@@ -26,13 +26,14 @@
 //! by construction (property-tested in `tests/warm_cache.rs`).
 //!
 //! The map is bounded: once it holds its capacity of images (64 for the
-//! daemon), new ones are simply not retained (hit/miss accounting is
-//! unaffected). Everything is `Send + Sync`; the daemon's engine holds one
+//! daemon), new ones are simply not retained. The job tracer's
+//! `workload_cache_*` and `boot_cache_*` counters, from the hit flag
+//! [`WarmCaches::boot`] returns, are the record of hits and misses.
+//! Everything is `Send + Sync`; the daemon's engine holds one
 //! [`WarmCaches`] for its whole life, shared by all workers of all its
 //! jobs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vax780::{BootImage, System};
@@ -43,23 +44,12 @@ use vax_workload::Workload;
 /// generated, 1.1–1.3 MB each, so at most about 80 MB.
 const CACHE_CAP: usize = 64;
 
-/// Cumulative hit/miss counts of the cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounts {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to run codegen and boot.
-    pub misses: u64,
-}
-
 /// The shared warm cache (see module docs).
 #[derive(Debug)]
 pub struct WarmCaches {
     images: Mutex<HashMap<(Workload, usize, u64), Arc<BootImage>>>,
     /// Most images `images` may hold.
     cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Default for WarmCaches {
@@ -84,8 +74,6 @@ impl WarmCaches {
         WarmCaches {
             images: Mutex::default(),
             cap,
-            hits: AtomicU64::default(),
-            misses: AtomicU64::default(),
         }
     }
 
@@ -126,23 +114,12 @@ impl WarmCaches {
             }
             img
         });
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
         (System::from_boot_image(&img), hit)
     }
 
     /// Boot images held now.
     pub fn retained(&self) -> usize {
         self.images.lock().expect("warm cache lock poisoned").len()
-    }
-
-    /// Cumulative hit/miss counts. One lookup decides the whole setup,
-    /// so these are also the codegen and the boot counts.
-    pub fn counts(&self) -> CacheCounts {
-        CacheCounts {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -161,7 +138,6 @@ mod tests {
         let (mut cold, hit1) = boot(&caches, Workload::SciEng, 2, 11);
         let (mut warm, hit2) = boot(&caches, Workload::SciEng, 2, 11);
         assert!(!hit1 && hit2);
-        assert_eq!(caches.counts(), CacheCounts { hits: 1, misses: 1 });
         let a = cold.measure(1_000, 5_000);
         let b = warm.measure(1_000, 5_000);
         assert_eq!(a, b, "cached boot must be indistinguishable from cold");
@@ -182,27 +158,20 @@ mod tests {
         for (w, n, s) in keys {
             assert!(boot(&caches, w, n, s).1, "{w:?}/{n}/{s} must hit");
         }
-        assert_eq!(caches.counts(), CacheCounts { hits: 4, misses: 4 });
+        assert_eq!(caches.retained(), keys.len());
     }
 
     #[test]
-    fn a_full_cache_still_boots_and_counts_but_retains_nothing_more() {
+    fn a_full_cache_still_boots_but_retains_nothing_more() {
         let caches = WarmCaches::new();
-        for seed in 0..CACHE_CAP as u64 + 1 {
-            assert!(!boot(&caches, Workload::Educational, 1, seed).1);
-        }
+        let hits = |seeds: std::ops::Range<u64>| {
+            let boots = seeds.map(|seed| boot(&caches, Workload::Educational, 1, seed).1);
+            boots.filter(|&hit| hit).count()
+        };
+        assert_eq!(hits(0..CACHE_CAP as u64 + 1), 0);
         assert_eq!(caches.retained(), CACHE_CAP);
-        assert!(boot(&caches, Workload::Educational, 1, 0).1, "retained");
-        assert!(
-            !boot(&caches, Workload::Educational, 1, CACHE_CAP as u64).1,
-            "past the cap, not retained"
-        );
-        assert_eq!(
-            caches.counts(),
-            CacheCounts {
-                hits: 1,
-                misses: CACHE_CAP as u64 + 2
-            }
-        );
+        assert_eq!(hits(0..1), 1, "retained");
+        let past_the_cap = CACHE_CAP as u64;
+        assert_eq!(hits(past_the_cap..past_the_cap + 1), 0, "not retained");
     }
 }

@@ -38,6 +38,7 @@
 //! decode error to a 400.
 
 use vax780::FaultClass;
+use vax_analysis::characterize::DEFAULT_WARMUP;
 use vax_analysis::Json;
 use vax_asm::probe::{MAX_REPS, SCAFFOLD_INSNS};
 
@@ -194,7 +195,7 @@ impl Default for ProbeSpec {
             modes: Vec::new(),
             reps: 8,
             iters: 64,
-            warmup: 2000,
+            warmup: DEFAULT_WARMUP,
         }
     }
 }

@@ -2,7 +2,9 @@
 //! byte-identical to a cold run, and the daemon's engine must actually hit
 //! the cache on a repeated experiment definition, generating each process
 //! once however many machines share its image. A one-shot engine
-//! (`JobEngine::new`, behind every CLI run) keeps no image at all.
+//! (`JobEngine::new`, behind every CLI run) keeps no image at all. Hits and
+//! misses are read where a run records them: the `runtime.json` counters
+//! of a traced execution.
 //!
 //! Referenced by `crate::cache`'s module docs as the property test for
 //! "cached and uncached runs are byte-identical by construction".
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use vax780::System;
 use vax_analysis::Json;
-use vax_bench::cache::{CacheCounts, WarmCaches};
+use vax_bench::cache::WarmCaches;
 use vax_bench::cli::{Format, Options};
 use vax_bench::engine::{JobEngine, JobRequest};
 use vax_bench::jobspec::RunSpec;
@@ -28,6 +30,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A small traced run into `out`: its trace goes beside the directory, so
+/// the directory holds the artifacts and `runtime.json`.
 fn small_run(out: &Path) -> Options {
     Options {
         spec: RunSpec {
@@ -38,9 +42,41 @@ fn small_run(out: &Path) -> Options {
         },
         format: Format::Json,
         out: Some(out.to_path_buf()),
+        trace_out: Some(out.with_extension("trace.json")),
         verbosity: Verbosity::Quiet,
         ..Options::default()
     }
+}
+
+/// A traced run's `runtime.json` counters.
+fn counters(dir: &Path) -> Json {
+    let runtime = std::fs::read_to_string(dir.join("runtime.json")).unwrap();
+    let runtime = Json::parse(&runtime).unwrap();
+    runtime.get("counters").unwrap().clone()
+}
+
+/// A traced run's boot-image cache (hits, misses); one lookup decides a
+/// cell's whole setup, so the workload cache counts the same.
+fn cache_counts(dir: &Path) -> (i64, i64) {
+    let counters = counters(dir);
+    let count = |key| counters.get(key).and_then(Json::as_i64).unwrap();
+    let boot = (count("boot_cache_hits"), count("boot_cache_misses"));
+    let workload = (count("workload_cache_hits"), count("workload_cache_misses"));
+    assert_eq!(boot, workload);
+    boot
+}
+
+/// Every file of a run directory but `runtime.json` (wall-clock totals).
+fn artifacts(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = read_dir_files(dir);
+    files.remove("runtime.json");
+    files
+}
+
+/// Remove a run directory and its trace.
+fn remove_run(dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_file(dir.with_extension("trace.json"));
 }
 
 /// An engine built the way the daemon's worker builds its one.
@@ -74,27 +110,21 @@ fn warm_run_is_byte_identical_to_cold_run() {
     assert_eq!(cold.code, 0, "cold run failed");
     let cells = 5 * 2; // 5 workloads × 2 shards
     assert_eq!(
-        engine.caches().counts(),
-        CacheCounts {
-            hits: 0,
-            misses: cells
-        },
+        cache_counts(&cold_dir),
+        (0, cells),
         "a cold run must miss every cell"
     );
 
     let warm = engine.execute(&JobRequest::Run(small_run(&warm_dir)));
     assert_eq!(warm.code, 0, "warm run failed");
     assert_eq!(
-        engine.caches().counts(),
-        CacheCounts {
-            hits: cells,
-            misses: cells
-        },
+        cache_counts(&warm_dir),
+        (cells, 0),
         "a repeated run must hit every cell's boot image"
     );
 
-    let cold_files = read_dir_files(&cold_dir);
-    let warm_files = read_dir_files(&warm_dir);
+    let cold_files = artifacts(&cold_dir);
+    let warm_files = artifacts(&warm_dir);
     assert!(
         cold_files.contains_key("measurement.json"),
         "run exported no measurement.json: {:?}",
@@ -112,8 +142,8 @@ fn warm_run_is_byte_identical_to_cold_run() {
         );
     }
 
-    let _ = std::fs::remove_dir_all(&cold_dir);
-    let _ = std::fs::remove_dir_all(&warm_dir);
+    remove_run(&cold_dir);
+    remove_run(&warm_dir);
 }
 
 #[test]
@@ -130,73 +160,46 @@ fn distinct_experiments_do_not_cross_contaminate() {
     run_b.spec.seed = 43;
     assert_eq!(engine.execute(&JobRequest::Run(run_a)).code, 0);
     assert_eq!(engine.execute(&JobRequest::Run(run_b)).code, 0);
-    assert_eq!(
-        engine.caches().counts(),
-        CacheCounts {
-            hits: 0,
-            misses: 10
-        },
-        "different seeds must be distinct cache entries"
-    );
+    for dir in [&dir_a, &dir_b] {
+        assert_eq!(
+            cache_counts(dir),
+            (0, 5),
+            "different seeds must be distinct cache entries"
+        );
+    }
     let a = std::fs::read(dir_a.join("measurement.json")).unwrap();
     let b = std::fs::read(dir_b.join("measurement.json")).unwrap();
     assert_ne!(a, b, "different seeds must measure differently");
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    remove_run(&dir_a);
+    remove_run(&dir_b);
 }
 
 #[test]
 fn a_one_shot_engine_retains_no_image_and_misses_every_cell() {
     let first_dir = scratch("one-shot-1");
     let second_dir = scratch("one-shot-2");
-    let trace = scratch("one-shot-trace.json");
     let engine = JobEngine::new();
     let cells = 5 * 2; // 5 workloads × 2 shards
-    for (dir, misses) in [(&first_dir, cells), (&second_dir, 2 * cells)] {
-        // Traced, so the run writes runtime.json beside its artifacts.
-        let opts = Options {
-            trace_out: Some(trace.clone()),
-            ..small_run(dir)
-        };
-        assert_eq!(engine.execute(&JobRequest::Run(opts)).code, 0);
+    for dir in [&first_dir, &second_dir] {
+        assert_eq!(engine.execute(&JobRequest::Run(small_run(dir))).code, 0);
         assert_eq!(
-            engine.caches().counts(),
-            CacheCounts { hits: 0, misses },
+            cache_counts(dir),
+            (0, cells),
             "a repeated run on a one-shot engine misses every cell again"
         );
         assert_eq!(engine.caches().retained(), 0, "no image outlives its cell");
-        // runtime.json reports both setup phases, all misses.
-        let runtime = std::fs::read_to_string(dir.join("runtime.json")).unwrap();
-        let runtime = Json::parse(&runtime).unwrap();
-        let counters = runtime.get("counters").unwrap();
         // 2,200 steps per cell never switch: one process generated each.
-        for (key, want) in [
-            ("workload_cache_hits", 0),
-            ("workload_cache_misses", cells),
-            ("boot_cache_hits", 0),
-            ("boot_cache_misses", cells),
-            ("processes_generated", cells),
-        ] {
-            assert_eq!(
-                counters.get(key).and_then(Json::as_i64),
-                Some(want as i64),
-                "{key}"
-            );
-        }
+        let generated = counters(dir)
+            .get("processes_generated")
+            .and_then(Json::as_i64);
+        assert_eq!(generated, Some(cells));
     }
-    // Everything but runtime.json (wall-clock totals) repeats byte for byte.
-    let artifacts = |dir: &Path| {
-        let mut files = read_dir_files(dir);
-        files.remove("runtime.json");
-        files
-    };
+    // Everything but runtime.json repeats byte for byte.
     let first = artifacts(&first_dir);
     assert!(first.contains_key("measurement.json"));
     assert_eq!(first, artifacts(&second_dir));
-    for path in [&first_dir, &second_dir] {
-        let _ = std::fs::remove_dir_all(path);
-    }
-    let _ = std::fs::remove_file(&trace);
+    remove_run(&first_dir);
+    remove_run(&second_dir);
 }
 
 #[test]

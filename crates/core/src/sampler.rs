@@ -237,62 +237,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Parse a [`TimeSeries::to_csv`] export back into a series. Each row
-    /// is a sample: the stored columns are its fields, and the derived
-    /// `cycles`, `cpi` and `interrupt_headway` columns recompute from them,
-    /// so the parsed series equals the exported one and re-exports the CSV
-    /// text byte for byte.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending line when the header or a
-    /// row does not match the export format.
-    pub fn from_csv(text: &str) -> Result<TimeSeries, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        let expected = TimeSeries::default().to_csv();
-        if header != expected.trim_end() {
-            return Err(format!("unrecognized CSV header: '{header}'"));
-        }
-        let mut series = TimeSeries::default();
-        for (i, line) in lines.enumerate() {
-            let row = i + 2; // 1-based, after the header
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 13 {
-                return Err(format!(
-                    "line {row}: expected 13 fields, found {}",
-                    fields.len()
-                ));
-            }
-            let int = |col: usize| -> Result<u64, String> {
-                fields[col]
-                    .parse()
-                    .map_err(|_| format!("line {row}: bad integer '{}'", fields[col]))
-            };
-            let start_cycle = int(0)?;
-            let end_cycle = int(1)?;
-            if end_cycle < start_cycle {
-                return Err(format!("line {row}: end_cycle precedes start_cycle"));
-            }
-            if int(2)? != end_cycle - start_cycle {
-                return Err(format!("line {row}: cycles column disagrees with bounds"));
-            }
-            // Columns 4 (cpi) and 12 (interrupt_headway) are derived; they
-            // are regenerated on export rather than stored.
-            let mut sample = IntervalSample {
-                start_cycle,
-                end_cycle,
-                ..IntervalSample::default()
-            };
-            let [(_, instructions), rest @ ..] = sample.counters_mut();
-            *instructions = int(3)?;
-            for (col, (_, slot)) in (5..).zip(rest) {
-                *slot = int(col)?;
-            }
-            series.samples.push(sample);
-        }
-        Ok(series)
-    }
 }
 
 #[cfg(test)]
@@ -354,19 +298,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("start_cycle,end_cycle,"));
         assert!(lines[1].starts_with("0,100,100,10,10.0000,3,0,"));
-    }
-
-    #[test]
-    fn csv_roundtrips_exactly() {
-        let ts = TimeSeries {
-            samples: vec![sample(0, 100, 10), sample(100, 250, 20)],
-        };
-        let csv = ts.to_csv();
-        let parsed = TimeSeries::from_csv(&csv).unwrap();
-        assert_eq!(parsed, ts);
-        assert_eq!(parsed.to_csv(), csv);
-        assert!(TimeSeries::from_csv("bogus header\n1,2\n").is_err());
-        assert!(TimeSeries::from_csv("").is_err());
     }
 
     #[test]

@@ -206,11 +206,6 @@ impl MemorySystem {
         self.code_watch.epoch()
     }
 
-    /// Unconditionally invalidate all code watchpoints (advances the epoch).
-    pub fn invalidate_code_watch(&mut self) {
-        self.code_watch.invalidate_all();
-    }
-
     /// The translation buffer (e.g. for LDPCTX to flush the process half).
     pub fn tb_mut(&mut self) -> &mut Tb {
         &mut self.tb

@@ -71,11 +71,6 @@ impl Histogram {
         self.running = false;
     }
 
-    /// True while collecting.
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
     /// Clear all buckets (Unibus "clear" command). Only the backed prefix
     /// can hold a count, so only it is written.
     pub fn clear(&mut self) {

@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use vax780::{ProcessSpec, SystemBuilder, SystemConfig, TimeSeries};
+use vax780::{ProcessSpec, SystemBuilder, SystemConfig};
 use vax_analysis::{
     cell_from_json, cell_to_json, timeseries_from_json, CheckpointCell, Json, Tolerance,
 };
@@ -56,31 +56,6 @@ fn json_parser_rejects_duplicate_keys_with_position() {
         err,
         format!("duplicate key 'k7' at byte {}", members.len() + 1)
     );
-}
-
-#[test]
-fn timeseries_csv_importer_names_the_offending_line() {
-    let header = TimeSeries::default().to_csv();
-    let header = header.trim_end();
-
-    for (body, expect) in [
-        ("1,2,3", "expected 13 fields"),
-        ("0,100,100,x,0.0,0,0,0,0,0,0,0,0", "bad integer"),
-        ("0,100,99,9,0.0,0,0,0,0,0,0,0,0", "cycles column disagrees"),
-        (
-            "100,50,0,9,0.0,0,0,0,0,0,0,0,0",
-            "end_cycle precedes start_cycle",
-        ),
-    ] {
-        let text = format!("{header}\n{body}\n");
-        let err = TimeSeries::from_csv(&text).unwrap_err();
-        assert!(err.contains(expect), "'{body}' -> {err}");
-        assert!(err.contains("line 2"), "'{body}' -> {err}");
-    }
-    assert!(TimeSeries::from_csv("not,a,header\n")
-        .unwrap_err()
-        .contains("header"));
-    assert!(TimeSeries::from_csv("").is_err());
 }
 
 #[test]
