@@ -30,8 +30,9 @@
 //! ```
 //!
 //! Not every grid cell is measurable: branches would escape the loop,
-//! SYSTEM-group opcodes trap or require privilege, and literal/immediate
-//! specifiers exist only for read access. Those cells carry a
+//! SYSTEM-group opcodes trap or require privilege, literal/immediate
+//! specifiers exist only for read access, and the address of a register
+//! faults. Those cells carry a
 //! [`SkipReason`] instead of a probe, and `reproduce characterize --list`
 //! prints the full grid with those reasons.
 
@@ -93,6 +94,10 @@ pub enum SkipReason {
     /// Literal/immediate specifiers exist only for read access and the
     /// opcode has no read operand.
     ReadOnlyMode,
+    /// Register mode on an address operand (MOVAx, PUSHAx): the 780
+    /// faults. A bit-field base in a register is a register field, and
+    /// stays probeable.
+    RegisterAddress,
 }
 
 impl SkipReason {
@@ -103,6 +108,7 @@ impl SkipReason {
             SkipReason::SystemGroup => "SYSTEM group (privileged or trapping)",
             SkipReason::NoSpecifiers => "no operand specifiers",
             SkipReason::ReadOnlyMode => "literal/immediate is read-only; no read operand",
+            SkipReason::RegisterAddress => "address of a register faults",
         }
     }
 }
@@ -138,7 +144,8 @@ pub struct GridCell {
 
 /// Decide whether `(opcode, mode)` is probeable and, if so, which operand
 /// carries the mode: literal/immediate go on the first read operand, every
-/// other mode on the first specifier.
+/// other mode on the first specifier, which register mode may not take if
+/// it is an address.
 pub fn probe_target(opcode: Opcode, mode: AddressingMode) -> Result<ProbeTarget, SkipReason> {
     if opcode.branch_kind() != BranchKind::None {
         return Err(SkipReason::ChangesPc);
@@ -155,6 +162,14 @@ pub fn probe_target(opcode: Opcode, mode: AddressingMode) -> Result<ProbeTarget,
             .iter()
             .position(|k| matches!(k, OperandKind::Spec(AccessType::Read, _)))
             .ok_or(SkipReason::ReadOnlyMode)?,
+        AddressingMode::Register
+            if matches!(
+                opcode.operands()[0],
+                OperandKind::Spec(AccessType::Address, _)
+            ) =>
+        {
+            return Err(SkipReason::RegisterAddress)
+        }
         _ => 0,
     };
     Ok(ProbeTarget {
@@ -410,6 +425,20 @@ mod tests {
             probe_target(Opcode::Halt, AddressingMode::Register),
             Err(SkipReason::SystemGroup)
         );
+    }
+
+    #[test]
+    fn the_address_of_a_register_is_skipped_but_a_register_field_is_not() {
+        let skipped: Vec<Opcode> = probe_grid()
+            .into_iter()
+            .filter(|c| c.target == Err(SkipReason::RegisterAddress))
+            .map(|c| c.opcode)
+            .collect();
+        use Opcode::*;
+        let movs = [Movab, Movaw, Moval, Movaq, Pushab, Pushaw, Pushal, Pushaq];
+        assert_eq!(skipped, movs);
+        assert!(probe_target(Extzv, AddressingMode::Register).is_ok());
+        assert!(probe_target(Moval, AddressingMode::RegisterDeferred).is_ok());
     }
 
     #[test]

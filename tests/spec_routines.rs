@@ -25,8 +25,9 @@ const REPS: u32 = 4;
 const ITERS: u64 = 16;
 
 /// Read (MOVL), write (CLRL), modify (INCL), address (MOVAL, PUSHAL) and
-/// quadword (MOVQ, CLRQ) operands.
-const OPCODES: [Opcode; 7] = [
+/// quadword (MOVQ, CLRQ) operands, and a bit-field base (EXTZV), whose
+/// register form is the one register-mode address routine a probe runs.
+const OPCODES: [Opcode; 8] = [
     Opcode::Movl,
     Opcode::Clrl,
     Opcode::Incl,
@@ -34,6 +35,7 @@ const OPCODES: [Opcode; 7] = [
     Opcode::Pushal,
     Opcode::Movq,
     Opcode::Clrq,
+    Opcode::Extzv,
 ];
 
 fn measure(target: Option<&vax_asm::ProbeTarget>, reps: u32) -> ProbeRun {
